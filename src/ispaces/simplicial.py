@@ -568,19 +568,20 @@ def nerve(C, D):
     degeneracies.  The result is marked complete when no nondegenerate
     D-chain exists (all longer chains are then degenerate as well).
     """
-    if C.validate():
-        raise ValueError("composition table is not a category: " + "; ".join(C.validate()))
+    bad = C.validate()
+    if bad:
+        raise ValueError("composition table is not a category: " + "; ".join(bad))
+    morphisms = sorted(C.morphisms)
+    out_of = {}
+    for f in morphisms:
+        out_of.setdefault(C.src[f], []).append(f)
     cells = [[("o", obj) for obj in sorted(C.objects)]]
-    chains = [[()]]
+    level = [()]
     for k in range(1, D + 1):
-        level = []
-        for chain in chains[k - 1]:
-            if k == 1:
-                level.extend((f,) for f in sorted(C.morphisms))
-            else:
-                end = C.dst[chain[-1]]
-                level.extend(chain + (f,) for f in sorted(C.morphisms) if C.src[f] == end)
-        chains.append(level)
+        if k == 1:
+            level = [(f,) for f in morphisms]
+        else:
+            level = [chain + (f,) for chain in level for f in out_of.get(C.dst[chain[-1]], ())]
         cells.append([("c", ch) for ch in level])
 
     def face_fn(k, raw, i):
@@ -735,19 +736,27 @@ def homology(X, d_report):
             f"{d_report + 1}; have {X.top_dim} and no completeness guarantee"
         )
     cx = chain_complex(X, top=min(d_report + 1, X.top_dim))
-    groups = {}
+    groups = _homology_groups(cx.counts, cx.boundaries, range(d_report + 1))
+    return HomologyReport(groups, X.top_dim, X.complete)
+
+
+def _homology_groups(counts, boundaries, degrees):
+    """{k: (rank, torsion)} of H_k for k in `degrees`, from d_1 upwards.
+
+    The unit pivot columns found in d_k are dropped as rows of d_{k+1}
+    (clearing); this changes neither rank nor torsion, see `zlinalg`.
+    """
     ranks = {}
     tors = {}
-    for k in range(1, len(cx.counts)):
-        r, t = rank_and_torsion(cx.boundaries[k], cx.counts[k - 1], cx.counts[k])
-        ranks[k] = r
-        tors[k] = t
-    for k in range(d_report + 1):
-        n_k = cx.counts[k] if k < len(cx.counts) else 0
-        rk = ranks.get(k, 0)
-        rk1 = ranks.get(k + 1, 0)
-        groups[k] = (n_k - rk - rk1, tuple(tors.get(k + 1, ())))
-    return HomologyReport(groups, X.top_dim, X.complete)
+    cleared = ()
+    for k in range(1, len(counts)):
+        pivots = []
+        ranks[k], tors[k] = rank_and_torsion(boundaries[k], counts[k - 1], counts[k],
+                                             drop_rows=cleared, pivots=pivots)
+        cleared = pivots
+    return {k: ((counts[k] if k < len(counts) else 0) - ranks.get(k, 0) - ranks.get(k + 1, 0),
+                tors.get(k + 1, ()))
+            for k in degrees}
 
 
 def reduced_homology_trivial(X, d_report):
@@ -791,16 +800,7 @@ def map_cone_homology(f, d_report):
         for (r, c), v in bnd(cy, k).items():
             mat[(offr + r, offc + c)] = mat.get((offr + r, offc + c), 0) + v
         boundaries.append({k2: v for k2, v in mat.items() if v})
-    groups = {}
-    ranks = {}
-    tors = {}
-    for k in range(1, top + 1):
-        r, t = rank_and_torsion(boundaries[k], counts[k - 1], counts[k])
-        ranks[k] = r
-        tors[k] = t
-    for k in range(top):
-        groups[k] = (counts[k] - ranks.get(k, 0) - ranks.get(k + 1, 0),
-                     tuple(tors.get(k + 1, ())))
+    groups = _homology_groups(counts, boundaries, range(top + 1))
 
     def known_nondeg(Z, k):
         if k <= Z.top_dim:
@@ -808,10 +808,8 @@ def map_cone_homology(f, d_report):
         return 0 if Z.complete else None
 
     # the top group is certifiable when the cone provably vanishes above it
-    above_x = known_nondeg(X, top)
-    above_y = known_nondeg(Y, top + 1)
-    if above_x == 0 and above_y == 0:
-        groups[top] = (counts[top] - ranks.get(top, 0), ())
+    if not (known_nondeg(X, top) == 0 and known_nondeg(Y, top + 1) == 0):
+        del groups[top]
     return groups
 
 
@@ -837,6 +835,7 @@ def sset_to_json(X):
         "top_dim": X.top_dim,
         "simplices": [list(range(X.card[k])) for k in range(X.top_dim + 1)],
         "faces": faces,
+        "complete": X.complete,
     }
     if X.basepoint is not None:
         payload["basepoint"] = X.basepoint
@@ -850,7 +849,8 @@ def sset_from_json(payload):
         k, x, i = (int(t) for t in key.split("/"))
         degs = tuple(val["deg"])
         face[(k, x, i)] = SimplexRef(degs, k - 1 - len(degs), val["base"])
-    return SSet(card, face, basepoint=payload.get("basepoint"))
+    return SSet(card, face, complete=payload.get("complete", False),
+                basepoint=payload.get("basepoint"))
 
 
 def sset_to_dot(X, name="sset"):

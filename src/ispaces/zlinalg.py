@@ -1,246 +1,110 @@
 """Exact integer linear algebra for homology: Smith normal form.
 
-Matrices are sparse dicts (row, col) -> nonzero int.  The strategy is a
-sparsity-preserving elimination pass using unit pivots (these never create
-torsion and keep entries small), followed by a classical dense Smith pass
-with the divisibility chain on the usually tiny residual block.  Everything
-runs over Python's arbitrary-precision integers; no floats anywhere.
+Matrices are sparse dicts (row, col) -> nonzero int.  Columns are eliminated
+one at a time against the unit pivot columns found so far, in the order they
+were found: a reduced column with a +-1 entry becomes a new pivot column (a
+Smith entry 1), and a column left with only non-unit entries is set aside.
+Unit pivots never create torsion and keep entries small.  The loop stops once
+the rank reaches the bound the shape allows, since every further Smith entry
+is then 1.  The set-aside columns, reduced against every pivot, form a small
+residue whose Smith form is taken densely, modulo a nonzero minor of maximal
+size so that its entries stay bounded.
+
+For a chain complex, the unit pivot columns of d_k may be dropped as rows of
+d_{k+1} (clearing, as in Chen & Kerber 2011 and Bauer, Kerber & Reininghaus
+2014): this changes neither rank nor torsion.  Everything runs over Python's
+arbitrary-precision integers; no floats anywhere.
 """
 
 import heapq
-from collections import deque
+from math import gcd
 
 
-def _singleton_cascade(rows, cols, work=None):
-    """Eliminate unit pivots sitting in singleton rows or columns.
+def _reduce(col, pivot_at, pivot_cols):
+    """Clear `col` (row -> value) at every pivot row, in pivot order.
 
-    Such pivots never create fill, and each elimination can expose new
-    singletons, so a worklist clears long chains of them in linear time.
-    Returns the rank gained.  A seed worklist skips the initial scan.
+    Pivot column p, stored as (row, value, entries), is zero at the rows of
+    the pivots found before it, so one pass in pivot order leaves `col` zero
+    at every pivot row.
     """
-    if work is None:
-        work = deque()
-        for r, row in rows.items():
-            if len(row) == 1:
-                work.append(("r", r))
-        for c, col in cols.items():
-            if len(col) == 1:
-                work.append(("c", c))
-    rank = 0
-    while work:
-        kind, key = work.popleft()
-        if kind == "r":
-            row = rows.get(key)
-            if row is None or len(row) != 1:
-                continue
-            pr = key
-            pc, pv = next(iter(row.items()))
-        else:
-            col = cols.get(key)
-            if col is None or len(col) != 1:
-                continue
-            pc = key
-            pr, pv = next(iter(col.items()))
-        if pv not in (1, -1):
-            continue
-        pivot_row = rows.pop(pr)
-        for c in pivot_row:
-            col = cols[c]
-            del col[pr]
-            if not col:
-                del cols[c]
-            elif len(col) == 1:
-                work.append(("c", c))
-        for r in list(cols.get(pc, {})):
-            other = rows[r]
-            f = other[pc] * pv
-            for c, v in pivot_row.items():
-                nv = other.get(c, 0) - f * v
-                if nv:
-                    other[c] = nv
-                    cols.setdefault(c, {})[r] = nv
-                else:
-                    if c in other:
-                        del other[c]
-                        col = cols[c]
-                        del col[r]
-                        if not col:
-                            del cols[c]
-                        elif len(col) == 1:
-                            work.append(("c", c))
-            if not other:
-                del rows[r]
-            elif len(other) == 1:
-                work.append(("r", r))
-        rank += 1
-    return rank
-
-
-def _unit_pivot_eliminate(mat):
-    """Eliminate with +-1 pivots, preferring minimal fill.  Returns (rank, residue).
-
-    A singleton-pivot cascade handles the bulk of boundary-style matrices
-    first; the remainder uses a lazy heap keyed by the Markowitz fill
-    estimate, revalidating stale entries on pop.
-    """
-    rows = {}
-    cols = {}
-    for (r, c), v in mat.items():
-        rows.setdefault(r, {})[c] = v
-        cols.setdefault(c, {})[r] = v
-    rank = _singleton_cascade(rows, cols)
-    heap = [(len(row), r) for r, row in rows.items()]
+    heap = [pivot_at[r] for r in col if r in pivot_at]
     heapq.heapify(heap)
     while heap:
-        size, pr = heapq.heappop(heap)
-        row = rows.get(pr)
-        if row is None:
+        pr, pv, entries = pivot_cols[heapq.heappop(heap)]
+        f = col.get(pr)
+        if f is None:
             continue
-        if len(row) > size:
-            heapq.heappush(heap, (len(row), pr))
-            continue
-        # cheapest unit pivot within the shortest row
-        pc = pv = None
-        best = None
-        for c, v in row.items():
-            if v in (1, -1):
-                deg = len(cols[c])
-                if best is None or deg < best:
-                    best, pc, pv = deg, c, v
-        if pc is None:
-            continue  # re-pushed if a later update touches this row
-        pivot_row = rows.pop(pr)
-        for c in pivot_row:
-            col = cols[c]
-            col.pop(pr, None)
-            if not col:
-                del cols[c]
-        for r in list(cols.get(pc, {})):
-            other = rows[r]
-            f = other[pc] * pv  # pv is its own inverse
-            for c, v in pivot_row.items():
-                nv = other.get(c, 0) - f * v
-                if nv:
-                    other[c] = nv
-                    cols.setdefault(c, {})[r] = nv
-                else:
-                    if c in other:
-                        del other[c]
-                        col = cols[c]
-                        del col[r]
-                        if not col:
-                            del cols[c]
-            if not other:
-                del rows[r]
+        f *= pv  # pv is its own inverse
+        for r, v in entries.items():
+            nv = col.get(r, 0) - f * v
+            if nv:
+                if r not in col and r in pivot_at:
+                    heapq.heappush(heap, pivot_at[r])
+                col[r] = nv
             else:
-                heapq.heappush(heap, (len(other), r))
-        rank += 1
-    residue = {}
-    for r, row in rows.items():
-        for c, v in row.items():
-            residue[(r, c)] = v
-    return rank, residue
+                del col[r]
+    return col
 
 
-def _dense_smith(mat):
-    """Diagonal of the Smith form of a small dense matrix, as a sorted list."""
-    if not mat:
-        return []
-    rows = sorted({r for r, _ in mat})
-    cols = sorted({c for _, c in mat})
-    ri = {r: i for i, r in enumerate(rows)}
-    ci = {c: j for j, c in enumerate(cols)}
-    m, n = len(rows), len(cols)
-    a = [[0] * n for _ in range(m)]
+def _unit_pivot_eliminate(mat, drop_rows=(), pivots=None):
+    """Column-by-column elimination with +-1 pivots.  Returns (rank, residue).
+
+    Rows in `drop_rows` are ignored.  The ids of the unit pivot columns are
+    appended to the list `pivots` when one is given.  The residue is the
+    set-aside part, zero at every pivot row, keyed (row, aside index).
+    """
+    drop = set(drop_rows)
+    cols = {}
+    rows = set()
     for (r, c), v in mat.items():
-        a[ri[r]][ci[c]] = v
-    diag = []
-    t = 0
-    while t < m and t < n:
-        # locate a minimal nonzero pivot in the remaining block
-        pr = pc = -1
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best, pr, pc = v, i, j
-        if best is None:
-            break
-        a[t], a[pr] = a[pr], a[t]
-        for row in a:
-            row[t], row[pc] = row[pc], row[t]
-        while True:
-            # clear column t
-            done = True
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    for j in range(t, n):
-                        a[i][j] -= q * a[t][j]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        done = False
-            # clear row t
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for i in range(t, m):
-                        a[i][j] -= q * a[i][t]
-                    if a[t][j]:
-                        for i in range(t, m):
-                            a[i][t], a[i][j] = a[i][j], a[i][t]
-                        done = False
-            if done:
-                break
-        # enforce divisibility of later entries by the pivot
-        p = a[t][t]
-        fixed = True
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % p:
-                    for jj in range(t, n):
-                        a[t][jj] += a[i][jj]
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if not fixed:
+        if v and r not in drop:
+            cols.setdefault(c, {})[r] = v
+            rows.add(r)
+    bound = min(len(rows), len(cols))
+    pivot_at = {}  # pivot row -> index into pivot_cols
+    pivot_cols = []
+    aside = []
+    for c in sorted(cols):
+        if len(pivot_cols) == bound:
+            return bound, {}
+        col = _reduce(cols[c], pivot_at, pivot_cols)
+        pr = max((r for r, v in col.items() if v in (1, -1)), default=None)
+        if pr is None:
+            if col:
+                aside.append(col)
             continue
-        diag.append(abs(p))
-        t += 1
-    return diag
+        pivot_at[pr] = len(pivot_cols)
+        pivot_cols.append((pr, col[pr], col))
+        if pivots is not None:
+            pivots.append(c)
+    residue = {}
+    for j, col in enumerate(aside):
+        for r, v in _reduce(col, pivot_at, pivot_cols).items():
+            residue[(r, j)] = v
+    return len(pivot_cols), residue
 
 
-def smith_diagonal(mat):
-    """Nonzero Smith normal form diagonal of a sparse integer matrix."""
-    rank1, residue = _unit_pivot_eliminate(mat)
-    return [1] * rank1 + _dense_smith(residue)
-
-
-def rank_and_torsion(mat, nrows, ncols):
-    """(rank, torsion coefficients > 1) of a sparse matrix of the given shape."""
-    diag = smith_diagonal(mat)
-    if len(diag) > min(nrows, ncols):
-        raise AssertionError("Smith rank exceeds matrix shape")
-    return len(diag), tuple(d for d in diag if d > 1)
-
-
-def bareiss_rank(mat, nrows, ncols):
-    """Fraction-free Gaussian rank, an independent cross-check on the SNF rank."""
-    if not mat:
-        return 0
+def _dense(mat):
+    """Dense list-of-rows copy of a sparse matrix, on its nonzero rows and columns."""
     rows = sorted({r for r, _ in mat})
     cols = sorted({c for _, c in mat})
     ri = {r: i for i, r in enumerate(rows)}
     ci = {c: j for j, c in enumerate(cols)}
-    m, n = len(rows), len(cols)
-    a = [[0] * n for _ in range(m)]
+    a = [[0] * len(cols) for _ in rows]
     for (r, c), v in mat.items():
         a[ri[r]][ci[c]] = v
+    return a
+
+
+def _bareiss(a):
+    """Fraction-free Gaussian elimination in place.  Returns (rank, minor).
+
+    `minor` is a nonzero rank x rank minor of the input (1 for rank 0).
+    """
+    m, n = len(a), len(a[0]) if a else 0
     rank = 0
     prev = 1
-    for t in range(min(m, n)):
+    for _ in range(min(m, n)):
         pr = next((i for i in range(rank, m) if any(a[i][rank:])), None)
         if pr is None:
             break
@@ -255,4 +119,93 @@ def bareiss_rank(mat, nrows, ncols):
             a[i][rank] = 0
         prev = p
         rank += 1
-    return rank
+    return rank, abs(prev)
+
+
+def _bezout(a, b):
+    """(x, y, p, q) with [[x, y], [-q, p]] unimodular, taking (a, b) to (g, 0).
+
+    When a divides b this is plain elimination (x, y = 1, 0), so the pivot a
+    stays; otherwise g = gcd(a, b) is smaller than a, or positive for a = 0.
+    """
+    if a and b % a == 0:
+        return 1, 0, 1, b // a
+    a0, b0 = a, b
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return x0, y0, a0 // a, b0 // a
+
+
+def _dense_smith(mat):
+    """Diagonal of the Smith form of a small dense matrix, as a sorted list.
+
+    With rank r and a nonzero r x r minor D, each of the r invariant factors
+    divides D.  So the diagonalisation runs over Z/DZ, where entries stay
+    below D (Hafner & McCurley 1991; Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 2.4.14): the Smith entries there are the
+    gcds of the true ones with D, which are the true ones for the first r
+    and D for the rest.
+    """
+    if not mat:
+        return []
+    rank, D = _bareiss(_dense(mat))
+    a = [[v % D for v in row] for row in _dense(mat)]
+    m, n = len(a), len(a[0])
+    diag = []
+    for t in range(min(m, n)):
+        while True:
+            # gather gcd(column t) into the pivot by unimodular row pairs
+            for i in range(t + 1, m):
+                if a[i][t]:
+                    x, y, p, q = _bezout(a[t][t], a[i][t])
+                    rt, ri = a[t], a[i]
+                    a[t] = [(x * u + y * w) % D for u, w in zip(rt, ri)]
+                    a[i] = [(p * w - q * u) % D for u, w in zip(rt, ri)]
+            # and gcd(row t) by unimodular column pairs
+            done = True
+            for j in range(t + 1, n):
+                if a[t][j]:
+                    done = False
+                    x, y, p, q = _bezout(a[t][t], a[t][j])
+                    for row in a:
+                        u, w = row[t], row[j]
+                        row[t], row[j] = (x * u + y * w) % D, (p * w - q * u) % D
+            if done:
+                break
+        diag.append(gcd(a[t][t], D))
+    # diag(a, b) ~ diag(gcd, lcm) gives the divisibility chain
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    return diag[:rank]
+
+
+def smith_diagonal(mat, drop_rows=(), pivots=None):
+    """Nonzero Smith normal form diagonal of a sparse integer matrix."""
+    rank1, residue = _unit_pivot_eliminate(mat, drop_rows, pivots)
+    return [1] * rank1 + _dense_smith(residue)
+
+
+def rank_and_torsion(mat, nrows, ncols, drop_rows=(), pivots=None):
+    """(rank, torsion coefficients > 1) of a sparse matrix of the given shape.
+
+    `drop_rows` and `pivots` serve clearing in a chain complex: pass the
+    pivot columns that a call on d_k appended to `pivots` as the `drop_rows`
+    of d_{k+1}.
+    """
+    diag = smith_diagonal(mat, drop_rows, pivots)
+    if len(diag) > min(nrows, ncols):
+        raise AssertionError("Smith rank exceeds matrix shape")
+    return len(diag), tuple(d for d in diag if d > 1)
+
+
+def bareiss_rank(mat, nrows, ncols):
+    """Fraction-free Gaussian rank, an independent cross-check on the SNF rank."""
+    if not mat:
+        return 0
+    return _bareiss(_dense(mat))[0]

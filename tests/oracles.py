@@ -39,6 +39,44 @@ def rational_rank(rows, ncols):
     return rank
 
 
+def _det(rows):
+    """Determinant by the Leibniz formula over all permutations."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+            if not term:
+                break
+        total += term
+    return total
+
+
+def invariant_factors(rows, ncols):
+    """Nonzero Smith invariant factors of a dense integer matrix.
+
+    The k-th factor is d_k / d_{k-1}, where the determinantal divisor d_k is
+    the gcd of all k x k minors; the rank is the largest k with d_k != 0.
+    """
+    from itertools import combinations
+    from math import gcd
+
+    factors = []
+    prev = 1
+    for k in range(1, min(len(rows), ncols) + 1):
+        d = 0
+        for rs in combinations(range(len(rows)), k):
+            for cs in combinations(range(ncols), k):
+                d = gcd(d, _det([[rows[r][c] for c in cs] for r in rs]))
+        if d == 0:
+            break
+        factors.append(d // prev)
+        prev = d
+    return factors
+
+
 def group_homology(elements, mul, unit, top):
     """Integral group homology H_k for k <= top via the bar complex.
 

@@ -90,45 +90,3 @@ def test_enumeration_is_sorted_and_complete():
 def test_injection_json_round_trip():
     f = Injection(2, 4, (4, 1))
     assert injection_from_json(injection_to_json(f)) == f
-
-
-# ---------------------------------------------------------------------------
-# Integer linear algebra.
-# ---------------------------------------------------------------------------
-
-def test_smith_diagonal_divisibility():
-    from ispaces.zlinalg import smith_diagonal
-
-    mat = {(0, 0): 2, (0, 1): 4, (1, 0): 4, (1, 1): 4}
-    diag = [d for d in smith_diagonal(mat) if d]
-    for a, b in zip(diag, diag[1:]):
-        assert b % a == 0
-    assert diag == [2, 4]
-
-
-def test_rank_and_torsion_known_matrix():
-    from ispaces.zlinalg import rank_and_torsion
-
-    # the boundary matrix of RP^2's 2-cell in cellular homology
-    mat = {(0, 0): 2}
-    rank, tors = rank_and_torsion(mat, 1, 1)
-    assert rank == 1
-    assert tors == (2,)
-
-
-def test_bareiss_agrees_with_smith_on_random_sparse():
-    import random
-
-    from ispaces.zlinalg import bareiss_rank, rank_and_torsion
-
-    rng = random.Random(7)
-    for _ in range(20):
-        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
-        mat = {}
-        for r in range(nrows):
-            for c in range(ncols):
-                if rng.random() < 0.4:
-                    mat[(r, c)] = rng.randint(-5, 5)
-        mat = {k: v for k, v in mat.items() if v}
-        rank, _ = rank_and_torsion(dict(mat), nrows, ncols)
-        assert rank == bareiss_rank(dict(mat), nrows, ncols)

@@ -182,6 +182,9 @@ def test_json_round_trip():
     y = sset_from_json(sset_to_json(x))
     assert y.card == x.card
     assert y.face == x.face
+    assert (y.complete, y.basepoint) == (True, 0)
+    trimmed = type(x)(x.card, x.face, complete=False, basepoint=None)
+    assert sset_from_json(sset_to_json(trimmed)) == trimmed
 
 
 def test_homology_refuses_incomplete_skeleton():

@@ -1,0 +1,202 @@
+"""Smith normal form, its dense residue pass, and clearing across degrees."""
+
+import random
+import time
+
+from ispaces import simplicial
+from ispaces.icat import FinCategory
+from ispaces.simplicial import (
+    SimplexRef,
+    SMap,
+    chain_complex,
+    homology,
+    map_cone_homology,
+    nerve,
+    point,
+    product,
+    simplicial_circle,
+)
+from ispaces.zlinalg import rank_and_torsion, smith_diagonal
+
+from oracles import group_homology, invariant_factors
+
+
+def test_smith_diagonal_divisibility():
+    from ispaces.zlinalg import smith_diagonal
+
+    mat = {(0, 0): 2, (0, 1): 4, (1, 0): 4, (1, 1): 4}
+    diag = [d for d in smith_diagonal(mat) if d]
+    for a, b in zip(diag, diag[1:]):
+        assert b % a == 0
+    assert diag == [2, 4]
+
+
+def test_rank_and_torsion_known_matrix():
+    from ispaces.zlinalg import rank_and_torsion
+
+    # the boundary matrix of RP^2's 2-cell in cellular homology
+    mat = {(0, 0): 2}
+    rank, tors = rank_and_torsion(mat, 1, 1)
+    assert rank == 1
+    assert tors == (2,)
+
+
+def test_bareiss_agrees_with_smith_on_random_sparse():
+    import random
+
+    from ispaces.zlinalg import bareiss_rank, rank_and_torsion
+
+    rng = random.Random(7)
+    for _ in range(20):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        mat = {}
+        for r in range(nrows):
+            for c in range(ncols):
+                if rng.random() < 0.4:
+                    mat[(r, c)] = rng.randint(-5, 5)
+        mat = {k: v for k, v in mat.items() if v}
+        rank, _ = rank_and_torsion(dict(mat), nrows, ncols)
+        assert rank == bareiss_rank(dict(mat), nrows, ncols)
+
+
+def test_invariant_factors_match_determinantal_divisors():
+    rng = random.Random(11)
+    values = (1, 2, 3, 4, 6, -1, -2, -3, -4, -6)
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        density = rng.choice((0.4, 0.7, 1.0))
+        dense = [[rng.choice(values) if rng.random() < density else 0
+                  for _ in range(ncols)] for _ in range(nrows)]
+        mat = {(r, c): v for r, row in enumerate(dense) for c, v in enumerate(row) if v}
+        assert smith_diagonal(mat) == invariant_factors(dense, ncols), dense
+
+
+def test_explicit_zero_entries_are_ignored():
+    # a stored 0 at the row of the first pivot
+    mat = {(0, 0): -1, (1, 0): -2, (0, 1): 0, (2, 1): 1}
+    assert rank_and_torsion(mat, 3, 2) == (2, ())
+
+
+def test_dense_residue_entries_stay_bounded():
+    # no +-1 entry, so the whole matrix is the dense residue; determinantal
+    # divisors 1, 1, 1, 1, 2, 4, 143448
+    mat = {(0, 1): 4, (0, 2): -4, (0, 3): -4, (0, 4): -2, (0, 5): 3, (0, 6): 2,
+           (1, 3): 3, (1, 4): 6, (1, 6): 2, (2, 0): 6, (2, 3): -2, (2, 6): 6,
+           (3, 0): -2, (3, 1): 6, (3, 2): -2, (3, 3): 4, (3, 4): -3, (3, 6): -6,
+           (4, 1): 3, (4, 2): 4, (4, 3): 6, (4, 4): -3, (4, 5): -6, (5, 0): 4,
+           (5, 1): -3, (5, 3): 6, (5, 4): 6, (5, 5): -2, (5, 6): 4, (6, 0): -6,
+           (6, 3): -6, (6, 6): -4}
+    t0 = time.perf_counter()
+    assert rank_and_torsion(mat, 7, 7) == (7, (2, 2, 35862))
+    assert time.perf_counter() - t0 < 1.0
+
+
+# ---------------------------------------------------------------------------
+# Clearing: pivot columns of d_k dropped as rows of d_{k+1}.
+# ---------------------------------------------------------------------------
+
+def _cyclic_group_category(n):
+    elems = list(range(n))
+    return FinCategory(
+        [0], elems,
+        src=dict.fromkeys(elems, 0), dst=dict.fromkeys(elems, 0),
+        comp={(g, f): (g + f) % n for g in elems for f in elems},
+        ident={0: 0},
+    )
+
+
+def _no_clearing(mat, nrows, ncols, drop_rows=(), pivots=None):
+    return rank_and_torsion(mat, nrows, ncols)
+
+
+def test_clearing_keeps_odd_torsion_of_cyclic_group_nerve(monkeypatch):
+    bz3 = nerve(_cyclic_group_category(3), 3).sset
+    groups = homology(bz3, 2).groups
+    assert groups == group_homology([0, 1, 2], lambda a, b: (a + b) % 3, 0, 2)
+    assert groups[1] == (0, (3,))
+    monkeypatch.setattr(simplicial, "rank_and_torsion", _no_clearing)
+    assert homology(bz3, 2).groups == groups
+
+
+def test_clearing_on_torus_where_rank_bound_is_not_reached():
+    t2 = product(simplicial_circle(), simplicial_circle()).sset
+    assert homology(t2, 2).group(2) == (1, ())
+    cx = chain_complex(t2, top=2)
+    cleared = []
+    rank_and_torsion(cx.boundaries[1], cx.counts[0], cx.counts[1], pivots=cleared)
+    rank, _ = rank_and_torsion(cx.boundaries[2], cx.counts[1], cx.counts[2],
+                               drop_rows=cleared)
+    assert rank < min(cx.counts[1] - len(cleared), cx.counts[2])
+
+
+def test_cone_homology_agrees_without_clearing(monkeypatch):
+    bz3 = nerve(_cyclic_group_category(3), 4).sset
+    table = {(k, x): SimplexRef(tuple(range(k - 1, -1, -1)), 0, 0)
+             for k in range(bz3.top_dim + 1) for x in range(bz3.card[k])}
+    collapse = SMap(bz3, point(), table)
+    t2 = product(simplicial_circle(), simplicial_circle())
+    cases = [(collapse, 3), (t2.proj1, 2)]
+    cleared = [map_cone_homology(f, d) for f, d in cases]
+    # the cone of X -> point has H_{k+1} = reduced H_k(X): Z/3 in degree 2
+    assert cleared[0][2] == (0, (3,))
+    monkeypatch.setattr(simplicial, "rank_and_torsion", _no_clearing)
+    assert [map_cone_homology(f, d) for f, d in cases] == cleared
+
+
+def _conjugated_complex(rng):
+    """A chain complex with known homology, in random unimodular bases.
+
+    In the standard basis, d_k sends the last r_k basis vectors of C_k to
+    s_i times the first r_k basis vectors of C_{k-1}, where s is a random
+    divisibility chain; a change of basis of every C_k then spreads the
+    entries out.  Returns (counts, boundaries, homology through the top-1).
+    """
+    top = rng.randint(2, 4)
+    r = [0] + [rng.randint(0, 3) for _ in range(top)] + [0]
+    free = [rng.randint(0, 2) for _ in range(top + 1)]
+    counts = [r[k + 1] + free[k] + r[k] for k in range(top + 1)]
+    basis, inverse = [], []
+    for n in counts:
+        u = [[int(i == j) for j in range(n)] for i in range(n)]
+        v = [row[:] for row in u]
+        for _ in range(3 * n if n > 1 else 0):
+            i, j = rng.sample(range(n), 2)
+            f = rng.choice((1, -1, 2))
+            for row in u:  # u <- u E, with E adding f * column i to column j
+                row[j] += f * row[i]
+            v[i] = [a - f * b for a, b in zip(v[i], v[j])]  # v <- E^-1 v
+        basis.append(u)
+        inverse.append(v)
+    boundaries = [{}]
+    factors = {}
+    for k in range(1, top + 1):
+        s, cur = [], 1
+        for _ in range(r[k]):
+            cur *= rng.choice((1, 1, 2, 3))
+            s.append(cur)
+        factors[k] = tuple(t for t in s if t > 1)
+        mat = {}
+        for i, si in enumerate(s):  # u_{k-1} D v_k, with D[i][r_{k+1} + free_k + i] = s_i
+            col = r[k + 1] + free[k] + i
+            for a in range(counts[k - 1]):
+                for c in range(counts[k]):
+                    mat[(a, c)] = mat.get((a, c), 0) + basis[k - 1][a][i] * si * inverse[k][col][c]
+        boundaries.append({key: v for key, v in mat.items() if v})
+    groups = {k: (free[k], factors.get(k + 1, ())) for k in range(top)}
+    return counts, boundaries, groups
+
+
+def test_clearing_on_random_complexes_with_known_homology():
+    rng = random.Random(5)
+    for _ in range(200):
+        counts, boundaries, groups = _conjugated_complex(rng)
+        ranks, tors = {}, {}
+        cleared = ()
+        for k in range(1, len(counts)):
+            pivots = []
+            ranks[k], tors[k] = rank_and_torsion(boundaries[k], counts[k - 1], counts[k],
+                                                 drop_rows=cleared, pivots=pivots)
+            cleared = pivots
+        for k, (free, torsion) in groups.items():
+            assert counts[k] - ranks.get(k, 0) - ranks.get(k + 1, 0) == free
+            assert tors.get(k + 1, ()) == torsion
