@@ -12,8 +12,8 @@ from . import cmon, gamma, ispace, simplicial
 from .scenarios import (
     ISPACE_MODELS,
     MONOID_MODELS,
-    REGISTRY,
     RunConfig,
+    _groups_json,
     build_ispace,
     build_monoid,
     reports_to_json,
@@ -28,10 +28,6 @@ def _emit(payload, out):
         with open(out, "w") as fh:
             fh.write(text + "\n")
     print(text)
-
-
-def _groups(groups):
-    return {str(k): [r, list(t)] for k, (r, t) in sorted(groups.items())}
 
 
 def cmd_validate(args, cfg):
@@ -64,7 +60,7 @@ def cmd_homology(args, cfg):
     X = build_ispace(args.model[0], cfg.trunc)
     tab = ispace.hocolim_I(X, cfg.S)
     h = simplicial.homology(tab.sset, cfg.deg)
-    return {"model": args.model[0], "homology": _groups(h.groups)}, True
+    return {"model": args.model[0], "homology": _groups_json(h.groups)}, True
 
 
 def cmd_flat(args, cfg):
@@ -116,12 +112,12 @@ def cmd_bar(args, cfg):
         return {
             "model": args.model[0],
             "pi0": rep.pi0,
-            "homology": {t: _groups(h.groups) for t, h in rep.homology.items()},
+            "homology": {t: _groups_json(h.groups) for t, h in rep.homology.items()},
             "map_iso": rep.map_iso,
             "stable": rep.stable,
         }, all(rep.map_iso.values())
     h, _ = cmon.classifying_space_homology(A, cfg.deg)
-    return {"model": args.model[0], "homology": _groups(h.groups)}, True
+    return {"model": args.model[0], "homology": _groups_json(h.groups)}, True
 
 
 def cmd_gamma(args, cfg):

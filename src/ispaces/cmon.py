@@ -10,20 +10,16 @@ construction of the diagram monoid and of its homotopy colimit.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations
 from itertools import product as iproduct
 from typing import Callable, Optional
 
 from . import icat
-from .icat import Injection, TruncatedI, compose, concat, identity, shuffle, subset_inclusion
+from .icat import Injection, TruncatedI, compose, concat, shuffle
 from .simplicial import (
-    NormTable,
     SMap,
     SSet,
     SimplexRef,
-    apply_s,
-    apply_word,
-    discrete,
     homology,
     map_cone_homology,
     map_from_tables,
@@ -34,12 +30,17 @@ from .simplicial import (
 )
 from .ispace import (
     ISpaceT,
+    _box_classes,
+    _box_deg,
+    _box_face,
+    _box_raw,
+    _box_space,
+    _box_table,
     _chain_cells,
     _discrete_ispace,
     _hocolim,
     _hocolim_deg,
     _hocolim_face,
-    hocolim_I,
     is_flat,
     restrict,
     terminal_ispace,
@@ -185,7 +186,9 @@ def c1(N):
     def mul_point(m, n, s, t):
         return s | frozenset(i + m for i in t)
 
-    return discrete_monoid(N, points, act_point, mul_point, frozenset(), name="C1")
+    A = discrete_monoid(N, points, act_point, mul_point, frozenset(), name="C1")
+    A.meta["points"] = points
+    return A
 
 
 def monoid_ispace(elements, add, degree, unit, N, name=""):
@@ -259,130 +262,53 @@ def free_cmonoid(X, dim_bound=1):
     """
     N = X.N
     exact = X.level(0).size() == 0
-    data = []
-    for n in range(N + 1):
-        canon = []
-        for dim in range(dim_bound + 1):
-            ds = DisjointSet()
-            objects = [
-                (nvec, a)
-                for k in range(N + 1)
-                for nvec in _compositions_exact(n, k)
-                for a in icat.enumerate_injections(sum(nvec), n)
-            ]
-            for nvec, a in objects:
-                for xs in iproduct(*[X.level(m).all_simplices(dim) for m in nvec]):
-                    ds.add((nvec, a.image, xs))
-            for mvec, b in objects:
-                k = len(mvec)
-                for nvec in iproduct(*[range(m + 1) for m in mvec]):
-                    for fs in iproduct(*[icat.enumerate_injections(nvec[i], mvec[i])
-                                         for i in range(k)]):
-                        a = compose(b, icat.concat_many(fs))
-                        for xs in iproduct(*[X.level(nvec[i]).all_simplices(dim)
-                                             for i in range(k)]):
-                            ys = tuple(X.act(fs[i])(xs[i]) for i in range(k))
-                            ds.union((nvec, a.image, xs), (mvec, b.image, ys))
-                # permutation relations quotient by the symmetric group
-                for perm in permutations(range(k)):
-                    if perm == tuple(range(k)):
-                        continue
-                    blockperm = _block_permutation(mvec, perm)
-                    a = compose(b, blockperm)
-                    nvec2 = tuple(mvec[perm[i]] for i in range(k))
-                    for xs in iproduct(*[X.level(m).all_simplices(dim) for m in mvec]):
-                        xs2 = tuple(xs[perm[i]] for i in range(k))
-                        ds.union((nvec2, a.image, xs2), (mvec, b.image, xs))
-            canon.append(ds.canonicalize())
-        data.append(canon)
-    reps = [[sorted(set(c[dim].values())) for dim in range(dim_bound + 1)]
-            for c in data]
-    tables = []
-    for n in range(N + 1):
-        canon = data[n]
-
-        def face_fn(k, raw, i, n=n, canon=canon):
-            nvec, a_img, xs = raw
-            return canon[k - 1][(nvec, a_img,
-                                 tuple(X.level(m).d(i, r) for m, r in zip(nvec, xs)))]
-
-        def deg_fn(k, raw, i, n=n, canon=canon):
-            nvec, a_img, xs = raw
-            return canon[k + 1][(nvec, a_img, tuple(apply_s(i, r) for r in xs))]
-
-        tables.append(normalize_table(reps[n], face_fn, deg_fn, dim_bound))
-    levels = tuple(t.sset for t in tables)
-    maps = {}
-    for alpha in TruncatedI(N).arrows():
-        table = {}
-        for (k, x), raw in tables[alpha.src].raw_of.items():
-            nvec, a_img, xs = raw
-            a2 = compose(alpha, Injection(sum(nvec), alpha.src, a_img))
-            key = data[alpha.dst][k][(nvec, a2.image, xs)]
-            table[(k, x)] = tables[alpha.dst].ref_of[key]
-        maps[alpha] = SMap(levels[alpha.src], levels[alpha.dst], table)
-    space = ISpaceT(N, levels, maps)
+    data = [[_word_classes(X, n, dim) for dim in range(dim_bound + 1)] for n in range(N + 1)]
+    # a word has at most N factors, and faces zip the factors with its blocks
+    tables = [_box_table((X,) * N, canon, dim_bound) for canon in data]
+    space = _box_space(tables, data)
 
     def mul(m, n, rx, ry):
-        rawx = _word_raw(tables, m, rx)
-        rawy = _word_raw(tables, n, ry)
+        rawx = _box_raw(tables[m], rx)
+        rawy = _box_raw(tables[n], ry)
         nvec = rawx[0] + rawy[0]
-        ax = Injection(sum(rawx[0]), m, rawx[1])
-        ay = Injection(sum(rawy[0]), n, rawy[1])
-        a = concat(ax, ay)
         if len(nvec) > N:
             raise ValueError("word-length truncation overflow")
-        raw = (nvec, a.image, rawx[2] + rawy[2])
+        raw = (nvec, rawx[1] + tuple(v + m for v in rawy[1]), rawx[2] + rawy[2])
         dim = rx.dim
-        key = data[m + n][dim][raw]
-        ref = tables[m + n].ref_of[key]
+        ref = tables[m + n].ref_of[data[m + n][dim][raw]]
         if ref.dim < dim:
             # the empty word carries no simplex data; its raw cell is shared
             # across dimensions and normalizes to the unit vertex
             ref = SimplexRef(_full_word(dim), ref.base_dim, ref.base_id)
         return ref
 
-    unit_key = data[0][0][((), (), ())]
-    unit_id = tables[0].ref_of[unit_key].base_id
-    mon = CIMonoidT(space, unit_id, mul, name="free",
-                    meta={"word_truncation_exact": exact})
-    mon.meta["tables"] = tables
-    mon.meta["canon"] = data
-    return mon
+    unit_id = tables[0].ref_of[data[0][0][((), (), ())]].base_id
+    return CIMonoidT(space, unit_id, mul, name="free",
+                     meta={"word_truncation_exact": exact})
 
 
-def _word_raw(tables, n, ref):
-    """Raw word cell for a possibly-degenerate simplex of a free monoid level."""
-    nvec, a_img, xs = tables[n].raw_of[(ref.base_dim, ref.base_id)]
-    for j in reversed(ref.degs):
-        xs = tuple(apply_s(j, r) for r in xs)
-    return (nvec, a_img, xs)
+def _word_classes(X, n, dim):
+    """Canonical-representative dictionary of the raw dim-cells of words at n.
 
-
-def _compositions_exact(n, k):
-    """Tuples of k nonnegative ints with sum at most n."""
-    if k == 0:
-        yield ()
-        return
-    for first in range(n + 1):
-        for rest in _compositions_exact(n - first, k - 1):
-            yield (first,) + rest
-
-
-def _block_permutation(mvec, perm):
-    """Injection permuting the blocks of sizes mvec according to perm.
-
-    Maps the concatenation ordered by perm back into the original order:
-    block perm[i] of the source lands on block perm[i] of the target.
+    Words of length k <= N are the cells of the k-fold box power, taken
+    modulo the symmetric group, which permutes their blocks; the adjacent
+    block swaps generate it.
     """
-    offsets = [0]
-    for m in mvec:
-        offsets.append(offsets[-1] + m)
-    image = []
-    for i in range(len(mvec)):
-        b = perm[i]
-        image.extend(range(offsets[b] + 1, offsets[b] + mvec[b] + 1))
-    return Injection(offsets[-1], offsets[-1], image)
+    canon = {}
+    for k in range(X.N + 1):
+        ds = _box_classes((X,) * k, n, dim, n)
+        for nvec, a_img, xs in list(ds.parent):
+            start = 0
+            for j in range(k - 1):
+                mid = start + nvec[j]
+                end = mid + nvec[j + 1]
+                swap = (nvec[:j] + (nvec[j + 1], nvec[j]) + nvec[j + 2:],
+                        a_img[:start] + a_img[mid:end] + a_img[start:mid] + a_img[end:],
+                        xs[:j] + (xs[j + 1], xs[j]) + xs[j + 2:])
+                ds.union(swap, (nvec, a_img, xs))
+                start = mid
+        canon.update(ds.canonicalize())
+    return canon
 
 
 # ---------------------------------------------------------------------------
@@ -812,65 +738,13 @@ def monoid_map_on_pi0(f_levels, A, B):
     return pres_a, vec_a, pres_b, gen_image
 
 
-def is_virtually_surjective(f_levels, A, B):
-    """True iff the induced map of Grothendieck groups is surjective."""
-    pres_a, vec_a, pres_b, gen_image = monoid_map_on_pi0(f_levels, A, B)
-    gb = len(pres_b.generators)
-    mat = {}
-    col = 0
-    for c, (u, v) in enumerate(pres_b.relations):
-        for j in range(gb):
-            if u[j] != v[j]:
-                mat[(j, col)] = u[j] - v[j]
-        col += 1
-    # images of the source generators, written in the target generators
-    for i, g in enumerate(pres_a.generators):
-        vec = gen_image.get(g)
-        if vec is None:
-            continue
-        for j in range(gb):
-            if vec[j]:
-                mat[(j, col)] = vec[j]
-        col += 1
-    r, tors = rank_and_torsion(mat, gb, col)
-    return r == gb and not tors
-
-
 # ---------------------------------------------------------------------------
 # Bar constructions.
 # ---------------------------------------------------------------------------
 
-def _power_canon(X, k, n, dim):
-    """Canonical-representative dictionary for k-fold box power cells.
-
-    Cells are (nvec, alpha_image, xrefs) with k blocks at level n and all
-    components of the given dimension; relations come from factorwise
-    injections between decompositions.
-    """
-    ds = DisjointSet()
-    objects = [
-        (nvec, a)
-        for nvec in _compositions_exact(n, k)
-        for a in icat.enumerate_injections(sum(nvec), n)
-    ]
-    for nvec, a in objects:
-        for xs in iproduct(*[X.level(m).all_simplices(dim) for m in nvec]):
-            ds.add((nvec, a.image, xs))
-    for mvec, b in objects:
-        for nvec in iproduct(*[range(m + 1) for m in mvec]):
-            for fs in iproduct(*[icat.enumerate_injections(nvec[i], mvec[i])
-                                 for i in range(k)]):
-                a = compose(b, icat.concat_many(fs))
-                for xs in iproduct(*[X.level(nvec[i]).all_simplices(dim)
-                                     for i in range(k)]):
-                    ys = tuple(X.act(fs[i])(xs[i]) for i in range(k))
-                    ds.union((nvec, a.image, xs), (mvec, b.image, ys))
-    return ds.canonicalize()
-
-
-def _bar_face_raw(A, raw, i):
-    """Horizontal bar face on a raw cell whose components are already faced."""
-    nvec, a_img, xs = raw
+def _bar_face(A, factors, raw, i):
+    """Bar face d_i on a raw cell: d_i in every block, then the horizontal face."""
+    nvec, a_img, xs = _box_face(factors, raw, i)
     k = len(nvec)
     if i == 0:
         return (nvec[1:], a_img[nvec[0]:], xs[1:])
@@ -881,11 +755,11 @@ def _bar_face_raw(A, raw, i):
     return (nv, a_img, xs[: i - 1] + (merged,) + xs[i + 1:])
 
 
-def _bar_deg_raw(A, raw, i, new_dim):
-    """Horizontal bar degeneracy: insert an empty unit block at position i."""
-    nvec, a_img, xs = raw
-    u = A.unit_ref(new_dim)
-    return (nvec[:i] + (0,) + nvec[i:], a_img, xs[:i] + (u,) + xs[i:])
+def _bar_deg(A, k, raw, i):
+    """Bar degeneracy s_i on a raw k-cell: s_i in every block, then an empty
+    unit block inserted at position i."""
+    nvec, a_img, xs = _box_deg(raw, i)
+    return (nvec[:i] + (0,) + nvec[i:], a_img, xs[:i] + (A.unit_ref(k + 1),) + xs[i:])
 
 
 @dataclass
@@ -904,64 +778,34 @@ class BarISpace:
 
     def ref_raw(self, n, ref):
         """Raw bar cell of a possibly-degenerate simplex of level n."""
-        raw = self.tables[n].raw_of[(ref.base_dim, ref.base_id)]
-        dim = ref.base_dim
-        for j in reversed(ref.degs):
-            nvec, a_img, xs = raw
-            raw = (nvec, a_img, tuple(apply_s(j, r) for r in xs))
-            raw = _bar_deg_raw(self.monoid, raw, j, dim + 1)
-            dim += 1
-        return raw
+        return _box_raw(self.tables[n], ref,
+                        lambda k, raw, j: _bar_deg(self.monoid, k, raw, j))
 
 
-def bar(A, S, left=None, right=None):
-    """Two-sided bar construction, realized levelwise by the diagonal.
+def bar(A, S):
+    """Bar construction B(A), realized levelwise by the diagonal.
 
-    Only one-point modules are supported (the default); the result is then
-    the classifying-space bar construction B(A).  Degree k of the underlying
-    simplicial object is the k-fold box power of the carrier; the diagonal
-    has its k-simplices in bar degree k.
+    Degree k of the underlying simplicial object is the k-fold box power of
+    the carrier; the diagonal has its k-simplices in bar degree k.
     """
-    for mod in (left, right):
-        if mod is None:
-            continue
-        if any(L.size() != 1 for L in mod.levels):
-            raise ValueError("only one-point bar modules are supported")
     X = A.space
-    N = A.N
+    powers = (X,) * S  # the factors of every bar cell; zip stops at its length
     canon = []
     tables = []
-    for n in range(N + 1):
-        cn = [_power_canon(X, k, n, k) for k in range(S + 1)]
+    for n in range(A.N + 1):
+        cn = [_box_classes(powers[:k], n, k, n).canonicalize() for k in range(S + 1)]
         cells = [sorted(set(cn[k].values())) for k in range(S + 1)]
 
         def face_fn(k, raw, i, cn=cn):
-            nvec, a_img, xs = raw
-            faced = (nvec, a_img,
-                     tuple(X.level(m).d(i, r) for m, r in zip(nvec, xs)))
-            return cn[k - 1][_bar_face_raw(A, faced, i)]
+            return cn[k - 1][_bar_face(A, powers, raw, i)]
 
         def deg_fn(k, raw, i, cn=cn):
-            nvec, a_img, xs = raw
-            degged = (nvec, a_img, tuple(apply_s(i, r) for r in xs))
-            return cn[k + 1][_bar_deg_raw(A, degged, i, k + 1)]
+            return cn[k + 1][_bar_deg(A, k, raw, i)]
 
         base = cn[0][((), (), ())]
         tables.append(normalize_table(cells, face_fn, deg_fn, S, based_raw=base))
         canon.append(cn)
-    levels = tuple(t.sset for t in tables)
-    maps = {}
-    for alpha in TruncatedI(N).arrows():
-        table = {}
-        for (k, x), raw in tables[alpha.src].raw_of.items():
-            nvec, a_img, xs = raw
-            a2 = compose(alpha, Injection(sum(nvec), alpha.src, a_img))
-            deg = len(nvec)
-            key = canon[alpha.dst][deg][(nvec, a2.image, xs)]
-            table[(k, x)] = tables[alpha.dst].ref_of[key]
-        maps[alpha] = SMap(levels[alpha.src], levels[alpha.dst], table)
-    space = ISpaceT(N, levels, maps)
-    return BarISpace(A, space, tables, canon, S)
+    return BarISpace(A, _box_space(tables, canon), tables, canon, S)
 
 
 def bar_monoid(B):
@@ -1005,28 +849,26 @@ def bar_monoid(B):
     return CIMonoidT(B.space, unit_id, mul, name=A.name + "-bar")
 
 
-def bar_degree_space(A, k, dim_bound=1):
-    """The degree-k piece of the simplicial bar object, as an I-space."""
-    from .ispace import box_multi
-
-    return box_multi(tuple(A.space for _ in range(k)), dim_bound).space
-
-
 # ---------------------------------------------------------------------------
 # The bar construction of the homotopy colimit.
 # ---------------------------------------------------------------------------
 
-def _chain_mul(A, z, w):
-    """Monoid product on raw homotopy-colimit cells, by chain block sum."""
-    lv1, ar1, x = z
-    lv2, ar2, y = w
+def _chain_sum(z, w, x):
+    """Block sum of two raw homotopy-colimit chains of equal length, carrying x."""
+    lv1, ar1, _ = z
+    lv2, ar2, _ = w
     lv = tuple(a + b for a, b in zip(lv1, lv2))
     ar = tuple(
         concat(Injection(lv1[i + 1], lv1[i], ar1[i]),
                Injection(lv2[i + 1], lv2[i], ar2[i])).image
         for i in range(len(ar1))
     )
-    return (lv, ar, A.mul(lv1[-1], lv2[-1], x, y))
+    return (lv, ar, x)
+
+
+def _chain_mul(A, z, w):
+    """Monoid product on raw homotopy-colimit cells, by chain block sum."""
+    return _chain_sum(z, w, A.mul(z[0][-1], w[0][-1], z[2], w[2]))
 
 
 def _chain_unit(A, s):
@@ -1113,19 +955,16 @@ def two_sided_bar_of_hocolim(A, K):
                         level.append((c0, zs, c1))
         cells.append(level)
 
-    def t_strip(z):
-        lv, ar, x = z
-        return (lv, ar, SimplexRef(_full_word(x.dim), 0, 0))
-
     def face_fn(k, raw, i):
         c0, zs, c1 = raw
         c0f = _hocolim_face(T, c0, i)
         c1f = _hocolim_face(T, c1, i)
         zf = tuple(_hocolim_face(X, z, i) for z in zs)
+        # the nerve chains absorb an outer entry, keeping their point simplex
         if i == 0:
-            return (_chain_concat(c0f, t_strip(zf[0])), zf[1:], c1f)
+            return (_chain_sum(c0f, zf[0], c0f[2]), zf[1:], c1f)
         if i == k:
-            return (c0f, zf[:-1], _chain_concat(t_strip(zf[-1]), c1f))
+            return (c0f, zf[:-1], _chain_sum(zf[-1], c1f, c1f[2]))
         merged = _chain_mul(A, zf[i - 1], zf[i])
         return (c0f, zf[: i - 1] + (merged,) + zf[i + 1:], c1f)
 
@@ -1139,18 +978,6 @@ def two_sided_bar_of_hocolim(A, K):
     zero_chain = ((0,), (), nd_ref(0, 0))
     return normalize_table(cells, face_fn, deg_fn, K,
                            based_raw=(zero_chain, (), zero_chain))
-
-
-def _chain_concat(c, d):
-    lv1, ar1, x = c
-    lv2, ar2, y = d
-    lv = tuple(a + b for a, b in zip(lv1, lv2))
-    ar = tuple(
-        concat(Injection(lv1[i + 1], lv1[i], ar1[i]),
-               Injection(lv2[i + 1], lv2[i], ar2[i])).image
-        for i in range(len(ar1))
-    )
-    return (lv, ar, SimplexRef(_full_word(len(lv) - 1), 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -1267,21 +1094,3 @@ def iterated_bar_spectrum(A, n_max, D):
         if k < n_max:
             cur = bar_monoid(bar(cur, D + 2))
     return out
-
-
-def cimonoid_to_json(A, dim_bound=1):
-    from .ispace import ispace_to_json
-
-    payload = ispace_to_json(A.space)
-    payload["unit"] = A.unit
-    mult = {}
-    for m in range(A.N + 1):
-        for n in range(A.N + 1 - m):
-            pairs = {}
-            for rx in A.level(m).all_simplices(0):
-                for ry in A.level(n).all_simplices(0):
-                    p = A.mul(m, n, rx, ry)
-                    pairs[f"{rx.base_id},{ry.base_id}"] = p.base_id
-            mult[f"{m},{n}"] = pairs
-    payload["mult"] = mult
-    return payload

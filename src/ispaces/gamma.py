@@ -28,7 +28,7 @@ from .simplicial import (
     point,
     product,
 )
-from .ispace import _hocolim, box_multi
+from .ispace import _box_raw, _hocolim, box_multi
 from .cmon import CommMonoidPres, _vec_add, unit_verdicts
 
 
@@ -128,16 +128,7 @@ def representable(k, K):
 # Extraction from a commutative monoid.
 # ---------------------------------------------------------------------------
 
-def _power_ref_raw(box, n, ref):
-    """Raw box cell of a possibly-degenerate simplex of a power level."""
-    raw = box.data[n].table.raw_of[(ref.base_dim, ref.base_id)]
-    nvec, a_img, xs = raw
-    for j in reversed(ref.degs):
-        xs = tuple(apply_s(j, r) for r in xs)
-    return (nvec, a_img, xs)
-
-
-def _apply_based_to_raw(A, phi, l, raw, n):
+def _apply_based_to_raw(A, phi, l, raw):
     """Push a k-factor box raw cell along a based map phi: k+ -> l+.
 
     Factors sent to the basepoint are deleted; factors in the same fiber are
@@ -206,8 +197,8 @@ def gamma_of_monoid(A, K, S, dim_bound=None):
         def push(d, raw):
             levels, arrows, xref = raw
             n = levels[-1]
-            raw_box = _power_ref_raw(boxes[k], n, xref)
-            moved = _apply_based_to_raw(A, phi, l, raw_box, n)
+            raw_box = _box_raw(boxes[k].data[n].table, xref)
+            moved = _apply_based_to_raw(A, phi, l, raw_box)
             dim = xref.dim
             new_ref = boxes[l].data[n].ref(dim, moved)
             return (levels, arrows, new_ref)

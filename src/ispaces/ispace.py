@@ -19,7 +19,6 @@ from .icat import Injection, TruncatedI, compose, concat, identity, subset_inclu
 from .simplicial import (
     NormTable,
     SMap,
-    SSet,
     SimplexRef,
     apply_s,
     discrete,
@@ -53,9 +52,6 @@ class ISpaceT:
                 and alpha.src == alpha.dst:
             return identity_map(self.levels[alpha.src])
         return self.maps[alpha]
-
-    def act_ref(self, alpha, ref):
-        return self.act(alpha)(ref)
 
     def is_based(self):
         return all(X.basepoint is not None for X in self.levels)
@@ -226,6 +222,95 @@ def _compositions(total_max, parts):
             yield (first,) + rest
 
 
+def _box_classes(factors, n, dim, total_max):
+    """Union-find over the raw dim-cells of the box colimit of `factors` at n.
+
+    A raw cell is (nvec, image, xs): nvec has sum at most total_max, image is
+    that of an injection sum(nvec) -> n, and xs[i] is a dim-simplex of
+    factors[i] at level nvec[i].  Cells are joined along generating
+    morphisms of the decomposition category, in one slot at a time: the
+    standard inclusion q - 1 -> q and the adjacent transpositions of q.
+    Every injection is a permutation after a standard inclusion, so these
+    generate the same relation as all morphisms do.
+    """
+    simp = [[f.level(q).all_simplices(dim) for q in range(total_max + 1)] for f in factors]
+    objects = [(nvec, a.image) for nvec in _compositions(total_max, len(factors))
+               for a in icat.enumerate_injections(sum(nvec), n)]
+    ds = DisjointSet()
+    for nvec, img in objects:
+        for xs in iproduct(*[simp[i][q] for i, q in enumerate(nvec)]):
+            ds.add((nvec, img, xs))
+    for mvec, img in objects:
+        start = 0
+        for i, q in enumerate(mvec):
+            end = start + q
+            # (source level of slot i, source image, generator into q)
+            gens = [(q - 1, img[:end - 1] + img[end:], subset_inclusion(q - 1, q))] if q else []
+            for j in range(1, q):
+                p = start + j - 1
+                swap = Injection(q, q, [*range(1, j), j + 1, j, *range(j + 2, q + 1)])
+                gens.append((q, img[:p] + (img[p + 1], img[p]) + img[p + 2:], swap))
+            start = end
+            for q0, src_img, g in gens:
+                nvec = mvec[:i] + (q0,) + mvec[i + 1:]
+                act = factors[i].act(g)
+                for xs in iproduct(*[simp[l][r] for l, r in enumerate(nvec)]):
+                    ys = xs[:i] + (act(xs[i]),) + xs[i + 1:]
+                    ds.union((nvec, src_img, xs), (mvec, img, ys))
+    return ds
+
+
+def _box_face(factors, raw, i):
+    nvec, alpha, xrefs = raw
+    return (nvec, alpha, tuple(f.level(m).d(i, r) for f, m, r in zip(factors, nvec, xrefs)))
+
+
+def _box_deg(raw, i):
+    nvec, alpha, xrefs = raw
+    return (nvec, alpha, tuple(apply_s(i, r) for r in xrefs))
+
+
+def _box_table(factors, canon, top, based_raw=None):
+    """Normalized level whose raw k-cells are the canonical ones of canon[k]."""
+    return normalize_table([sorted(set(c.values())) for c in canon],
+                           lambda k, raw, i: canon[k - 1][_box_face(factors, raw, i)],
+                           lambda k, raw, i: canon[k + 1][_box_deg(raw, i)],
+                           top, based_raw=based_raw)
+
+
+def _box_raw(table, ref, deg_fn=lambda k, raw, j: _box_deg(raw, j)):
+    """Raw cell of a possibly-degenerate simplex of a normalized box level.
+
+    Starts from the raw cell of the base simplex and applies the degeneracies
+    of `ref` one at a time with deg_fn(k, raw, j), k the dimension before the
+    step; by default s_j acts in every factor.
+    """
+    raw = table.raw_of[(ref.base_dim, ref.base_id)]
+    for k, j in enumerate(reversed(ref.degs), ref.base_dim):
+        raw = deg_fn(k, raw, j)
+    return raw
+
+
+def _box_space(tables, canon):
+    """The I-space of levelwise colimits with raw cells (nvec, image, xs).
+
+    tables[n] is the normalized level n and canon[n][k] its dictionary of
+    canonical raw k-cells; an injection alpha acts by postcomposition on the
+    decomposition injection.
+    """
+    N = len(tables) - 1
+    levels = tuple(t.sset for t in tables)
+    maps = {}
+    for alpha in TruncatedI(N).arrows():
+        dst, dst_canon = tables[alpha.dst], canon[alpha.dst]
+        table = {}
+        for (k, x), (nvec, a_img, xs) in tables[alpha.src].raw_of.items():
+            moved = (nvec, tuple(alpha(i) for i in a_img), xs)
+            table[(k, x)] = dst.ref_of[dst_canon[k][moved]]
+        maps[alpha] = SMap(levels[alpha.src], levels[alpha.dst], table)
+    return ISpaceT(N, levels, maps)
+
+
 @dataclass
 class BoxLevel:
     """One level of a box product: normalized colimit plus class data."""
@@ -233,9 +318,6 @@ class BoxLevel:
     n: int
     table: NormTable
     canon: list  # per dim: dict raw -> canonical raw
-
-    def canon_raw(self, dim, raw):
-        return self.canon[dim][raw]
 
     def ref(self, dim, raw):
         return self.table.ref_of[self.canon[dim][raw]]
@@ -254,31 +336,13 @@ class BoxISpace:
     factors: tuple
     dim_bound: int
 
-    def class_ref(self, n, raw):
-        dim = raw[2][0].dim if raw[2] else self._empty_dim(raw)
-        return self.data[n].ref(dim, raw)
-
-    def _empty_dim(self, raw):
-        raise ValueError("zero-factor raw cells carry no dimension")
-
-
-def _box_face(factors, raw, i):
-    nvec, alpha, xrefs = raw
-    return (nvec, alpha, tuple(f.level(m).d(i, r) for f, m, r in zip(factors, nvec, xrefs)))
-
-
-def _box_deg(factors, raw, i):
-    nvec, alpha, xrefs = raw
-    return (nvec, alpha, tuple(apply_s(i, r) for r in xrefs))
-
 
 def box_multi(factors, dim_bound, based=False):
     """Multi-factor box product as an explicit colimit, levelwise.
 
     Each level n is the colimit over decompositions (nvec, alpha) of the
-    product of the factor levels, with the relations generated by all
-    morphisms of the decomposition category; the canonical representative of
-    a class is its lexicographically smallest raw cell.
+    product of the factor levels (see `_box_classes`); the canonical
+    representative of a class is its lexicographically smallest raw cell.
     """
     k_factors = len(factors)
     N = min(f.N for f in factors)
@@ -291,71 +355,17 @@ def box_multi(factors, dim_bound, based=False):
         return BoxISpace(unit, data, (), dim_bound)
     if k_factors == 1:
         return _box_single(factors[0], dim_bound, based=based)
-    hom_cache = {}
-
-    def homs(m, n):
-        if (m, n) not in hom_cache:
-            hom_cache[(m, n)] = icat.enumerate_injections(m, n)
-        return hom_cache[(m, n)]
-
     data = []
     for n in range(N + 1):
-        objects = [
-            (nvec, a)
-            for nvec in _compositions(n, k_factors)
-            for a in homs(sum(nvec), n)
-        ]
-        canon = []
-        cells_by_dim = []
-        for dim in range(dim_bound + 1):
-            ds = DisjointSet()
-            raws = []
-            simp = {}
-            for nvec, a in objects:
-                simp_lists = [factors[i].level(nvec[i]).all_simplices(dim) for i in range(k_factors)]
-                simp[(nvec, a)] = simp_lists
-                for xs in iproduct(*simp_lists):
-                    raw = (nvec, a.image, xs)
-                    ds.add(raw)
-                    raws.append(raw)
-            for mvec, b in objects:
-                for nvec in iproduct(*[range(m + 1) for m in mvec]):
-                    for fs in iproduct(*[homs(nvec[i], mvec[i]) for i in range(k_factors)]):
-                        a = compose(b, icat.concat_many(fs))
-                        for xs in iproduct(*[factors[i].level(nvec[i]).all_simplices(dim)
-                                             for i in range(k_factors)]):
-                            ys = tuple(
-                                factors[i].act(fs[i])(xs[i]) for i in range(k_factors)
-                            )
-                            ds.union((nvec, a.image, xs), (mvec, b.image, ys))
-            canon.append(ds.canonicalize())
-        reps = [sorted(set(canon[dim].values())) for dim in range(dim_bound + 1)]
-
-        def face_fn(k, raw, i, canon=canon):
-            return canon[k - 1][_box_face(factors, raw, i)]
-
-        def deg_fn(k, raw, i, canon=canon):
-            return canon[k + 1][_box_deg(factors, raw, i)]
-
+        canon = [_box_classes(factors, n, dim, n).canonicalize()
+                 for dim in range(dim_bound + 1)]
         based_raw = None
         if based:
-            nvec0 = (0,) * k_factors
-            a0 = next(a for a in homs(0, n))
-            xs0 = tuple(nd_ref(0, factors[i].level(0).basepoint) for i in range(k_factors))
-            based_raw = canon[0][(nvec0, a0.image, xs0)]
-        tab = normalize_table(reps, face_fn, deg_fn, dim_bound, based_raw=based_raw)
-        data.append(BoxLevel(n, tab, canon))
-    levels = tuple(d.table.sset for d in data)
-    maps = {}
-    for alpha in TruncatedI(N).arrows():
-        src, dst = data[alpha.src], data[alpha.dst]
-        table = {}
-        for (k, x), raw in src.table.raw_of.items():
-            nvec, a_img, xs = raw
-            a2 = compose(alpha, Injection(sum(nvec), alpha.src, a_img))
-            table[(k, x)] = dst.ref(k, (nvec, a2.image, xs))
-        maps[alpha] = SMap(levels[alpha.src], levels[alpha.dst], table)
-    return BoxISpace(ISpaceT(N, levels, maps), data, tuple(factors), dim_bound)
+            xs0 = tuple(nd_ref(0, f.level(0).basepoint) for f in factors)
+            based_raw = canon[0][((0,) * k_factors, (), xs0)]
+        data.append(BoxLevel(n, _box_table(factors, canon, dim_bound, based_raw), canon))
+    space = _box_space([d.table for d in data], [d.canon for d in data])
+    return BoxISpace(space, data, tuple(factors), dim_bound)
 
 
 def _box_single(X, dim_bound, based=False):
@@ -555,37 +565,17 @@ def hocolim_map(phi, src_space, dst_space, S, over="I", based=False):
 def latching(X, n, dim_bound=None):
     """Colimit of X over the proper injections into n, with its map to X(n).
 
+    The indexing category is the full subcategory of I/n on the injections
+    m -> n with m < n, so the automorphisms of each level m act as well.
     Returns (SSet, SMap into X(n)).
     """
     if dim_bound is None:
         dim_bound = max((X.level(m).top_dim for m in range(n)), default=0)
-    canon = []
-    objects = [(m, a) for m in range(n) for a in icat.enumerate_injections(m, n)]
-    for dim in range(dim_bound + 1):
-        ds = DisjointSet()
-        for m, a in objects:
-            for x in X.level(m).all_simplices(dim):
-                ds.add((m, a.image, x))
-        for m, a in objects:
-            for m2 in range(m):
-                for f in icat.enumerate_injections(m2, m):
-                    a2 = compose(a, f)
-                    for x in X.level(m2).all_simplices(dim):
-                        ds.union((m2, a2.image, x), (m, a.image, X.act(f)(x)))
-        canon.append(ds.canonicalize())
-    reps = [sorted(set(c.values())) for c in canon]
-
-    def face_fn(k, raw, i):
-        m, a_img, x = raw
-        return canon[k - 1][(m, a_img, X.level(m).d(i, x))]
-
-    def deg_fn(k, raw, i):
-        m, a_img, x = raw
-        return canon[k + 1][(m, a_img, apply_s(i, x))]
-
-    tab = normalize_table(reps, face_fn, deg_fn, dim_bound)
+    canon = [_box_classes((X,), n, dim, n - 1).canonicalize()
+             for dim in range(dim_bound + 1)]
+    tab = _box_table((X,), canon, dim_bound)
     table = {}
-    for (k, x), (m, a_img, xref) in tab.raw_of.items():
+    for (k, x), ((m,), a_img, (xref,)) in tab.raw_of.items():
         table[(k, x)] = X.act(Injection(m, n, a_img))(xref)
     return tab.sset, SMap(tab.sset, X.level(n), table)
 
@@ -681,15 +671,6 @@ def R_functor(X):
     return RX, j
 
 
-def iterate_R(X, k):
-    out = X
-    js = []
-    for _ in range(k):
-        out, j = R_functor(out)
-        js.append(j)
-    return out, js
-
-
 @dataclass
 class SemistabilityVerdict:
     verdict: str  # evidence-for | refuted | inconclusive
@@ -753,24 +734,3 @@ def semistability_diagnostic(X, D=1):
     if all(ok for _, ok, _ in res_hi) and all(ok for _, ok, _ in res_lo):
         return SemistabilityVerdict("evidence-for", detail=detail)
     return SemistabilityVerdict("inconclusive", detail=detail)
-
-
-# ---------------------------------------------------------------------------
-# Serialization.
-# ---------------------------------------------------------------------------
-
-def ispace_to_json(X):
-    from .simplicial import sset_to_json
-
-    action = {}
-    for alpha, f in sorted(X.maps.items()):
-        key = f"{alpha.src}->{alpha.dst}:" + ",".join(map(str, alpha.image))
-        action[key] = {
-            f"{k}/{x}": {"deg": list(r.degs), "base_dim": r.base_dim, "base": r.base_id}
-            for (k, x), r in sorted(f.table.items())
-        }
-    return {
-        "trunc": X.N,
-        "levels": [sset_to_json(L) for L in X.levels],
-        "action": action,
-    }

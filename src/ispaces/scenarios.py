@@ -8,7 +8,7 @@ next lower truncation.
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import cmon, gamma, icat, ispace, simplicial
@@ -184,16 +184,9 @@ def _degree_component(A, tab, degree):
         levels, _, xref = raw
         n = levels[-1]
         # subset-model vertices know their degree via the subset size
-        if len(_c1_subset(A, n, xref.base_id)) == degree:
+        if len(A.meta["points"][n][xref.base_id]) == degree:
             return v
     raise ValueError(f"no vertex of degree {degree} at this truncation")
-
-
-def _c1_subset(A, n, vid):
-    from itertools import combinations
-    points = [frozenset(s) for k in range(n + 1)
-              for s in combinations(range(1, n + 1), k)]
-    return points[vid]
 
 
 def scenario_comma_contractible(cfg):

@@ -12,7 +12,7 @@ Integer homology is computed from the normalized chain complex by Smith
 normal form over arbitrary-precision integers; see `zlinalg`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, NamedTuple, Optional
 
@@ -84,9 +84,6 @@ class SSet:
         if 0 <= k <= self.top_dim:
             return self.card[k]
         return 0
-
-    def nondeg(self, k):
-        return [nd_ref(k, x) for x in range(self.n_nondeg(k))]
 
     def all_simplices(self, k):
         """All k-simplices (degenerate included), deterministically ordered."""
@@ -289,13 +286,6 @@ class SMap:
         img = self.table[(ref.base_dim, ref.base_id)]
         return apply_word(ref.degs, img)
 
-    def compose(self, other):
-        """self o other."""
-        if other.dst is not self.src and other.dst != self.src:
-            raise ValueError("composition mismatch")
-        table = {k: self(v) for k, v in other.table.items()}
-        return SMap(other.src, self.dst, table)
-
     def is_injective(self, dim_bound=None):
         top = self.src.top_dim if dim_bound is None else min(dim_bound, self.src.top_dim)
         for k in range(top + 1):
@@ -353,10 +343,6 @@ class ProductData:
     table: NormTable
     proj1: SMap
     proj2: SMap
-
-    def pair_ref(self, ra, rb):
-        """Ref of the product simplex with components ra, rb."""
-        return self.table.ref_of[(ra, rb)]
 
 
 def product(X, Y, dim_bound=None):
@@ -712,16 +698,9 @@ class HomologyReport:
     groups: dict  # k -> (rank, tuple of torsion coefficients)
     skeleton_dim: int
     complete: bool
-    stable: Optional[bool] = None
-    meta: dict = field(default_factory=dict)
 
     def group(self, k):
         return self.groups.get(k, (0, ()))
-
-    def pretty(self, k):
-        rank, tors = self.group(k)
-        parts = ["Z"] * rank + [f"Z/{t}" for t in tors]
-        return " + ".join(parts) if parts else "0"
 
 
 def homology(X, d_report):
@@ -851,16 +830,3 @@ def sset_from_json(payload):
         face[(k, x, i)] = SimplexRef(degs, k - 1 - len(degs), val["base"])
     return SSet(card, face, complete=payload.get("complete", False),
                 basepoint=payload.get("basepoint"))
-
-
-def sset_to_dot(X, name="sset"):
-    """DOT export of the 1-skeleton."""
-    lines = [f"graph {name} {{"]
-    for v in range(X.card[0]):
-        lines.append(f'  v{v} [label="{v}"];')
-    for e in range(X.n_nondeg(1)):
-        r = nd_ref(1, e)
-        a, b = X.d(1, r).base_id, X.d(0, r).base_id
-        lines.append(f"  v{a} -- v{b};")
-    lines.append("}")
-    return "\n".join(lines)

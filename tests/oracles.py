@@ -181,3 +181,63 @@ def subsets_of(n):
     from itertools import combinations
     return [frozenset(s) for k in range(n + 1)
             for s in combinations(range(1, n + 1), k)]
+
+
+def box_colimit(factors, n, dim, total_max, symmetric=False):
+    """Canonical raw cells of the box colimit at level n, by brute force.
+
+    Raw cells are (nvec, image, xs) as in the library: nvec has sum at most
+    total_max, image is that of an injection sum(nvec) -> n, and xs[i] is a
+    dim-simplex of factors[i] at level nvec[i].  Cells are joined along every
+    morphism of the decomposition category, each tuple of injections
+    f_i: nvec[i] -> mvec[i], and with `symmetric` also along every
+    permutation of the blocks.  Returns raw cell -> least cell of its class.
+    """
+    from ispaces.icat import Injection
+
+    k = len(factors)
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        parent[find(x)] = find(y)
+
+    def injections(a, b):
+        return list(permutations(range(1, b + 1), a))
+
+    def cells(nvec):
+        return product(*[factors[i].level(q).all_simplices(dim) for i, q in enumerate(nvec)])
+
+    objects = [(nvec, img)
+               for nvec in product(range(total_max + 1), repeat=k) if sum(nvec) <= total_max
+               for img in injections(sum(nvec), n)]
+    for nvec, img in objects:
+        for xs in cells(nvec):
+            parent[(nvec, img, xs)] = (nvec, img, xs)
+    for mvec, b in objects:
+        for nvec in product(*[range(q + 1) for q in mvec]):
+            for fs in product(*[injections(nvec[i], mvec[i]) for i in range(k)]):
+                block = []
+                for i, f in enumerate(fs):
+                    block += [sum(mvec[:i]) + v for v in f]
+                img = tuple(b[v - 1] for v in block)
+                acts = [factors[i].act(Injection(nvec[i], mvec[i], fs[i])) for i in range(k)]
+                for xs in cells(nvec):
+                    ys = tuple(acts[i](xs[i]) for i in range(k))
+                    union((nvec, img, xs), (mvec, b, ys))
+        if symmetric:
+            starts = [sum(mvec[:i]) for i in range(k)]
+            for perm in permutations(range(k)):
+                img = sum((b[starts[p]:starts[p] + mvec[p]] for p in perm), ())
+                for xs in cells(mvec):
+                    union((tuple(mvec[p] for p in perm), img, tuple(xs[p] for p in perm)),
+                          (mvec, b, xs))
+    least = {}
+    for x in parent:
+        r = find(x)
+        least[r] = min(least.get(r, x), x)
+    return {x: least[find(x)] for x in parent}
