@@ -18,8 +18,8 @@ from . import icat
 from .icat import Injection, TruncatedI, compose, concat, shuffle
 from .simplicial import (
     SMap,
-    SSet,
     SimplexRef,
+    component_subcomplex,
     homology,
     map_cone_homology,
     map_from_tables,
@@ -446,7 +446,7 @@ def _minimize_presentation(pres):
     rels = sorted({(shrink(u), shrink(v)) for u, v in rels if u != v})
     new_gens = [gens[j] for j in live]
     subst = {i: shrink(v) for i, v in subst.items()}
-    rels = _prune_relations(rels, len(new_gens))
+    rels = _prune_relations(rels)
     return CommMonoidPres(new_gens, rels), subst
 
 
@@ -468,7 +468,7 @@ def _substitute(vec, subst, g):
     return out
 
 
-def _prune_relations(rels, g, step_bound=6):
+def _prune_relations(rels, step_bound=6):
     """Drop relations derivable from the others by bounded rewriting."""
     kept = list(rels)
     i = 0
@@ -638,68 +638,37 @@ def units(A, bound=4):
     unit_classes = [c for c in classes if verdict.is_unit(class_vec[c])]
     nonunit_classes = [c for c in classes if c not in unit_classes]
     level_split = {}
-    keep = []
+    # restricted carrier: the unit components of every level
+    sub_levels = []
+    newid = []  # per level and dimension: old id -> id in the carrier
     for n in range(A.N + 1):
         us, nus = [], []
         for v in range(A.level(n).card[0]):
             (us if cls(n, v) in unit_classes else nus).append(v)
         level_split[n] = (us, nus)
-        keep.append(us)
-    # restricted carrier: unit components only (discrete data is enough for
-    # vertices; higher simplices follow their first vertex's component)
-    sub_levels = []
-    newid = []
-    for n in range(A.N + 1):
-        ids = {}
-        keep_by_dim = [set(keep[n])]
-        X = A.level(n)
-        for v in keep[n]:
-            ids[(0, v)] = len([w for w in keep[n] if w < v])
-        card = [len(keep[n])]
-        face = {}
-        for k in range(1, X.top_dim + 1):
-            kept_k = []
-            for x in range(X.card[k]):
-                v0 = X.vertices_of(nd_ref(k, x))[0]
-                if v0 in keep[n]:
-                    ids[(k, x)] = len(kept_k)
-                    kept_k.append(x)
-            keep_by_dim.append(set(kept_k))
-            card.append(len(kept_k))
-            for x in kept_k:
-                for i in range(k + 1):
-                    ref = X.face[(k, x, i)]
-                    face[(k, ids[(k, x)], i)] = SimplexRef(
-                        ref.degs, ref.base_dim, ids[(ref.base_dim, ref.base_id)])
-        bp = None
-        if X.basepoint is not None and X.basepoint in keep[n]:
-            bp = ids[(0, X.basepoint)]
-        sub_levels.append(SSet(tuple(card), face, complete=X.complete, basepoint=bp))
+        comp = pi0(A.level(n))
+        sub, ids = component_subcomplex(A.level(n), {comp[v] for v in us})
+        sub_levels.append(sub)
         newid.append(ids)
+
+    def pull(n, ref):
+        return SimplexRef(ref.degs, ref.base_dim, newid[n][ref.base_dim][ref.base_id])
+
     incl = {}
     for n in range(A.N + 1):
-        table = {}
-        for (k, x), new in newid[n].items():
-            table[(k, new)] = nd_ref(k, x)
+        table = {(k, new): nd_ref(k, x)
+                 for k, ids in enumerate(newid[n]) for x, new in ids.items()}
         incl[n] = SMap(sub_levels[n], A.level(n), table)
     maps = {}
     for alpha in TruncatedI(A.N).arrows():
         f = A.space.act(alpha)
-        table = {}
-        for (k, x), new in newid[alpha.src].items():
-            img = f(nd_ref(k, x))
-            table[(k, new)] = SimplexRef(
-                img.degs, img.base_dim,
-                newid[alpha.dst][(img.base_dim, img.base_id)])
+        table = {(k, new): pull(alpha.dst, f(nd_ref(k, x)))
+                 for k, ids in enumerate(newid[alpha.src]) for x, new in ids.items()}
         maps[alpha] = SMap(sub_levels[alpha.src], sub_levels[alpha.dst], table)
     space = ISpaceT(A.N, tuple(sub_levels), maps)
 
     def mul(m, n, rx, ry):
-        px = incl[m](rx)
-        py = incl[n](ry)
-        p = A.mul(m, n, px, py)
-        return SimplexRef(p.degs, p.base_dim,
-                          newid[m + n][(p.base_dim, p.base_id)])
+        return pull(m + n, A.mul(m, n, incl[m](rx), incl[n](ry)))
 
     closed = True
     for m in range(A.N + 1):
@@ -717,7 +686,7 @@ def units(A, bound=4):
                     p = A.mul(m, n, nd_ref(0, x), nd_ref(0, y))
                     if cls(m + n, p.base_id) in unit_classes:
                         absorption = False
-    units_monoid = CIMonoidT(space, newid[0][(0, A.unit)], mul,
+    units_monoid = CIMonoidT(space, newid[0][0][A.unit], mul,
                              name=A.name + "-units")
     return UnitsReport(units_monoid, incl, unit_classes, nonunit_classes,
                        level_split, closed, absorption)
@@ -909,7 +878,7 @@ def bar_of_hocolim(A, K):
         return faced[: i - 1] + (merged,) + faced[i + 1:]
 
     def deg_fn(k, raw, i):
-        degged = tuple(_hocolim_deg(X, z, i) for z in raw)
+        degged = tuple(_hocolim_deg(z, i) for z in raw)
         return degged[:i] + (_chain_unit(A, k + 1),) + degged[i:]
 
     return normalize_table(cells, face_fn, deg_fn, K, based_raw=())
@@ -971,9 +940,8 @@ def two_sided_bar_of_hocolim(A, K):
     def deg_fn(k, raw, i):
         c0, zs, c1 = raw
         unit = _chain_unit(A, k + 1)
-        zd = tuple(_hocolim_deg(X, z, i) for z in zs)
-        return (_hocolim_deg(T, c0, i), zd[:i] + (unit,) + zd[i:],
-                _hocolim_deg(T, c1, i))
+        zd = tuple(_hocolim_deg(z, i) for z in zs)
+        return (_hocolim_deg(c0, i), zd[:i] + (unit,) + zd[i:], _hocolim_deg(c1, i))
 
     zero_chain = ((0,), (), nd_ref(0, 0))
     return normalize_table(cells, face_fn, deg_fn, K,

@@ -438,8 +438,8 @@ def prolong(X, Kbase, dim_bound=None):
 # Two-variable smash extraction and the Eckmann-Hilton check.
 # ---------------------------------------------------------------------------
 
-def smash_index(k, l):
-    """Lexicographic identification of k+ smash l+ with (k*l)+."""
+def smash_index(l):
+    """Lexicographic identification of k+ smash l+ with (k*l)+, for every k."""
     def pair_to_point(i, j):
         if i == 0 or j == 0:
             return 0
@@ -460,8 +460,7 @@ class BiGammaT:
 
     def act1(self, phi, k, l, k2):
         """Action of phi: k+ -> k2+ in the first variable."""
-        sm_src = smash_index(k, l)
-        sm_dst = smash_index(k2, l)
+        sm_dst = smash_index(l)
         image = []
         for i in range(1, k + 1):
             for j in range(1, l + 1):
@@ -469,7 +468,7 @@ class BiGammaT:
         return self.gamma.act(tuple(image), k * l, k2 * l)
 
     def act2(self, k, phi, l, l2):
-        sm_dst = smash_index(k, l2)
+        sm_dst = smash_index(l2)
         image = []
         for i in range(1, k + 1):
             for j in range(1, l + 1):

@@ -44,6 +44,15 @@ class Injection(tuple):
         return f"Injection({self.src}->{self.dst}, {self.image})"
 
 
+def unchecked(src, dst, image):
+    """The Injection with an image tuple already known to be one, unchecked.
+
+    For hot paths whose image tuples come from existing injections; every
+    other caller builds an `Injection`, which checks.
+    """
+    return tuple.__new__(Injection, (src, dst, image))
+
+
 def identity(n):
     return Injection(n, n, range(1, n + 1))
 

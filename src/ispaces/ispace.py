@@ -15,7 +15,7 @@ from itertools import product as iproduct
 from typing import Optional
 
 from . import icat
-from .icat import Injection, TruncatedI, compose, concat, identity, subset_inclusion
+from .icat import Injection, TruncatedI, compose, concat, identity, subset_inclusion, unchecked
 from .simplicial import (
     NormTable,
     SMap,
@@ -354,7 +354,7 @@ def box_multi(factors, dim_bound, based=False):
         ]
         return BoxISpace(unit, data, (), dim_bound)
     if k_factors == 1:
-        return _box_single(factors[0], dim_bound, based=based)
+        return _box_single(factors[0], dim_bound)
     data = []
     for n in range(N + 1):
         canon = [_box_classes(factors, n, dim, n).canonicalize()
@@ -368,7 +368,7 @@ def box_multi(factors, dim_bound, based=False):
     return BoxISpace(space, data, tuple(factors), dim_bound)
 
 
-def _box_single(X, dim_bound, based=False):
+def _box_single(X, dim_bound):
     """One-factor box product: canonically the I-space itself.
 
     The class of ((m,), alpha, (x,)) is X(alpha)(x); representatives live at
@@ -449,13 +449,18 @@ def _chain_cells(X, S, arrows_of):
                     level.append((levels + (m,), arrows + (f.image,)))
         chains.append(level)
     for s in range(S + 1):
-        cells.append(
-            [(lv, ar, x) for (lv, ar) in chains[s] for x in X.level(lv[-1]).all_simplices(s)]
-        )
+        simp = [X.level(m).all_simplices(s) for m in range(X.N + 1)]
+        cells.append([(lv, ar, x) for (lv, ar) in chains[s] for x in simp[lv[-1]]])
     return cells
 
 
 def _hocolim_face(X, raw, i):
+    """d_i of a raw chain cell of the homotopy colimit of X.
+
+    The arrows are image tuples of injections taken from the index category,
+    and composites of such, so they are composed as tuples and never
+    re-validated.
+    """
     levels, arrows, x = raw
     s = len(levels) - 1
     if s == 0:
@@ -463,23 +468,19 @@ def _hocolim_face(X, raw, i):
     if i == 0:
         return (levels[1:], arrows[1:], X.level(levels[-1]).d(0, x))
     if i == s:
-        f = Injection(levels[s], levels[s - 1], arrows[s - 1])
-        moved = X.act(f)(x)
+        moved = X.act(unchecked(levels[s], levels[s - 1], arrows[s - 1]))(x)
         return (levels[:-1], arrows[:-1], X.level(levels[s - 1]).d(s, moved))
-    f = compose(
-        Injection(levels[i], levels[i - 1], arrows[i - 1]),
-        Injection(levels[i + 1], levels[i], arrows[i]),
-    )
-    new_arrows = arrows[: i - 1] + (f.image,) + arrows[i + 1:]
+    outer, inner = arrows[i - 1], arrows[i]
+    new_arrows = arrows[: i - 1] + (tuple(outer[v - 1] for v in inner),) + arrows[i + 1:]
     new_levels = levels[:i] + levels[i + 1:]
     return (new_levels, new_arrows, X.level(levels[-1]).d(i, x))
 
 
-def _hocolim_deg(X, raw, i):
+def _hocolim_deg(raw, i):
+    """s_i of a raw chain cell: repeat level i with its identity arrow."""
     levels, arrows, x = raw
-    m = levels[i]
     new_levels = levels[: i + 1] + levels[i:]
-    new_arrows = arrows[:i] + (identity(m).image,) + arrows[i:]
+    new_arrows = arrows[:i] + (tuple(range(1, levels[i] + 1)),) + arrows[i:]
     return (new_levels, new_arrows, apply_s(i, x))
 
 
@@ -488,7 +489,7 @@ def _hocolim(X, S, arrows_of, based):
     tab = normalize_table(
         cells,
         lambda k, raw, i: _hocolim_face(X, raw, i),
-        lambda k, raw, i: _hocolim_deg(X, raw, i),
+        lambda k, raw, i: _hocolim_deg(raw, i),
         S,
     )
     if not based:

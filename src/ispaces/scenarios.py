@@ -167,7 +167,7 @@ def scenario_c1_bsigma2(cfg):
     tab = ispace.hocolim_I(A.space, cfg.S)
     v = _degree_component(A, tab, 2)
     comp, _ = simplicial.component_subcomplex(
-        tab.sset, simplicial.pi0(tab.sset)[v])
+        tab.sset, {simplicial.pi0(tab.sset)[v]})
     h = simplicial.homology(comp, cfg.deg)
     expected = {str(k): [SIGMA2_HOMOLOGY[k][0], list(SIGMA2_HOMOLOGY[k][1])]
                 for k in range(min(cfg.deg, 3) + 1)}

@@ -3,10 +3,16 @@
 A simplicial set is stored through its nondegenerate simplices only.  Every
 simplex is a `SimplexRef`: a strictly decreasing word of degeneracy indices
 applied to a nondegenerate base simplex (the unique Eilenberg-Zilber normal
-form).  Face and degeneracy operators act on refs through the simplicial
-identities, so validity checks, chain complexes and homology never enumerate
-more than the nondegenerate content plus the words needed for a given
-dimension.
+form).  The face table holds, per dimension, one tuple (d_0 x, ..., d_k x) of
+refs for each nondegenerate simplex x.  Face and degeneracy operators act on
+refs through the simplicial identities, so validity checks, chain complexes
+and homology never enumerate more than the nondegenerate content plus the
+words needed for a given dimension.
+
+`normalize_table` builds this form from an explicit table of all simplices.
+It finds degeneracies from below: every degenerate k-simplex is s_i y for a
+(k-1)-simplex y, so the images s_i y of the level below name all of them, and
+only the nondegenerate simplices are asked for their faces.
 
 Integer homology is computed from the normalized chain complex by Smith
 normal form over arbitrary-precision integers; see `zlinalg`.
@@ -55,7 +61,15 @@ def apply_s(i, ref):
 
 
 def apply_word(word, ref):
-    """Apply s_{word[0]} o ... o s_{word[-1]} to a ref."""
+    """Apply s_{word[0]} o ... o s_{word[-1]} to a ref; `word` strictly decreasing.
+
+    When every index of `word` exceeds those of ref.degs, the result is the
+    concatenated word, already in normal form.
+    """
+    if not word:
+        return ref
+    if not ref.degs or word[-1] > ref.degs[0]:
+        return SimplexRef(tuple(word) + ref.degs, ref.base_dim, ref.base_id)
     for j in reversed(word):
         ref = apply_s(j, ref)
     return ref
@@ -66,13 +80,14 @@ class SSet:
     """Finite simplicial set: nondegenerate simplex counts plus face refs.
 
     card[k] is the number of nondegenerate k-simplices (ids 0..card[k]-1).
-    face maps (k, x, i) to the SimplexRef of d_i x, for 1 <= k, 0 <= i <= k.
+    face[k][x] is the tuple (d_0 x, ..., d_k x) of SimplexRefs, for
+    1 <= k <= top_dim; face[0] is empty, since vertices have no faces.
     `complete` asserts that the untruncated object has no nondegenerate
     simplices above top_dim, so homology in every degree is trustworthy.
     """
 
     card: tuple
-    face: dict
+    face: tuple  # per dimension, a list of face tuples
     complete: bool = False
     basepoint: Optional[int] = None
 
@@ -111,58 +126,44 @@ class SSet:
                 out.append(j)
                 k -= 1
         else:
-            res = self.face[(ref.base_dim, ref.base_id, k)]
+            res = self.face[ref.base_dim][ref.base_id][k]
         return apply_word(out, res)
 
     def s(self, i, ref):
         return apply_s(i, ref)
-
-    def vertices_of(self, ref):
-        """Vertex ids of a simplex, in simplex order."""
-        k = ref.dim
-        verts = []
-        for j in range(k + 1):
-            v = ref
-            for i in range(k, j, -1):
-                v = self.d(i, v)
-            for _ in range(j):
-                v = self.d(0, v)
-            verts.append(v.base_id)
-        return tuple(verts)
 
     def size(self):
         return sum(self.card)
 
 
 def point(based=True):
-    return SSet((1,), {}, complete=True, basepoint=0 if based else None)
+    return discrete(1, basepoint=0 if based else None)
 
 
 def empty_sset():
-    return SSet((0,), {}, complete=True)
+    return discrete(0)
 
 
 def discrete(n, basepoint=None):
     """Discrete simplicial set on n vertices."""
-    return SSet((n,), {}, complete=True, basepoint=basepoint)
+    return SSet((n,), ([],), complete=True, basepoint=basepoint)
 
 
 def standard_simplex(n):
     """Delta^n: nondegenerate k-simplices are (k+1)-subsets of {0..n}."""
     simp = [sorted(combinations(range(n + 1), k + 1)) for k in range(n + 1)]
     index = [{s: i for i, s in enumerate(level)} for level in simp]
-    face = {}
-    for k in range(1, n + 1):
-        for x, s in enumerate(simp[k]):
-            for i in range(k + 1):
-                t = s[:i] + s[i + 1:]
-                face[(k, x, i)] = nd_ref(k - 1, index[k - 1][t])
-    return SSet(tuple(len(level) for level in simp), face, complete=True)
+    face = [[]] + [
+        [tuple(nd_ref(k - 1, index[k - 1][s[:i] + s[i + 1:]]) for i in range(k + 1))
+         for s in simp[k]]
+        for k in range(1, n + 1)
+    ]
+    return SSet(tuple(len(level) for level in simp), tuple(face), complete=True)
 
 
 def simplicial_circle():
     """S^1 = Delta^1 / boundary: one vertex, one nondegenerate edge."""
-    face = {(1, 0, 0): nd_ref(0, 0), (1, 0, 1): nd_ref(0, 0)}
+    face = ([], [(nd_ref(0, 0), nd_ref(0, 0))])
     return SSet((1, 1), face, complete=True, basepoint=0)
 
 
@@ -176,25 +177,30 @@ def sphere(n):
 
 def validate_sset(X):
     """Diagnostics for the normal-form and simplicial-identity invariants."""
-    bad = []
-    for (k, x, i), ref in X.face.items():
-        if not (0 <= k <= X.top_dim and 0 <= x < X.card[k] and 0 <= i <= k):
-            bad.append(f"face key out of range: {(k, x, i)}")
-            continue
-        if ref.dim != k - 1:
-            bad.append(f"face {(k, x, i)} has dimension {ref.dim}, wanted {k-1}")
-            continue
-        if list(ref.degs) != sorted(ref.degs, reverse=True) or len(set(ref.degs)) != len(ref.degs):
-            bad.append(f"face {(k, x, i)} degeneracy word not strictly decreasing")
-        if ref.degs and (ref.degs[0] > k - 2 or ref.degs[-1] < 0):
-            bad.append(f"face {(k, x, i)} degeneracy index out of range")
-        if not (0 <= ref.base_dim <= X.top_dim and 0 <= ref.base_id < X.card[ref.base_dim]):
-            bad.append(f"face {(k, x, i)} base simplex missing")
+    if len(X.face) != X.top_dim + 1:
+        return [f"face table has {len(X.face)} dimensions, wanted {X.top_dim + 1}"]
+    bad = ["vertices have faces"] if X.face[0] else []
     for k in range(1, X.top_dim + 1):
-        for x in range(X.card[k]):
-            for i in range(k + 1):
-                if (k, x, i) not in X.face:
-                    bad.append(f"missing face ({k}, {x}, {i})")
+        if len(X.face[k]) != X.card[k]:
+            bad.append(f"face table of dimension {k} has {len(X.face[k])} simplices, "
+                       f"wanted {X.card[k]}")
+            continue
+        for x, faces in enumerate(X.face[k]):
+            if len(faces) != k + 1:
+                bad.append(f"simplex ({k}, {x}) has {len(faces)} faces, wanted {k + 1}")
+                continue
+            for i, ref in enumerate(faces):
+                if ref.dim != k - 1:
+                    bad.append(f"face {(k, x, i)} has dimension {ref.dim}, wanted {k-1}")
+                    continue
+                if list(ref.degs) != sorted(ref.degs, reverse=True) \
+                        or len(set(ref.degs)) != len(ref.degs):
+                    bad.append(f"face {(k, x, i)} degeneracy word not strictly decreasing")
+                if ref.degs and (ref.degs[0] > k - 2 or ref.degs[-1] < 0):
+                    bad.append(f"face {(k, x, i)} degeneracy index out of range")
+                if not (0 <= ref.base_dim <= X.top_dim
+                        and 0 <= ref.base_id < X.card[ref.base_dim]):
+                    bad.append(f"face {(k, x, i)} base simplex missing")
     if bad:
         return bad
     for k in range(2, X.top_dim + 1):
@@ -234,40 +240,48 @@ def normalize_table(cells, face_fn, deg_fn, top_dim, complete=False, based_raw=N
     cells[k] lists ALL k-simplices (hashable, orderable) for k <= top_dim;
     face_fn(k, x, i) and deg_fn(k, x, i) return cells.  Ids are assigned in
     the given order of `cells`, which therefore fixes the canonical ids.
+
+    Degeneracies are found from below.  Before level k is walked, s_i y is
+    formed for every (k-1)-cell y and every i < k, smallest i first; a k-cell
+    equal to one of them is the ref s_i(ref of y), which by Eilenberg-Zilber
+    does not depend on the choice of (i, y).  Every other k-cell is
+    nondegenerate: it gets the next id, and face_fn is called on it k + 1
+    times to fill its row of the face table.
     """
     ref_of = {}
     raw_of = {}
     card = []
-    face = {}
+    face = []
     for k in range(top_dim + 1):
+        below = {}  # s_i y -> its ref, for the (k-1)-cells y
+        for i in range(k):
+            for y in cells[k - 1]:
+                z = deg_fn(k - 1, y, i)
+                if z not in below:
+                    below[z] = apply_s(i, ref_of[y])
         n = 0
+        rows = []
         for raw in cells[k]:
             if raw in ref_of:
                 continue
-            hit = None
-            for i in range(k):
-                y = face_fn(k, raw, i + 1)
-                if deg_fn(k - 1, y, i) == raw:
-                    hit = (i, y)
-                    break
-            if hit is not None:
-                i, y = hit
-                ref_of[raw] = apply_s(i, ref_of[y])
-            else:
-                ref_of[raw] = nd_ref(k, n)
+            ref = below.get(raw)
+            if ref is None:
+                ref = nd_ref(k, n)
                 raw_of[(k, n)] = raw
-                if k >= 1:
-                    for i in range(k + 1):
-                        face[(k, n, i)] = ref_of[face_fn(k, raw, i)]
+                if k:
+                    rows.append(tuple(ref_of[face_fn(k, raw, i)] for i in range(k + 1)))
                 n += 1
+            ref_of[raw] = ref
         card.append(n)
+        face.append(rows)
     bp = None
     if based_raw is not None:
         r = ref_of[based_raw]
         if r.dim != 0:
             raise ValueError("basepoint raw cell is not a vertex")
         bp = r.base_id
-    return NormTable(SSet(tuple(card), face, complete=complete, basepoint=bp), ref_of, raw_of)
+    return NormTable(SSet(tuple(card), tuple(face), complete=complete, basepoint=bp),
+                     ref_of, raw_of)
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +426,7 @@ def subcomplex_closed(X, sub):
     """Check that `sub` (dict dim -> set of nondeg ids) is face-closed."""
     for k in range(1, X.top_dim + 1):
         for x in sub.get(k, ()):
-            for i in range(k + 1):
-                ref = X.face[(k, x, i)]
+            for ref in X.face[k][x]:
                 if ref.base_id not in sub.get(ref.base_dim, ()):
                     return False
     return True
@@ -444,14 +457,12 @@ def quotient(X, sub):
             return SimplexRef(tuple(range(ref.dim - 1, -1, -1)), 0, 0)
         return SimplexRef(ref.degs, ref.base_dim, newid[(ref.base_dim, ref.base_id)])
 
-    face = {}
-    for k in range(1, X.top_dim + 1):
-        for x in range(X.card[k]):
-            if x in sub.get(k, ()):
-                continue
-            for i in range(k + 1):
-                face[(k, newid[(k, x)], i)] = push(X.face[(k, x, i)])
-    return SSet(tuple(card), face, complete=X.complete, basepoint=0), push
+    face = [[]] + [
+        [tuple(push(ref) for ref in faces)
+         for x, faces in enumerate(X.face[k]) if x not in sub.get(k, ())]
+        for k in range(1, X.top_dim + 1)
+    ]
+    return SSet(tuple(card), tuple(face), complete=X.complete, basepoint=0), push
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +484,7 @@ class BiSSet:
     dv: Callable
     bound: tuple  # (P, Q)
 
-    def validate(self, sample=None):
+    def validate(self):
         bad = []
         P, Q = self.bound
         for p in range(P + 1):
@@ -616,39 +627,34 @@ def pi0_classes(X):
     return sorted(set(reps.values()))
 
 
-def component_subcomplex(X, rep):
-    """Full subcomplex on the component of the given pi0 representative.
+def component_subcomplex(X, reps):
+    """Full subcomplex on the components of the given pi0 representatives.
 
-    Returns (SSet, ref translation function).  All structure above dimension
-    0 is carried along; components never share simplices.
+    Returns (SSet, newid), where newid[k] maps the kept nondegenerate
+    k-simplices of X, in increasing order, to their ids in the subcomplex.
+    Components never share simplices, so a simplex is kept when its face
+    d_k, which has the same first vertex, is kept.  The basepoint is carried
+    along when it is kept.
     """
-    reps = pi0(X)
-    keep = [{x for x in range(X.card[0]) if reps[x] == rep}]
-    newid = [{}, ]
-    for x in sorted(keep[0]):
-        newid[0][x] = len(newid[0])
-    card = [len(newid[0])]
-    face = {}
+    comp = pi0(X)
+    newid = [{}]
+    for v in range(X.card[0]):
+        if comp[v] in reps:
+            newid[0][v] = len(newid[0])
+    face = [[]]
     for k in range(1, X.top_dim + 1):
-        keep.append(set())
-        newid.append({})
-        for x in range(X.card[k]):
-            v0 = X.vertices_of(nd_ref(k, x))[0]
-            if reps[v0] == rep:
-                keep[k].add(x)
-                newid[k][x] = len(newid[k])
-        card.append(len(newid[k]))
-        for x in sorted(keep[k]):
-            for i in range(k + 1):
-                ref = X.face[(k, x, i)]
-                face[(k, newid[k][x], i)] = SimplexRef(
-                    ref.degs, ref.base_dim, newid[ref.base_dim][ref.base_id]
-                )
-
-    def push(ref):
-        return SimplexRef(ref.degs, ref.base_dim, newid[ref.base_dim][ref.base_id])
-
-    return SSet(tuple(card), face, complete=X.complete), push
+        ids = {}
+        rows = []
+        for x, faces in enumerate(X.face[k]):
+            if faces[k].base_id in newid[faces[k].base_dim]:
+                ids[x] = len(ids)
+                rows.append(tuple(SimplexRef(r.degs, r.base_dim, newid[r.base_dim][r.base_id])
+                                  for r in faces))
+        newid.append(ids)
+        face.append(rows)
+    card = tuple(len(ids) for ids in newid)
+    bp = newid[0].get(X.basepoint)
+    return SSet(card, tuple(face), complete=X.complete, basepoint=bp), newid
 
 
 # ---------------------------------------------------------------------------
@@ -681,9 +687,8 @@ def chain_complex(X, top=None):
     boundaries = [{}]
     for k in range(1, top + 1):
         mat = {}
-        for x in range(counts[k]):
-            for i in range(k + 1):
-                ref = X.face[(k, x, i)]
+        for x, faces in enumerate(X.face[k]):
+            for i, ref in enumerate(faces):
                 if ref.is_nondegenerate:
                     key = (ref.base_id, x)
                     mat[key] = mat.get(key, 0) + (-1) ** i
@@ -808,8 +813,10 @@ def map_is_homology_iso(f, d_report):
 
 def sset_to_json(X):
     faces = {}
-    for (k, x, i), ref in sorted(X.face.items()):
-        faces[f"{k}/{x}/{i}"] = {"deg": list(ref.degs), "base": ref.base_id}
+    for k in range(1, X.top_dim + 1):
+        for x, row in enumerate(X.face[k]):
+            for i, ref in enumerate(row):
+                faces[f"{k}/{x}/{i}"] = {"deg": list(ref.degs), "base": ref.base_id}
     payload = {
         "top_dim": X.top_dim,
         "simplices": [list(range(X.card[k])) for k in range(X.top_dim + 1)],
@@ -823,10 +830,14 @@ def sset_to_json(X):
 
 def sset_from_json(payload):
     card = tuple(len(level) for level in payload["simplices"])
-    face = {}
-    for key, val in payload["faces"].items():
-        k, x, i = (int(t) for t in key.split("/"))
+    faces = payload["faces"]
+
+    def ref(k, x, i):
+        val = faces[f"{k}/{x}/{i}"]
         degs = tuple(val["deg"])
-        face[(k, x, i)] = SimplexRef(degs, k - 1 - len(degs), val["base"])
+        return SimplexRef(degs, k - 1 - len(degs), val["base"])
+
+    face = ([],) + tuple([tuple(ref(k, x, i) for i in range(k + 1)) for x in range(card[k])]
+                         for k in range(1, len(card)))
     return SSet(card, face, complete=payload.get("complete", False),
                 basepoint=payload.get("basepoint"))

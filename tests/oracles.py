@@ -241,3 +241,51 @@ def box_colimit(factors, n, dim, total_max, symmetric=False):
         r = find(x)
         least[r] = min(least.get(r, x), x)
     return {x: least[find(x)] for x in parent}
+
+
+def normalize_reference(cells, face_fn, deg_fn, top_dim, complete=False, based_raw=None):
+    """`simplicial.normalize_table` by testing every raw cell on its own.
+
+    A raw k-cell is degenerate when s_i d_{i+1} gives it back for some i < k
+    (the smallest such i is taken); it is then s_i of the ref of that face.
+    This asks each k-cell for up to k faces and k degeneracies before it is
+    known to be nondegenerate, where the library works from the level below.
+    Returns the same `NormTable`.
+    """
+    from ispaces.simplicial import NormTable, SSet, apply_s, nd_ref
+
+    ref_of = {}
+    raw_of = {}
+    card = []
+    face = []
+    for k in range(top_dim + 1):
+        n = 0
+        rows = []
+        for raw in cells[k]:
+            if raw in ref_of:
+                continue
+            hit = None
+            for i in range(k):
+                y = face_fn(k, raw, i + 1)
+                if deg_fn(k - 1, y, i) == raw:
+                    hit = (i, y)
+                    break
+            if hit is not None:
+                i, y = hit
+                ref_of[raw] = apply_s(i, ref_of[y])
+            else:
+                ref_of[raw] = nd_ref(k, n)
+                raw_of[(k, n)] = raw
+                if k >= 1:
+                    rows.append(tuple(ref_of[face_fn(k, raw, i)] for i in range(k + 1)))
+                n += 1
+        card.append(n)
+        face.append(rows)
+    bp = None
+    if based_raw is not None:
+        r = ref_of[based_raw]
+        if r.dim != 0:
+            raise ValueError("basepoint raw cell is not a vertex")
+        bp = r.base_id
+    return NormTable(SSet(tuple(card), tuple(face), complete=complete, basepoint=bp),
+                     ref_of, raw_of)

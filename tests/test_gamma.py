@@ -119,7 +119,7 @@ def test_very_special_for_group_model():
 
 
 def test_smash_identification():
-    sm = smash_index(2, 2)
+    sm = smash_index(2)
     assert sm(0, 1) == 0 and sm(1, 0) == 0
     seen = {sm(i, j) for i in (1, 2) for j in (1, 2)}
     assert seen == {1, 2, 3, 4}

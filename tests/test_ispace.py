@@ -1,6 +1,6 @@
 import pytest
 
-from ispaces.icat import Injection, TruncatedI, compose, identity, shuffle
+from ispaces.icat import Injection, TruncatedI, comma_under, compose, identity, shuffle
 from ispaces.ispace import (
     R_functor,
     box,
@@ -19,9 +19,11 @@ from ispaces.ispace import (
     terminal_ispace,
 )
 from ispaces.simplicial import (
+    chain_complex,
     discrete,
     homology,
     nd_ref,
+    nerve,
     pi0_classes,
     reduced_homology_trivial,
     simplicial_circle,
@@ -105,6 +107,20 @@ def test_hocolim_terminal_is_nerve_of_category():
     X = terminal_ispace(2)
     tab = hocolim_I(X, 2)
     assert reduced_homology_trivial(tab.sset, 1)
+
+
+@pytest.mark.parametrize("n, cells", [(1, (6, 34, 178, 898)), (2, (8, 44, 224, 1124))])
+def test_hocolim_of_free_is_nerve_of_under_category(n, cells):
+    """By Yoneda, hocolim_I of F_n = I(n, -) is the nerve of n/I.
+
+    The two sides are built by different code paths: chains of injections
+    with the diagram's face maps, and composable chains of the comma category.
+    """
+    X = hocolim_I(free_ispace(n, 3), 3).sset
+    Y = nerve(comma_under(n, 3), 3).sset
+    assert X.card == Y.card == cells
+    assert homology(X, 2).groups == homology(Y, 2).groups
+    assert len(chain_complex(X).boundaries[3]) == len(chain_complex(Y).boundaries[3])
 
 
 def test_hocolim_c1_pi0_classes():

@@ -1,8 +1,11 @@
+from itertools import combinations
+
 import pytest
 
 from ispaces.simplicial import (
     SimplexRef,
     apply_s,
+    apply_word,
     component_subcomplex,
     discrete,
     empty_sset,
@@ -43,6 +46,20 @@ def test_degeneracy_normal_form():
     r = apply_s(0, r)
     assert r.base_dim == 0 and r.base_id == 3
     assert list(r.degs) == sorted(r.degs, reverse=True)
+
+
+def test_apply_word_matches_single_degeneracies():
+    """The concatenation shortcut of apply_word against s_i one at a time."""
+    for k in range(5):
+        words = [w for r in range(k + 1) for w in combinations(range(k - 1, -1, -1), r)]
+        for degs in words:
+            ref = SimplexRef(degs, 1, 0)
+            for r in range(4):
+                for word in combinations(range(k + r - 1, -1, -1), r):
+                    want = ref
+                    for j in reversed(word):
+                        want = apply_s(j, want)
+                    assert apply_word(word, ref) == want
 
 
 def test_standard_simplex_counts():
@@ -108,7 +125,7 @@ def test_quotient_collapse_boundary():
 def test_pi0_disjoint_union_of_components():
     x = discrete(3)
     assert len(pi0_classes(x)) == 3
-    comp, _ = component_subcomplex(x, 1)
+    comp, _ = component_subcomplex(x, {1})
     assert comp.card[0] == 1
 
 

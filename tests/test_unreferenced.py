@@ -1,11 +1,15 @@
-"""Every function in the library is used somewhere.
+"""Every function in the library is used somewhere, and so is every parameter.
 
 A top-level function or a method defined in `src/ispaces/` must be
 referenced in `src/`, `tests/` or `perfbench/` outside its own definition:
 by name or import for a function, by attribute for either, or as a string
 (`perfbench` looks functions up by name).  Dunder methods and the console
-entry point `cli.main` are exempt.  The check uses the standard `ast` module
-only.
+entry point `cli.main` are exempt.
+
+Every parameter of every function in `src/ispaces/`, nested ones and lambdas
+included, must be read in that function's body, except `self` and the
+parameters listed in `UNREAD_ALLOWED` with their reasons.  The checks use the
+standard `ast` module only.
 """
 
 import ast
@@ -13,6 +17,23 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 EXEMPT = {("cli.py", "main")}
+
+# (function name, parameter) -> why the parameter stays although it is unread.
+# Lambdas are exempt as a whole: each one is an argument to a call, whose
+# callee fixes its signature.
+_TABLE_CALLBACK = "normalize_table calls face_fn and deg_fn as (k, raw, i)"
+_RAW_MAP = "map_from_tables calls raw_fn(k, raw)"
+UNREAD_ALLOWED = {
+    ("face_fn", "k"): _TABLE_CALLBACK,
+    ("deg_fn", "k"): _TABLE_CALLBACK,
+    ("push", "k"): _RAW_MAP,
+    ("push", "d"): _RAW_MAP,
+    ("to_right", "k"): _RAW_MAP,
+    ("mul_point", "n"): "discrete_monoid multiplies points as mul_point(m, n, s, t)",
+    ("scenario_grothendieck", "cfg"): "run_all calls every registry scenario with its RunConfig",
+    ("bareiss_rank", "nrows"): "criterion 11 calls it with the matrix shape, as rank_and_torsion",
+    ("bareiss_rank", "ncols"): "criterion 11 calls it with the matrix shape, as rank_and_torsion",
+}
 
 
 def _definitions():
@@ -58,3 +79,20 @@ def test_every_function_is_referenced():
         if not outside:
             unused.append(f"{path.name}:{node.lineno} {cls + '.' if cls else ''}{name}")
     assert not unused, "defined but never referenced: " + ", ".join(unused)
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in sorted((ROOT / "src" / "ispaces").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            loaded = {n.id for n in ast.walk(node)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            for p in params:
+                if p.arg != "self" and p.arg not in loaded \
+                        and (node.name, p.arg) not in UNREAD_ALLOWED:
+                    unread.append(f"{path.name}:{node.lineno} {node.name}({p.arg})")
+    assert not unread, "parameters never read: " + ", ".join(unread)
