@@ -438,7 +438,6 @@ def _minimize_presentation(pres):
     live = sorted({j for vec in subst.values() for j, t in enumerate(vec) if t}
                   | {j for u, v in rels if u != v
                      for j, t in enumerate(_vec_add(u, v)) if t})
-    proj = {j: k for k, j in enumerate(live)}
 
     def shrink(vec):
         return tuple(vec[j] for j in live)
@@ -582,7 +581,6 @@ def _find_inverse(pres, vec, bound):
     """Search words w with vec + w congruent to zero, small lengths first."""
     g = len(pres.generators)
     zero = (0,) * g
-    words = [zero]
     for total in range(bound + 1):
         for w in _words_of_length(g, total):
             if _congruent(_vec_add(vec, w), zero, pres.relations, bound + 2):
@@ -690,21 +688,6 @@ def units(A, bound=4):
                              name=A.name + "-units")
     return UnitsReport(units_monoid, incl, unit_classes, nonunit_classes,
                        level_split, closed, absorption)
-
-
-def monoid_map_on_pi0(f_levels, A, B):
-    """Induced map of component monoids from level maps of a monoid map."""
-    pres_a, vec_a = pi0_monoid(A)
-    pres_b, vec_b = pi0_monoid(B)
-    cls_a, classes_a, _ = merged_classes(A)
-    cls_b, _, _ = merged_classes(B)
-    gen_image = {}
-    for n in range(A.N + 1):
-        for v in range(A.level(n).card[0]):
-            c = cls_a(n, v)
-            img = f_levels[n](nd_ref(0, v)).base_id
-            gen_image[c] = vec_b[cls_b(n, img)]
-    return pres_a, vec_a, pres_b, gen_image
 
 
 # ---------------------------------------------------------------------------
@@ -856,17 +839,8 @@ def bar_of_hocolim(A, K):
     entries with the chainwise block-sum product.
     """
     X = A.space
-    N = A.N
     raws = _hocolim_raws(X, K)
-
-    def head(z):
-        return z[0][0]
-
-    cells = [[()]]
-    for k in range(1, K + 1):
-        level = []
-        _tuples_bounded(raws[k], k, N, (), level, head)
-        cells.append(level)
+    cells = [_tuples_bounded([raws[k]] * k, A.N) for k in range(K + 1)]
 
     def face_fn(k, raw, i):
         faced = tuple(_hocolim_face(X, z, i) for z in raw)
@@ -884,14 +858,18 @@ def bar_of_hocolim(A, K):
     return normalize_table(cells, face_fn, deg_fn, K, based_raw=())
 
 
-def _tuples_bounded(pool, k, budget, prefix, out, weight):
-    if k == 0:
-        out.append(prefix)
-        return
-    for z in pool:
-        w = weight(z)
-        if w <= budget:
-            _tuples_bounded(pool, k - 1, budget - w, prefix + (z,), out, weight)
+def _tuples_bounded(pools, budget):
+    """Tuples of raw chain cells, one from each pool, in the order of the
+    product of the pools, whose head levels z[0][0] sum to at most `budget`.
+
+    Each pool is bucketed once by the budget left: fits[b] holds its cells of
+    head level at most b, so a prefix extends without testing any cell.
+    """
+    level = [((), budget)]
+    for pool in pools:
+        fits = [[(z, z[0][0]) for z in pool if z[0][0] <= b] for b in range(budget + 1)]
+        level = [(t + (z,), left - h) for t, left in level for z, h in fits[left]]
+    return [t for t, _ in level]
 
 
 def two_sided_bar_of_hocolim(A, K):
@@ -901,28 +879,13 @@ def two_sided_bar_of_hocolim(A, K):
     absorb the boundary monoid entries into the nerve chains by block sum.
     """
     X = A.space
-    N = A.N
-    T = terminal_ispace(N)
+    T = terminal_ispace(A.N)
     raws = _hocolim_raws(X, K)
     t_raws = _hocolim_raws(T, K)
-
-    def head(z):
-        return z[0][0]
-
     cells = []
     for k in range(K + 1):
-        inner = []
-        _tuples_bounded(raws[k], k, N, (), inner, head)
-        level = []
-        for c0 in t_raws[k]:
-            for zs in inner:
-                budget = N - head(c0) - sum(head(z) for z in zs)
-                if budget < 0:
-                    continue
-                for c1 in t_raws[k]:
-                    if head(c1) <= budget:
-                        level.append((c0, zs, c1))
-        cells.append(level)
+        pools = [t_raws[k]] + [raws[k]] * k + [t_raws[k]]
+        cells.append([(t[0], t[1:-1], t[-1]) for t in _tuples_bounded(pools, A.N)])
 
     def face_fn(k, raw, i):
         c0, zs, c1 = raw

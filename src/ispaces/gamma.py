@@ -22,8 +22,8 @@ from .simplicial import (
     map_cone_homology,
     map_from_tables,
     nd_ref,
-    normalize_pair_ref,
     normalize_table,
+    pairing_map,
     pi0,
     point,
     product,
@@ -232,16 +232,6 @@ class SpecialVerdict:
     detail: dict = field(default_factory=dict)
 
 
-def _pairing_bounded(prod, big, p1, p2, top):
-    """(p1, p2): big -> prod, tabulated only through the given dimension."""
-    table = {}
-    for k in range(min(top, big.top_dim) + 1):
-        for x in range(big.card[k]):
-            ra, rb = p1(nd_ref(k, x)), p2(nd_ref(k, x))
-            table[(k, x)] = normalize_pair_ref(prod, ra, rb)
-    return SMap(big, prod, table)
-
-
 def _min_levels(X, k):
     """Least diagram level carrying a vertex of each component of X(k+).
 
@@ -347,12 +337,11 @@ def is_special(X, D=0, unit_bound=4):
                 witness = {"check": "pi0", "pair": (k, l),
                            "classes": got, "expected_pairs": want}
             if D >= 1 and ok:
-                big = X.values[k + l]
                 top = min(D + 2, X.values[k].top_dim + X.values[l].top_dim)
                 P = product(X.values[k], X.values[l], dim_bound=top)
                 p1 = X.act(projection_map(k, l, 1), k + l, k)
                 p2 = X.act(projection_map(k, l, 2), k + l, l)
-                f = _pairing_bounded(P, big, p1, p2, top)
+                f = pairing_map(P, p1, p2, top)
                 cone = map_cone_homology(f, D + 1)
                 iso = all(cone.get(i, (0, ())) == (0, ())
                           for i in range(D + 2))

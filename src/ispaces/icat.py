@@ -8,8 +8,6 @@ the block sum, and the block shuffles tau interchange the summands.
 from dataclasses import dataclass, field
 from itertools import permutations
 
-from .util import DisjointSet
-
 
 class Injection(tuple):
     """Injection {1..src} -> {1..dst}; entry i - 1 holds the image of i."""
@@ -187,14 +185,6 @@ class FinCategory:
                         bad.append(f"associativity fails at ({h}, {g}, {f})")
         return bad
 
-    def is_connected(self):
-        ds = DisjointSet()
-        for obj in self.objects:
-            ds.add(obj)
-        for f in self.morphisms:
-            ds.union(self.src[f], self.dst[f])
-        return len(set(ds.find(o) for o in self.objects)) <= 1
-
 
 def comma_under(n, N):
     """The comma category of objects under n inside the truncation at N.
@@ -222,50 +212,3 @@ def comma_under(n, N):
                 comp[(m2, m1)] = (src[m1], dst[m2], compose(m2[2], m1[2]))
     ident = {a: (a, a, identity(a.dst)) for a in objects}
     return FinCategory(objects, morphisms, src, dst, comp, ident)
-
-
-def comma_concat(n):
-    """The category of decompositions over n: objects ((n1, n2), alpha).
-
-    Objects are pairs of levels with an injection alpha: n1 + n2 -> n; a
-    morphism to ((m1, m2), beta) is a pair of injections (f1, f2) with
-    beta o (f1 + f2) = alpha.  This orients morphisms as refinements into
-    beta, matching the colimit formula for the two-fold box product.
-    """
-    objects = []
-    for n1 in range(n + 1):
-        for n2 in range(n + 1 - n1):
-            for a in enumerate_injections(n1 + n2, n):
-                objects.append(((n1, n2), a))
-    morphisms = []
-    src = {}
-    dst = {}
-    for (nv, a) in objects:
-        for (mv, b) in objects:
-            for f1 in enumerate_injections(nv[0], mv[0]):
-                for f2 in enumerate_injections(nv[1], mv[1]):
-                    if compose(b, concat(f1, f2)) == a:
-                        key = ((nv, a), (mv, b), (f1, f2))
-                        morphisms.append(key)
-                        src[key] = (nv, a)
-                        dst[key] = (mv, b)
-    comp = {}
-    for m2 in morphisms:
-        for m1 in morphisms:
-            if dst[m1] == src[m2]:
-                f1 = compose(m2[2][0], m1[2][0])
-                f2 = compose(m2[2][1], m1[2][1])
-                comp[(m2, m1)] = (src[m1], dst[m2], (f1, f2))
-    ident = {
-        (nv, a): ((nv, a), (nv, a), (identity(nv[0]), identity(nv[1])))
-        for (nv, a) in objects
-    }
-    return FinCategory(objects, morphisms, src, dst, comp, ident)
-
-
-def injection_to_json(f):
-    return {"src": f.src, "dst": f.dst, "image": list(f.image)}
-
-
-def injection_from_json(payload):
-    return Injection(payload["src"], payload["dst"], payload["image"])

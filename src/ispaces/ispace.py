@@ -379,7 +379,6 @@ def _box_single(X, dim_bound):
         canon = []
         ref_of = {}
         raw_of = {}
-        top = min(dim_bound, max(X.level(n).top_dim, 0))
         for dim in range(dim_bound + 1):
             cdict = {}
             for m in range(n + 1):
@@ -535,8 +534,7 @@ def hocolim_N_to_I_map(X, S):
     """The canonical comparison between the two homotopy colimits."""
     tn = hocolim_N(X, S)
     ti = hocolim_I(X, S)
-    f = map_from_tables(tn, ti, lambda k, raw: raw)
-    return f, tn, ti
+    return map_from_tables(tn, ti, lambda k, raw: raw)
 
 
 def hocolim_map(phi, src_space, dst_space, S, over="I", based=False):
@@ -556,7 +554,7 @@ def hocolim_map(phi, src_space, dst_space, S, over="I", based=False):
         levels, ar, x = raw
         return (levels, ar, phi[levels[-1]](x))
 
-    return map_from_tables(ts, td, push), ts, td
+    return map_from_tables(ts, td, push)
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +694,7 @@ def _semistability_run(X, D):
     """Single-truncation checks; returns list of (name, passed, data)."""
     S = D + 2
     results = []
-    f, tn, ti = hocolim_N_to_I_map(X, S)
+    f = hocolim_N_to_I_map(X, S)
     ok, a, b = _pi0_map_bijective(f)
     results.append(("pi0-N-vs-I", ok, {"pi0_N": a, "pi0_I": b}))
     cone = map_cone_homology(f, D + 1)
@@ -705,7 +703,7 @@ def _semistability_run(X, D):
     if X.N >= 1:
         RX, j = R_functor(X)
         Xr = restrict(X, X.N - 1)
-        g, _, _ = hocolim_map(j, Xr, RX, S, over="N")
+        g = hocolim_map(j, Xr, RX, S, over="N")
         okj, aj, bj = _pi0_map_bijective(g)
         results.append(("pi0-jX", okj, {"pi0_src": aj, "pi0_dst": bj}))
         cone_j = map_cone_homology(g, D + 1)

@@ -20,7 +20,7 @@ normal form over arbitrary-precision integers; see `zlinalg`.
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .util import DisjointSet
 from .zlinalg import rank_and_torsion
@@ -138,10 +138,6 @@ class SSet:
 
 def point(based=True):
     return discrete(1, basepoint=0 if based else None)
-
-
-def empty_sset():
-    return discrete(0)
 
 
 def discrete(n, basepoint=None):
@@ -300,17 +296,6 @@ class SMap:
         img = self.table[(ref.base_dim, ref.base_id)]
         return apply_word(ref.degs, img)
 
-    def is_injective(self, dim_bound=None):
-        top = self.src.top_dim if dim_bound is None else min(dim_bound, self.src.top_dim)
-        for k in range(top + 1):
-            seen = set()
-            for ref in self.src.all_simplices(k):
-                img = self(ref)
-                if img in seen:
-                    return False
-                seen.add(img)
-        return True
-
     def validate(self):
         bad = []
         for k in range(self.src.top_dim + 1):
@@ -397,10 +382,14 @@ def product(X, Y, dim_bound=None):
     )
 
 
-def pairing_map(prod, f, g):
-    """(f, g): Z -> X x Y from maps f: Z -> X, g: Z -> Y."""
+def pairing_map(prod, f, g, top):
+    """(f, g): Z -> X x Y from maps f: Z -> X, g: Z -> Y, through dimension top.
+
+    The product may be a skeleton, so the pairing is tabulated on the
+    simplices of Z of dimension at most `top` only.
+    """
     table = {}
-    for k in range(f.src.top_dim + 1):
+    for k in range(min(top, f.src.top_dim) + 1):
         for x in range(f.src.card[k]):
             ra, rb = f(nd_ref(k, x)), g(nd_ref(k, x))
             table[(k, x)] = normalize_pair_ref(prod, ra, rb)
@@ -463,95 +452,6 @@ def quotient(X, sub):
         for k in range(1, X.top_dim + 1)
     ]
     return SSet(tuple(card), tuple(face), complete=X.complete, basepoint=0), push
-
-
-# ---------------------------------------------------------------------------
-# Bisimplicial sets and diagonals.
-# ---------------------------------------------------------------------------
-
-@dataclass
-class BiSSet:
-    """Explicit bisimplicial table: all cells in bidegrees (p, q) <= bound.
-
-    Faces and degeneracies are callables (p, q, cell, i) -> cell acting in
-    the horizontal or vertical direction.
-    """
-
-    cells: dict  # (p, q) -> list of raw cells
-    fh: Callable
-    fv: Callable
-    dh: Callable
-    dv: Callable
-    bound: tuple  # (P, Q)
-
-    def validate(self):
-        bad = []
-        P, Q = self.bound
-        for p in range(P + 1):
-            for q in range(Q + 1):
-                for cell in self.cells[(p, q)]:
-                    if p >= 1 and q >= 1:
-                        for i in range(p + 1):
-                            for j in range(q + 1):
-                                a = self.fv(p - 1, q, self.fh(p, q, cell, i), j)
-                                b = self.fh(p, q - 1, self.fv(p, q, cell, j), i)
-                                if a != b:
-                                    bad.append(f"fh/fv do not commute at {(p, q)}")
-                    if p >= 2:
-                        for j in range(1, p + 1):
-                            dj = self.fh(p, q, cell, j)
-                            for i in range(j):
-                                if self.fh(p - 1, q, dj, i) != self.fh(
-                                    p - 1, q, self.fh(p, q, cell, i), j - 1
-                                ):
-                                    bad.append(f"horizontal identity fails at {(p, q)}")
-                    if q >= 2:
-                        for j in range(1, q + 1):
-                            dj = self.fv(p, q, cell, j)
-                            for i in range(j):
-                                if self.fv(p, q - 1, dj, i) != self.fv(
-                                    p, q - 1, self.fv(p, q, cell, i), j - 1
-                                ):
-                                    bad.append(f"vertical identity fails at {(p, q)}")
-        return bad
-
-    def diag(self, complete=False, based_raw=None):
-        """Diagonal simplicial set, renormalized."""
-        top = min(self.bound)
-        cells = [list(self.cells[(k, k)]) for k in range(top + 1)]
-
-        def face_fn(k, cell, i):
-            return self.fv(k - 1, k, self.fh(k, k, cell, i), i)
-
-        def deg_fn(k, cell, i):
-            return self.dv(k + 1, k, self.dh(k, k, cell, i), i)
-
-        return normalize_table(cells, face_fn, deg_fn, top, complete=complete,
-                               based_raw=based_raw)
-
-
-def external_product(X, Y, bound=None):
-    """The bisimplicial set (p, q) -> X_p x Y_q."""
-    P = X.top_dim + Y.top_dim if bound is None else bound
-    cells = {}
-    for p in range(P + 1):
-        for q in range(P + 1):
-            cells[(p, q)] = [
-                (ra, rb) for ra in X.all_simplices(p) for rb in Y.all_simplices(q)
-            ]
-    return BiSSet(
-        cells,
-        fh=lambda p, q, c, i: (X.d(i, c[0]), c[1]),
-        fv=lambda p, q, c, i: (c[0], Y.d(i, c[1])),
-        dh=lambda p, q, c, i: (apply_s(i, c[0]), c[1]),
-        dv=lambda p, q, c, i: (c[0], apply_s(i, c[1])),
-        bound=(P, P),
-    )
-
-
-def diag(B, complete=False):
-    """Diagonal of a bisimplicial set as a plain SSet."""
-    return B.diag(complete=complete).sset
 
 
 # ---------------------------------------------------------------------------
@@ -795,49 +695,3 @@ def map_cone_homology(f, d_report):
     if not (known_nondeg(X, top) == 0 and known_nondeg(Y, top + 1) == 0):
         del groups[top]
     return groups
-
-
-def map_is_homology_iso(f, d_report):
-    """True iff f induces H_k-isomorphisms for k <= d_report.
-
-    Certified through the mapping cone; needs skeleta through d_report + 2 on
-    the target side (or completeness) to also see injectivity in top degree.
-    """
-    groups = map_cone_homology(f, d_report + 1)
-    return all(groups.get(k, (0, ())) == (0, ()) for k in range(d_report + 2))
-
-
-# ---------------------------------------------------------------------------
-# Serialization.
-# ---------------------------------------------------------------------------
-
-def sset_to_json(X):
-    faces = {}
-    for k in range(1, X.top_dim + 1):
-        for x, row in enumerate(X.face[k]):
-            for i, ref in enumerate(row):
-                faces[f"{k}/{x}/{i}"] = {"deg": list(ref.degs), "base": ref.base_id}
-    payload = {
-        "top_dim": X.top_dim,
-        "simplices": [list(range(X.card[k])) for k in range(X.top_dim + 1)],
-        "faces": faces,
-        "complete": X.complete,
-    }
-    if X.basepoint is not None:
-        payload["basepoint"] = X.basepoint
-    return payload
-
-
-def sset_from_json(payload):
-    card = tuple(len(level) for level in payload["simplices"])
-    faces = payload["faces"]
-
-    def ref(k, x, i):
-        val = faces[f"{k}/{x}/{i}"]
-        degs = tuple(val["deg"])
-        return SimplexRef(degs, k - 1 - len(degs), val["base"])
-
-    face = ([],) + tuple([tuple(ref(k, x, i) for i in range(k + 1)) for x in range(card[k])]
-                         for k in range(1, len(card)))
-    return SSet(card, face, complete=payload.get("complete", False),
-                basepoint=payload.get("basepoint"))

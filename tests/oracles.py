@@ -153,29 +153,6 @@ def comma_under_counts(n, N):
     return len(objects), morphisms
 
 
-def decomposition_counts(n):
-    """(objects, morphisms) of the two-fold decomposition category over n."""
-    injs = {}
-    for a in range(n + 1):
-        for b in range(n + 1):
-            injs[(a, b)] = list(permutations(range(1, b + 1), a))
-    objects = [
-        ((n1, n2), img)
-        for n1 in range(n + 1)
-        for n2 in range(n + 1 - n1)
-        for img in injs[(n1 + n2, n)]
-    ]
-    morphisms = 0
-    for ((n1, n2), a) in objects:
-        for ((m1, m2), b) in objects:
-            for f1 in injs[(n1, m1)]:
-                for f2 in injs[(n2, m2)]:
-                    block = tuple(f1) + tuple(v + m1 for v in f2)
-                    if tuple(b[v - 1] for v in block) == a:
-                        morphisms += 1
-    return len(objects), morphisms
-
-
 def subsets_of(n):
     """All subsets of {1..n} in the library's level ordering."""
     from itertools import combinations
@@ -289,3 +266,21 @@ def normalize_reference(cells, face_fn, deg_fn, top_dim, complete=False, based_r
         bp = r.base_id
     return NormTable(SSet(tuple(card), tuple(face), complete=complete, basepoint=bp),
                      ref_of, raw_of)
+
+
+def is_injective(f):
+    """True iff the SMap f is injective on all simplices, degenerate included."""
+    for k in range(f.src.top_dim + 1):
+        seen = set()
+        for ref in f.src.all_simplices(k):
+            img = f(ref)
+            if img in seen:
+                return False
+            seen.add(img)
+    return True
+
+
+def bounded_tuples(pools, budget):
+    """Tuples of raw homotopy-colimit cells, one from each pool, whose head
+    levels z[0][0] sum to at most `budget`, in the order of the full product."""
+    return [t for t in product(*pools) if sum(z[0][0] for z in t) <= budget]

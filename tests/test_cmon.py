@@ -1,7 +1,11 @@
+from math import prod
+
 import pytest
 
 from ispaces.cmon import (
     CommMonoidPres,
+    _hocolim_raws,
+    _tuples_bounded,
     bar,
     bar_comparison,
     bar_monoid,
@@ -14,7 +18,6 @@ from ispaces.cmon import (
     is_grouplike,
     iterated_bar_spectrum,
     merged_classes,
-    monoid_map_on_pi0,
     pi0_monoid,
     restrict_monoid,
     sec52_monoid,
@@ -22,10 +25,10 @@ from ispaces.cmon import (
     units,
     validate_monoid,
 )
-from ispaces.ispace import free_ispace, hocolim_I
+from ispaces.ispace import free_ispace, hocolim_I, terminal_ispace
 from ispaces.simplicial import homology, pi0_classes
 
-from oracles import sigma2_homology
+from oracles import bounded_tuples, sigma2_homology
 
 
 def test_monoid_axioms_on_models():
@@ -147,15 +150,6 @@ def test_restrict_monoid_truncates():
     assert validate_monoid(A) == []
 
 
-def test_monoid_map_on_pi0_inclusion_of_units():
-    A = sec52_monoid(2)
-    rep = units(A)
-    f = {n: rep.inclusion[n] for n in range(A.N + 1)}
-    _, _, _, gen_image = monoid_map_on_pi0(f, rep.units_monoid, A)
-    # both unit classes land in the two degree-zero classes of the target
-    assert len(set(gen_image.values())) == 2
-
-
 def test_iterated_bar_first_two_levels():
     out = iterated_bar_spectrum(cyclic2_monoid(2), 1, 1)
     assert len(out) == 2
@@ -174,3 +168,24 @@ def test_grothendieck_matches_bar_h1():
         assert grothendieck_group(pres) == expect
         h, _ = classifying_space_homology(A, 1)
         assert h.group(1) == expect
+
+
+def test_tuples_bounded_matches_oracle():
+    """The bar cell enumerator against a filtered itertools.product, in order.
+
+    For k <= 3 slots, the pools are those of the one-sided bar (k copies of
+    the raw k-cells of the homotopy colimit) and of the two-sided bar (a pool
+    of terminal-diagram k-cells at each end).  A full product can reach
+    4.9e10 tuples (c1(3), k = 3), so pools whose product exceeds 10^6 tuples
+    are thinned by a common stride, which keeps the order of each pool.
+    """
+    for N in (2, 3):
+        raws = _hocolim_raws(c1(N).space, 3)
+        t_raws = _hocolim_raws(terminal_ispace(N), 3)
+        for k in range(4):
+            for pools in ([raws[k]] * k, [t_raws[k]] + [raws[k]] * k + [t_raws[k]]):
+                step = 1
+                while prod(len(p[::step]) for p in pools) > 10 ** 6:
+                    step += 1
+                pools = [p[::step] for p in pools]
+                assert _tuples_bounded(pools, N) == bounded_tuples(pools, N)

@@ -109,6 +109,10 @@ def test_special_for_constant_point():
     sv = is_special(X, D=0)
     assert sv.verdict == "special-evidence"
     assert sv.very_special == "yes"
+    # with D >= 1 the pairing into the product is checked on homology too
+    sv = is_special(X, D=1)
+    assert sv.verdict == "special-evidence"
+    assert sv.detail["homology(1,1)"]["ok"]
 
 
 def test_very_special_for_group_model():

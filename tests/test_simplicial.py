@@ -8,11 +8,8 @@ from ispaces.simplicial import (
     apply_word,
     component_subcomplex,
     discrete,
-    empty_sset,
-    external_product,
     homology,
     map_cone_homology,
-    map_is_homology_iso,
     nd_ref,
     nerve,
     normalize_pair_ref,
@@ -24,8 +21,6 @@ from ispaces.simplicial import (
     reduced_homology_trivial,
     simplicial_circle,
     sphere,
-    sset_from_json,
-    sset_to_json,
     standard_simplex,
     validate_sset,
 )
@@ -35,7 +30,7 @@ from oracles import rational_rank
 
 def test_point_and_empty():
     assert point().size() == 1
-    assert empty_sset().size() == 0
+    assert discrete(0).size() == 0
     assert validate_sset(point()) == []
 
 
@@ -129,26 +124,16 @@ def test_pi0_disjoint_union_of_components():
     assert comp.card[0] == 1
 
 
-def test_external_product_diagonal_matches_product():
-    from ispaces.simplicial import diag
-
-    s1 = simplicial_circle()
-    d = diag(external_product(s1, s1), complete=True)
-    h = homology(d, 2)
-    assert h.group(1) == (2, ())
-    assert h.group(2) == (1, ())
-
-
 def test_cone_detects_iso_and_non_iso():
     from ispaces.simplicial import SMap, identity_map
 
     s1 = simplicial_circle()
     ident = identity_map(s1)
-    assert map_is_homology_iso(ident, 1)
+    # an H_k-isomorphism for k <= 1 has an acyclic cone through degree 2
+    assert all(map_cone_homology(ident, 2).get(k, (0, ())) == (0, ()) for k in range(3))
     collapse = SMap(s1, point(), {
         (0, 0): nd_ref(0, 0), (1, 0): SimplexRef((0,), 0, 0)})
     # the cone of S^1 -> point is a suspension: H_2 = Z refutes the iso
-    assert not map_is_homology_iso(collapse, 1)
     cone = map_cone_homology(collapse, 2)
     assert cone.get(2, (0, ())) == (1, ())
 
@@ -194,16 +179,6 @@ def test_nerve_of_poset_is_contractible():
     assert reduced_homology_trivial(n, 2)
 
 
-def test_json_round_trip():
-    x = sphere(2)
-    y = sset_from_json(sset_to_json(x))
-    assert y.card == x.card
-    assert y.face == x.face
-    assert (y.complete, y.basepoint) == (True, 0)
-    trimmed = type(x)(x.card, x.face, complete=False, basepoint=None)
-    assert sset_from_json(sset_to_json(trimmed)) == trimmed
-
-
 def test_homology_refuses_incomplete_skeleton():
     s1 = simplicial_circle()
     trimmed = type(s1)(s1.card, s1.face, complete=False, basepoint=None)
@@ -216,5 +191,5 @@ def test_pairing_map_lands_in_product():
     prod = product(d1, d1)
     from ispaces.simplicial import identity_map
 
-    f = pairing_map(prod, identity_map(d1), identity_map(d1))
+    f = pairing_map(prod, identity_map(d1), identity_map(d1), d1.top_dim)
     assert f.validate() == []

@@ -8,8 +8,10 @@ entry point `cli.main` are exempt.
 
 Every parameter of every function in `src/ispaces/`, nested ones and lambdas
 included, must be read in that function's body, except `self` and the
-parameters listed in `UNREAD_ALLOWED` with their reasons.  The checks use the
-standard `ast` module only.
+parameters listed in `UNREAD_ALLOWED` with their reasons.  So must every
+local that a function binds by a single-name assignment; names bound by
+tuple unpacking are exempt.  Every name a module imports must be read in
+that module.  The checks use the standard `ast` module only.
 """
 
 import ast
@@ -62,6 +64,11 @@ def _references():
                     yield path, node.lineno, node.value, True
 
 
+def _loaded(node):
+    """Names read anywhere inside an ast node."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
 def test_every_function_is_referenced():
     uses = {}
     for path, line, name, loose in _references():
@@ -89,10 +96,31 @@ def test_every_parameter_is_read():
                 continue
             a = node.args
             params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
-            loaded = {n.id for n in ast.walk(node)
-                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            loaded = _loaded(node)
             for p in params:
                 if p.arg != "self" and p.arg not in loaded \
                         and (node.name, p.arg) not in UNREAD_ALLOWED:
                     unread.append(f"{path.name}:{node.lineno} {node.name}({p.arg})")
     assert not unread, "parameters never read: " + ", ".join(unread)
+
+
+def test_every_local_is_read():
+    unread = []
+    for path in sorted((ROOT / "src" / "ispaces").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = _loaded(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unread.append(f"{path.name}:{node.lineno} import {name}")
+            elif isinstance(node, ast.FunctionDef):
+                loaded = _loaded(node)
+                for sub in ast.walk(node):
+                    if not isinstance(sub, ast.Assign):
+                        continue
+                    for t in sub.targets:
+                        if isinstance(t, ast.Name) and t.id not in loaded:
+                            unread.append(f"{path.name}:{sub.lineno} {node.name}: {t.id}")
+    assert not unread, "bound but never read: " + ", ".join(unread)
