@@ -15,7 +15,7 @@ from itertools import product as iproduct
 from typing import Callable, Optional
 
 from . import icat
-from .icat import Injection, TruncatedI, compose, concat, shuffle
+from .icat import TruncatedI, concat, shuffle
 from .simplicial import (
     SMap,
     SimplexRef,
@@ -37,10 +37,11 @@ from .ispace import (
     _box_space,
     _box_table,
     _chain_cells,
+    _compositions,
     _discrete_ispace,
-    _hocolim,
     _hocolim_deg,
     _hocolim_face,
+    hocolim_I,
     is_flat,
     restrict,
     terminal_ispace,
@@ -79,8 +80,9 @@ class CIMonoidT:
         return self.space.level(n)
 
 
-def validate_monoid(A, dim_bound=1):
-    """Unitality, associativity, commutativity and naturality diagnostics."""
+def validate_monoid(A):
+    """Unitality, associativity, commutativity and naturality diagnostics,
+    on simplices of dimensions 0 and 1."""
     bad = A.space.validate()
     if bad:
         return bad
@@ -88,7 +90,7 @@ def validate_monoid(A, dim_bound=1):
     N = A.N
     for m in range(N + 1):
         for n in range(N + 1 - m):
-            for k in range(dim_bound + 1):
+            for k in range(2):
                 for rx in X.level(m).all_simplices(k):
                     for ry in X.level(n).all_simplices(k):
                         p = A.mul(m, n, rx, ry)
@@ -106,7 +108,7 @@ def validate_monoid(A, dim_bound=1):
                         if tau(p) != A.mul(n, m, ry, rx):
                             bad.append(f"commutativity fails at ({m},{n})")
     for n in range(N + 1):
-        for k in range(dim_bound + 1):
+        for k in range(2):
             u = A.unit_ref(k)
             for ry in X.level(n).all_simplices(k):
                 if A.mul(0, n, u, ry) != ry:
@@ -116,7 +118,7 @@ def validate_monoid(A, dim_bound=1):
     for m in range(N + 1):
         for n in range(N + 1 - m):
             for p_ in range(N + 1 - m - n):
-                for k in range(dim_bound + 1):
+                for k in range(2):
                     for rx in X.level(m).all_simplices(k):
                         for ry in X.level(n).all_simplices(k):
                             for rz in X.level(p_).all_simplices(k):
@@ -132,7 +134,7 @@ def validate_monoid(A, dim_bound=1):
                 continue
             both = X.act(concat(alpha, beta))
             fa, fb = X.act(alpha), X.act(beta)
-            for k in range(dim_bound + 1):
+            for k in range(2):
                 for rx in X.level(alpha.src).all_simplices(k):
                     for ry in X.level(beta.src).all_simplices(k):
                         lhs = both(A.mul(alpha.src, beta.src, rx, ry))
@@ -253,18 +255,20 @@ def cyclic2_monoid(N):
 # Free commutative monoids on an I-space.
 # ---------------------------------------------------------------------------
 
-def free_cmonoid(X, dim_bound=1):
+def free_cmonoid(X):
     """Symmetrized box powers of X with word concatenation, truncated.
 
     Words are truncated at length N; the truncation is exact when X(0) is
     empty, because a length-k word then needs level at least k.  The carrier
-    records `word_truncation_exact` in the monoid metadata.
+    records `word_truncation_exact` in the monoid metadata.  Simplices are
+    built through dimension 1.
     """
     N = X.N
+    top = 1
     exact = X.level(0).size() == 0
-    data = [[_word_classes(X, n, dim) for dim in range(dim_bound + 1)] for n in range(N + 1)]
+    data = [[_word_classes(X, n, dim) for dim in range(top + 1)] for n in range(N + 1)]
     # a word has at most N factors, and faces zip the factors with its blocks
-    tables = [_box_table((X,) * N, canon, dim_bound) for canon in data]
+    tables = [_box_table((X,) * N, canon, top) for canon in data]
     space = _box_space(tables, data)
 
     def mul(m, n, rx, ry):
@@ -467,14 +471,20 @@ def _substitute(vec, subst, g):
     return out
 
 
-def _prune_relations(rels, step_bound=6):
-    """Drop relations derivable from the others by bounded rewriting."""
+# Rewriting steps that `_prune_relations` tries before it keeps a relation.
+PRUNE_STEPS = 6
+# Largest value on a generator of the gradings that witness non-units.
+GRADING_CAP = 3
+
+
+def _prune_relations(rels):
+    """Drop relations derivable from the others by PRUNE_STEPS rewritings."""
     kept = list(rels)
     i = 0
     while i < len(kept):
         cand = kept[i]
         rest = kept[:i] + kept[i + 1:]
-        if rest and _congruent(cand[0], cand[1], rest, step_bound):
+        if rest and _congruent(cand[0], cand[1], rest, PRUNE_STEPS):
             kept = rest
         else:
             i += 1
@@ -532,7 +542,7 @@ class UnitVerdict:
         return all(s[0] != "unknown" for s in self.status.values())
 
 
-def unit_verdicts(pres, vectors=None, bound=4, grading_cap=3):
+def unit_verdicts(pres, vectors=None, bound=4):
     """Classify monoid elements as units or non-units, or report unknown.
 
     A unit witness is an inverse word; a non-unit witness is an additive
@@ -543,7 +553,7 @@ def unit_verdicts(pres, vectors=None, bound=4, grading_cap=3):
     if vectors is None:
         vectors = [tuple(1 if j == i else 0 for j in range(g)) for i in range(g)]
     zero = (0,) * g
-    gradings = _relation_gradings(pres, grading_cap)
+    gradings = _relation_gradings(pres)
     status = {}
     for vec in vectors:
         if vec == zero:
@@ -565,13 +575,13 @@ def _dot(p, v):
     return sum(a * b for a, b in zip(p, v))
 
 
-def _relation_gradings(pres, cap):
-    """All small additive functionals to the naturals killing the relations."""
+def _relation_gradings(pres):
+    """All additive functionals to 0..GRADING_CAP killing the relations."""
     g = len(pres.generators)
-    if g == 0 or (cap + 1) ** g > 200000:
+    if g == 0 or (GRADING_CAP + 1) ** g > 200000:
         return []
     out = []
-    for phi in iproduct(*[range(cap + 1)] * g):
+    for phi in iproduct(*[range(GRADING_CAP + 1)] * g):
         if any(phi) and all(_dot(phi, u) == _dot(phi, v) for u, v in pres.relations):
             out.append(phi)
     return out
@@ -581,28 +591,16 @@ def _find_inverse(pres, vec, bound):
     """Search words w with vec + w congruent to zero, small lengths first."""
     g = len(pres.generators)
     zero = (0,) * g
-    for total in range(bound + 1):
-        for w in _words_of_length(g, total):
-            if _congruent(_vec_add(vec, w), zero, pres.relations, bound + 2):
-                return w
+    for w in sorted(_compositions(bound, g), key=sum):
+        if _congruent(_vec_add(vec, w), zero, pres.relations, bound + 2):
+            return w
     return None
 
 
-def _words_of_length(g, total):
-    if g == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _words_of_length(g - 1, total - first):
-            yield (first,) + rest
-
-
-def is_grouplike(A, bound=4):
+def is_grouplike(A):
     """True iff every component class of the monoid is a unit."""
     pres, class_vec = pi0_monoid(A)
-    verdict = unit_verdicts(pres, vectors=sorted(set(class_vec.values())),
-                            bound=bound)
+    verdict = unit_verdicts(pres, vectors=sorted(set(class_vec.values())))
     if not verdict.resolved():
         unknown = [v for v, s in verdict.status.items() if s[0] == "unknown"]
         raise ValueError(f"unit search unresolved for classes {unknown}")
@@ -764,8 +762,9 @@ def bar_monoid(B):
     """B(A) as a commutative monoid, by blockwise interleaving.
 
     The product of two bar cells of equal degree multiplies corresponding
-    blocks with the monoid multiplication and routes the interleaved blocks
-    through the block shuffle.
+    blocks with the monoid multiplication.  Its decomposition image
+    interleaves the two images block by block, the second shifted past
+    level m: the block sum of the two injections after the block shuffle.
     """
     A = B.monoid
 
@@ -777,25 +776,16 @@ def bar_monoid(B):
         k = len(nv1)
         if len(nv2) != k:
             raise ValueError("bar cells of unequal degree")
-        a1 = Injection(sum(nv1), m, a1_img)
-        a2 = Injection(sum(nv2), n, a2_img)
-        both = concat(a1, a2)
-        off1 = [0]
-        for t in nv1:
-            off1.append(off1[-1] + t)
-        off2 = [0]
-        for t in nv2:
-            off2.append(off2[-1] + t)
-        image = []
-        for i in range(k):
-            image.extend(range(off1[i] + 1, off1[i] + nv1[i] + 1))
-            image.extend(range(sum(nv1) + off2[i] + 1,
-                               sum(nv1) + off2[i] + nv2[i] + 1))
-        psi = Injection(sum(nv1) + sum(nv2), sum(nv1) + sum(nv2), image)
-        gamma = compose(both, psi)
+        shifted = tuple(v + m for v in a2_img)
+        image = ()
+        i1 = i2 = 0
+        for t1, t2 in zip(nv1, nv2):
+            image += a1_img[i1:i1 + t1] + shifted[i2:i2 + t2]
+            i1 += t1
+            i2 += t2
         nvec = tuple(nv1[i] + nv2[i] for i in range(k))
         zs = tuple(A.mul(nv1[i], nv2[i], xs[i], ys[i]) for i in range(k))
-        return B.raw_ref(m + n, (nvec, gamma.image, zs))
+        return B.raw_ref(m + n, (nvec, image, zs))
 
     unit_id = B.space.level(0).basepoint
     return CIMonoidT(B.space, unit_id, mul, name=A.name + "-bar")
@@ -806,15 +796,15 @@ def bar_monoid(B):
 # ---------------------------------------------------------------------------
 
 def _chain_sum(z, w, x):
-    """Block sum of two raw homotopy-colimit chains of equal length, carrying x."""
+    """Block sum of two raw homotopy-colimit chains of equal length, carrying x.
+
+    Arrow i of the sum is the block sum of the arrows i, as image tuples: the
+    first image, then the second shifted past the first arrow's target.
+    """
     lv1, ar1, _ = z
     lv2, ar2, _ = w
     lv = tuple(a + b for a, b in zip(lv1, lv2))
-    ar = tuple(
-        concat(Injection(lv1[i + 1], lv1[i], ar1[i]),
-               Injection(lv2[i + 1], lv2[i], ar2[i])).image
-        for i in range(len(ar1))
-    )
+    ar = tuple(f + tuple(v + d for v in g) for f, g, d in zip(ar1, ar2, lv1))
     return (lv, ar, x)
 
 
@@ -827,10 +817,6 @@ def _chain_unit(A, s):
     return ((0,) * (s + 1), ((),) * s, A.unit_ref(s))
 
 
-def _hocolim_raws(X, S):
-    return _chain_cells(X, S, TruncatedI(X.N).hom)
-
-
 def bar_of_hocolim(A, K):
     """B of the simplicial monoid A_hI, truncated by total head level.
 
@@ -839,7 +825,7 @@ def bar_of_hocolim(A, K):
     entries with the chainwise block-sum product.
     """
     X = A.space
-    raws = _hocolim_raws(X, K)
+    raws = _chain_cells(X, K, TruncatedI(A.N).hom)
     cells = [_tuples_bounded([raws[k]] * k, A.N) for k in range(K + 1)]
 
     def face_fn(k, raw, i):
@@ -880,8 +866,8 @@ def two_sided_bar_of_hocolim(A, K):
     """
     X = A.space
     T = terminal_ispace(A.N)
-    raws = _hocolim_raws(X, K)
-    t_raws = _hocolim_raws(T, K)
+    raws = _chain_cells(X, K, TruncatedI(A.N).hom)
+    t_raws = _chain_cells(T, K, TruncatedI(A.N).hom)
     cells = []
     for k in range(K + 1):
         pools = [t_raws[k]] + [raws[k]] * k + [t_raws[k]]
@@ -935,7 +921,7 @@ class BarComparisonReport:
 def _bar_comparison_once(A, D):
     K = D + 2
     B = bar(A, K)
-    left_tab = _hocolim(B.space, K, TruncatedI(A.N).hom, False)
+    left_tab = hocolim_I(B.space, K)
     middle_tab = two_sided_bar_of_hocolim(A, K)
     right_tab = bar_of_hocolim(A, K)
 
@@ -944,23 +930,16 @@ def _bar_comparison_once(A, D):
 
     def to_left(k, raw):
         c0, zs, c1 = raw
-        lv = tuple(c0[0][i] + sum(z[0][i] for z in zs) + c1[0][i]
-                   for i in range(k + 1))
-        ar = []
-        for i in range(k):
-            parts = [Injection(c0[0][i + 1], c0[0][i], c0[1][i])]
-            parts += [Injection(z[0][i + 1], z[0][i], z[1][i]) for z in zs]
-            parts.append(Injection(c1[0][i + 1], c1[0][i], c1[1][i]))
-            ar.append(icat.concat_many(parts).image)
-        tail = lv[-1]
+        chain = c0
+        for z in zs + (c1,):
+            chain = _chain_sum(chain, z, None)
+        lv, ar, _ = chain
+        # the bar cell's blocks sit side by side, just past c0's block
         nvec = tuple(z[0][-1] for z in zs)
-        offset = c0[0][-1]
-        image = []
-        for t in nvec:
-            image.extend(range(offset + 1, offset + t + 1))
-            offset += t
-        xref = B.raw_ref(tail, (nvec, tuple(image), tuple(z[2] for z in zs)))
-        return (lv, tuple(ar), xref)
+        start = c0[0][-1]
+        image = tuple(range(start + 1, start + sum(nvec) + 1))
+        xref = B.raw_ref(lv[-1], (nvec, image, tuple(z[2] for z in zs)))
+        return (lv, ar, xref)
 
     f_right = map_from_tables(middle_tab, right_tab, to_right)
     f_left = map_from_tables(middle_tab, left_tab, to_left)
@@ -1020,7 +999,7 @@ def iterated_bar_spectrum(A, n_max, D):
     out = []
     cur = A
     for k in range(n_max + 1):
-        tab = _hocolim(cur.space, D + 1, TruncatedI(cur.N).hom, True)
+        tab = hocolim_I(cur.space, D + 1, based=True)
         out.append((tab.sset, homology(tab.sset, D)))
         if k < n_max:
             cur = bar_monoid(bar(cur, D + 2))

@@ -73,13 +73,6 @@ def concat(f, g):
     return Injection(f.src + g.src, f.dst + g.dst, image)
 
 
-def concat_many(fs):
-    out = identity(0)
-    for f in fs:
-        out = concat(out, f)
-    return out
-
-
 def shuffle(m, n):
     """The block transposition {1..m+n} -> {1..n+m} swapping the summands."""
     image = tuple(range(n + 1, n + m + 1)) + tuple(range(1, n + 1))

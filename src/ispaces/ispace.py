@@ -56,7 +56,7 @@ class ISpaceT:
     def is_based(self):
         return all(X.basepoint is not None for X in self.levels)
 
-    def validate(self, exhaustive=True):
+    def validate(self):
         """Functoriality and well-formedness diagnostics."""
         bad = []
         cat = TruncatedI(self.N)
@@ -77,8 +77,6 @@ class ISpaceT:
                 for x in range(self.levels[n].card[k]):
                     if f(nd_ref(k, x)) != nd_ref(k, x):
                         bad.append(f"identity at level {n} does not act trivially")
-        if not exhaustive:
-            return bad
         for beta in cat.arrows():
             for alpha in cat.arrows():
                 if alpha.dst != beta.src:
@@ -162,7 +160,7 @@ def collapsing_ispace(N):
     return _discrete_ispace(N, points, act_point)
 
 
-def power_ispace(K, N, dim_bound=None):
+def power_ispace(K, N):
     """K^bullet: level n is the n-fold product of a based simplicial set.
 
     Injections act by routing coordinate i to slot alpha(i) and filling the
@@ -172,8 +170,7 @@ def power_ispace(K, N, dim_bound=None):
         raise ValueError("power construction needs a based simplicial set")
     tables = []
     for n in range(N + 1):
-        natural = n * K.top_dim
-        top = natural if dim_bound is None else min(dim_bound, natural)
+        top = n * K.top_dim
         cells = [
             [tup for tup in iproduct(*[K.all_simplices(k)] * n)]
             for k in range(top + 1)
@@ -188,7 +185,7 @@ def power_ispace(K, N, dim_bound=None):
         bp = tuple(nd_ref(0, K.basepoint) for _ in range(n))
         tables.append(
             normalize_table(cells, face_fn, deg_fn, top,
-                            complete=K.complete and top == natural, based_raw=bp)
+                            complete=K.complete, based_raw=bp)
         )
     levels = tuple(t.sset for t in tables)
     maps = {}
@@ -334,7 +331,6 @@ class BoxISpace:
     space: ISpaceT
     data: list  # BoxLevel per level
     factors: tuple
-    dim_bound: int
 
 
 def box_multi(factors, dim_bound, based=False):
@@ -352,7 +348,7 @@ def box_multi(factors, dim_bound, based=False):
             BoxLevel(n, NormTable(unit.level(n), {}, {}), [])
             for n in range(N + 1)
         ]
-        return BoxISpace(unit, data, (), dim_bound)
+        return BoxISpace(unit, data, ())
     if k_factors == 1:
         return _box_single(factors[0], dim_bound)
     data = []
@@ -365,7 +361,7 @@ def box_multi(factors, dim_bound, based=False):
             based_raw = canon[0][((0,) * k_factors, (), xs0)]
         data.append(BoxLevel(n, _box_table(factors, canon, dim_bound, based_raw), canon))
     space = _box_space([d.table for d in data], [d.canon for d in data])
-    return BoxISpace(space, data, tuple(factors), dim_bound)
+    return BoxISpace(space, data, tuple(factors))
 
 
 def _box_single(X, dim_bound):
@@ -394,7 +390,7 @@ def _box_single(X, dim_bound):
             for x in range(X.level(n).card[k]):
                 raw_of[(k, x)] = ((n,), identity(n).image, (nd_ref(k, x),))
         data.append(BoxLevel(n, NormTable(X.level(n), ref_of, raw_of), canon))
-    return BoxISpace(X, data, (X,), dim_bound)
+    return BoxISpace(X, data, (X,))
 
 
 def box(X, Y, dim_bound=None):
@@ -405,11 +401,9 @@ def box(X, Y, dim_bound=None):
     return box_multi((X, Y), dim_bound)
 
 
-def rho(BXY, dim_bound=None):
+def rho(BXY):
     """The comparison box(X, Y) -> X x Y induced by the two projections."""
     X, Y = BXY.factors
-    if dim_bound is None:
-        dim_bound = BXY.dim_bound
     prods = []
     maps = {}
     for n in range(BXY.space.N + 1):
@@ -518,8 +512,7 @@ def _based_quotient(X, tab):
 
 def hocolim_I(X, S, based=False):
     """Bousfield-Kan homotopy colimit over the truncated injection category."""
-    tab = _hocolim(X, S, TruncatedI(X.N).hom, based)
-    return tab
+    return _hocolim(X, S, TruncatedI(X.N).hom, based)
 
 
 def hocolim_N(X, S, based=False):
@@ -537,18 +530,14 @@ def hocolim_N_to_I_map(X, S):
     return map_from_tables(tn, ti, lambda k, raw: raw)
 
 
-def hocolim_map(phi, src_space, dst_space, S, over="I", based=False):
-    """Induced map of homotopy colimits from a level natural transformation.
+def hocolim_map(phi, src_space, dst_space, S):
+    """Induced map of homotopy colimits over 0 < 1 < ... < N from a level
+    natural transformation.
 
     phi is a dict n -> SMap from src_space(n) to dst_space(n).
     """
-    def incl_only(m, n):
-        return [subset_inclusion(m, n)]
-
-    src_arrows = TruncatedI(src_space.N).hom if over == "I" else incl_only
-    dst_arrows = TruncatedI(dst_space.N).hom if over == "I" else incl_only
-    ts = _hocolim(src_space, S, src_arrows, based)
-    td = _hocolim(dst_space, S, dst_arrows, based)
+    ts = hocolim_N(src_space, S)
+    td = hocolim_N(dst_space, S)
 
     def push(k, raw):
         levels, ar, x = raw
@@ -703,7 +692,7 @@ def _semistability_run(X, D):
     if X.N >= 1:
         RX, j = R_functor(X)
         Xr = restrict(X, X.N - 1)
-        g = hocolim_map(j, Xr, RX, S, over="N")
+        g = hocolim_map(j, Xr, RX, S)
         okj, aj, bj = _pi0_map_bijective(g)
         results.append(("pi0-jX", okj, {"pi0_src": aj, "pi0_dst": bj}))
         cone_j = map_cone_homology(g, D + 1)

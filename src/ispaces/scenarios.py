@@ -64,11 +64,9 @@ class ScenarioReport:
         return payload
 
 
-def _check(name, expected, computed, ok=None, **extra):
-    if ok is None:
-        ok = expected == computed
+def _check(name, expected, computed, **extra):
     entry = {"name": name, "expected": expected, "computed": computed,
-             "verdict": "pass" if ok else "fail"}
+             "verdict": "pass" if expected == computed else "fail"}
     entry.update(extra)
     return entry
 

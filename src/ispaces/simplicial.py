@@ -136,8 +136,9 @@ class SSet:
         return sum(self.card)
 
 
-def point(based=True):
-    return discrete(1, basepoint=0 if based else None)
+def point():
+    """The based one-point simplicial set."""
+    return discrete(1, basepoint=0)
 
 
 def discrete(n, basepoint=None):

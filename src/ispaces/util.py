@@ -5,7 +5,7 @@ class DisjointSet:
     """Union-find over arbitrary hashable elements.
 
     Representatives are not canonical until `canonicalize` is called, which
-    re-points every class at its smallest member under the given sort key.
+    re-points every class at its smallest member.
     """
 
     def __init__(self):
@@ -35,11 +35,11 @@ class DisjointSet:
             out.setdefault(self.find(x), []).append(x)
         return out
 
-    def canonicalize(self, key=None):
+    def canonicalize(self):
         """Return a dict element -> smallest member of its class."""
         rep = {}
         for members in self.classes().values():
-            members.sort(key=key)
+            members.sort()
             for m in members:
                 rep[m] = members[0]
         return rep

@@ -204,7 +204,7 @@ def rank_and_torsion(mat, nrows, ncols, drop_rows=(), pivots=None):
     return len(diag), tuple(d for d in diag if d > 1)
 
 
-def bareiss_rank(mat, nrows, ncols):
+def bareiss_rank(mat):
     """Fraction-free Gaussian rank, an independent cross-check on the SNF rank."""
     if not mat:
         return 0

@@ -284,3 +284,46 @@ def bounded_tuples(pools, budget):
     """Tuples of raw homotopy-colimit cells, one from each pool, whose head
     levels z[0][0] sum to at most `budget`, in the order of the full product."""
     return [t for t in product(*pools) if sum(z[0][0] for z in t) <= budget]
+
+
+def chain_sum_reference(z, w, x):
+    """Block sum of two raw homotopy-colimit chains of equal length, arrow by
+    arrow as the concatenation of two checked injections, carrying x."""
+    from ispaces.icat import Injection, concat
+
+    lv1, ar1, _ = z
+    lv2, ar2, _ = w
+    lv = tuple(a + b for a, b in zip(lv1, lv2))
+    ar = tuple(
+        concat(Injection(lv1[i + 1], lv1[i], ar1[i]),
+               Injection(lv2[i + 1], lv2[i], ar2[i])).image
+        for i in range(len(ar1))
+    )
+    return (lv, ar, x)
+
+
+def bar_mul_reference(B, m, n, rx, ry):
+    """Product of two bar cells of B in levels m and n, through checked
+    injections: the block sum of the two decomposition injections after the
+    shuffle psi that interleaves their blocks."""
+    from ispaces.icat import Injection, compose, concat
+
+    A = B.monoid
+    nv1, a1_img, xs = B.ref_raw(m, rx)
+    nv2, a2_img, ys = B.ref_raw(n, ry)
+    k = len(nv1)
+    both = concat(Injection(sum(nv1), m, a1_img), Injection(sum(nv2), n, a2_img))
+    off1 = [0]
+    for t in nv1:
+        off1.append(off1[-1] + t)
+    off2 = [0]
+    for t in nv2:
+        off2.append(off2[-1] + t)
+    image = []
+    for i in range(k):
+        image.extend(range(off1[i] + 1, off1[i] + nv1[i] + 1))
+        image.extend(range(sum(nv1) + off2[i] + 1, sum(nv1) + off2[i] + nv2[i] + 1))
+    psi = Injection(sum(nv1) + sum(nv2), sum(nv1) + sum(nv2), image)
+    nvec = tuple(nv1[i] + nv2[i] for i in range(k))
+    zs = tuple(A.mul(nv1[i], nv2[i], xs[i], ys[i]) for i in range(k))
+    return B.raw_ref(m + n, (nvec, compose(both, psi).image, zs))

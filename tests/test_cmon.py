@@ -4,7 +4,7 @@ import pytest
 
 from ispaces.cmon import (
     CommMonoidPres,
-    _hocolim_raws,
+    _chain_sum,
     _tuples_bounded,
     bar,
     bar_comparison,
@@ -25,10 +25,11 @@ from ispaces.cmon import (
     units,
     validate_monoid,
 )
-from ispaces.ispace import free_ispace, hocolim_I, terminal_ispace
+from ispaces.icat import TruncatedI
+from ispaces.ispace import _chain_cells, free_ispace, hocolim_I, terminal_ispace
 from ispaces.simplicial import homology, pi0_classes
 
-from oracles import bounded_tuples, sigma2_homology
+from oracles import bar_mul_reference, bounded_tuples, chain_sum_reference, sigma2_homology
 
 
 def test_monoid_axioms_on_models():
@@ -180,8 +181,8 @@ def test_tuples_bounded_matches_oracle():
     are thinned by a common stride, which keeps the order of each pool.
     """
     for N in (2, 3):
-        raws = _hocolim_raws(c1(N).space, 3)
-        t_raws = _hocolim_raws(terminal_ispace(N), 3)
+        raws = _chain_cells(c1(N).space, 3, TruncatedI(N).hom)
+        t_raws = _chain_cells(terminal_ispace(N), 3, TruncatedI(N).hom)
         for k in range(4):
             for pools in ([raws[k]] * k, [t_raws[k]] + [raws[k]] * k + [t_raws[k]]):
                 step = 1
@@ -189,3 +190,31 @@ def test_tuples_bounded_matches_oracle():
                     step += 1
                 pools = [p[::step] for p in pools]
                 assert _tuples_bounded(pools, N) == bounded_tuples(pools, N)
+
+
+def test_chain_sum_matches_block_sum_of_injections():
+    """The image-tuple block sum against concatenated checked injections, on
+    every pair of equal-length raw chains of c1(2)."""
+    raws = _chain_cells(c1(2).space, 3, TruncatedI(2).hom)
+    for cells in raws:
+        chains = sorted({(lv, ar) for lv, ar, _ in cells})
+        for lv1, ar1 in chains:
+            for lv2, ar2 in chains:
+                z, w = (lv1, ar1, None), (lv2, ar2, None)
+                assert _chain_sum(z, w, "x") == chain_sum_reference(z, w, "x")
+
+
+def test_bar_monoid_mul_matches_reference():
+    """bar_monoid's block interleaving against the shuffle of checked
+    injections, on every pair of bar cells of equal dimension."""
+    B = bar(c1(3), 2)
+    mul = bar_monoid(B).mul
+    pairs = 0
+    for m in range(4):
+        for n in range(4 - m):
+            for k in range(3):
+                for rx in B.space.level(m).all_simplices(k):
+                    for ry in B.space.level(n).all_simplices(k):
+                        assert mul(m, n, rx, ry) == bar_mul_reference(B, m, n, rx, ry)
+                        pairs += 1
+    assert pairs > 0

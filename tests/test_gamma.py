@@ -145,6 +145,24 @@ def test_eckmann_hilton_products_coincide(build):
     assert rep.witness is None
 
 
+@pytest.mark.parametrize("build", [lambda: c1(2), lambda: sec52_monoid(2)])
+def test_eckmann_hilton_compares_one_map_with_itself(build):
+    """At (2+, 1+) and (1+, 2+) the row and column actions are the same
+    based map 2+ -> 1+ of the one-variable functor, so both return one
+    cached map and the Eckmann-Hilton check passes by construction."""
+    X = bi_gamma_from(build(), 2, 2)
+    for phi in ((1, 0), (0, 1), (1, 1)):
+        assert X.act1(phi, 2, 1, 1) is X.act2(1, phi, 2, 1)
+
+
+def test_special_refuses_skeleta_below_the_homology_check():
+    # the pairing's cone through degree D + 1 needs cells through D + 2
+    with pytest.raises(ValueError, match="dimension 3.* has 2"):
+        is_special(gamma_of_monoid(cyclic2_monoid(2), 2, 2), D=1)
+    sv = is_special(gamma_of_monoid(cyclic2_monoid(2), 2, 3), D=1)
+    assert sv.verdict == "special-evidence"
+
+
 def test_prolong_representable_recovers_argument():
     S1 = simplicial_circle()
     P = prolong(representable(1, 3), S1, dim_bound=3)

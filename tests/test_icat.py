@@ -6,7 +6,6 @@ from ispaces.icat import (
     comma_under,
     compose,
     concat,
-    concat_many,
     enumerate_injections,
     identity,
     shuffle,
@@ -44,7 +43,6 @@ def test_concat_is_block_sum():
     f = subset_inclusion(1, 2)
     g = Injection(1, 1, (1,))
     assert concat(f, g).image == (1, 3)
-    assert concat_many([f, g, f]).image == (1, 3, 4)
 
 
 def test_shuffle_swaps_blocks():

@@ -31,10 +31,9 @@ UNREAD_ALLOWED = {
     ("push", "k"): _RAW_MAP,
     ("push", "d"): _RAW_MAP,
     ("to_right", "k"): _RAW_MAP,
+    ("to_left", "k"): _RAW_MAP,
     ("mul_point", "n"): "discrete_monoid multiplies points as mul_point(m, n, s, t)",
     ("scenario_grothendieck", "cfg"): "run_all calls every registry scenario with its RunConfig",
-    ("bareiss_rank", "nrows"): "criterion 11 calls it with the matrix shape, as rank_and_torsion",
-    ("bareiss_rank", "ncols"): "criterion 11 calls it with the matrix shape, as rank_and_torsion",
 }
 
 
@@ -124,3 +123,66 @@ def test_every_local_is_read():
                         if isinstance(t, ast.Name) and t.id not in loaded:
                             unread.append(f"{path.name}:{sub.lineno} {node.name}: {t.id}")
     assert not unread, "bound but never read: " + ", ".join(unread)
+
+
+def _callee(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _calls():
+    """(callee name, positional count or None, keyword names) of every call.
+
+    A call through a local alias `fn = f` or `fn = f if c else g` counts as a
+    call of each function the alias may hold.
+    """
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            aliases = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                        and isinstance(node.targets[0], ast.Name):
+                    v = node.value
+                    held = [v.body, v.orelse] if isinstance(v, ast.IfExp) else [v]
+                    names = [_callee(h) for h in held]
+                    if all(names):
+                        aliases.setdefault(node.targets[0].id, []).extend(names)
+            for node in ast.walk(tree):
+                name = _callee(node.func) if isinstance(node, ast.Call) else None
+                if name is None:
+                    continue
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                kwargs = {k.arg for k in node.keywords}
+                for callee in [name] + aliases.get(name, []):
+                    yield callee, None if starred else len(node.args), kwargs
+
+
+def test_every_optional_parameter_is_set():
+    """A defaulted parameter of a top-level function or method is set by
+    some call of that name, by keyword or by position; otherwise it is a
+    constant.  A call with *args sets every positional parameter, one with
+    **kwargs every keyword.  Nested functions and `cli.main` are exempt."""
+    calls = {}
+    for name, npos, kwargs in _calls():
+        calls.setdefault(name, []).append((npos, kwargs))
+    unset = []
+    for path, cls, node in _definitions():
+        if (path.name, node.name) in EXEMPT:
+            continue
+        a = node.args
+        positional = a.posonlyargs + a.args
+        if cls is not None and positional and positional[0].arg == "self":
+            positional = positional[1:]
+        defaulted = [(i, p.arg) for i, p in enumerate(positional)
+                     if i >= len(positional) - len(a.defaults)]
+        defaulted += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        for i, arg in defaulted:
+            if not any(None in kwargs or arg in kwargs or npos is None
+                       or (i is not None and npos > i)
+                       for npos, kwargs in calls.get(node.name, ())):
+                unset.append(f"{path.name}:{node.lineno} {cls + '.' if cls else ''}{node.name}({arg})")
+    assert not unset, "optional parameters never set: " + ", ".join(unset)
