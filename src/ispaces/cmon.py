@@ -720,7 +720,6 @@ class BarISpace:
     space: ISpaceT
     tables: list  # NormTable per level
     canon: list  # per level: canon dict per bar degree
-    S: int
 
     def raw_ref(self, n, raw):
         k = len(raw[0])
@@ -755,7 +754,7 @@ def bar(A, S):
         base = cn[0][((), (), ())]
         tables.append(normalize_table(cells, face_fn, deg_fn, S, based_raw=base))
         canon.append(cn)
-    return BarISpace(A, _box_space(tables, canon), tables, canon, S)
+    return BarISpace(A, _box_space(tables, canon), tables, canon)
 
 
 def bar_monoid(B):

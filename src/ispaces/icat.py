@@ -141,18 +141,23 @@ class FinCategory:
     ident: dict
 
     def validate(self):
+        """Identity, endpoint, unit and associativity diagnostics.
+
+        Morphisms are bucketed by target, so the pair and triple loops visit
+        composable pairs and triples only, in the order of `morphisms`.
+        """
         bad = []
         for obj in self.objects:
             e = self.ident.get(obj)
             if e is None or self.src.get(e) != obj or self.dst.get(e) != obj:
                 bad.append(f"bad identity at object {obj}")
+        into = {}
         for f in self.morphisms:
             if self.src[f] not in self.objects or self.dst[f] not in self.objects:
                 bad.append(f"morphism {f} has endpoints outside the object set")
+            into.setdefault(self.dst[f], []).append(f)
         for g in self.morphisms:
-            for f in self.morphisms:
-                if self.dst[f] != self.src[g]:
-                    continue
+            for f in into.get(self.src[g], ()):
                 gf = self.comp.get((g, f))
                 if gf is None:
                     bad.append(f"missing composite of {g} after {f}")
@@ -167,13 +172,9 @@ class FinCategory:
             if self.comp[(self.ident[self.dst[f]], f)] != f:
                 bad.append(f"left unit fails at {f}")
         for h in self.morphisms:
-            for g in self.morphisms:
-                if self.dst[g] != self.src[h]:
-                    continue
+            for g in into.get(self.src[h], ()):
                 hg = self.comp[(h, g)]
-                for f in self.morphisms:
-                    if self.dst[f] != self.src[g]:
-                        continue
+                for f in into.get(self.src[g], ()):
                     if self.comp[(hg, f)] != self.comp[(h, self.comp[(g, f)])]:
                         bad.append(f"associativity fails at ({h}, {g}, {f})")
         return bad

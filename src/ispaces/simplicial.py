@@ -14,6 +14,12 @@ It finds degeneracies from below: every degenerate k-simplex is s_i y for a
 (k-1)-simplex y, so the images s_i y of the level below name all of them, and
 only the nondegenerate simplices are asked for their faces.
 
+A map of simplicial sets (`SMap`) holds the image of each nondegenerate
+source simplex.  `map_from_tables` computes each image on demand, the first
+time it is asked for, from a map of raw cells; a query that reads only
+vertices never pushes a higher simplex, while `SMap.validate` computes and
+checks them all.
+
 Integer homology is computed from the normalized chain complex by Smith
 normal form over arbitrary-precision integers; see `zlinalg`.
 """
@@ -94,6 +100,10 @@ class SSet:
     @property
     def top_dim(self):
         return len(self.card) - 1
+
+    def nondeg_keys(self):
+        """(k, x) of every nondegenerate simplex, by dimension, then id."""
+        return [(k, x) for k in range(self.top_dim + 1) for x in range(self.card[k])]
 
     def n_nondeg(self, k):
         if 0 <= k <= self.top_dim:
@@ -287,7 +297,13 @@ def normalize_table(cells, face_fn, deg_fn, top_dim, complete=False, based_raw=N
 
 @dataclass
 class SMap:
-    """Map of simplicial sets, stored on nondegenerate source simplices."""
+    """Map of simplicial sets, stored on nondegenerate source simplices.
+
+    `table[(k, x)]` is the image of the nondegenerate simplex (k, x).  The
+    table is a plain dict, or an `ImageTable` that computes each image on
+    its first lookup; either way, walk the source's simplices, not the
+    table's keys, to see every image.
+    """
 
     src: SSet
     dst: SSet
@@ -298,14 +314,16 @@ class SMap:
         return apply_word(ref.degs, img)
 
     def validate(self):
+        """Diagnostics; computes and checks every image, with its faces."""
         bad = []
-        for k in range(self.src.top_dim + 1):
-            for x in range(self.src.card[k]):
-                if (k, x) not in self.table:
-                    bad.append(f"missing image of ({k}, {x})")
-                    continue
-                if self.table[(k, x)].dim != k:
-                    bad.append(f"image of ({k}, {x}) has wrong dimension")
+        for k, x in self.src.nondeg_keys():
+            try:
+                img = self.table[(k, x)]
+            except KeyError:
+                bad.append(f"missing image of ({k}, {x})")
+                continue
+            if img.dim != k:
+                bad.append(f"image of ({k}, {x}) has wrong dimension")
         if bad:
             return bad
         for k in range(1, self.src.top_dim + 1):
@@ -325,12 +343,34 @@ def identity_map(X):
     return SMap(X, X, table)
 
 
+class ImageTable(dict):
+    """(k, x) -> image of a map given on raw cells, computed on demand.
+
+    The image of the nondegenerate simplex (k, x) is looked up the first
+    time it is asked for, as dst_tab.ref_of[raw_fn(k, raw)] with raw its
+    raw cell in src_tab, and then kept.  A simplex without a raw cell, or a
+    raw image without a ref, raises KeyError as a missing key does.
+    """
+
+    def __init__(self, src_tab, dst_tab, raw_fn):
+        super().__init__()
+        self.src_tab = src_tab
+        self.dst_tab = dst_tab
+        self.raw_fn = raw_fn
+
+    def __missing__(self, key):
+        raw = self.raw_fn(key[0], self.src_tab.raw_of[key])
+        img = self[key] = self.dst_tab.ref_of[raw]
+        return img
+
+
 def map_from_tables(src_tab, dst_tab, raw_fn):
-    """SMap between two NormTable outputs given a map of raw cells."""
-    table = {}
-    for (k, x), raw in src_tab.raw_of.items():
-        table[(k, x)] = dst_tab.ref_of[raw_fn(k, raw)]
-    return SMap(src_tab.sset, dst_tab.sset, table)
+    """SMap between two NormTable outputs given a map of raw cells.
+
+    Images are computed on demand (see `ImageTable`), so a query that reads
+    only vertices never pushes a higher simplex.
+    """
+    return SMap(src_tab.sset, dst_tab.sset, ImageTable(src_tab, dst_tab, raw_fn))
 
 
 # ---------------------------------------------------------------------------

@@ -327,3 +327,12 @@ def bar_mul_reference(B, m, n, rx, ry):
     nvec = tuple(nv1[i] + nv2[i] for i in range(k))
     zs = tuple(A.mul(nv1[i], nv2[i], xs[i], ys[i]) for i in range(k))
     return B.raw_ref(m + n, (nvec, compose(both, psi).image, zs))
+
+
+def map_table_reference(src_tab, dst_tab, raw_fn):
+    """The image of every nondegenerate simplex of src_tab, tabulated eagerly
+    from a map of raw cells: the table `map_from_tables` used to build."""
+    table = {}
+    for (k, x), raw in src_tab.raw_of.items():
+        table[(k, x)] = dst_tab.ref_of[raw_fn(k, raw)]
+    return table

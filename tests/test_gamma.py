@@ -81,6 +81,16 @@ def test_special_evidence_for_c1():
     assert sv.very_special_witness is not None
 
 
+def test_special_at_degree_zero_pushes_vertices_only():
+    # the component check reads images of vertices, so no action map it
+    # builds computes the image of a higher simplex
+    G = gamma_of_monoid(c1(3), 3, 2)
+    assert is_special(G, D=0).verdict == "special-evidence"
+    assert G._cache
+    for f in G._cache.values():
+        assert f.table and {k for k, _ in f.table} == {0}
+
+
 def test_special_refuted_for_broken_functor():
     # X(2+) a point cannot project onto a 2-point X(1+) squared
     values = [point(), discrete(2, basepoint=0), point()]

@@ -10,6 +10,7 @@ from ispaces.simplicial import (
     discrete,
     homology,
     map_cone_homology,
+    map_from_tables,
     nd_ref,
     nerve,
     normalize_pair_ref,
@@ -25,7 +26,8 @@ from ispaces.simplicial import (
     validate_sset,
 )
 
-from oracles import rational_rank
+from ispaces.icat import TruncatedI
+from oracles import map_table_reference, rational_rank
 
 
 def test_point_and_empty():
@@ -193,3 +195,44 @@ def test_pairing_map_lands_in_product():
 
     f = pairing_map(prod, identity_map(d1), identity_map(d1), d1.top_dim)
     assert f.validate() == []
+
+
+def _assert_on_demand_matches_reference(f):
+    """Force every image of a map built by map_from_tables and compare the
+    table with the eager tabulation of the same raw map."""
+    t = f.table
+    want = map_table_reference(t.src_tab, t.dst_tab, t.raw_fn)
+    got = {key: f.table[key] for key in f.src.nondeg_keys()}
+    assert got == want
+    assert dict(t) == want
+
+
+def test_on_demand_images_match_eager_reference():
+    from ispaces.cmon import c1
+    from ispaces.gamma import based_maps, gamma_of_monoid
+    from ispaces.ispace import (R_functor, hocolim_map, hocolim_N_to_I_map, power_ispace,
+                                restrict)
+
+    G = gamma_of_monoid(c1(2), 2, 2)
+    for k in range(1, 3):
+        for l in range(1, 3):
+            for phi in based_maps(k, l):
+                f = G.act(phi, k, l)
+                assert not f.table  # nothing is pushed before it is asked for
+                _assert_on_demand_matches_reference(f)
+    # the comparison maps of the semistability diagnostic on c1 at trunc 3
+    X = c1(3).space
+    RX, j = R_functor(X)
+    for f in (hocolim_N_to_I_map(X, 3), hocolim_map(j, restrict(X, 2), RX, 3)):
+        _assert_on_demand_matches_reference(f)
+    P = power_ispace(sphere(1), 2)
+    for f in P.maps.values():
+        _assert_on_demand_matches_reference(f)
+
+
+def test_validate_reports_an_image_that_cannot_be_resolved():
+    tab = nerve(TruncatedI(1).as_fincategory(), 2)
+    assert map_from_tables(tab, tab, lambda k, raw: raw).validate() == []
+    lost = tab.raw_of[(1, 0)]
+    f = map_from_tables(tab, tab, lambda k, raw: "nowhere" if raw == lost else raw)
+    assert f.validate() == ["missing image of (1, 0)"]

@@ -11,7 +11,9 @@ included, must be read in that function's body, except `self` and the
 parameters listed in `UNREAD_ALLOWED` with their reasons.  So must every
 local that a function binds by a single-name assignment; names bound by
 tuple unpacking are exempt.  Every name a module imports must be read in
-that module.  The checks use the standard `ast` module only.
+that module.  Every field of a dataclass in `src/ispaces/` must be read
+(see `test_every_dataclass_field_is_read`).  The checks use the standard
+`ast` module only.
 """
 
 import ast
@@ -34,6 +36,14 @@ UNREAD_ALLOWED = {
     ("to_left", "k"): _RAW_MAP,
     ("mul_point", "n"): "discrete_monoid multiplies points as mul_point(m, n, s, t)",
     ("scenario_grothendieck", "cfg"): "run_all calls every registry scenario with its RunConfig",
+}
+
+# (class name, field) -> why the dataclass field stays although it is unread.
+UNREAD_FIELDS_ALLOWED = {
+    ("EckmannHiltonReport", "products"):
+        "the returned table of row and column products is the evidence behind the verdict",
+    ("HomologyReport", "skeleton_dim"):
+        "the returned report states the skeleton its groups were computed from",
 }
 
 
@@ -186,3 +196,61 @@ def test_every_optional_parameter_is_set():
                        for npos, kwargs in calls.get(node.name, ())):
                 unset.append(f"{path.name}:{node.lineno} {cls + '.' if cls else ''}{node.name}({arg})")
     assert not unset, "optional parameters never set: " + ", ".join(unset)
+
+
+def _is_dataclass(node):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def test_every_dataclass_field_is_read():
+    """Every field of a dataclass in `src/ispaces/` is read somewhere.
+
+    An attribute read `v.f` in `src/`, `tests/` or `perfbench/` reaches the
+    field f of every dataclass, except that `self.f` inside a class reaches
+    that class's f only, and so does `v.f` when every assignment of a call of
+    a class to the name v calls the same class (`cfg = RunConfig(...)`).
+    `getattr(v, "f")` and `hasattr(v, "f")` reach every field f.  Fields
+    listed in `UNREAD_FIELDS_ALLOWED` are exempt.
+    """
+    fields = {}  # class name -> {field: path:line}
+    for path in sorted((ROOT / "src" / "ispaces").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields[node.name] = {
+                    sub.target.id: f"{path.name}:{sub.lineno}" for sub in node.body
+                    if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)}
+    trees = [ast.parse(path.read_text()) for top in ("src", "tests", "perfbench")
+             for path in sorted((ROOT / top).rglob("*.py"))]
+    bound = {}  # name -> classes whose calls are assigned to it
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) \
+                    and getattr(node.value.func, "id", None) in fields:
+                for t in node.targets:
+                    if isinstance(t, ast.Name):
+                        bound.setdefault(t.id, set()).add(node.value.func.id)
+    read = set()  # (class or None for every class, field)
+    for tree in trees:
+        owner = {}
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for node in ast.walk(cls):
+                    owner[node] = cls.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) \
+                    in ("getattr", "hasattr") and isinstance(node.args[1], ast.Constant):
+                read.add((None, node.args[1].value))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                v = node.value.id if isinstance(node.value, ast.Name) else None
+                if v == "self" and node in owner:
+                    read.add((owner[node], node.attr))
+                elif len(bound.get(v, ())) == 1:
+                    read.add((next(iter(bound[v])), node.attr))
+                else:
+                    read.add((None, node.attr))
+    unread = [f"{where} {cls}.{f}" for cls, fs in fields.items() for f, where in fs.items()
+              if (cls, f) not in read and (None, f) not in read
+              and (cls, f) not in UNREAD_FIELDS_ALLOWED]
+    assert not unread, "dataclass fields never read: " + ", ".join(unread)
