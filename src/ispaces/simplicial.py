@@ -629,11 +629,14 @@ def chain_complex(X, top=None):
     for k in range(1, top + 1):
         mat = {}
         for x, faces in enumerate(X.face[k]):
+            col = {}  # column x, summed before it enters mat, so cancelled entries never do
             for i, ref in enumerate(faces):
                 if ref.is_nondegenerate:
-                    key = (ref.base_id, x)
-                    mat[key] = mat.get(key, 0) + (-1) ** i
-        boundaries.append({k: v for k, v in mat.items() if v})
+                    col[ref.base_id] = col.get(ref.base_id, 0) + (-1) ** i
+            for r, v in col.items():
+                if v:
+                    mat[(r, x)] = v
+        boundaries.append(mat)
     return ChainComplex(counts, boundaries)
 
 

@@ -17,7 +17,9 @@ arbitrary-precision integers; no floats anywhere.
 """
 
 import heapq
+from itertools import groupby
 from math import gcd
+from operator import itemgetter
 
 
 def _reduce(col, pivot_at, pivot_cols):
@@ -52,22 +54,20 @@ def _unit_pivot_eliminate(mat, drop_rows=(), pivots=None):
     Rows in `drop_rows` are ignored.  The ids of the unit pivot columns are
     appended to the list `pivots` when one is given.  The residue is the
     set-aside part, zero at every pivot row, keyed (row, aside index).
+    Each column is read from `mat` when the loop reaches it, so the loop
+    holds the pivot and set-aside columns, never a column copy of `mat`.
     """
     drop = set(drop_rows)
-    cols = {}
-    rows = set()
-    for (r, c), v in mat.items():
-        if v and r not in drop:
-            cols.setdefault(c, {})[r] = v
-            rows.add(r)
-    bound = min(len(rows), len(cols))
+    keys = sorted((rc for rc, v in mat.items() if v and rc[0] not in drop), key=itemgetter(1))
+    rows = {r for r, _ in keys}
+    bound = min(len(rows), len({c for _, c in keys}))
     pivot_at = {}  # pivot row -> index into pivot_cols
     pivot_cols = []
     aside = []
-    for c in sorted(cols):
+    for c, entries in groupby(keys, key=itemgetter(1)):
         if len(pivot_cols) == bound:
             return bound, {}
-        col = _reduce(cols[c], pivot_at, pivot_cols)
+        col = _reduce({rc[0]: mat[rc] for rc in entries}, pivot_at, pivot_cols)
         pr = max((r for r, v in col.items() if v in (1, -1)), default=None)
         if pr is None:
             if col:
