@@ -40,7 +40,7 @@ from .ispace import (
     _compositions,
     _discrete_ispace,
     _hocolim_deg,
-    _hocolim_face,
+    _hocolim_faces,
     hocolim_I,
     is_flat,
     restrict,
@@ -745,14 +745,14 @@ def bar(A, S):
         cn = [_box_classes(powers[:k], n, k, n).canonicalize() for k in range(S + 1)]
         cells = [sorted(set(cn[k].values())) for k in range(S + 1)]
 
-        def face_fn(k, raw, i, cn=cn):
-            return cn[k - 1][_bar_face(A, powers, raw, i)]
+        def faces_fn(k, raw, cn=cn):
+            return tuple(cn[k - 1][_bar_face(A, powers, raw, i)] for i in range(k + 1))
 
         def deg_fn(k, raw, i, cn=cn):
             return cn[k + 1][_bar_deg(A, k, raw, i)]
 
         base = cn[0][((), (), ())]
-        tables.append(normalize_table(cells, face_fn, deg_fn, S, based_raw=base))
+        tables.append(normalize_table(cells, faces_fn, deg_fn, S, based_raw=base))
         canon.append(cn)
     return BarISpace(A, _box_space(tables, canon), tables, canon)
 
@@ -812,6 +812,11 @@ def _chain_mul(A, z, w):
     return _chain_sum(z, w, A.mul(z[0][-1], w[0][-1], z[2], w[2]))
 
 
+def _merge_at(A, f, i):
+    """Bar entries f with the adjacent entries f[i - 1] and f[i] multiplied."""
+    return f[: i - 1] + (_chain_mul(A, f[i - 1], f[i]),) + f[i + 1:]
+
+
 def _chain_unit(A, s):
     return ((0,) * (s + 1), ((),) * s, A.unit_ref(s))
 
@@ -826,21 +831,18 @@ def bar_of_hocolim(A, K):
     X = A.space
     raws = _chain_cells(X, K, TruncatedI(A.N).hom)
     cells = [_tuples_bounded([raws[k]] * k, A.N) for k in range(K + 1)]
+    faces = _hocolim_faces(X)
 
-    def face_fn(k, raw, i):
-        faced = tuple(_hocolim_face(X, z, i) for z in raw)
-        if i == 0:
-            return faced[1:]
-        if i == k:
-            return faced[:-1]
-        merged = _chain_mul(A, faced[i - 1], faced[i])
-        return faced[: i - 1] + (merged,) + faced[i + 1:]
+    def faces_fn(k, raw):
+        cols = tuple(zip(*[faces(z) for z in raw]))  # cols[i]: d_i of every entry
+        middle = tuple(_merge_at(A, cols[i], i) for i in range(1, k))
+        return (cols[0][1:],) + middle + (cols[k][:-1],)
 
     def deg_fn(k, raw, i):
         degged = tuple(_hocolim_deg(z, i) for z in raw)
         return degged[:i] + (_chain_unit(A, k + 1),) + degged[i:]
 
-    return normalize_table(cells, face_fn, deg_fn, K, based_raw=())
+    return normalize_table(cells, faces_fn, deg_fn, K, based_raw=())
 
 
 def _tuples_bounded(pools, budget):
@@ -871,19 +873,17 @@ def two_sided_bar_of_hocolim(A, K):
     for k in range(K + 1):
         pools = [t_raws[k]] + [raws[k]] * k + [t_raws[k]]
         cells.append([(t[0], t[1:-1], t[-1]) for t in _tuples_bounded(pools, A.N)])
+    faces, t_faces = _hocolim_faces(X), _hocolim_faces(T)
 
-    def face_fn(k, raw, i):
+    def faces_fn(k, raw):
         c0, zs, c1 = raw
-        c0f = _hocolim_face(T, c0, i)
-        c1f = _hocolim_face(T, c1, i)
-        zf = tuple(_hocolim_face(X, z, i) for z in zs)
+        c0f, c1f = t_faces(c0), t_faces(c1)
+        cols = tuple(zip(*[faces(z) for z in zs]))  # cols[i]: d_i of every entry
         # the nerve chains absorb an outer entry, keeping their point simplex
-        if i == 0:
-            return (_chain_sum(c0f, zf[0], c0f[2]), zf[1:], c1f)
-        if i == k:
-            return (c0f, zf[:-1], _chain_sum(zf[-1], c1f, c1f[2]))
-        merged = _chain_mul(A, zf[i - 1], zf[i])
-        return (c0f, zf[: i - 1] + (merged,) + zf[i + 1:], c1f)
+        middle = tuple((c0f[i], _merge_at(A, cols[i], i), c1f[i]) for i in range(1, k))
+        return (((_chain_sum(c0f[0], cols[0][0], c0f[0][2]), cols[0][1:], c1f[0]),)
+                + middle
+                + ((c0f[k], cols[k][:-1], _chain_sum(cols[k][-1], c1f[k], c1f[k][2])),))
 
     def deg_fn(k, raw, i):
         c0, zs, c1 = raw
@@ -892,7 +892,7 @@ def two_sided_bar_of_hocolim(A, K):
         return (_hocolim_deg(c0, i), zd[:i] + (unit,) + zd[i:], _hocolim_deg(c1, i))
 
     zero_chain = ((0,), (), nd_ref(0, 0))
-    return normalize_table(cells, face_fn, deg_fn, K,
+    return normalize_table(cells, faces_fn, deg_fn, K,
                            based_raw=(zero_chain, (), zero_chain))
 
 

@@ -407,11 +407,14 @@ def prolong(X, Kbase, dim_bound=None):
         for s in range(dim_bound + 1)
     ]
 
-    def face_fn(s, raw, i):
+    def faces_fn(s, raw):
         _, ref = raw
-        phi = op_map(s, s - 1, lambda r: Kbase.d(i, r))
-        f = X.act(phi, sizes[s], sizes[s - 1])
-        return (s - 1, X.values[sizes[s - 1]].d(i, f(ref)))
+        row = []
+        for i in range(s + 1):
+            phi = op_map(s, s - 1, lambda r: Kbase.d(i, r))
+            f = X.act(phi, sizes[s], sizes[s - 1])
+            row.append((s - 1, X.values[sizes[s - 1]].d(i, f(ref))))
+        return tuple(row)
 
     def deg_fn(s, raw, i):
         _, ref = raw
@@ -420,7 +423,7 @@ def prolong(X, Kbase, dim_bound=None):
         return (s + 1, apply_s(i, f(ref)))
 
     bp0 = (0, nd_ref(0, X.values[sizes[0]].basepoint))
-    tab = normalize_table(cells, face_fn, deg_fn, dim_bound, based_raw=bp0)
+    tab = normalize_table(cells, faces_fn, deg_fn, dim_bound, based_raw=bp0)
     return tab.sset
 
 

@@ -174,15 +174,15 @@ def power_ispace(K, N):
             for k in range(top + 1)
         ]
 
-        def face_fn(k, raw, i):
-            return tuple(K.d(i, r) for r in raw)
+        def faces_fn(k, raw):
+            return tuple(tuple(K.d(i, r) for r in raw) for i in range(k + 1))
 
         def deg_fn(k, raw, i):
             return tuple(apply_s(i, r) for r in raw)
 
         bp = tuple(nd_ref(0, K.basepoint) for _ in range(n))
         tables.append(
-            normalize_table(cells, face_fn, deg_fn, top,
+            normalize_table(cells, faces_fn, deg_fn, top,
                             complete=K.complete, based_raw=bp)
         )
     levels = tuple(t.sset for t in tables)
@@ -268,7 +268,8 @@ def _box_deg(raw, i):
 def _box_table(factors, canon, top, based_raw=None):
     """Normalized level whose raw k-cells are the canonical ones of canon[k]."""
     return normalize_table([sorted(set(c.values())) for c in canon],
-                           lambda k, raw, i: canon[k - 1][_box_face(factors, raw, i)],
+                           lambda k, raw: tuple(canon[k - 1][_box_face(factors, raw, i)]
+                                                for i in range(k + 1)),
                            lambda k, raw, i: canon[k + 1][_box_deg(raw, i)],
                            top, based_raw=based_raw)
 
@@ -444,26 +445,39 @@ def _chain_cells(X, S, arrows_of):
     return cells
 
 
-def _hocolim_face(X, raw, i):
-    """d_i of a raw chain cell of the homotopy colimit of X.
+def _hocolim_faces(X):
+    """Row kernel of the homotopy colimit of X: raw s-cell -> (d_0, ..., d_s).
 
     The arrows are image tuples of injections taken from the index category,
     and composites of such, so they are composed as tuples and never
-    re-validated.
+    re-validated.  Two memos live as long as the kernel, which is built once
+    per construction: (m_s, x) -> (d_0 x, ..., d_{s-1} x) in X(m_s), and
+    (m_s, m_{s-1}, arrow, x) -> d_s(X(arrow) x) for the last face.
     """
-    levels, arrows, x = raw
-    s = len(levels) - 1
-    if s == 0:
-        raise ValueError("vertices have no faces")
-    if i == 0:
-        return (levels[1:], arrows[1:], X.level(levels[-1]).d(0, x))
-    if i == s:
-        moved = X.act(unchecked(levels[s], levels[s - 1], arrows[s - 1]))(x)
-        return (levels[:-1], arrows[:-1], X.level(levels[s - 1]).d(s, moved))
-    outer, inner = arrows[i - 1], arrows[i]
-    new_arrows = arrows[: i - 1] + (tuple(outer[v - 1] for v in inner),) + arrows[i + 1:]
-    new_levels = levels[:i] + levels[i + 1:]
-    return (new_levels, new_arrows, X.level(levels[-1]).d(i, x))
+    inner = {}
+    last = {}
+
+    def faces(raw):
+        levels, arrows, x = raw
+        s = len(arrows)
+        m, n = levels[-1], levels[-2]
+        ds = inner.get((m, x))
+        if ds is None:
+            ds = inner[(m, x)] = tuple(X.level(m).d(i, x) for i in range(s))
+        key = (m, n, arrows[-1], x)
+        top = last.get(key)
+        if top is None:
+            moved = X.act(unchecked(m, n, arrows[-1]))(x)
+            top = last[key] = X.level(n).d(s, moved)
+        row = [(levels[1:], arrows[1:], ds[0])]
+        for i in range(1, s):
+            composed = tuple(arrows[i - 1][v - 1] for v in arrows[i])
+            row.append((levels[:i] + levels[i + 1:],
+                        arrows[:i - 1] + (composed,) + arrows[i + 1:], ds[i]))
+        row.append((levels[:-1], arrows[:-1], top))
+        return tuple(row)
+
+    return faces
 
 
 def _hocolim_deg(raw, i):
@@ -475,16 +489,27 @@ def _hocolim_deg(raw, i):
 
 
 def _hocolim(X, S, arrows_of, based):
-    cells = _chain_cells(X, S, arrows_of)
-    tab = normalize_table(
-        cells,
-        lambda k, raw, i: _hocolim_face(X, raw, i),
-        lambda k, raw, i: _hocolim_deg(raw, i),
-        S,
-    )
+    faces = _hocolim_faces(X)
+    tab = normalize_table(_chain_cells(X, S, arrows_of),
+                          lambda k, raw: faces(raw),
+                          lambda k, raw, i: _hocolim_deg(raw, i), S)
     if not based:
         return tab
     return _based_quotient(X, tab)
+
+
+class _PushedRefs(dict):
+    """raw -> ref in the based quotient, pushed on its first lookup, as in
+    `simplicial.ImageTable`; a raw cell without a ref raises KeyError."""
+
+    def __init__(self, refs, push):
+        super().__init__()
+        self.refs = refs
+        self.push = push
+
+    def __missing__(self, raw):
+        ref = self[raw] = self.push(self.refs[raw])
+        return ref
 
 
 def _based_quotient(X, tab):
@@ -498,7 +523,7 @@ def _based_quotient(X, tab):
         if xref.base_dim == 0 and xref.base_id == bp:
             sub.setdefault(k, set()).add(x)
     Q, push = quotient(tab.sset, sub)
-    ref_of = {raw: push(r) for raw, r in tab.ref_of.items()}
+    ref_of = _PushedRefs(tab.ref_of, push)
     raw_of = {}
     for (k, x), raw in tab.raw_of.items():
         r = push(SimplexRef((), k, x))
@@ -508,12 +533,16 @@ def _based_quotient(X, tab):
 
 
 def hocolim_I(X, S, based=False):
-    """Bousfield-Kan homotopy colimit over the truncated injection category."""
+    """Bousfield-Kan homotopy colimit over the truncated injection category.
+
+    Its face maps memoise the faces of each simplex of X, and of its image
+    under each last arrow, for this one construction (`_hocolim_faces`).
+    """
     return _hocolim(X, S, TruncatedI(X.N).hom, based)
 
 
 def hocolim_N(X, S, based=False):
-    """Homotopy colimit over the subset-inclusion subcategory 0 < 1 < ... < N."""
+    """Homotopy colimit over 0 < 1 < ... < N, with face memos as in `hocolim_I`."""
     def arrows_of(m, n):
         return [subset_inclusion(m, n)]
 

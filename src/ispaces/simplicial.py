@@ -12,7 +12,10 @@ words needed for a given dimension.
 `normalize_table` builds this form from an explicit table of all simplices.
 It finds degeneracies from below: every degenerate k-simplex is s_i y for a
 (k-1)-simplex y, so the images s_i y of the level below name all of them, and
-only the nondegenerate simplices are asked for their faces.
+only the nondegenerate simplices are asked for their faces, each by one call
+faces_fn(k, raw) that returns its whole row (d_0 raw, ..., d_k raw).  The
+cell-by-cell oracle of the tests calls faces_fn on degenerate cells too, so a
+faces_fn must accept any raw cell.
 
 A map of simplicial sets (`SMap`) holds the image of each nondegenerate
 source simplex.  `map_from_tables` computes each image on demand, the first
@@ -241,19 +244,21 @@ class NormTable:
         return self.ref_of[raw]
 
 
-def normalize_table(cells, face_fn, deg_fn, top_dim, complete=False, based_raw=None):
+def normalize_table(cells, faces_fn, deg_fn, top_dim, complete=False, based_raw=None):
     """Build a normal-form SSet from an explicit simplex table.
 
-    cells[k] lists ALL k-simplices (hashable, orderable) for k <= top_dim;
-    face_fn(k, x, i) and deg_fn(k, x, i) return cells.  Ids are assigned in
-    the given order of `cells`, which therefore fixes the canonical ids.
+    cells[k] lists ALL k-simplices (hashable, orderable) for k <= top_dim.
+    faces_fn(k, x) returns the row (d_0 x, ..., d_k x) of a k-cell x, k >= 1,
+    and deg_fn(k, x, i) the cell s_i x.  Ids are assigned in the given order
+    of `cells`, which therefore fixes the canonical ids.
 
     Degeneracies are found from below.  Before level k is walked, s_i y is
     formed for every (k-1)-cell y and every i < k, smallest i first; a k-cell
     equal to one of them is the ref s_i(ref of y), which by Eilenberg-Zilber
     does not depend on the choice of (i, y).  Every other k-cell is
-    nondegenerate: it gets the next id, and face_fn is called on it k + 1
-    times to fill its row of the face table.
+    nondegenerate: it gets the next id, and faces_fn is called on it once to
+    fill its row of the face table.  It is never called on a degenerate cell
+    here, but the reference oracle of the tests calls it on those as well.
     """
     ref_of = {}
     raw_of = {}
@@ -276,7 +281,7 @@ def normalize_table(cells, face_fn, deg_fn, top_dim, complete=False, based_raw=N
                 ref = nd_ref(k, n)
                 raw_of[(k, n)] = raw
                 if k:
-                    rows.append(tuple(ref_of[face_fn(k, raw, i)] for i in range(k + 1)))
+                    rows.append(tuple(map(ref_of.__getitem__, faces_fn(k, raw))))
                 n += 1
             ref_of[raw] = ref
         card.append(n)
@@ -396,9 +401,9 @@ def product(X, Y, dim_bound=None):
         for k in range(top + 1)
     ]
 
-    def face_fn(k, raw, i):
+    def faces_fn(k, raw):
         ra, rb = raw
-        return (X.d(i, ra), Y.d(i, rb))
+        return tuple((X.d(i, ra), Y.d(i, rb)) for i in range(k + 1))
 
     def deg_fn(k, raw, i):
         ra, rb = raw
@@ -408,7 +413,7 @@ def product(X, Y, dim_bound=None):
     if X.basepoint is not None and Y.basepoint is not None:
         based = (nd_ref(0, X.basepoint), nd_ref(0, Y.basepoint))
     tab = normalize_table(
-        cells, face_fn, deg_fn, top,
+        cells, faces_fn, deg_fn, top,
         complete=X.complete and Y.complete and top == natural,
         based_raw=based,
     )
@@ -522,15 +527,15 @@ def nerve(C, D):
             level = [chain + (f,) for chain in level for f in out_of.get(C.dst[chain[-1]], ())]
         cells.append([("c", ch) for ch in level])
 
-    def face_fn(k, raw, i):
+    def faces_fn(k, raw):
         ch = raw[1]
         if k == 1:
-            return ("o", C.dst[ch[0]] if i == 0 else C.src[ch[0]])
-        if i == 0:
-            return ("c", ch[1:])
-        if i == k:
-            return ("c", ch[:-1])
-        return ("c", ch[:i - 1] + (C.comp[(ch[i], ch[i - 1])],) + ch[i + 1:])
+            return (("o", C.dst[ch[0]]), ("o", C.src[ch[0]]))
+        row = [("c", ch[1:])]
+        for i in range(1, k):
+            row.append(("c", ch[:i - 1] + (C.comp[(ch[i], ch[i - 1])],) + ch[i + 1:]))
+        row.append(("c", ch[:-1]))
+        return row
 
     def deg_fn(k, raw, i):
         if k == 0:
@@ -539,7 +544,7 @@ def nerve(C, D):
         obj = C.src[ch[i]] if i < k else C.dst[ch[-1]]
         return ("c", ch[:i] + (C.ident[obj],) + ch[i:])
 
-    tab = normalize_table(cells, face_fn, deg_fn, D)
+    tab = normalize_table(cells, faces_fn, deg_fn, D)
     complete = D > 0 and tab.sset.card[D] == 0
     sset = SSet(tab.sset.card, tab.sset.face, complete=complete)
     return NormTable(sset, tab.ref_of, tab.raw_of)

@@ -220,13 +220,14 @@ def box_colimit(factors, n, dim, total_max, symmetric=False):
     return {x: least[find(x)] for x in parent}
 
 
-def normalize_reference(cells, face_fn, deg_fn, top_dim, complete=False, based_raw=None):
+def normalize_reference(cells, faces_fn, deg_fn, top_dim, complete=False, based_raw=None):
     """`simplicial.normalize_table` by testing every raw cell on its own.
 
     A raw k-cell is degenerate when s_i d_{i+1} gives it back for some i < k
     (the smallest such i is taken); it is then s_i of the ref of that face.
-    This asks each k-cell for up to k faces and k degeneracies before it is
-    known to be nondegenerate, where the library works from the level below.
+    This asks each k-cell for its row of faces and up to k degeneracies
+    before it is known to be nondegenerate, so faces_fn(k, raw) is called on
+    degenerate cells too, where the library works from the level below.
     Returns the same `NormTable`.
     """
     from ispaces.simplicial import NormTable, SSet, apply_s, nd_ref
@@ -241,9 +242,10 @@ def normalize_reference(cells, face_fn, deg_fn, top_dim, complete=False, based_r
         for raw in cells[k]:
             if raw in ref_of:
                 continue
+            row = faces_fn(k, raw) if k else ()
             hit = None
             for i in range(k):
-                y = face_fn(k, raw, i + 1)
+                y = row[i + 1]
                 if deg_fn(k - 1, y, i) == raw:
                     hit = (i, y)
                     break
@@ -254,7 +256,7 @@ def normalize_reference(cells, face_fn, deg_fn, top_dim, complete=False, based_r
                 ref_of[raw] = nd_ref(k, n)
                 raw_of[(k, n)] = raw
                 if k >= 1:
-                    rows.append(tuple(ref_of[face_fn(k, raw, i)] for i in range(k + 1)))
+                    rows.append(tuple(ref_of[f] for f in row))
                 n += 1
         card.append(n)
         face.append(rows)
@@ -266,6 +268,26 @@ def normalize_reference(cells, face_fn, deg_fn, top_dim, complete=False, based_r
         bp = r.base_id
     return NormTable(SSet(tuple(card), tuple(face), complete=complete, basepoint=bp),
                      ref_of, raw_of)
+
+
+def hocolim_face_reference(X, raw, i):
+    """d_i of a raw chain cell (levels, arrows, x) of the homotopy colimit of
+    X, one face at a time, through checked injections: d_0 drops the first
+    object, d_i for 0 < i < s composes arrows i - 1 and i, and d_s drops the
+    last object and moves x along the last arrow."""
+    from ispaces.icat import Injection, compose
+
+    levels, arrows, x = raw
+    s = len(levels) - 1
+    if i == 0:
+        return (levels[1:], arrows[1:], X.level(levels[-1]).d(0, x))
+    if i == s:
+        moved = X.act(Injection(levels[s], levels[s - 1], arrows[s - 1]))(x)
+        return (levels[:-1], arrows[:-1], X.level(levels[s - 1]).d(s, moved))
+    outer = Injection(levels[i], levels[i - 1], arrows[i - 1])
+    inner = Injection(levels[i + 1], levels[i], arrows[i])
+    new_arrows = arrows[: i - 1] + (compose(outer, inner).image,) + arrows[i + 1:]
+    return (levels[:i] + levels[i + 1:], new_arrows, X.level(levels[-1]).d(i, x))
 
 
 def is_injective(f):

@@ -1,8 +1,20 @@
 import pytest
 
-from ispaces.icat import Injection, TruncatedI, comma_under, compose, identity, shuffle
+from ispaces.cmon import c1
+from ispaces.icat import (
+    Injection,
+    TruncatedI,
+    comma_under,
+    compose,
+    identity,
+    shuffle,
+    subset_inclusion,
+)
 from ispaces.ispace import (
     R_functor,
+    _based_quotient,
+    _chain_cells,
+    _hocolim_faces,
     box,
     box_multi,
     collapsing_ispace,
@@ -29,7 +41,7 @@ from ispaces.simplicial import (
     simplicial_circle,
 )
 
-from oracles import count_injections, is_injective, subsets_of
+from oracles import count_injections, hocolim_face_reference, is_injective, subsets_of
 
 
 S0 = discrete(2, basepoint=0)
@@ -138,6 +150,50 @@ def test_hocolim_comparison_map_validates():
 
     f = hocolim_N_to_I_map(c1(2).space, 2)
     assert f.validate() == []
+
+
+KERNEL_DIAGRAMS = {
+    "terminal": lambda: terminal_ispace(3),
+    "terminal-based": lambda: terminal_ispace(3, based=True),
+    "free-1": lambda: free_ispace(1, 3),
+    "c1": lambda: c1(3).space,
+}
+KERNEL_ARROWS = {
+    "injections": lambda N: TruncatedI(N).hom,
+    "linear": lambda N: lambda m, n: [subset_inclusion(m, n)],
+}
+
+
+@pytest.mark.parametrize("arrows", sorted(KERNEL_ARROWS))
+@pytest.mark.parametrize("diagram", sorted(KERNEL_DIAGRAMS))
+def test_hocolim_faces_kernel_matches_reference(diagram, arrows):
+    """The memoised row kernel gives the faces of the one-face formula on
+    every raw chain cell, degenerate ones included, over both index
+    categories."""
+    X = KERNEL_DIAGRAMS[diagram]()
+    cells = _chain_cells(X, 3, KERNEL_ARROWS[arrows](X.N))
+    faces = _hocolim_faces(X)
+    for s in range(1, 4):
+        for raw in cells[s]:
+            want = tuple(hocolim_face_reference(X, raw, i) for i in range(s + 1))
+            assert faces(raw) == want, raw
+
+
+def test_based_quotient_refs_match_eager_push():
+    """The based quotient pushes each ref on its first lookup; forced on
+    every raw cell, the refs equal the eager {raw: push(ref)} dict, and a
+    raw cell without a ref raises KeyError."""
+    X = c1(3).space
+    tab = _based_quotient(X, hocolim_I(X, 3))
+    lazy = tab.ref_of
+    assert len(lazy) == 0
+    eager = {raw: lazy.push(r) for raw, r in lazy.refs.items()}
+    cells = _chain_cells(X, 3, TruncatedI(3).hom)
+    assert set(eager) == {raw for level in cells for raw in level}
+    assert {raw: lazy[raw] for level in cells for raw in level} == eager
+    assert dict(lazy) == eager
+    with pytest.raises(KeyError):
+        lazy[((0,), (), nd_ref(1, 0))]
 
 
 def test_based_hocolim_collapses_unit_nerve():

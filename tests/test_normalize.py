@@ -41,6 +41,8 @@ CASES = {
     "power-circle": lambda: ispace.power_ispace(simplicial.sphere(1), 3),
     "product": lambda: simplicial.product(simplicial.sphere(1), simplicial.sphere(2)),
     "bar-c1": lambda: cmon.bar(cmon.c1(2), 3),
+    "bar-of-hocolim-c1": lambda: cmon.bar_of_hocolim(cmon.c1(2), 3),
+    "two-sided-bar-of-hocolim-c1": lambda: cmon.two_sided_bar_of_hocolim(cmon.c1(2), 3),
 }
 
 

@@ -25,10 +25,10 @@ EXEMPT = {("cli.py", "main")}
 # (function name, parameter) -> why the parameter stays although it is unread.
 # Lambdas are exempt as a whole: each one is an argument to a call, whose
 # callee fixes its signature.
-_TABLE_CALLBACK = "normalize_table calls face_fn and deg_fn as (k, raw, i)"
+_TABLE_CALLBACK = "normalize_table calls faces_fn as (k, raw) and deg_fn as (k, raw, i)"
 _RAW_MAP = "map_from_tables calls raw_fn(k, raw)"
 UNREAD_ALLOWED = {
-    ("face_fn", "k"): _TABLE_CALLBACK,
+    ("faces_fn", "k"): _TABLE_CALLBACK,
     ("deg_fn", "k"): _TABLE_CALLBACK,
     ("push", "k"): _RAW_MAP,
     ("push", "d"): _RAW_MAP,
