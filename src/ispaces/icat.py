@@ -140,11 +140,25 @@ class FinCategory:
     comp: dict
     ident: dict
 
+    def coded(self):
+        """(code, src, dst, ident, comp): the tables on dense integer codes.
+
+        Object j is sorted(objects)[j] and morphism i is sorted(morphisms)[i];
+        code maps each morphism to its code, in code order, and comp maps a
+        pair (g, f) of codes to the code of g o f.
+        """
+        obj = {o: j for j, o in enumerate(sorted(self.objects))}
+        code = {f: i for i, f in enumerate(sorted(self.morphisms))}
+        return (code, [obj[self.src[f]] for f in code], [obj[self.dst[f]] for f in code],
+                [code[self.ident[o]] for o in obj],
+                {(code[g], code[f]): code[gf] for (g, f), gf in self.comp.items()})
+
     def validate(self):
         """Identity, endpoint, unit and associativity diagnostics.
 
         Morphisms are bucketed by target, so the pair and triple loops visit
-        composable pairs and triples only, in the order of `morphisms`.
+        composable pairs and triples only, in the order of `morphisms`.  The
+        unit and associativity loops compare codes (`coded`, which sorts).
         """
         bad = []
         for obj in self.objects:
@@ -166,17 +180,21 @@ class FinCategory:
                     bad.append(f"composite of {g} after {f} has wrong endpoints")
         if bad:
             return bad
-        for f in self.morphisms:
-            if self.comp[(f, self.ident[self.src[f]])] != f:
-                bad.append(f"right unit fails at {f}")
-            if self.comp[(self.ident[self.dst[f]], f)] != f:
-                bad.append(f"left unit fails at {f}")
-        for h in self.morphisms:
-            for g in into.get(self.src[h], ()):
-                hg = self.comp[(h, g)]
-                for f in into.get(self.src[g], ()):
-                    if self.comp[(hg, f)] != self.comp[(h, self.comp[(g, f)])]:
-                        bad.append(f"associativity fails at ({h}, {g}, {f})")
+        code, src, dst, ident, comp = self.coded()
+        name = list(code)
+        order = [code[f] for f in self.morphisms]
+        into = [[f for f in order if dst[f] == j] for j in range(len(ident))]
+        for f in order:
+            if comp[(f, ident[src[f]])] != f:
+                bad.append(f"right unit fails at {name[f]}")
+            if comp[(ident[dst[f]], f)] != f:
+                bad.append(f"left unit fails at {name[f]}")
+        for h in order:
+            for g in into[src[h]]:
+                hg = comp[(h, g)]
+                for f in into[src[g]]:
+                    if comp[(hg, f)] != comp[(h, comp[(g, f)])]:
+                        bad.append(f"associativity fails at ({name[h]}, {name[g]}, {name[f]})")
         return bad
 
 

@@ -477,26 +477,28 @@ def quotient(X, sub):
         raise ValueError("quotient by an empty subcomplex has no basepoint")
     if not subcomplex_closed(X, sub):
         raise ValueError("subcomplex is not closed under faces")
+    subs = [sub.get(k, ()) for k in range(X.top_dim + 1)]
     newid = {}
     card = []
     for k in range(X.top_dim + 1):
         n = 1 if k == 0 else 0
         for x in range(X.card[k]):
-            if x not in sub.get(k, ()):
+            if x not in subs[k]:
                 newid[(k, x)] = n
                 n += 1
         card.append(n)
 
     def push(ref):
-        if ref.base_id in sub.get(ref.base_dim, ()):
+        if ref.base_id in subs[ref.base_dim]:
             return SimplexRef(tuple(range(ref.dim - 1, -1, -1)), 0, 0)
         return SimplexRef(ref.degs, ref.base_dim, newid[(ref.base_dim, ref.base_id)])
 
-    face = [[]] + [
-        [tuple(push(ref) for ref in faces)
-         for x, faces in enumerate(X.face[k]) if x not in sub.get(k, ())]
-        for k in range(1, X.top_dim + 1)
-    ]
+    face = [[]]
+    for k in range(1, X.top_dim + 1):
+        point = SimplexRef(tuple(range(k - 2, -1, -1)), 0, 0)  # the basepoint in dim k - 1
+        face.append([tuple(point if b in subs[d] else SimplexRef(degs, d, newid[(d, b)])
+                           for degs, d, b in faces)
+                     for x, faces in enumerate(X.face[k]) if x not in subs[k]])
     return SSet(tuple(card), tuple(face), complete=X.complete, basepoint=0), push
 
 
@@ -508,41 +510,39 @@ def nerve(C, D):
     """Nerve of a finite category, truncated at dimension D.
 
     k-simplices are composable chains c_0 -> ... -> c_k; identities give the
-    degeneracies.  The result is marked complete when no nondegenerate
-    D-chain exists (all longer chains are then degenerate as well).
+    degeneracies.  A raw vertex is an object code and a raw k-chain the tuple
+    of its morphism codes (`FinCategory.coded`, codes in sorted order); the
+    chains are enumerated in code order, which fixes the ids.  The result is
+    marked complete when no nondegenerate D-chain exists (all longer chains
+    are then degenerate as well).
     """
     bad = C.validate()
     if bad:
         raise ValueError("composition table is not a category: " + "; ".join(bad))
-    morphisms = sorted(C.morphisms)
-    out_of = {}
-    for f in morphisms:
-        out_of.setdefault(C.src[f], []).append(f)
-    cells = [[("o", obj) for obj in sorted(C.objects)]]
+    _, src, dst, ident, comp = C.coded()
+    out_of = [[f for f in range(len(src)) if src[f] == j] for j in range(len(ident))]
+    cells = [list(range(len(ident)))]
     level = [()]
     for k in range(1, D + 1):
         if k == 1:
-            level = [(f,) for f in morphisms]
+            level = [(f,) for f in range(len(src))]
         else:
-            level = [chain + (f,) for chain in level for f in out_of.get(C.dst[chain[-1]], ())]
-        cells.append([("c", ch) for ch in level])
+            level = [chain + (f,) for chain in level for f in out_of[dst[chain[-1]]]]
+        cells.append(level)
 
-    def faces_fn(k, raw):
-        ch = raw[1]
+    def faces_fn(k, ch):
         if k == 1:
-            return (("o", C.dst[ch[0]]), ("o", C.src[ch[0]]))
-        row = [("c", ch[1:])]
+            return (dst[ch[0]], src[ch[0]])
+        row = [ch[1:]]
         for i in range(1, k):
-            row.append(("c", ch[:i - 1] + (C.comp[(ch[i], ch[i - 1])],) + ch[i + 1:]))
-        row.append(("c", ch[:-1]))
+            row.append(ch[:i - 1] + (comp[(ch[i], ch[i - 1])],) + ch[i + 1:])
+        row.append(ch[:-1])
         return row
 
     def deg_fn(k, raw, i):
         if k == 0:
-            return ("c", (C.ident[raw[1]],))
-        ch = raw[1]
-        obj = C.src[ch[i]] if i < k else C.dst[ch[-1]]
-        return ("c", ch[:i] + (C.ident[obj],) + ch[i:])
+            return (ident[raw],)
+        return raw[:i] + (ident[src[raw[i]] if i < k else dst[raw[-1]]],) + raw[i:]
 
     tab = normalize_table(cells, faces_fn, deg_fn, D)
     complete = D > 0 and tab.sset.card[D] == 0
@@ -635,9 +635,11 @@ def chain_complex(X, top=None):
         mat = {}
         for x, faces in enumerate(X.face[k]):
             col = {}  # column x, summed before it enters mat, so cancelled entries never do
-            for i, ref in enumerate(faces):
-                if ref.is_nondegenerate:
-                    col[ref.base_id] = col.get(ref.base_id, 0) + (-1) ** i
+            sign = 1
+            for degs, _, base_id in faces:
+                if not degs:
+                    col[base_id] = col.get(base_id, 0) + sign
+                sign = -sign
             for r, v in col.items():
                 if v:
                     mat[(r, x)] = v

@@ -358,3 +358,73 @@ def map_table_reference(src_tab, dst_tab, raw_fn):
     for (k, x), raw in src_tab.raw_of.items():
         table[(k, x)] = dst_tab.ref_of[raw_fn(k, raw)]
     return table
+
+
+def chain_boundary_reference(X, k):
+    """The entries of the normalized boundary d_k of X as a list, column by
+    column and, within a column, in order of first appearance among the
+    faces d_0, ..., d_k; a degenerate face contributes nothing and entries
+    that cancel are left out."""
+    entries = []
+    for x, faces in enumerate(X.face[k]):
+        col = {}
+        for i, ref in enumerate(faces):
+            if not ref.degs:
+                col[ref.base_id] = col.get(ref.base_id, 0) + (-1) ** i
+        entries += [((r, x), v) for r, v in col.items() if v]
+    return entries
+
+
+def nerve_reference(C, D):
+    """The nerve of a finite category with tagged raw cells: ("o", object)
+    for a vertex and ("c", (f_1, ..., f_k)) for a chain of morphisms, chains
+    enumerated from the sorted morphisms, each extended by the morphisms out
+    of its last target.  Normalized by `simplicial.normalize_table`."""
+    from ispaces.simplicial import NormTable, SSet, normalize_table
+
+    morphisms = sorted(C.morphisms)
+    out_of = {}
+    for f in morphisms:
+        out_of.setdefault(C.src[f], []).append(f)
+    cells = [[("o", obj) for obj in sorted(C.objects)]]
+    level = [()]
+    for k in range(1, D + 1):
+        if k == 1:
+            level = [(f,) for f in morphisms]
+        else:
+            level = [ch + (f,) for ch in level for f in out_of.get(C.dst[ch[-1]], ())]
+        cells.append([("c", ch) for ch in level])
+
+    def faces_fn(k, raw):
+        ch = raw[1]
+        if k == 1:
+            return (("o", C.dst[ch[0]]), ("o", C.src[ch[0]]))
+        row = [("c", ch[1:])]
+        for i in range(1, k):
+            row.append(("c", ch[:i - 1] + (C.comp[(ch[i], ch[i - 1])],) + ch[i + 1:]))
+        row.append(("c", ch[:-1]))
+        return row
+
+    def deg_fn(k, raw, i):
+        if k == 0:
+            return ("c", (C.ident[raw[1]],))
+        ch = raw[1]
+        obj = C.src[ch[i]] if i < k else C.dst[ch[-1]]
+        return ("c", ch[:i] + (C.ident[obj],) + ch[i:])
+
+    tab = normalize_table(cells, faces_fn, deg_fn, D)
+    sset = SSet(tab.sset.card, tab.sset.face, complete=D > 0 and tab.sset.card[D] == 0)
+    return NormTable(sset, tab.ref_of, tab.raw_of)
+
+
+def cyclic_group_category(n):
+    """The cyclic group of order n as a one-object category."""
+    from ispaces.icat import FinCategory
+
+    elems = list(range(n))
+    return FinCategory(
+        [0], elems,
+        src=dict.fromkeys(elems, 0), dst=dict.fromkeys(elems, 0),
+        comp={(g, f): (g + f) % n for g in elems for f in elems},
+        ident={0: 0},
+    )

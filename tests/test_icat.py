@@ -1,6 +1,7 @@
 import pytest
 
 from ispaces.icat import (
+    FinCategory,
     Injection,
     TruncatedI,
     comma_under,
@@ -72,3 +73,78 @@ def test_enumeration_is_sorted_and_complete():
     assert injs == sorted(injs)
     assert len(injs) == 6
     assert enumerate_injections(3, 2) == []
+
+
+# ---------------------------------------------------------------------------
+# Diagnostics of broken categories, message for message and in order.
+# ---------------------------------------------------------------------------
+
+def _cyclic(n, order):
+    """Z/n as a one-object category, its morphisms listed in the given order."""
+    return FinCategory([0], list(order), src=dict.fromkeys(order, 0),
+                       dst=dict.fromkeys(order, 0),
+                       comp={(g, f): (g + f) % n for g in order for f in order},
+                       ident={0: 0})
+
+
+def _arrow_pair():
+    """Objects 0 and 1, two arrows f, g: 0 -> 1, listed out of sorted order."""
+    return FinCategory(
+        [0, 1], ["id1", "g", "f", "id0"],
+        src={"id0": 0, "id1": 1, "f": 0, "g": 0},
+        dst={"id0": 0, "id1": 1, "f": 1, "g": 1},
+        comp={("id0", "id0"): "id0", ("id1", "id1"): "id1",
+              ("f", "id0"): "f", ("id1", "f"): "f",
+              ("g", "id0"): "g", ("id1", "g"): "g"},
+        ident={0: "id0", 1: "id1"},
+    )
+
+
+def test_validate_names_every_broken_associativity():
+    cat = _cyclic(3, [2, 0, 1])
+    cat.comp[(1, 1)] = 0
+    assert cat.validate() == [
+        "associativity fails at (2, 2, 1)",
+        "associativity fails at (2, 1, 1)",
+        "associativity fails at (1, 2, 2)",
+        "associativity fails at (1, 1, 2)",
+    ]
+    cat = TruncatedI(2).as_fincategory()
+    swap = Injection(2, 2, (2, 1))
+    cat.comp[(swap, swap)] = swap
+    assert cat.validate() == [
+        "associativity fails at (Injection(2->2, (2, 1)), Injection(2->2, (2, 1)),"
+        " Injection(1->2, (1,)))",
+        "associativity fails at (Injection(2->2, (2, 1)), Injection(2->2, (2, 1)),"
+        " Injection(1->2, (2,)))",
+    ]
+
+
+def test_validate_names_broken_units():
+    cat = _cyclic(3, [2, 0, 1])
+    cat.comp[(1, 0)] = 2
+    assert cat.validate() == [
+        "right unit fails at 1",
+        "associativity fails at (2, 2, 0)",
+        "associativity fails at (2, 1, 0)",
+        "associativity fails at (1, 2, 1)",
+        "associativity fails at (1, 0, 2)",
+        "associativity fails at (1, 0, 1)",
+        "associativity fails at (1, 1, 2)",
+        "associativity fails at (1, 1, 0)",
+    ]
+    cat = _arrow_pair()
+    assert cat.validate() == []
+    cat.comp[("id1", "f")] = "g"
+    assert cat.validate() == ["left unit fails at f"]
+
+
+def test_validate_names_a_missing_composite():
+    cat = _arrow_pair()
+    del cat.comp[("id1", "g")]
+    assert cat.validate() == ["missing composite of id1 after g"]
+    cat = _cyclic(3, [2, 0, 1])
+    del cat.comp[(0, 2)]
+    del cat.comp[(1, 1)]
+    assert cat.validate() == ["missing composite of 0 after 2",
+                              "missing composite of 1 after 1"]

@@ -26,8 +26,9 @@ from ispaces.simplicial import (
     validate_sset,
 )
 
-from ispaces.icat import TruncatedI
-from oracles import map_table_reference, rational_rank
+from ispaces.icat import TruncatedI, comma_under
+from oracles import (chain_boundary_reference, cyclic_group_category, map_table_reference,
+                     nerve_reference, rational_rank)
 
 
 def test_point_and_empty():
@@ -149,6 +150,22 @@ def test_boundary_squares_to_zero():
         assert c.validate() == []
 
 
+def test_boundary_entries_match_reference_in_order():
+    from ispaces.cmon import c1
+    from ispaces.ispace import hocolim_I
+    from ispaces.simplicial import chain_complex
+
+    collapsed_edge = quotient(standard_simplex(3), {0: {0, 1}, 1: {0}})[0]
+    based = hocolim_I(c1(2).space, 2, based=True).sset
+    for x in (collapsed_edge, based):  # quotients with degenerate faces
+        assert any(ref.degs for rows in x.face for faces in rows for ref in faces)
+    for x in (simplicial_circle(), sphere(2), collapsed_edge, based):
+        cx = chain_complex(x)
+        for k in range(1, x.top_dim + 1):
+            assert list(cx.boundaries[k].items()) == chain_boundary_reference(x, k)
+    assert chain_complex(simplicial_circle()).boundaries[1] == {}  # d_0 = d_1 cancel
+
+
 def test_snf_rank_matches_rational_rank():
     from ispaces.simplicial import chain_complex
     from ispaces.zlinalg import rank_and_torsion
@@ -236,3 +253,30 @@ def test_validate_reports_an_image_that_cannot_be_resolved():
     lost = tab.raw_of[(1, 0)]
     f = map_from_tables(tab, tab, lambda k, raw: "nowhere" if raw == lost else raw)
     assert f.validate() == ["missing image of (1, 0)"]
+
+
+NERVE_CATEGORIES = {
+    **{f"under-{n}": (lambda n=n: comma_under(n, 3)) for n in range(4)},
+    "I2": lambda: TruncatedI(2).as_fincategory(),
+    "Z3": lambda: cyclic_group_category(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NERVE_CATEGORIES))
+def test_coded_nerve_matches_tagged_reference(name):
+    """The nerve on morphism codes equals the nerve on tagged chains of
+    morphisms, and each raw cell decodes to the reference's cell of that id."""
+    cat = NERVE_CATEGORIES[name]()
+    got = nerve(cat, 3)
+    want = nerve_reference(cat, 3)
+    assert got.sset == want.sset
+    objects = sorted(cat.objects)
+    morphisms = sorted(cat.morphisms)
+
+    def decode(raw):
+        if isinstance(raw, tuple):
+            return ("c", tuple(morphisms[f] for f in raw))
+        return ("o", objects[raw])
+
+    assert {key: decode(raw) for key, raw in got.raw_of.items()} == want.raw_of
+    assert {decode(raw): ref for raw, ref in got.ref_of.items()} == want.ref_of

@@ -4,7 +4,6 @@ import random
 import time
 
 from ispaces import simplicial
-from ispaces.icat import FinCategory
 from ispaces.simplicial import (
     SimplexRef,
     SMap,
@@ -18,7 +17,7 @@ from ispaces.simplicial import (
 )
 from ispaces.zlinalg import rank_and_torsion, smith_diagonal
 
-from oracles import group_homology, invariant_factors
+from oracles import cyclic_group_category, group_homology, invariant_factors
 
 
 def test_smith_diagonal_divisibility():
@@ -95,22 +94,12 @@ def test_dense_residue_entries_stay_bounded():
 # Clearing: pivot columns of d_k dropped as rows of d_{k+1}.
 # ---------------------------------------------------------------------------
 
-def _cyclic_group_category(n):
-    elems = list(range(n))
-    return FinCategory(
-        [0], elems,
-        src=dict.fromkeys(elems, 0), dst=dict.fromkeys(elems, 0),
-        comp={(g, f): (g + f) % n for g in elems for f in elems},
-        ident={0: 0},
-    )
-
-
 def _no_clearing(mat, nrows, ncols, drop_rows=(), pivots=None):
     return rank_and_torsion(mat, nrows, ncols)
 
 
 def test_clearing_keeps_odd_torsion_of_cyclic_group_nerve(monkeypatch):
-    bz3 = nerve(_cyclic_group_category(3), 3).sset
+    bz3 = nerve(cyclic_group_category(3), 3).sset
     groups = homology(bz3, 2).groups
     assert groups == group_homology([0, 1, 2], lambda a, b: (a + b) % 3, 0, 2)
     assert groups[1] == (0, (3,))
@@ -130,7 +119,7 @@ def test_clearing_on_torus_where_rank_bound_is_not_reached():
 
 
 def test_cone_homology_agrees_without_clearing(monkeypatch):
-    bz3 = nerve(_cyclic_group_category(3), 4).sset
+    bz3 = nerve(cyclic_group_category(3), 4).sset
     table = {(k, x): SimplexRef(tuple(range(k - 1, -1, -1)), 0, 0)
              for k in range(bz3.top_dim + 1) for x in range(bz3.card[k])}
     collapse = SMap(bz3, point(), table)
