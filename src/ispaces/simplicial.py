@@ -32,7 +32,7 @@ from itertools import combinations
 from typing import NamedTuple, Optional
 
 from .util import DisjointSet
-from .zlinalg import rank_and_torsion
+from .zlinalg import ColumnMatrix, rank_and_torsion
 
 
 class SimplexRef(NamedTuple):
@@ -612,38 +612,41 @@ class ChainComplex:
     """Normalized chains: basis counts and sparse integer boundary maps."""
 
     counts: list
-    boundaries: list  # boundaries[k]: dict (row, col) -> int, d_k: C_k -> C_{k-1}
+    boundaries: list  # boundaries[k]: ColumnMatrix of d_k: C_k -> C_{k-1}, column x = d_k x
 
     def validate(self):
         bad = []
         for k in range(2, len(self.counts)):
-            prod = {}
-            for (r, c), v in self.boundaries[k].items():
-                for (r2, c2), w in self.boundaries[k - 1].items():
-                    if c2 == r:
-                        prod[(r2, c)] = prod.get((r2, c), 0) + v * w
-            if any(v != 0 for v in prod.values()):
-                bad.append(f"boundary squared nonzero in degree {k}")
+            below = self.boundaries[k - 1].cols
+            for col in self.boundaries[k].cols.values():
+                prod = {}  # d_{k-1} applied to this column of d_k
+                for r, v in col.items():
+                    for r2, w in below.get(r, {}).items():
+                        prod[r2] = prod.get(r2, 0) + v * w
+                if any(prod.values()):
+                    bad.append(f"boundary squared nonzero in degree {k}")
+                    break
         return bad
 
 
 def chain_complex(X, top=None):
     top = X.top_dim if top is None else min(top, X.top_dim)
     counts = [X.n_nondeg(k) for k in range(top + 1)]
-    boundaries = [{}]
+    boundaries = [ColumnMatrix({})]
     for k in range(1, top + 1):
-        mat = {}
+        cols = {}
         for x, faces in enumerate(X.face[k]):
-            col = {}  # column x, summed before it enters mat, so cancelled entries never do
+            col = {}  # column x, summed, so cancelled entries never enter the matrix
             sign = 1
             for degs, _, base_id in faces:
                 if not degs:
                     col[base_id] = col.get(base_id, 0) + sign
                 sign = -sign
-            for r, v in col.items():
-                if v:
-                    mat[(r, x)] = v
-        boundaries.append(mat)
+            if not all(col.values()):
+                col = {r: v for r, v in col.items() if v}
+            if col:
+                cols[x] = col
+        boundaries.append(ColumnMatrix(cols))
     return ChainComplex(counts, boundaries)
 
 
@@ -717,24 +720,25 @@ def map_cone_homology(f, d_report):
         return c.counts[k] if 0 <= k < len(c.counts) else 0
 
     def bnd(c, k):
-        return c.boundaries[k] if 1 <= k < len(c.boundaries) else {}
+        return c.boundaries[k].cols if 1 <= k < len(c.boundaries) else {}
 
     counts = [cnt(cx, k - 1) + cnt(cy, k) for k in range(top + 1)]
-    boundaries = [{}]
+    boundaries = [ColumnMatrix({})]
     for k in range(1, top + 1):
-        mat = {}
+        cols = {}  # column x < offc: -d^X x + f(x); column offc + y: d^Y y, shifted
         offr = cnt(cx, k - 2)
         offc = cnt(cx, k - 1)
-        for (r, c), v in bnd(cx, k - 1).items():
-            mat[(r, c)] = -v
-        for x in range(cnt(cx, k - 1)):
+        dx = bnd(cx, k - 1)
+        for x in range(offc):
+            col = {r: -v for r, v in dx.get(x, {}).items()}
             img = f(nd_ref(k - 1, x))
             if img.is_nondegenerate:
-                key = (offr + img.base_id, x)
-                mat[key] = mat.get(key, 0) + 1
-        for (r, c), v in bnd(cy, k).items():
-            mat[(offr + r, offc + c)] = mat.get((offr + r, offc + c), 0) + v
-        boundaries.append({k2: v for k2, v in mat.items() if v})
+                col[offr + img.base_id] = 1
+            if col:
+                cols[x] = col
+        for y, col in bnd(cy, k).items():
+            cols[offc + y] = {offr + r: v for r, v in col.items()}
+        boundaries.append(ColumnMatrix(cols))
     groups = _homology_groups(counts, boundaries, range(top + 1))
 
     def known_nondeg(Z, k):

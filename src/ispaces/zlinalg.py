@@ -1,25 +1,64 @@
 """Exact integer linear algebra for homology: Smith normal form.
 
-Matrices are sparse dicts (row, col) -> nonzero int.  Columns are eliminated
-one at a time against the unit pivot columns found so far, in the order they
-were found: a reduced column with a +-1 entry becomes a new pivot column (a
-Smith entry 1), and a column left with only non-unit entries is set aside.
-Unit pivots never create torsion and keep entries small.  The loop stops once
-the rank reaches the bound the shape allows, since every further Smith entry
-is then 1.  The set-aside columns, reduced against every pivot, form a small
-residue whose Smith form is taken densely, modulo a nonzero minor of maximal
-size so that its entries stay bounded.
+A matrix is a `ColumnMatrix`: one {row: nonzero int} dict per nonzero
+column, in increasing column order, read as a Mapping (row, col) -> int.  A
+plain dict (row, col) -> int is grouped into columns on entry.  Columns are
+eliminated one at a time, in order, against the unit pivot columns found so
+far, in the order they were found: a reduced column with a +-1 entry becomes
+a new pivot column (a Smith entry 1), and a column left with only non-unit
+entries is set aside.  Unit pivots never create torsion and keep entries
+small.  The loop stops once the rank reaches the bound the shape allows,
+since every further Smith entry is then 1.  The set-aside columns, reduced
+against every pivot, form a small residue whose Smith form is taken densely,
+modulo a nonzero minor of maximal size so that its entries stay bounded.
 
 For a chain complex, the unit pivot columns of d_k may be dropped as rows of
-d_{k+1} (clearing, as in Chen & Kerber 2011 and Bauer, Kerber & Reininghaus
-2014): this changes neither rank nor torsion.  Everything runs over Python's
-arbitrary-precision integers; no floats anywhere.
+d_{k+1} (clearing, as in Chen & Kerber 2011, Bauer, Kerber & Reininghaus
+2014 and Bauer, Ripser, J. Appl. Comput. Topol. 2021): this changes neither
+rank nor torsion.  Everything runs over Python's arbitrary-precision
+integers; no floats anywhere.
 """
 
 import heapq
-from itertools import groupby
+from collections.abc import Mapping
 from math import gcd
-from operator import itemgetter
+
+
+class ColumnMatrix(Mapping):
+    """Sparse integer matrix stored by columns, read as {(row, col): value}.
+
+    `cols` maps each nonzero column, in increasing order, to its dict
+    {row: nonzero value}.  Items go column by column, rows in insertion order.
+    """
+
+    __slots__ = ("cols",)
+
+    def __init__(self, cols):
+        self.cols = cols
+
+    @classmethod
+    def of(cls, mat):
+        """The columns of `mat`, a ColumnMatrix or a dict (row, col) -> int."""
+        if isinstance(mat, cls):
+            return mat
+        cols = {}
+        for (r, c), v in mat.items():
+            if v:
+                cols.setdefault(c, {})[r] = v
+        return cls({c: cols[c] for c in sorted(cols)})
+
+    def __getitem__(self, key):
+        r, c = key
+        return self.cols[c][r]
+
+    def __iter__(self):
+        return ((r, c) for c, col in self.cols.items() for r in col)
+
+    def __len__(self):
+        return sum(map(len, self.cols.values()))
+
+    def items(self):
+        return (((r, c), v) for c, col in self.cols.items() for r, v in col.items())
 
 
 def _reduce(col, pivot_at, pivot_cols):
@@ -54,20 +93,20 @@ def _unit_pivot_eliminate(mat, drop_rows=(), pivots=None):
     Rows in `drop_rows` are ignored.  The ids of the unit pivot columns are
     appended to the list `pivots` when one is given.  The residue is the
     set-aside part, zero at every pivot row, keyed (row, aside index).
-    Each column is read from `mat` when the loop reaches it, so the loop
-    holds the pivot and set-aside columns, never a column copy of `mat`.
+    A column of `mat` is copied when the loop reaches it, so the loop holds
+    the pivot and set-aside columns, never a copy of all of `mat`.
     """
+    cols = ColumnMatrix.of(mat).cols
     drop = set(drop_rows)
-    keys = sorted((rc for rc, v in mat.items() if v and rc[0] not in drop), key=itemgetter(1))
-    rows = {r for r, _ in keys}
-    bound = min(len(rows), len({c for _, c in keys}))
+    rows = set().union(*cols.values()) - drop
+    bound = min(len(rows), sum(not drop.issuperset(col) for col in cols.values()))
     pivot_at = {}  # pivot row -> index into pivot_cols
     pivot_cols = []
     aside = []
-    for c, entries in groupby(keys, key=itemgetter(1)):
+    for c, entries in cols.items():
         if len(pivot_cols) == bound:
             return bound, {}
-        col = _reduce({rc[0]: mat[rc] for rc in entries}, pivot_at, pivot_cols)
+        col = _reduce({r: v for r, v in entries.items() if r not in drop}, pivot_at, pivot_cols)
         pr = max((r for r, v in col.items() if v in (1, -1)), default=None)
         if pr is None:
             if col:

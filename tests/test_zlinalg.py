@@ -15,9 +15,11 @@ from ispaces.simplicial import (
     product,
     simplicial_circle,
 )
-from ispaces.zlinalg import rank_and_torsion, smith_diagonal
+from ispaces.zlinalg import ColumnMatrix, rank_and_torsion, smith_diagonal
 
-from oracles import cyclic_group_category, group_homology, invariant_factors
+from oracles import (chain_boundary_reference, cyclic_group_category, group_homology,
+                     invariant_factors)
+from test_normalize import CASES
 
 
 def test_smith_diagonal_divisibility():
@@ -189,3 +191,68 @@ def test_clearing_on_random_complexes_with_known_homology():
         for k, (free, torsion) in groups.items():
             assert counts[k] - ranks.get(k, 0) - ranks.get(k + 1, 0) == free
             assert tors.get(k + 1, ()) == torsion
+
+
+# ---------------------------------------------------------------------------
+# Column-stored boundary matrices against their plain-dict copies.
+# ---------------------------------------------------------------------------
+
+def _case_ssets(obj):
+    if hasattr(obj, "sset"):
+        return [obj.sset]
+    space = getattr(obj, "space", obj)  # a bar construction, or an I-space
+    return list(space.levels)
+
+
+def _agreeing(seen):
+    """`rank_and_torsion` that also eliminates the plain-dict copies of its
+    matrix, in its item order and row by row, with and without the cleared
+    rows, and checks rank, torsion and pivots."""
+    def both(mat, nrows, ncols, drop_rows=(), pivots=None):
+        assert isinstance(mat, ColumnMatrix)
+        for plain in (dict(mat.items()), dict(sorted(mat.items()))):
+            for drop in ((), drop_rows):
+                got, want = [], []
+                assert rank_and_torsion(mat, nrows, ncols, drop, got) \
+                    == rank_and_torsion(plain, nrows, ncols, drop, want)
+                assert got == want
+        seen.append(len(drop_rows))
+        return rank_and_torsion(mat, nrows, ncols, drop_rows, pivots)
+    return both
+
+
+def test_column_matrix_agrees_with_its_dict_copy(monkeypatch):
+    bz3 = nerve(cyclic_group_category(3), 3).sset
+    ssets = [bz3] + [x for name in sorted(CASES) for x in _case_ssets(CASES[name]())]
+    for x in ssets:
+        cx = chain_complex(x)
+        for k in range(1, len(cx.boundaries)):
+            mat = cx.boundaries[k]
+            entries = chain_boundary_reference(x, k)
+            assert list(mat.items()) == entries
+            assert list(mat) == [key for key, _ in entries]
+            assert len(mat) == len(entries) == sum(map(len, mat.cols.values()))
+            assert list(mat.cols) == sorted(mat.cols)
+            plain = dict(entries)
+            assert mat == plain and plain == mat and ColumnMatrix.of(plain).cols == mat.cols
+            assert (mat != {}) == bool(entries)
+            for (r, c), v in entries[:50]:
+                assert mat.get((r, c)) == mat[(r, c)] == v and (r, c) in mat
+                assert mat.get((r, -1)) is None and mat.get((-1, c), 0) == 0
+    seen = []
+    monkeypatch.setattr(simplicial, "rank_and_torsion", _agreeing(seen))
+    for x in ssets:
+        homology(x, x.top_dim - 1)
+    assert homology(bz3, 2).group(1) == (0, (3,))
+    table = {(k, x): SimplexRef(tuple(range(k - 1, -1, -1)), 0, 0)
+             for k in range(bz3.top_dim + 1) for x in range(bz3.card[k])}
+    assert map_cone_homology(SMap(bz3, point(), table), 2)[2] == (0, (3,))
+    assert any(seen), "no call had cleared rows to drop"
+
+
+def test_chain_complex_validate_reports_nonzero_square():
+    cx = chain_complex(product(simplicial_circle(), simplicial_circle()).sset)
+    assert cx.validate() == []
+    one = ColumnMatrix({0: {0: 1}})
+    bad = simplicial.ChainComplex([1, 1, 1], [ColumnMatrix({}), one, one])
+    assert bad.validate() == ["boundary squared nonzero in degree 2"]
