@@ -95,7 +95,7 @@ def cmd_pi0(args, cfg):
 
 def cmd_units(args, cfg):
     A = build_monoid(args.model[0], cfg.trunc)
-    rep = cmon.units(A, bound=cfg.unit_bound)
+    rep = cmon.units(A)
     return {
         "model": args.model[0],
         "unit_classes": [str(c) for c in rep.unit_classes],
@@ -123,7 +123,7 @@ def cmd_bar(args, cfg):
 def cmd_gamma(args, cfg):
     A = build_monoid(args.model[0], cfg.trunc)
     G = gamma.gamma_of_monoid(A, args.K, max(cfg.S, 2))
-    sv = gamma.is_special(G, D=0, unit_bound=cfg.unit_bound)
+    sv = gamma.is_special(G, D=0)
     return {
         "model": args.model[0],
         "K": args.K,
@@ -177,8 +177,6 @@ def build_parser():
                        help="top homology degree reported")
         p.add_argument("--chains", type=int, default=None,
                        help="chain length bound for homotopy colimits")
-        p.add_argument("--unit-bound", type=int, default=4,
-                       help="search bound for inverse words")
         p.add_argument("--jobs", type=int, default=1,
                        help="scenario-level parallelism width")
         p.add_argument("--out", default=None, help="write JSON to this path")
@@ -207,7 +205,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     cfg = RunConfig(
         trunc=args.trunc, deg=args.deg, chains=args.chains,
-        unit_bound=args.unit_bound, jobs=args.jobs, out=args.out,
+        jobs=args.jobs, out=args.out,
         timings=getattr(args, "timings", False))
     bad = cfg.validate()
     if bad:

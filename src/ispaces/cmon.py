@@ -4,14 +4,14 @@ A CIMonoidT is an ISpaceT carrier with a unit vertex in level 0 and a
 multiplication defined on pairs of equal-dimension simplices, landing in the
 level-sum space.  The module provides the subsets model of the free monoid
 on a degree-one generator, filtered models of ordinary commutative monoids,
-presentations of the component monoid with Grothendieck groups and unit
-detection, bar constructions, and the three-term comparison between the bar
-construction of the diagram monoid and of its homotopy colimit.
+presentations of the component monoid with Grothendieck groups, exact unit
+detection by support closure (no search bound), bar constructions, and the
+three-term comparison between the bar construction of the diagram monoid
+and of its homotopy colimit.
 """
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from itertools import product as iproduct
 from typing import Callable, Optional
 
 from . import icat
@@ -37,7 +37,6 @@ from .ispace import (
     _box_space,
     _box_table,
     _chain_cells,
-    _compositions,
     _discrete_ispace,
     _hocolim_deg,
     _hocolim_faces,
@@ -473,8 +472,6 @@ def _substitute(vec, subst, g):
 
 # Rewriting steps that `_prune_relations` tries before it keeps a relation.
 PRUNE_STEPS = 6
-# Largest value on a generator of the gradings that witness non-units.
-GRADING_CAP = 3
 
 
 def _prune_relations(rels):
@@ -531,79 +528,69 @@ def grothendieck_group(pres):
 
 @dataclass
 class UnitVerdict:
-    """Per-class unit status with replayable witnesses."""
+    """Per-class unit status with replayable certificates."""
 
-    status: dict  # vector -> ("unit", inverse vec) | ("non-unit", grading) | ("unknown",)
+    # vector -> ("unit", the oriented relations (p, q) that grew G, in order,
+    # up to the last one its support needs) | ("non-unit", G)
+    status: dict
 
     def is_unit(self, vec):
         return self.status[vec][0] == "unit"
 
-    def resolved(self):
-        return all(s[0] != "unknown" for s in self.status.values())
 
+def unit_verdicts(pres, vectors=None):
+    """Classify monoid elements as units or non-units, exactly.
 
-def unit_verdicts(pres, vectors=None, bound=4):
-    """Classify monoid elements as units or non-units, or report unknown.
+    In a commutative monoid a + b is a unit iff a and b are.  Let G be the
+    least set of generators such that, for every relation (p, q), supp p in
+    G implies supp q in G, and the same with p and q swapped; a relation
+    with a zero side seeds G, and G is reached in at most g + 1 passes.
+    Every vector congruent to 0 is reached from 0 by rewriting steps, each
+    of which keeps the support inside any such closed set, so x is a unit
+    iff supp x lies in G (Rosales & Garcia-Sanchez, *Finitely Generated
+    Commutative Monoids*, 1999).
 
-    A unit witness is an inverse word; a non-unit witness is an additive
-    grading into the naturals that respects all relations and is positive on
-    the element.  Both are replayable.
+    A unit's certificate replays relation by relation: each source side
+    lies in the support reached so far (an inverse of p gives one of q,
+    since q + w ~ p + w ~ 0).  A non-unit's certificate is G, which replays
+    by checking closure under every relation and misses a generator of it.
     """
     g = len(pres.generators)
     if vectors is None:
         vectors = [tuple(1 if j == i else 0 for j in range(g)) for i in range(g)]
-    zero = (0,) * g
-    gradings = _relation_gradings(pres)
+    closed = set()
+    steps = []  # oriented relations, in the order they grew G
+    origin = {}  # generator -> index of the step that brought it into G
+    grew = True
+    while grew:
+        grew = False
+        for u, v in pres.relations:
+            for p, q in ((u, v), (v, u)):
+                new = _support(q) - closed
+                if new and _support(p) <= closed:
+                    origin.update(dict.fromkeys(new, len(steps)))
+                    steps.append((p, q))
+                    closed |= new
+                    grew = True
     status = {}
     for vec in vectors:
-        if vec == zero:
-            status[vec] = ("unit", zero)
-            continue
-        inv = _find_inverse(pres, vec, bound)
-        if inv is not None:
-            status[vec] = ("unit", inv)
-            continue
-        phi = next((p for p in gradings if _dot(p, vec) > 0), None)
-        if phi is not None:
-            status[vec] = ("non-unit", phi)
+        supp = _support(vec)
+        if supp <= closed:
+            last = max((origin[j] for j in supp), default=-1)
+            status[vec] = ("unit", tuple(steps[:last + 1]))
         else:
-            status[vec] = ("unknown",)
+            status[vec] = ("non-unit", tuple(sorted(closed)))
     return UnitVerdict(status)
 
 
-def _dot(p, v):
-    return sum(a * b for a, b in zip(p, v))
-
-
-def _relation_gradings(pres):
-    """All additive functionals to 0..GRADING_CAP killing the relations."""
-    g = len(pres.generators)
-    if g == 0 or (GRADING_CAP + 1) ** g > 200000:
-        return []
-    out = []
-    for phi in iproduct(*[range(GRADING_CAP + 1)] * g):
-        if any(phi) and all(_dot(phi, u) == _dot(phi, v) for u, v in pres.relations):
-            out.append(phi)
-    return out
-
-
-def _find_inverse(pres, vec, bound):
-    """Search words w with vec + w congruent to zero, small lengths first."""
-    g = len(pres.generators)
-    zero = (0,) * g
-    for w in sorted(_compositions(bound, g), key=sum):
-        if _congruent(_vec_add(vec, w), zero, pres.relations, bound + 2):
-            return w
-    return None
+def _support(vec):
+    return {j for j, t in enumerate(vec) if t}
 
 
 def is_grouplike(A):
     """True iff every component class of the monoid is a unit."""
     pres, class_vec = pi0_monoid(A)
     verdict = unit_verdicts(pres, vectors=sorted(set(class_vec.values())))
-    if not verdict.resolved():
-        unknown = [v for v, s in verdict.status.items() if s[0] == "unknown"]
-        raise ValueError(f"unit search unresolved for classes {unknown}")
     return all(verdict.is_unit(v) for v in class_vec.values())
 
 
@@ -618,19 +605,11 @@ class UnitsReport:
     absorption: bool
 
 
-def units(A, bound=4):
-    """The submonoid of unit components, with the complement decomposition.
-
-    Refuses when any component class remains unresolved by the bounded unit
-    search.
-    """
+def units(A):
+    """The submonoid of unit components, with the complement decomposition."""
     pres, class_vec = pi0_monoid(A)
     cls, classes, unit_cls = merged_classes(A)
-    verdict = unit_verdicts(pres, vectors=sorted(set(class_vec.values())),
-                            bound=bound)
-    if not verdict.resolved():
-        unknown = [c for c in classes if verdict.status[class_vec[c]][0] == "unknown"]
-        raise ValueError(f"unresolved unit verdicts for classes {unknown}")
+    verdict = unit_verdicts(pres, vectors=sorted(set(class_vec.values())))
     unit_classes = [c for c in classes if verdict.is_unit(class_vec[c])]
     nonunit_classes = [c for c in classes if c not in unit_classes]
     level_split = {}

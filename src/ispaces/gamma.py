@@ -219,7 +219,7 @@ def projection_map(k, l, which):
 class SpecialVerdict:
     verdict: str  # special-evidence | refuted | inconclusive
     witness: Optional[dict] = None
-    very_special: Optional[str] = None  # yes | refuted | unknown
+    very_special: Optional[str] = None  # yes | refuted | unknown (only when K < 2)
     very_special_witness: Optional[dict] = None
     detail: dict = field(default_factory=dict)
 
@@ -312,7 +312,7 @@ def pi0_monoid_of_gamma(X):
     return pres, class_vec
 
 
-def is_special(X, D=0, unit_bound=4):
+def is_special(X, D=0):
     """Evidence verdict for the Segal condition at the truncation.
 
     Checks that the projections induce component bijections (and homology
@@ -355,16 +355,14 @@ def is_special(X, D=0, unit_bound=4):
     vs_witness = None
     if X.K >= 2:
         pres, class_vec = pi0_monoid_of_gamma(X)
-        uv = unit_verdicts(pres, vectors=sorted(set(class_vec.values())),
-                           bound=unit_bound)
-        if uv.resolved():
-            non_units = [c for c, v in class_vec.items() if not uv.is_unit(v)]
-            if non_units:
-                vs = "refuted"
-                vs_witness = {"non_unit_classes": non_units,
-                              "witness": uv.status[class_vec[non_units[0]]]}
-            else:
-                vs = "yes"
+        uv = unit_verdicts(pres, vectors=sorted(set(class_vec.values())))
+        non_units = [c for c, v in class_vec.items() if not uv.is_unit(v)]
+        if non_units:
+            vs = "refuted"
+            vs_witness = {"non_unit_classes": non_units,
+                          "witness": uv.status[class_vec[non_units[0]]]}
+        else:
+            vs = "yes"
         detail["pi0_monoid"] = pres.to_json()
     return SpecialVerdict(verdict, witness, vs, vs_witness, detail)
 

@@ -11,12 +11,14 @@ and the semistability diagnostic.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product as iproduct
 from typing import Optional
 
 from . import icat
 from .icat import Injection, TruncatedI, compose, concat, identity, subset_inclusion, unchecked
 from .simplicial import (
+    LazyDict,
     NormTable,
     SMap,
     SimplexRef,
@@ -498,18 +500,9 @@ def _hocolim(X, S, arrows_of, based):
     return _based_quotient(X, tab)
 
 
-class _PushedRefs(dict):
-    """raw -> ref in the based quotient, pushed on its first lookup, as in
-    `simplicial.ImageTable`; a raw cell without a ref raises KeyError."""
-
-    def __init__(self, refs, push):
-        super().__init__()
-        self.refs = refs
-        self.push = push
-
-    def __missing__(self, raw):
-        ref = self[raw] = self.push(self.refs[raw])
-        return ref
+def _pushed_ref(push, refs, raw):
+    """The ref of a raw cell in a quotient, for a `LazyDict` of them."""
+    return push(refs[raw])
 
 
 def _based_quotient(X, tab):
@@ -523,7 +516,7 @@ def _based_quotient(X, tab):
         if xref.base_dim == 0 and xref.base_id == bp:
             sub.setdefault(k, set()).add(x)
     Q, push = quotient(tab.sset, sub)
-    ref_of = _PushedRefs(tab.ref_of, push)
+    ref_of = LazyDict(partial(_pushed_ref, push, tab.ref_of))
     raw_of = {}
     for (k, x), raw in tab.raw_of.items():
         r = push(SimplexRef((), k, x))

@@ -28,6 +28,7 @@ normal form over arbitrary-precision integers; see `zlinalg`.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import NamedTuple, Optional
 
@@ -305,9 +306,9 @@ class SMap:
     """Map of simplicial sets, stored on nondegenerate source simplices.
 
     `table[(k, x)]` is the image of the nondegenerate simplex (k, x).  The
-    table is a plain dict, or an `ImageTable` that computes each image on
-    its first lookup; either way, walk the source's simplices, not the
-    table's keys, to see every image.
+    table is a plain dict, or a `LazyDict` that computes each image on its
+    first lookup (`map_from_tables`); either way, walk the source's
+    simplices, not the table's keys, to see every image.
     """
 
     src: SSet
@@ -348,34 +349,33 @@ def identity_map(X):
     return SMap(X, X, table)
 
 
-class ImageTable(dict):
-    """(k, x) -> image of a map given on raw cells, computed on demand.
+class LazyDict(dict):
+    """A dict that computes a missing key's value as fn(key) on its first
+    lookup and keeps it; a KeyError raised by fn reads as a missing key."""
 
-    The image of the nondegenerate simplex (k, x) is looked up the first
-    time it is asked for, as dst_tab.ref_of[raw_fn(k, raw)] with raw its
-    raw cell in src_tab, and then kept.  A simplex without a raw cell, or a
-    raw image without a ref, raises KeyError as a missing key does.
-    """
-
-    def __init__(self, src_tab, dst_tab, raw_fn):
+    def __init__(self, fn):
         super().__init__()
-        self.src_tab = src_tab
-        self.dst_tab = dst_tab
-        self.raw_fn = raw_fn
+        self.fn = fn
 
     def __missing__(self, key):
-        raw = self.raw_fn(key[0], self.src_tab.raw_of[key])
-        img = self[key] = self.dst_tab.ref_of[raw]
-        return img
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _table_image(src_tab, dst_tab, raw_fn, key):
+    return dst_tab.ref_of[raw_fn(key[0], src_tab.raw_of[key])]
 
 
 def map_from_tables(src_tab, dst_tab, raw_fn):
     """SMap between two NormTable outputs given a map of raw cells.
 
-    Images are computed on demand (see `ImageTable`), so a query that reads
-    only vertices never pushes a higher simplex.
+    The image of (k, x) is dst_tab.ref_of[raw_fn(k, raw)], with raw its raw
+    cell in src_tab.  Images are computed on demand (a `LazyDict` over a
+    partial of `_table_image`), so a query that reads only vertices never
+    pushes a higher simplex.
     """
-    return SMap(src_tab.sset, dst_tab.sset, ImageTable(src_tab, dst_tab, raw_fn))
+    return SMap(src_tab.sset, dst_tab.sset,
+                LazyDict(partial(_table_image, src_tab, dst_tab, raw_fn)))
 
 
 # ---------------------------------------------------------------------------

@@ -428,3 +428,51 @@ def cyclic_group_category(n):
         comp={(g, f): (g + f) % n for g in elems for f in elems},
         ident={0: 0},
     )
+
+
+
+def _dot(phi, vec):
+    return sum(a * b for a, b in zip(phi, vec))
+
+
+
+def _rewrites_of(u, relations, steps):
+    """Every vector that u rewrites to within `steps` steps, a step replacing
+    one side of a relation by the other inside an exponent vector."""
+    seen = {u}
+    frontier = [u]
+    for _ in range(steps):
+        new = []
+        for w in frontier:
+            for a, b in relations:
+                for src, dst in ((a, b), (b, a)):
+                    if all(x >= y for x, y in zip(w, src)):
+                        w2 = tuple(x - y + z for x, y, z in zip(w, src, dst))
+                        if w2 not in seen:
+                            seen.add(w2)
+                            new.append(w2)
+        frontier = new
+    return seen
+
+
+def bounded_unit_search(relations, g, vectors, bound=4, cap=3):
+    """Unit status of each vector of N^g / relations by two bounded searches,
+    the search the library once used: "unit" if some word w of at most
+    `bound` letters has vec + w rewrite to 0 within bound + 2 steps;
+    "non-unit" if some grading with values in 0..cap is constant on every
+    relation and positive on vec; "unknown" if neither search settles it.
+    Each settled answer is sound; the searches are incomplete.  Steps are
+    reversible, so the first search reads the vectors that 0 rewrites to."""
+    near_zero = _rewrites_of((0,) * g, relations, bound + 2)
+    gradings = [phi for phi in product(range(cap + 1), repeat=g)
+                if any(phi) and all(_dot(phi, u) == _dot(phi, v) for u, v in relations)]
+    out = {}
+    for vec in vectors:
+        if any(all(a >= b for a, b in zip(z, vec)) and sum(z) - sum(vec) <= bound
+               for z in near_zero):
+            out[vec] = "unit"
+        elif any(_dot(phi, vec) > 0 for phi in gradings):
+            out[vec] = "non-unit"
+        else:
+            out[vec] = "unknown"
+    return out

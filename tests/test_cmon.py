@@ -1,3 +1,4 @@
+import random
 from math import prod
 
 import pytest
@@ -29,7 +30,13 @@ from ispaces.icat import TruncatedI
 from ispaces.ispace import _chain_cells, free_ispace, hocolim_I, terminal_ispace
 from ispaces.simplicial import homology, pi0_classes
 
-from oracles import bar_mul_reference, bounded_tuples, chain_sum_reference, sigma2_homology
+from oracles import (
+    bar_mul_reference,
+    bounded_tuples,
+    bounded_unit_search,
+    chain_sum_reference,
+    sigma2_homology,
+)
 
 
 def test_monoid_axioms_on_models():
@@ -74,6 +81,53 @@ def test_unit_verdicts_with_witnesses():
     free = CommMonoidPres(["g"], [])
     uv2 = unit_verdicts(free)
     assert uv2.status[(1,)][0] == "non-unit"
+
+
+def _support(vec):
+    return {j for j, t in enumerate(vec) if t}
+
+
+def _replay(pres, vec, status):
+    """Check a unit verdict's certificate against the presentation alone."""
+    rels = set(pres.relations)
+    kind, cert = status
+    if kind == "unit":
+        # each relation is given, and its source side is already reached
+        reached = set()
+        for p, q in cert:
+            assert (p, q) in rels or (q, p) in rels
+            assert _support(p) <= reached
+            reached |= _support(q)
+        assert _support(vec) <= reached
+    else:
+        # a set closed under every relation, both ways, that misses vec
+        closed = set(cert)
+        for u, v in pres.relations:
+            for p, q in ((u, v), (v, u)):
+                assert not _support(p) <= closed or _support(q) <= closed
+        assert not _support(vec) <= closed
+
+
+def test_unit_closure_agrees_with_bounded_search():
+    # about a third of these classes are "unknown" to the bounded search
+    rng = random.Random(13)
+    unknown = 0
+    for _ in range(100):
+        g = rng.randint(1, 4)
+        rels = [tuple(tuple(rng.randint(0, 2) for _ in range(g)) for _ in range(2))
+                for _ in range(rng.randint(0, 4))]
+        pres = CommMonoidPres([f"x{i}" for i in range(g)], rels)
+        vecs = sorted({tuple(rng.randint(0, 1) for _ in range(g)) for _ in range(3)}
+                      | {tuple(int(i == j) for j in range(g)) for i in range(g)})
+        uv = unit_verdicts(pres, vectors=vecs)
+        ref = bounded_unit_search(rels, g, vecs)
+        for vec in vecs:
+            _replay(pres, vec, uv.status[vec])
+            if ref[vec] == "unknown":
+                unknown += 1
+            else:
+                assert uv.status[vec][0] == ref[vec], (rels, vec)
+    assert unknown > 0
 
 
 def test_grouplike_detection():

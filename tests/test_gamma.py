@@ -1,6 +1,6 @@
 import pytest
 
-from ispaces.cmon import c1, cyclic2_monoid, pi0_monoid, sec52_monoid
+from ispaces.cmon import c1, cyclic2_monoid, pi0_monoid, sec52_monoid, units
 from ispaces.gamma import (
     GammaSpaceT,
     based_maps,
@@ -81,6 +81,13 @@ def test_special_evidence_for_c1():
     assert sv.very_special_witness is not None
 
 
+def test_very_special_refuted_past_a_grading_cap():
+    # the fold monoid's only gradings are multiples of (1, 2, 3, 4), so no
+    # search over gradings with values up to 3 settles its classes
+    sv = is_special(gamma_of_monoid(c1(4), 3, 1), D=0)
+    assert sv.very_special == "refuted"
+
+
 def test_special_at_degree_zero_pushes_vertices_only():
     # the component check reads images of vertices, so no action map it
     # builds computes the image of a higher simplex
@@ -125,8 +132,13 @@ def test_special_for_constant_point():
     assert sv.detail["homology(1,1)"]["ok"]
 
 
-def test_very_special_for_group_model():
-    G = gamma_of_monoid(cyclic2_monoid(2), 2, 2)
+@pytest.mark.parametrize("build, S", [
+    (lambda: cyclic2_monoid(2), 2),
+    # the units of m52: the grouplike monoid of the paper's units construction
+    (lambda: units(sec52_monoid(3)).units_monoid, 1),
+], ids=["z2", "m52-units"])
+def test_very_special_for_group_model(build, S):
+    G = gamma_of_monoid(build(), 2, S)
     sv = is_special(G, D=0)
     assert sv.verdict == "special-evidence"
     assert sv.very_special == "yes"

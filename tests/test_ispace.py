@@ -187,7 +187,8 @@ def test_based_quotient_refs_match_eager_push():
     tab = _based_quotient(X, hocolim_I(X, 3))
     lazy = tab.ref_of
     assert len(lazy) == 0
-    eager = {raw: lazy.push(r) for raw, r in lazy.refs.items()}
+    push, refs = lazy.fn.args  # of the partial over `_pushed_ref`
+    eager = {raw: push(r) for raw, r in refs.items()}
     cells = _chain_cells(X, 3, TruncatedI(3).hom)
     assert set(eager) == {raw for level in cells for raw in level}
     assert {raw: lazy[raw] for level in cells for raw in level} == eager

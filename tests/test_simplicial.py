@@ -218,7 +218,7 @@ def _assert_on_demand_matches_reference(f):
     """Force every image of a map built by map_from_tables and compare the
     table with the eager tabulation of the same raw map."""
     t = f.table
-    want = map_table_reference(t.src_tab, t.dst_tab, t.raw_fn)
+    want = map_table_reference(*t.fn.args)  # the partial's (src_tab, dst_tab, raw_fn)
     got = {key: f.table[key] for key in f.src.nondeg_keys()}
     assert got == want
     assert dict(t) == want

@@ -12,7 +12,8 @@ parameters listed in `UNREAD_ALLOWED` with their reasons.  So must every
 local that a function binds by a single-name assignment; names bound by
 tuple unpacking are exempt.  Every name a module imports must be read in
 that module.  Every field of a dataclass in `src/ispaces/` must be read
-(see `test_every_dataclass_field_is_read`).  The checks use the standard
+(see `test_every_dataclass_field_is_read`), and so must every module-level
+constant (see `test_every_constant_is_read`).  The checks use the standard
 `ast` module only.
 """
 
@@ -254,3 +255,28 @@ def test_every_dataclass_field_is_read():
               if (cls, f) not in read and (None, f) not in read
               and (cls, f) not in UNREAD_FIELDS_ALLOWED]
     assert not unread, "dataclass fields never read: " + ", ".join(unread)
+
+
+def test_every_constant_is_read():
+    """Every name that a module in `src/ispaces/` binds by a top-level
+    assignment, dunders aside, is read in `src/`, `tests/` or `perfbench/`:
+    loaded as a name, or as an attribute (`cmon.PRUNE_STEPS`).  A retired
+    cap or bound then cannot linger as a constant."""
+    read = set()
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+    unread = []
+    for path in sorted((ROOT / "src" / "ispaces").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            for t in targets:
+                if isinstance(t, ast.Name) and not t.id.startswith("__") \
+                        and t.id not in read:
+                    unread.append(f"{path.name}:{node.lineno} {t.id}")
+    assert not unread, "constants never read: " + ", ".join(unread)
