@@ -6,26 +6,30 @@ evaluates based homotopy colimits of box powers; based maps act by deleting,
 multiplying and rerouting the box factors.  The module also provides
 representables, the special/very-special verdicts, prolongation along a
 based simplicial set, the two-variable smash extraction, and the
-Eckmann-Hilton coincidence check on components.
+Eckmann-Hilton coincidence check on components.  In positive degrees the
+Segal condition is read through the Alexander-Whitney map, in place of the
+product (Eilenberg-Zilber; Eilenberg & Mac Lane, Ann. Math. 58, 1953).
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product as iproduct
 from typing import Callable, Optional
 
 from .simplicial import (
     SMap,
     SimplexRef,
+    alexander_whitney,
     apply_s,
+    chain_complex,
+    cone_homology,
     discrete,
-    map_cone_homology,
     map_from_tables,
     nd_ref,
     normalize_table,
-    pairing_map,
     pi0,
     point,
-    product,
+    tensor_complex,
 )
 from .ispace import _box_raw, box_multi, hocolim_I
 from .cmon import CommMonoidPres, _vec_add, unit_verdicts
@@ -248,31 +252,25 @@ def _min_levels(X, k):
     return out
 
 
-def _pi0_pair_bijective(X, k, l):
-    """Components of X((k+l)+) against component pairs of the factors.
+def _component_pairing(G, big, pa, pb, k, l):
+    """Components of `big` against pairs of components of G's values at k+, l+.
 
-    With colimit provenance, the target is restricted to pairs jointly
-    representable within the level bound; truncation makes the unrestricted
-    surjection unattainable for positively graded monoids.
+    Returns (ok, image, pairs): each component representative's components
+    under pa and pb, the number of pairs to reach, and whether the image is a
+    bijection onto them.  With colimit provenance only pairs within the level
+    bound count: truncation bars the full surjection for graded monoids.
     """
-    big = X.values[k + l]
-    a, b = X.values[k], X.values[l]
-    p1 = X.act(projection_map(k, l, 1), k + l, k)
-    p2 = X.act(projection_map(k, l, 2), k + l, l)
-    ra, rb, rbig = pi0(a), pi0(b), pi0(big)
+    ra, rb, rbig = pi0(G.values[k]), pi0(G.values[l]), pi0(big)
     image = {}
     for v in range(big.card[0]):
-        image[rbig[v]] = (ra[p1(nd_ref(0, v)).base_id], rb[p2(nd_ref(0, v)).base_id])
-    mla, mlb = _min_levels(X, k), _min_levels(X, l)
+        image[rbig[v]] = (ra[pa(nd_ref(0, v)).base_id], rb[pb(nd_ref(0, v)).base_id])
+    mla, mlb = _min_levels(G, k), _min_levels(G, l)
     if mla is None or mlb is None:
         n_pairs = len(set(ra.values())) * len(set(rb.values()))
     else:
-        N = X.monoid.N
         n_pairs = sum(1 for ca in set(ra.values()) for cb in set(rb.values())
-                      if mla[ca] + mlb[cb] <= N)
-    inj = len(set(image.values())) == len(image)
-    surj = len(set(image.values())) == n_pairs
-    return inj and surj, len(image), n_pairs
+                      if mla[ca] + mlb[cb] <= G.monoid.N)
+    return len(set(image.values())) == len(image) == n_pairs, image, n_pairs
 
 
 def pi0_monoid_of_gamma(X):
@@ -283,10 +281,9 @@ def pi0_monoid_of_gamma(X):
     non-basepoint component classes.
     """
     one = X.values[1]
-    two = X.values[2]
     fold = X.act((1, 1), 2, 1)
-    p1 = X.act(projection_map(1, 1, 1), 2, 1)
-    p2 = X.act(projection_map(1, 1, 2), 2, 1)
+    _, image, _ = _component_pairing(X, X.values[2], X.act(projection_map(1, 1, 1), 2, 1),
+                                     X.act(projection_map(1, 1, 2), 2, 1), 1, 1)
     r1 = pi0(one)
     unit_cls = r1[one.basepoint]
     gens = sorted(c for c in set(r1.values()) if c != unit_cls)
@@ -299,12 +296,10 @@ def pi0_monoid_of_gamma(X):
         return tuple(v)
 
     rels = set()
-    for v in range(two.card[0]):
-        a = r1[p1(nd_ref(0, v)).base_id]
-        b = r1[p2(nd_ref(0, v)).base_id]
-        c = r1[fold(nd_ref(0, v)).base_id]
+    for c, (a, b) in image.items():
+        # the fold, like the projections, keeps a component in one component
         lhs = _vec_add(evec(a), evec(b))
-        rhs = evec(c)
+        rhs = evec(r1[fold(nd_ref(0, c)).base_id])
         if lhs != rhs:
             rels.add(tuple(sorted((lhs, rhs))))
     pres = CommMonoidPres([str(g) for g in gens], sorted(rels))
@@ -318,36 +313,37 @@ def is_special(X, D=0):
     Checks that the projections induce component bijections (and homology
     isomorphisms through degree D when D is positive) for all k + l within
     the bound, then tests whether the fold monoid on components is a group.
-    The homology check compares cells through dimension D + 2, so it refuses
-    a value that is neither complete nor a skeleton through that dimension.
+    The homology check takes the cone of the Alexander-Whitney map
+    C(X((k+l)+)) -> C(X(k+)) (x) C(X(l+)) instead of building X(k+) x X(l+)
+    (Eilenberg & Mac Lane), from cells through dimension D + 2; it refuses a
+    value that is neither complete nor a skeleton through that dimension.
     """
     detail = {}
     witness = None
     for k in range(1, X.K):
         for l in range(1, X.K + 1 - k):
-            ok, got, want = _pi0_pair_bijective(X, k, l)
-            detail[f"pi0({k},{l})"] = {"classes": got, "pairs": want, "ok": ok}
+            A, B, V = X.values[k], X.values[l], X.values[k + l]
+            p1 = X.act(projection_map(k, l, 1), k + l, k)
+            p2 = X.act(projection_map(k, l, 2), k + l, l)
+            ok, image, want = _component_pairing(X, V, p1, p2, k, l)
+            detail[f"pi0({k},{l})"] = {"classes": len(image), "pairs": want, "ok": ok}
             if not ok and witness is None:
                 witness = {"check": "pi0", "pair": (k, l),
-                           "classes": got, "expected_pairs": want}
+                           "classes": len(image), "expected_pairs": want}
             if D >= 1 and ok:
                 for j in (k, l, k + l):
-                    V = X.values[j]
-                    if not V.complete and V.top_dim < D + 2:
+                    if not X.values[j].complete and X.values[j].top_dim < D + 2:
                         raise ValueError(
                             f"homology of the pairing through degree {D} needs "
                             f"simplices up to dimension {D + 2}; the value at "
-                            f"{j}+ has {V.top_dim} and no completeness guarantee")
-                top = min(D + 2, X.values[k].top_dim + X.values[l].top_dim)
-                P = product(X.values[k], X.values[l], dim_bound=top)
-                p1 = X.act(projection_map(k, l, 1), k + l, k)
-                p2 = X.act(projection_map(k, l, 2), k + l, l)
-                f = pairing_map(P, p1, p2, top)
-                cone = map_cone_homology(f, D + 1)
-                iso = all(cone.get(i, (0, ())) == (0, ())
-                          for i in range(D + 2))
-                detail[f"homology({k},{l})"] = {
-                    "cone": cone, "ok": iso}
+                            f"{j}+ has {X.values[j].top_dim} and no completeness guarantee")
+                top = min(D + 2, max(V.top_dim + 1, A.top_dim + B.top_dim))
+                T, pos = tensor_complex(chain_complex(A, top), chain_complex(B, top), top)
+                cone = cone_homology(
+                    chain_complex(V, top - 1), T, partial(alexander_whitney, p1, p2, pos),
+                    V.vanishes(top), A.complete and B.complete and A.top_dim + B.top_dim <= top)
+                iso = all(cone.get(i, (0, ())) == (0, ()) for i in range(D + 2))
+                detail[f"homology({k},{l})"] = {"cone": cone, "ok": iso}
                 if not iso and witness is None:
                     witness = {"check": "homology", "pair": (k, l), "cone": cone}
     verdict = "special-evidence" if witness is None else "refuted"
@@ -499,13 +495,18 @@ def eckmann_hilton_check(X):
     on the value at 2+, one cached map.  A real interchange check needs both
     variables at 2+ or more.
     """
-    for (k, l, which) in ((2, 1, "rows"), (1, 2, "columns")):
-        ok, got, want, _ = _bi_pairing_ok(X, k, l)
+    r1 = pi0(X.value(1, 1))
+    folds = []
+    for k, l, which, act in ((2, 1, "rows", lambda phi: X.act1(phi, 2, 1, 1)),
+                             (1, 2, "columns", lambda phi: X.act2(1, phi, 2, 1))):
+        ok, image, want = _component_pairing(X.gamma, X.value(k, l), act((1, 0)), act((0, 1)),
+                                             1, 1)
         if not ok:
             raise ValueError(f"bi-special component pairing fails for {which}: "
-                             f"{got} classes vs {want} pairs")
-    prod_row = _fold_products(X, 2, 1)
-    prod_col = _fold_products(X, 1, 2)
+                             f"{len(image)} classes vs {want} pairs")
+        fold = act((1, 1))  # keeps a component in one component: read it at the representative
+        folds.append({pair: r1[fold(nd_ref(0, c)).base_id] for c, pair in image.items()})
+    prod_row, prod_col = folds
     products = {}
     witness = None
     for key in sorted(set(prod_row) | set(prod_col)):
@@ -516,45 +517,3 @@ def eckmann_hilton_check(X):
             witness = {"pair": key, "row": a, "column": b}
     passed = witness is None and products
     return EckmannHiltonReport(bool(passed), products, witness)
-
-
-def _bi_pairing_ok(X, k, l):
-    big = X.value(k, l)
-    one = X.value(1, 1)
-    if k == 2:
-        pa = X.act1((1, 0), 2, 1, 1)
-        pb = X.act1((0, 1), 2, 1, 1)
-    else:
-        pa = X.act2(1, (1, 0), 2, 1)
-        pb = X.act2(1, (0, 1), 2, 1)
-    rbig, r1 = pi0(big), pi0(one)
-    image = {}
-    for v in range(big.card[0]):
-        image[rbig[v]] = (r1[pa(nd_ref(0, v)).base_id], r1[pb(nd_ref(0, v)).base_id])
-    ml = _min_levels(X.gamma, 1)
-    if ml is None:
-        n_pairs = len(set(r1.values())) ** 2
-    else:
-        N = X.gamma.monoid.N
-        n_pairs = sum(1 for a in set(r1.values()) for b in set(r1.values())
-                      if ml[a] + ml[b] <= N)
-    distinct = len(set(image.values()))
-    ok = distinct == len(image) == n_pairs
-    return ok, len(image), n_pairs, image
-
-
-def _fold_products(X, k, l):
-    """Partial product table on (1+,1+)-components via the (k,l) fold."""
-    big = X.value(k, l)
-    one = X.value(1, 1)
-    if k == 2:
-        fold = X.act1((1, 1), 2, 1, 1)
-    else:
-        fold = X.act2(1, (1, 1), 2, 1)
-    _, _, _, image = _bi_pairing_ok(X, k, l)
-    rbig, r1 = pi0(big), pi0(one)
-    table = {}
-    for v in range(big.card[0]):
-        pair = image[rbig[v]]
-        table[pair] = r1[fold(nd_ref(0, v)).base_id]
-    return table

@@ -143,8 +143,9 @@ class SSet:
             res = self.face[ref.base_dim][ref.base_id][k]
         return apply_word(out, res)
 
-    def s(self, i, ref):
-        return apply_s(i, ref)
+    def vanishes(self, k):
+        """True when the set provably has no nondegenerate k-simplex."""
+        return self.n_nondeg(k) == 0 if k <= self.top_dim else self.complete
 
     def size(self):
         return sum(self.card)
@@ -428,20 +429,6 @@ def product(X, Y, dim_bound=None):
     )
 
 
-def pairing_map(prod, f, g, top):
-    """(f, g): Z -> X x Y from maps f: Z -> X, g: Z -> Y, through dimension top.
-
-    The product may be a skeleton, so the pairing is tabulated on the
-    simplices of Z of dimension at most `top` only.
-    """
-    table = {}
-    for k in range(min(top, f.src.top_dim) + 1):
-        for x in range(f.src.card[k]):
-            ra, rb = f(nd_ref(k, x)), g(nd_ref(k, x))
-            table[(k, x)] = normalize_pair_ref(prod, ra, rb)
-    return SMap(f.src, prod.sset, table)
-
-
 def normalize_pair_ref(prod, ra, rb):
     """Locate the pair (ra, rb) as a SimplexRef of the product."""
     common = set(ra.degs) & set(rb.degs)
@@ -614,6 +601,13 @@ class ChainComplex:
     counts: list
     boundaries: list  # boundaries[k]: ColumnMatrix of d_k: C_k -> C_{k-1}, column x = d_k x
 
+    def count(self, k):
+        return self.counts[k] if 0 <= k < len(self.counts) else 0
+
+    def boundary_cols(self, k):
+        """The columns {x: {row: value}} of d_k; empty outside the complex."""
+        return self.boundaries[k].cols if 1 <= k < len(self.boundaries) else {}
+
     def validate(self):
         bad = []
         for k in range(2, len(self.counts)):
@@ -713,40 +707,87 @@ def map_cone_homology(f, d_report):
     """
     X, Y = f.src, f.dst
     top = min(d_report + 1, max(X.top_dim + 1, Y.top_dim))
-    cx = chain_complex(X, top=min(top - 1, X.top_dim)) if top >= 1 else chain_complex(X, top=0)
-    cy = chain_complex(Y, top=min(top, Y.top_dim))
+    return cone_homology(chain_complex(X, top - 1), chain_complex(Y, top),
+                         partial(_image_column, f), X.vanishes(top), Y.vanishes(top + 1))
 
-    def cnt(c, k):
-        return c.counts[k] if 0 <= k < len(c.counts) else 0
 
-    def bnd(c, k):
-        return c.boundaries[k].cols if 1 <= k < len(c.boundaries) else {}
+def _image_column(f, k, x):
+    img = f(nd_ref(k, x))
+    return {img.base_id: 1} if img.is_nondegenerate else {}
 
-    counts = [cnt(cx, k - 1) + cnt(cy, k) for k in range(top + 1)]
+
+def cone_homology(cx, cy, f_col, src_ends, dst_ends):
+    """Homology of the mapping cone of a chain map f: cx -> cy, given by columns.
+
+    f_col(k, x) is f(x) for a basis k-chain x, as {row: coefficient}.  Cone
+    degree k holds cx in degree k - 1, then cy in degree k.  It is built through
+    top = max(len(cx.counts), len(cy.counts) - 1); its top group is kept only
+    when cx provably vanishes in degree top and cy in degree top + 1.
+    """
+    top = max(len(cx.counts), len(cy.counts) - 1)
+    counts = [cx.count(k - 1) + cy.count(k) for k in range(top + 1)]
     boundaries = [ColumnMatrix({})]
     for k in range(1, top + 1):
-        cols = {}  # column x < offc: -d^X x + f(x); column offc + y: d^Y y, shifted
-        offr = cnt(cx, k - 2)
-        offc = cnt(cx, k - 1)
-        dx = bnd(cx, k - 1)
+        cols = {}
+        offr, offc = cx.count(k - 2), cx.count(k - 1)
+        dx = cx.boundary_cols(k - 1)
         for x in range(offc):
             col = {r: -v for r, v in dx.get(x, {}).items()}
-            img = f(nd_ref(k - 1, x))
-            if img.is_nondegenerate:
-                col[offr + img.base_id] = 1
+            for r, v in f_col(k - 1, x).items():
+                col[offr + r] = v
             if col:
                 cols[x] = col
-        for y, col in bnd(cy, k).items():
+        for y, col in cy.boundary_cols(k).items():
             cols[offc + y] = {offr + r: v for r, v in col.items()}
         boundaries.append(ColumnMatrix(cols))
     groups = _homology_groups(counts, boundaries, range(top + 1))
-
-    def known_nondeg(Z, k):
-        if k <= Z.top_dim:
-            return Z.n_nondeg(k)
-        return 0 if Z.complete else None
-
-    # the top group is certifiable when the cone provably vanishes above it
-    if not (known_nondeg(X, top) == 0 and known_nondeg(Y, top + 1) == 0):
+    if not (src_ends and dst_ends):
         del groups[top]
     return groups
+
+
+def tensor_complex(cx, cy, top):
+    """The tensor product of two chain complexes through degree top.
+
+    Degree n has the basis a (x) b, for a in degree p of cx and b in degree
+    n - p of cy, by p, then a, then b; a (x) b is at pos(n, p, a, b), and
+    d(a (x) b) = da (x) b + (-1)^p a (x) db.  Returns (ChainComplex, pos).
+    """
+    offsets = [[sum(cx.count(i) * cy.count(n - i) for i in range(p)) for p in range(n + 2)]
+               for n in range(top + 1)]
+
+    def pos(n, p, a, b):
+        return offsets[n][p] + a * cy.count(n - p) + b
+
+    boundaries = [ColumnMatrix({})]
+    for n in range(1, top + 1):
+        cols = {}
+        for p in range(n + 1):
+            dxs, dys = cx.boundary_cols(p), cy.boundary_cols(n - p)
+            for a in range(cx.count(p)):
+                da = dxs.get(a, {})
+                for b in range(cy.count(n - p)):
+                    col = {pos(n - 1, p - 1, r, b): v for r, v in da.items()}
+                    for r, v in dys.get(b, {}).items():
+                        col[pos(n - 1, p, a, r)] = -v if p % 2 else v
+                    if col:
+                        cols[pos(n, p, a, b)] = col
+        boundaries.append(ColumnMatrix(cols))
+    return ChainComplex([row[-1] for row in offsets], boundaries), pos
+
+
+def alexander_whitney(f, g, pos, n, z):
+    """The Alexander-Whitney column of the nondegenerate n-simplex z under (f, g).
+
+    The sum over p of front_p f(z) (x) back_{n-p} g(z), the faces on the first
+    p + 1 and last n - p + 1 vertices, at positions `pos` of `tensor_complex`;
+    a term with a degenerate factor vanishes.  By the Eilenberg-Zilber theorem
+    this gives the chains of (f, g): Z -> X x Y up to chain homotopy.
+    """
+    fronts, backs = [f(nd_ref(n, z))], [g(nd_ref(n, z))]
+    for i in range(n, 0, -1):
+        fronts.append(f.dst.d(i, fronts[-1]))
+        backs.append(g.dst.d(0, backs[-1]))
+    return {pos(n, p, a.base_id, b.base_id): 1
+            for p, a, b in zip(range(n + 1), reversed(fronts), backs)
+            if a.is_nondegenerate and b.is_nondegenerate}

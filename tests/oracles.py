@@ -360,6 +360,22 @@ def map_table_reference(src_tab, dst_tab, raw_fn):
     return table
 
 
+def pairing_map(prod, f, g, top):
+    """(f, g): Z -> X x Y from maps f: Z -> X, g: Z -> Y, through dimension top,
+    into a product built by `product`: the pairing into the product simplicial
+    set, against which the Alexander-Whitney cone of `gamma.is_special` is
+    checked.  The product may be a skeleton, so the pairing is tabulated on
+    the simplices of Z of dimension at most `top` only."""
+    from ispaces.simplicial import SMap, nd_ref, normalize_pair_ref
+
+    table = {}
+    for k in range(min(top, f.src.top_dim) + 1):
+        for x in range(f.src.card[k]):
+            ra, rb = f(nd_ref(k, x)), g(nd_ref(k, x))
+            table[(k, x)] = normalize_pair_ref(prod, ra, rb)
+    return SMap(f.src, prod.sset, table)
+
+
 def chain_boundary_reference(X, k):
     """The entries of the normalized boundary d_k of X as a list, column by
     column and, within a column, in order of first appearance among the

@@ -10,6 +10,7 @@ from ispaces.gamma import (
     gamma_of_monoid,
     is_special,
     pi0_monoid_of_gamma,
+    projection_map,
     prolong,
     representable,
     smash_index,
@@ -18,12 +19,15 @@ from ispaces.simplicial import (
     SMap,
     discrete,
     homology,
+    map_cone_homology,
     nd_ref,
     pi0_classes,
     point,
+    product,
     simplicial_circle,
     validate_sset,
 )
+from oracles import pairing_map
 
 
 def test_based_map_enumeration():
@@ -116,32 +120,73 @@ def test_special_refuted_for_broken_functor():
     assert sv.witness["pair"] == (1, 1)
 
 
-def test_special_for_constant_point():
+def _constant_point():
     values = [point(), point(), point()]
 
     def act_fn(phi, k, l):
         return SMap(values[k], values[l], {(0, 0): nd_ref(0, 0)})
 
-    X = GammaSpaceT(2, values, act_fn)
+    return GammaSpaceT(2, values, act_fn)
+
+
+def test_special_for_constant_point():
+    X = _constant_point()
     sv = is_special(X, D=0)
     assert sv.verdict == "special-evidence"
     assert sv.very_special == "yes"
-    # with D >= 1 the pairing into the product is checked on homology too
+    # with D >= 1 the Segal maps are checked on homology too
     sv = is_special(X, D=1)
     assert sv.verdict == "special-evidence"
     assert sv.detail["homology(1,1)"]["ok"]
 
 
-@pytest.mark.parametrize("build, S", [
-    (lambda: cyclic2_monoid(2), 2),
+@pytest.mark.parametrize("build, K, S, D", [
+    (lambda: cyclic2_monoid(2), 2, 2, 0),
     # the units of m52: the grouplike monoid of the paper's units construction
-    (lambda: units(sec52_monoid(3)).units_monoid, 1),
-], ids=["z2", "m52-units"])
-def test_very_special_for_group_model(build, S):
-    G = gamma_of_monoid(build(), 2, S)
-    sv = is_special(G, D=0)
+    (lambda: units(sec52_monoid(3)).units_monoid, 2, 1, 0),
+    # its Segal maps are homology isomorphisms through degree 1, for every
+    # pair (k, l) with k + l <= 3
+    (lambda: units(sec52_monoid(3)).units_monoid, 3, 3, 1),
+], ids=["z2", "m52-units", "m52-units-D1"])
+def test_very_special_for_group_model(build, K, S, D):
+    G = gamma_of_monoid(build(), K, S)
+    sv = is_special(G, D=D)
     assert sv.verdict == "special-evidence"
     assert sv.very_special == "yes"
+    cones = [v for key, v in sv.detail.items() if key.startswith("homology")]
+    assert len(cones) == (K * (K - 1) // 2 if D else 0)
+    assert all(v["ok"] for v in cones)
+
+
+def _product_path_cone(X, k, l, D):
+    """The cone of the pairing into the product X(k+) x X(l+), through
+    degree D + 1: the Segal check of `is_special` before the
+    Alexander-Whitney map replaced the product."""
+    A, B = X.values[k], X.values[l]
+    top = min(D + 2, A.top_dim + B.top_dim)
+    P = product(A, B, dim_bound=top)
+    f = pairing_map(P, X.act(projection_map(k, l, 1), k + l, k),
+                    X.act(projection_map(k, l, 2), k + l, l), top)
+    return map_cone_homology(f, D + 1)
+
+
+@pytest.mark.parametrize("build, torsion", [
+    (lambda: gamma_of_monoid(cyclic2_monoid(2), 2, 3), None),
+    # the pairing for c1(2) is no homology isomorphism, and its cone has
+    # groups Z^3, (Z/2)^4 and Z/2
+    (lambda: gamma_of_monoid(c1(2), 2, 3), {0: (3, ()), 1: (0, (2, 2, 2, 2)), 2: (0, (2,))}),
+    (lambda: gamma_of_monoid(sec52_monoid(2), 2, 3), None),
+    (_constant_point, None),
+], ids=["z2", "c1", "m52", "constant-point"])
+def test_alexander_whitney_cone_matches_product_path(build, torsion):
+    # by Eilenberg-Zilber both cones have the same groups, torsion included
+    X = build()
+    sv = is_special(X, D=1)
+    pairs = [(k, l) for k in range(1, X.K) for l in range(1, X.K + 1 - k)]
+    for k, l in pairs:
+        assert sv.detail[f"homology({k},{l})"]["cone"] == _product_path_cone(X, k, l, 1)
+    if torsion is not None:
+        assert sv.detail["homology(1,1)"]["cone"] == torsion
 
 
 def test_smash_identification():

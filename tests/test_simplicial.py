@@ -1,12 +1,16 @@
+from functools import partial
 from itertools import combinations
 
 import pytest
 
 from ispaces.simplicial import (
     SimplexRef,
+    alexander_whitney,
     apply_s,
     apply_word,
+    chain_complex,
     component_subcomplex,
+    cone_homology,
     discrete,
     homology,
     map_cone_homology,
@@ -14,7 +18,6 @@ from ispaces.simplicial import (
     nd_ref,
     nerve,
     normalize_pair_ref,
-    pairing_map,
     pi0_classes,
     point,
     product,
@@ -23,12 +26,13 @@ from ispaces.simplicial import (
     simplicial_circle,
     sphere,
     standard_simplex,
+    tensor_complex,
     validate_sset,
 )
 
 from ispaces.icat import TruncatedI, comma_under
 from oracles import (chain_boundary_reference, cyclic_group_category, map_table_reference,
-                     nerve_reference, rational_rank)
+                     nerve_reference, pairing_map, rational_rank)
 
 
 def test_point_and_empty():
@@ -139,6 +143,61 @@ def test_cone_detects_iso_and_non_iso():
     # the cone of S^1 -> point is a suspension: H_2 = Z refutes the iso
     cone = map_cone_homology(collapse, 2)
     assert cone.get(2, (0, ())) == (1, ())
+
+
+def _apply(column_of, chain):
+    """The image of a chain {basis: coefficient} under a map given by columns."""
+    out = {}
+    for x, v in chain.items():
+        for r, w in column_of(x).items():
+            out[r] = out.get(r, 0) + v * w
+    return {r: v for r, v in out.items() if v}
+
+
+def _aw_cone(f, g, top):
+    """The cone of the Alexander-Whitney map of (f, g) through degree top,
+    after checking that the tensor differential squares to zero and that
+    the map commutes with the differentials."""
+    X, Y, Z = f.dst, g.dst, f.src
+    T, pos = tensor_complex(chain_complex(X, top), chain_complex(Y, top), top)
+    cz = chain_complex(Z, top - 1)
+    aw = partial(alexander_whitney, f, g, pos)
+    assert T.validate() == []
+    for n in range(1, len(cz.counts)):
+        for z in range(cz.count(n)):
+            d_aw = _apply(lambda r: T.boundary_cols(n).get(r, {}), aw(n, z))
+            assert d_aw == _apply(partial(aw, n - 1), cz.boundary_cols(n).get(z, {}))
+    return cone_homology(cz, T, aw, Z.vanishes(top),
+                         X.complete and Y.complete and X.top_dim + Y.top_dim <= top)
+
+
+@pytest.mark.parametrize("X, Y", [
+    (standard_simplex(1), standard_simplex(2)),
+    (simplicial_circle(), simplicial_circle()),
+    (simplicial_circle(), sphere(2)),
+], ids=["d1-d2", "s1-s1", "s1-s2"])
+def test_alexander_whitney_cone_of_a_product_vanishes(X, Y):
+    # Eilenberg-Zilber: the projections of X x Y pair to a chain homotopy
+    # equivalence C(X x Y) -> C(X) (x) C(Y), so its cone is acyclic
+    P = product(X, Y)
+    top = P.sset.top_dim + 1
+    assert _aw_cone(P.proj1, P.proj2, top) == {k: (0, ()) for k in range(top + 1)}
+
+
+@pytest.mark.parametrize("X, acyclic", [
+    (standard_simplex(2), True),
+    # the diagonal of a sphere misses a class of the product
+    (simplicial_circle(), False),
+    (sphere(2), False),
+], ids=["d2", "s1", "s2"])
+def test_alexander_whitney_cone_of_a_diagonal_matches_the_product(X, acyclic):
+    from ispaces.simplicial import identity_map
+
+    ident = identity_map(X)
+    P = product(X, X)
+    cone = map_cone_homology(pairing_map(P, ident, ident, P.sset.top_dim), 2 * X.top_dim - 1)
+    assert _aw_cone(ident, ident, 2 * X.top_dim) == cone
+    assert all(g == (0, ()) for g in cone.values()) == acyclic
 
 
 def test_boundary_squares_to_zero():
