@@ -28,10 +28,8 @@ from .simplicial import (
     map_cone_homology,
     map_from_tables,
     nd_ref,
-    normalize_pair_ref,
     normalize_table,
     pi0,
-    product,
     quotient,
     validate_sset,
 )
@@ -342,13 +340,6 @@ def box_multi(factors, dim_bound, based=False):
     """
     k_factors = len(factors)
     N = min(f.N for f in factors)
-    if k_factors == 0:
-        unit = terminal_ispace(N, based=based)
-        data = [
-            BoxLevel(NormTable(unit.level(n), {}, {}), [])
-            for n in range(N + 1)
-        ]
-        return BoxISpace(unit, data, ())
     if k_factors == 1:
         return _box_single(factors[0], dim_bound)
     data = []
@@ -393,32 +384,26 @@ def _box_single(X, dim_bound):
     return BoxISpace(X, data, (X,))
 
 
-def box(X, Y, dim_bound=None):
-    """Two-factor box product."""
-    if dim_bound is None:
-        dim_bound = max(max(L.top_dim for L in X.levels),
-                        max(L.top_dim for L in Y.levels)) + 1
-    return box_multi((X, Y), dim_bound)
-
-
 def rho(BXY):
-    """The comparison box(X, Y) -> X x Y induced by the two projections."""
+    """The comparison box(X, Y) -> X x Y, as its two projections per level.
+
+    A map into a product is simplicial exactly when both of its components
+    are, so level n gives the pair of maps box(X, Y)(n) -> X(n) and
+    box(X, Y)(n) -> Y(n); each pushes a raw cell (nvec, image, (rx, ry))
+    along the decomposition injection restricted to that factor's block.
+    """
     X, Y = BXY.factors
-    prods = []
-    maps = {}
+    maps = []
     for n in range(BXY.space.N + 1):
-        P = product(X.level(n), Y.level(n))
-        prods.append(P)
-        table = {}
-        for (k, x), raw in BXY.data[n].table.raw_of.items():
-            nvec, a_img, (rx, ry) = raw
+        px, py = {}, {}
+        for (k, x), (nvec, a_img, (rx, ry)) in BXY.data[n].table.raw_of.items():
             a = Injection(sum(nvec), n, a_img)
-            ax = compose(a, subset_inclusion(nvec[0], a.src))
-            ay = compose(a, Injection(nvec[1], a.src,
-                                      range(nvec[0] + 1, nvec[0] + nvec[1] + 1)))
-            table[(k, x)] = normalize_pair_ref(P, X.act(ax)(rx), Y.act(ay)(ry))
-        maps[n] = SMap(BXY.space.level(n), P.sset, table)
-    return prods, maps
+            px[(k, x)] = X.act(compose(a, subset_inclusion(nvec[0], a.src)))(rx)
+            py[(k, x)] = Y.act(compose(a, Injection(nvec[1], a.src,
+                                                     range(nvec[0] + 1, a.src + 1))))(ry)
+        src = BXY.space.level(n)
+        maps.append((SMap(src, X.level(n), px), SMap(src, Y.level(n), py)))
+    return maps
 
 
 # ---------------------------------------------------------------------------

@@ -380,67 +380,6 @@ def map_from_tables(src_tab, dst_tab, raw_fn):
 
 
 # ---------------------------------------------------------------------------
-# Products.
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ProductData:
-    sset: SSet
-    table: NormTable
-    proj1: SMap
-    proj2: SMap
-
-
-def product(X, Y, dim_bound=None):
-    """Categorical product, by shuffle decomposition of simplex pairs."""
-    natural = X.top_dim + Y.top_dim
-    top = natural if dim_bound is None else min(dim_bound, natural)
-    if dim_bound is not None and dim_bound > natural and not (X.complete and Y.complete):
-        raise ValueError("requested dimension exceeds available skeleta")
-    cells = [
-        [(ra, rb) for ra in X.all_simplices(k) for rb in Y.all_simplices(k)]
-        for k in range(top + 1)
-    ]
-
-    def faces_fn(k, raw):
-        ra, rb = raw
-        return tuple((X.d(i, ra), Y.d(i, rb)) for i in range(k + 1))
-
-    def deg_fn(k, raw, i):
-        ra, rb = raw
-        return (apply_s(i, ra), apply_s(i, rb))
-
-    based = None
-    if X.basepoint is not None and Y.basepoint is not None:
-        based = (nd_ref(0, X.basepoint), nd_ref(0, Y.basepoint))
-    tab = normalize_table(
-        cells, faces_fn, deg_fn, top,
-        complete=X.complete and Y.complete and top == natural,
-        based_raw=based,
-    )
-    p1 = {}
-    p2 = {}
-    for (k, x), (ra, rb) in tab.raw_of.items():
-        p1[(k, x)] = ra
-        p2[(k, x)] = rb
-    return ProductData(
-        tab.sset, tab,
-        SMap(tab.sset, X, p1), SMap(tab.sset, Y, p2),
-    )
-
-
-def normalize_pair_ref(prod, ra, rb):
-    """Locate the pair (ra, rb) as a SimplexRef of the product."""
-    common = set(ra.degs) & set(rb.degs)
-    if not common:
-        return prod.table.ref_of[(ra, rb)]
-    i = min(common)
-    X, Y = prod.proj1.dst, prod.proj2.dst
-    inner = normalize_pair_ref(prod, X.d(i + 1, ra), Y.d(i + 1, rb))
-    return apply_s(i, inner)
-
-
-# ---------------------------------------------------------------------------
 # Quotients.
 # ---------------------------------------------------------------------------
 

@@ -5,6 +5,7 @@ textbook chain complexes, sharing as little code as possible with the
 library under test.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -360,13 +361,79 @@ def map_table_reference(src_tab, dst_tab, raw_fn):
     return table
 
 
+@dataclass
+class ProductData:
+    sset: object
+    table: object
+    proj1: object
+    proj2: object
+
+
+def product_sset(X, Y, dim_bound=None):
+    """The categorical product X x Y, by shuffle decomposition of simplex
+    pairs: the product simplicial set that the library no longer builds.
+    Its cells are normalized by `simplicial.normalize_table`, looked up on
+    the module so that a test which patches it sees this call."""
+    from ispaces import simplicial
+    from ispaces.simplicial import SMap, apply_s, nd_ref
+
+    natural = X.top_dim + Y.top_dim
+    top = natural if dim_bound is None else min(dim_bound, natural)
+    if dim_bound is not None and dim_bound > natural and not (X.complete and Y.complete):
+        raise ValueError("requested dimension exceeds available skeleta")
+    cells = [
+        [(ra, rb) for ra in X.all_simplices(k) for rb in Y.all_simplices(k)]
+        for k in range(top + 1)
+    ]
+
+    def faces_fn(k, raw):
+        ra, rb = raw
+        return tuple((X.d(i, ra), Y.d(i, rb)) for i in range(k + 1))
+
+    def deg_fn(k, raw, i):
+        ra, rb = raw
+        return (apply_s(i, ra), apply_s(i, rb))
+
+    based = None
+    if X.basepoint is not None and Y.basepoint is not None:
+        based = (nd_ref(0, X.basepoint), nd_ref(0, Y.basepoint))
+    tab = simplicial.normalize_table(
+        cells, faces_fn, deg_fn, top,
+        complete=X.complete and Y.complete and top == natural,
+        based_raw=based,
+    )
+    p1 = {}
+    p2 = {}
+    for (k, x), (ra, rb) in tab.raw_of.items():
+        p1[(k, x)] = ra
+        p2[(k, x)] = rb
+    return ProductData(
+        tab.sset, tab,
+        SMap(tab.sset, X, p1), SMap(tab.sset, Y, p2),
+    )
+
+
+def normalize_pair_ref(prod, ra, rb):
+    """Locate the pair (ra, rb) as a SimplexRef of a `product_sset`."""
+    from ispaces.simplicial import apply_s
+
+    common = set(ra.degs) & set(rb.degs)
+    if not common:
+        return prod.table.ref_of[(ra, rb)]
+    i = min(common)
+    X, Y = prod.proj1.dst, prod.proj2.dst
+    inner = normalize_pair_ref(prod, X.d(i + 1, ra), Y.d(i + 1, rb))
+    return apply_s(i, inner)
+
+
 def pairing_map(prod, f, g, top):
     """(f, g): Z -> X x Y from maps f: Z -> X, g: Z -> Y, through dimension top,
-    into a product built by `product`: the pairing into the product simplicial
-    set, against which the Alexander-Whitney cone of `gamma.is_special` is
-    checked.  The product may be a skeleton, so the pairing is tabulated on
-    the simplices of Z of dimension at most `top` only."""
-    from ispaces.simplicial import SMap, nd_ref, normalize_pair_ref
+    into a product built by `product_sset`: the pairing into the product
+    simplicial set, against which the Alexander-Whitney cone of
+    `gamma.is_special` and the projections of `ispace.rho` are checked.  The
+    product may be a skeleton, so the pairing is tabulated on the simplices
+    of Z of dimension at most `top` only."""
+    from ispaces.simplicial import SMap, nd_ref
 
     table = {}
     for k in range(min(top, f.src.top_dim) + 1):

