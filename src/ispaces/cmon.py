@@ -18,7 +18,6 @@ from . import icat
 from .icat import TruncatedI, concat, shuffle
 from .simplicial import (
     SMap,
-    SimplexRef,
     component_subcomplex,
     homology,
     map_cone_homology,
@@ -27,6 +26,7 @@ from .simplicial import (
     normalize_table,
     pi0,
     pi0_classes,
+    ref_dim,
 )
 from .ispace import (
     ISpaceT,
@@ -73,7 +73,7 @@ class CIMonoidT:
         return self.space.N
 
     def unit_ref(self, dim=0):
-        return SimplexRef(_full_word(dim), 0, self.unit)
+        return (_full_word(dim), 0, self.unit)
 
     def level(self, n):
         return self.space.level(n)
@@ -93,7 +93,7 @@ def validate_monoid(A):
                 for rx in X.level(m).all_simplices(k):
                     for ry in X.level(n).all_simplices(k):
                         p = A.mul(m, n, rx, ry)
-                        if p.dim != k:
+                        if ref_dim(p) != k:
                             bad.append(f"mul({m},{n}) changes dimension")
                             continue
                         if k >= 1:
@@ -160,10 +160,10 @@ def discrete_monoid(N, points, act_point, mul_point, unit_point, name=""):
     index = [{p: i for i, p in enumerate(points[n])} for n in range(N + 1)]
 
     def mul(m, n, rx, ry):
-        if rx.degs != ry.degs:
+        (degs, _, x), (degs_y, _, y) = rx, ry
+        if degs != degs_y:
             raise ValueError("discrete multiplication needs equal degeneracy words")
-        v = index[m + n][mul_point(m, n, points[m][rx.base_id], points[n][ry.base_id])]
-        return SimplexRef(rx.degs, 0, v)
+        return (degs, 0, index[m + n][mul_point(m, n, points[m][x], points[n][y])])
 
     return CIMonoidT(space, index[0][unit_point], mul, name=name)
 
@@ -277,15 +277,16 @@ def free_cmonoid(X):
         if len(nvec) > N:
             raise ValueError("word-length truncation overflow")
         raw = (nvec, rawx[1] + tuple(v + m for v in rawy[1]), rawx[2] + rawy[2])
-        dim = rx.dim
+        dim = ref_dim(rx)
         ref = tables[m + n].ref_of[data[m + n][dim][raw]]
-        if ref.dim < dim:
+        if ref_dim(ref) < dim:
             # the empty word carries no simplex data; its raw cell is shared
             # across dimensions and normalizes to the unit vertex
-            ref = SimplexRef(_full_word(dim), ref.base_dim, ref.base_id)
+            _, base_dim, base_id = ref
+            ref = (_full_word(dim), base_dim, base_id)
         return ref
 
-    unit_id = tables[0].ref_of[data[0][0][((), (), ())]].base_id
+    _, _, unit_id = tables[0].ref_of[data[0][0][((), (), ())]]
     return CIMonoidT(space, unit_id, mul, name="free",
                      meta={"word_truncation_exact": exact})
 
@@ -358,7 +359,7 @@ def merged_classes(A):
     for alpha in TruncatedI(A.N).arrows():
         f = A.space.act(alpha)
         for v in range(A.level(alpha.src).card[0]):
-            img = f(nd_ref(0, v)).base_id
+            _, _, img = f(nd_ref(0, v))
             ds.union((alpha.src, level_reps[alpha.src][v]),
                      (alpha.dst, level_reps[alpha.dst][img]))
     rep = ds.canonicalize()
@@ -395,9 +396,9 @@ def pi0_monoid(A):
         for n in range(A.N + 1 - m):
             for x in range(A.level(m).card[0]):
                 for y in range(A.level(n).card[0]):
-                    p = A.mul(m, n, nd_ref(0, x), nd_ref(0, y))
+                    _, _, p = A.mul(m, n, nd_ref(0, x), nd_ref(0, y))
                     lhs = _vec_add(evec(cls(m, x)), evec(cls(n, y)))
-                    rhs = evec(cls(m + n, p.base_id))
+                    rhs = evec(cls(m + n, p))
                     if lhs != rhs:
                         rels.add(tuple(sorted((lhs, rhs))))
     pres = CommMonoidPres(list(gens), sorted(rels))
@@ -627,7 +628,8 @@ def units(A):
         newid.append(ids)
 
     def pull(n, ref):
-        return SimplexRef(ref.degs, ref.base_dim, newid[n][ref.base_dim][ref.base_id])
+        degs, base_dim, base_id = ref
+        return (degs, base_dim, newid[n][base_dim][base_id])
 
     incl = {}
     for n in range(A.N + 1):
@@ -650,16 +652,16 @@ def units(A):
         for n in range(A.N + 1 - m):
             for x in level_split[m][0]:
                 for y in level_split[n][0]:
-                    p = A.mul(m, n, nd_ref(0, x), nd_ref(0, y))
-                    if cls(m + n, p.base_id) not in unit_classes:
+                    _, _, p = A.mul(m, n, nd_ref(0, x), nd_ref(0, y))
+                    if cls(m + n, p) not in unit_classes:
                         closed = False
     absorption = True
     for m in range(A.N + 1):
         for n in range(A.N + 1 - m):
             for x in level_split[m][1]:
                 for y in range(A.level(n).card[0]):
-                    p = A.mul(m, n, nd_ref(0, x), nd_ref(0, y))
-                    if cls(m + n, p.base_id) in unit_classes:
+                    _, _, p = A.mul(m, n, nd_ref(0, x), nd_ref(0, y))
+                    if cls(m + n, p) in unit_classes:
                         absorption = False
     units_monoid = CIMonoidT(space, newid[0][0][A.unit], mul,
                              name=A.name + "-units")

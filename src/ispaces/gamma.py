@@ -18,7 +18,6 @@ from typing import Callable, Optional
 
 from .simplicial import (
     SMap,
-    SimplexRef,
     alexander_whitney,
     apply_s,
     chain_complex,
@@ -29,6 +28,7 @@ from .simplicial import (
     normalize_table,
     pi0,
     point,
+    ref_dim,
     tensor_complex,
 )
 from .ispace import _box_raw, box_multi, hocolim_I
@@ -79,7 +79,8 @@ class GammaSpaceT:
                     f = self.act(phi, k, l)
                     bad += [f"map {phi}: {m}" for m in f.validate()]
                     bp = self.values[k].basepoint
-                    if f(nd_ref(0, bp)).base_id != self.values[l].basepoint:
+                    _, _, img = f(nd_ref(0, bp))
+                    if img != self.values[l].basepoint:
                         bad.append(f"map {phi} not based")
         if bad:
             return bad
@@ -141,7 +142,7 @@ def _apply_based_to_raw(A, phi, l, raw):
     new_nvec = []
     new_xs = []
     image = []
-    dim = xs[0].dim if xs else 0
+    dim = ref_dim(xs[0]) if xs else 0
     for j in range(1, l + 1):
         fiber = [i for i in range(k) if phi[i] == j]
         total = sum(nvec[i] for i in fiber)
@@ -186,8 +187,7 @@ def gamma_of_monoid(A, K, S):
             table = {}
             for d in range(values[k].top_dim + 1):
                 for x in range(values[k].card[d]):
-                    table[(d, x)] = SimplexRef(
-                        tuple(range(d - 1, -1, -1)), 0, 0)
+                    table[(d, x)] = (tuple(range(d - 1, -1, -1)), 0, 0)
             return SMap(values[k], values[0], table)
 
         def push(d, raw):
@@ -195,7 +195,7 @@ def gamma_of_monoid(A, K, S):
             n = levels[-1]
             raw_box = _box_raw(boxes[k].data[n].table, xref)
             moved = _apply_based_to_raw(A, phi, l, raw_box)
-            dim = xref.dim
+            dim = ref_dim(xref)
             new_ref = boxes[l].data[n].ref(dim, moved)
             return (levels, arrows, new_ref)
 
@@ -263,7 +263,8 @@ def _component_pairing(G, big, pa, pb, k, l):
     ra, rb, rbig = pi0(G.values[k]), pi0(G.values[l]), pi0(big)
     image = {}
     for v in range(big.card[0]):
-        image[rbig[v]] = (ra[pa(nd_ref(0, v)).base_id], rb[pb(nd_ref(0, v)).base_id])
+        (_, _, a), (_, _, b) = pa(nd_ref(0, v)), pb(nd_ref(0, v))
+        image[rbig[v]] = (ra[a], rb[b])
     mla, mlb = _min_levels(G, k), _min_levels(G, l)
     if mla is None or mlb is None:
         n_pairs = len(set(ra.values())) * len(set(rb.values()))
@@ -299,7 +300,8 @@ def pi0_monoid_of_gamma(X):
     for c, (a, b) in image.items():
         # the fold, like the projections, keeps a component in one component
         lhs = _vec_add(evec(a), evec(b))
-        rhs = evec(r1[fold(nd_ref(0, c)).base_id])
+        _, _, folded = fold(nd_ref(0, c))
+        rhs = evec(r1[folded])
         if lhs != rhs:
             rels.add(tuple(sorted((lhs, rhs))))
     pres = CommMonoidPres([str(g) for g in gens], sorted(rels))
@@ -382,7 +384,7 @@ def prolong(X, Kbase, dim_bound=None):
     orders = []
     for s in range(dim_bound + 1):
         simps = Kbase.all_simplices(s)
-        bp = SimplexRef(tuple(range(s - 1, -1, -1)), 0, Kbase.basepoint)
+        bp = (tuple(range(s - 1, -1, -1)), 0, Kbase.basepoint)
         rest = sorted(r for r in simps if r != bp)
         orders.append({r: i + 1 for i, r in enumerate(rest)} | {bp: 0})
         sizes.append(len(rest))
@@ -505,7 +507,11 @@ def eckmann_hilton_check(X):
             raise ValueError(f"bi-special component pairing fails for {which}: "
                              f"{len(image)} classes vs {want} pairs")
         fold = act((1, 1))  # keeps a component in one component: read it at the representative
-        folds.append({pair: r1[fold(nd_ref(0, c)).base_id] for c, pair in image.items()})
+        fold_of = {}
+        for c, pair in image.items():
+            _, _, v = fold(nd_ref(0, c))
+            fold_of[pair] = r1[v]
+        folds.append(fold_of)
     prod_row, prod_col = folds
     products = {}
     witness = None

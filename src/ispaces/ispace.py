@@ -21,7 +21,6 @@ from .simplicial import (
     LazyDict,
     NormTable,
     SMap,
-    SimplexRef,
     apply_s,
     discrete,
     identity_map,
@@ -88,8 +87,8 @@ class ISpaceT:
         if self.is_based():
             for alpha in cat.arrows():
                 f = self.act(alpha)
-                src_bp = nd_ref(0, self.levels[alpha.src].basepoint)
-                if f(src_bp).base_id != self.levels[alpha.dst].basepoint:
+                _, _, img = f(nd_ref(0, self.levels[alpha.src].basepoint))
+                if img != self.levels[alpha.dst].basepoint:
                     bad.append(f"basepoint not preserved by {alpha}")
         return bad
 
@@ -189,12 +188,9 @@ def power_ispace(K, N):
     maps = {}
     for alpha in TruncatedI(N).arrows():
         src_t, dst_t = tables[alpha.src], tables[alpha.dst]
-        base = nd_ref(0, K.basepoint)
 
-        def push(k, raw, alpha=alpha, base=base):
-            word = tuple(range(k - 1, -1, -1))
-            filler = SimplexRef(word, 0, base.base_id) if k else base
-            out = [filler] * alpha.dst
+        def push(k, raw, alpha=alpha):
+            out = [(tuple(range(k - 1, -1, -1)), 0, K.basepoint)] * alpha.dst
             for i, r in enumerate(raw):
                 out[alpha(i + 1) - 1] = r
             return tuple(out)
@@ -281,8 +277,9 @@ def _box_raw(table, ref, deg_fn=lambda k, raw, j: _box_deg(raw, j)):
     of `ref` one at a time with deg_fn(k, raw, j), k the dimension before the
     step; by default s_j acts in every factor.
     """
-    raw = table.raw_of[(ref.base_dim, ref.base_id)]
-    for k, j in enumerate(reversed(ref.degs), ref.base_dim):
+    degs, base_dim, base_id = ref
+    raw = table.raw_of[(base_dim, base_id)]
+    for k, j in enumerate(reversed(degs), base_dim):
         raw = deg_fn(k, raw, j)
     return raw
 
@@ -496,17 +493,16 @@ def _based_quotient(X, tab):
         raise ValueError("based homotopy colimit needs a based diagram")
     sub = {}
     for (k, x), raw in tab.raw_of.items():
-        levels, arrows, xref = raw
-        bp = X.level(levels[-1]).basepoint
-        if xref.base_dim == 0 and xref.base_id == bp:
+        levels, _, (_, base_dim, base_id) = raw
+        if base_dim == 0 and base_id == X.level(levels[-1]).basepoint:
             sub.setdefault(k, set()).add(x)
     Q, push = quotient(tab.sset, sub)
     ref_of = LazyDict(partial(_pushed_ref, push, tab.ref_of))
     raw_of = {}
     for (k, x), raw in tab.raw_of.items():
-        r = push(SimplexRef((), k, x))
-        if r.is_nondegenerate:
-            raw_of[(r.base_dim, r.base_id)] = raw
+        degs, base_dim, base_id = push(nd_ref(k, x))
+        if not degs:
+            raw_of[(base_dim, base_id)] = raw
     return NormTable(Q, ref_of, raw_of)
 
 
@@ -675,7 +671,8 @@ def _pi0_map_bijective(f):
     dst_reps = pi0(f.dst)
     image = {}
     for v in range(f.src.card[0]):
-        image[src_reps[v]] = dst_reps[f(nd_ref(0, v)).base_id]
+        _, _, img = f(nd_ref(0, v))
+        image[src_reps[v]] = dst_reps[img]
     n_src = len(set(src_reps.values()))
     n_dst = len(set(dst_reps.values()))
     injective = len(set(image.values())) == n_src

@@ -1,9 +1,14 @@
 """Finite simplicial sets in degeneracy normal form.
 
 A simplicial set is stored through its nondegenerate simplices only.  Every
-simplex is a `SimplexRef`: a strictly decreasing word of degeneracy indices
-applied to a nondegenerate base simplex (the unique Eilenberg-Zilber normal
-form).  The face table holds, per dimension, one tuple (d_0 x, ..., d_k x) of
+simplex is a ref, the plain tuple (degs, base_dim, base_id): a strictly
+decreasing word `degs` of degeneracy indices applied to the nondegenerate
+simplex `base_id` of dimension `base_dim` (the unique Eilenberg-Zilber normal
+form); `ref_dim(ref)` is its dimension.  A ref is an exact tuple, never a
+tuple subclass: CPython's cyclic garbage collector stops tracking an exact
+tuple of atoms, but never a subclass instance, which would keep every ref and
+face row on its lists for the life of the set.
+The face table holds, per dimension, one tuple (d_0 x, ..., d_k x) of
 refs for each nondegenerate simplex x.  Face and degeneracy operators act on
 refs through the simplicial identities, so validity checks, chain complexes
 and homology never enumerate more than the nondegenerate content plus the
@@ -30,56 +35,41 @@ normal form over arbitrary-precision integers; see `zlinalg`.
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .util import DisjointSet
 from .zlinalg import ColumnMatrix, rank_and_torsion
 
 
-class SimplexRef(NamedTuple):
-    """A possibly-degenerate simplex: s_{j1}...s_{jr} applied to a base.
-
-    `degs` is strictly decreasing.  The dimension of the ref is
-    base_dim + len(degs).
-    """
-
-    degs: tuple
-    base_dim: int
-    base_id: int
-
-    @property
-    def dim(self):
-        return self.base_dim + len(self.degs)
-
-    @property
-    def is_nondegenerate(self):
-        return not self.degs
-
-
 def nd_ref(k, x):
-    return SimplexRef((), k, x)
+    """The ref of the nondegenerate k-simplex x."""
+    return ((), k, x)
+
+
+def ref_dim(ref):
+    """Dimension of a ref: base_dim + len(degs)."""
+    degs, base_dim, _ = ref
+    return base_dim + len(degs)
 
 
 def apply_s(i, ref):
     """Degeneracy s_i applied to a ref, renormalized."""
-    degs = (
-        tuple(j + 1 for j in ref.degs if j >= i)
-        + (i,)
-        + tuple(j for j in ref.degs if j < i)
-    )
-    return SimplexRef(degs, ref.base_dim, ref.base_id)
+    degs, base_dim, base_id = ref
+    return (tuple(j + 1 for j in degs if j >= i) + (i,) + tuple(j for j in degs if j < i),
+            base_dim, base_id)
 
 
 def apply_word(word, ref):
     """Apply s_{word[0]} o ... o s_{word[-1]} to a ref; `word` strictly decreasing.
 
-    When every index of `word` exceeds those of ref.degs, the result is the
-    concatenated word, already in normal form.
+    When every index of `word` exceeds those of the ref's word, the result is
+    the concatenated word, already in normal form.
     """
     if not word:
         return ref
-    if not ref.degs or word[-1] > ref.degs[0]:
-        return SimplexRef(tuple(word) + ref.degs, ref.base_dim, ref.base_id)
+    degs, base_dim, base_id = ref
+    if not degs or word[-1] > degs[0]:
+        return (tuple(word) + degs, base_dim, base_id)
     for j in reversed(word):
         ref = apply_s(j, ref)
     return ref
@@ -90,7 +80,7 @@ class SSet:
     """Finite simplicial set: nondegenerate simplex counts plus face refs.
 
     card[k] is the number of nondegenerate k-simplices (ids 0..card[k]-1).
-    face[k][x] is the tuple (d_0 x, ..., d_k x) of SimplexRefs, for
+    face[k][x] is the tuple (d_0 x, ..., d_k x) of refs, for
     1 <= k <= top_dim; face[0] is empty, since vertices have no faces.
     `complete` asserts that the untruncated object has no nondegenerate
     simplices above top_dim, so homology in every degree is trustworthy.
@@ -121,18 +111,18 @@ class SSet:
             r = k - m
             for x in range(self.card[m]):
                 for word in combinations(range(k - 1, -1, -1), r):
-                    out.append(SimplexRef(word, m, x))
+                    out.append((word, m, x))
         out.sort()
         return out
 
     def d(self, i, ref):
         """Face d_i of a ref, renormalized via the simplicial identities."""
-        word = ref.degs
+        word, base_dim, base_id = ref
         out = []
         k = i
         for idx, j in enumerate(word):
             if k == j or k == j + 1:
-                res = SimplexRef(word[idx + 1:], ref.base_dim, ref.base_id)
+                res = (word[idx + 1:], base_dim, base_id)
                 break
             if k < j:
                 out.append(j - 1)
@@ -140,7 +130,7 @@ class SSet:
                 out.append(j)
                 k -= 1
         else:
-            res = self.face[ref.base_dim][ref.base_id][k]
+            res = self.face[base_dim][base_id][k]
         return apply_word(out, res)
 
     def vanishes(self, k):
@@ -202,16 +192,15 @@ def validate_sset(X):
                 bad.append(f"simplex ({k}, {x}) has {len(faces)} faces, wanted {k + 1}")
                 continue
             for i, ref in enumerate(faces):
-                if ref.dim != k - 1:
-                    bad.append(f"face {(k, x, i)} has dimension {ref.dim}, wanted {k-1}")
+                degs, base_dim, base_id = ref
+                if ref_dim(ref) != k - 1:
+                    bad.append(f"face {(k, x, i)} has dimension {ref_dim(ref)}, wanted {k-1}")
                     continue
-                if list(ref.degs) != sorted(ref.degs, reverse=True) \
-                        or len(set(ref.degs)) != len(ref.degs):
+                if list(degs) != sorted(degs, reverse=True) or len(set(degs)) != len(degs):
                     bad.append(f"face {(k, x, i)} degeneracy word not strictly decreasing")
-                if ref.degs and (ref.degs[0] > k - 2 or ref.degs[-1] < 0):
+                if degs and (degs[0] > k - 2 or degs[-1] < 0):
                     bad.append(f"face {(k, x, i)} degeneracy index out of range")
-                if not (0 <= ref.base_dim <= X.top_dim
-                        and 0 <= ref.base_id < X.card[ref.base_dim]):
+                if not (0 <= base_dim <= X.top_dim and 0 <= base_id < X.card[base_dim]):
                     bad.append(f"face {(k, x, i)} base simplex missing")
     if bad:
         return bad
@@ -236,7 +225,7 @@ def validate_sset(X):
 
 @dataclass
 class NormTable:
-    """A normalized SSet together with the dictionary raw -> SimplexRef."""
+    """A normalized SSet together with the dictionary raw -> ref."""
 
     sset: SSet
     ref_of: dict
@@ -280,7 +269,7 @@ def normalize_table(cells, faces_fn, deg_fn, top_dim, complete=False, based_raw=
                 continue
             ref = below.get(raw)
             if ref is None:
-                ref = nd_ref(k, n)
+                ref = ((), k, n)
                 raw_of[(k, n)] = raw
                 if k:
                     rows.append(tuple(map(ref_of.__getitem__, faces_fn(k, raw))))
@@ -291,9 +280,9 @@ def normalize_table(cells, faces_fn, deg_fn, top_dim, complete=False, based_raw=
     bp = None
     if based_raw is not None:
         r = ref_of[based_raw]
-        if r.dim != 0:
+        if ref_dim(r) != 0:
             raise ValueError("basepoint raw cell is not a vertex")
-        bp = r.base_id
+        _, _, bp = r
     return NormTable(SSet(tuple(card), tuple(face), complete=complete, basepoint=bp),
                      ref_of, raw_of)
 
@@ -314,11 +303,11 @@ class SMap:
 
     src: SSet
     dst: SSet
-    table: dict  # (k, id) -> SimplexRef in dst
+    table: dict  # (k, id) -> ref in dst
 
     def __call__(self, ref):
-        img = self.table[(ref.base_dim, ref.base_id)]
-        return apply_word(ref.degs, img)
+        degs, base_dim, base_id = ref
+        return apply_word(degs, self.table[(base_dim, base_id)])
 
     def validate(self):
         """Diagnostics; computes and checks every image, with its faces."""
@@ -329,7 +318,7 @@ class SMap:
             except KeyError:
                 bad.append(f"missing image of ({k}, {x})")
                 continue
-            if img.dim != k:
+            if ref_dim(img) != k:
                 bad.append(f"image of ({k}, {x}) has wrong dimension")
         if bad:
             return bad
@@ -387,8 +376,8 @@ def subcomplex_closed(X, sub):
     """Check that `sub` (dict dim -> set of nondeg ids) is face-closed."""
     for k in range(1, X.top_dim + 1):
         for x in sub.get(k, ()):
-            for ref in X.face[k][x]:
-                if ref.base_id not in sub.get(ref.base_dim, ()):
+            for _, base_dim, base_id in X.face[k][x]:
+                if base_id not in sub.get(base_dim, ()):
                     return False
     return True
 
@@ -415,14 +404,15 @@ def quotient(X, sub):
         card.append(n)
 
     def push(ref):
-        if ref.base_id in subs[ref.base_dim]:
-            return SimplexRef(tuple(range(ref.dim - 1, -1, -1)), 0, 0)
-        return SimplexRef(ref.degs, ref.base_dim, newid[(ref.base_dim, ref.base_id)])
+        degs, base_dim, base_id = ref
+        if base_id in subs[base_dim]:
+            return (tuple(range(ref_dim(ref) - 1, -1, -1)), 0, 0)
+        return (degs, base_dim, newid[(base_dim, base_id)])
 
     face = [[]]
     for k in range(1, X.top_dim + 1):
-        point = SimplexRef(tuple(range(k - 2, -1, -1)), 0, 0)  # the basepoint in dim k - 1
-        face.append([tuple(point if b in subs[d] else SimplexRef(degs, d, newid[(d, b)])
+        point = (tuple(range(k - 2, -1, -1)), 0, 0)  # the basepoint in dim k - 1
+        face.append([tuple(point if b in subs[d] else (degs, d, newid[(d, b)])
                            for degs, d, b in faces)
                      for x, faces in enumerate(X.face[k]) if x not in subs[k]])
     return SSet(tuple(card), tuple(face), complete=X.complete, basepoint=0), push
@@ -489,8 +479,8 @@ def pi0(X):
     for v in range(X.card[0]):
         ds.add(v)
     for e in range(X.n_nondeg(1)):
-        r = nd_ref(1, e)
-        ds.union(X.d(0, r).base_id, X.d(1, r).base_id)
+        (_, _, a), (_, _, b) = X.face[1][e]  # d_0 and d_1 of an edge are vertices
+        ds.union(a, b)
     return ds.canonicalize()
 
 
@@ -518,10 +508,10 @@ def component_subcomplex(X, reps):
         ids = {}
         rows = []
         for x, faces in enumerate(X.face[k]):
-            if faces[k].base_id in newid[faces[k].base_dim]:
+            _, last_dim, last_id = faces[k]
+            if last_id in newid[last_dim]:
                 ids[x] = len(ids)
-                rows.append(tuple(SimplexRef(r.degs, r.base_dim, newid[r.base_dim][r.base_id])
-                                  for r in faces))
+                rows.append(tuple((degs, d, newid[d][b]) for degs, d, b in faces))
         newid.append(ids)
         face.append(rows)
     card = tuple(len(ids) for ids in newid)
@@ -651,8 +641,8 @@ def map_cone_homology(f, d_report):
 
 
 def _image_column(f, k, x):
-    img = f(nd_ref(k, x))
-    return {img.base_id: 1} if img.is_nondegenerate else {}
+    degs, _, base_id = f(nd_ref(k, x))
+    return {} if degs else {base_id: 1}
 
 
 def cone_homology(cx, cy, f_col, src_ends, dst_ends):
@@ -727,6 +717,6 @@ def alexander_whitney(f, g, pos, n, z):
     for i in range(n, 0, -1):
         fronts.append(f.dst.d(i, fronts[-1]))
         backs.append(g.dst.d(0, backs[-1]))
-    return {pos(n, p, a.base_id, b.base_id): 1
-            for p, a, b in zip(range(n + 1), reversed(fronts), backs)
-            if a.is_nondegenerate and b.is_nondegenerate}
+    return {pos(n, p, a, b): 1
+            for p, (a_degs, _, a), (b_degs, _, b) in zip(range(n + 1), reversed(fronts), backs)
+            if not a_degs and not b_degs}

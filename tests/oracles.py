@@ -263,10 +263,9 @@ def normalize_reference(cells, faces_fn, deg_fn, top_dim, complete=False, based_
         face.append(rows)
     bp = None
     if based_raw is not None:
-        r = ref_of[based_raw]
-        if r.dim != 0:
+        degs, base_dim, bp = ref_of[based_raw]
+        if base_dim + len(degs) != 0:
             raise ValueError("basepoint raw cell is not a vertex")
-        bp = r.base_id
     return NormTable(SSet(tuple(card), tuple(face), complete=complete, basepoint=bp),
                      ref_of, raw_of)
 
@@ -414,10 +413,11 @@ def product_sset(X, Y, dim_bound=None):
 
 
 def normalize_pair_ref(prod, ra, rb):
-    """Locate the pair (ra, rb) as a SimplexRef of a `product_sset`."""
+    """Locate the pair (ra, rb) as a ref of a `product_sset`."""
     from ispaces.simplicial import apply_s
 
-    common = set(ra.degs) & set(rb.degs)
+    (degs_a, _, _), (degs_b, _, _) = ra, rb
+    common = set(degs_a) & set(degs_b)
     if not common:
         return prod.table.ref_of[(ra, rb)]
     i = min(common)
@@ -451,9 +451,9 @@ def chain_boundary_reference(X, k):
     entries = []
     for x, faces in enumerate(X.face[k]):
         col = {}
-        for i, ref in enumerate(faces):
-            if not ref.degs:
-                col[ref.base_id] = col.get(ref.base_id, 0) + (-1) ** i
+        for i, (degs, _, base_id) in enumerate(faces):
+            if not degs:
+                col[base_id] = col.get(base_id, 0) + (-1) ** i
         entries += [((r, x), v) for r, v in col.items() if v]
     return entries
 

@@ -5,7 +5,6 @@ import time
 
 from ispaces import simplicial
 from ispaces.simplicial import (
-    SimplexRef,
     SMap,
     chain_complex,
     homology,
@@ -121,7 +120,7 @@ def test_clearing_on_torus_where_rank_bound_is_not_reached():
 
 def test_cone_homology_agrees_without_clearing(monkeypatch):
     bz3 = nerve(cyclic_group_category(3), 4).sset
-    table = {(k, x): SimplexRef(tuple(range(k - 1, -1, -1)), 0, 0)
+    table = {(k, x): (tuple(range(k - 1, -1, -1)), 0, 0)
              for k in range(bz3.top_dim + 1) for x in range(bz3.card[k])}
     collapse = SMap(bz3, point(), table)
     t2 = product_sset(simplicial_circle(), simplicial_circle())
@@ -243,7 +242,7 @@ def test_column_matrix_agrees_with_its_dict_copy(monkeypatch):
     for x in ssets:
         homology(x, x.top_dim - 1)
     assert homology(bz3, 2).group(1) == (0, (3,))
-    table = {(k, x): SimplexRef(tuple(range(k - 1, -1, -1)), 0, 0)
+    table = {(k, x): (tuple(range(k - 1, -1, -1)), 0, 0)
              for k in range(bz3.top_dim + 1) for x in range(bz3.card[k])}
     assert map_cone_homology(SMap(bz3, point(), table), 2)[2] == (0, (3,))
     assert any(seen), "no call had cleared rows to drop"
