@@ -18,7 +18,6 @@ from .scenarios import (
     build_monoid,
     reports_to_json,
     run_all,
-    run_scenario,
 )
 
 
@@ -135,10 +134,7 @@ def cmd_gamma(args, cfg):
 
 
 def cmd_scenario(args, cfg):
-    if args.name:
-        reports = [run_scenario(n, cfg) for n in args.name]
-    else:
-        reports = run_all(cfg)
+    reports = run_all(cfg)
     text = reports_to_json(reports, cfg)
     if cfg.out:
         with open(cfg.out, "w") as fh:
@@ -205,7 +201,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     cfg = RunConfig(
         trunc=args.trunc, deg=args.deg, chains=args.chains,
-        jobs=args.jobs, out=args.out,
+        scenarios=getattr(args, "name", None), jobs=args.jobs, out=args.out,
         timings=getattr(args, "timings", False))
     bad = cfg.validate()
     if bad:

@@ -11,6 +11,7 @@ and of its homotopy colimit.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 from typing import Callable, Optional
 
@@ -33,7 +34,6 @@ from .ispace import (
     _box_classes,
     _box_deg,
     _box_face,
-    _box_raw,
     _box_space,
     _box_table,
     _chain_cells,
@@ -263,22 +263,18 @@ def free_cmonoid(X):
     built through dimension 1.
     """
     N = X.N
-    top = 1
     exact = X.level(0).size() == 0
-    data = [[_word_classes(X, n, dim) for dim in range(top + 1)] for n in range(N + 1)]
-    # a word has at most N factors, and faces zip the factors with its blocks
-    tables = [_box_table((X,) * N, canon, top) for canon in data]
-    space = _box_space(tables, data)
+    W = _words(X)
 
     def mul(m, n, rx, ry):
-        rawx = _box_raw(tables[m], rx)
-        rawy = _box_raw(tables[n], ry)
+        rawx = W.raw(m, rx)
+        rawy = W.raw(n, ry)
         nvec = rawx[0] + rawy[0]
         if len(nvec) > N:
             raise ValueError("word-length truncation overflow")
         raw = (nvec, rawx[1] + tuple(v + m for v in rawy[1]), rawx[2] + rawy[2])
         dim = ref_dim(rx)
-        ref = tables[m + n].ref_of[data[m + n][dim][raw]]
+        ref = W.ref(m + n, dim, raw)
         if ref_dim(ref) < dim:
             # the empty word carries no simplex data; its raw cell is shared
             # across dimensions and normalizes to the unit vertex
@@ -286,9 +282,17 @@ def free_cmonoid(X):
             ref = (_full_word(dim), base_dim, base_id)
         return ref
 
-    _, _, unit_id = tables[0].ref_of[data[0][0][((), (), ())]]
-    return CIMonoidT(space, unit_id, mul, name="free",
+    _, _, unit_id = W.ref(0, 0, ((), (), ()))
+    return CIMonoidT(W.space, unit_id, mul, name="free",
                      meta={"word_truncation_exact": exact})
+
+
+def _words(X):
+    """The box-colimit record of the words on X, through dimension 1."""
+    canon = [[_word_classes(X, n, dim) for dim in range(2)] for n in range(X.N + 1)]
+    # a word has at most N factors, and faces zip the factors with its blocks
+    factors = (X,) * X.N
+    return _box_space([_box_table(factors, cn, 1) for cn in canon], canon, factors)
 
 
 def _word_classes(X, n, dim):
@@ -329,16 +333,6 @@ class CommMonoidPres:
 
     generators: list
     relations: list  # list of (vec, vec), each a tuple of nonnegative ints
-
-    def validate(self):
-        bad = []
-        g = len(self.generators)
-        for u, v in self.relations:
-            if len(u) != g or len(v) != g:
-                bad.append(f"relation arity mismatch: {(u, v)}")
-            if any(t < 0 for t in u + v):
-                bad.append(f"negative exponent: {(u, v)}")
-        return bad
 
     def to_json(self):
         return {"gens": [str(g) for g in self.generators],
@@ -686,37 +680,20 @@ def _bar_face(A, factors, raw, i):
     return (nv, a_img, xs[: i - 1] + (merged,) + xs[i + 1:])
 
 
-def _bar_deg(A, k, raw, i):
-    """Bar degeneracy s_i on a raw k-cell: s_i in every block, then an empty
-    unit block inserted at position i."""
+def _bar_deg(A, raw, i):
+    """Bar degeneracy s_i on a raw cell: s_i in every block, then an empty
+    unit block inserted at position i.  A raw k-cell has k blocks."""
     nvec, a_img, xs = _box_deg(raw, i)
-    return (nvec[:i] + (0,) + nvec[i:], a_img, xs[:i] + (A.unit_ref(k + 1),) + xs[i:])
-
-
-@dataclass
-class BarISpace:
-    """Realized bar construction B(A) as an I-space with class bookkeeping."""
-
-    monoid: CIMonoidT
-    space: ISpaceT
-    tables: list  # NormTable per level
-    canon: list  # per level: canon dict per bar degree
-
-    def raw_ref(self, n, raw):
-        k = len(raw[0])
-        return self.tables[n].ref_of[self.canon[n][k][raw]]
-
-    def ref_raw(self, n, ref):
-        """Raw bar cell of a possibly-degenerate simplex of level n."""
-        return _box_raw(self.tables[n], ref,
-                        lambda k, raw, j: _bar_deg(self.monoid, k, raw, j))
+    unit = A.unit_ref(len(nvec) + 1)
+    return (nvec[:i] + (0,) + nvec[i:], a_img, xs[:i] + (unit,) + xs[i:])
 
 
 def bar(A, S):
     """Bar construction B(A), realized levelwise by the diagonal.
 
     Degree k of the underlying simplicial object is the k-fold box power of
-    the carrier; the diagonal has its k-simplices in bar degree k.
+    the carrier; the diagonal has its k-simplices in bar degree k.  The
+    record's degeneracies insert an empty unit block (`_bar_deg`).
     """
     X = A.space
     powers = (X,) * S  # the factors of every bar cell; zip stops at its length
@@ -730,29 +707,27 @@ def bar(A, S):
             return tuple(cn[k - 1][_bar_face(A, powers, raw, i)] for i in range(k + 1))
 
         def deg_fn(k, raw, i, cn=cn):
-            return cn[k + 1][_bar_deg(A, k, raw, i)]
+            return cn[k + 1][_bar_deg(A, raw, i)]
 
         base = cn[0][((), (), ())]
         tables.append(normalize_table(cells, faces_fn, deg_fn, S, based_raw=base))
         canon.append(cn)
-    return BarISpace(A, _box_space(tables, canon), tables, canon)
+    return _box_space(tables, canon, powers, partial(_bar_deg, A))
 
 
-def bar_monoid(B):
+def bar_monoid(A, B):
     """B(A) as a commutative monoid, by blockwise interleaving.
 
     The product of two bar cells of equal degree multiplies corresponding
     blocks with the monoid multiplication.  Its decomposition image
     interleaves the two images block by block, the second shifted past
     level m: the block sum of the two injections after the block shuffle.
+    B is the bar construction of A.
     """
-    A = B.monoid
 
     def mul(m, n, rx, ry):
-        rawx = B.ref_raw(m, rx)
-        rawy = B.ref_raw(n, ry)
-        nv1, a1_img, xs = rawx
-        nv2, a2_img, ys = rawy
+        nv1, a1_img, xs = B.raw(m, rx)
+        nv2, a2_img, ys = B.raw(n, ry)
         k = len(nv1)
         if len(nv2) != k:
             raise ValueError("bar cells of unequal degree")
@@ -765,7 +740,7 @@ def bar_monoid(B):
             i2 += t2
         nvec = tuple(nv1[i] + nv2[i] for i in range(k))
         zs = tuple(A.mul(nv1[i], nv2[i], xs[i], ys[i]) for i in range(k))
-        return B.raw_ref(m + n, (nvec, image, zs))
+        return B.ref(m + n, k, (nvec, image, zs))
 
     unit_id = B.space.level(0).basepoint
     return CIMonoidT(B.space, unit_id, mul, name=A.name + "-bar")
@@ -918,7 +893,7 @@ def _bar_comparison_once(A, D):
         nvec = tuple(z[0][-1] for z in zs)
         start = c0[0][-1]
         image = tuple(range(start + 1, start + sum(nvec) + 1))
-        xref = B.raw_ref(lv[-1], (nvec, image, tuple(z[2] for z in zs)))
+        xref = B.ref(lv[-1], len(zs), (nvec, image, tuple(z[2] for z in zs)))
         return (lv, ar, xref)
 
     f_right = map_from_tables(middle_tab, right_tab, to_right)
@@ -982,5 +957,5 @@ def iterated_bar_spectrum(A, n_max, D):
         tab = hocolim_I(cur.space, D + 1, based=True)
         out.append((tab.sset, homology(tab.sset, D)))
         if k < n_max:
-            cur = bar_monoid(bar(cur, D + 2))
+            cur = bar_monoid(cur, bar(cur, D + 2))
     return out

@@ -31,7 +31,7 @@ from .simplicial import (
     ref_dim,
     tensor_complex,
 )
-from .ispace import _box_raw, box_multi, hocolim_I
+from .ispace import box_multi, hocolim_I
 from .cmon import CommMonoidPres, _vec_add, unit_verdicts
 
 
@@ -193,16 +193,12 @@ def gamma_of_monoid(A, K, S):
         def push(d, raw):
             levels, arrows, xref = raw
             n = levels[-1]
-            raw_box = _box_raw(boxes[k].data[n].table, xref)
-            moved = _apply_based_to_raw(A, phi, l, raw_box)
-            dim = ref_dim(xref)
-            new_ref = boxes[l].data[n].ref(dim, moved)
-            return (levels, arrows, new_ref)
+            moved = _apply_based_to_raw(A, phi, l, boxes[k].raw(n, xref))
+            return (levels, arrows, boxes[l].ref(n, ref_dim(xref), moved))
 
         return map_from_tables(tabs[k], tabs[l], push)
 
     gam = GammaSpaceT(K, values, act_fn)
-    gam.boxes = boxes
     gam.tabs = tabs
     gam.monoid = A
     return gam

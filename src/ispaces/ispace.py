@@ -13,7 +13,7 @@ and the semistability diagnostic.
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product as iproduct
-from typing import Optional
+from typing import Callable, Optional
 
 from . import icat
 from .icat import Injection, TruncatedI, compose, concat, identity, subset_inclusion, unchecked
@@ -47,9 +47,6 @@ class ISpaceT:
         return self.levels[n]
 
     def act(self, alpha):
-        if alpha not in self.maps and alpha.image == tuple(range(1, alpha.src + 1)) \
-                and alpha.src == alpha.dst:
-            return identity_map(self.levels[alpha.src])
         return self.maps[alpha]
 
     def is_based(self):
@@ -270,22 +267,39 @@ def _box_table(factors, canon, top, based_raw=None):
                            top, based_raw=based_raw)
 
 
-def _box_raw(table, ref, deg_fn=lambda k, raw, j: _box_deg(raw, j)):
-    """Raw cell of a possibly-degenerate simplex of a normalized box level.
+@dataclass
+class BoxISpace:
+    """An I-space whose levels are colimits of raw cells (nvec, image, xs).
 
-    Starts from the raw cell of the base simplex and applies the degeneracies
-    of `ref` one at a time with deg_fn(k, raw, j), k the dimension before the
-    step; by default s_j acts in every factor.
+    Box products, bar constructions and free monoids share this record.  At
+    level n, dimension k, a raw cell has an injection sum(nvec) -> n with the
+    given image and xs a k-simplex per block; canon[n][k] sends it to its
+    class's canonical representative, and tables[n] numbers those.
+    deg(raw, j) is s_j on a raw cell.
     """
-    degs, base_dim, base_id = ref
-    raw = table.raw_of[(base_dim, base_id)]
-    for k, j in enumerate(reversed(degs), base_dim):
-        raw = deg_fn(k, raw, j)
-    return raw
+
+    space: ISpaceT
+    tables: list  # NormTable per level
+    canon: list  # per level, per dim: dict raw -> canonical raw
+    factors: tuple
+    deg: Callable
+
+    def ref(self, n, dim, raw):
+        """The simplex of level n that a raw dim-cell stands for."""
+        return self.tables[n].ref_of[self.canon[n][dim][raw]]
+
+    def raw(self, n, ref):
+        """Raw cell of a possibly-degenerate simplex of level n: the base
+        simplex's, with the degeneracies of ref applied one at a time."""
+        degs, base_dim, base_id = ref
+        raw = self.tables[n].raw_of[(base_dim, base_id)]
+        for j in reversed(degs):
+            raw = self.deg(raw, j)
+        return raw
 
 
-def _box_space(tables, canon):
-    """The I-space of levelwise colimits with raw cells (nvec, image, xs).
+def _box_space(tables, canon, factors, deg=_box_deg):
+    """The record of levelwise colimits with raw cells (nvec, image, xs).
 
     tables[n] is the normalized level n and canon[n][k] its dictionary of
     canonical raw k-cells; an injection alpha acts by postcomposition on the
@@ -301,31 +315,7 @@ def _box_space(tables, canon):
             moved = (nvec, tuple(alpha(i) for i in a_img), xs)
             table[(k, x)] = dst.ref_of[dst_canon[k][moved]]
         maps[alpha] = SMap(levels[alpha.src], levels[alpha.dst], table)
-    return ISpaceT(N, levels, maps)
-
-
-@dataclass
-class BoxLevel:
-    """One level of a box product: normalized colimit plus class data."""
-
-    table: NormTable
-    canon: list  # per dim: dict raw -> canonical raw
-
-    def ref(self, dim, raw):
-        return self.table.ref_of[self.canon[dim][raw]]
-
-
-@dataclass
-class BoxISpace:
-    """Box product of I-spaces with its colimit-class bookkeeping.
-
-    Raw cells at level n, dimension k are triples (nvec, alpha_image, xrefs)
-    with alpha an injection sum(nvec) -> n and xrefs a k-simplex per factor.
-    """
-
-    space: ISpaceT
-    data: list  # BoxLevel per level
-    factors: tuple
+    return BoxISpace(ISpaceT(N, levels, maps), tables, canon, tuple(factors), deg)
 
 
 def box_multi(factors, dim_bound, based=False):
@@ -339,17 +329,17 @@ def box_multi(factors, dim_bound, based=False):
     N = min(f.N for f in factors)
     if k_factors == 1:
         return _box_single(factors[0], dim_bound)
-    data = []
+    tables, canon = [], []
     for n in range(N + 1):
-        canon = [_box_classes(factors, n, dim, n).canonicalize()
-                 for dim in range(dim_bound + 1)]
+        cn = [_box_classes(factors, n, dim, n).canonicalize()
+              for dim in range(dim_bound + 1)]
         based_raw = None
         if based:
             xs0 = tuple(nd_ref(0, f.level(0).basepoint) for f in factors)
-            based_raw = canon[0][((0,) * k_factors, (), xs0)]
-        data.append(BoxLevel(_box_table(factors, canon, dim_bound, based_raw), canon))
-    space = _box_space([d.table for d in data], [d.canon for d in data])
-    return BoxISpace(space, data, tuple(factors))
+            based_raw = cn[0][((0,) * k_factors, (), xs0)]
+        tables.append(_box_table(factors, cn, dim_bound, based_raw))
+        canon.append(cn)
+    return _box_space(tables, canon, factors)
 
 
 def _box_single(X, dim_bound):
@@ -358,9 +348,9 @@ def _box_single(X, dim_bound):
     The class of ((m,), alpha, (x,)) is X(alpha)(x); representatives live at
     the identity decomposition, so the colimit is X(n) on the nose.
     """
-    data = []
+    tables, canon = [], []
     for n in range(X.N + 1):
-        canon = []
+        cn = []
         ref_of = {}
         raw_of = {}
         for dim in range(dim_bound + 1):
@@ -373,12 +363,13 @@ def _box_single(X, dim_bound):
                         key = ((n,), identity(n).image, (img,))
                         cdict[raw] = key
                         ref_of[key] = img
-            canon.append(cdict)
+            cn.append(cdict)
         for k in range(X.level(n).top_dim + 1):
             for x in range(X.level(n).card[k]):
                 raw_of[(k, x)] = ((n,), identity(n).image, (nd_ref(k, x),))
-        data.append(BoxLevel(NormTable(X.level(n), ref_of, raw_of), canon))
-    return BoxISpace(X, data, (X,))
+        tables.append(NormTable(X.level(n), ref_of, raw_of))
+        canon.append(cn)
+    return BoxISpace(X, tables, canon, (X,), _box_deg)
 
 
 def rho(BXY):
@@ -393,7 +384,7 @@ def rho(BXY):
     maps = []
     for n in range(BXY.space.N + 1):
         px, py = {}, {}
-        for (k, x), (nvec, a_img, (rx, ry)) in BXY.data[n].table.raw_of.items():
+        for (k, x), (nvec, a_img, (rx, ry)) in BXY.tables[n].raw_of.items():
             a = Injection(sum(nvec), n, a_img)
             px[(k, x)] = X.act(compose(a, subset_inclusion(nvec[0], a.src)))(rx)
             py[(k, x)] = Y.act(compose(a, Injection(nvec[1], a.src,

@@ -231,9 +231,6 @@ class NormTable:
     ref_of: dict
     raw_of: dict  # (k, id) -> raw cell
 
-    def ref(self, raw):
-        return self.ref_of[raw]
-
 
 def normalize_table(cells, faces_fn, deg_fn, top_dim, complete=False, based_raw=None):
     """Build a normal-form SSet from an explicit simplex table.

@@ -324,15 +324,14 @@ def chain_sum_reference(z, w, x):
     return (lv, ar, x)
 
 
-def bar_mul_reference(B, m, n, rx, ry):
-    """Product of two bar cells of B in levels m and n, through checked
-    injections: the block sum of the two decomposition injections after the
-    shuffle psi that interleaves their blocks."""
+def bar_mul_reference(A, B, m, n, rx, ry):
+    """Product of two cells of the bar construction B of A in levels m and
+    n, through checked injections: the block sum of the two decomposition
+    injections after the shuffle psi that interleaves their blocks."""
     from ispaces.icat import Injection, compose, concat
 
-    A = B.monoid
-    nv1, a1_img, xs = B.ref_raw(m, rx)
-    nv2, a2_img, ys = B.ref_raw(n, ry)
+    nv1, a1_img, xs = B.raw(m, rx)
+    nv2, a2_img, ys = B.raw(n, ry)
     k = len(nv1)
     both = concat(Injection(sum(nv1), m, a1_img), Injection(sum(nv2), n, a2_img))
     off1 = [0]
@@ -348,7 +347,7 @@ def bar_mul_reference(B, m, n, rx, ry):
     psi = Injection(sum(nv1) + sum(nv2), sum(nv1) + sum(nv2), image)
     nvec = tuple(nv1[i] + nv2[i] for i in range(k))
     zs = tuple(A.mul(nv1[i], nv2[i], xs[i], ys[i]) for i in range(k))
-    return B.raw_ref(m + n, (nvec, compose(both, psi).image, zs))
+    return B.ref(m + n, k, (nvec, compose(both, psi).image, zs))
 
 
 def map_table_reference(src_tab, dst_tab, raw_fn):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 
 import pytest
@@ -49,6 +50,38 @@ def test_parallel_matches_serial():
     parallel = run_all(RunConfig(trunc=2, scenarios=names, jobs=2))
     assert [(r.name, r.checks) for r in serial] == \
         [(r.name, r.checks) for r in parallel]
+
+
+def test_cli_named_scenarios_run_in_parallel(capsys, monkeypatch):
+    """`--name a --name b --jobs 2` goes through the process pool, in the
+    order named; a stub pool runs the jobs in this process."""
+    used = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            used.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    code, payload = run_cli(capsys, "scenario", "--trunc", "2", "--jobs", "2",
+                            "--name", "terminal-sanity", "--name", "c1-pi0")
+    assert code == 0
+    assert used == [2]
+    assert [r["name"] for r in payload["reports"]] == ["terminal-sanity", "c1-pi0"]
+
+
+def test_cli_unknown_scenario_name_exits_2(capsys):
+    code, payload = run_cli(capsys, "scenario", "--name", "no-such-scenario")
+    assert code == 2
+    assert "unknown scenario" in payload["error"]
 
 
 def test_cli_validate(capsys):

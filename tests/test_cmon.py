@@ -175,7 +175,7 @@ def test_bsigma2_component_homology():
 def test_bar_construction_validates():
     A = c1(2)
     B = bar(A, 2)
-    M = bar_monoid(B)
+    M = bar_monoid(A, B)
     assert validate_monoid(M) == []
 
 
@@ -261,14 +261,15 @@ def test_chain_sum_matches_block_sum_of_injections():
 def test_bar_monoid_mul_matches_reference():
     """bar_monoid's block interleaving against the shuffle of checked
     injections, on every pair of bar cells of equal dimension."""
-    B = bar(c1(3), 2)
-    mul = bar_monoid(B).mul
+    A = c1(3)
+    B = bar(A, 2)
+    mul = bar_monoid(A, B).mul
     pairs = 0
     for m in range(4):
         for n in range(4 - m):
             for k in range(3):
                 for rx in B.space.level(m).all_simplices(k):
                     for ry in B.space.level(n).all_simplices(k):
-                        assert mul(m, n, rx, ry) == bar_mul_reference(B, m, n, rx, ry)
+                        assert mul(m, n, rx, ry) == bar_mul_reference(A, B, m, n, rx, ry)
                         pairs += 1
     assert pairs > 0

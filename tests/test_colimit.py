@@ -4,11 +4,14 @@ The library joins raw cells along generating morphisms only (standard
 inclusions and adjacent transpositions, one slot at a time, plus adjacent
 block swaps for words); the oracle joins them along every morphism of the
 decomposition category.  Both must give the same canonical representatives.
+The record's decoder `raw` and encoder `ref` must also be inverse to each
+other on every simplex.
 """
 
-from ispaces.cmon import _word_classes, bar, c1
+from ispaces.cmon import _word_classes, _words, bar, c1
 from ispaces.icat import Injection
 from ispaces.ispace import box_multi, free_ispace, latching
+from ispaces.simplicial import ref_dim
 
 from oracles import box_colimit, is_injective
 
@@ -20,7 +23,7 @@ def test_box_multi_matches_oracle():
         B = box_multi(factors, 1)
         for n in range(4):
             for dim in range(2):
-                assert B.data[n].canon[dim] == box_colimit(factors, n, dim, n)
+                assert B.canon[n][dim] == box_colimit(factors, n, dim, n)
 
 
 def test_bar_powers_match_oracle():
@@ -29,6 +32,35 @@ def test_bar_powers_match_oracle():
     for n in range(4):
         for k in range(4):
             assert B.canon[n][k] == box_colimit((A.space,) * k, n, k, n)
+
+
+def _round_trip_misses(B):
+    """(simplex count, the simplices r with B.ref(n, dim r, B.raw(n, r)) != r),
+    degenerate ones included, through every dimension that B has classes in."""
+    total, misses = 0, []
+    for n in range(B.space.N + 1):
+        for k in range(len(B.canon[n])):
+            for r in B.space.level(n).all_simplices(k):
+                total += 1
+                if B.ref(n, ref_dim(r), B.raw(n, r)) != r:
+                    misses.append((n, r))
+    return total, misses
+
+
+def test_raw_cells_round_trip():
+    C = c1(3).space
+    for B, total in ((box_multi((C, C), 2, based=True), 120), (box_multi((C,), 2), 45),
+                     (bar(c1(3), 3), 144)):
+        assert _round_trip_misses(B) == (total, [])
+
+
+def test_words_round_trip_but_for_the_empty_word():
+    # the empty word's raw cell ((), (), ()) is the same in every dimension,
+    # so it encodes to the unit vertex; free_cmonoid's mul re-degenerates it
+    W = _words(free_ispace(1, 3))
+    total, misses = _round_trip_misses(W)
+    assert total == 30
+    assert misses == [(n, ((0,), 0, W.ref(n, 0, ((), (), ()))[2])) for n in range(4)]
 
 
 def test_free_cmonoid_words_match_oracle():
