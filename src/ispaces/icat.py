@@ -141,17 +141,19 @@ class FinCategory:
     ident: dict
 
     def coded(self):
-        """(code, src, dst, ident, comp): the tables on dense integer codes.
+        """(code, src, dst, ident, after): the tables on dense integer codes.
 
         Object j is sorted(objects)[j] and morphism i is sorted(morphisms)[i];
-        code maps each morphism to its code, in code order, and comp maps a
-        pair (g, f) of codes to the code of g o f.
+        code maps each morphism to its code, in code order, and after[g] maps
+        the code f of each morphism composable with g to the code of g o f.
         """
         obj = {o: j for j, o in enumerate(sorted(self.objects))}
         code = {f: i for i, f in enumerate(sorted(self.morphisms))}
+        after = [{} for _ in code]
+        for (g, f), gf in self.comp.items():
+            after[code[g]][code[f]] = code[gf]
         return (code, [obj[self.src[f]] for f in code], [obj[self.dst[f]] for f in code],
-                [code[self.ident[o]] for o in obj],
-                {(code[g], code[f]): code[gf] for (g, f), gf in self.comp.items()})
+                [code[self.ident[o]] for o in obj], after)
 
     def validate(self):
         """Identity, endpoint, unit and associativity diagnostics.
@@ -180,20 +182,21 @@ class FinCategory:
                     bad.append(f"composite of {g} after {f} has wrong endpoints")
         if bad:
             return bad
-        code, src, dst, ident, comp = self.coded()
+        code, src, dst, ident, after = self.coded()
         name = list(code)
         order = [code[f] for f in self.morphisms]
         into = [[f for f in order if dst[f] == j] for j in range(len(ident))]
         for f in order:
-            if comp[(f, ident[src[f]])] != f:
+            if after[f][ident[src[f]]] != f:
                 bad.append(f"right unit fails at {name[f]}")
-            if comp[(ident[dst[f]], f)] != f:
+            if after[ident[dst[f]]][f] != f:
                 bad.append(f"left unit fails at {name[f]}")
         for h in order:
+            h_after = after[h]
             for g in into[src[h]]:
-                hg = comp[(h, g)]
+                hg_after, g_after = after[h_after[g]], after[g]
                 for f in into[src[g]]:
-                    if comp[(hg, f)] != comp[(h, comp[(g, f)])]:
+                    if hg_after[f] != h_after[g_after[f]]:
                         bad.append(f"associativity fails at ({name[h]}, {name[g]}, {name[f]})")
         return bad
 
@@ -202,25 +205,27 @@ def comma_under(n, N):
     """The comma category of objects under n inside the truncation at N.
 
     Objects are injections n -> m with m <= N; a morphism from alpha to beta
-    is an injection g with g o alpha = beta.
+    is an injection g with g o alpha = beta, so each g out of the target of
+    alpha is one, to beta = g o alpha.  Morphisms are listed in sorted order
+    and composed as image tuples (`unchecked`), each only with the morphisms
+    out of its target.
     """
     cat = TruncatedI(N)
     objects = [f for m in cat.objects for f in cat.hom(n, m)]
-    morphisms = []
-    src = {}
-    dst = {}
+    out_of = {}
     for a in objects:
-        for b in objects:
-            for g in cat.hom(a.dst, b.dst):
-                if compose(g, a) == b:
-                    key = (a, b, g)
-                    morphisms.append(key)
-                    src[key] = a
-                    dst[key] = b
+        out_of[a] = [(a, b, g) for b, g in sorted(
+            (unchecked(n, m, tuple(g.image[v - 1] for v in a.image)), g)
+            for m in range(a.dst, N + 1) for g in cat.hom(a.dst, m))]
+    morphisms = [key for a in objects for key in out_of[a]]
+    src = {key: key[0] for key in morphisms}
+    dst = {key: key[1] for key in morphisms}
     comp = {}
-    for m2 in morphisms:
-        for m1 in morphisms:
-            if dst[m1] == src[m2]:
-                comp[(m2, m1)] = (src[m1], dst[m2], compose(m2[2], m1[2]))
+    for m1 in morphisms:
+        a, b, g1 = m1
+        for m2 in out_of[b]:
+            _, c, g2 = m2
+            image = tuple(g2.image[v - 1] for v in g1.image)
+            comp[(m2, m1)] = (a, c, unchecked(a.dst, c.dst, image))
     ident = {a: (a, a, identity(a.dst)) for a in objects}
     return FinCategory(objects, morphisms, src, dst, comp, ident)

@@ -432,7 +432,7 @@ def nerve(C, D):
     bad = C.validate()
     if bad:
         raise ValueError("composition table is not a category: " + "; ".join(bad))
-    _, src, dst, ident, comp = C.coded()
+    _, src, dst, ident, after = C.coded()
     out_of = [[f for f in range(len(src)) if src[f] == j] for j in range(len(ident))]
     cells = [list(range(len(ident)))]
     level = [()]
@@ -446,9 +446,15 @@ def nerve(C, D):
     def faces_fn(k, ch):
         if k == 1:
             return (dst[ch[0]], src[ch[0]])
+        if k == 2:
+            f, g = ch
+            return ((g,), (after[g][f],), (f,))
+        if k == 3:
+            f, g, h = ch
+            return ((g, h), (after[g][f], h), (f, after[h][g]), (f, g))
         row = [ch[1:]]
         for i in range(1, k):
-            row.append(ch[:i - 1] + (comp[(ch[i], ch[i - 1])],) + ch[i + 1:])
+            row.append(ch[:i - 1] + (after[ch[i]][ch[i - 1]],) + ch[i + 1:])
         row.append(ch[:-1])
         return row
 
@@ -550,24 +556,33 @@ class ChainComplex:
 
 
 def chain_complex(X, top=None):
+    """The normalized chains of X through degree `top` (default: its top).
+
+    Column x of d_k is the alternating sum of the nondegenerate faces of
+    x, with cancelled entries left out.  Each d_k is a `ColumnMatrix` over
+    `_boundary_columns`, so a column is summed only when it is read; SNF
+    stops reading once its rank bound is met.
+    """
     top = X.top_dim if top is None else min(top, X.top_dim)
     counts = [X.n_nondeg(k) for k in range(top + 1)]
-    boundaries = [ColumnMatrix({})]
-    for k in range(1, top + 1):
-        cols = {}
-        for x, faces in enumerate(X.face[k]):
-            col = {}  # column x, summed, so cancelled entries never enter the matrix
-            sign = 1
-            for degs, _, base_id in faces:
-                if not degs:
-                    col[base_id] = col.get(base_id, 0) + sign
-                sign = -sign
-            if not all(col.values()):
-                col = {r: v for r, v in col.items() if v}
-            if col:
-                cols[x] = col
-        boundaries.append(ColumnMatrix(cols))
+    boundaries = [ColumnMatrix(partial(_boundary_columns, X.face[k]) if k else {})
+                  for k in range(top + 1)]
     return ChainComplex(counts, boundaries)
+
+
+def _boundary_columns(rows):
+    """(x, column) of each nonzero column of the boundary of the face rows, in order."""
+    for x, faces in enumerate(rows):
+        col = {}
+        sign = 1
+        for degs, _, base_id in faces:
+            if not degs:
+                col[base_id] = col.get(base_id, 0) + sign
+            sign = -sign
+        if not all(col.values()):
+            col = {r: v for r, v in col.items() if v}
+        if col:
+            yield x, col
 
 
 @dataclass

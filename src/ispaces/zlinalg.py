@@ -3,14 +3,16 @@
 A matrix is a `ColumnMatrix`: one {row: nonzero int} dict per nonzero
 column, in increasing column order, read as a Mapping (row, col) -> int.  A
 plain dict (row, col) -> int is grouped into columns on entry.  Columns are
-eliminated one at a time, in order, against the unit pivot columns found so
-far, in the order they were found: a reduced column with a +-1 entry becomes
-a new pivot column (a Smith entry 1), and a column left with only non-unit
-entries is set aside.  Unit pivots never create torsion and keep entries
-small.  The loop stops once the rank reaches the bound the shape allows,
-since every further Smith entry is then 1.  The set-aside columns, reduced
-against every pivot, form a small residue whose Smith form is taken densely,
-modulo a nonzero minor of maximal size so that its entries stay bounded.
+read one at a time, in order, and never all held: each is eliminated against
+the unit pivot columns found so far, in the order they were found.  A
+reduced column with a +-1 entry becomes a new pivot column (a Smith entry
+1), and a column left with only non-unit entries is set aside.  Unit pivots
+never create torsion and keep entries small.  The loop stops once the rank
+reaches the bound the shape allows, since every further Smith entry is then
+1, so the columns past that point are never read.  The set-aside columns,
+reduced against every pivot, form a small residue whose Smith form is taken
+densely, modulo a nonzero minor of maximal size so that its entries stay
+bounded.
 
 For a chain complex, the unit pivot columns of d_k may be dropped as rows of
 d_{k+1} (clearing, as in Chen & Kerber 2011, Bauer, Kerber & Reininghaus
@@ -29,12 +31,19 @@ class ColumnMatrix(Mapping):
 
     `cols` maps each nonzero column, in increasing order, to its dict
     {row: nonzero value}.  Items go column by column, rows in insertion order.
+    A matrix may instead be built from a function that returns an iterator
+    over those (column, dict) pairs: each pass in column order (items, keys,
+    len, elimination) then calls it afresh, and the dict `cols` is made from
+    it once, on the first random access.
     """
 
-    __slots__ = ("cols",)
+    __slots__ = ("source", "_cols")
 
     def __init__(self, cols):
-        self.cols = cols
+        if isinstance(cols, dict):
+            self._cols, self.source = cols, cols.items
+        else:
+            self._cols, self.source = None, cols
 
     @classmethod
     def of(cls, mat):
@@ -47,18 +56,25 @@ class ColumnMatrix(Mapping):
                 cols.setdefault(c, {})[r] = v
         return cls({c: cols[c] for c in sorted(cols)})
 
+    @property
+    def cols(self):
+        if self._cols is None:
+            self._cols = dict(self.source())
+            self.source = self._cols.items
+        return self._cols
+
     def __getitem__(self, key):
         r, c = key
         return self.cols[c][r]
 
     def __iter__(self):
-        return ((r, c) for c, col in self.cols.items() for r in col)
+        return ((r, c) for c, col in self.source() for r in col)
 
     def __len__(self):
-        return sum(map(len, self.cols.values()))
+        return sum(len(col) for _, col in self.source())
 
     def items(self):
-        return (((r, c), v) for c, col in self.cols.items() for r, v in col.items())
+        return (((r, c), v) for c, col in self.source() for r, v in col.items())
 
 
 def _reduce(col, pivot_at, pivot_cols):
@@ -87,23 +103,23 @@ def _reduce(col, pivot_at, pivot_cols):
     return col
 
 
-def _unit_pivot_eliminate(mat, drop_rows=(), pivots=None):
+def _unit_pivot_eliminate(mat, nrows, ncols, drop_rows=(), pivots=None):
     """Column-by-column elimination with +-1 pivots.  Returns (rank, residue).
 
     Rows in `drop_rows` are ignored.  The ids of the unit pivot columns are
     appended to the list `pivots` when one is given.  The residue is the
     set-aside part, zero at every pivot row, keyed (row, aside index).
-    A column of `mat` is copied when the loop reaches it, so the loop holds
-    the pivot and set-aside columns, never a copy of all of `mat`.
+    The columns of `mat` are read in order, each copied when the loop
+    reaches it, so the loop holds the pivot and set-aside columns, never all
+    of `mat`.  It stops at the bound min(nrows - len(drop), ncols) that the
+    shape allows (see `rank_and_torsion`), before reading any further column.
     """
-    cols = ColumnMatrix.of(mat).cols
     drop = set(drop_rows)
-    rows = set().union(*cols.values()) - drop
-    bound = min(len(rows), sum(not drop.issuperset(col) for col in cols.values()))
+    bound = min(nrows - len(drop), ncols)
     pivot_at = {}  # pivot row -> index into pivot_cols
     pivot_cols = []
     aside = []
-    for c, entries in cols.items():
+    for c, entries in ColumnMatrix.of(mat).source():
         if len(pivot_cols) == bound:
             return bound, {}
         col = _reduce({r: v for r, v in entries.items() if r not in drop}, pivot_at, pivot_cols)
@@ -224,20 +240,23 @@ def _dense_smith(mat):
     return diag[:rank]
 
 
-def smith_diagonal(mat, drop_rows=(), pivots=None):
-    """Nonzero Smith normal form diagonal of a sparse integer matrix."""
-    rank1, residue = _unit_pivot_eliminate(mat, drop_rows, pivots)
+def smith_diagonal(mat, nrows, ncols, drop_rows=(), pivots=None):
+    """Nonzero Smith normal form diagonal of a sparse integer matrix of the given shape."""
+    rank1, residue = _unit_pivot_eliminate(mat, nrows, ncols, drop_rows, pivots)
     return [1] * rank1 + _dense_smith(residue)
 
 
 def rank_and_torsion(mat, nrows, ncols, drop_rows=(), pivots=None):
     """(rank, torsion coefficients > 1) of a sparse matrix of the given shape.
 
+    The shape bounds the rank, so every row index must be below `nrows`,
+    every column index below `ncols`, and the dropped rows must be among
+    those rows; the shape may be larger than the nonzero part.
     `drop_rows` and `pivots` serve clearing in a chain complex: pass the
     pivot columns that a call on d_k appended to `pivots` as the `drop_rows`
     of d_{k+1}.
     """
-    diag = smith_diagonal(mat, drop_rows, pivots)
+    diag = smith_diagonal(mat, nrows, ncols, drop_rows, pivots)
     if len(diag) > min(nrows, ncols):
         raise AssertionError("Smith rank exceeds matrix shape")
     return len(diag), tuple(d for d in diag if d > 1)

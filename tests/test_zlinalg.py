@@ -24,10 +24,11 @@ def test_smith_diagonal_divisibility():
     from ispaces.zlinalg import smith_diagonal
 
     mat = {(0, 0): 2, (0, 1): 4, (1, 0): 4, (1, 1): 4}
-    diag = [d for d in smith_diagonal(mat) if d]
-    for a, b in zip(diag, diag[1:]):
-        assert b % a == 0
-    assert diag == [2, 4]
+    for nrows, ncols in ((2, 2), (3, 2), (2, 4), (5, 5)):  # zero rows and columns past the entries
+        diag = [d for d in smith_diagonal(mat, nrows, ncols) if d]
+        for a, b in zip(diag, diag[1:]):
+            assert b % a == 0
+        assert diag == [2, 4]
 
 
 def test_rank_and_torsion_known_matrix():
@@ -59,15 +60,24 @@ def test_bareiss_agrees_with_smith_on_random_sparse():
 
 
 def test_invariant_factors_match_determinantal_divisors():
+    """Also on a shape with extra zero rows and columns, whose rank bound is
+    above the rank, so that elimination reads every column."""
     rng = random.Random(11)
+    pad = random.Random(12)
     values = (1, 2, 3, 4, 6, -1, -2, -3, -4, -6)
+    loose = 0
     for _ in range(300):
         nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
         density = rng.choice((0.4, 0.7, 1.0))
         dense = [[rng.choice(values) if rng.random() < density else 0
                   for _ in range(ncols)] for _ in range(nrows)]
         mat = {(r, c): v for r, row in enumerate(dense) for c, v in enumerate(row) if v}
-        assert smith_diagonal(mat) == invariant_factors(dense, ncols), dense
+        want = invariant_factors(dense, ncols)
+        assert smith_diagonal(mat, nrows, ncols) == want, dense
+        extra_rows, extra_cols = pad.randint(0, 2), pad.randint(0, 2)
+        loose += len(want) < min(nrows + extra_rows, ncols + extra_cols)
+        assert smith_diagonal(mat, nrows + extra_rows, ncols + extra_cols) == want, dense
+    assert loose > 100
 
 
 def test_explicit_zero_entries_are_ignored():
