@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Callable, Optional
 
 from . import icat
-from .icat import TruncatedI, concat, shuffle
+from .icat import TruncatedI, coded_injections, concat, shuffle
 from .simplicial import (
     SMap,
     component_subcomplex,
@@ -40,6 +40,7 @@ from .ispace import (
     _discrete_ispace,
     _hocolim_deg,
     _hocolim_faces,
+    _tail_level,
     hocolim_I,
     is_flat,
     restrict,
@@ -750,31 +751,28 @@ def bar_monoid(A, B):
 # The bar construction of the homotopy colimit.
 # ---------------------------------------------------------------------------
 
-def _chain_sum(z, w, x):
+def _chain_sum(I, z, w, x):
     """Block sum of two raw homotopy-colimit chains of equal length, carrying x.
 
-    Arrow i of the sum is the block sum of the arrows i, as image tuples: the
-    first image, then the second shifted past the first arrow's target.
+    The head levels add, and arrow i of the sum is the block sum of the
+    arrows i, looked up on their codes in I (`CodedI.plus`).
     """
-    lv1, ar1, _ = z
-    lv2, ar2, _ = w
-    lv = tuple(a + b for a, b in zip(lv1, lv2))
-    ar = tuple(f + tuple(v + d for v in g) for f, g, d in zip(ar1, ar2, lv1))
-    return (lv, ar, x)
+    return (z[0] + w[0],) + tuple(I.plus[f, g] for f, g in zip(z[1:-1], w[1:-1])) + (x,)
 
 
-def _chain_mul(A, z, w):
+def _chain_mul(A, I, z, w):
     """Monoid product on raw homotopy-colimit cells, by chain block sum."""
-    return _chain_sum(z, w, A.mul(z[0][-1], w[0][-1], z[2], w[2]))
+    return _chain_sum(I, z, w, A.mul(_tail_level(I, z), _tail_level(I, w), z[-1], w[-1]))
 
 
-def _merge_at(A, f, i):
+def _merge_at(A, I, f, i):
     """Bar entries f with the adjacent entries f[i - 1] and f[i] multiplied."""
-    return f[: i - 1] + (_chain_mul(A, f[i - 1], f[i]),) + f[i + 1:]
+    return f[: i - 1] + (_chain_mul(A, I, f[i - 1], f[i]),) + f[i + 1:]
 
 
-def _chain_unit(A, s):
-    return ((0,) * (s + 1), ((),) * s, A.unit_ref(s))
+def _chain_unit(A, I, s):
+    """The unit s-cell: s identity arrows of level 0, then the unit simplex."""
+    return (0,) + (I.ident[0],) * s + (A.unit_ref(s),)
 
 
 def bar_of_hocolim(A, K):
@@ -784,33 +782,33 @@ def bar_of_hocolim(A, K):
     whose top chain levels sum to at most N; bar faces multiply adjacent
     entries with the chainwise block-sum product.
     """
-    X = A.space
+    X, I = A.space, coded_injections(A.N)
     raws = _chain_cells(X, K, TruncatedI(A.N).hom)
     cells = [_tuples_bounded([raws[k]] * k, A.N) for k in range(K + 1)]
     faces = _hocolim_faces(X)
 
     def faces_fn(k, raw):
         cols = tuple(zip(*[faces(z) for z in raw]))  # cols[i]: d_i of every entry
-        middle = tuple(_merge_at(A, cols[i], i) for i in range(1, k))
+        middle = tuple(_merge_at(A, I, cols[i], i) for i in range(1, k))
         return (cols[0][1:],) + middle + (cols[k][:-1],)
 
     def deg_fn(k, raw, i):
-        degged = tuple(_hocolim_deg(z, i) for z in raw)
-        return degged[:i] + (_chain_unit(A, k + 1),) + degged[i:]
+        degged = tuple(_hocolim_deg(I, z, i) for z in raw)
+        return degged[:i] + (_chain_unit(A, I, k + 1),) + degged[i:]
 
     return normalize_table(cells, faces_fn, deg_fn, K, based_raw=())
 
 
 def _tuples_bounded(pools, budget):
     """Tuples of raw chain cells, one from each pool, in the order of the
-    product of the pools, whose head levels z[0][0] sum to at most `budget`.
+    product of the pools, whose head levels z[0] sum to at most `budget`.
 
     Each pool is bucketed once by the budget left: fits[b] holds its cells of
     head level at most b, so a prefix extends without testing any cell.
     """
     level = [((), budget)]
     for pool in pools:
-        fits = [[(z, z[0][0]) for z in pool if z[0][0] <= b] for b in range(budget + 1)]
+        fits = [[(z, z[0]) for z in pool if z[0] <= b] for b in range(budget + 1)]
         level = [(t + (z,), left - h) for t, left in level for z, h in fits[left]]
     return [t for t, _ in level]
 
@@ -821,7 +819,7 @@ def two_sided_bar_of_hocolim(A, K):
     Cells carry a leading and a trailing nerve chain; the outer bar faces
     absorb the boundary monoid entries into the nerve chains by block sum.
     """
-    X = A.space
+    X, I = A.space, coded_injections(A.N)
     T = terminal_ispace(A.N)
     raws = _chain_cells(X, K, TruncatedI(A.N).hom)
     t_raws = _chain_cells(T, K, TruncatedI(A.N).hom)
@@ -836,18 +834,18 @@ def two_sided_bar_of_hocolim(A, K):
         c0f, c1f = t_faces(c0), t_faces(c1)
         cols = tuple(zip(*[faces(z) for z in zs]))  # cols[i]: d_i of every entry
         # the nerve chains absorb an outer entry, keeping their point simplex
-        middle = tuple((c0f[i], _merge_at(A, cols[i], i), c1f[i]) for i in range(1, k))
-        return (((_chain_sum(c0f[0], cols[0][0], c0f[0][2]), cols[0][1:], c1f[0]),)
+        middle = tuple((c0f[i], _merge_at(A, I, cols[i], i), c1f[i]) for i in range(1, k))
+        return (((_chain_sum(I, c0f[0], cols[0][0], c0f[0][-1]), cols[0][1:], c1f[0]),)
                 + middle
-                + ((c0f[k], cols[k][:-1], _chain_sum(cols[k][-1], c1f[k], c1f[k][2])),))
+                + ((c0f[k], cols[k][:-1], _chain_sum(I, cols[k][-1], c1f[k], c1f[k][-1])),))
 
     def deg_fn(k, raw, i):
         c0, zs, c1 = raw
-        unit = _chain_unit(A, k + 1)
-        zd = tuple(_hocolim_deg(z, i) for z in zs)
-        return (_hocolim_deg(c0, i), zd[:i] + (unit,) + zd[i:], _hocolim_deg(c1, i))
+        unit = _chain_unit(A, I, k + 1)
+        zd = tuple(_hocolim_deg(I, z, i) for z in zs)
+        return (_hocolim_deg(I, c0, i), zd[:i] + (unit,) + zd[i:], _hocolim_deg(I, c1, i))
 
-    zero_chain = ((0,), (), nd_ref(0, 0))
+    zero_chain = (0, nd_ref(0, 0))
     return normalize_table(cells, faces_fn, deg_fn, K,
                            based_raw=(zero_chain, (), zero_chain))
 
@@ -879,6 +877,7 @@ def _bar_comparison_once(A, D):
     left_tab = hocolim_I(B.space, K)
     middle_tab = two_sided_bar_of_hocolim(A, K)
     right_tab = bar_of_hocolim(A, K)
+    I = coded_injections(A.N)
 
     def to_right(k, raw):
         return raw[1]
@@ -887,14 +886,13 @@ def _bar_comparison_once(A, D):
         c0, zs, c1 = raw
         chain = c0
         for z in zs + (c1,):
-            chain = _chain_sum(chain, z, None)
-        lv, ar, _ = chain
+            chain = _chain_sum(I, chain, z, None)
         # the bar cell's blocks sit side by side, just past c0's block
-        nvec = tuple(z[0][-1] for z in zs)
-        start = c0[0][-1]
+        nvec = tuple(_tail_level(I, z) for z in zs)
+        start = _tail_level(I, c0)
         image = tuple(range(start + 1, start + sum(nvec) + 1))
-        xref = B.ref(lv[-1], len(zs), (nvec, image, tuple(z[2] for z in zs)))
-        return (lv, ar, xref)
+        xref = B.ref(_tail_level(I, chain), len(zs), (nvec, image, tuple(z[-1] for z in zs)))
+        return chain[:-1] + (xref,)
 
     f_right = map_from_tables(middle_tab, right_tab, to_right)
     f_left = map_from_tables(middle_tab, left_tab, to_left)

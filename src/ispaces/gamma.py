@@ -31,7 +31,8 @@ from .simplicial import (
     ref_dim,
     tensor_complex,
 )
-from .ispace import box_multi, hocolim_I
+from .icat import coded_injections
+from .ispace import _tail_level, box_multi, hocolim_I
 from .cmon import CommMonoidPres, _vec_add, unit_verdicts
 
 
@@ -178,6 +179,7 @@ def gamma_of_monoid(A, K, S):
     for k in range(1, K + 1):
         tabs.append(hocolim_I(boxes[k].space, S, based=True))
     values = [point()] + [t.sset for t in tabs[1:]]
+    I = coded_injections(A.N)
 
     def act_fn(phi, k, l):
         if k == 0:
@@ -191,10 +193,9 @@ def gamma_of_monoid(A, K, S):
             return SMap(values[k], values[0], table)
 
         def push(d, raw):
-            levels, arrows, xref = raw
-            n = levels[-1]
+            n, xref = _tail_level(I, raw), raw[-1]
             moved = _apply_based_to_raw(A, phi, l, boxes[k].raw(n, xref))
-            return (levels, arrows, boxes[l].ref(n, ref_dim(xref), moved))
+            return raw[:-1] + (boxes[l].ref(n, ref_dim(xref), moved),)
 
         return map_from_tables(tabs[k], tabs[l], push)
 
@@ -238,9 +239,9 @@ def _min_levels(X, k):
     for (d, v), raw in tabs[k].raw_of.items():
         if d != 0:
             continue
-        levels, _, _ = raw
+        m, _ = raw  # a vertex (m_0, x) of the homotopy colimit sits at level m_0
         c = reps[v]
-        out[c] = min(out.get(c, levels[-1]), levels[-1])
+        out[c] = min(out.get(c, m), m)
     bp = X.values[k].basepoint
     if bp is not None:
         # the quotient keeps a single arbitrary raw for the collapsed vertex

@@ -6,6 +6,7 @@ the block sum, and the block shuffles tau interchange the summands.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import permutations
 
 
@@ -139,6 +140,7 @@ class FinCategory:
     dst: dict
     comp: dict
     ident: dict
+    codes: tuple = field(default=None, init=False, compare=False, repr=False)  # set by validate
 
     def coded(self):
         """(code, src, dst, ident, after): the tables on dense integer codes.
@@ -160,7 +162,8 @@ class FinCategory:
 
         Morphisms are bucketed by target, so the pair and triple loops visit
         composable pairs and triples only, in the order of `morphisms`.  The
-        unit and associativity loops compare codes (`coded`, which sorts).
+        unit and associativity loops compare codes (`coded`, which sorts), and
+        the tables are kept in `codes`, so a caller that validates codes once.
         """
         bad = []
         for obj in self.objects:
@@ -182,7 +185,7 @@ class FinCategory:
                     bad.append(f"composite of {g} after {f} has wrong endpoints")
         if bad:
             return bad
-        code, src, dst, ident, after = self.coded()
+        code, src, dst, ident, after = self.codes = self.coded()
         name = list(code)
         order = [code[f] for f in self.morphisms]
         into = [[f for f in order if dst[f] == j] for j in range(len(ident))]
@@ -199,6 +202,28 @@ class FinCategory:
                     if hg_after[f] != h_after[g_after[f]]:
                         bad.append(f"associativity fails at ({name[h]}, {name[g]}, {name[f]})")
         return bad
+
+
+class CodedI:
+    """TruncatedI(N) on the integer codes of `FinCategory.coded`.
+
+    arrow[c] is the injection of code c and code its inverse; src, dst,
+    ident and after are the tables of `coded`, and plus[(f, g)] is the code
+    of the block sum f + g (`concat`) wherever its target is at most N.
+    """
+
+    def __init__(self, N):
+        code, self.src, self.dst, self.ident, self.after = TruncatedI(N).as_fincategory().coded()
+        self.code, self.arrow = code, list(code)
+        self.plus = {(f, g): code[concat(self.arrow[f], self.arrow[g])]
+                     for f in code.values() for g in code.values()
+                     if self.dst[f] + self.dst[g] <= N}
+
+
+@lru_cache(maxsize=None)
+def coded_injections(N):
+    """The one coding of TruncatedI(N), built once per N; codes depend on N alone."""
+    return CodedI(N)
 
 
 def comma_under(n, N):

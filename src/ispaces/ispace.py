@@ -16,7 +16,8 @@ from itertools import product as iproduct
 from typing import Callable, Optional
 
 from . import icat
-from .icat import Injection, TruncatedI, compose, concat, identity, subset_inclusion, unchecked
+from .icat import (Injection, TruncatedI, coded_injections, compose, concat, identity,
+                   subset_inclusion)
 from .simplicial import (
     LazyDict,
     NormTable,
@@ -401,73 +402,68 @@ def rho(BXY):
 def _chain_cells(X, S, arrows_of):
     """Raw cells of the simplicial replacement diagonal, dims 0..S.
 
-    A raw s-cell is (levels, arrows, x): levels m_0 >= ... >= m_s, arrows[i]
-    the image tuple of an injection m_{i+1} -> m_i, and x an s-simplex of
-    X(m_s).  The diagram is evaluated at the small end of the chain.
+    A raw s-cell is the flat tuple (m_0, a_1, ..., a_s, x): the head level,
+    the codes (`icat.coded_injections(X.N)`) of injections a_i: m_i -> m_{i-1},
+    and x an s-simplex of X(m_s) (`_tail_level`).  Its length s + 2 keeps
+    the dimensions apart.
     """
-    cells = []
-    chains = [[((m,), ()) for m in range(X.N + 1)]]
-    for s in range(1, S + 1):
-        level = []
-        for levels, arrows in chains[s - 1]:
-            for m in range(levels[-1] + 1):
-                for f in arrows_of(m, levels[-1]):
-                    level.append((levels + (m,), arrows + (f.image,)))
-        chains.append(level)
-    for s in range(S + 1):
-        simp = [X.level(m).all_simplices(s) for m in range(X.N + 1)]
-        cells.append([(lv, ar, x) for (lv, ar) in chains[s] for x in simp[lv[-1]]])
-    return cells
+    code = coded_injections(X.N).code
+    into = [[(m, code[f]) for m in range(n + 1) for f in arrows_of(m, n)]
+            for n in range(X.N + 1)]
+    chains = [[((m,), m) for m in range(X.N + 1)]]
+    for _ in range(S):
+        chains.append([(ch + (a,), m) for ch, n in chains[-1] for m, a in into[n]])
+    simp = [[X.level(m).all_simplices(s) for m in range(X.N + 1)] for s in range(S + 1)]
+    return [[ch + (x,) for ch, m in chains[s] for x in simp[s][m]] for s in range(S + 1)]
+
+
+def _tail_level(I, raw):
+    """The level m_s of a raw chain cell (m_0, a_1, ..., a_s, x), on the codes of I."""
+    return I.src[raw[-2]] if len(raw) > 2 else raw[0]
 
 
 def _hocolim_faces(X):
     """Row kernel of the homotopy colimit of X: raw s-cell -> (d_0, ..., d_s).
 
-    The arrows are image tuples of injections taken from the index category,
-    and composites of such, so they are composed as tuples and never
-    re-validated.  Two memos live as long as the kernel, which is built once
-    per construction: (m_s, x) -> (d_0 x, ..., d_{s-1} x) in X(m_s), and
-    (m_s, m_{s-1}, arrow, x) -> d_s(X(arrow) x) for the last face.
+    d_0 drops the head, d_i for 0 < i < s composes arrows i and i + 1 on
+    their codes (`after`), and d_s drops the last arrow.  One memo lives as
+    long as the kernel, which is built once per construction:
+    (a_s, x) -> (d_0 x, ..., d_{s-1} x, d_s(X(a_s) x)).
     """
-    inner = {}
-    last = {}
+    I = coded_injections(X.N)
+    src, after = I.src, I.after
+    memo = {}
 
     def faces(raw):
-        levels, arrows, x = raw
-        s = len(arrows)
-        m, n = levels[-1], levels[-2]
-        ds = inner.get((m, x))
+        s = len(raw) - 2
+        key = raw[-2:]
+        ds = memo.get(key)
         if ds is None:
-            ds = inner[(m, x)] = tuple(X.level(m).d(i, x) for i in range(s))
-        key = (m, n, arrows[-1], x)
-        top = last.get(key)
-        if top is None:
-            moved = X.act(unchecked(m, n, arrows[-1]))(x)
-            top = last[key] = X.level(n).d(s, moved)
-        row = [(levels[1:], arrows[1:], ds[0])]
+            a, x = key
+            moved = X.act(I.arrow[a])(x)
+            ds = memo[key] = (tuple(X.level(src[a]).d(i, x) for i in range(s))
+                              + (X.level(I.dst[a]).d(s, moved),))
+        row = [(src[raw[1]],) + raw[2:-1] + (ds[0],)]
         for i in range(1, s):
-            composed = tuple(arrows[i - 1][v - 1] for v in arrows[i])
-            row.append((levels[:i] + levels[i + 1:],
-                        arrows[:i - 1] + (composed,) + arrows[i + 1:], ds[i]))
-        row.append((levels[:-1], arrows[:-1], top))
+            row.append(raw[:i] + (after[raw[i]][raw[i + 1]],) + raw[i + 2:-1] + (ds[i],))
+        row.append(raw[:-2] + (ds[s],))
         return tuple(row)
 
     return faces
 
 
-def _hocolim_deg(raw, i):
-    """s_i of a raw chain cell: repeat level i with its identity arrow."""
-    levels, arrows, x = raw
-    new_levels = levels[: i + 1] + levels[i:]
-    new_arrows = arrows[:i] + (tuple(range(1, levels[i] + 1)),) + arrows[i:]
-    return (new_levels, new_arrows, apply_s(i, x))
+def _hocolim_deg(I, raw, i):
+    """s_i of a raw chain cell: repeat level i, inserting the code of its identity."""
+    m = I.src[raw[i]] if i else raw[0]
+    return raw[:i + 1] + (I.ident[m],) + raw[i + 1:-1] + (apply_s(i, raw[-1]),)
 
 
 def _hocolim(X, S, arrows_of, based):
+    I = coded_injections(X.N)
     faces = _hocolim_faces(X)
     tab = normalize_table(_chain_cells(X, S, arrows_of),
                           lambda k, raw: faces(raw),
-                          lambda k, raw, i: _hocolim_deg(raw, i), S)
+                          lambda k, raw, i: _hocolim_deg(I, raw, i), S)
     if not based:
         return tab
     return _based_quotient(X, tab)
@@ -482,10 +478,11 @@ def _based_quotient(X, tab):
     """Collapse the copy of the index nerve sitting under the basepoints."""
     if not X.is_based():
         raise ValueError("based homotopy colimit needs a based diagram")
+    I = coded_injections(X.N)
     sub = {}
     for (k, x), raw in tab.raw_of.items():
-        levels, _, (_, base_dim, base_id) = raw
-        if base_dim == 0 and base_id == X.level(levels[-1]).basepoint:
+        _, base_dim, base_id = raw[-1]
+        if base_dim == 0 and base_id == X.level(_tail_level(I, raw)).basepoint:
             sub.setdefault(k, set()).add(x)
     Q, push = quotient(tab.sset, sub)
     ref_of = LazyDict(partial(_pushed_ref, push, tab.ref_of))
@@ -500,8 +497,9 @@ def _based_quotient(X, tab):
 def hocolim_I(X, S, based=False):
     """Bousfield-Kan homotopy colimit over the truncated injection category.
 
-    Its face maps memoise the faces of each simplex of X, and of its image
-    under each last arrow, for this one construction (`_hocolim_faces`).
+    Raw cells are flat chains of injection codes (`_chain_cells`); the face
+    maps compose codes and memoise the faces of each simplex of X, and of
+    its image under each last arrow, per construction (`_hocolim_faces`).
     """
     return _hocolim(X, S, TruncatedI(X.N).hom, based)
 
@@ -529,10 +527,10 @@ def hocolim_map(phi, src_space, dst_space, S):
     """
     ts = hocolim_N(src_space, S)
     td = hocolim_N(dst_space, S)
+    I = coded_injections(src_space.N)
 
     def push(k, raw):
-        levels, ar, x = raw
-        return (levels, ar, phi[levels[-1]](x))
+        return raw[:-1] + (phi[_tail_level(I, raw)](raw[-1]),)
 
     return map_from_tables(ts, td, push)
 

@@ -179,9 +179,9 @@ def _degree_component(A, tab, degree):
     for (d, v), raw in sorted(tab.raw_of.items()):
         if d != 0:
             continue
-        levels, _, (_, _, base_id) = raw
+        m, (_, _, base_id) = raw  # a vertex (m_0, x) sits at level m_0
         # subset-model vertices know their degree via the subset size
-        if len(A.meta["points"][levels[-1]][base_id]) == degree:
+        if len(A.meta["points"][m][base_id]) == degree:
             return v
     raise ValueError(f"no vertex of degree {degree} at this truncation")
 

@@ -406,11 +406,10 @@ def quotient(X, sub):
             return (tuple(range(ref_dim(ref) - 1, -1, -1)), 0, 0)
         return (degs, base_dim, newid[(base_dim, base_id)])
 
+    moved = LazyDict(push)  # each face ref is pushed once, and shared by its rows
     face = [[]]
     for k in range(1, X.top_dim + 1):
-        point = (tuple(range(k - 2, -1, -1)), 0, 0)  # the basepoint in dim k - 1
-        face.append([tuple(point if b in subs[d] else (degs, d, newid[(d, b)])
-                           for degs, d, b in faces)
+        face.append([tuple(map(moved.__getitem__, faces))
                      for x, faces in enumerate(X.face[k]) if x not in subs[k]])
     return SSet(tuple(card), tuple(face), complete=X.complete, basepoint=0), push
 
@@ -424,15 +423,15 @@ def nerve(C, D):
 
     k-simplices are composable chains c_0 -> ... -> c_k; identities give the
     degeneracies.  A raw vertex is an object code and a raw k-chain the tuple
-    of its morphism codes (`FinCategory.coded`, codes in sorted order); the
-    chains are enumerated in code order, which fixes the ids.  The result is
-    marked complete when no nondegenerate D-chain exists (all longer chains
-    are then degenerate as well).
+    of its morphism codes (`FinCategory.codes`, as validated, in sorted
+    order); the chains are enumerated in code order, which fixes the ids.
+    The result is marked complete when no nondegenerate D-chain exists (all
+    longer chains are then degenerate as well).
     """
     bad = C.validate()
     if bad:
         raise ValueError("composition table is not a category: " + "; ".join(bad))
-    _, src, dst, ident, after = C.coded()
+    _, src, dst, ident, after = C.codes
     out_of = [[f for f in range(len(src)) if src[f] == j] for j in range(len(ident))]
     cells = [list(range(len(ident)))]
     level = [()]

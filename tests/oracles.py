@@ -290,6 +290,61 @@ def hocolim_face_reference(X, raw, i):
     return (levels[:i] + levels[i + 1:], new_arrows, X.level(levels[-1]).d(i, x))
 
 
+def hocolim_reference(X, S, arrows_of, based):
+    """The homotopy colimit of X through dimension S on nested raw cells.
+
+    A raw s-cell is (levels, arrows, x): levels m_0 >= ... >= m_s, arrows[i]
+    the image tuple of an injection m_{i+1} -> m_i taken from arrows_of, and
+    x an s-simplex of X(m_s).  Faces come one at a time from
+    `hocolim_face_reference`, and s_i repeats level i with its identity.
+    The based form collapses the cells over the basepoints and keeps an
+    eager dictionary of refs.  Returns a `NormTable`.
+    """
+    from ispaces.simplicial import NormTable, apply_s, nd_ref, normalize_table, quotient
+
+    chains = [[((m,), ()) for m in range(X.N + 1)]]
+    for _ in range(S):
+        chains.append([(levels + (m,), arrows + (f.image,)) for levels, arrows in chains[-1]
+                       for m in range(levels[-1] + 1) for f in arrows_of(m, levels[-1])])
+    cells = [[(lv, ar, x) for lv, ar in chains[s] for x in X.level(lv[-1]).all_simplices(s)]
+             for s in range(S + 1)]
+
+    def faces_fn(k, raw):
+        return tuple(hocolim_face_reference(X, raw, i) for i in range(k + 1))
+
+    def deg_fn(k, raw, i):
+        levels, arrows, x = raw
+        return (levels[:i + 1] + levels[i:],
+                arrows[:i] + (tuple(range(1, levels[i] + 1)),) + arrows[i:], apply_s(i, x))
+
+    tab = normalize_table(cells, faces_fn, deg_fn, S)
+    if not based:
+        return tab
+    if not X.is_based():
+        raise ValueError("based homotopy colimit needs a based diagram")
+    sub = {}
+    for (k, x), (levels, _, (_, base_dim, base_id)) in tab.raw_of.items():
+        if base_dim == 0 and base_id == X.level(levels[-1]).basepoint:
+            sub.setdefault(k, set()).add(x)
+    Q, push = quotient(tab.sset, sub)
+    raw_of = {}
+    for (k, x), raw in tab.raw_of.items():
+        degs, base_dim, base_id = push(nd_ref(k, x))
+        if not degs:
+            raw_of[(base_dim, base_id)] = raw
+    return NormTable(Q, {raw: push(r) for raw, r in tab.ref_of.items()}, raw_of)
+
+
+def decode_chain(N, raw):
+    """A coded raw chain cell (m_0, a_1, ..., a_s, x) of the homotopy colimit
+    at truncation N as the nested cell (levels, arrows, x) of
+    `hocolim_reference`, through the injections that the codes name."""
+    from ispaces.icat import coded_injections
+
+    arrows = [coded_injections(N).arrow[a] for a in raw[1:-1]]
+    return ((raw[0],) + tuple(f.src for f in arrows), tuple(f.image for f in arrows), raw[-1])
+
+
 def is_injective(f):
     """True iff the SMap f is injective on all simplices, degenerate included."""
     for k in range(f.src.top_dim + 1):

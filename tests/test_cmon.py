@@ -26,7 +26,7 @@ from ispaces.cmon import (
     units,
     validate_monoid,
 )
-from ispaces.icat import TruncatedI
+from ispaces.icat import TruncatedI, coded_injections
 from ispaces.ispace import _chain_cells, free_ispace, hocolim_I, terminal_ispace
 from ispaces.simplicial import homology, pi0_classes
 
@@ -35,6 +35,7 @@ from oracles import (
     bounded_tuples,
     bounded_unit_search,
     chain_sum_reference,
+    decode_chain,
     sigma2_homology,
 )
 
@@ -233,6 +234,7 @@ def test_tuples_bounded_matches_oracle():
     of terminal-diagram k-cells at each end).  A full product can reach
     4.9e10 tuples (c1(3), k = 3), so pools whose product exceeds 10^6 tuples
     are thinned by a common stride, which keeps the order of each pool.
+    The oracle reads the cells decoded to nested (levels, arrows, x).
     """
     for N in (2, 3):
         raws = _chain_cells(c1(N).space, 3, TruncatedI(N).hom)
@@ -243,19 +245,29 @@ def test_tuples_bounded_matches_oracle():
                 while prod(len(p[::step]) for p in pools) > 10 ** 6:
                     step += 1
                 pools = [p[::step] for p in pools]
-                assert _tuples_bounded(pools, N) == bounded_tuples(pools, N)
+                nested = [[decode_chain(N, z) for z in p] for p in pools]
+                assert ([tuple(decode_chain(N, z) for z in t) for t in _tuples_bounded(pools, N)]
+                        == bounded_tuples(nested, N))
 
 
 def test_chain_sum_matches_block_sum_of_injections():
-    """The image-tuple block sum against concatenated checked injections, on
-    every pair of equal-length raw chains of c1(2)."""
-    raws = _chain_cells(c1(2).space, 3, TruncatedI(2).hom)
-    for cells in raws:
-        chains = sorted({(lv, ar) for lv, ar, _ in cells})
-        for lv1, ar1 in chains:
-            for lv2, ar2 in chains:
-                z, w = (lv1, ar1, None), (lv2, ar2, None)
-                assert _chain_sum(z, w, "x") == chain_sum_reference(z, w, "x")
+    """The block sum on codes against concatenated checked injections, on
+    raw chains of the terminal diagram at truncation 4 decoded to nested
+    (levels, arrows, x): every pair of equal-length chains whose head levels
+    sum to at most 4 through dimension 2, and every pair of 3-chains whose
+    head levels are at most 2, so every pair of chains at truncation 2."""
+    I = coded_injections(4)
+    cells = _chain_cells(terminal_ispace(4), 3, TruncatedI(4).hom)
+    pairs = 0
+    for pool in cells[:3] + [[raw for raw in cells[3] if raw[0] <= 2]]:
+        chains = [raw[:-1] + (None,) for raw in pool]
+        fits = [[w for w in chains if w[0] <= b] for b in range(5)]
+        for z in chains:
+            for w in fits[4 - z[0]]:
+                want = chain_sum_reference(decode_chain(4, z), decode_chain(4, w), "x")
+                assert decode_chain(4, _chain_sum(I, z, w, "x")) == want
+                pairs += 1
+    assert pairs == 15 + 290 + 5451 + 42 ** 2
 
 
 def test_bar_monoid_mul_matches_reference():

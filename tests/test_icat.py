@@ -4,6 +4,7 @@ from ispaces.icat import (
     FinCategory,
     Injection,
     TruncatedI,
+    coded_injections,
     comma_under,
     compose,
     concat,
@@ -66,6 +67,26 @@ def test_comma_under_matches_oracle(n, N):
     objs, mors = comma_under_counts(n, N)
     assert len(cat.objects) == objs
     assert len(cat.morphisms) == mors
+
+
+@pytest.mark.parametrize("N", range(4))
+def test_coded_injections_name_composites_and_block_sums(N):
+    """The coded tables of TruncatedI(N) against checked injections: code and
+    arrow are inverse, src, dst and ident name the endpoints and identities,
+    after[g][f] is g o f for every composable pair and plus[(f, g)] the block
+    sum f + g for every pair whose target is at most N."""
+    I = coded_injections(N)
+    assert I is coded_injections(N)
+    assert I.arrow == sorted(TruncatedI(N).arrows())
+    assert {f: c for c, f in enumerate(I.arrow)} == I.code
+    assert [(f.src, f.dst) for f in I.arrow] == list(zip(I.src, I.dst))
+    assert [I.arrow[c] for c in I.ident] == [identity(n) for n in range(N + 1)]
+    composites = {(g, f): I.code[compose(I.arrow[g], I.arrow[f])]
+                  for g in I.code.values() for f in I.code.values() if I.dst[f] == I.src[g]}
+    assert {(g, f): gf for g, row in enumerate(I.after) for f, gf in row.items()} == composites
+    sums = {(f, g): I.code[concat(I.arrow[f], I.arrow[g])]
+            for f in I.code.values() for g in I.code.values() if I.dst[f] + I.dst[g] <= N}
+    assert I.plus == sums
 
 
 def test_enumeration_is_sorted_and_complete():

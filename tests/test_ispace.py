@@ -41,8 +41,8 @@ from ispaces.simplicial import (
     sphere,
 )
 
-from oracles import (count_injections, hocolim_face_reference, is_injective, pairing_map,
-                     product_sset, subsets_of)
+from oracles import (count_injections, decode_chain, hocolim_face_reference,
+                     hocolim_reference, is_injective, pairing_map, product_sset, subsets_of)
 
 
 S0 = discrete(2, basepoint=0)
@@ -197,8 +197,41 @@ def test_hocolim_faces_kernel_matches_reference(diagram, arrows):
     faces = _hocolim_faces(X)
     for s in range(1, 4):
         for raw in cells[s]:
-            want = tuple(hocolim_face_reference(X, raw, i) for i in range(s + 1))
-            assert faces(raw) == want, raw
+            nested = decode_chain(X.N, raw)
+            want = tuple(hocolim_face_reference(X, nested, i) for i in range(s + 1))
+            assert tuple(decode_chain(X.N, f) for f in faces(raw)) == want, raw
+
+
+REFERENCE_DIAGRAMS = {
+    "terminal": lambda based: terminal_ispace(3, based=based),
+    "free-1": lambda based: free_ispace(1, 3),
+    "c1": lambda based: c1(3).space,
+}
+
+
+@pytest.mark.parametrize("based", [False, True], ids=["unbased", "based"])
+@pytest.mark.parametrize("arrows", sorted(KERNEL_ARROWS))
+@pytest.mark.parametrize("diagram", sorted(REFERENCE_DIAGRAMS))
+def test_hocolim_matches_nested_reference(diagram, arrows, based):
+    """The homotopy colimit on coded chains equals the one on nested cells
+    (levels, arrows of image tuples, x): the same normalized set, and each
+    raw cell decodes to the reference's cell of that id and has its ref.
+    The free diagram has no basepoint, and both refuse its based form."""
+    X = REFERENCE_DIAGRAMS[diagram](based)
+    build = hocolim_I if arrows == "injections" else hocolim_N
+    if based and not X.is_based():
+        with pytest.raises(ValueError):
+            build(X, 3, based=True)
+        with pytest.raises(ValueError):
+            hocolim_reference(X, 3, KERNEL_ARROWS[arrows](X.N), True)
+        return
+    got = build(X, 3, based=based)
+    want = hocolim_reference(X, 3, KERNEL_ARROWS[arrows](X.N), based)
+    assert got.sset == want.sset
+    assert {key: decode_chain(X.N, raw) for key, raw in got.raw_of.items()} == want.raw_of
+    cells = _chain_cells(X, 3, KERNEL_ARROWS[arrows](X.N))
+    assert {decode_chain(X.N, raw): got.ref_of[raw]
+            for level in cells for raw in level} == want.ref_of
 
 
 def test_based_quotient_refs_match_eager_push():
@@ -216,7 +249,7 @@ def test_based_quotient_refs_match_eager_push():
     assert {raw: lazy[raw] for level in cells for raw in level} == eager
     assert dict(lazy) == eager
     with pytest.raises(KeyError):
-        lazy[((0,), (), nd_ref(1, 0))]
+        lazy[(0, nd_ref(1, 0))]
 
 
 def test_based_hocolim_collapses_unit_nerve():

@@ -38,6 +38,8 @@ CASES = {
     "hocolim-terminal-based": lambda: ispace.hocolim_I(
         ispace.terminal_ispace(3, based=True), 3, based=True),
     "hocolim-free-1": lambda: ispace.hocolim_I(ispace.free_ispace(1, 3), 3),
+    "hocolim-N-c1": lambda: ispace.hocolim_N(cmon.c1(3).space, 3),
+    "hocolim-c1-based": lambda: ispace.hocolim_I(cmon.c1(3).space, 3, based=True),
     "power-circle": lambda: ispace.power_ispace(simplicial.sphere(1), 3),
     "product": lambda: product_sset(simplicial.sphere(1), simplicial.sphere(2)),
     "bar-c1": lambda: cmon.bar(cmon.c1(2), 3),

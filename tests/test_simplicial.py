@@ -31,7 +31,7 @@ from ispaces.simplicial import (
     validate_sset,
 )
 
-from ispaces.icat import TruncatedI, comma_under
+from ispaces.icat import FinCategory, TruncatedI, comma_under
 from oracles import (chain_boundary_reference, cyclic_group_category, map_table_reference,
                      nerve_reference, normalize_pair_ref, pairing_map, product_sset,
                      rational_rank)
@@ -147,6 +147,20 @@ def test_quotient_collapse_boundary():
     assert h.group(2) == (1, ())
     assert h.group(1) == (0, ())
     assert push(nd_ref(0, 0)) == push(nd_ref(0, 1))
+
+
+def test_quotient_shares_each_face_ref():
+    """A quotient pushes each distinct face ref once: the rows that hold
+    equal refs hold one object.  Checked on the based homotopy colimit of
+    c1(3), the quotient of the unbased one by the cells over the basepoints."""
+    from ispaces.cmon import c1
+    from ispaces.ispace import hocolim_I
+
+    Q = hocolim_I(c1(3).space, 3, based=True).sset
+    for k in range(1, Q.top_dim + 1):
+        refs = [r for row in Q.face[k] for r in row]
+        assert len(refs) > len(set(refs)) > 0
+        assert len({id(r) for r in refs}) == len(set(refs))
 
 
 def test_pi0_disjoint_union_of_components():
@@ -369,6 +383,21 @@ def test_coded_nerve_matches_tagged_reference(name, D):
 
     assert {key: decode(raw) for key, raw in got.raw_of.items()} == want.raw_of
     assert {decode(raw): ref for raw, ref in got.ref_of.items()} == want.ref_of
+
+
+def test_nerve_codes_its_category_once(monkeypatch):
+    """nerve reads the coded tables that validate computed and kept."""
+    calls = []
+    coded = FinCategory.coded
+
+    def counted(self):
+        calls.append(self)
+        return coded(self)
+
+    monkeypatch.setattr(FinCategory, "coded", counted)
+    cat = comma_under(1, 3)
+    assert nerve(cat, 3).sset == nerve_reference(cat, 3).sset
+    assert calls == [cat]
 
 
 class _CountedRows(list):
