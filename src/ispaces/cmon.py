@@ -37,6 +37,7 @@ from .ispace import (
     _box_space,
     _box_table,
     _chain_cells,
+    _coded_chains,
     _discrete_ispace,
     _hocolim_deg,
     _hocolim_faces,
@@ -874,7 +875,7 @@ class BarComparisonReport:
 def _bar_comparison_once(A, D):
     K = D + 2
     B = bar(A, K)
-    left_tab = hocolim_I(B.space, K)
+    left_tab = _coded_chains(B.space, K, TruncatedI(A.N).hom)  # to_left pushes onto its chains
     middle_tab = two_sided_bar_of_hocolim(A, K)
     right_tab = bar_of_hocolim(A, K)
     I = coded_injections(A.N)

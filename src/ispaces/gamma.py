@@ -23,7 +23,6 @@ from .simplicial import (
     chain_complex,
     cone_homology,
     discrete,
-    map_from_tables,
     nd_ref,
     normalize_table,
     pi0,
@@ -31,8 +30,7 @@ from .simplicial import (
     ref_dim,
     tensor_complex,
 )
-from .icat import coded_injections
-from .ispace import _tail_level, box_multi, hocolim_I
+from .ispace import _cell_point, box_multi, hocolim_I, hocolim_map
 from .cmon import CommMonoidPres, _vec_add, unit_verdicts
 
 
@@ -179,7 +177,6 @@ def gamma_of_monoid(A, K, S):
     for k in range(1, K + 1):
         tabs.append(hocolim_I(boxes[k].space, S, based=True))
     values = [point()] + [t.sset for t in tabs[1:]]
-    I = coded_injections(A.N)
 
     def act_fn(phi, k, l):
         if k == 0:
@@ -192,12 +189,8 @@ def gamma_of_monoid(A, K, S):
                     table[(d, x)] = (tuple(range(d - 1, -1, -1)), 0, 0)
             return SMap(values[k], values[0], table)
 
-        def push(d, raw):
-            n, xref = _tail_level(I, raw), raw[-1]
-            moved = _apply_based_to_raw(A, phi, l, boxes[k].raw(n, xref))
-            return raw[:-1] + (boxes[l].ref(n, ref_dim(xref), moved),)
-
-        return map_from_tables(tabs[k], tabs[l], push)
+        return hocolim_map(tabs[k], tabs[l], lambda n, x: boxes[l].ref(
+            n, ref_dim(x), _apply_based_to_raw(A, phi, l, boxes[k].raw(n, x))))
 
     gam = GammaSpaceT(K, values, act_fn)
     gam.tabs = tabs
@@ -239,7 +232,7 @@ def _min_levels(X, k):
     for (d, v), raw in tabs[k].raw_of.items():
         if d != 0:
             continue
-        m, _ = raw  # a vertex (m_0, x) of the homotopy colimit sits at level m_0
+        m, _ = _cell_point(tabs[k], 0, raw)
         c = reps[v]
         out[c] = min(out.get(c, m), m)
     bp = X.values[k].basepoint

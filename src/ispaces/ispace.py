@@ -4,8 +4,9 @@ An ISpaceT assigns a finite simplicial set to every level 0..N and a
 structure map to every injection between levels.  The module provides the
 standard constructors (free, power, constant), the box product as an
 explicit colimit over decomposition categories with union-find canonical
-representatives, Bousfield-Kan homotopy colimits over the injection
-category and over its subset-inclusion subcategory, latching objects,
+representatives, homotopy colimits over the injection category and over
+its subset-inclusion subcategory (nerves of categories of elements for
+diagrams of sets, Bousfield-Kan diagonals otherwise), latching objects,
 flatness certificates, the level-shift functor R with its comparison map,
 and the semistability diagnostic.
 """
@@ -16,8 +17,8 @@ from itertools import product as iproduct
 from typing import Callable, Optional
 
 from . import icat
-from .icat import (Injection, TruncatedI, coded_injections, compose, concat, identity,
-                   subset_inclusion)
+from .icat import (CodedI, FinCategory, Injection, TruncatedI, coded_injections, compose,
+                   concat, identity, subset_inclusion)
 from .simplicial import (
     LazyDict,
     NormTable,
@@ -28,6 +29,7 @@ from .simplicial import (
     map_cone_homology,
     map_from_tables,
     nd_ref,
+    nerve,
     normalize_table,
     pi0,
     quotient,
@@ -458,15 +460,53 @@ def _hocolim_deg(I, raw, i):
     return raw[:i + 1] + (I.ident[m],) + raw[i + 1:-1] + (apply_s(i, raw[-1]),)
 
 
-def _hocolim(X, S, arrows_of, based):
+def _elements(X, arrows_of):
+    """The category of elements of a diagram of sets X, over arrows_of.
+
+    Objects are the pairs (m, p) of a level and a vertex of X(m); (a, p):
+    (m, p) -> (n, X(a)p) is named by the code a of an injection, and (b, q)
+    after (a, p) is (after[b][a], p).  objects[j] and morphisms[f] have the
+    codes j and f (`FinCategory.coded`), since both lists are sorted."""
     I = coded_injections(X.N)
-    faces = _hocolim_faces(X)
-    tab = normalize_table(_chain_cells(X, S, arrows_of),
-                          lambda k, raw: faces(raw),
+    moved = {I.code[a]: [X.act(a)(nd_ref(0, p))[2] for p in range(X.level(m).card[0])]
+             for n in range(X.N + 1) for m in range(n + 1) for a in arrows_of(m, n)}
+    dst = {(a, p): (I.dst[a], q) for a in sorted(moved) for p, q in enumerate(moved[a])}
+    objects = [(m, p) for m in range(X.N + 1) for p in range(X.level(m).card[0])]
+    comp = {((b, q), (a, p)): (I.after[b][a], p) for (a, p), (n, q) in dst.items()
+            for b in moved if I.src[b] == n}
+    return FinCategory(objects, list(dst), {(a, p): (I.src[a], p) for a, p in dst}, dst, comp,
+                       {(m, p): (I.ident[m], p) for m, p in objects})
+
+
+def _cell_point(tab, k, raw):
+    """(m, x): the simplex x of X(m) that a raw k-cell of a homotopy colimit
+    carries: x of a chain (m_0, a_1, ..., a_s, x) of injection codes, at level
+    m_s, or the vertex p of the first object (m, p) of a chain of elements."""
+    C = tab.cat
+    if isinstance(C, CodedI):
+        return _tail_level(C, raw), raw[-1]
+    m, p = C.objects[C.codes[1][raw[0]] if k else raw]
+    return m, nd_ref(0, p)
+
+
+def _coded_chains(X, S, arrows_of):
+    """The Bousfield-Kan diagonal of X through dimension S on chains of
+    injection codes (`_chain_cells`), with `cat` the coded injections."""
+    I, faces = coded_injections(X.N), _hocolim_faces(X)
+    tab = normalize_table(_chain_cells(X, S, arrows_of), lambda k, raw: faces(raw),
                           lambda k, raw, i: _hocolim_deg(I, raw, i), S)
-    if not based:
-        return tab
-    return _based_quotient(X, tab)
+    tab.cat = I
+    return tab
+
+
+def _hocolim(X, S, arrows_of, based):
+    """The homotopy colimit of X over arrows_of, through dimension S: for a
+    diagram of sets the nerve of its category of elements (Thomason), the
+    opposite of `_coded_chains` (face i is its face s - i) with the same cells
+    and homology, in an order where SNF meets its pivots early; else that."""
+    tab = (_coded_chains(X, S, arrows_of) if any(n for L in X.levels for n in L.card[1:])
+           else nerve(_elements(X, arrows_of), S))
+    return _based_quotient(X, tab) if based else tab
 
 
 def _pushed_ref(push, refs, raw):
@@ -475,64 +515,55 @@ def _pushed_ref(push, refs, raw):
 
 
 def _based_quotient(X, tab):
-    """Collapse the copy of the index nerve sitting under the basepoints."""
+    """Collapse the copy of the index nerve sitting under the basepoints, the
+    cells whose simplex (`_cell_point`) is one; this takes over tab.raw_of."""
     if not X.is_based():
         raise ValueError("based homotopy colimit needs a based diagram")
-    I = coded_injections(X.N)
     sub = {}
     for (k, x), raw in tab.raw_of.items():
-        _, base_dim, base_id = raw[-1]
-        if base_dim == 0 and base_id == X.level(_tail_level(I, raw)).basepoint:
+        m, (_, base_dim, base_id) = _cell_point(tab, k, raw)
+        if base_dim == 0 and base_id == X.level(m).basepoint:
             sub.setdefault(k, set()).add(x)
     Q, push = quotient(tab.sset, sub)
     ref_of = LazyDict(partial(_pushed_ref, push, tab.ref_of))
-    raw_of = {}
-    for (k, x), raw in tab.raw_of.items():
-        degs, base_dim, base_id = push(nd_ref(k, x))
-        if not degs:
-            raw_of[(base_dim, base_id)] = raw
-    return NormTable(Q, ref_of, raw_of)
+    for k, n in enumerate(tab.sset.card):  # re-key raw_of in place to the quotient's ids
+        for x, raw in enumerate([tab.raw_of.pop((k, x)) for x in range(n)]):
+            degs, _, y = push(nd_ref(k, x))
+            if not degs:
+                tab.raw_of[(k, y)] = raw
+    return NormTable(Q, ref_of, tab.raw_of, tab.cat)
 
 
 def hocolim_I(X, S, based=False):
-    """Bousfield-Kan homotopy colimit over the truncated injection category.
-
-    Raw cells are flat chains of injection codes (`_chain_cells`); the face
-    maps compose codes and memoise the faces of each simplex of X, and of
-    its image under each last arrow, per construction (`_hocolim_faces`).
-    """
+    """Homotopy colimit over the truncated injection category: for a diagram of
+    sets the nerve of its category of elements, else the Bousfield-Kan
+    diagonal on chains of injection codes (`_hocolim`)."""
     return _hocolim(X, S, TruncatedI(X.N).hom, based)
 
 
 def hocolim_N(X, S, based=False):
-    """Homotopy colimit over 0 < 1 < ... < N, with face memos as in `hocolim_I`."""
+    """Homotopy colimit over 0 < 1 < ... < N, on the two paths of `hocolim_I`."""
     def arrows_of(m, n):
         return [subset_inclusion(m, n)]
 
     return _hocolim(X, S, arrows_of, based)
 
 
-def hocolim_N_to_I_map(X, S):
-    """The canonical comparison between the two homotopy colimits."""
-    tn = hocolim_N(X, S)
-    ti = hocolim_I(X, S)
-    return map_from_tables(tn, ti, lambda k, raw: raw)
-
-
-def hocolim_map(phi, src_space, dst_space, S):
-    """Induced map of homotopy colimits over 0 < 1 < ... < N from a level
-    natural transformation.
-
-    phi is a dict n -> SMap from src_space(n) to dst_space(n).
-    """
-    ts = hocolim_N(src_space, S)
-    td = hocolim_N(dst_space, S)
-    I = coded_injections(src_space.N)
-
-    def push(k, raw):
-        return raw[:-1] + (phi[_tail_level(I, raw)](raw[-1]),)
-
-    return map_from_tables(ts, td, push)
+def hocolim_map(ts, td, point):
+    """The map of homotopy colimits that keeps the arrows of each cell and sends
+    the simplex x of X(m) that it carries to point(m, x), natural in m: a level
+    natural transformation, or the identity from the colimit over 0 < ... < N
+    to the one over all injections.  Both tables come from one path of
+    `_hocolim`; on categories of elements it is the functor (a, p) -> (a, point(m, p))."""
+    C = ts.cat
+    if type(C) is not type(td.cat):
+        raise ValueError("the two homotopy colimits are built on different paths")
+    if isinstance(C, CodedI):
+        return map_from_tables(ts, td, lambda k, r: r[:-1] + (point(*_cell_point(ts, k, r)),))
+    code, src = td.cat.codes[:2]
+    mor = LazyDict(lambda f: code[(C.morphisms[f][0], point(*_cell_point(ts, 1, (f,)))[2])])
+    return map_from_tables(ts, td, lambda k, raw: tuple(map(mor.__getitem__, raw)) if k
+                           else src[mor[C.codes[3][raw]]])
 
 
 # ---------------------------------------------------------------------------
@@ -672,22 +703,19 @@ def _pi0_map_bijective(f):
 def _semistability_run(X, D):
     """Single-truncation checks; returns list of (name, passed, data)."""
     S = D + 2
+    RX, j = R_functor(X)
     results = []
-    f = hocolim_N_to_I_map(X, S)
-    ok, a, b = _pi0_map_bijective(f)
-    results.append(("pi0-N-vs-I", ok, {"pi0_N": a, "pi0_I": b}))
-    cone = map_cone_homology(f, D + 1)
-    hom_ok = all(cone.get(k, (0, ())) == (0, ()) for k in range(D + 2))
-    results.append(("homology-N-vs-I", hom_ok, {"cone": {k: v for k, v in cone.items()}}))
-    if X.N >= 1:
-        RX, j = R_functor(X)
-        Xr = restrict(X, X.N - 1)
-        g = hocolim_map(j, Xr, RX, S)
-        okj, aj, bj = _pi0_map_bijective(g)
-        results.append(("pi0-jX", okj, {"pi0_src": aj, "pi0_dst": bj}))
-        cone_j = map_cone_homology(g, D + 1)
-        hj = all(cone_j.get(k, (0, ())) == (0, ()) for k in range(D + 2))
-        results.append(("homology-jX", hj, {"cone": {k: v for k, v in cone_j.items()}}))
+    for name, keys, f in (
+            ("N-vs-I", ("pi0_N", "pi0_I"),
+             hocolim_map(hocolim_N(X, S), hocolim_I(X, S), lambda m, x: x)),
+            ("jX", ("pi0_src", "pi0_dst"),
+             hocolim_map(hocolim_N(restrict(X, X.N - 1), S), hocolim_N(RX, S),
+                         lambda m, x: j[m](x)))):
+        ok, a, b = _pi0_map_bijective(f)
+        results.append((f"pi0-{name}", ok, dict(zip(keys, (a, b)))))
+        cone = map_cone_homology(f, D + 1)
+        hom_ok = all(cone.get(k, (0, ())) == (0, ()) for k in range(D + 2))
+        results.append((f"homology-{name}", hom_ok, {"cone": dict(cone)}))
     return results
 
 

@@ -179,7 +179,7 @@ def _degree_component(A, tab, degree):
     for (d, v), raw in sorted(tab.raw_of.items()):
         if d != 0:
             continue
-        m, (_, _, base_id) = raw  # a vertex (m_0, x) sits at level m_0
+        m, (_, _, base_id) = ispace._cell_point(tab, 0, raw)
         # subset-model vertices know their degree via the subset size
         if len(A.meta["points"][m][base_id]) == degree:
             return v

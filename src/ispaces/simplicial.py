@@ -32,9 +32,9 @@ Integer homology is computed from the normalized chain complex by Smith
 normal form over arbitrary-precision integers; see `zlinalg`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations
+from itertools import combinations, count
 from typing import Optional
 
 from .util import DisjointSet
@@ -230,6 +230,7 @@ class NormTable:
     sset: SSet
     ref_of: dict
     raw_of: dict  # (k, id) -> raw cell
+    cat: object = field(default=None, compare=False)  # what the codes of raw cells name
 
 
 def normalize_table(cells, faces_fn, deg_fn, top_dim, complete=False, based_raw=None):
@@ -389,28 +390,23 @@ def quotient(X, sub):
         raise ValueError("quotient by an empty subcomplex has no basepoint")
     if not subcomplex_closed(X, sub):
         raise ValueError("subcomplex is not closed under faces")
-    subs = [sub.get(k, ()) for k in range(X.top_dim + 1)]
-    newid = {}
-    card = []
+    newid, card = [], []  # newid[k][x]: the new id of the k-simplex x, None inside sub
     for k in range(X.top_dim + 1):
-        n = 1 if k == 0 else 0
-        for x in range(X.card[k]):
-            if x not in subs[k]:
-                newid[(k, x)] = n
-                n += 1
-        card.append(n)
+        kept, inside = count(1 if k == 0 else 0), sub.get(k, ())
+        newid.append([None if x in inside else next(kept) for x in range(X.card[k])])
+        card.append(next(kept))
 
     def push(ref):
         degs, base_dim, base_id = ref
-        if base_id in subs[base_dim]:
+        if newid[base_dim][base_id] is None:
             return (tuple(range(ref_dim(ref) - 1, -1, -1)), 0, 0)
-        return (degs, base_dim, newid[(base_dim, base_id)])
+        return (degs, base_dim, newid[base_dim][base_id])
 
     moved = LazyDict(push)  # each face ref is pushed once, and shared by its rows
     face = [[]]
     for k in range(1, X.top_dim + 1):
         face.append([tuple(map(moved.__getitem__, faces))
-                     for x, faces in enumerate(X.face[k]) if x not in subs[k]])
+                     for x, faces in enumerate(X.face[k]) if newid[k][x] is not None])
     return SSet(tuple(card), tuple(face), complete=X.complete, basepoint=0), push
 
 
@@ -426,7 +422,7 @@ def nerve(C, D):
     of its morphism codes (`FinCategory.codes`, as validated, in sorted
     order); the chains are enumerated in code order, which fixes the ids.
     The result is marked complete when no nondegenerate D-chain exists (all
-    longer chains are then degenerate as well).
+    longer chains are then degenerate as well), and its `cat` is C.
     """
     bad = C.validate()
     if bad:
@@ -465,7 +461,7 @@ def nerve(C, D):
     tab = normalize_table(cells, faces_fn, deg_fn, D)
     complete = D > 0 and tab.sset.card[D] == 0
     sset = SSet(tab.sset.card, tab.sset.face, complete=complete)
-    return NormTable(sset, tab.ref_of, tab.raw_of)
+    return NormTable(sset, tab.ref_of, tab.raw_of, C)
 
 
 # ---------------------------------------------------------------------------

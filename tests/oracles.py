@@ -345,6 +345,38 @@ def decode_chain(N, raw):
     return ((raw[0],) + tuple(f.src for f in arrows), tuple(f.image for f in arrows), raw[-1])
 
 
+def decode_element_chain(N, tab, k, raw):
+    """A raw k-cell of a homotopy colimit built as the nerve of a category of
+    elements (tab.cat, with objects (m, p) and morphisms (a, p) listed by
+    code) as the nested cell (levels, arrows, x) of `hocolim_reference` of
+    which it is the opposite: the chain (m_k, p) -> ... -> (m_0, q) read from
+    its far end, with x the k-fold degenerate vertex p of X(m_k)."""
+    from ispaces.icat import coded_injections
+    from ispaces.simplicial import nd_ref
+
+    C = tab.cat
+    if not k:
+        m, p = C.objects[raw]
+        return ((m,), (), nd_ref(0, p))
+    arrows = [coded_injections(N).arrow[C.morphisms[f][0]] for f in reversed(raw)]
+    _, p = C.morphisms[raw[0]]
+    return ((arrows[0].dst,) + tuple(f.src for f in arrows), tuple(f.image for f in arrows),
+            (tuple(range(k - 1, -1, -1)), 0, p))
+
+
+def opposite_ref(ref, ids):
+    """The image of a ref under an isomorphism from the opposite of a
+    simplicial set, given on nondegenerate simplices as ids[k][x]: s_j on an
+    m-simplex goes to s_{m - j}, and face i of a k-simplex to face k - i."""
+    from ispaces.simplicial import apply_s, nd_ref, ref_dim
+
+    degs, base_dim, base_id = ref
+    out = nd_ref(base_dim, ids[base_dim][base_id])
+    for j in reversed(degs):
+        out = apply_s(ref_dim(out) - j, out)
+    return out
+
+
 def is_injective(f):
     """True iff the SMap f is injective on all simplices, degenerate included."""
     for k in range(f.src.top_dim + 1):

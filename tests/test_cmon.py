@@ -3,6 +3,7 @@ from math import prod
 
 import pytest
 
+from ispaces import cmon
 from ispaces.cmon import (
     CommMonoidPres,
     _chain_sum,
@@ -197,6 +198,18 @@ def test_bar_comparison_c1_small():
     assert rep.pi0 == {"left": 1, "middle": 1, "right": 1}
     for term in ("left", "middle", "right"):
         assert rep.homology[term].group(1) == (1, ())
+    assert rep.map_iso == {"middle_to_left": True, "middle_to_right": True}
+
+
+def test_bar_comparison_of_the_trivial_monoid():
+    """The trivial monoid's bar construction has no nondegenerate simplex
+    above dimension 0, a diagram of sets; its homotopy colimit, the left
+    term, is still built on chains of injection codes, onto which the middle
+    term's cells are pushed."""
+    A = cmon.discrete_monoid(2, [[()] for _ in range(3)], lambda a, p: (),
+                             lambda m, n, s, t: (), ())
+    rep = bar_comparison(A, 1)
+    assert rep.pi0 == {"left": 1, "middle": 1, "right": 1}
     assert rep.map_iso == {"middle_to_left": True, "middle_to_right": True}
 
 

@@ -51,6 +51,17 @@ def test_gamma_of_monoid_basics():
     assert G.validate(K_check=2) == []
 
 
+def test_gamma_maps_validate():
+    """The maps of the Gamma-space of c1(3) through dimension 3 are
+    simplicial: every based map out of 1+ and 2+, and the three projections
+    and the fold out of 3+ (all 137 maps out of k+ <= 3+ take about 19 s)."""
+    G = gamma_of_monoid(c1(3), 3, 3)
+    maps = [(phi, k, l) for k in (1, 2) for l in (1, 2, 3) for phi in based_maps(k, l)]
+    maps += [(phi, 3, 1) for phi in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))]
+    for phi, k, l in maps:
+        assert G.act(phi, k, l).validate() == [], (phi, k, l)
+
+
 def test_gamma_value_one_is_based_hocolim():
     from ispaces.ispace import hocolim_I
 

@@ -1,5 +1,6 @@
 import pytest
 
+from ispaces import ispace, simplicial
 from ispaces.cmon import c1
 from ispaces.icat import (
     Injection,
@@ -21,7 +22,7 @@ from ispaces.ispace import (
     free_ispace,
     hocolim_I,
     hocolim_N,
-    hocolim_N_to_I_map,
+    hocolim_map,
     is_flat,
     latching,
     power_ispace,
@@ -41,8 +42,9 @@ from ispaces.simplicial import (
     sphere,
 )
 
-from oracles import (count_injections, decode_chain, hocolim_face_reference,
-                     hocolim_reference, is_injective, pairing_map, product_sset, subsets_of)
+from oracles import (count_injections, decode_chain, decode_element_chain,
+                     hocolim_face_reference, hocolim_reference, is_injective, opposite_ref,
+                     pairing_map, product_sset, subsets_of)
 
 
 S0 = discrete(2, basepoint=0)
@@ -170,8 +172,53 @@ def test_hocolim_c1_pi0_classes():
 def test_hocolim_comparison_map_validates():
     from ispaces.cmon import c1
 
-    f = hocolim_N_to_I_map(c1(2).space, 2)
+    X = c1(2).space
+    f = hocolim_map(hocolim_N(X, 2), hocolim_I(X, 2), lambda m, x: x)
     assert f.validate() == []
+    # a map joins two tables of one path: c1 is discrete, the circle power is not
+    with pytest.raises(ValueError):
+        hocolim_map(hocolim_N(X, 2), hocolim_I(power_ispace(sphere(1), 2), 2), lambda m, x: x)
+
+
+def test_snf_reads_few_top_columns_of_the_terminal_hocolim(monkeypatch):
+    """The terminal diagram's homotopy colimit is the nerve of its category
+    of elements, whose cell order lets SNF meet its pivots early: homology
+    through degree 2 at truncation 4 reads 1,913 of the 46,404 rows of d_3
+    (the Bousfield-Kan diagonal's order read 13,654).  Rows are counted as
+    `_boundary_columns` iterates them."""
+    tab = hocolim_I(terminal_ispace(4), 3)
+    top = tab.sset.face[3]
+    read = []
+    real = simplicial._boundary_columns
+
+    class Counted(list):
+        def __iter__(self):
+            for row in list.__iter__(self):
+                read.append(row)
+                yield row
+
+    monkeypatch.setattr(simplicial, "_boundary_columns",
+                        lambda rows: real(Counted(rows) if rows is top else rows))
+    assert homology(tab.sset, 2).groups == {0: (1, ()), 1: (0, ()), 2: (0, ())}
+    assert len(top) == 46404
+    assert 0 < len(read) <= 2000
+
+
+def test_semistability_maps_validate(monkeypatch):
+    """Each map that the semistability diagnostic builds on c1(3) joins two
+    homotopy colimits of one path and is simplicial."""
+    built = []
+    real = ispace.hocolim_map
+
+    def recorded(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(ispace, "hocolim_map", recorded)
+    semistability_diagnostic(c1(3).space)
+    assert len(built) == 4
+    for f in built:
+        assert f.validate() == []
 
 
 KERNEL_DIAGRAMS = {
@@ -206,6 +253,7 @@ REFERENCE_DIAGRAMS = {
     "terminal": lambda based: terminal_ispace(3, based=based),
     "free-1": lambda based: free_ispace(1, 3),
     "c1": lambda based: c1(3).space,
+    "circle-power": lambda based: power_ispace(sphere(1), 2),
 }
 
 
@@ -213,10 +261,15 @@ REFERENCE_DIAGRAMS = {
 @pytest.mark.parametrize("arrows", sorted(KERNEL_ARROWS))
 @pytest.mark.parametrize("diagram", sorted(REFERENCE_DIAGRAMS))
 def test_hocolim_matches_nested_reference(diagram, arrows, based):
-    """The homotopy colimit on coded chains equals the one on nested cells
-    (levels, arrows of image tuples, x): the same normalized set, and each
-    raw cell decodes to the reference's cell of that id and has its ref.
-    The free diagram has no basepoint, and both refuse its based form."""
+    """Against the homotopy colimit on nested cells (levels, arrows, x).
+
+    A diagram of sets gives the nerve of its category of elements, the
+    reference's opposite: decoding its raw cells (`decode_element_chain`) is
+    a bijection of nondegenerate cells that sends face i to face s - i, with
+    the same cells per dimension and basepoint.  A simplicial diagram gives
+    the reference's normalized set itself on coded chains, each raw cell
+    decoding to the reference's cell of that id and having its ref.  The
+    free diagram has no basepoint, and both refuse its based form."""
     X = REFERENCE_DIAGRAMS[diagram](based)
     build = hocolim_I if arrows == "injections" else hocolim_N
     if based and not X.is_based():
@@ -227,29 +280,60 @@ def test_hocolim_matches_nested_reference(diagram, arrows, based):
         return
     got = build(X, 3, based=based)
     want = hocolim_reference(X, 3, KERNEL_ARROWS[arrows](X.N), based)
-    assert got.sset == want.sset
-    assert {key: decode_chain(X.N, raw) for key, raw in got.raw_of.items()} == want.raw_of
-    cells = _chain_cells(X, 3, KERNEL_ARROWS[arrows](X.N))
-    assert {decode_chain(X.N, raw): got.ref_of[raw]
-            for level in cells for raw in level} == want.ref_of
+    if diagram == "circle-power":
+        assert got.sset == want.sset
+        assert {key: decode_chain(X.N, raw) for key, raw in got.raw_of.items()} == want.raw_of
+        cells = _chain_cells(X, 3, KERNEL_ARROWS[arrows](X.N))
+        assert {decode_chain(X.N, raw): got.ref_of[raw]
+                for level in cells for raw in level} == want.ref_of
+        return
+    assert got.sset.card == want.sset.card
+    assert got.sset.basepoint == want.sset.basepoint
+    ids = [{} for _ in got.sset.card]
+    for (k, x), raw in got.raw_of.items():
+        degs, base_dim, ids[k][x] = want.ref_of[decode_element_chain(X.N, got, k, raw)]
+        assert (degs, base_dim) == ((), k)
+    assert [sorted(ids[k].values()) for k in range(4)] == [list(range(n)) for n in want.sset.card]
+    for k in range(1, 4):
+        for x, row in enumerate(got.sset.face[k]):
+            want_row = want.sset.face[k][ids[k][x]]
+            assert [opposite_ref(r, ids) for r in reversed(row)] == list(want_row)
+
+
+def _element_chains(C, S):
+    """Every raw cell of the nerve of C through dimension S: object codes,
+    then the composable tuples of morphism codes (`FinCategory.codes`)."""
+    _, src, dst, _, _ = C.codes
+    chains = [[(f,) for f in range(len(src))]]
+    for _ in range(S - 1):
+        chains.append([ch + (f,) for ch in chains[-1] for f in range(len(src))
+                       if src[f] == dst[ch[-1]]])
+    return [list(range(len(C.objects)))] + chains
 
 
 def test_based_quotient_refs_match_eager_push():
     """The based quotient pushes each ref on its first lookup; forced on
     every raw cell, the refs equal the eager {raw: push(ref)} dict, and a
-    raw cell without a ref raises KeyError."""
-    X = c1(3).space
-    tab = _based_quotient(X, hocolim_I(X, 3))
-    lazy = tab.ref_of
-    assert len(lazy) == 0
-    push, refs = lazy.fn.args  # of the partial over `_pushed_ref`
-    eager = {raw: push(r) for raw, r in refs.items()}
-    cells = _chain_cells(X, 3, TruncatedI(3).hom)
-    assert set(eager) == {raw for level in cells for raw in level}
-    assert {raw: lazy[raw] for level in cells for raw in level} == eager
-    assert dict(lazy) == eager
-    with pytest.raises(KeyError):
-        lazy[(0, nd_ref(1, 0))]
+    raw cell without a ref raises KeyError.  c1 is a diagram of sets, whose
+    raw cells are chains in its category of elements; the circle power's
+    are chains of injection codes."""
+    for diagram in ("c1", "circle-power"):
+        X = REFERENCE_DIAGRAMS[diagram](True)
+        unbased = hocolim_I(X, 3)
+        if diagram == "c1":
+            cells = _element_chains(unbased.cat, 3)
+        else:
+            cells = _chain_cells(X, 3, TruncatedI(X.N).hom)
+        tab = _based_quotient(X, unbased)
+        lazy = tab.ref_of
+        assert len(lazy) == 0
+        push, refs = lazy.fn.args  # of the partial over `_pushed_ref`
+        eager = {raw: push(r) for raw, r in refs.items()}
+        assert set(eager) == {raw for level in cells for raw in level}
+        assert {raw: lazy[raw] for level in cells for raw in level} == eager
+        assert dict(lazy) == eager
+        with pytest.raises(KeyError):
+            lazy[(0, nd_ref(1, 0))]
 
 
 def test_based_hocolim_collapses_unit_nerve():

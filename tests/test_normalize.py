@@ -40,6 +40,10 @@ CASES = {
     "hocolim-free-1": lambda: ispace.hocolim_I(ispace.free_ispace(1, 3), 3),
     "hocolim-N-c1": lambda: ispace.hocolim_N(cmon.c1(3).space, 3),
     "hocolim-c1-based": lambda: ispace.hocolim_I(cmon.c1(3).space, 3, based=True),
+    "hocolim-circle-power": lambda: ispace.hocolim_I(
+        ispace.power_ispace(simplicial.sphere(1), 2), 3),
+    "nerve-elements-c1": lambda: simplicial.nerve(
+        ispace._elements(cmon.c1(3).space, icat.TruncatedI(3).hom), 3),
     "power-circle": lambda: ispace.power_ispace(simplicial.sphere(1), 3),
     "product": lambda: product_sset(simplicial.sphere(1), simplicial.sphere(2)),
     "bar-c1": lambda: cmon.bar(cmon.c1(2), 3),

@@ -325,7 +325,7 @@ def _assert_on_demand_matches_reference(f):
 def test_on_demand_images_match_eager_reference():
     from ispaces.cmon import c1
     from ispaces.gamma import based_maps, gamma_of_monoid
-    from ispaces.ispace import (R_functor, hocolim_map, hocolim_N_to_I_map, power_ispace,
+    from ispaces.ispace import (R_functor, hocolim_I, hocolim_map, hocolim_N, power_ispace,
                                 restrict)
 
     G = gamma_of_monoid(c1(2), 2, 2)
@@ -338,7 +338,8 @@ def test_on_demand_images_match_eager_reference():
     # the comparison maps of the semistability diagnostic on c1 at trunc 3
     X = c1(3).space
     RX, j = R_functor(X)
-    for f in (hocolim_N_to_I_map(X, 3), hocolim_map(j, restrict(X, 2), RX, 3)):
+    for f in (hocolim_map(hocolim_N(X, 3), hocolim_I(X, 3), lambda m, x: x),
+              hocolim_map(hocolim_N(restrict(X, 2), 3), hocolim_N(RX, 3), lambda m, x: j[m](x))):
         _assert_on_demand_matches_reference(f)
     P = power_ispace(sphere(1), 2)
     for f in P.maps.values():
