@@ -504,8 +504,11 @@ def _hocolim(X, S, arrows_of, based):
     diagram of sets the nerve of its category of elements (Thomason), the
     opposite of `_coded_chains` (face i is its face s - i) with the same cells
     and homology, in an order where SNF meets its pivots early; else that."""
-    tab = (_coded_chains(X, S, arrows_of) if any(n for L in X.levels for n in L.card[1:])
-           else nerve(_elements(X, arrows_of), S))
+    if any(n for L in X.levels for n in L.card[1:]):
+        tab = _coded_chains(X, S, arrows_of)
+    else:
+        tab = nerve(_elements(X, arrows_of), S)
+        tab.cat.comp = None  # its readers use objects, morphisms and codes
     return _based_quotient(X, tab) if based else tab
 
 

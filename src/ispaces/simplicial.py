@@ -18,7 +18,8 @@ words needed for a given dimension.
 It finds degeneracies from below: every degenerate k-simplex is s_i y for a
 (k-1)-simplex y, so the images s_i y of the level below name all of them, and
 only the nondegenerate simplices are asked for their faces, each by one call
-faces_fn(k, raw) that returns its whole row (d_0 raw, ..., d_k raw).  The
+faces_fn(k, raw) that returns its whole row (d_0 raw, ..., d_k raw).  Top rows
+are built when first read (`FaceRows`), so SNF builds only those it reads.  The
 cell-by-cell oracle of the tests calls faces_fn on degenerate cells too, so a
 faces_fn must accept any raw cell.
 
@@ -32,6 +33,7 @@ Integer homology is computed from the normalized chain complex by Smith
 normal form over arbitrary-precision integers; see `zlinalg`.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations, count
@@ -82,12 +84,13 @@ class SSet:
     card[k] is the number of nondegenerate k-simplices (ids 0..card[k]-1).
     face[k][x] is the tuple (d_0 x, ..., d_k x) of refs, for
     1 <= k <= top_dim; face[0] is empty, since vertices have no faces.
+    face[k] is a list, or a `FaceRows` that builds each row on first read.
     `complete` asserts that the untruncated object has no nondegenerate
     simplices above top_dim, so homology in every degree is trustworthy.
     """
 
     card: tuple
-    face: tuple  # per dimension, a list of face tuples
+    face: tuple  # per dimension, a list or FaceRows of face tuples
     complete: bool = False
     basepoint: Optional[int] = None
 
@@ -223,6 +226,32 @@ def validate_sset(X):
 # Generic normalization of an explicit simplex table.
 # ---------------------------------------------------------------------------
 
+class FaceRows(Sequence):
+    """Face rows by id; row x is row_fn(raws[x]), built on first read and kept."""
+
+    def __init__(self, raws, row_fn):
+        self.raws, self.rows, self.row_fn = raws, [None] * len(raws), row_fn
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, x):
+        row = self.rows[x]
+        if row is None:
+            row = self.rows[x] = self.row_fn(self.raws[x])
+        return row
+
+    def __iter__(self):
+        rows, raws, row_fn = self.rows, self.raws, self.row_fn
+        for x, row in enumerate(rows):
+            if row is None:
+                row = rows[x] = row_fn(raws[x])
+            yield row
+
+    def __eq__(self, other):
+        return list(self) == other
+
+
 @dataclass
 class NormTable:
     """A normalized SSet together with the dictionary raw -> ref."""
@@ -248,11 +277,17 @@ def normalize_table(cells, faces_fn, deg_fn, top_dim, complete=False, based_raw=
     nondegenerate: it gets the next id, and faces_fn is called on it once to
     fill its row of the face table.  It is never called on a degenerate cell
     here, but the reference oracle of the tests calls it on those as well.
+    The rows of dimension top_dim are `FaceRows`, built on first read, so a
+    faces_fn must not read state changed after the call returns.
     """
     ref_of = {}
     raw_of = {}
     card = []
     face = []
+
+    def row(k, raw):
+        return tuple(map(ref_of.__getitem__, faces_fn(k, raw)))
+
     for k in range(top_dim + 1):
         below = {}  # s_i y -> its ref, for the (k-1)-cells y
         for i in range(k):
@@ -270,11 +305,11 @@ def normalize_table(cells, faces_fn, deg_fn, top_dim, complete=False, based_raw=
                 ref = ((), k, n)
                 raw_of[(k, n)] = raw
                 if k:
-                    rows.append(tuple(map(ref_of.__getitem__, faces_fn(k, raw))))
+                    rows.append(raw if k == top_dim else row(k, raw))
                 n += 1
             ref_of[raw] = ref
         card.append(n)
-        face.append(rows)
+        face.append(FaceRows(rows, partial(row, k)) if k and k == top_dim else rows)
     bp = None
     if based_raw is not None:
         r = ref_of[based_raw]
@@ -370,25 +405,16 @@ def map_from_tables(src_tab, dst_tab, raw_fn):
 # Quotients.
 # ---------------------------------------------------------------------------
 
-def subcomplex_closed(X, sub):
-    """Check that `sub` (dict dim -> set of nondeg ids) is face-closed."""
-    for k in range(1, X.top_dim + 1):
-        for x in sub.get(k, ()):
-            for _, base_dim, base_id in X.face[k][x]:
-                if base_id not in sub.get(base_dim, ()):
-                    return False
-    return True
-
-
 def quotient(X, sub):
     """Collapse a face-closed subcomplex to a basepoint.
 
-    Returns (based SSet, function mapping old refs to new refs).  The
-    basepoint is vertex 0 of the result; `sub` must be nonempty.
+    Returns (based SSet, function mapping old refs to new refs).  The basepoint
+    is vertex 0 of the result; `sub`, dimension -> nondegenerate ids, is nonempty.
     """
     if not any(sub.get(k) for k in range(X.top_dim + 1)):
         raise ValueError("quotient by an empty subcomplex has no basepoint")
-    if not subcomplex_closed(X, sub):
+    if any(base_id not in sub.get(base_dim, ()) for k in range(1, X.top_dim + 1)
+           for x in sub.get(k, ()) for _, base_dim, base_id in X.face[k][x]):
         raise ValueError("subcomplex is not closed under faces")
     newid, card = [], []  # newid[k][x]: the new id of the k-simplex x, None inside sub
     for k in range(X.top_dim + 1):

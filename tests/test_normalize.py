@@ -5,11 +5,18 @@
 degeneracies.  Every call made while building the objects below runs both,
 and the two `NormTable`s (normalized set with its face table and basepoint,
 `ref_of` and `raw_of`) must be equal.
+
+The face rows of the top dimension are built on their first read
+(`simplicial.FaceRows`).  Each call is therefore made again after the
+object is built, and the rows of fresh results are read by every reader of a
+whole dimension, against an eagerly built copy.
 """
 
 import pytest
 
 from ispaces import cmon, gamma, icat, ispace, simplicial
+from ispaces.simplicial import (SMap, SSet, component_subcomplex, identity_map, pi0, quotient,
+                                validate_sset)
 
 from oracles import normalize_reference, product_sset
 
@@ -31,6 +38,25 @@ def checked(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def recorded(monkeypatch):
+    """Record every normalize_table call: its arguments, the set it returned
+    with no top row built yet, and the reference set made at the call."""
+    real = simplicial.normalize_table
+    calls = []
+
+    def record(*args, **kwargs):
+        got = real(*args, **kwargs)
+        top = got.sset.face[-1]
+        assert not got.sset.top_dim or all(row is None for row in top.rows)
+        calls.append((args, kwargs, got.sset, normalize_reference(*args, **kwargs).sset))
+        return got
+
+    for mod in (simplicial, ispace, cmon, gamma):
+        monkeypatch.setattr(mod, "normalize_table", record)
+    return real, calls
+
+
 CASES = {
     "nerve-under-0": lambda: simplicial.nerve(icat.comma_under(0, 3), 3),
     "nerve-under-1": lambda: simplicial.nerve(icat.comma_under(1, 3), 3),
@@ -47,6 +73,7 @@ CASES = {
     "power-circle": lambda: ispace.power_ispace(simplicial.sphere(1), 3),
     "product": lambda: product_sset(simplicial.sphere(1), simplicial.sphere(2)),
     "bar-c1": lambda: cmon.bar(cmon.c1(2), 3),
+    "bar-c1-top-rows": lambda: cmon.bar(cmon.c1(3), 2),
     "bar-of-hocolim-c1": lambda: cmon.bar_of_hocolim(cmon.c1(2), 3),
     "two-sided-bar-of-hocolim-c1": lambda: cmon.two_sided_bar_of_hocolim(cmon.c1(2), 3),
 }
@@ -56,3 +83,83 @@ CASES = {
 def test_normalize_table_matches_reference(checked, name):
     CASES[name]()
     assert checked, "no normalize_table call was made"
+
+
+def _eager(X):
+    """X with every dimension of its face table a list."""
+    return SSet(X.card, tuple(list(rows) for rows in X.face), X.complete, X.basepoint)
+
+
+def _quotient_set(X):
+    """The subcomplex of every simplex below the top and the first top one."""
+    top = X.top_dim
+    return {k: set(range(X.card[k] if k < top else min(X.card[k], 1))) for k in range(top + 1)}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_lazy_top_rows_match_reference_and_eager_copy(recorded, name):
+    """Every call returns a set whose top rows are not built yet.  Read in
+    id order once the object is built, they equal the reference rows made
+    at the call.  Made again, every reader of a whole dimension agrees on a
+    fresh result with an eagerly built copy, and a faces_fn that names a
+    cell outside `cells` in the top dimension raises KeyError when its row
+    is read, by any reader."""
+    real, calls = recorded
+    CASES[name]()
+    assert calls
+    for args, kwargs, got, want in calls:
+        cells, faces_fn, deg_fn, top = args[:4]
+        if top:
+            assert isinstance(got.face[top], simplicial.FaceRows)
+            assert [got.face[top][x] for x in range(got.card[top])] == want.face[top]
+        assert got == want
+        eager = _eager(got)
+
+        def fresh():
+            return real(*args, **kwargs).sset
+
+        assert validate_sset(fresh()) == validate_sset(eager) == []
+        X, sub = fresh(), _quotient_set(eager)
+        assert quotient(X, sub)[0] == quotient(eager, sub)[0]
+        reps = {pi0(eager)[0]} if eager.card[0] else set()
+        assert component_subcomplex(fresh(), reps) == component_subcomplex(eager, reps)
+        ident = identity_map(eager).table
+        assert SMap(fresh(), eager, ident).validate() == []
+        assert SMap(eager, fresh(), ident).validate() == []
+        assert fresh() == eager and eager == fresh() and fresh() == fresh()
+        if not (top and got.card[top]):
+            continue
+
+        def poisoned(k, raw):
+            row = tuple(faces_fn(k, raw))
+            return (object(),) + row[1:] if k == top else row
+
+        bad_args = (cells, poisoned, deg_fn, top) + args[4:]
+        for read in (lambda X: X.face[top][0], validate_sset, _eager,
+                     lambda X: quotient(X, _quotient_set(eager)),
+                     lambda X: component_subcomplex(X, reps), lambda X: X == eager):
+            with pytest.raises(KeyError):
+                read(real(*bad_args, **kwargs).sset)
+
+
+def test_a_face_outside_the_cells_raises_key_error():
+    """A row naming a vertex that is not a cell raises KeyError when it is
+    read in the top dimension, and at once below it."""
+    cells = [[0, 1], [("a",), ("b",)], []]
+    faces = {("a",): (1, 0), ("b",): (1, 9)}
+
+    def faces_fn(k, raw):
+        return faces[raw]
+
+    def deg_fn(k, raw, i):
+        return ("s", i, raw)
+
+    tab = simplicial.normalize_table(cells, faces_fn, deg_fn, 1)
+    assert tab.sset.card == (2, 2)
+    assert tab.sset.face[1][0] == (simplicial.nd_ref(0, 1), simplicial.nd_ref(0, 0))
+    with pytest.raises(KeyError):
+        tab.sset.face[1][1]
+    with pytest.raises(KeyError):
+        simplicial.homology(tab.sset, 0)
+    with pytest.raises(KeyError):
+        simplicial.normalize_table(cells, faces_fn, deg_fn, 2)
