@@ -241,13 +241,6 @@ class FaceRows(Sequence):
             row = self.rows[x] = self.row_fn(self.raws[x])
         return row
 
-    def __iter__(self):
-        rows, raws, row_fn = self.rows, self.raws, self.row_fn
-        for x, row in enumerate(rows):
-            if row is None:
-                row = rows[x] = row_fn(raws[x])
-            yield row
-
     def __eq__(self, other):
         return list(self) == other
 
@@ -405,16 +398,25 @@ def map_from_tables(src_tab, dst_tab, raw_fn):
 # Quotients.
 # ---------------------------------------------------------------------------
 
+def subcomplex_closed(X, sub):
+    """Check that `sub` (dict dim -> set of nondeg ids) is face-closed."""
+    for k in range(1, X.top_dim + 1):
+        for x in sub.get(k, ()):
+            for _, base_dim, base_id in X.face[k][x]:
+                if base_id not in sub.get(base_dim, ()):
+                    return False
+    return True
+
+
 def quotient(X, sub):
     """Collapse a face-closed subcomplex to a basepoint.
 
-    Returns (based SSet, function mapping old refs to new refs).  The basepoint
-    is vertex 0 of the result; `sub`, dimension -> nondegenerate ids, is nonempty.
+    Returns (based SSet, function mapping old refs to new refs).  The
+    basepoint is vertex 0 of the result; `sub` must be nonempty.
     """
     if not any(sub.get(k) for k in range(X.top_dim + 1)):
         raise ValueError("quotient by an empty subcomplex has no basepoint")
-    if any(base_id not in sub.get(base_dim, ()) for k in range(1, X.top_dim + 1)
-           for x in sub.get(k, ()) for _, base_dim, base_id in X.face[k][x]):
+    if not subcomplex_closed(X, sub):
         raise ValueError("subcomplex is not closed under faces")
     newid, card = [], []  # newid[k][x]: the new id of the k-simplex x, None inside sub
     for k in range(X.top_dim + 1):
@@ -429,10 +431,15 @@ def quotient(X, sub):
         return (degs, base_dim, newid[base_dim][base_id])
 
     moved = LazyDict(push)  # each face ref is pushed once, and shared by its rows
+
+    def pushed(rows, x):
+        return tuple(map(moved.__getitem__, rows[x]))
+
     face = [[]]
-    for k in range(1, X.top_dim + 1):
-        face.append([tuple(map(moved.__getitem__, faces))
-                     for x, faces in enumerate(X.face[k]) if newid[k][x] is not None])
+    for k in range(1, X.top_dim + 1):  # the top rows are pushed when read, as they are in X
+        kept = [x for x, y in enumerate(newid[k]) if y is not None]
+        face.append(FaceRows(kept, partial(pushed, X.face[k])) if k == X.top_dim
+                    else [pushed(X.face[k], x) for x in kept])
     return SSet(tuple(card), tuple(face), complete=X.complete, basepoint=0), push
 
 

@@ -72,27 +72,32 @@ def test_apply_word_matches_single_degeneracies():
 @pytest.mark.skipif(platform.python_implementation() != "CPython",
                     reason="tuple untracking is a detail of the CPython collector")
 def test_refs_and_face_rows_leave_the_cyclic_collector():
-    """Refs are exact tuples of atoms, so full collections stop tracking
+    """Refs are exact tuples of atoms, so a full collection stops tracking
     them and the face rows that hold them; a tuple subclass is never
     untracked, and would keep every ref and face row on the collector's
-    lists for as long as the simplicial set lives.  A collection untracks a
-    tuple only if it finds the tuple's items untracked already, and it may
-    meet a row before its refs and a ref before its degeneracy word; the top
-    rows are built here, when read, so three collections are made, one per
-    level of that nesting."""
+    lists for as long as the simplicial set lives."""
     from ispaces.ispace import hocolim_I, terminal_ispace
 
     tabs = [nerve(comma_under(1, 3), 3),
             hocolim_I(terminal_ispace(3, based=True), 3, based=True)]
     refs = [tab.ref_of[raw] for tab in tabs for raw in tab.raw_of.values()]
     refs += [r for tab in tabs for r in tab.ref_of.values()]
-    rows = [row for tab in tabs for level in tab.sset.face for row in level]
-    for _ in range(3):
-        gc.collect()
+    rows = [row for tab in tabs for level in tab.sset.face[:-1] for row in level]
+    gc.collect()
     assert refs and rows
     assert all(type(r) is tuple for r in refs)
     assert all(type(r) is tuple for row in rows for r in row)
     assert not any(gc.is_tracked(row) for row in rows)
+    # The top rows are built on first read, here, after the refs they hold
+    # (and a quotient pushes new refs, with new degeneracy words, as it
+    # builds them).  A collection untracks a tuple only if it finds its items
+    # untracked already, and it may meet a new row before its new ref and a
+    # ref before its word: one collection per level of that nesting.
+    top = [row for tab in tabs for row in tab.sset.face[-1]]
+    for _ in range(3):
+        gc.collect()
+    assert top and all(type(r) is tuple for row in top for r in row)
+    assert not any(gc.is_tracked(row) for row in top)
 
 
 def test_standard_simplex_counts():
