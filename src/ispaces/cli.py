@@ -29,10 +29,15 @@ def _emit(payload, out):
     print(text)
 
 
+def _models_at(N):
+    """The diagram models that exist at truncation N: f<n> only for n <= N."""
+    return [m for m in ISPACE_MODELS if not (m[0] == "f" and m[1:].isdigit()) or int(m[1:]) <= N]
+
+
 def cmd_validate(args, cfg):
     results = {}
     ok = True
-    for name in args.model or sorted(set(MONOID_MODELS) | set(ISPACE_MODELS)):
+    for name in args.model or sorted(set(MONOID_MODELS) | set(_models_at(cfg.trunc))):
         X = build_ispace(name, cfg.trunc)
         bad = X.validate()
         if name in MONOID_MODELS:
@@ -64,7 +69,7 @@ def cmd_homology(args, cfg):
 
 def cmd_flat(args, cfg):
     results = {}
-    for name in args.model or list(ISPACE_MODELS):
+    for name in args.model or _models_at(cfg.trunc):
         X = build_ispace(name, cfg.trunc)
         cert = ispace.is_flat(X)
         results[name] = {"flat": cert.flat, "witness": cert.witness}

@@ -48,7 +48,7 @@ from .ispace import (
     terminal_ispace,
 )
 from .util import DisjointSet
-from .zlinalg import rank_and_torsion
+from .zlinalg import ColumnMatrix, rank_and_torsion
 
 
 def _full_word(k):
@@ -378,6 +378,20 @@ def pi0_monoid(A):
     Returns (CommMonoidPres, class-to-vector map keyed by class rep).
     """
     cls, classes, unit_cls = merged_classes(A)
+    products = ((cls(m, x), cls(n, y), cls(m + n, A.mul(m, n, nd_ref(0, x), nd_ref(0, y))[2]))
+                for m in range(A.N + 1) for n in range(A.N + 1 - m)
+                for x in range(A.level(m).card[0]) for y in range(A.level(n).card[0]))
+    pres, class_vec = class_presentation(classes, unit_cls, products)
+    pres, subst = _minimize_presentation(pres)
+    return pres, {c: _substitute(v, subst, len(pres.generators)) for c, v in class_vec.items()}
+
+
+def class_presentation(classes, unit_cls, products):
+    """The commutative monoid on the sorted component `classes`, with unit
+    `unit_cls` and the relation a + b = c for each product (a, b, c).
+
+    Returns (its presentation over the non-unit classes, class -> exponent vector).
+    """
     gens = [c for c in classes if c != unit_cls]
     gi = {c: i for i, c in enumerate(gens)}
 
@@ -388,20 +402,11 @@ def pi0_monoid(A):
         return tuple(v)
 
     rels = set()
-    for m in range(A.N + 1):
-        for n in range(A.N + 1 - m):
-            for x in range(A.level(m).card[0]):
-                for y in range(A.level(n).card[0]):
-                    _, _, p = A.mul(m, n, nd_ref(0, x), nd_ref(0, y))
-                    lhs = _vec_add(evec(cls(m, x)), evec(cls(n, y)))
-                    rhs = evec(cls(m + n, p))
-                    if lhs != rhs:
-                        rels.add(tuple(sorted((lhs, rhs))))
-    pres = CommMonoidPres(list(gens), sorted(rels))
-    pres, subst = _minimize_presentation(pres)
-    class_vec = {c: _substitute(evec(c), subst, len(pres.generators))
-                 for c in classes}
-    return pres, class_vec
+    for a, b, c in products:
+        lhs, rhs = _vec_add(evec(a), evec(b)), evec(c)
+        if lhs != rhs:
+            rels.add(tuple(sorted((lhs, rhs))))
+    return CommMonoidPres(gens, sorted(rels)), {c: evec(c) for c in classes}
 
 
 def _vec_add(u, v):
@@ -510,12 +515,9 @@ def _congruent(u, v, rels, step_bound):
 def grothendieck_group(pres):
     """Universal abelian group of the presented monoid: (rank, torsion)."""
     g = len(pres.generators)
-    mat = {}
-    for c, (u, v) in enumerate(pres.relations):
-        for j in range(g):
-            if u[j] != v[j]:
-                mat[(j, c)] = u[j] - v[j]
-    r, tors = rank_and_torsion(mat, g, len(pres.relations))
+    cols = {c: {j: a - b for j, (a, b) in enumerate(zip(u, v)) if a != b}
+            for c, (u, v) in enumerate(pres.relations) if u != v}
+    r, tors = rank_and_torsion(ColumnMatrix(cols.items), g, len(pres.relations))
     return g - r, tors
 
 

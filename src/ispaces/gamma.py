@@ -31,7 +31,7 @@ from .simplicial import (
     tensor_complex,
 )
 from .ispace import _cell_point, box_multi, hocolim_I, hocolim_map
-from .cmon import CommMonoidPres, _vec_add, unit_verdicts
+from .cmon import class_presentation, unit_verdicts
 
 
 def based_maps(k, l):
@@ -276,27 +276,9 @@ def pi0_monoid_of_gamma(X):
     _, image, _ = _component_pairing(X, X.values[2], X.act(projection_map(1, 1, 1), 2, 1),
                                      X.act(projection_map(1, 1, 2), 2, 1), 1, 1)
     r1 = pi0(one)
-    unit_cls = r1[one.basepoint]
-    gens = sorted(c for c in set(r1.values()) if c != unit_cls)
-    gi = {c: i for i, c in enumerate(gens)}
-
-    def evec(c):
-        v = [0] * len(gens)
-        if c != unit_cls:
-            v[gi[c]] = 1
-        return tuple(v)
-
-    rels = set()
-    for c, (a, b) in image.items():
-        # the fold, like the projections, keeps a component in one component
-        lhs = _vec_add(evec(a), evec(b))
-        _, _, folded = fold(nd_ref(0, c))
-        rhs = evec(r1[folded])
-        if lhs != rhs:
-            rels.add(tuple(sorted((lhs, rhs))))
-    pres = CommMonoidPres([str(g) for g in gens], sorted(rels))
-    class_vec = {c: evec(c) for c in sorted(set(r1.values()))}
-    return pres, class_vec
+    # the fold, like the projections, keeps a component in one component
+    products = ((a, b, r1[fold(nd_ref(0, c))[2]]) for c, (a, b) in image.items())
+    return class_presentation(sorted(set(r1.values())), r1[one.basepoint], products)
 
 
 def is_special(X, D=0):

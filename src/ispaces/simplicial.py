@@ -593,8 +593,7 @@ def chain_complex(X, top=None):
     """
     top = X.top_dim if top is None else min(top, X.top_dim)
     counts = [X.n_nondeg(k) for k in range(top + 1)]
-    boundaries = [ColumnMatrix(partial(_boundary_columns, X.face[k]) if k else {})
-                  for k in range(top + 1)]
+    boundaries = [ColumnMatrix(partial(_boundary_columns, X.face[k])) for k in range(top + 1)]
     return ChainComplex(counts, boundaries)
 
 
@@ -695,7 +694,7 @@ def cone_homology(cx, cy, f_col, src_ends, dst_ends):
     """
     top = max(len(cx.counts), len(cy.counts) - 1)
     counts = [cx.count(k - 1) + cy.count(k) for k in range(top + 1)]
-    boundaries = [ColumnMatrix({})]
+    boundaries = [ColumnMatrix({}.items)]
     for k in range(1, top + 1):
         cols = {}
         offr, offc = cx.count(k - 2), cx.count(k - 1)
@@ -708,7 +707,7 @@ def cone_homology(cx, cy, f_col, src_ends, dst_ends):
                 cols[x] = col
         for y, col in cy.boundary_cols(k).items():
             cols[offc + y] = {offr + r: v for r, v in col.items()}
-        boundaries.append(ColumnMatrix(cols))
+        boundaries.append(ColumnMatrix(cols.items))
     groups = _homology_groups(counts, boundaries, range(top + 1))
     if not (src_ends and dst_ends):
         del groups[top]
@@ -728,7 +727,7 @@ def tensor_complex(cx, cy, top):
     def pos(n, p, a, b):
         return offsets[n][p] + a * cy.count(n - p) + b
 
-    boundaries = [ColumnMatrix({})]
+    boundaries = [ColumnMatrix({}.items)]
     for n in range(1, top + 1):
         cols = {}
         for p in range(n + 1):
@@ -741,7 +740,7 @@ def tensor_complex(cx, cy, top):
                         col[pos(n - 1, p, a, r)] = -v if p % 2 else v
                     if col:
                         cols[pos(n, p, a, b)] = col
-        boundaries.append(ColumnMatrix(cols))
+        boundaries.append(ColumnMatrix(cols.items))
     return ChainComplex([row[-1] for row in offsets], boundaries), pos
 
 

@@ -1,18 +1,16 @@
 """Exact integer linear algebra for homology: Smith normal form.
 
-A matrix is a `ColumnMatrix`: one {row: nonzero int} dict per nonzero
-column, in increasing column order, read as a Mapping (row, col) -> int.  A
-plain dict (row, col) -> int is grouped into columns on entry.  Columns are
-read one at a time, in order, and never all held: each is eliminated against
-the unit pivot columns found so far, in the order they were found.  A
-reduced column with a +-1 entry becomes a new pivot column (a Smith entry
-1), and a column left with only non-unit entries is set aside.  Unit pivots
-never create torsion and keep entries small.  The loop stops once the rank
-reaches the bound the shape allows, since every further Smith entry is then
-1, so the columns past that point are never read.  The set-aside columns,
-reduced against every pivot, form a small residue whose Smith form is taken
-densely, modulo a nonzero minor of maximal size so that its entries stay
-bounded.
+A matrix is a `ColumnMatrix`: its nonzero columns, in increasing order, each
+a dict {row: nonzero int}.  Columns are read one at a time, in order, and
+never all held: each is eliminated against the unit pivot columns found so
+far, in the order they were found.  A reduced column with a +-1 entry becomes
+a new pivot column (a Smith entry 1), and a column left with only non-unit
+entries is set aside.  Unit pivots never create torsion and keep entries
+small.  The loop stops once the rank reaches the bound the shape allows,
+since every further Smith entry is then 1, so the columns past that point are
+never read.  The set-aside columns, reduced against every pivot, form a small
+residue of columns whose Smith form is taken densely, modulo a nonzero minor
+of maximal size so that its entries stay bounded.
 
 For a chain complex, the unit pivot columns of d_k may be dropped as rows of
 d_{k+1} (clearing, as in Chen & Kerber 2011, Bauer, Kerber & Reininghaus
@@ -22,39 +20,24 @@ integers; no floats anywhere.
 """
 
 import heapq
-from collections.abc import Mapping
 from math import gcd
 
 
-class ColumnMatrix(Mapping):
-    """Sparse integer matrix stored by columns, read as {(row, col): value}.
+class ColumnMatrix:
+    """Sparse integer matrix: its nonzero columns, in increasing order.
 
-    `cols` maps each nonzero column, in increasing order, to its dict
-    {row: nonzero value}.  Items go column by column, rows in insertion order.
-    A matrix may instead be built from a function that returns an iterator
-    over those (column, dict) pairs: each pass in column order (items, keys,
-    len, elimination) then calls it afresh, and the dict `cols` is made from
-    it once, on the first random access.
+    `source` is a function that returns an iterator over the pairs
+    (column, {row: nonzero value}); each pass in column order (len,
+    elimination) calls it afresh.  A matrix whose columns are already held in
+    a dict is built from that dict's `items`.  `cols` is the dict of the
+    pairs, made on the first random access and read by every later pass.
+    `len` is the number of nonzero entries.
     """
 
     __slots__ = ("source", "_cols")
 
-    def __init__(self, cols):
-        if isinstance(cols, dict):
-            self._cols, self.source = cols, cols.items
-        else:
-            self._cols, self.source = None, cols
-
-    @classmethod
-    def of(cls, mat):
-        """The columns of `mat`, a ColumnMatrix or a dict (row, col) -> int."""
-        if isinstance(mat, cls):
-            return mat
-        cols = {}
-        for (r, c), v in mat.items():
-            if v:
-                cols.setdefault(c, {})[r] = v
-        return cls({c: cols[c] for c in sorted(cols)})
+    def __init__(self, source):
+        self.source, self._cols = source, None
 
     @property
     def cols(self):
@@ -63,18 +46,8 @@ class ColumnMatrix(Mapping):
             self.source = self._cols.items
         return self._cols
 
-    def __getitem__(self, key):
-        r, c = key
-        return self.cols[c][r]
-
-    def __iter__(self):
-        return ((r, c) for c, col in self.source() for r in col)
-
     def __len__(self):
         return sum(len(col) for _, col in self.source())
-
-    def items(self):
-        return (((r, c), v) for c, col in self.source() for r, v in col.items())
 
 
 def _reduce(col, pivot_at, pivot_cols):
@@ -107,8 +80,8 @@ def _unit_pivot_eliminate(mat, nrows, ncols, drop_rows=(), pivots=None):
     """Column-by-column elimination with +-1 pivots.  Returns (rank, residue).
 
     Rows in `drop_rows` are ignored.  The ids of the unit pivot columns are
-    appended to the list `pivots` when one is given.  The residue is the
-    set-aside part, zero at every pivot row, keyed (row, aside index).
+    appended to the list `pivots` when one is given.  The residue is the list
+    of nonzero set-aside columns, each reduced to zero at every pivot row.
     The columns of `mat` are read in order, each copied when the loop
     reaches it, so the loop holds the pivot and set-aside columns, never all
     of `mat`.  It stops at the bound min(nrows - len(drop), ncols) that the
@@ -119,9 +92,9 @@ def _unit_pivot_eliminate(mat, nrows, ncols, drop_rows=(), pivots=None):
     pivot_at = {}  # pivot row -> index into pivot_cols
     pivot_cols = []
     aside = []
-    for c, entries in ColumnMatrix.of(mat).source():
+    for c, entries in mat.source():
         if len(pivot_cols) == bound:
-            return bound, {}
+            return bound, []
         col = _reduce({r: v for r, v in entries.items() if r not in drop}, pivot_at, pivot_cols)
         pr = max((r for r, v in col.items() if v in (1, -1)), default=None)
         if pr is None:
@@ -132,22 +105,18 @@ def _unit_pivot_eliminate(mat, nrows, ncols, drop_rows=(), pivots=None):
         pivot_cols.append((pr, col[pr], col))
         if pivots is not None:
             pivots.append(c)
-    residue = {}
-    for j, col in enumerate(aside):
-        for r, v in _reduce(col, pivot_at, pivot_cols).items():
-            residue[(r, j)] = v
-    return len(pivot_cols), residue
+    residue = [_reduce(col, pivot_at, pivot_cols) for col in aside]
+    return len(pivot_cols), [col for col in residue if col]
 
 
-def _dense(mat):
-    """Dense list-of-rows copy of a sparse matrix, on its nonzero rows and columns."""
-    rows = sorted({r for r, _ in mat})
-    cols = sorted({c for _, c in mat})
+def _dense(cols):
+    """Dense list-of-rows copy of nonzero columns {row: value}, on their nonzero rows."""
+    rows = sorted({r for col in cols for r in col})
     ri = {r: i for i, r in enumerate(rows)}
-    ci = {c: j for j, c in enumerate(cols)}
     a = [[0] * len(cols) for _ in rows]
-    for (r, c), v in mat.items():
-        a[ri[r]][ci[c]] = v
+    for j, col in enumerate(cols):
+        for r, v in col.items():
+            a[ri[r]][j] = v
     return a
 
 
@@ -195,8 +164,8 @@ def _bezout(a, b):
     return x0, y0, a0 // a, b0 // a
 
 
-def _dense_smith(mat):
-    """Diagonal of the Smith form of a small dense matrix, as a sorted list.
+def _dense_smith(cols):
+    """Diagonal of the Smith form of a few nonzero columns, as a sorted list.
 
     With rank r and a nonzero r x r minor D, each of the r invariant factors
     divides D.  So the diagonalisation runs over Z/DZ, where entries stay
@@ -205,10 +174,10 @@ def _dense_smith(mat):
     gcds of the true ones with D, which are the true ones for the first r
     and D for the rest.
     """
-    if not mat:
+    if not cols:
         return []
-    rank, D = _bareiss(_dense(mat))
-    a = [[v % D for v in row] for row in _dense(mat)]
+    rank, D = _bareiss(_dense(cols))
+    a = [[v % D for v in row] for row in _dense(cols)]
     m, n = len(a), len(a[0])
     diag = []
     for t in range(min(m, n)):
@@ -241,13 +210,13 @@ def _dense_smith(mat):
 
 
 def smith_diagonal(mat, nrows, ncols, drop_rows=(), pivots=None):
-    """Nonzero Smith normal form diagonal of a sparse integer matrix of the given shape."""
+    """Nonzero Smith normal form diagonal of a `ColumnMatrix` of the given shape."""
     rank1, residue = _unit_pivot_eliminate(mat, nrows, ncols, drop_rows, pivots)
     return [1] * rank1 + _dense_smith(residue)
 
 
 def rank_and_torsion(mat, nrows, ncols, drop_rows=(), pivots=None):
-    """(rank, torsion coefficients > 1) of a sparse matrix of the given shape.
+    """(rank, torsion coefficients > 1) of a `ColumnMatrix` of the given shape.
 
     The shape bounds the rank, so every row index must be below `nrows`,
     every column index below `ncols`, and the dropped rows must be among
@@ -263,7 +232,6 @@ def rank_and_torsion(mat, nrows, ncols, drop_rows=(), pivots=None):
 
 
 def bareiss_rank(mat):
-    """Fraction-free Gaussian rank, an independent cross-check on the SNF rank."""
-    if not mat:
-        return 0
-    return _bareiss(_dense(mat))[0]
+    """Fraction-free Gaussian rank of a `ColumnMatrix`, a cross-check on the SNF rank."""
+    cols = [col for _, col in mat.source()]
+    return _bareiss(_dense(cols))[0] if cols else 0

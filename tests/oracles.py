@@ -78,6 +78,23 @@ def invariant_factors(rows, ncols):
     return factors
 
 
+def columns(plain):
+    """A plain dict (row, col) -> int as a `ColumnMatrix`: its nonzero
+    columns in increasing order, rows in the dict's order."""
+    from ispaces.zlinalg import ColumnMatrix
+
+    cols = {}
+    for (r, c), v in plain.items():
+        if v:
+            cols.setdefault(c, {})[r] = v
+    return ColumnMatrix({c: cols[c] for c in sorted(cols)}.items)
+
+
+def entries(mat):
+    """The entries ((row, col), value) of a `ColumnMatrix`, column by column."""
+    return [((r, c), v) for c, col in mat.source() for r, v in col.items()]
+
+
 def group_homology(elements, mul, unit, top):
     """Integral group homology H_k for k <= top via the bar complex.
 
@@ -117,7 +134,7 @@ def group_homology(elements, mul, unit, top):
     for k in range(1, top + 2):
         n_rows = len(chains[k - 1])
         n_cols = len(chains[k])
-        r, t = rank_and_torsion(boundary(k), n_rows, n_cols)
+        r, t = rank_and_torsion(columns(boundary(k)), n_rows, n_cols)
         ranks[k] = r
         tors[k] = t
     for k in range(top + 1):

@@ -51,7 +51,7 @@ from ispaces.simplicial import (
 )
 from ispaces.zlinalg import bareiss_rank, rank_and_torsion
 
-from oracles import product_sset, rational_rank, sigma2_homology
+from oracles import columns, product_sset, rational_rank, sigma2_homology
 
 
 def _report(num, label, budget, body):
@@ -239,8 +239,8 @@ def test_criterion_11_property_suites():
             mat = {(i, j): rng.randint(-3, 3)
                    for i in range(rows) for j in range(cols)
                    if rng.random() < 0.6}
-            rank, _ = rank_and_torsion(mat, rows, cols)
-            assert rank == bareiss_rank(mat)
+            rank, _ = rank_and_torsion(columns(mat), rows, cols)
+            assert rank == bareiss_rank(columns(mat))
             assert rank == rational_rank(
                 [[mat.get((i, j), 0) for j in range(cols)]
                  for i in range(rows)], cols)

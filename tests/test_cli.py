@@ -37,6 +37,14 @@ def test_scenario_skips_below_minimum_truncation():
     assert r.passed()
 
 
+def test_flat_suite_skips_the_collapsing_checks_at_truncation_one():
+    # collapsing_ispace(1) has no level 2, where its two points would merge
+    r = run_scenario("flat-suite", RunConfig(trunc=1))
+    skipped = [c["name"] for c in r.checks if c["verdict"] == "skipped"]
+    assert skipped == ["nonflat-collapsing", "witness-replays"]
+    assert r.passed()
+
+
 def test_reports_are_deterministic():
     cfg = RunConfig(trunc=2, deg=1)
     a = reports_to_json([run_scenario("c1-pi0", cfg)], cfg)
@@ -88,6 +96,18 @@ def test_cli_validate(capsys):
     code, payload = run_cli(capsys, "validate", "--trunc", "2", "c1", "terminal")
     assert code == 0
     assert payload["validate"] == {"c1": [], "terminal": []}
+
+
+@pytest.mark.parametrize("trunc, free", [("1", ["f1"]), ("2", ["f1", "f2"])])
+def test_cli_validate_and_flat_default_to_the_models_at_the_truncation(capsys, trunc, free):
+    code, payload = run_cli(capsys, "validate", "--trunc", trunc)
+    assert code == 0
+    assert sorted(n for n in payload["validate"] if n[0] == "f") == free
+    assert not any(payload["validate"].values())
+    code, payload = run_cli(capsys, "flat", "--trunc", trunc)
+    assert code == 0
+    assert sorted(n for n in payload["flat"] if n[0] == "f") == free
+    assert payload["flat"]["collapsing"]["flat"] is (trunc == "1")
 
 
 def test_cli_hocolim_over_both_categories(capsys):

@@ -33,9 +33,9 @@ from ispaces.simplicial import (
 )
 
 from ispaces.icat import FinCategory, TruncatedI, comma_under
-from oracles import (chain_boundary_reference, cyclic_group_category, map_table_reference,
-                     nerve_reference, normalize_pair_ref, pairing_map, product_sset,
-                     rational_rank)
+from oracles import (chain_boundary_reference, cyclic_group_category, entries,
+                     map_table_reference, nerve_reference, normalize_pair_ref, pairing_map,
+                     product_sset, rational_rank)
 
 
 def test_point_and_empty():
@@ -271,8 +271,8 @@ def test_boundary_entries_match_reference_in_order():
     for x in (simplicial_circle(), sphere(2), collapsed_edge, based):
         cx = chain_complex(x)
         for k in range(1, x.top_dim + 1):
-            assert list(cx.boundaries[k].items()) == chain_boundary_reference(x, k)
-    assert chain_complex(simplicial_circle()).boundaries[1] == {}  # d_0 = d_1 cancel
+            assert entries(cx.boundaries[k]) == chain_boundary_reference(x, k)
+    assert len(chain_complex(simplicial_circle()).boundaries[1]) == 0  # d_0 = d_1 cancel
 
 
 def test_snf_rank_matches_rational_rank():
@@ -285,7 +285,7 @@ def test_snf_rank_matches_rational_rank():
         mat = c.boundaries[k]
         nrows, ncols = c.counts[k - 1], c.counts[k]
         rank, _ = rank_and_torsion(mat, nrows, ncols)
-        dense = [[mat.get((r, col), 0) for col in range(ncols)]
+        dense = [[mat.cols.get(col, {}).get(r, 0) for col in range(ncols)]
                  for r in range(nrows)]
         assert rank == rational_rank(dense, ncols)
 

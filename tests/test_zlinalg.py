@@ -15,15 +15,15 @@ from ispaces.simplicial import (
 )
 from ispaces.zlinalg import ColumnMatrix, rank_and_torsion, smith_diagonal
 
-from oracles import (chain_boundary_reference, cyclic_group_category, group_homology,
-                     invariant_factors, product_sset)
+from oracles import (chain_boundary_reference, columns, cyclic_group_category, entries,
+                     group_homology, invariant_factors, product_sset)
 from test_normalize import CASES
 
 
 def test_smith_diagonal_divisibility():
     from ispaces.zlinalg import smith_diagonal
 
-    mat = {(0, 0): 2, (0, 1): 4, (1, 0): 4, (1, 1): 4}
+    mat = columns({(0, 0): 2, (0, 1): 4, (1, 0): 4, (1, 1): 4})
     for nrows, ncols in ((2, 2), (3, 2), (2, 4), (5, 5)):  # zero rows and columns past the entries
         diag = [d for d in smith_diagonal(mat, nrows, ncols) if d]
         for a, b in zip(diag, diag[1:]):
@@ -35,7 +35,7 @@ def test_rank_and_torsion_known_matrix():
     from ispaces.zlinalg import rank_and_torsion
 
     # the boundary matrix of RP^2's 2-cell in cellular homology
-    mat = {(0, 0): 2}
+    mat = columns({(0, 0): 2})
     rank, tors = rank_and_torsion(mat, 1, 1)
     assert rank == 1
     assert tors == (2,)
@@ -55,8 +55,8 @@ def test_bareiss_agrees_with_smith_on_random_sparse():
                 if rng.random() < 0.4:
                     mat[(r, c)] = rng.randint(-5, 5)
         mat = {k: v for k, v in mat.items() if v}
-        rank, _ = rank_and_torsion(dict(mat), nrows, ncols)
-        assert rank == bareiss_rank(dict(mat))
+        rank, _ = rank_and_torsion(columns(mat), nrows, ncols)
+        assert rank == bareiss_rank(columns(mat))
 
 
 def test_invariant_factors_match_determinantal_divisors():
@@ -71,7 +71,7 @@ def test_invariant_factors_match_determinantal_divisors():
         density = rng.choice((0.4, 0.7, 1.0))
         dense = [[rng.choice(values) if rng.random() < density else 0
                   for _ in range(ncols)] for _ in range(nrows)]
-        mat = {(r, c): v for r, row in enumerate(dense) for c, v in enumerate(row) if v}
+        mat = columns({(r, c): v for r, row in enumerate(dense) for c, v in enumerate(row)})
         want = invariant_factors(dense, ncols)
         assert smith_diagonal(mat, nrows, ncols) == want, dense
         extra_rows, extra_cols = pad.randint(0, 2), pad.randint(0, 2)
@@ -81,20 +81,20 @@ def test_invariant_factors_match_determinantal_divisors():
 
 
 def test_explicit_zero_entries_are_ignored():
-    # a stored 0 at the row of the first pivot
+    # a stored 0 at the row of the first pivot, dropped when the entries are grouped
     mat = {(0, 0): -1, (1, 0): -2, (0, 1): 0, (2, 1): 1}
-    assert rank_and_torsion(mat, 3, 2) == (2, ())
+    assert rank_and_torsion(columns(mat), 3, 2) == (2, ())
 
 
 def test_dense_residue_entries_stay_bounded():
     # no +-1 entry, so the whole matrix is the dense residue; determinantal
     # divisors 1, 1, 1, 1, 2, 4, 143448
-    mat = {(0, 1): 4, (0, 2): -4, (0, 3): -4, (0, 4): -2, (0, 5): 3, (0, 6): 2,
+    mat = columns({(0, 1): 4, (0, 2): -4, (0, 3): -4, (0, 4): -2, (0, 5): 3, (0, 6): 2,
            (1, 3): 3, (1, 4): 6, (1, 6): 2, (2, 0): 6, (2, 3): -2, (2, 6): 6,
            (3, 0): -2, (3, 1): 6, (3, 2): -2, (3, 3): 4, (3, 4): -3, (3, 6): -6,
            (4, 1): 3, (4, 2): 4, (4, 3): 6, (4, 4): -3, (4, 5): -6, (5, 0): 4,
            (5, 1): -3, (5, 3): 6, (5, 4): 6, (5, 5): -2, (5, 6): 4, (6, 0): -6,
-           (6, 3): -6, (6, 6): -4}
+           (6, 3): -6, (6, 6): -4})
     t0 = time.perf_counter()
     assert rank_and_torsion(mat, 7, 7) == (7, (2, 2, 35862))
     assert time.perf_counter() - t0 < 1.0
@@ -166,7 +166,7 @@ def _conjugated_complex(rng):
             v[i] = [a - f * b for a, b in zip(v[i], v[j])]  # v <- E^-1 v
         basis.append(u)
         inverse.append(v)
-    boundaries = [{}]
+    boundaries = [columns({})]
     factors = {}
     for k in range(1, top + 1):
         s, cur = [], 1
@@ -180,7 +180,7 @@ def _conjugated_complex(rng):
             for a in range(counts[k - 1]):
                 for c in range(counts[k]):
                     mat[(a, c)] = mat.get((a, c), 0) + basis[k - 1][a][i] * si * inverse[k][col][c]
-        boundaries.append({key: v for key, v in mat.items() if v})
+        boundaries.append(columns(mat))
     groups = {k: (free[k], factors.get(k + 1, ())) for k in range(top)}
     return counts, boundaries, groups
 
@@ -213,16 +213,16 @@ def _case_ssets(obj):
 
 
 def _agreeing(seen):
-    """`rank_and_torsion` that also eliminates the plain-dict copies of its
-    matrix, in its item order and row by row, with and without the cleared
+    """`rank_and_torsion` that also eliminates the columns regrouped from
+    its entries, in their order and row by row, with and without the cleared
     rows, and checks rank, torsion and pivots."""
     def both(mat, nrows, ncols, drop_rows=(), pivots=None):
         assert isinstance(mat, ColumnMatrix)
-        for plain in (dict(mat.items()), dict(sorted(mat.items()))):
+        for plain in (dict(entries(mat)), dict(sorted(entries(mat)))):
             for drop in ((), drop_rows):
                 got, want = [], []
                 assert rank_and_torsion(mat, nrows, ncols, drop, got) \
-                    == rank_and_torsion(plain, nrows, ncols, drop, want)
+                    == rank_and_torsion(columns(plain), nrows, ncols, drop, want)
                 assert got == want
         seen.append(len(drop_rows))
         return rank_and_torsion(mat, nrows, ncols, drop_rows, pivots)
@@ -236,17 +236,12 @@ def test_column_matrix_agrees_with_its_dict_copy(monkeypatch):
         cx = chain_complex(x)
         for k in range(1, len(cx.boundaries)):
             mat = cx.boundaries[k]
-            entries = chain_boundary_reference(x, k)
-            assert list(mat.items()) == entries
-            assert list(mat) == [key for key, _ in entries]
-            assert len(mat) == len(entries) == sum(map(len, mat.cols.values()))
+            ref = chain_boundary_reference(x, k)
+            assert entries(mat) == ref
+            assert len(mat) == len(ref) == sum(map(len, mat.cols.values()))
             assert list(mat.cols) == sorted(mat.cols)
-            plain = dict(entries)
-            assert mat == plain and plain == mat and ColumnMatrix.of(plain).cols == mat.cols
-            assert (mat != {}) == bool(entries)
-            for (r, c), v in entries[:50]:
-                assert mat.get((r, c)) == mat[(r, c)] == v and (r, c) in mat
-                assert mat.get((r, -1)) is None and mat.get((-1, c), 0) == 0
+            assert columns(dict(ref)).cols == mat.cols
+            assert entries(mat) == ref  # a pass after `cols` reads the kept dict
     seen = []
     monkeypatch.setattr(simplicial, "rank_and_torsion", _agreeing(seen))
     for x in ssets:
@@ -261,6 +256,6 @@ def test_column_matrix_agrees_with_its_dict_copy(monkeypatch):
 def test_chain_complex_validate_reports_nonzero_square():
     cx = chain_complex(product_sset(simplicial_circle(), simplicial_circle()).sset)
     assert cx.validate() == []
-    one = ColumnMatrix({0: {0: 1}})
-    bad = simplicial.ChainComplex([1, 1, 1], [ColumnMatrix({}), one, one])
+    one = ColumnMatrix({0: {0: 1}}.items)
+    bad = simplicial.ChainComplex([1, 1, 1], [ColumnMatrix({}.items), one, one])
     assert bad.validate() == ["boundary squared nonzero in degree 2"]
