@@ -183,10 +183,8 @@ def gamma_of_monoid(A, K, S):
             bp = values[l].basepoint
             return SMap(values[0], values[l], {(0, 0): nd_ref(0, bp)})
         if l == 0:
-            table = {}
-            for d in range(values[k].top_dim + 1):
-                for x in range(values[k].card[d]):
-                    table[(d, x)] = (tuple(range(d - 1, -1, -1)), 0, 0)
+            table = {(d, x): (tuple(range(d - 1, -1, -1)), 0, 0)
+                     for d, x in values[k].nondeg_keys()}
             return SMap(values[k], values[0], table)
 
         return hocolim_map(tabs[k], tabs[l], lambda n, x: boxes[l].ref(
@@ -229,15 +227,13 @@ def _min_levels(X, k):
         return None
     reps = pi0(X.values[k])
     out = {}
-    for (d, v), raw in tabs[k].raw_of.items():
-        if d != 0:
-            continue
+    for v, raw in enumerate(tabs[k].raw_of[0]):
         m, _ = _cell_point(tabs[k], 0, raw)
         c = reps[v]
         out[c] = min(out.get(c, m), m)
     bp = X.values[k].basepoint
     if bp is not None:
-        # the quotient keeps a single arbitrary raw for the collapsed vertex
+        # the quotient's vertex 0 keeps the raw cell of one collapsed vertex
         out[reps[bp]] = 0
     return out
 

@@ -72,10 +72,9 @@ class ISpaceT:
             return bad
         for n in cat.objects:
             f = self.act(identity(n))
-            for k in range(self.levels[n].top_dim + 1):
-                for x in range(self.levels[n].card[k]):
-                    if f(nd_ref(k, x)) != nd_ref(k, x):
-                        bad.append(f"identity at level {n} does not act trivially")
+            for k, x in self.levels[n].nondeg_keys():
+                if f(nd_ref(k, x)) != nd_ref(k, x):
+                    bad.append(f"identity at level {n} does not act trivially")
         for beta in cat.arrows():
             for alpha in cat.arrows():
                 if alpha.dst != beta.src:
@@ -295,7 +294,7 @@ class BoxISpace:
         """Raw cell of a possibly-degenerate simplex of level n: the base
         simplex's, with the degeneracies of ref applied one at a time."""
         degs, base_dim, base_id = ref
-        raw = self.tables[n].raw_of[(base_dim, base_id)]
+        raw = self.tables[n].raw_of[base_dim][base_id]
         for j in reversed(degs):
             raw = self.deg(raw, j)
         return raw
@@ -313,10 +312,9 @@ def _box_space(tables, canon, factors, deg=_box_deg):
     maps = {}
     for alpha in TruncatedI(N).arrows():
         dst, dst_canon = tables[alpha.dst], canon[alpha.dst]
-        table = {}
-        for (k, x), (nvec, a_img, xs) in tables[alpha.src].raw_of.items():
-            moved = (nvec, tuple(alpha(i) for i in a_img), xs)
-            table[(k, x)] = dst.ref_of[dst_canon[k][moved]]
+        table = {(k, x): dst.ref_of[dst_canon[k][(nvec, tuple(map(alpha, a_img)), xs)]]
+                 for k, raws in enumerate(tables[alpha.src].raw_of)
+                 for x, (nvec, a_img, xs) in enumerate(raws)}
         maps[alpha] = SMap(levels[alpha.src], levels[alpha.dst], table)
     return BoxISpace(ISpaceT(N, levels, maps), tables, canon, tuple(factors), deg)
 
@@ -353,9 +351,7 @@ def _box_single(X, dim_bound):
     """
     tables, canon = [], []
     for n in range(X.N + 1):
-        cn = []
-        ref_of = {}
-        raw_of = {}
+        cn, ref_of = [], {}
         for dim in range(dim_bound + 1):
             cdict = {}
             for m in range(n + 1):
@@ -367,9 +363,8 @@ def _box_single(X, dim_bound):
                         cdict[raw] = key
                         ref_of[key] = img
             cn.append(cdict)
-        for k in range(X.level(n).top_dim + 1):
-            for x in range(X.level(n).card[k]):
-                raw_of[(k, x)] = ((n,), identity(n).image, (nd_ref(k, x),))
+        raw_of = [[((n,), identity(n).image, (nd_ref(k, x),)) for x in range(card)]
+                  for k, card in enumerate(X.level(n).card)]
         tables.append(NormTable(X.level(n), ref_of, raw_of))
         canon.append(cn)
     return BoxISpace(X, tables, canon, (X,), _box_deg)
@@ -386,13 +381,13 @@ def rho(BXY):
     X, Y = BXY.factors
     maps = []
     for n in range(BXY.space.N + 1):
-        px, py = {}, {}
-        for (k, x), (nvec, a_img, (rx, ry)) in BXY.tables[n].raw_of.items():
+        px, py, src = {}, {}, BXY.space.level(n)
+        for k, x in src.nondeg_keys():
+            nvec, a_img, (rx, ry) = BXY.tables[n].raw_of[k][x]
             a = Injection(sum(nvec), n, a_img)
             px[(k, x)] = X.act(compose(a, subset_inclusion(nvec[0], a.src)))(rx)
             py[(k, x)] = Y.act(compose(a, Injection(nvec[1], a.src,
                                                      range(nvec[0] + 1, a.src + 1))))(ry)
-        src = BXY.space.level(n)
         maps.append((SMap(src, X.level(n), px), SMap(src, Y.level(n), py)))
     return maps
 
@@ -519,22 +514,20 @@ def _pushed_ref(push, refs, raw):
 
 def _based_quotient(X, tab):
     """Collapse the copy of the index nerve sitting under the basepoints, the
-    cells whose simplex (`_cell_point`) is one; this takes over tab.raw_of."""
+    cells whose simplex (`_cell_point`) is one.  The raw cell of the basepoint
+    is that of the last collapsed vertex."""
     if not X.is_based():
         raise ValueError("based homotopy colimit needs a based diagram")
     sub = {}
-    for (k, x), raw in tab.raw_of.items():
-        m, (_, base_dim, base_id) = _cell_point(tab, k, raw)
+    for k, x in tab.sset.nondeg_keys():
+        m, (_, base_dim, base_id) = _cell_point(tab, k, tab.raw_of[k][x])
         if base_dim == 0 and base_id == X.level(m).basepoint:
             sub.setdefault(k, set()).add(x)
     Q, push = quotient(tab.sset, sub)
-    ref_of = LazyDict(partial(_pushed_ref, push, tab.ref_of))
-    for k, n in enumerate(tab.sset.card):  # re-key raw_of in place to the quotient's ids
-        for x, raw in enumerate([tab.raw_of.pop((k, x)) for x in range(n)]):
-            degs, _, y = push(nd_ref(k, x))
-            if not degs:
-                tab.raw_of[(k, y)] = raw
-    return NormTable(Q, ref_of, tab.raw_of, tab.cat)
+    raw_of = [[raw for x, raw in enumerate(raws) if x not in sub.get(k, ())]
+              for k, raws in enumerate(tab.raw_of)]
+    raw_of[0].insert(0, tab.raw_of[0][max(sub[0])])
+    return NormTable(Q, LazyDict(partial(_pushed_ref, push, tab.ref_of)), raw_of, tab.cat)
 
 
 def hocolim_I(X, S, based=False):
@@ -585,9 +578,8 @@ def latching(X, n, dim_bound=None):
     canon = [_box_classes((X,), n, dim, n - 1).canonicalize()
              for dim in range(dim_bound + 1)]
     tab = _box_table((X,), canon, dim_bound)
-    table = {}
-    for (k, x), ((m,), a_img, (xref,)) in tab.raw_of.items():
-        table[(k, x)] = X.act(Injection(m, n, a_img))(xref)
+    table = {(k, x): X.act(Injection(m, n, a_img))(xref) for k, raws in enumerate(tab.raw_of)
+             for x, ((m,), a_img, (xref,)) in enumerate(raws)}
     return tab.sset, SMap(tab.sset, X.level(n), table)
 
 

@@ -176,9 +176,7 @@ def scenario_c1_bsigma2(cfg):
 
 def _degree_component(A, tab, degree):
     """A vertex of the homotopy colimit lying in the given degree component."""
-    for (d, v), raw in sorted(tab.raw_of.items()):
-        if d != 0:
-            continue
+    for v, raw in enumerate(tab.raw_of[0]):
         m, (_, _, base_id) = ispace._cell_point(tab, 0, raw)
         # subset-model vertices know their degree via the subset size
         if len(A.meta["points"][m][base_id]) == degree:

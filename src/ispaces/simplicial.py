@@ -14,14 +14,14 @@ refs through the simplicial identities, so validity checks, chain complexes
 and homology never enumerate more than the nondegenerate content plus the
 words needed for a given dimension.
 
-`normalize_table` builds this form from an explicit table of all simplices.
-It finds degeneracies from below: every degenerate k-simplex is s_i y for a
-(k-1)-simplex y, so the images s_i y of the level below name all of them, and
-only the nondegenerate simplices are asked for their faces, each by one call
-faces_fn(k, raw) that returns its whole row (d_0 raw, ..., d_k raw).  Top rows
-are built when first read (`FaceRows`), so SNF builds only those it reads.  The
-cell-by-cell oracle of the tests calls faces_fn on degenerate cells too, so a
-faces_fn must accept any raw cell.
+`normalize_table` builds this form from an explicit table of all simplices,
+listing raw_of[k][x], the raw cell of the nondegenerate k-simplex x.  Every
+degenerate k-simplex is s_i y for a (k-1)-simplex y, so the images s_i y of the
+level below name all of them, and only the nondegenerate simplices are asked
+for their faces, each by one call faces_fn(k, raw) for the whole row.  Top rows
+are built when first read (`FaceRows`) and top refs on the first lookup that
+misses (`TopRefs`), so homology builds neither.  The oracle of the tests calls
+faces_fn on degenerate cells too, so a faces_fn must accept any raw cell.
 
 A map of simplicial sets (`SMap`) holds the image of each nondegenerate
 source simplex.  `map_from_tables` computes each image on demand, the first
@@ -34,9 +34,9 @@ normal form over arbitrary-precision integers; see `zlinalg`.
 """
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import combinations, count
+from itertools import combinations, count, filterfalse
 from typing import Optional
 
 from .util import DisjointSet
@@ -54,9 +54,27 @@ def ref_dim(ref):
     return base_dim + len(degs)
 
 
+class LazyDict(dict):
+    """A dict that computes a missing key's value as fn(key) on its first
+    lookup and keeps it; a KeyError raised by fn reads as a missing key."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+_UNIT_WORDS = LazyDict(lambda i: (i,))  # shared: the collector untracks a ref on first sight
+
+
 def apply_s(i, ref):
     """Degeneracy s_i applied to a ref, renormalized."""
     degs, base_dim, base_id = ref
+    if not degs:
+        return (_UNIT_WORDS[i], base_dim, base_id)
     return (tuple(j + 1 for j in degs if j >= i) + (i,) + tuple(j for j in degs if j < i),
             base_dim, base_id)
 
@@ -245,38 +263,56 @@ class FaceRows(Sequence):
         return list(self) == other
 
 
+class TopRefs(dict):
+    """raw -> ref; the nondegenerate cells `raws` of dimension `dim` get their
+    refs on the first lookup that misses (`in`, `get` and iteration look none up)."""
+
+    dim, raws = 0, ()
+
+    def fill(self):
+        raws, self.raws = self.raws, ()
+        self.update({raw: ((), self.dim, x) for x, raw in enumerate(raws)})
+
+    def __missing__(self, raw):
+        if not self.raws:
+            raise KeyError(raw)
+        self.fill()
+        return self[raw]
+
+
 @dataclass
 class NormTable:
-    """A normalized SSet together with the dictionary raw -> ref."""
+    """A normalized SSet, raw -> ref (compare it by lookups) and raw_of[k][x],
+    the raw cell of the nondegenerate k-simplex x."""
 
     sset: SSet
-    ref_of: dict
-    raw_of: dict  # (k, id) -> raw cell
+    ref_of: dict = field(compare=False)
+    raw_of: list
     cat: object = field(default=None, compare=False)  # what the codes of raw cells name
 
 
 def normalize_table(cells, faces_fn, deg_fn, top_dim, complete=False, based_raw=None):
     """Build a normal-form SSet from an explicit simplex table.
 
-    cells[k] lists ALL k-simplices (hashable, orderable) for k <= top_dim.
-    faces_fn(k, x) returns the row (d_0 x, ..., d_k x) of a k-cell x, k >= 1,
-    and deg_fn(k, x, i) the cell s_i x.  Ids are assigned in the given order
-    of `cells`, which therefore fixes the canonical ids.
+    cells[k] lists ALL k-simplices (hashable, orderable, distinct within the
+    level) for k <= top_dim.  faces_fn(k, x) returns the row (d_0 x, ..., d_k x)
+    of a k-cell x, k >= 1, and deg_fn(k, x, i) the cell s_i x.  Ids are
+    assigned in the given order of `cells`, which therefore fixes the
+    canonical ids.
 
-    Degeneracies are found from below.  Before level k is walked, s_i y is
+    Degeneracies are found from below.  Before level k is read, s_i y is
     formed for every (k-1)-cell y and every i < k, smallest i first; a k-cell
     equal to one of them is the ref s_i(ref of y), which by Eilenberg-Zilber
-    does not depend on the choice of (i, y).  Every other k-cell is
-    nondegenerate: it gets the next id, and faces_fn is called on it once to
-    fill its row of the face table.  It is never called on a degenerate cell
-    here, but the reference oracle of the tests calls it on those as well.
-    The rows of dimension top_dim are `FaceRows`, built on first read, so a
-    faces_fn must not read state changed after the call returns.
+    does not depend on the choice of (i, y).  An image that is not a k-cell
+    gets no ref; a cell repeated from a lower level keeps its lower ref.
+    Every other k-cell is nondegenerate: it gets the next id, and faces_fn is
+    called on it once for its row of the face table (the reference oracle of
+    the tests calls it on degenerate cells too).  The rows of dimension
+    top_dim are `FaceRows`, built on first read, so a faces_fn must not read
+    state changed after the call returns, and the refs of its nondegenerate
+    cells are made on the first lookup that misses (`TopRefs`).
     """
-    ref_of = {}
-    raw_of = {}
-    card = []
-    face = []
+    ref_of, raw_of, face = TopRefs(), [], [[]]
 
     def row(k, raw):
         return tuple(map(ref_of.__getitem__, faces_fn(k, raw)))
@@ -288,29 +324,24 @@ def normalize_table(cells, faces_fn, deg_fn, top_dim, complete=False, based_raw=
                 z = deg_fn(k - 1, y, i)
                 if z not in below:
                     below[z] = apply_s(i, ref_of[y])
-        n = 0
-        rows = []
-        for raw in cells[k]:
-            if raw in ref_of:
-                continue
-            ref = below.get(raw)
-            if ref is None:
-                ref = ((), k, n)
-                raw_of[(k, n)] = raw
-                if k:
-                    rows.append(raw if k == top_dim else row(k, raw))
-                n += 1
-            ref_of[raw] = ref
-        card.append(n)
-        face.append(FaceRows(rows, partial(row, k)) if k and k == top_dim else rows)
+        degenerate = below.keys() & cells[k]
+        ref_of.update({z: ref for z, ref in below.items() if z in degenerate and z not in ref_of})
+        raws = list(filterfalse(ref_of.__contains__, cells[k]))
+        raw_of.append(raws)
+        ref_of.dim, ref_of.raws = k, raws
+        if k < top_dim:
+            ref_of.fill()
+        if k:
+            face.append(FaceRows(raws, partial(row, k)) if k == top_dim
+                        else [row(k, raw) for raw in raws])
     bp = None
     if based_raw is not None:
         r = ref_of[based_raw]
         if ref_dim(r) != 0:
             raise ValueError("basepoint raw cell is not a vertex")
         _, _, bp = r
-    return NormTable(SSet(tuple(card), tuple(face), complete=complete, basepoint=bp),
-                     ref_of, raw_of)
+    return NormTable(SSet(tuple(len(raws) for raws in raw_of), tuple(face), complete=complete,
+                          basepoint=bp), ref_of, raw_of)
 
 
 # ---------------------------------------------------------------------------
@@ -358,28 +389,12 @@ class SMap:
 
 
 def identity_map(X):
-    table = {}
-    for k in range(X.top_dim + 1):
-        for x in range(X.card[k]):
-            table[(k, x)] = nd_ref(k, x)
-    return SMap(X, X, table)
-
-
-class LazyDict(dict):
-    """A dict that computes a missing key's value as fn(key) on its first
-    lookup and keeps it; a KeyError raised by fn reads as a missing key."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
+    return SMap(X, X, {key: nd_ref(*key) for key in X.nondeg_keys()})
 
 
 def _table_image(src_tab, dst_tab, raw_fn, key):
-    return dst_tab.ref_of[raw_fn(key[0], src_tab.raw_of[key])]
+    k, x = key
+    return dst_tab.ref_of[raw_fn(k, src_tab.raw_of[k][x])]
 
 
 def map_from_tables(src_tab, dst_tab, raw_fn):
@@ -492,9 +507,8 @@ def nerve(C, D):
         return raw[:i] + (ident[src[raw[i]] if i < k else dst[raw[-1]]],) + raw[i:]
 
     tab = normalize_table(cells, faces_fn, deg_fn, D)
-    complete = D > 0 and tab.sset.card[D] == 0
-    sset = SSet(tab.sset.card, tab.sset.face, complete=complete)
-    return NormTable(sset, tab.ref_of, tab.raw_of, C)
+    tab.sset, tab.cat = replace(tab.sset, complete=D > 0 and tab.sset.card[D] == 0), C
+    return tab
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ def _reduce(col, pivot_at, pivot_cols):
     while heap:
         pr, pv, entries = pivot_cols[heapq.heappop(heap)]
         f = col.get(pr)
-        if f is None:
+        if not f:  # no entry, or a stored 0
             continue
         f *= pv  # pv is its own inverse
         for r, v in entries.items():
@@ -72,7 +72,7 @@ def _reduce(col, pivot_at, pivot_cols):
                     heapq.heappush(heap, pivot_at[r])
                 col[r] = nv
             else:
-                del col[r]
+                col.pop(r, None)  # a stored 0 of the pivot's entries may meet no entry
     return col
 
 

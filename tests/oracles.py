@@ -246,17 +246,18 @@ def normalize_reference(cells, faces_fn, deg_fn, top_dim, complete=False, based_
     This asks each k-cell for its row of faces and up to k degeneracies
     before it is known to be nondegenerate, so faces_fn(k, raw) is called on
     degenerate cells too, where the library works from the level below.
-    Returns the same `NormTable`.
+    Returns the same `NormTable`, with an eager dictionary of refs.
     """
     from ispaces.simplicial import NormTable, SSet, apply_s, nd_ref
 
     ref_of = {}
-    raw_of = {}
+    raw_of = []
     card = []
     face = []
     for k in range(top_dim + 1):
         n = 0
         rows = []
+        raw_of.append([])
         for raw in cells[k]:
             if raw in ref_of:
                 continue
@@ -272,7 +273,7 @@ def normalize_reference(cells, faces_fn, deg_fn, top_dim, complete=False, based_
                 ref_of[raw] = apply_s(i, ref_of[y])
             else:
                 ref_of[raw] = nd_ref(k, n)
-                raw_of[(k, n)] = raw
+                raw_of[k].append(raw)
                 if k >= 1:
                     rows.append(tuple(ref_of[f] for f in row))
                 n += 1
@@ -336,20 +337,31 @@ def hocolim_reference(X, S, arrows_of, based):
 
     tab = normalize_table(cells, faces_fn, deg_fn, S)
     if not based:
-        return tab
+        return NormTable(tab.sset, refs_by_lookup(tab, cells), tab.raw_of)
     if not X.is_based():
         raise ValueError("based homotopy colimit needs a based diagram")
     sub = {}
-    for (k, x), (levels, _, (_, base_dim, base_id)) in tab.raw_of.items():
-        if base_dim == 0 and base_id == X.level(levels[-1]).basepoint:
-            sub.setdefault(k, set()).add(x)
+    for k, raws in enumerate(tab.raw_of):
+        for x, (levels, _, (_, base_dim, base_id)) in enumerate(raws):
+            if base_dim == 0 and base_id == X.level(levels[-1]).basepoint:
+                sub.setdefault(k, set()).add(x)
     Q, push = quotient(tab.sset, sub)
     raw_of = {}
-    for (k, x), raw in tab.raw_of.items():
-        degs, base_dim, base_id = push(nd_ref(k, x))
-        if not degs:
-            raw_of[(base_dim, base_id)] = raw
-    return NormTable(Q, {raw: push(r) for raw, r in tab.ref_of.items()}, raw_of)
+    for k, raws in enumerate(tab.raw_of):
+        for x, raw in enumerate(raws):
+            degs, base_dim, base_id = push(nd_ref(k, x))
+            if not degs:
+                raw_of[(base_dim, base_id)] = raw
+    return NormTable(Q, {raw: push(r) for raw, r in refs_by_lookup(tab, cells).items()},
+                     [[raw_of[(k, y)] for y in range(n)] for k, n in enumerate(Q.card)])
+
+
+def refs_by_lookup(tab, cells):
+    """{raw: ref} of every raw cell of `cells`, each looked up in tab.ref_of.
+    A lookup makes the refs that `simplicial.TopRefs` makes on demand, so
+    afterwards dict(tab.ref_of) holds these and no more when ref_of holds
+    only cells of `cells`."""
+    return {raw: tab.ref_of[raw] for level in cells for raw in level}
 
 
 def decode_chain(N, raw):
@@ -458,8 +470,9 @@ def map_table_reference(src_tab, dst_tab, raw_fn):
     """The image of every nondegenerate simplex of src_tab, tabulated eagerly
     from a map of raw cells: the table `map_from_tables` used to build."""
     table = {}
-    for (k, x), raw in src_tab.raw_of.items():
-        table[(k, x)] = dst_tab.ref_of[raw_fn(k, raw)]
+    for k, raws in enumerate(src_tab.raw_of):
+        for x, raw in enumerate(raws):
+            table[(k, x)] = dst_tab.ref_of[raw_fn(k, raw)]
     return table
 
 
@@ -506,9 +519,10 @@ def product_sset(X, Y, dim_bound=None):
     )
     p1 = {}
     p2 = {}
-    for (k, x), (ra, rb) in tab.raw_of.items():
-        p1[(k, x)] = ra
-        p2[(k, x)] = rb
+    for k, raws in enumerate(tab.raw_of):
+        for x, (ra, rb) in enumerate(raws):
+            p1[(k, x)] = ra
+            p2[(k, x)] = rb
     return ProductData(
         tab.sset, tab,
         SMap(tab.sset, X, p1), SMap(tab.sset, Y, p2),

@@ -4,7 +4,9 @@
 `oracles.normalize_reference` tests each raw cell with its own faces and
 degeneracies.  Every call made while building the objects below runs both,
 and the two `NormTable`s (normalized set with its face table and basepoint,
-`ref_of` and `raw_of`) must be equal.
+and `raw_of`) must be equal, as must the refs of every raw cell, looked up
+one by one: the library makes its nondegenerate top refs on the first
+lookup that misses (`simplicial.TopRefs`).
 
 The face rows of the top dimension are built on their first read
 (`simplicial.FaceRows`).  Each call is therefore made again after the
@@ -18,7 +20,7 @@ from ispaces import cmon, gamma, icat, ispace, simplicial
 from ispaces.simplicial import (SMap, SSet, component_subcomplex, identity_map, pi0, quotient,
                                 validate_sset)
 
-from oracles import normalize_reference, product_sset
+from oracles import normalize_reference, product_sset, refs_by_lookup
 
 
 @pytest.fixture
@@ -29,7 +31,10 @@ def checked(monkeypatch):
 
     def both(*args, **kwargs):
         got = real(*args, **kwargs)
-        assert got == normalize_reference(*args, **kwargs)
+        want = normalize_reference(*args, **kwargs)
+        assert got == want
+        cells = args[0][:(args[3] if len(args) > 3 else kwargs["top_dim"]) + 1]
+        assert refs_by_lookup(got, cells) == dict(got.ref_of) == want.ref_of
         calls.append(got.sset.card)
         return got
 
@@ -169,3 +174,61 @@ def test_a_face_outside_the_cells_raises_key_error():
         simplicial.homology(tab.sset, 0)
     with pytest.raises(KeyError):
         simplicial.normalize_table(cells, faces_fn, deg_fn, 2)
+
+
+def test_homology_of_a_nerve_makes_no_top_ref(monkeypatch):
+    """Homology reads no ref, so after a nerve's homology its refs hold every
+    degenerate top cell and no nondegenerate one (the ref counterpart of the
+    top rows that `recorded` finds unbuilt).  One top lookup makes them all,
+    and every raw cell's ref then equals the reference's."""
+    real, calls = simplicial.normalize_table, []
+
+    def record(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(simplicial, "normalize_table", record)
+    tab = simplicial.nerve(icat.comma_under(1, 3), 3)
+    assert simplicial.reduced_homology_trivial(tab.sset, 2)
+    (args,) = calls
+    want = normalize_reference(*args).ref_of
+    top = tab.raw_of[3]
+    assert top and not any(raw in tab.ref_of for raw in top)
+    assert all(raw in tab.ref_of for raw in args[0][3] if want[raw][0])
+    assert tab.ref_of[top[-1]] == simplicial.nd_ref(3, len(top) - 1)
+    assert dict(tab.ref_of) == want
+    assert refs_by_lookup(tab, args[0]) == want
+
+
+def _edge_table(top_dim):
+    """A table whose degeneracy images are mostly not cells, and whose vertex
+    "x" is listed again among the edges, where it is also its own s_0."""
+    cells = [[0, "x", 2], [("s", 0, 0), "x", ("e",)], [("f",)]][:top_dim + 1]
+    faces = {("s", 0, 0): (0, 0), "x": ("x", "x"), ("e",): ("x", 0),
+             ("f",): (("e",), ("s", 0, 0), ("e",))}
+
+    def faces_fn(k, raw):
+        return faces[raw]
+
+    def deg_fn(k, raw, i):
+        return raw if raw == "x" else ("s", i, raw)
+
+    return cells, faces_fn, deg_fn
+
+
+@pytest.mark.parametrize("top_dim", [1, 2])
+def test_refs_of_images_outside_the_cells_and_of_repeated_cells(top_dim):
+    """A degeneracy image that is not a cell of its level gets no ref, in the
+    top dimension and below it, and a cell repeated from a lower level keeps
+    the lower level's ref, as `_box_table`'s empty product ((), (), ()) does
+    in dimensions 0 and 1.  Cells are distinct within a level."""
+    cells, faces_fn, deg_fn = _edge_table(top_dim)
+    tab = simplicial.normalize_table(cells, faces_fn, deg_fn, top_dim)
+    want = normalize_reference(cells, faces_fn, deg_fn, top_dim).ref_of
+    assert tab.raw_of[1] == [("e",)]
+    assert refs_by_lookup(tab, cells) == dict(tab.ref_of) == want
+    assert tab.ref_of["x"] == simplicial.nd_ref(0, 1)
+    assert tab.ref_of[("s", 0, 0)] == ((0,), 0, 0)
+    for image in (("s", 0, 2), ("s", 0, ("e",)), ("s", 1, ("e",))):
+        with pytest.raises(KeyError):
+            tab.ref_of[image]

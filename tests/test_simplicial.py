@@ -80,7 +80,7 @@ def test_refs_and_face_rows_leave_the_cyclic_collector():
 
     tabs = [nerve(comma_under(1, 3), 3),
             hocolim_I(terminal_ispace(3, based=True), 3, based=True)]
-    refs = [tab.ref_of[raw] for tab in tabs for raw in tab.raw_of.values()]
+    refs = [tab.ref_of[raw] for tab in tabs for raws in tab.raw_of for raw in raws]
     refs += [r for tab in tabs for r in tab.ref_of.values()]
     rows = [row for tab in tabs for level in tab.sset.face[:-1] for row in level]
     gc.collect()
@@ -360,7 +360,7 @@ def test_on_demand_images_match_eager_reference():
 def test_validate_reports_an_image_that_cannot_be_resolved():
     tab = nerve(TruncatedI(1).as_fincategory(), 2)
     assert map_from_tables(tab, tab, lambda k, raw: raw).validate() == []
-    lost = tab.raw_of[(1, 0)]
+    lost = tab.raw_of[1][0]
     f = map_from_tables(tab, tab, lambda k, raw: "nowhere" if raw == lost else raw)
     assert f.validate() == ["missing image of (1, 0)"]
 
@@ -393,7 +393,14 @@ def test_coded_nerve_matches_tagged_reference(name, D):
             return ("c", tuple(morphisms[f] for f in raw))
         return ("o", objects[raw])
 
-    assert {key: decode(raw) for key, raw in got.raw_of.items()} == want.raw_of
+    code = {f: c for c, f in enumerate(morphisms)}
+
+    def encode(cell):
+        tag, x = cell
+        return tuple(code[f] for f in x) if tag == "c" else objects.index(x)
+
+    assert [[decode(raw) for raw in raws] for raws in got.raw_of] == want.raw_of
+    assert {cell: got.ref_of[encode(cell)] for cell in want.ref_of} == want.ref_of
     assert {decode(raw): ref for raw, ref in got.ref_of.items()} == want.ref_of
 
 

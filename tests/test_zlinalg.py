@@ -86,6 +86,19 @@ def test_explicit_zero_entries_are_ignored():
     assert rank_and_torsion(columns(mat), 3, 2) == (2, ())
 
 
+def test_stored_zero_entries_reduce_as_absent_ones():
+    """A column source may store a 0: at the row of a pivot (a zero factor),
+    or among a pivot's own entries, where the column being reduced has no
+    entry.  Both reduce as if the 0 were absent."""
+    stored = [({0: {0: -1, 1: -2}, 1: {0: 0, 2: 1}}, 3, 2, (2, ())),
+              ({0: {0: 1, 5: 0}, 1: {0: 1, 1: 2}}, 6, 2, (2, (2,))),
+              ({0: {0: 1, 1: 0}, 1: {1: 3, 0: 0}, 2: {0: 2, 1: 0}}, 2, 3, (2, (3,)))]
+    for cols, nrows, ncols, want in stored:
+        plain = {c: {r: v for r, v in col.items() if v} for c, col in cols.items()}
+        assert rank_and_torsion(ColumnMatrix(plain.items), nrows, ncols) == want
+        assert rank_and_torsion(ColumnMatrix(cols.items), nrows, ncols) == want
+
+
 def test_dense_residue_entries_stay_bounded():
     # no +-1 entry, so the whole matrix is the dense residue; determinantal
     # divisors 1, 1, 1, 1, 2, 4, 143448
