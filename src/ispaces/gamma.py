@@ -183,8 +183,10 @@ def gamma_of_monoid(A, K, S):
             bp = values[l].basepoint
             return SMap(values[0], values[l], {(0, 0): nd_ref(0, bp)})
         if l == 0:
-            table = {(d, x): (tuple(range(d - 1, -1, -1)), 0, 0)
-                     for d, x in values[k].nondeg_keys()}
+            table = {}
+            for d in range(values[k].top_dim + 1):
+                for x in range(values[k].card[d]):
+                    table[(d, x)] = (tuple(range(d - 1, -1, -1)), 0, 0)
             return SMap(values[k], values[0], table)
 
         return hocolim_map(tabs[k], tabs[l], lambda n, x: boxes[l].ref(

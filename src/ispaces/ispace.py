@@ -72,9 +72,10 @@ class ISpaceT:
             return bad
         for n in cat.objects:
             f = self.act(identity(n))
-            for k, x in self.levels[n].nondeg_keys():
-                if f(nd_ref(k, x)) != nd_ref(k, x):
-                    bad.append(f"identity at level {n} does not act trivially")
+            for k in range(self.levels[n].top_dim + 1):
+                for x in range(self.levels[n].card[k]):
+                    if f(nd_ref(k, x)) != nd_ref(k, x):
+                        bad.append(f"identity at level {n} does not act trivially")
         for beta in cat.arrows():
             for alpha in cat.arrows():
                 if alpha.dst != beta.src:
@@ -351,7 +352,8 @@ def _box_single(X, dim_bound):
     """
     tables, canon = [], []
     for n in range(X.N + 1):
-        cn, ref_of = [], {}
+        cn = []
+        ref_of = {}
         for dim in range(dim_bound + 1):
             cdict = {}
             for m in range(n + 1):
@@ -381,13 +383,14 @@ def rho(BXY):
     X, Y = BXY.factors
     maps = []
     for n in range(BXY.space.N + 1):
-        px, py, src = {}, {}, BXY.space.level(n)
-        for k, x in src.nondeg_keys():
-            nvec, a_img, (rx, ry) = BXY.tables[n].raw_of[k][x]
-            a = Injection(sum(nvec), n, a_img)
-            px[(k, x)] = X.act(compose(a, subset_inclusion(nvec[0], a.src)))(rx)
-            py[(k, x)] = Y.act(compose(a, Injection(nvec[1], a.src,
-                                                     range(nvec[0] + 1, a.src + 1))))(ry)
+        px, py = {}, {}
+        for k, raws in enumerate(BXY.tables[n].raw_of):
+            for x, (nvec, a_img, (rx, ry)) in enumerate(raws):
+                a = Injection(sum(nvec), n, a_img)
+                px[(k, x)] = X.act(compose(a, subset_inclusion(nvec[0], a.src)))(rx)
+                py[(k, x)] = Y.act(compose(a, Injection(nvec[1], a.src,
+                                                         range(nvec[0] + 1, a.src + 1))))(ry)
+        src = BXY.space.level(n)
         maps.append((SMap(src, X.level(n), px), SMap(src, Y.level(n), py)))
     return maps
 
@@ -519,14 +522,18 @@ def _based_quotient(X, tab):
     if not X.is_based():
         raise ValueError("based homotopy colimit needs a based diagram")
     sub = {}
-    for k, x in tab.sset.nondeg_keys():
-        m, (_, base_dim, base_id) = _cell_point(tab, k, tab.raw_of[k][x])
-        if base_dim == 0 and base_id == X.level(m).basepoint:
-            sub.setdefault(k, set()).add(x)
+    for k, raws in enumerate(tab.raw_of):
+        for x, raw in enumerate(raws):
+            m, (_, base_dim, base_id) = _cell_point(tab, k, raw)
+            if base_dim == 0 and base_id == X.level(m).basepoint:
+                sub.setdefault(k, set()).add(x)
     Q, push = quotient(tab.sset, sub)
-    raw_of = [[raw for x, raw in enumerate(raws) if x not in sub.get(k, ())]
-              for k, raws in enumerate(tab.raw_of)]
-    raw_of[0].insert(0, tab.raw_of[0][max(sub[0])])
+    raw_of = [[None] * n for n in Q.card]
+    for k, raws in enumerate(tab.raw_of):
+        for x, raw in enumerate(raws):
+            degs, _, y = push(nd_ref(k, x))
+            if not degs:
+                raw_of[k][y] = raw
     return NormTable(Q, LazyDict(partial(_pushed_ref, push, tab.ref_of)), raw_of, tab.cat)
 
 

@@ -267,16 +267,15 @@ class TopRefs(dict):
     """raw -> ref; the nondegenerate cells `raws` of dimension `dim` get their
     refs on the first lookup that misses (`in`, `get` and iteration look none up)."""
 
-    dim, raws = 0, ()
-
-    def fill(self):
-        raws, self.raws = self.raws, ()
-        self.update({raw: ((), self.dim, x) for x, raw in enumerate(raws)})
+    def __init__(self, dim):
+        super().__init__()
+        self.dim, self.raws = dim, ()
 
     def __missing__(self, raw):
-        if not self.raws:
+        raws, self.raws = self.raws, ()
+        if not raws:
             raise KeyError(raw)
-        self.fill()
+        self.update({r: ((), self.dim, x) for x, r in enumerate(raws)})
         return self[raw]
 
 
@@ -312,7 +311,7 @@ def normalize_table(cells, faces_fn, deg_fn, top_dim, complete=False, based_raw=
     state changed after the call returns, and the refs of its nondegenerate
     cells are made on the first lookup that misses (`TopRefs`).
     """
-    ref_of, raw_of, face = TopRefs(), [], [[]]
+    ref_of, raw_of, face = TopRefs(top_dim), [], [[]]
 
     def row(k, raw):
         return tuple(map(ref_of.__getitem__, faces_fn(k, raw)))
@@ -328,12 +327,12 @@ def normalize_table(cells, faces_fn, deg_fn, top_dim, complete=False, based_raw=
         ref_of.update({z: ref for z, ref in below.items() if z in degenerate and z not in ref_of})
         raws = list(filterfalse(ref_of.__contains__, cells[k]))
         raw_of.append(raws)
-        ref_of.dim, ref_of.raws = k, raws
         if k < top_dim:
-            ref_of.fill()
+            ref_of.update({raw: ((), k, x) for x, raw in enumerate(raws)})
         if k:
             face.append(FaceRows(raws, partial(row, k)) if k == top_dim
                         else [row(k, raw) for raw in raws])
+    ref_of.raws = raws
     bp = None
     if based_raw is not None:
         r = ref_of[based_raw]
@@ -389,7 +388,11 @@ class SMap:
 
 
 def identity_map(X):
-    return SMap(X, X, {key: nd_ref(*key) for key in X.nondeg_keys()})
+    table = {}
+    for k in range(X.top_dim + 1):
+        for x in range(X.card[k]):
+            table[(k, x)] = nd_ref(k, x)
+    return SMap(X, X, table)
 
 
 def _table_image(src_tab, dst_tab, raw_fn, key):

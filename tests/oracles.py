@@ -614,7 +614,7 @@ def nerve_reference(C, D):
 
     tab = normalize_table(cells, faces_fn, deg_fn, D)
     sset = SSet(tab.sset.card, tab.sset.face, complete=D > 0 and tab.sset.card[D] == 0)
-    return NormTable(sset, tab.ref_of, tab.raw_of)
+    return NormTable(sset, refs_by_lookup(tab, cells), tab.raw_of)
 
 
 def cyclic_group_category(n):
