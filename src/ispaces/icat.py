@@ -5,7 +5,7 @@ stored as its image tuple: alpha maps i to image[i - 1].  Concatenation is
 the block sum, and the block shuffles tau interchange the summands.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import permutations
 
@@ -43,13 +43,11 @@ class Injection(tuple):
         return f"Injection({self.src}->{self.dst}, {self.image})"
 
 
-def unchecked(src, dst, image):
-    """The Injection with an image tuple already known to be one, unchecked.
-
-    For hot paths whose image tuples come from existing injections; every
-    other caller builds an `Injection`, which checks.
-    """
-    return tuple.__new__(Injection, (src, dst, image))
+def _composed(g, f):
+    """g after f for injections known to compose, unchecked: for hot paths whose
+    image tuples come from existing injections; every other caller uses
+    `compose`, which builds an `Injection`, which checks."""
+    return tuple.__new__(Injection, (f.src, g.dst, tuple(g.image[v - 1] for v in f.image)))
 
 
 def identity(n):
@@ -109,26 +107,44 @@ class TruncatedI:
             for n in self.objects:
                 yield from self.hom(m, n)
 
-    def as_fincategory(self):
-        morphisms = list(self.arrows())
-        comp = {}
-        for g in morphisms:
-            for f in morphisms:
-                if f.dst == g.src:
-                    comp[(g, f)] = compose(g, f)
-        return FinCategory(
-            objects=list(self.objects),
-            morphisms=morphisms,
-            src={f: f.src for f in morphisms},
-            dst={f: f.dst for f in morphisms},
-            comp=comp,
-            ident={n: identity(n) for n in self.objects},
-        )
+
+@dataclass
+class CodedCategory:
+    """A finite category on dense integer codes.
+
+    objects[j] and morphisms[f] are the labels of codes j and f, each list in
+    sorted label order; src[f] and dst[f] are object codes, ident[j] is the
+    code of the identity of j, and after[g] maps the code f of each morphism
+    into the source of g to the code of g o f.  `coded_category` builds it.
+    """
+
+    objects: list
+    morphisms: list
+    src: list
+    dst: list
+    ident: list
+    after: list
+
+
+def coded_category(objects, morphisms, ends, ident, compose):
+    """The `CodedCategory` on sorted lists of object and morphism labels, for a
+    category by construction: ends(f) is the (source, target) of f, ident(o)
+    the identity of o and compose(g, f) is g o f, all as labels.  Nothing is
+    checked; `FinCategory.coded` validates hand-built tables first."""
+    obj = {o: j for j, o in enumerate(objects)}
+    code = {f: i for i, f in enumerate(morphisms)}
+    src, dst = ([obj[ends(f)[i]] for f in morphisms] for i in (0, 1))
+    into = [[] for _ in objects]
+    for i, j in enumerate(dst):
+        into[j].append((i, morphisms[i]))
+    return CodedCategory(objects, morphisms, src, dst, [code[ident(o)] for o in objects],
+                         [{i: code[compose(g, f)] for i, f in into[j]}
+                          for g, j in zip(morphisms, src)])
 
 
 @dataclass
 class FinCategory:
-    """Finite category as explicit tables.
+    """Finite category as explicit tables, checked on the way to its codes.
 
     comp maps (g, f) to g o f for every composable pair; ident maps each
     object to its identity morphism.
@@ -140,84 +156,73 @@ class FinCategory:
     dst: dict
     comp: dict
     ident: dict
-    codes: tuple = field(default=None, init=False, compare=False, repr=False)  # set by validate
 
     def coded(self):
-        """(code, src, dst, ident, after): the tables on dense integer codes.
-
-        Object j is sorted(objects)[j] and morphism i is sorted(morphisms)[i];
-        code maps each morphism to its code, in code order, and after[g] maps
-        the code f of each morphism composable with g to the code of g o f.
-        """
-        obj = {o: j for j, o in enumerate(sorted(self.objects))}
-        code = {f: i for i, f in enumerate(sorted(self.morphisms))}
-        after = [{} for _ in code]
-        for (g, f), gf in self.comp.items():
-            after[code[g]][code[f]] = code[gf]
-        return (code, [obj[self.src[f]] for f in code], [obj[self.dst[f]] for f in code],
-                [code[self.ident[o]] for o in obj], after)
+        """The `CodedCategory` of these tables, once `validate` finds no defect;
+        otherwise a ValueError names every defect it found."""
+        bad = self.validate()
+        if bad:
+            raise ValueError("composition table is not a category: " + "; ".join(bad))
+        return coded_category(sorted(self.objects), sorted(self.morphisms),
+                              lambda f: (self.src[f], self.dst[f]), self.ident.get,
+                              lambda g, f: self.comp[(g, f)])
 
     def validate(self):
         """Identity, endpoint, unit and associativity diagnostics.
 
         Morphisms are bucketed by target, so the pair and triple loops visit
-        composable pairs and triples only, in the order of `morphisms`.  The
-        unit and associativity loops compare codes (`coded`, which sorts), and
-        the tables are kept in `codes`, so a caller that validates codes once.
+        composable pairs and triples only, in the order of `morphisms`.
         """
         bad = []
+        comp, ident, src, dst = self.comp, self.ident, self.src, self.dst
         for obj in self.objects:
-            e = self.ident.get(obj)
-            if e is None or self.src.get(e) != obj or self.dst.get(e) != obj:
+            e = ident.get(obj)
+            if e is None or src.get(e) != obj or dst.get(e) != obj:
                 bad.append(f"bad identity at object {obj}")
         into = {}
         for f in self.morphisms:
-            if self.src[f] not in self.objects or self.dst[f] not in self.objects:
+            if src[f] not in self.objects or dst[f] not in self.objects:
                 bad.append(f"morphism {f} has endpoints outside the object set")
-            into.setdefault(self.dst[f], []).append(f)
+            into.setdefault(dst[f], []).append(f)
         for g in self.morphisms:
-            for f in into.get(self.src[g], ()):
-                gf = self.comp.get((g, f))
+            for f in into.get(src[g], ()):
+                gf = comp.get((g, f))
                 if gf is None:
                     bad.append(f"missing composite of {g} after {f}")
                     continue
-                if self.src[gf] != self.src[f] or self.dst[gf] != self.dst[g]:
+                if src[gf] != src[f] or dst[gf] != dst[g]:
                     bad.append(f"composite of {g} after {f} has wrong endpoints")
         if bad:
             return bad
-        code, src, dst, ident, after = self.codes = self.coded()
-        name = list(code)
-        order = [code[f] for f in self.morphisms]
-        into = [[f for f in order if dst[f] == j] for j in range(len(ident))]
-        for f in order:
-            if after[f][ident[src[f]]] != f:
-                bad.append(f"right unit fails at {name[f]}")
-            if after[ident[dst[f]]][f] != f:
-                bad.append(f"left unit fails at {name[f]}")
-        for h in order:
-            h_after = after[h]
-            for g in into[src[h]]:
-                hg_after, g_after = after[h_after[g]], after[g]
-                for f in into[src[g]]:
-                    if hg_after[f] != h_after[g_after[f]]:
-                        bad.append(f"associativity fails at ({name[h]}, {name[g]}, {name[f]})")
+        for f in self.morphisms:
+            if comp[(f, ident[src[f]])] != f:
+                bad.append(f"right unit fails at {f}")
+            if comp[(ident[dst[f]], f)] != f:
+                bad.append(f"left unit fails at {f}")
+        for h in self.morphisms:
+            for g in into.get(src[h], ()):
+                hg = comp[(h, g)]
+                for f in into.get(src[g], ()):
+                    if comp[(hg, f)] != comp[(h, comp[(g, f)])]:
+                        bad.append(f"associativity fails at ({h}, {g}, {f})")
         return bad
 
 
-class CodedI:
-    """TruncatedI(N) on the integer codes of `FinCategory.coded`.
+class CodedI(CodedCategory):
+    """TruncatedI(N) as a `CodedCategory`, composed as image tuples (`_composed`).
 
-    arrow[c] is the injection of code c and code its inverse; src, dst,
-    ident and after are the tables of `coded`, and plus[(f, g)] is the code
-    of the block sum f + g (`concat`) wherever its target is at most N.
+    arrow is `morphisms`, the injection of each code, and code its inverse;
+    plus[(f, g)] is the code of the block sum f + g (`concat`) wherever its
+    target is at most N.
     """
 
     def __init__(self, N):
-        code, self.src, self.dst, self.ident, self.after = TruncatedI(N).as_fincategory().coded()
-        self.code, self.arrow = code, list(code)
-        self.plus = {(f, g): code[concat(self.arrow[f], self.arrow[g])]
-                     for f in code.values() for g in code.values()
-                     if self.dst[f] + self.dst[g] <= N}
+        arrow = list(TruncatedI(N).arrows())
+        super().__init__(**vars(coded_category(list(range(N + 1)), arrow,
+                                               lambda f: (f.src, f.dst), identity, _composed)))
+        self.code, self.arrow = {f: c for c, f in enumerate(arrow)}, arrow
+        self.plus = {(self.code[f], self.code[g]): self.code[concat(f, g)]
+                     for f in arrow for g in arrow if f.dst + g.dst <= N}
 
 
 @lru_cache(maxsize=None)
@@ -227,30 +232,18 @@ def coded_injections(N):
 
 
 def comma_under(n, N):
-    """The comma category of objects under n inside the truncation at N.
+    """The comma category of objects under n inside the truncation at N, coded.
 
-    Objects are injections n -> m with m <= N; a morphism from alpha to beta
-    is an injection g with g o alpha = beta, so each g out of the target of
-    alpha is one, to beta = g o alpha.  Morphisms are listed in sorted order
-    and composed as image tuples (`unchecked`), each only with the morphisms
-    out of its target.
+    Objects are injections a: n -> m with m <= N; a morphism (a, b, g) from a
+    to b is an injection g with g o a = b, so each g out of the target of a
+    is one, and (b, c, h) after (a, b, g) is (a, c, h o g).  It is built on
+    the codes of `coded_injections(N)`, whose order is that of the labels.
     """
-    cat = TruncatedI(N)
-    objects = [f for m in cat.objects for f in cat.hom(n, m)]
-    out_of = {}
-    for a in objects:
-        out_of[a] = [(a, b, g) for b, g in sorted(
-            (unchecked(n, m, tuple(g.image[v - 1] for v in a.image)), g)
-            for m in range(a.dst, N + 1) for g in cat.hom(a.dst, m))]
-    morphisms = [key for a in objects for key in out_of[a]]
-    src = {key: key[0] for key in morphisms}
-    dst = {key: key[1] for key in morphisms}
-    comp = {}
-    for m1 in morphisms:
-        a, b, g1 = m1
-        for m2 in out_of[b]:
-            _, c, g2 = m2
-            image = tuple(g2.image[v - 1] for v in g1.image)
-            comp[(m2, m1)] = (a, c, unchecked(a.dst, c.dst, image))
-    ident = {a: (a, a, identity(a.dst)) for a in objects}
-    return FinCategory(objects, morphisms, src, dst, comp, ident)
+    I = coded_injections(N)
+    objects = [a for a, m in enumerate(I.src) if m == n]
+    morphisms = sorted((a, I.after[g][a], g) for a in objects
+                       for g, m in enumerate(I.src) if m == I.dst[a])
+    C = coded_category(objects, morphisms, lambda f: f[:2], lambda a: (a, a, I.ident[I.dst[a]]),
+                       lambda h, g: (g[0], h[1], I.after[h[2]][g[2]]))
+    return replace(C, objects=[I.arrow[a] for a in objects],
+                   morphisms=[tuple(I.arrow[c] for c in f) for f in morphisms])

@@ -17,7 +17,7 @@ from itertools import product as iproduct
 from typing import Callable, Optional
 
 from . import icat
-from .icat import (CodedI, FinCategory, Injection, TruncatedI, coded_injections, compose,
+from .icat import (CodedI, Injection, TruncatedI, coded_category, coded_injections, compose,
                    concat, identity, subset_inclusion)
 from .simplicial import (
     LazyDict,
@@ -459,31 +459,30 @@ def _hocolim_deg(I, raw, i):
 
 
 def _elements(X, arrows_of):
-    """The category of elements of a diagram of sets X, over arrows_of.
+    """The category of elements of a diagram of sets X, over arrows_of, coded.
 
     Objects are the pairs (m, p) of a level and a vertex of X(m); (a, p):
     (m, p) -> (n, X(a)p) is named by the code a of an injection, and (b, q)
-    after (a, p) is (after[b][a], p).  objects[j] and morphisms[f] have the
-    codes j and f (`FinCategory.coded`), since both lists are sorted."""
+    after (a, p) is (after[b][a], p), composed on the codes of I."""
     I = coded_injections(X.N)
     moved = {I.code[a]: [X.act(a)(nd_ref(0, p))[2] for p in range(X.level(m).card[0])]
              for n in range(X.N + 1) for m in range(n + 1) for a in arrows_of(m, n)}
-    dst = {(a, p): (I.dst[a], q) for a in sorted(moved) for p, q in enumerate(moved[a])}
     objects = [(m, p) for m in range(X.N + 1) for p in range(X.level(m).card[0])]
-    comp = {((b, q), (a, p)): (I.after[b][a], p) for (a, p), (n, q) in dst.items()
-            for b in moved if I.src[b] == n}
-    return FinCategory(objects, list(dst), {(a, p): (I.src[a], p) for a, p in dst}, dst, comp,
-                       {(m, p): (I.ident[m], p) for m, p in objects})
+    return coded_category(objects, [(a, p) for a in sorted(moved) for p in range(len(moved[a]))],
+                          lambda f: ((I.src[f[0]], f[1]), (I.dst[f[0]], moved[f[0]][f[1]])),
+                          lambda o: (I.ident[o[0]], o[1]),
+                          lambda g, f: (I.after[g[0]][f[0]], f[1]))
 
 
 def _cell_point(tab, k, raw):
     """(m, x): the simplex x of X(m) that a raw k-cell of a homotopy colimit
     carries: x of a chain (m_0, a_1, ..., a_s, x) of injection codes, at level
-    m_s, or the vertex p of the first object (m, p) of a chain of elements."""
+    m_s, or the vertex p of the first object (m, p) of a chain of elements,
+    the source (`src`) of its first morphism."""
     C = tab.cat
     if isinstance(C, CodedI):
         return _tail_level(C, raw), raw[-1]
-    m, p = C.objects[C.codes[1][raw[0]] if k else raw]
+    m, p = C.objects[C.src[raw[0]] if k else raw]
     return m, nd_ref(0, p)
 
 
@@ -506,7 +505,6 @@ def _hocolim(X, S, arrows_of, based):
         tab = _coded_chains(X, S, arrows_of)
     else:
         tab = nerve(_elements(X, arrows_of), S)
-        tab.cat.comp = None  # its readers use objects, morphisms and codes
     return _based_quotient(X, tab) if based else tab
 
 
@@ -563,10 +561,10 @@ def hocolim_map(ts, td, point):
         raise ValueError("the two homotopy colimits are built on different paths")
     if isinstance(C, CodedI):
         return map_from_tables(ts, td, lambda k, r: r[:-1] + (point(*_cell_point(ts, k, r)),))
-    code, src = td.cat.codes[:2]
+    code = {f: i for i, f in enumerate(td.cat.morphisms)}
     mor = LazyDict(lambda f: code[(C.morphisms[f][0], point(*_cell_point(ts, 1, (f,)))[2])])
     return map_from_tables(ts, td, lambda k, raw: tuple(map(mor.__getitem__, raw)) if k
-                           else src[mor[C.codes[3][raw]]])
+                           else td.cat.src[mor[C.ident[raw]]])
 
 
 # ---------------------------------------------------------------------------

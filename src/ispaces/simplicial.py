@@ -469,16 +469,14 @@ def nerve(C, D):
     """Nerve of a finite category, truncated at dimension D.
 
     k-simplices are composable chains c_0 -> ... -> c_k; identities give the
-    degeneracies.  A raw vertex is an object code and a raw k-chain the tuple
-    of its morphism codes (`FinCategory.codes`, as validated, in sorted
-    order); the chains are enumerated in code order, which fixes the ids.
-    The result is marked complete when no nondegenerate D-chain exists (all
-    longer chains are then degenerate as well), and its `cat` is C.
+    degeneracies.  C is an `icat.CodedCategory`, a category by construction,
+    and nothing here checks it.  A raw vertex is an object code and a raw
+    k-chain the tuple of its morphism codes; the chains are enumerated in
+    code order, which fixes the ids.  The result is marked complete when no
+    nondegenerate D-chain exists (all longer chains are then degenerate as
+    well), and its `cat` is C.
     """
-    bad = C.validate()
-    if bad:
-        raise ValueError("composition table is not a category: " + "; ".join(bad))
-    _, src, dst, ident, after = C.codes
+    src, dst, ident, after = C.src, C.dst, C.ident, C.after
     out_of = [[f for f in range(len(src)) if src[f] == j] for j in range(len(ident))]
     cells = [list(range(len(ident)))]
     level = [()]

@@ -630,6 +630,95 @@ def cyclic_group_category(n):
     )
 
 
+def _labelled_category(objects, ident, ends, compose_labels):
+    """A FinCategory from objects, {object: identity}, {morphism: (src, dst)}
+    and compose_labels(g, f) -> g o f, composing every composable pair."""
+    from ispaces.icat import FinCategory
+
+    return FinCategory(
+        list(objects), list(ends),
+        src={f: s for f, (s, _) in ends.items()}, dst={f: d for f, (_, d) in ends.items()},
+        comp={(g, f): compose_labels(g, f) for g in ends for f in ends
+              if ends[f][1] == ends[g][0]},
+        ident=ident,
+    )
+
+
+def truncated_fincategory(N):
+    """TruncatedI(N) as explicit tables, every composite a checked `compose`."""
+    from ispaces.icat import compose, enumerate_injections, identity
+
+    arrows = {f: (m, n) for m in range(N + 1) for n in range(N + 1)
+              for f in enumerate_injections(m, n)}
+    return _labelled_category(range(N + 1), {n: identity(n) for n in range(N + 1)},
+                              arrows, compose)
+
+
+def comma_under_fincategory(n, N):
+    """The comma category under n in TruncatedI(N) as explicit tables, on the
+    labels of `icat.comma_under`: objects a: n -> m, morphisms (a, g o a, g)
+    for g out of the target of a, composed as checked injections."""
+    from ispaces.icat import compose, enumerate_injections, identity
+
+    objects = [a for m in range(N + 1) for a in enumerate_injections(n, m)]
+    morphisms = {(a, compose(g, a), g): (a, compose(g, a)) for a in objects
+                 for m in range(a.dst, N + 1) for g in enumerate_injections(a.dst, m)}
+    return _labelled_category(objects, {a: (a, a, identity(a.dst)) for a in objects}, morphisms,
+                              lambda h, g: (g[0], h[1], compose(h[2], g[2])))
+
+
+def elements_fincategory(X, arrows_of):
+    """The category of elements of a diagram of sets X over arrows_of as
+    explicit tables, on the labels of `ispace._elements`: objects (m, p),
+    morphisms (a, p) for the code a of an injection (`coded_injections`),
+    each target X(a)p read off its action and composites checked injections."""
+    from ispaces.icat import compose, coded_injections, identity
+    from ispaces.simplicial import nd_ref
+
+    I = coded_injections(X.N)
+    objects = [(m, p) for m in range(X.N + 1) for p in range(X.level(m).card[0])]
+    morphisms = {(I.code[a], p): ((m, p), (n, X.act(a)(nd_ref(0, p))[2]))
+                 for n in range(X.N + 1) for m in range(n + 1) for a in arrows_of(m, n)
+                 for p in range(X.level(m).card[0])}
+    return _labelled_category(
+        objects, {(m, p): (I.code[identity(m)], p) for m, p in objects}, morphisms,
+        lambda g, f: (I.code[compose(I.arrow[g[0]], I.arrow[f[0]])], f[1]))
+
+
+def rank_mod_p(mat, p):
+    """Rank over Z/p of a `zlinalg.ColumnMatrix`, read through its source:
+    each column is reduced mod p against the earlier ones by its largest row
+    (textbook persistence-style elimination), and a nonzero remainder is a
+    new pivot."""
+    pivots = {}
+    for _, col in mat.source():
+        col = {r: v % p for r, v in col.items() if v % p}
+        while col:
+            r = max(col)
+            pivot = pivots.get(r)
+            if pivot is None:
+                inverse = pow(col[r], -1, p)
+                pivots[r] = {s: v * inverse % p for s, v in col.items()}
+                break
+            f = col[r]
+            for s, v in pivot.items():
+                nv = (col.get(s, 0) - f * v) % p
+                if nv:
+                    col[s] = nv
+                else:
+                    col.pop(s, None)
+    return len(pivots)
+
+
+def homology_mod_p(X, p, d_report):
+    """{k: dim H_k(X; Z/p)} for k <= d_report, from the normalized chains of
+    `simplicial.chain_complex` through degree d_report + 1, by `rank_mod_p`."""
+    from ispaces.simplicial import chain_complex
+
+    cx = chain_complex(X, top=min(d_report + 1, X.top_dim))
+    ranks = [0] + [rank_mod_p(cx.boundaries[k], p) for k in range(1, len(cx.counts))] + [0]
+    return {k: cx.counts[k] - ranks[k] - ranks[k + 1] for k in range(d_report + 1)}
+
 
 def _dot(phi, vec):
     return sum(a * b for a, b in zip(phi, vec))

@@ -222,8 +222,7 @@ def test_criterion_11_property_suites():
         # simplicial identities on generated complexes
         S1 = simplicial_circle()
         for X in (S1, sphere(2), product_sset(S1, S1).sset,
-                  simplicial.nerve(icat.TruncatedI(2).as_fincategory(),
-                                   2).sset):
+                  simplicial.nerve(icat.coded_injections(2), 2).sset):
             assert validate_sset(X) == []
             assert simplicial.chain_complex(X).validate() == []
         # functoriality, exhaustively through truncation 4

@@ -13,9 +13,18 @@ from ispaces.icat import (
     shuffle,
     subset_inclusion,
 )
+from ispaces.cli import _models_at
+from ispaces.ispace import _elements
+from ispaces.scenarios import MONOID_MODELS, build_ispace
 from ispaces.simplicial import nerve, pi0_classes
 
-from oracles import comma_under_counts, count_injections
+from oracles import (
+    comma_under_counts,
+    comma_under_fincategory,
+    count_injections,
+    elements_fincategory,
+    truncated_fincategory,
+)
 
 
 def test_injection_rejects_bad_data():
@@ -55,18 +64,58 @@ def test_shuffle_swaps_blocks():
 
 
 def test_truncated_category_validates():
-    cat = TruncatedI(2).as_fincategory()
+    cat = truncated_fincategory(2)
     assert cat.validate() == []
-    assert len(pi0_classes(nerve(cat, 1).sset)) == 1
+    assert len(pi0_classes(nerve(cat.coded(), 1).sset)) == 1
 
 
 @pytest.mark.parametrize("n,N", [(0, 2), (1, 2), (1, 3), (2, 3)])
 def test_comma_under_matches_oracle(n, N):
+    """Objects and morphisms of the coded comma category, counted by brute
+    force; every table has one entry per code."""
     cat = comma_under(n, N)
-    assert cat.validate() == []
     objs, mors = comma_under_counts(n, N)
-    assert len(cat.objects) == objs
-    assert len(cat.morphisms) == mors
+    assert len(cat.objects) == len(cat.ident) == objs
+    assert len(cat.morphisms) == len(cat.src) == len(cat.dst) == len(cat.after) == mors
+
+
+def _tables(C):
+    return C.objects, C.morphisms, C.src, C.dst, C.ident, C.after
+
+
+def _set_diagrams(N):
+    """Every registry model at truncation N that is a diagram of sets."""
+    spaces = {m: build_ispace(m, N) for m in MONOID_MODELS + tuple(_models_at(N))}
+    return {m: X for m, X in spaces.items() if not any(n for L in X.levels for n in L.card[1:])}
+
+
+BY_CONSTRUCTION = (
+    [pytest.param("injections", N, id=f"I{N}") for N in range(5)]
+    + [pytest.param("under", (n, N), id=f"under-{n}-{N}")
+       for N in range(5) for n in range(N + 1) if N < 4 or n < 2]
+    + [pytest.param("elements", N, id=f"elements-{N}") for N in range(1, 4)]
+)
+
+
+@pytest.mark.parametrize("kind, arg", BY_CONSTRUCTION)
+def test_categories_by_construction_match_validated_tables(kind, arg):
+    """The coded tables that coded_injections, comma_under and
+    ispace._elements build directly equal those of the same category given
+    as explicit tables with checked composites, which FinCategory.coded
+    validates (unit and associativity laws) before it codes them.  The
+    categories of elements are those of every registry diagram of sets,
+    over all injections and over the inclusions 0 < 1 < ... < N."""
+    if kind == "injections":
+        assert _tables(coded_injections(arg)) == _tables(truncated_fincategory(arg).coded())
+    elif kind == "under":
+        assert _tables(comma_under(*arg)) == _tables(comma_under_fincategory(*arg).coded())
+    else:
+        diagrams = _set_diagrams(arg)
+        assert {"c1", "terminal", "f1"} <= set(diagrams)
+        for name, X in diagrams.items():
+            for arrows_of in (TruncatedI(arg).hom, lambda m, n: [subset_inclusion(m, n)]):
+                want = elements_fincategory(X, arrows_of).coded()
+                assert _tables(_elements(X, arrows_of)) == _tables(want), name
 
 
 @pytest.mark.parametrize("N", range(4))
@@ -130,7 +179,7 @@ def test_validate_names_every_broken_associativity():
         "associativity fails at (1, 2, 2)",
         "associativity fails at (1, 1, 2)",
     ]
-    cat = TruncatedI(2).as_fincategory()
+    cat = truncated_fincategory(2)
     swap = Injection(2, 2, (2, 1))
     cat.comp[(swap, swap)] = swap
     assert cat.validate() == [
@@ -169,3 +218,27 @@ def test_validate_names_a_missing_composite():
     del cat.comp[(1, 1)]
     assert cat.validate() == ["missing composite of 0 after 2",
                               "missing composite of 1 after 1"]
+
+
+BROKEN = {
+    "bad-identity": (_arrow_pair, lambda cat: cat.ident.update({1: "f"})),
+    "missing-composite": (_arrow_pair, lambda cat: cat.comp.pop(("id1", "g"))),
+    "left-unit": (_arrow_pair, lambda cat: cat.comp.update({("id1", "f"): "g"})),
+    "right-unit": (lambda: _cyclic(3, [2, 0, 1]), lambda cat: cat.comp.update({(1, 0): 2})),
+    "associativity": (lambda: _cyclic(3, [2, 0, 1]), lambda cat: cat.comp.update({(1, 1): 0})),
+}
+
+
+@pytest.mark.parametrize("broken", sorted(BROKEN))
+def test_broken_tables_are_refused_on_their_way_to_nerve(broken):
+    """A hand-built table reaches `nerve` only through FinCategory.coded,
+    which raises ValueError naming every defect that validate finds."""
+    build, breaks = BROKEN[broken]
+    cat = build()
+    assert cat.validate() == []
+    breaks(cat)
+    bad = cat.validate()
+    assert bad
+    with pytest.raises(ValueError) as err:
+        nerve(cat.coded(), 2)
+    assert str(err.value) == "composition table is not a category: " + "; ".join(bad)

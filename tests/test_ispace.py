@@ -292,8 +292,8 @@ def test_hocolim_matches_nested_reference(diagram, arrows, based):
 
 def _element_chains(C, S):
     """Every raw cell of the nerve of C through dimension S: object codes,
-    then the composable tuples of morphism codes (`FinCategory.codes`)."""
-    _, src, dst, _, _ = C.codes
+    then the composable tuples of morphism codes (`icat.CodedCategory`)."""
+    src, dst = C.src, C.dst
     chains = [[(f,) for f in range(len(src))]]
     for _ in range(S - 1):
         chains.append([ch + (f,) for ch in chains[-1] for f in range(len(src))

@@ -32,10 +32,10 @@ from ispaces.simplicial import (
     validate_sset,
 )
 
-from ispaces.icat import FinCategory, TruncatedI, comma_under
-from oracles import (chain_boundary_reference, cyclic_group_category, entries,
-                     map_table_reference, nerve_reference, normalize_pair_ref, pairing_map,
-                     product_sset, rational_rank)
+from ispaces.icat import FinCategory, coded_injections, comma_under
+from oracles import (chain_boundary_reference, comma_under_fincategory, cyclic_group_category,
+                     entries, map_table_reference, nerve_reference, normalize_pair_ref,
+                     pairing_map, product_sset, rational_rank, truncated_fincategory)
 
 
 def test_point_and_empty():
@@ -303,7 +303,7 @@ def test_nerve_of_poset_is_contractible():
               ("f", "id0"): "f", ("id1", "f"): "f"},
         ident={0: "id0", 1: "id1"},
     )
-    n = nerve(cat, 2).sset
+    n = nerve(cat.coded(), 2).sset
     assert reduced_homology_trivial(n, 2)
 
 
@@ -358,17 +358,19 @@ def test_on_demand_images_match_eager_reference():
 
 
 def test_validate_reports_an_image_that_cannot_be_resolved():
-    tab = nerve(TruncatedI(1).as_fincategory(), 2)
+    tab = nerve(coded_injections(1), 2)
     assert map_from_tables(tab, tab, lambda k, raw: raw).validate() == []
     lost = tab.raw_of[1][0]
     f = map_from_tables(tab, tab, lambda k, raw: "nowhere" if raw == lost else raw)
     assert f.validate() == ["missing image of (1, 0)"]
 
 
+# name -> (the coded category, the same category as explicit tables)
 NERVE_CATEGORIES = {
-    **{f"under-{n}": (lambda n=n: comma_under(n, 3)) for n in range(4)},
-    "I2": lambda: TruncatedI(2).as_fincategory(),
-    "Z3": lambda: cyclic_group_category(3),
+    **{f"under-{n}": (lambda n=n: (comma_under(n, 3), comma_under_fincategory(n, 3)))
+       for n in range(4)},
+    "I2": lambda: (coded_injections(2), truncated_fincategory(2)),
+    "Z3": lambda: (cyclic_group_category(3).coded(), cyclic_group_category(3)),
 }
 
 
@@ -378,15 +380,16 @@ NERVE_CATEGORIES = {
                             for name in ("Z3", "under-1", "under-2")])
 def test_coded_nerve_matches_tagged_reference(name, D):
     """The nerve on morphism codes equals the nerve on tagged chains of
-    morphisms, and each raw cell decodes to the reference's cell of that id.
-    Face rows are built directly in dimensions 2 and 3 and by the general
-    loop above them, which the D = 4 cases reach."""
-    cat = NERVE_CATEGORIES[name]()
+    morphisms of the same category given as explicit tables, and each raw
+    cell decodes through the labels of the coded category to the
+    reference's cell of that id.  Face rows are built directly in
+    dimensions 2 and 3 and by the general loop above them, which the D = 4
+    cases reach."""
+    cat, tables = NERVE_CATEGORIES[name]()
     got = nerve(cat, D)
-    want = nerve_reference(cat, D)
+    want = nerve_reference(tables, D)
     assert got.sset == want.sset
-    objects = sorted(cat.objects)
-    morphisms = sorted(cat.morphisms)
+    objects, morphisms = cat.objects, cat.morphisms
 
     def decode(raw):
         if isinstance(raw, tuple):
@@ -405,18 +408,20 @@ def test_coded_nerve_matches_tagged_reference(name, D):
 
 
 def test_nerve_codes_its_category_once(monkeypatch):
-    """nerve reads the coded tables that validate computed and kept."""
+    """nerve reads the coded record it is given and checks nothing: a
+    category built coded reaches it without FinCategory, and hand-built
+    tables are validated and coded once, by FinCategory.coded."""
     calls = []
-    coded = FinCategory.coded
-
-    def counted(self):
-        calls.append(self)
-        return coded(self)
-
-    monkeypatch.setattr(FinCategory, "coded", counted)
+    for name in ("coded", "validate"):
+        real = getattr(FinCategory, name)
+        monkeypatch.setattr(FinCategory, name,
+                            lambda self, name=name, real=real: calls.append(name) or real(self))
     cat = comma_under(1, 3)
-    assert nerve(cat, 3).sset == nerve_reference(cat, 3).sset
-    assert calls == [cat]
+    assert nerve(cat, 3).sset == nerve_reference(comma_under_fincategory(1, 3), 3).sset
+    assert calls == []
+    tables = cyclic_group_category(3)
+    assert nerve(tables.coded(), 3).sset == nerve_reference(tables, 3).sset
+    assert calls == ["coded", "validate"]
 
 
 class _CountedRows(list):

@@ -2,6 +2,9 @@
 
 import random
 import time
+from functools import lru_cache
+
+import pytest
 
 from ispaces import simplicial
 from ispaces.simplicial import (
@@ -16,7 +19,7 @@ from ispaces.simplicial import (
 from ispaces.zlinalg import ColumnMatrix, rank_and_torsion, smith_diagonal
 
 from oracles import (chain_boundary_reference, columns, cyclic_group_category, entries,
-                     group_homology, invariant_factors, product_sset)
+                     group_homology, homology_mod_p, invariant_factors, product_sset)
 from test_normalize import CASES
 
 
@@ -122,7 +125,7 @@ def _no_clearing(mat, nrows, ncols, drop_rows=(), pivots=None):
 
 
 def test_clearing_keeps_odd_torsion_of_cyclic_group_nerve(monkeypatch):
-    bz3 = nerve(cyclic_group_category(3), 3).sset
+    bz3 = nerve(cyclic_group_category(3).coded(), 3).sset
     groups = homology(bz3, 2).groups
     assert groups == group_homology([0, 1, 2], lambda a, b: (a + b) % 3, 0, 2)
     assert groups[1] == (0, (3,))
@@ -142,7 +145,7 @@ def test_clearing_on_torus_where_rank_bound_is_not_reached():
 
 
 def test_cone_homology_agrees_without_clearing(monkeypatch):
-    bz3 = nerve(cyclic_group_category(3), 4).sset
+    bz3 = nerve(cyclic_group_category(3).coded(), 4).sset
     table = {(k, x): (tuple(range(k - 1, -1, -1)), 0, 0)
              for k in range(bz3.top_dim + 1) for x in range(bz3.card[k])}
     collapse = SMap(bz3, point(), table)
@@ -243,7 +246,7 @@ def _agreeing(seen):
 
 
 def test_column_matrix_agrees_with_its_dict_copy(monkeypatch):
-    bz3 = nerve(cyclic_group_category(3), 3).sset
+    bz3 = nerve(cyclic_group_category(3).coded(), 3).sset
     ssets = [bz3] + [x for name in sorted(CASES) for x in _case_ssets(CASES[name]())]
     for x in ssets:
         cx = chain_complex(x)
@@ -272,3 +275,39 @@ def test_chain_complex_validate_reports_nonzero_square():
     one = ColumnMatrix({0: {0: 1}}.items)
     bad = simplicial.ChainComplex([1, 1, 1], [ColumnMatrix({}.items), one, one])
     assert bad.validate() == ["boundary squared nonzero in degree 2"]
+
+
+# ---------------------------------------------------------------------------
+# Universal coefficients: integral homology against elimination mod p.
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _uct_spaces():
+    from ispaces.cmon import bar_of_hocolim, c1, sec52_monoid
+    from ispaces.gamma import gamma_of_monoid
+    from ispaces.ispace import hocolim_I
+
+    gamma = gamma_of_monoid(c1(3), 3, 3)
+    return {
+        "hocolim-c1": hocolim_I(c1(3).space, 3).sset,
+        "hocolim-m52": hocolim_I(sec52_monoid(3).space, 3).sset,
+        "bar-c1": bar_of_hocolim(c1(3), 3).sset,
+        **{f"gamma-c1-{k}": gamma.values[k] for k in (1, 2, 3)},
+        "BZ3": nerve(cyclic_group_category(3).coded(), 3).sset,
+    }
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", ["hocolim-c1", "hocolim-m52", "bar-c1", "gamma-c1-1",
+                                  "gamma-c1-2", "gamma-c1-3", "BZ3"])
+def test_homology_mod_p_obeys_universal_coefficients(name, p):
+    """dim H_k(X; Z/p) = b_k + t_k(p) + t_{k-1}(p), where b_k is the free rank
+    of H_k(X; Z) and t_k(p) counts its torsion coefficients divisible by p:
+    the integral SNF homology against a mod-p elimination that shares only
+    the chain complex with it.  Each truncated value has 2-torsion and BZ3
+    has 3-torsion, so both primes meet torsion."""
+    X = _uct_spaces()[name]
+    groups = homology(X, 2).groups
+    t = {k: sum(1 for c in groups[k][1] if c % p == 0) for k in groups}
+    want = {k: groups[k][0] + t[k] + t.get(k - 1, 0) for k in groups}
+    assert homology_mod_p(X, p, 2) == want
