@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Callable, Optional
 
 from . import icat
-from .icat import TruncatedI, coded_injections, concat, shuffle
+from .icat import coded_injections, concat, injections, shuffle
 from .simplicial import (
     SMap,
     component_subcomplex,
@@ -128,9 +128,8 @@ def validate_monoid(A):
                                 if a != b:
                                     bad.append(
                                         f"associativity fails at ({m},{n},{p_})")
-    cat = TruncatedI(N)
-    for alpha in cat.arrows():
-        for beta in cat.arrows():
+    for alpha in injections(N):
+        for beta in injections(N):
             if alpha.dst + beta.dst > N:
                 continue
             both = X.act(concat(alpha, beta))
@@ -352,7 +351,7 @@ def merged_classes(A):
     for n in range(A.N + 1):
         for v in range(A.level(n).card[0]):
             ds.add((n, level_reps[n][v]))
-    for alpha in TruncatedI(A.N).arrows():
+    for alpha in injections(A.N):
         f = A.space.act(alpha)
         for v in range(A.level(alpha.src).card[0]):
             _, _, img = f(nd_ref(0, v))
@@ -635,7 +634,7 @@ def units(A):
                  for k, ids in enumerate(newid[n]) for x, new in ids.items()}
         incl[n] = SMap(sub_levels[n], A.level(n), table)
     maps = {}
-    for alpha in TruncatedI(A.N).arrows():
+    for alpha in injections(A.N):
         f = A.space.act(alpha)
         table = {(k, new): pull(alpha.dst, f(nd_ref(k, x)))
                  for k, ids in enumerate(newid[alpha.src]) for x, new in ids.items()}
@@ -786,7 +785,7 @@ def bar_of_hocolim(A, K):
     entries with the chainwise block-sum product.
     """
     X, I = A.space, coded_injections(A.N)
-    raws = _chain_cells(X, K, TruncatedI(A.N).hom)
+    raws = _chain_cells(X, K, range(len(I.morphisms)))
     cells = [_tuples_bounded([raws[k]] * k, A.N) for k in range(K + 1)]
     faces = _hocolim_faces(X)
 
@@ -824,8 +823,8 @@ def two_sided_bar_of_hocolim(A, K):
     """
     X, I = A.space, coded_injections(A.N)
     T = terminal_ispace(A.N)
-    raws = _chain_cells(X, K, TruncatedI(A.N).hom)
-    t_raws = _chain_cells(T, K, TruncatedI(A.N).hom)
+    raws = _chain_cells(X, K, range(len(I.morphisms)))
+    t_raws = _chain_cells(T, K, range(len(I.morphisms)))
     cells = []
     for k in range(K + 1):
         pools = [t_raws[k]] + [raws[k]] * k + [t_raws[k]]
@@ -877,10 +876,10 @@ class BarComparisonReport:
 def _bar_comparison_once(A, D):
     K = D + 2
     B = bar(A, K)
-    left_tab = _coded_chains(B.space, K, TruncatedI(A.N).hom)  # to_left pushes onto its chains
+    I = coded_injections(A.N)
+    left_tab = _coded_chains(B.space, K, range(len(I.morphisms)))  # to_left pushes onto its chains
     middle_tab = two_sided_bar_of_hocolim(A, K)
     right_tab = bar_of_hocolim(A, K)
-    I = coded_injections(A.N)
 
     def to_right(k, raw):
         return raw[1]

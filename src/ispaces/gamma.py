@@ -289,7 +289,12 @@ def is_special(X, D=0):
     C(X((k+l)+)) -> C(X(k+)) (x) C(X(l+)) instead of building X(k+) x X(l+)
     (Eilenberg & Mac Lane), from cells through dimension D + 2; it refuses a
     value that is neither complete nor a skeleton through that dimension.
+    Below K = 2 there is no pair (k, l) to check, so the verdict is
+    inconclusive.
     """
+    if X.K < 2:
+        return SpecialVerdict("inconclusive", very_special="unknown",
+                              detail={"reason": f"no pair (k, l) to check at K = {X.K} < 2"})
     detail = {}
     witness = None
     for k in range(1, X.K):
@@ -319,19 +324,15 @@ def is_special(X, D=0):
                 if not iso and witness is None:
                     witness = {"check": "homology", "pair": (k, l), "cone": cone}
     verdict = "special-evidence" if witness is None else "refuted"
-    vs = "unknown"
-    vs_witness = None
-    if X.K >= 2:
-        pres, class_vec = pi0_monoid_of_gamma(X)
-        uv = unit_verdicts(pres, vectors=sorted(set(class_vec.values())))
-        non_units = [c for c, v in class_vec.items() if not uv.is_unit(v)]
-        if non_units:
-            vs = "refuted"
-            vs_witness = {"non_unit_classes": non_units,
-                          "witness": uv.status[class_vec[non_units[0]]]}
-        else:
-            vs = "yes"
-        detail["pi0_monoid"] = pres.to_json()
+    vs, vs_witness = "yes", None
+    pres, class_vec = pi0_monoid_of_gamma(X)
+    uv = unit_verdicts(pres, vectors=sorted(set(class_vec.values())))
+    non_units = [c for c, v in class_vec.items() if not uv.is_unit(v)]
+    if non_units:
+        vs = "refuted"
+        vs_witness = {"non_unit_classes": non_units,
+                      "witness": uv.status[class_vec[non_units[0]]]}
+    detail["pi0_monoid"] = pres.to_json()
     return SpecialVerdict(verdict, witness, vs, vs_witness, detail)
 
 

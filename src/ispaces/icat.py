@@ -5,7 +5,7 @@ stored as its image tuple: alpha maps i to image[i - 1].  Concatenation is
 the block sum, and the block shuffles tau interchange the summands.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import permutations
 
@@ -85,27 +85,11 @@ def enumerate_injections(m, n):
     return sorted(Injection(m, n, p) for p in permutations(range(1, n + 1), m))
 
 
-@dataclass(frozen=True)
-class TruncatedI:
-    """The full subcategory on objects 0..N, with cached morphism tables."""
-
-    N: int
-    _homs: dict = field(default_factory=dict, compare=False, repr=False)
-
-    @property
-    def objects(self):
-        return range(self.N + 1)
-
-    def hom(self, m, n):
-        key = (m, n)
-        if key not in self._homs:
-            self._homs[key] = enumerate_injections(m, n)
-        return self._homs[key]
-
-    def arrows(self):
-        for m in self.objects:
-            for n in self.objects:
-                yield from self.hom(m, n)
+@lru_cache(maxsize=None)
+def injections(N):
+    """Every injection m -> n with 0 <= m, n <= N, in (src, dst, image) order:
+    the morphisms of the full subcategory on the objects 0..N."""
+    return tuple(f for m in range(N + 1) for n in range(N + 1) for f in enumerate_injections(m, n))
 
 
 @dataclass
@@ -209,25 +193,25 @@ class FinCategory:
 
 
 class CodedI(CodedCategory):
-    """TruncatedI(N) as a `CodedCategory`, composed as image tuples (`_composed`).
+    """`injections(N)` as a `CodedCategory`, composed as image tuples (`_composed`).
 
-    arrow is `morphisms`, the injection of each code, and code its inverse;
-    plus[(f, g)] is the code of the block sum f + g (`concat`) wherever its
-    target is at most N.
+    morphisms[c] is the injection of code c and code its inverse; plus[(f, g)]
+    is the code of the block sum f + g (`concat`) wherever its target is at
+    most N.
     """
 
     def __init__(self, N):
-        arrow = list(TruncatedI(N).arrows())
-        super().__init__(**vars(coded_category(list(range(N + 1)), arrow,
+        arrows = list(injections(N))
+        super().__init__(**vars(coded_category(list(range(N + 1)), arrows,
                                                lambda f: (f.src, f.dst), identity, _composed)))
-        self.code, self.arrow = {f: c for c, f in enumerate(arrow)}, arrow
+        self.code = {f: c for c, f in enumerate(arrows)}
         self.plus = {(self.code[f], self.code[g]): self.code[concat(f, g)]
-                     for f in arrow for g in arrow if f.dst + g.dst <= N}
+                     for f in arrows for g in arrows if f.dst + g.dst <= N}
 
 
 @lru_cache(maxsize=None)
 def coded_injections(N):
-    """The one coding of TruncatedI(N), built once per N; codes depend on N alone."""
+    """The one coding of `injections(N)`, built once per N; codes depend on N alone."""
     return CodedI(N)
 
 
@@ -245,5 +229,5 @@ def comma_under(n, N):
                        for g, m in enumerate(I.src) if m == I.dst[a])
     C = coded_category(objects, morphisms, lambda f: f[:2], lambda a: (a, a, I.ident[I.dst[a]]),
                        lambda h, g: (g[0], h[1], I.after[h[2]][g[2]]))
-    return replace(C, objects=[I.arrow[a] for a in objects],
-                   morphisms=[tuple(I.arrow[c] for c in f) for f in morphisms])
+    return replace(C, objects=[I.morphisms[a] for a in objects],
+                   morphisms=[tuple(I.morphisms[c] for c in f) for f in morphisms])

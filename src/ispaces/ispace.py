@@ -17,8 +17,8 @@ from itertools import product as iproduct
 from typing import Callable, Optional
 
 from . import icat
-from .icat import (CodedI, Injection, TruncatedI, coded_category, coded_injections, compose,
-                   concat, identity, subset_inclusion)
+from .icat import (CodedI, Injection, coded_category, coded_injections, compose, concat,
+                   identity, injections, subset_inclusion)
 from .simplicial import (
     LazyDict,
     NormTable,
@@ -58,10 +58,10 @@ class ISpaceT:
     def validate(self):
         """Functoriality and well-formedness diagnostics."""
         bad = []
-        cat = TruncatedI(self.N)
-        for n in cat.objects:
+        arrows = injections(self.N)
+        for n in range(self.N + 1):
             bad += [f"level {n}: {msg}" for msg in validate_sset(self.levels[n])]
-        for alpha in cat.arrows():
+        for alpha in arrows:
             f = self.act(alpha)
             if f.src is not self.levels[alpha.src] or f.dst is not self.levels[alpha.dst]:
                 if f.src != self.levels[alpha.src] or f.dst != self.levels[alpha.dst]:
@@ -70,14 +70,14 @@ class ISpaceT:
             bad += [f"map at {alpha}: {msg}" for msg in f.validate()]
         if bad:
             return bad
-        for n in cat.objects:
+        for n in range(self.N + 1):
             f = self.act(identity(n))
             for k in range(self.levels[n].top_dim + 1):
                 for x in range(self.levels[n].card[k]):
                     if f(nd_ref(k, x)) != nd_ref(k, x):
                         bad.append(f"identity at level {n} does not act trivially")
-        for beta in cat.arrows():
-            for alpha in cat.arrows():
+        for beta in arrows:
+            for alpha in arrows:
                 if alpha.dst != beta.src:
                     continue
                 lhs = self.act(compose(beta, alpha))
@@ -85,7 +85,7 @@ class ISpaceT:
                 if any(lhs.table[key] != g(f.table[key]) for key in f.src.nondeg_keys()):
                     bad.append(f"functoriality fails at {beta} after {alpha}")
         if self.is_based():
-            for alpha in cat.arrows():
+            for alpha in arrows:
                 f = self.act(alpha)
                 _, _, img = f(nd_ref(0, self.levels[alpha.src].basepoint))
                 if img != self.levels[alpha.dst].basepoint:
@@ -109,7 +109,7 @@ def _discrete_ispace(N, points, act_point, basepoints=None):
     )
     index = [{p: i for i, p in enumerate(points[n])} for n in range(N + 1)]
     maps = {}
-    for alpha in TruncatedI(N).arrows():
+    for alpha in injections(N):
         table = {
             (0, i): nd_ref(0, index[alpha.dst][act_point(alpha, p)])
             for i, p in enumerate(points[alpha.src])
@@ -139,7 +139,7 @@ def free_ispace(n, N):
 def constant_ispace(V, N):
     """Constant diagram at a fixed simplicial set; every map the identity."""
     ident = identity_map(V)
-    maps = {alpha: ident for alpha in TruncatedI(N).arrows()}
+    maps = {alpha: ident for alpha in injections(N)}
     return ISpaceT(N, tuple(V for _ in range(N + 1)), maps)
 
 
@@ -186,7 +186,7 @@ def power_ispace(K, N):
         )
     levels = tuple(t.sset for t in tables)
     maps = {}
-    for alpha in TruncatedI(N).arrows():
+    for alpha in injections(N):
         src_t, dst_t = tables[alpha.src], tables[alpha.dst]
 
         def push(k, raw, alpha=alpha):
@@ -311,7 +311,7 @@ def _box_space(tables, canon, factors, deg=_box_deg):
     N = len(tables) - 1
     levels = tuple(t.sset for t in tables)
     maps = {}
-    for alpha in TruncatedI(N).arrows():
+    for alpha in injections(N):
         dst, dst_canon = tables[alpha.dst], canon[alpha.dst]
         table = {(k, x): dst.ref_of[dst_canon[k][(nvec, tuple(map(alpha, a_img)), xs)]]
                  for k, raws in enumerate(tables[alpha.src].raw_of)
@@ -399,17 +399,19 @@ def rho(BXY):
 # Homotopy colimits.
 # ---------------------------------------------------------------------------
 
-def _chain_cells(X, S, arrows_of):
+def _chain_cells(X, S, arrows):
     """Raw cells of the simplicial replacement diagonal, dims 0..S.
 
     A raw s-cell is the flat tuple (m_0, a_1, ..., a_s, x): the head level,
-    the codes (`icat.coded_injections(X.N)`) of injections a_i: m_i -> m_{i-1},
-    and x an s-simplex of X(m_s) (`_tail_level`).  Its length s + 2 keeps
-    the dimensions apart.
+    codes a_i: m_i -> m_{i-1} from the sorted codes `arrows` of
+    `icat.coded_injections(X.N)`, and x an s-simplex of X(m_s)
+    (`_tail_level`).  Its length s + 2 keeps the dimensions apart.  Codes
+    run in (src, dst, image) order, so each target's bucket runs by source.
     """
-    code = coded_injections(X.N).code
-    into = [[(m, code[f]) for m in range(n + 1) for f in arrows_of(m, n)]
-            for n in range(X.N + 1)]
+    I = coded_injections(X.N)
+    into = [[] for _ in range(X.N + 1)]
+    for a in arrows:
+        into[I.dst[a]].append((I.src[a], a))
     chains = [[((m,), m) for m in range(X.N + 1)]]
     for _ in range(S):
         chains.append([(ch + (a,), m) for ch, n in chains[-1] for m, a in into[n]])
@@ -440,7 +442,7 @@ def _hocolim_faces(X):
         ds = memo.get(key)
         if ds is None:
             a, x = key
-            moved = X.act(I.arrow[a])(x)
+            moved = X.act(I.morphisms[a])(x)
             ds = memo[key] = (tuple(X.level(src[a]).d(i, x) for i in range(s))
                               + (X.level(I.dst[a]).d(s, moved),))
         row = [(src[raw[1]],) + raw[2:-1] + (ds[0],)]
@@ -458,17 +460,18 @@ def _hocolim_deg(I, raw, i):
     return raw[:i + 1] + (I.ident[m],) + raw[i + 1:-1] + (apply_s(i, raw[-1]),)
 
 
-def _elements(X, arrows_of):
-    """The category of elements of a diagram of sets X, over arrows_of, coded.
+def _elements(X, arrows):
+    """The category of elements of a diagram of sets X over the sorted codes
+    `arrows` of injections, coded.
 
     Objects are the pairs (m, p) of a level and a vertex of X(m); (a, p):
     (m, p) -> (n, X(a)p) is named by the code a of an injection, and (b, q)
     after (a, p) is (after[b][a], p), composed on the codes of I."""
     I = coded_injections(X.N)
-    moved = {I.code[a]: [X.act(a)(nd_ref(0, p))[2] for p in range(X.level(m).card[0])]
-             for n in range(X.N + 1) for m in range(n + 1) for a in arrows_of(m, n)}
+    moved = {a: [X.act(I.morphisms[a])(nd_ref(0, p))[2] for p in range(X.level(I.src[a]).card[0])]
+             for a in arrows}
     objects = [(m, p) for m in range(X.N + 1) for p in range(X.level(m).card[0])]
-    return coded_category(objects, [(a, p) for a in sorted(moved) for p in range(len(moved[a]))],
+    return coded_category(objects, [(a, p) for a in arrows for p in range(len(moved[a]))],
                           lambda f: ((I.src[f[0]], f[1]), (I.dst[f[0]], moved[f[0]][f[1]])),
                           lambda o: (I.ident[o[0]], o[1]),
                           lambda g, f: (I.after[g[0]][f[0]], f[1]))
@@ -486,25 +489,26 @@ def _cell_point(tab, k, raw):
     return m, nd_ref(0, p)
 
 
-def _coded_chains(X, S, arrows_of):
-    """The Bousfield-Kan diagonal of X through dimension S on chains of
-    injection codes (`_chain_cells`), with `cat` the coded injections."""
+def _coded_chains(X, S, arrows):
+    """The Bousfield-Kan diagonal of X through dimension S on chains of the
+    injection codes `arrows` (`_chain_cells`), with `cat` the coded injections."""
     I, faces = coded_injections(X.N), _hocolim_faces(X)
-    tab = normalize_table(_chain_cells(X, S, arrows_of), lambda k, raw: faces(raw),
+    tab = normalize_table(_chain_cells(X, S, arrows), lambda k, raw: faces(raw),
                           lambda k, raw, i: _hocolim_deg(I, raw, i), S)
     tab.cat = I
     return tab
 
 
-def _hocolim(X, S, arrows_of, based):
-    """The homotopy colimit of X over arrows_of, through dimension S: for a
-    diagram of sets the nerve of its category of elements (Thomason), the
-    opposite of `_coded_chains` (face i is its face s - i) with the same cells
-    and homology, in an order where SNF meets its pivots early; else that."""
+def _hocolim(X, S, arrows, based):
+    """The homotopy colimit of X over the sorted injection codes `arrows` (the
+    morphisms of its index category), through dimension S: for a diagram of
+    sets the nerve of its category of elements (Thomason), the opposite of
+    `_coded_chains` (face i is its face s - i) with the same cells and
+    homology, in an order where SNF meets its pivots early; else that."""
     if any(n for L in X.levels for n in L.card[1:]):
-        tab = _coded_chains(X, S, arrows_of)
+        tab = _coded_chains(X, S, arrows)
     else:
-        tab = nerve(_elements(X, arrows_of), S)
+        tab = nerve(_elements(X, arrows), S)
     return _based_quotient(X, tab) if based else tab
 
 
@@ -538,16 +542,16 @@ def _based_quotient(X, tab):
 def hocolim_I(X, S, based=False):
     """Homotopy colimit over the truncated injection category: for a diagram of
     sets the nerve of its category of elements, else the Bousfield-Kan
-    diagonal on chains of injection codes (`_hocolim`)."""
-    return _hocolim(X, S, TruncatedI(X.N).hom, based)
+    diagonal on chains of injection codes (`_hocolim`), over every code."""
+    return _hocolim(X, S, range(len(injections(X.N))), based)
 
 
 def hocolim_N(X, S, based=False):
-    """Homotopy colimit over 0 < 1 < ... < N, on the two paths of `hocolim_I`."""
-    def arrows_of(m, n):
-        return [subset_inclusion(m, n)]
-
-    return _hocolim(X, S, arrows_of, based)
+    """Homotopy colimit over 0 < 1 < ... < N: the kernel of `hocolim_I` over
+    the codes of the standard inclusions alone."""
+    code = coded_injections(X.N).code
+    return _hocolim(X, S, sorted(code[subset_inclusion(m, n)]
+                                 for n in range(X.N + 1) for m in range(n + 1)), based)
 
 
 def hocolim_map(ts, td, point):
@@ -626,7 +630,7 @@ def _flat_images(X, l, m, n, dim):
 
 def is_flat(X):
     """Injectivity of all structure maps plus the image-intersection test."""
-    for alpha in TruncatedI(X.N).arrows():
+    for alpha in injections(X.N):
         f = X.act(alpha)
         for k in range(X.level(alpha.src).top_dim + 1):
             seen = {}
@@ -669,7 +673,7 @@ def R_functor(X):
     N1 = X.N - 1
     levels = tuple(X.level(1 + n) for n in range(N1 + 1))
     maps = {}
-    for alpha in TruncatedI(N1).arrows():
+    for alpha in injections(N1):
         maps[alpha] = X.act(concat(identity(1), alpha))
     RX = ISpaceT(N1, levels, maps)
     j = {}

@@ -159,8 +159,6 @@ SIGMA2_HOMOLOGY = {0: (1, ()), 1: (0, (2,)), 2: (0, ()), 3: (0, (2,))}
 
 
 def scenario_c1_bsigma2(cfg):
-    if cfg.trunc < 2:
-        return [_skip("bsigma2-homology", "insufficient truncation")]
     A = build_monoid("c1", cfg.trunc)
     tab = ispace.hocolim_I(A.space, cfg.S)
     v = _degree_component(A, tab, 2)
@@ -214,8 +212,6 @@ def scenario_flat_suite(cfg):
 
 
 def scenario_semistable_suite(cfg):
-    if cfg.trunc < 2:
-        return [_skip("semistability", "insufficient truncation")]
     checks = []
     A = build_monoid("c1", cfg.trunc)
     v = ispace.semistability_diagnostic(A.space, D=cfg.deg)
@@ -239,8 +235,6 @@ def scenario_semistable_f1(cfg):
     # right value is "refuted" with pi0 counts N vs 1, as the acceptance test
     # asserts); it stays until a change that re-records the benchmark's
     # expected registry output, which compares this report byte for byte
-    if cfg.trunc < 2:
-        return [_skip("f1-semistability", "insufficient truncation")]
     X = build_ispace("f1", cfg.trunc)
     v = ispace.semistability_diagnostic(X, D=cfg.deg)
     return [_check("f1-evidence", "evidence-for", v.verdict,
@@ -272,8 +266,6 @@ def scenario_units_m52(cfg):
 
 
 def scenario_bar_c1(cfg):
-    if cfg.trunc < 2:
-        return [_skip("bar-comparison", "insufficient truncation")]
     A = build_monoid("c1", min(cfg.trunc, 3))
     rep = cmon.bar_comparison(A, min(cfg.deg, 1))
     checks = []
@@ -288,8 +280,6 @@ def scenario_bar_c1(cfg):
 
 
 def scenario_gamma_c1_special(cfg):
-    if cfg.trunc < 2:
-        return [_skip("gamma-special", "insufficient truncation")]
     A = build_monoid("c1", cfg.trunc)
     G = gamma.gamma_of_monoid(A, 3, max(cfg.S, 2))
     sv = gamma.is_special(G, D=0)

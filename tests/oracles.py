@@ -364,13 +364,23 @@ def refs_by_lookup(tab, cells):
     return {raw: tab.ref_of[raw] for level in cells for raw in level}
 
 
+def codes_of(N, arrows_of):
+    """The sorted codes (`coded_injections(N)`) of the injections that the
+    callback arrows_of(m, n) lists for m <= n <= N: the library's form of an
+    index category whose reference form is the callback."""
+    from ispaces.icat import coded_injections
+
+    code = coded_injections(N).code
+    return sorted(code[f] for n in range(N + 1) for m in range(n + 1) for f in arrows_of(m, n))
+
+
 def decode_chain(N, raw):
     """A coded raw chain cell (m_0, a_1, ..., a_s, x) of the homotopy colimit
     at truncation N as the nested cell (levels, arrows, x) of
     `hocolim_reference`, through the injections that the codes name."""
     from ispaces.icat import coded_injections
 
-    arrows = [coded_injections(N).arrow[a] for a in raw[1:-1]]
+    arrows = [coded_injections(N).morphisms[a] for a in raw[1:-1]]
     return ((raw[0],) + tuple(f.src for f in arrows), tuple(f.image for f in arrows), raw[-1])
 
 
@@ -387,7 +397,7 @@ def decode_element_chain(N, tab, k, raw):
     if not k:
         m, p = C.objects[raw]
         return ((m,), (), nd_ref(0, p))
-    arrows = [coded_injections(N).arrow[C.morphisms[f][0]] for f in reversed(raw)]
+    arrows = [coded_injections(N).morphisms[C.morphisms[f][0]] for f in reversed(raw)]
     _, p = C.morphisms[raw[0]]
     return ((arrows[0].dst,) + tuple(f.src for f in arrows), tuple(f.image for f in arrows),
             (tuple(range(k - 1, -1, -1)), 0, p))
@@ -645,7 +655,8 @@ def _labelled_category(objects, ident, ends, compose_labels):
 
 
 def truncated_fincategory(N):
-    """TruncatedI(N) as explicit tables, every composite a checked `compose`."""
+    """The injections m -> n for m, n <= N (`icat.injections(N)`) as explicit
+    tables, every composite a checked `compose`."""
     from ispaces.icat import compose, enumerate_injections, identity
 
     arrows = {f: (m, n) for m in range(N + 1) for n in range(N + 1)
@@ -655,9 +666,9 @@ def truncated_fincategory(N):
 
 
 def comma_under_fincategory(n, N):
-    """The comma category under n in TruncatedI(N) as explicit tables, on the
-    labels of `icat.comma_under`: objects a: n -> m, morphisms (a, g o a, g)
-    for g out of the target of a, composed as checked injections."""
+    """The comma category under n in the injections between 0..N as explicit
+    tables, on the labels of `icat.comma_under`: objects a: n -> m, morphisms
+    (a, g o a, g) for g out of the target of a, composed as checked injections."""
     from ispaces.icat import compose, enumerate_injections, identity
 
     objects = [a for m in range(N + 1) for a in enumerate_injections(n, m)]
@@ -682,7 +693,7 @@ def elements_fincategory(X, arrows_of):
                  for p in range(X.level(m).card[0])}
     return _labelled_category(
         objects, {(m, p): (I.code[identity(m)], p) for m, p in objects}, morphisms,
-        lambda g, f: (I.code[compose(I.arrow[g[0]], I.arrow[f[0]])], f[1]))
+        lambda g, f: (I.code[compose(I.morphisms[g[0]], I.morphisms[f[0]])], f[1]))
 
 
 def rank_mod_p(mat, p):

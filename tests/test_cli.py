@@ -31,9 +31,12 @@ def test_unknown_scenario_is_an_error():
         run_scenario("no-such-scenario", RunConfig())
 
 
-def test_scenario_skips_below_minimum_truncation():
-    r = run_scenario("semistable-suite", RunConfig(trunc=1))
-    assert all(c["verdict"] == "skipped" for c in r.checks)
+@pytest.mark.parametrize("name", sorted(n for n, (_, least) in REGISTRY.items() if least == 2))
+def test_scenario_skips_below_minimum_truncation(name):
+    """run_scenario skips a scenario below its minimum truncation with one
+    check named after it, before the scenario runs."""
+    r = run_scenario(name, RunConfig(trunc=1))
+    assert [(c["name"], c["verdict"]) for c in r.checks] == [(name, "skipped")]
     assert r.passed()
 
 
@@ -161,6 +164,15 @@ def test_cli_gamma(capsys):
     assert code == 0
     assert payload["special"] == "special-evidence"
     assert payload["very_special"] == "refuted"
+
+
+@pytest.mark.parametrize("K", ["1", "0", "-1"])
+def test_cli_gamma_below_two_is_inconclusive(capsys, K):
+    code, payload = run_cli(capsys, "gamma", "--trunc", "2", "--K", K, "c1")
+    assert code == 0
+    assert payload["special"] == "inconclusive"
+    assert payload["very_special"] == "unknown"
+    assert "no pair (k, l)" in payload["detail"]["reason"]
 
 
 def test_cli_scenario_out_file(tmp_path, capsys):

@@ -27,7 +27,7 @@ from ispaces.cmon import (
     units,
     validate_monoid,
 )
-from ispaces.icat import TruncatedI, coded_injections
+from ispaces.icat import coded_injections, injections
 from ispaces.ispace import _chain_cells, free_ispace, hocolim_I, terminal_ispace
 from ispaces.simplicial import homology, pi0_classes
 
@@ -250,8 +250,8 @@ def test_tuples_bounded_matches_oracle():
     The oracle reads the cells decoded to nested (levels, arrows, x).
     """
     for N in (2, 3):
-        raws = _chain_cells(c1(N).space, 3, TruncatedI(N).hom)
-        t_raws = _chain_cells(terminal_ispace(N), 3, TruncatedI(N).hom)
+        raws = _chain_cells(c1(N).space, 3, range(len(injections(N))))
+        t_raws = _chain_cells(terminal_ispace(N), 3, range(len(injections(N))))
         for k in range(4):
             for pools in ([raws[k]] * k, [t_raws[k]] + [raws[k]] * k + [t_raws[k]]):
                 step = 1
@@ -270,7 +270,7 @@ def test_chain_sum_matches_block_sum_of_injections():
     sum to at most 4 through dimension 2, and every pair of 3-chains whose
     head levels are at most 2, so every pair of chains at truncation 2."""
     I = coded_injections(4)
-    cells = _chain_cells(terminal_ispace(4), 3, TruncatedI(4).hom)
+    cells = _chain_cells(terminal_ispace(4), 3, range(len(I.morphisms)))
     pairs = 0
     for pool in cells[:3] + [[raw for raw in cells[3] if raw[0] <= 2]]:
         chains = [raw[:-1] + (None,) for raw in pool]

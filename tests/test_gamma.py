@@ -95,6 +95,17 @@ def test_special_evidence_for_c1():
     assert sv.very_special_witness is not None
 
 
+@pytest.mark.parametrize("K", [1, 0, -1])
+def test_special_is_inconclusive_without_a_pair_to_check(K):
+    """Below K = 2 no pair (k, l) with k + l <= K exists, so the Segal check
+    has nothing to test and the verdict says so instead of passing."""
+    sv = is_special(gamma_of_monoid(c1(2), K, 2), D=0)
+    assert sv.verdict == "inconclusive"
+    assert sv.witness is None
+    assert sv.very_special == "unknown"
+    assert "no pair (k, l)" in sv.detail["reason"]
+
+
 def test_very_special_refuted_past_a_grading_cap():
     # the fold monoid's only gradings are multiples of (1, 2, 3, 4), so no
     # search over gradings with values up to 3 settles its classes

@@ -3,13 +3,13 @@ import pytest
 from ispaces.icat import (
     FinCategory,
     Injection,
-    TruncatedI,
     coded_injections,
     comma_under,
     compose,
     concat,
     enumerate_injections,
     identity,
+    injections,
     shuffle,
     subset_inclusion,
 )
@@ -19,6 +19,7 @@ from ispaces.scenarios import MONOID_MODELS, build_ispace
 from ispaces.simplicial import nerve, pi0_classes
 
 from oracles import (
+    codes_of,
     comma_under_counts,
     comma_under_fincategory,
     count_injections,
@@ -35,10 +36,10 @@ def test_injection_rejects_bad_data():
 
 
 def test_hom_counts_match_brute_force():
-    cat = TruncatedI(4)
+    arrows = injections(4)
     for m in range(5):
         for n in range(5):
-            assert len(cat.hom(m, n)) == count_injections(m, n)
+            assert sum((f.src, f.dst) == (m, n) for f in arrows) == count_injections(m, n)
 
 
 def test_composition_and_units():
@@ -113,27 +114,32 @@ def test_categories_by_construction_match_validated_tables(kind, arg):
         diagrams = _set_diagrams(arg)
         assert {"c1", "terminal", "f1"} <= set(diagrams)
         for name, X in diagrams.items():
-            for arrows_of in (TruncatedI(arg).hom, lambda m, n: [subset_inclusion(m, n)]):
+            for arrows_of in (enumerate_injections, lambda m, n: [subset_inclusion(m, n)]):
                 want = elements_fincategory(X, arrows_of).coded()
-                assert _tables(_elements(X, arrows_of)) == _tables(want), name
+                assert _tables(_elements(X, codes_of(arg, arrows_of))) == _tables(want), name
 
 
 @pytest.mark.parametrize("N", range(4))
 def test_coded_injections_name_composites_and_block_sums(N):
-    """The coded tables of TruncatedI(N) against checked injections: code and
-    arrow are inverse, src, dst and ident name the endpoints and identities,
-    after[g][f] is g o f for every composable pair and plus[(f, g)] the block
-    sum f + g for every pair whose target is at most N."""
+    """The coded tables of injections(N) against checked injections: the
+    morphisms are every injection m -> n for m, n <= N in sorted order,
+    enumerated here hom by hom, and code is their inverse; src, dst and ident
+    name the endpoints and identities, after[g][f] is g o f for every
+    composable pair and plus[(f, g)] the block sum f + g for every pair whose
+    target is at most N."""
     I = coded_injections(N)
     assert I is coded_injections(N)
-    assert I.arrow == sorted(TruncatedI(N).arrows())
-    assert {f: c for c, f in enumerate(I.arrow)} == I.code
-    assert [(f.src, f.dst) for f in I.arrow] == list(zip(I.src, I.dst))
-    assert [I.arrow[c] for c in I.ident] == [identity(n) for n in range(N + 1)]
-    composites = {(g, f): I.code[compose(I.arrow[g], I.arrow[f])]
+    assert not hasattr(I, "arrow")
+    assert I.morphisms == sorted(f for m in range(N + 1) for n in range(N + 1)
+                                 for f in enumerate_injections(m, n))
+    assert tuple(I.morphisms) == injections(N)
+    assert {f: c for c, f in enumerate(I.morphisms)} == I.code
+    assert [(f.src, f.dst) for f in I.morphisms] == list(zip(I.src, I.dst))
+    assert [I.morphisms[c] for c in I.ident] == [identity(n) for n in range(N + 1)]
+    composites = {(g, f): I.code[compose(I.morphisms[g], I.morphisms[f])]
                   for g in I.code.values() for f in I.code.values() if I.dst[f] == I.src[g]}
     assert {(g, f): gf for g, row in enumerate(I.after) for f, gf in row.items()} == composites
-    sums = {(f, g): I.code[concat(I.arrow[f], I.arrow[g])]
+    sums = {(f, g): I.code[concat(I.morphisms[f], I.morphisms[g])]
             for f in I.code.values() for g in I.code.values() if I.dst[f] + I.dst[g] <= N}
     assert I.plus == sums
 

@@ -4,10 +4,11 @@ from ispaces import ispace, simplicial
 from ispaces.cmon import c1
 from ispaces.icat import (
     Injection,
-    TruncatedI,
     comma_under,
     compose,
+    enumerate_injections,
     identity,
+    injections,
     shuffle,
     subset_inclusion,
 )
@@ -42,7 +43,7 @@ from ispaces.simplicial import (
     sphere,
 )
 
-from oracles import (count_injections, decode_chain, decode_element_chain,
+from oracles import (codes_of, count_injections, decode_chain, decode_element_chain,
                      hocolim_face_reference, hocolim_reference, is_injective, opposite_ref,
                      pairing_map, product_sset, refs_by_lookup, subsets_of)
 
@@ -216,9 +217,9 @@ KERNEL_DIAGRAMS = {
     "free-1": lambda: free_ispace(1, 3),
     "c1": lambda: c1(3).space,
 }
-KERNEL_ARROWS = {
-    "injections": lambda N: TruncatedI(N).hom,
-    "linear": lambda N: lambda m, n: [subset_inclusion(m, n)],
+KERNEL_ARROWS = {  # index categories as the callbacks of the references
+    "injections": enumerate_injections,
+    "linear": lambda m, n: [subset_inclusion(m, n)],
 }
 
 
@@ -229,7 +230,7 @@ def test_hocolim_faces_kernel_matches_reference(diagram, arrows):
     every raw chain cell, degenerate ones included, over both index
     categories."""
     X = KERNEL_DIAGRAMS[diagram]()
-    cells = _chain_cells(X, 3, KERNEL_ARROWS[arrows](X.N))
+    cells = _chain_cells(X, 3, codes_of(X.N, KERNEL_ARROWS[arrows]))
     faces = _hocolim_faces(X)
     for s in range(1, 4):
         for raw in cells[s]:
@@ -265,14 +266,14 @@ def test_hocolim_matches_nested_reference(diagram, arrows, based):
         with pytest.raises(ValueError):
             build(X, 3, based=True)
         with pytest.raises(ValueError):
-            hocolim_reference(X, 3, KERNEL_ARROWS[arrows](X.N), True)
+            hocolim_reference(X, 3, KERNEL_ARROWS[arrows], True)
         return
     got = build(X, 3, based=based)
-    want = hocolim_reference(X, 3, KERNEL_ARROWS[arrows](X.N), based)
+    want = hocolim_reference(X, 3, KERNEL_ARROWS[arrows], based)
     if diagram == "circle-power":
         assert got.sset == want.sset
         assert [[decode_chain(X.N, raw) for raw in raws] for raws in got.raw_of] == want.raw_of
-        cells = _chain_cells(X, 3, KERNEL_ARROWS[arrows](X.N))
+        cells = _chain_cells(X, 3, codes_of(X.N, KERNEL_ARROWS[arrows]))
         assert {decode_chain(X.N, raw): got.ref_of[raw]
                 for level in cells for raw in level} == want.ref_of
         return
@@ -313,7 +314,7 @@ def test_based_quotient_refs_match_eager_push():
         if diagram == "c1":
             cells = _element_chains(unbased.cat, 3)
         else:
-            cells = _chain_cells(X, 3, TruncatedI(X.N).hom)
+            cells = _chain_cells(X, 3, range(len(injections(X.N))))
         tab = _based_quotient(X, unbased)
         lazy = tab.ref_of
         assert len(lazy) == 0
@@ -385,9 +386,8 @@ def test_c1_subset_model_matches_power_model():
 
 def test_structure_map_composition_is_functorial():
     X = power_ispace(S0, 3)
-    cat = TruncatedI(3)
-    for g in cat.hom(1, 2):
-        for f in cat.hom(0, 1):
+    for g in enumerate_injections(1, 2):
+        for f in enumerate_injections(0, 1):
             lhs = X.act(compose(g, f))
             rhs_g, rhs_f = X.act(g), X.act(f)
             for x in range(X.level(0).card[0]):

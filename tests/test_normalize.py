@@ -74,7 +74,7 @@ CASES = {
     "hocolim-circle-power": lambda: ispace.hocolim_I(
         ispace.power_ispace(simplicial.sphere(1), 2), 3),
     "nerve-elements-c1": lambda: simplicial.nerve(
-        ispace._elements(cmon.c1(3).space, icat.TruncatedI(3).hom), 3),
+        ispace._elements(cmon.c1(3).space, range(len(icat.injections(3)))), 3),
     "power-circle": lambda: ispace.power_ispace(simplicial.sphere(1), 3),
     "product": lambda: product_sset(simplicial.sphere(1), simplicial.sphere(2)),
     "bar-c1": lambda: cmon.bar(cmon.c1(2), 3),

@@ -160,6 +160,17 @@ def test_quotient_collapse_boundary():
     assert push(nd_ref(0, 0)) == push(nd_ref(0, 1))
 
 
+@pytest.mark.parametrize("sub, message", [
+    ({}, "empty subcomplex"),
+    ({0: set(), 1: set()}, "empty subcomplex"),
+    ({1: {0}}, "not closed under faces"),  # the edge of the 1-simplex without its vertices
+    ({0: {0}, 1: {0}}, "not closed under faces"),  # ... with one of them
+])
+def test_quotient_refuses_empty_and_unclosed_subcomplexes(sub, message):
+    with pytest.raises(ValueError, match=message):
+        quotient(standard_simplex(1), sub)
+
+
 def test_quotient_shares_each_face_ref():
     """A quotient pushes each distinct face ref once: the rows that hold
     equal refs hold one object.  Checked on the based homotopy colimit of
