@@ -18,6 +18,7 @@ from typing import Callable, Optional
 from . import icat
 from .icat import coded_injections, concat, injections, shuffle
 from .simplicial import (
+    LazyDict,
     SMap,
     component_subcomplex,
     homology,
@@ -767,50 +768,75 @@ def _chain_mul(A, I, z, w):
     return _chain_sum(I, z, w, A.mul(_tail_level(I, z), _tail_level(I, w), z[-1], w[-1]))
 
 
-def _merge_at(A, I, f, i):
-    """Bar entries f with the adjacent entries f[i - 1] and f[i] multiplied."""
-    return f[: i - 1] + (_chain_mul(A, I, f[i - 1], f[i]),) + f[i + 1:]
+class _ChainCodes:
+    """The raw chains of the homotopy colimit of X through dimension K
+    (`_chain_cells`), coded by position j in raws[k] (code[k]), with tables of
+    codes filled on first lookup: faces[k][j], the faces of chain j;
+    deg[k][i][j], s_i of it; for a monoid A on X, mul[k][j, l], the product
+    (`_chain_mul`) of chains j and l; and unit[k], the unit k-chain."""
 
+    def __init__(self, X, K, A=None):
+        I = coded_injections(X.N)
+        raws = self.raws = _chain_cells(X, K, range(len(I.morphisms)))
+        code = self.code = [{z: j for j, z in enumerate(r)} for r in raws]
+        faces = _hocolim_faces(X)
+        self.faces = [LazyDict(lambda j, k=k: tuple(map(code[k - 1].__getitem__,
+                                                        faces(raws[k][j]))))
+                      for k in range(K + 1)]
+        self.deg = [[LazyDict(lambda j, k=k, i=i: code[k + 1][_hocolim_deg(I, raws[k][j], i)])
+                     for i in range(k + 1)] for k in range(K)]
+        self.mul = [LazyDict(lambda jl, k=k: code[k][_chain_mul(A, I, raws[k][jl[0]],
+                                                                 raws[k][jl[1]])])
+                    for k in range(K + 1)]
+        self.unit = LazyDict(lambda k: code[k][(0,) + (I.ident[0],) * k + (A.unit_ref(k),)])
 
-def _chain_unit(A, I, s):
-    """The unit s-cell: s identity arrows of level 0, then the unit simplex."""
-    return (0,) + (I.ident[0],) * s + (A.unit_ref(s),)
+    def pool(self, k):
+        """(code, head level) of every k-chain, for `_tuples_bounded`."""
+        return [(j, z[0]) for j, z in enumerate(self.raws[k])]
+
+    def bar_faces(self, k, zs):
+        """cols[i], the codes of d_i of every entry of zs, and the inner faces
+        d_i of the bar, 0 < i < k: cols[i] with entries i - 1 and i multiplied."""
+        cols, mul = tuple(zip(*map(self.faces[k].__getitem__, zs))), self.mul[k - 1]
+        return cols, tuple([c[:i - 1] + (mul[c[i - 1], c[i]],) + c[i + 1:]
+                            for i, c in enumerate(cols[1:k], 1)])
+
+    def bar_deg(self, k, zs, i):
+        """s_i of every entry of zs, with the unit (k + 1)-chain inserted at i."""
+        zd = tuple(map(self.deg[k][i].__getitem__, zs))
+        return zd[:i] + (self.unit[k + 1],) + zd[i:]
 
 
 def bar_of_hocolim(A, K):
     """B of the simplicial monoid A_hI, truncated by total head level.
 
     Diagonal k-simplices are k-tuples of raw k-cells of the homotopy colimit
-    whose top chain levels sum to at most N; bar faces multiply adjacent
-    entries with the chainwise block-sum product.
+    whose top chain levels sum to at most N, each coded in the construction's
+    `_ChainCodes`, the table's `cat`; bar faces multiply adjacent entries
+    with the chainwise block-sum product, once per pair of codes.
     """
-    X, I = A.space, coded_injections(A.N)
-    raws = _chain_cells(X, K, range(len(I.morphisms)))
-    cells = [_tuples_bounded([raws[k]] * k, A.N) for k in range(K + 1)]
-    faces = _hocolim_faces(X)
+    ch = _ChainCodes(A.space, K, A)
+    cells = [_tuples_bounded([ch.pool(k)] * k, A.N) for k in range(K + 1)]
 
-    def faces_fn(k, raw):
-        cols = tuple(zip(*[faces(z) for z in raw]))  # cols[i]: d_i of every entry
-        middle = tuple(_merge_at(A, I, cols[i], i) for i in range(1, k))
+    def faces_fn(k, zs):
+        cols, middle = ch.bar_faces(k, zs)
         return (cols[0][1:],) + middle + (cols[k][:-1],)
 
-    def deg_fn(k, raw, i):
-        degged = tuple(_hocolim_deg(I, z, i) for z in raw)
-        return degged[:i] + (_chain_unit(A, I, k + 1),) + degged[i:]
-
-    return normalize_table(cells, faces_fn, deg_fn, K, based_raw=())
+    tab = normalize_table(cells, faces_fn, ch.bar_deg, K, based_raw=())
+    tab.cat = ch
+    return tab
 
 
 def _tuples_bounded(pools, budget):
-    """Tuples of raw chain cells, one from each pool, in the order of the
-    product of the pools, whose head levels z[0] sum to at most `budget`.
+    """Tuples of items, one from each pool of (item, head level) pairs, whose
+    head levels sum to at most `budget`, in the order of the product of the pools.
 
-    Each pool is bucketed once by the budget left: fits[b] holds its cells of
-    head level at most b, so a prefix extends without testing any cell.
+    Each pool is bucketed once by the budget left: fits[b] holds its pairs of
+    head level at most b, so a prefix extends without testing any item.
     """
     level = [((), budget)]
     for pool in pools:
-        fits = [[(z, z[0]) for z in pool if z[0] <= b] for b in range(budget + 1)]
+        fits = [[(z, h) for z, h in pool if h <= b] for b in range(budget + 1)]
         level = [(t + (z,), left - h) for t, left in level for z, h in fits[left]]
     return [t for t, _ in level]
 
@@ -818,38 +844,40 @@ def _tuples_bounded(pools, budget):
 def two_sided_bar_of_hocolim(A, K):
     """B(BI, A_hI, BI) with BI the nerve of the truncated injection category.
 
-    Cells carry a leading and a trailing nerve chain; the outer bar faces
-    absorb the boundary monoid entries into the nerve chains by block sum.
+    Cells (c0, zs, c1) carry a leading and a trailing nerve chain, coded in
+    the `_ChainCodes` of the terminal diagram, around codes of chains of A_hI;
+    the table's `cat` is the pair of chain tables.  The outer bar faces absorb
+    the boundary monoid entries into the nerve chains by block sum, once per
+    pair of codes.
     """
-    X, I = A.space, coded_injections(A.N)
-    T = terminal_ispace(A.N)
-    raws = _chain_cells(X, K, range(len(I.morphisms)))
-    t_raws = _chain_cells(T, K, range(len(I.morphisms)))
+    I = coded_injections(A.N)
+    ch, t_ch = _ChainCodes(A.space, K, A), _ChainCodes(terminal_ispace(A.N), K)
     cells = []
     for k in range(K + 1):
-        pools = [t_raws[k]] + [raws[k]] * k + [t_raws[k]]
+        pools = [t_ch.pool(k)] + [ch.pool(k)] * k + [t_ch.pool(k)]
         cells.append([(t[0], t[1:-1], t[-1]) for t in _tuples_bounded(pools, A.N)])
-    faces, t_faces = _hocolim_faces(X), _hocolim_faces(T)
+    # the nerve chains absorb an outer entry, keeping their point simplex
+    before = [LazyDict(lambda cz, k=k: t_ch.code[k][_chain_sum(
+        I, t_ch.raws[k][cz[0]], ch.raws[k][cz[1]], t_ch.raws[k][cz[0]][-1])]) for k in range(K)]
+    after = [LazyDict(lambda zc, k=k: t_ch.code[k][_chain_sum(
+        I, ch.raws[k][zc[0]], t_ch.raws[k][zc[1]], t_ch.raws[k][zc[1]][-1])]) for k in range(K)]
 
     def faces_fn(k, raw):
         c0, zs, c1 = raw
-        c0f, c1f = t_faces(c0), t_faces(c1)
-        cols = tuple(zip(*[faces(z) for z in zs]))  # cols[i]: d_i of every entry
-        # the nerve chains absorb an outer entry, keeping their point simplex
-        middle = tuple((c0f[i], _merge_at(A, I, cols[i], i), c1f[i]) for i in range(1, k))
-        return (((_chain_sum(I, c0f[0], cols[0][0], c0f[0][-1]), cols[0][1:], c1f[0]),)
-                + middle
-                + ((c0f[k], cols[k][:-1], _chain_sum(I, cols[k][-1], c1f[k], c1f[k][-1])),))
+        c0f, c1f = t_ch.faces[k][c0], t_ch.faces[k][c1]
+        cols, middle = ch.bar_faces(k, zs)
+        return (((before[k - 1][c0f[0], cols[0][0]], cols[0][1:], c1f[0]),)
+                + tuple(zip(c0f[1:k], middle, c1f[1:k]))
+                + ((c0f[k], cols[k][:-1], after[k - 1][cols[k][-1], c1f[k]]),))
 
     def deg_fn(k, raw, i):
         c0, zs, c1 = raw
-        unit = _chain_unit(A, I, k + 1)
-        zd = tuple(_hocolim_deg(I, z, i) for z in zs)
-        return (_hocolim_deg(I, c0, i), zd[:i] + (unit,) + zd[i:], _hocolim_deg(I, c1, i))
+        return (t_ch.deg[k][i][c0], ch.bar_deg(k, zs, i), t_ch.deg[k][i][c1])
 
-    zero_chain = (0, nd_ref(0, 0))
-    return normalize_table(cells, faces_fn, deg_fn, K,
-                           based_raw=(zero_chain, (), zero_chain))
+    base = t_ch.code[0][(0, nd_ref(0, 0))]
+    tab = normalize_table(cells, faces_fn, deg_fn, K, based_raw=(base, (), base))
+    tab.cat = (t_ch, ch)
+    return tab
 
 
 # ---------------------------------------------------------------------------
@@ -880,12 +908,10 @@ def _bar_comparison_once(A, D):
     left_tab = _coded_chains(B.space, K, range(len(I.morphisms)))  # to_left pushes onto its chains
     middle_tab = two_sided_bar_of_hocolim(A, K)
     right_tab = bar_of_hocolim(A, K)
-
-    def to_right(k, raw):
-        return raw[1]
+    t_raws, raws = (ch.raws for ch in middle_tab.cat)
 
     def to_left(k, raw):
-        c0, zs, c1 = raw
+        c0, zs, c1 = t_raws[k][raw[0]], tuple(raws[k][z] for z in raw[1]), t_raws[k][raw[2]]
         chain = c0
         for z in zs + (c1,):
             chain = _chain_sum(I, chain, z, None)
@@ -896,20 +922,12 @@ def _bar_comparison_once(A, D):
         xref = B.ref(_tail_level(I, chain), len(zs), (nvec, image, tuple(z[-1] for z in zs)))
         return chain[:-1] + (xref,)
 
-    f_right = map_from_tables(middle_tab, right_tab, to_right)
+    f_right = map_from_tables(middle_tab, right_tab, lambda k, raw: raw[1])  # the same X codes
     f_left = map_from_tables(middle_tab, left_tab, to_left)
-    reports = {
-        "left": homology(left_tab.sset, D),
-        "middle": homology(middle_tab.sset, D),
-        "right": homology(right_tab.sset, D),
-    }
-    pi0_counts = {
-        "left": len(pi0_classes(left_tab.sset)),
-        "middle": len(pi0_classes(middle_tab.sset)),
-        "right": len(pi0_classes(right_tab.sset)),
-    }
-    cones = {}
-    iso = {}
+    tabs = {"left": left_tab, "middle": middle_tab, "right": right_tab}
+    reports = {term: homology(tab.sset, D) for term, tab in tabs.items()}
+    pi0_counts = {term: len(pi0_classes(tab.sset)) for term, tab in tabs.items()}
+    cones, iso = {}, {}
     for name, f in (("middle_to_left", f_left), ("middle_to_right", f_right)):
         cone = map_cone_homology(f, D + 1)
         cones[name] = cone

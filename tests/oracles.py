@@ -7,6 +7,7 @@ library under test.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import permutations, product
 
 
@@ -430,8 +431,10 @@ def is_injective(f):
 
 def bounded_tuples(pools, budget):
     """Tuples of raw homotopy-colimit cells, one from each pool, whose head
-    levels z[0][0] sum to at most `budget`, in the order of the full product."""
-    return [t for t in product(*pools) if sum(z[0][0] for z in t) <= budget]
+    levels z[0][0] sum to at most `budget`, in the order of the full product
+    (walked beside the product of the head levels)."""
+    heads = [[z[0][0] for z in pool] for pool in pools]
+    return [t for t, hs in zip(product(*pools), product(*heads)) if sum(hs) <= budget]
 
 
 def chain_sum_reference(z, w, x):
@@ -448,6 +451,149 @@ def chain_sum_reference(z, w, x):
         for i in range(len(ar1))
     )
     return (lv, ar, x)
+
+
+def _merge_at(mul, f, i):
+    """Bar entries f with the adjacent entries f[i - 1] and f[i] multiplied."""
+    return f[: i - 1] + (mul[f[i - 1], f[i]],) + f[i + 1:]
+
+
+class _Memo(dict):
+    """The values of fn kept by argument tuple, memo[args] = fn(*args): the
+    reference bars read the faces, products and block sums of raw chains
+    through it."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, args):
+        value = self[args] = self.fn(*args)
+        return value
+
+
+def _unit_chain(A, I, s):
+    """The unit raw s-chain: s identity arrows of level 0, then the unit simplex."""
+    return (0,) + (I.ident[0],) * s + (A.unit_ref(s),)
+
+
+def _raw_pool(raws):
+    """The (cell, head level) pool of `cmon._tuples_bounded` over raw chains."""
+    return [(z, z[0]) for z in raws]
+
+
+def bar_of_hocolim_reference(A, K):
+    """`cmon.bar_of_hocolim` on nested raw cells: a bar k-cell is the k-tuple
+    of its raw chain cells, with faces, products and degeneracies computed on
+    them, not on codes.  Returns its `NormTable`."""
+    from ispaces.cmon import _chain_mul, _tuples_bounded
+    from ispaces.icat import coded_injections
+    from ispaces.ispace import _chain_cells, _hocolim_deg, _hocolim_faces
+    from ispaces.simplicial import normalize_table
+
+    X, I = A.space, coded_injections(A.N)
+    raws = _chain_cells(X, K, range(len(I.morphisms)))
+    cells = [_tuples_bounded([_raw_pool(raws[k])] * k, A.N) for k in range(K + 1)]
+    faces, mul = _Memo(_hocolim_faces(X)), _Memo(partial(_chain_mul, A, I))
+
+    def faces_fn(k, raw):
+        cols = tuple(zip(*[faces[z,] for z in raw]))
+        middle = tuple(_merge_at(mul, cols[i], i) for i in range(1, k))
+        return (cols[0][1:],) + middle + (cols[k][:-1],)
+
+    def deg_fn(k, raw, i):
+        degged = tuple(_hocolim_deg(I, z, i) for z in raw)
+        return degged[:i] + (_unit_chain(A, I, k + 1),) + degged[i:]
+
+    return normalize_table(cells, faces_fn, deg_fn, K, based_raw=())
+
+
+def two_sided_bar_reference(A, K):
+    """`cmon.two_sided_bar_of_hocolim` on nested raw cells (c0, zs, c1), whose
+    outer faces absorb the end entries into the nerve chains by block sum.
+    Returns its `NormTable`."""
+    from ispaces.cmon import _chain_mul, _chain_sum, _tuples_bounded
+    from ispaces.icat import coded_injections
+    from ispaces.ispace import _chain_cells, _hocolim_deg, _hocolim_faces, terminal_ispace
+    from ispaces.simplicial import nd_ref, normalize_table
+
+    X, I = A.space, coded_injections(A.N)
+    T = terminal_ispace(A.N)
+    raws = _chain_cells(X, K, range(len(I.morphisms)))
+    t_raws = _chain_cells(T, K, range(len(I.morphisms)))
+    cells = []
+    for k in range(K + 1):
+        pools = [_raw_pool(t_raws[k])] + [_raw_pool(raws[k])] * k + [_raw_pool(t_raws[k])]
+        cells.append([(t[0], t[1:-1], t[-1]) for t in _tuples_bounded(pools, A.N)])
+    faces, t_faces = _Memo(_hocolim_faces(X)), _Memo(_hocolim_faces(T))
+    mul, plus = _Memo(partial(_chain_mul, A, I)), _Memo(partial(_chain_sum, I))
+
+    def faces_fn(k, raw):
+        c0, zs, c1 = raw
+        c0f, c1f = t_faces[c0,], t_faces[c1,]
+        cols = tuple(zip(*[faces[z,] for z in zs]))
+        middle = tuple((c0f[i], _merge_at(mul, cols[i], i), c1f[i]) for i in range(1, k))
+        return (((plus[c0f[0], cols[0][0], c0f[0][-1]], cols[0][1:], c1f[0]),)
+                + middle
+                + ((c0f[k], cols[k][:-1], plus[cols[k][-1], c1f[k], c1f[k][-1]]),))
+
+    def deg_fn(k, raw, i):
+        c0, zs, c1 = raw
+        unit = _unit_chain(A, I, k + 1)
+        zd = tuple(_hocolim_deg(I, z, i) for z in zs)
+        return (_hocolim_deg(I, c0, i), zd[:i] + (unit,) + zd[i:], _hocolim_deg(I, c1, i))
+
+    zero_chain = (0, nd_ref(0, 0))
+    return normalize_table(cells, faces_fn, deg_fn, K, based_raw=(zero_chain, (), zero_chain))
+
+
+def bar_comparison_once_reference(A, D):
+    """`cmon._bar_comparison_once` on the nested raw cells of the reference
+    bars: the middle term's cells are pushed to the right bar by dropping
+    their nerve chains, and to the left one by the block sum of all their
+    chains, with the bar cell in the blocks just past c0's."""
+    from ispaces.cmon import BarComparisonReport, _chain_sum, bar
+    from ispaces.icat import coded_injections
+    from ispaces.ispace import _coded_chains, _tail_level
+    from ispaces.simplicial import homology, map_cone_homology, map_from_tables, pi0_classes
+
+    K = D + 2
+    B = bar(A, K)
+    I = coded_injections(A.N)
+    tabs = {"left": _coded_chains(B.space, K, range(len(I.morphisms))),
+            "middle": two_sided_bar_reference(A, K), "right": bar_of_hocolim_reference(A, K)}
+
+    def to_left(k, raw):
+        c0, zs, c1 = raw
+        chain = c0
+        for z in zs + (c1,):
+            chain = _chain_sum(I, chain, z, None)
+        nvec = tuple(_tail_level(I, z) for z in zs)
+        start = _tail_level(I, c0)
+        image = tuple(range(start + 1, start + sum(nvec) + 1))
+        xref = B.ref(_tail_level(I, chain), len(zs), (nvec, image, tuple(z[-1] for z in zs)))
+        return chain[:-1] + (xref,)
+
+    maps = {"middle_to_left": map_from_tables(tabs["middle"], tabs["left"], to_left),
+            "middle_to_right": map_from_tables(tabs["middle"], tabs["right"],
+                                               lambda k, raw: raw[1])}
+    cones = {name: map_cone_homology(f, D + 1) for name, f in maps.items()}
+    iso = {name: all(cone.get(k, (0, ())) == (0, ()) for k in range(D + 2))
+           for name, cone in cones.items()}
+    return BarComparisonReport({t: homology(tab.sset, D) for t, tab in tabs.items()},
+                               {t: len(pi0_classes(tab.sset)) for t, tab in tabs.items()},
+                               iso, cones, trunc=A.N)
+
+
+def decode_bar_cell(tab, k, cell):
+    """A coded cell of `cmon.bar_of_hocolim` or `cmon.two_sided_bar_of_hocolim`
+    as the nested raw cell of its reference, through the chain tables that
+    the table's `cat` holds."""
+    if isinstance(tab.cat, tuple):
+        t_raws, raws = (ch.raws[k] for ch in tab.cat)
+        c0, zs, c1 = cell
+        return (t_raws[c0], tuple(raws[z] for z in zs), t_raws[c1])
+    return tuple(tab.cat.raws[k][z] for z in cell)
 
 
 def bar_mul_reference(A, B, m, n, rx, ry):
@@ -696,13 +842,16 @@ def elements_fincategory(X, arrows_of):
         lambda g, f: (I.code[compose(I.morphisms[g[0]], I.morphisms[f[0]])], f[1]))
 
 
-def rank_mod_p(mat, p):
+def rank_mod_p(mat, p, bound=None):
     """Rank over Z/p of a `zlinalg.ColumnMatrix`, read through its source:
     each column is reduced mod p against the earlier ones by its largest row
     (textbook persistence-style elimination), and a nonzero remainder is a
-    new pivot."""
+    new pivot.  The reading stops once `bound` pivots are found, a bound that
+    the caller knows the rank cannot pass."""
     pivots = {}
     for _, col in mat.source():
+        if len(pivots) == bound:
+            break
         col = {r: v % p for r, v in col.items() if v % p}
         while col:
             r = max(col)
@@ -723,11 +872,16 @@ def rank_mod_p(mat, p):
 
 def homology_mod_p(X, p, d_report):
     """{k: dim H_k(X; Z/p)} for k <= d_report, from the normalized chains of
-    `simplicial.chain_complex` through degree d_report + 1, by `rank_mod_p`."""
+    `simplicial.chain_complex` through degree d_report + 1, by `rank_mod_p`.
+    Since d_{k-1} d_k = 0, the rank of d_k is at most the dimension of the
+    kernel of d_{k-1}, so each elimination stops there."""
     from ispaces.simplicial import chain_complex
 
     cx = chain_complex(X, top=min(d_report + 1, X.top_dim))
-    ranks = [0] + [rank_mod_p(cx.boundaries[k], p) for k in range(1, len(cx.counts))] + [0]
+    ranks = [0]
+    for k in range(1, len(cx.counts)):
+        ranks.append(rank_mod_p(cx.boundaries[k], p, cx.counts[k - 1] - ranks[-1]))
+    ranks.append(0)
     return {k: cx.counts[k] - ranks[k] - ranks[k + 1] for k in range(d_report + 1)}
 
 

@@ -32,12 +32,16 @@ from ispaces.ispace import _chain_cells, free_ispace, hocolim_I, terminal_ispace
 from ispaces.simplicial import homology, pi0_classes
 
 from oracles import (
+    bar_comparison_once_reference,
     bar_mul_reference,
+    bar_of_hocolim_reference,
     bounded_tuples,
     bounded_unit_search,
     chain_sum_reference,
+    decode_bar_cell,
     decode_chain,
     sigma2_homology,
+    two_sided_bar_reference,
 )
 
 
@@ -243,24 +247,79 @@ def test_tuples_bounded_matches_oracle():
     """The bar cell enumerator against a filtered itertools.product, in order.
 
     For k <= 3 slots, the pools are those of the one-sided bar (k copies of
-    the raw k-cells of the homotopy colimit) and of the two-sided bar (a pool
-    of terminal-diagram k-cells at each end).  A full product can reach
-    4.9e10 tuples (c1(3), k = 3), so pools whose product exceeds 10^6 tuples
-    are thinned by a common stride, which keeps the order of each pool.
-    The oracle reads the cells decoded to nested (levels, arrows, x).
+    the codes of the raw k-cells of the homotopy colimit, with their head
+    levels) and of the two-sided bar (a pool of terminal-diagram k-cells at
+    each end).  A full product can reach 4.9e10 tuples (c1(3), k = 3), so
+    pools whose product exceeds 10^6 tuples are thinned by a common stride,
+    which keeps the order of each pool.  The oracle reads the cells decoded
+    to nested (levels, arrows, x), each pool once.
     """
     for N in (2, 3):
         raws = _chain_cells(c1(N).space, 3, range(len(injections(N))))
         t_raws = _chain_cells(terminal_ispace(N), 3, range(len(injections(N))))
         for k in range(4):
-            for pools in ([raws[k]] * k, [t_raws[k]] + [raws[k]] * k + [t_raws[k]]):
+            for chains in ([raws[k]] * k, [t_raws[k]] + [raws[k]] * k + [t_raws[k]]):
                 step = 1
-                while prod(len(p[::step]) for p in pools) > 10 ** 6:
+                while prod(len(c[::step]) for c in chains) > 10 ** 6:
                     step += 1
-                pools = [p[::step] for p in pools]
-                nested = [[decode_chain(N, z) for z in p] for p in pools]
-                assert ([tuple(decode_chain(N, z) for z in t) for t in _tuples_bounded(pools, N)]
-                        == bounded_tuples(nested, N))
+                codes = [range(len(c))[::step] for c in chains]
+                nested = [{j: decode_chain(N, c[j]) for j in js} for c, js in zip(chains, codes)]
+                pools = [[(j, c[j][0]) for j in js] for c, js in zip(chains, codes)]
+                assert ([tuple(d[j] for d, j in zip(nested, t)) for t in _tuples_bounded(pools, N)]
+                        == bounded_tuples([list(d.values()) for d in nested], N))
+
+
+CODED_BAR_MONOIDS = {"c1-2": lambda: c1(2), "c1-3": lambda: c1(3),
+                     "m52-3": lambda: sec52_monoid(3), "z2-3": lambda: cyclic2_monoid(3)}
+
+
+@pytest.mark.parametrize("name", sorted(CODED_BAR_MONOIDS))
+@pytest.mark.parametrize("build, reference", [
+    (cmon.bar_of_hocolim, bar_of_hocolim_reference),
+    (cmon.two_sided_bar_of_hocolim, two_sided_bar_reference),
+], ids=["one-sided", "two-sided"])
+def test_coded_bars_match_raw_reference(name, build, reference):
+    """Both bars on chain codes against the raw-tuple builders at K = 3: the
+    cells decoded through the chain tables, the cells per dimension, the
+    basepoint and every face row are the reference's."""
+    A = CODED_BAR_MONOIDS[name]()
+    got, want = build(A, 3), reference(A, 3)
+    assert ([[decode_bar_cell(got, k, cell) for cell in cells]
+             for k, cells in enumerate(got.raw_of)] == want.raw_of)
+    assert (got.sset.card, got.sset.basepoint) == (want.sset.card, want.sset.basepoint)
+    assert [list(rows) for rows in got.sset.face] == [list(rows) for rows in want.sset.face]
+
+
+@pytest.mark.parametrize("build, D", [(lambda: c1(2), 1), (lambda: c1(3), 0)],
+                         ids=["c1-2", "c1-3"])
+def test_bar_comparison_matches_raw_reference(monkeypatch, build, D):
+    """Every field of the bar comparison, with its stability flag, equals the
+    comparison of the raw-tuple reference bars."""
+    got = bar_comparison(build(), D)
+    monkeypatch.setattr(cmon, "_bar_comparison_once", bar_comparison_once_reference)
+    assert got == bar_comparison(build(), D)
+
+
+def test_bar_comparison_once_matches_raw_reference_off_flat():
+    """sec52_monoid is not flat, so `bar_comparison` refuses it; one
+    comparison at N = 3 still equals the reference's in every field."""
+    A = sec52_monoid(3)
+    assert cmon._bar_comparison_once(A, 0) == bar_comparison_once_reference(A, 0)
+
+
+def test_chain_mul_called_once_per_pair(monkeypatch):
+    """The one-sided bar reads each chain product from its table: while the
+    classifying space of c1(3) is built and its homology read, `_chain_mul`
+    runs exactly once for each pair of chains that it multiplies."""
+    real, pairs = cmon._chain_mul, []
+
+    def counted(A, I, z, w):
+        pairs.append((z, w))
+        return real(A, I, z, w)
+
+    monkeypatch.setattr(cmon, "_chain_mul", counted)
+    classifying_space_homology(c1(3), 2)
+    assert pairs and len(pairs) == len(set(pairs))
 
 
 def test_chain_sum_matches_block_sum_of_injections():

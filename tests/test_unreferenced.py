@@ -39,7 +39,6 @@ UNREAD_ALLOWED = {
     ("deg_fn", "k"): _TABLE_CALLBACK,
     ("push", "k"): _RAW_MAP,
     ("push", "d"): _RAW_MAP,
-    ("to_right", "k"): _RAW_MAP,
     ("to_left", "k"): _RAW_MAP,
     ("mul_point", "n"): "discrete_monoid multiplies points as mul_point(m, n, s, t)",
     ("scenario_grothendieck", "cfg"): "run_all calls every registry scenario with its RunConfig",

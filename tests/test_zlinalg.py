@@ -283,7 +283,7 @@ def test_chain_complex_validate_reports_nonzero_square():
 
 @lru_cache(maxsize=None)
 def _uct_spaces():
-    from ispaces.cmon import bar_of_hocolim, c1, sec52_monoid
+    from ispaces.cmon import bar_of_hocolim, c1, cyclic2_monoid, sec52_monoid
     from ispaces.gamma import gamma_of_monoid
     from ispaces.ispace import hocolim_I
 
@@ -292,14 +292,16 @@ def _uct_spaces():
         "hocolim-c1": hocolim_I(c1(3).space, 3).sset,
         "hocolim-m52": hocolim_I(sec52_monoid(3).space, 3).sset,
         "bar-c1": bar_of_hocolim(c1(3), 3).sset,
+        "bar-m52": bar_of_hocolim(sec52_monoid(3), 3).sset,
+        "bar-z2": bar_of_hocolim(cyclic2_monoid(3), 3).sset,
         **{f"gamma-c1-{k}": gamma.values[k] for k in (1, 2, 3)},
         "BZ3": nerve(cyclic_group_category(3).coded(), 3).sset,
     }
 
 
 @pytest.mark.parametrize("p", [2, 3])
-@pytest.mark.parametrize("name", ["hocolim-c1", "hocolim-m52", "bar-c1", "gamma-c1-1",
-                                  "gamma-c1-2", "gamma-c1-3", "BZ3"])
+@pytest.mark.parametrize("name", ["hocolim-c1", "hocolim-m52", "bar-c1", "bar-m52", "bar-z2",
+                                  "gamma-c1-1", "gamma-c1-2", "gamma-c1-3", "BZ3"])
 def test_homology_mod_p_obeys_universal_coefficients(name, p):
     """dim H_k(X; Z/p) = b_k + t_k(p) + t_{k-1}(p), where b_k is the free rank
     of H_k(X; Z) and t_k(p) counts its torsion coefficients divisible by p:
