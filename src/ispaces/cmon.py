@@ -12,7 +12,7 @@ and of its homotopy colimit.
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Callable, Optional
 
 from . import icat
@@ -48,7 +48,7 @@ from .ispace import (
     restrict,
     terminal_ispace,
 )
-from .util import DisjointSet
+from .util import least_roots
 from .zlinalg import ColumnMatrix, rank_and_torsion
 
 
@@ -306,18 +306,7 @@ def _word_classes(X, n, dim):
     """
     canon = {}
     for k in range(X.N + 1):
-        ds = _box_classes((X,) * k, n, dim, n)
-        for nvec, a_img, xs in list(ds.parent):
-            start = 0
-            for j in range(k - 1):
-                mid = start + nvec[j]
-                end = mid + nvec[j + 1]
-                swap = (nvec[:j] + (nvec[j + 1], nvec[j]) + nvec[j + 2:],
-                        a_img[:start] + a_img[mid:end] + a_img[start:mid] + a_img[end:],
-                        xs[:j] + (xs[j + 1], xs[j]) + xs[j + 2:])
-                ds.union(swap, (nvec, a_img, xs))
-                start = mid
-        canon.update(ds.canonicalize())
+        canon.update(_box_classes((X,) * k, n, dim, n, symmetric=True))
     return canon
 
 
@@ -347,23 +336,26 @@ def merged_classes(A):
     Returns (rep function on (level, vertex), sorted list of class reps,
     unit class rep).
     """
-    ds = DisjointSet()
     level_reps = [pi0(A.level(n)) for n in range(A.N + 1)]
-    for n in range(A.N + 1):
-        for v in range(A.level(n).card[0]):
-            ds.add((n, level_reps[n][v]))
-    for alpha in injections(A.N):
-        f = A.space.act(alpha)
-        for v in range(A.level(alpha.src).card[0]):
-            _, _, img = f(nd_ref(0, v))
-            ds.union((alpha.src, level_reps[alpha.src][v]),
-                     (alpha.dst, level_reps[alpha.dst][img]))
-    rep = ds.canonicalize()
+    # the vertex v of level n is coded off[n] + v, so a class's least code is its least (n, v)
+    off = [0, *accumulate(map(len, level_reps))]
+    points = [(n, v) for n, reps in enumerate(level_reps) for v in reps]
+
+    def code(n, v):
+        return off[n] + level_reps[n][v]
+
+    def joins():
+        for alpha in injections(A.N):
+            f = A.space.act(alpha)
+            for v in range(A.level(alpha.src).card[0]):
+                yield code(alpha.src, v), code(alpha.dst, f(nd_ref(0, v))[2])
+
+    roots = least_roots(off[-1], joins())
 
     def cls(n, v):
-        return rep[(n, level_reps[n][v])]
+        return points[roots[code(n, v)]]
 
-    classes = sorted(set(rep.values()))
+    classes = sorted({cls(n, v) for n, v in points})
     return cls, classes, cls(0, A.unit)
 
 
@@ -704,7 +696,7 @@ def bar(A, S):
     canon = []
     tables = []
     for n in range(A.N + 1):
-        cn = [_box_classes(powers[:k], n, k, n).canonicalize() for k in range(S + 1)]
+        cn = [_box_classes(powers[:k], n, k, n) for k in range(S + 1)]
         cells = [sorted(set(cn[k].values())) for k in range(S + 1)]
 
         def faces_fn(k, raw, cn=cn):
@@ -844,8 +836,8 @@ def _tuples_bounded(pools, budget):
 def two_sided_bar_of_hocolim(A, K):
     """B(BI, A_hI, BI) with BI the nerve of the truncated injection category.
 
-    Cells (c0, zs, c1) carry a leading and a trailing nerve chain, coded in
-    the `_ChainCodes` of the terminal diagram, around codes of chains of A_hI;
+    Cells (c0, *zs, c1) carry a leading and a trailing nerve chain, coded in
+    the `_ChainCodes` of the terminal diagram, around codes zs of chains of A_hI;
     the table's `cat` is the pair of chain tables.  The outer bar faces absorb
     the boundary monoid entries into the nerve chains by block sum, once per
     pair of codes.
@@ -855,7 +847,7 @@ def two_sided_bar_of_hocolim(A, K):
     cells = []
     for k in range(K + 1):
         pools = [t_ch.pool(k)] + [ch.pool(k)] * k + [t_ch.pool(k)]
-        cells.append([(t[0], t[1:-1], t[-1]) for t in _tuples_bounded(pools, A.N)])
+        cells.append(_tuples_bounded(pools, A.N))
     # the nerve chains absorb an outer entry, keeping their point simplex
     before = [LazyDict(lambda cz, k=k: t_ch.code[k][_chain_sum(
         I, t_ch.raws[k][cz[0]], ch.raws[k][cz[1]], t_ch.raws[k][cz[0]][-1])]) for k in range(K)]
@@ -863,19 +855,18 @@ def two_sided_bar_of_hocolim(A, K):
         I, ch.raws[k][zc[0]], t_ch.raws[k][zc[1]], t_ch.raws[k][zc[1]][-1])]) for k in range(K)]
 
     def faces_fn(k, raw):
-        c0, zs, c1 = raw
-        c0f, c1f = t_ch.faces[k][c0], t_ch.faces[k][c1]
-        cols, middle = ch.bar_faces(k, zs)
-        return (((before[k - 1][c0f[0], cols[0][0]], cols[0][1:], c1f[0]),)
-                + tuple(zip(c0f[1:k], middle, c1f[1:k]))
-                + ((c0f[k], cols[k][:-1], after[k - 1][cols[k][-1], c1f[k]]),))
+        c0f, c1f = t_ch.faces[k][raw[0]], t_ch.faces[k][raw[-1]]
+        cols, middle = ch.bar_faces(k, raw[1:-1])
+        return (((before[k - 1][c0f[0], cols[0][0]],) + cols[0][1:] + (c1f[0],),)
+                + tuple((c0,) + zs + (c1,) for c0, zs, c1 in zip(c0f[1:k], middle, c1f[1:k]))
+                + ((c0f[k],) + cols[k][:-1] + (after[k - 1][cols[k][-1], c1f[k]],),))
 
     def deg_fn(k, raw, i):
-        c0, zs, c1 = raw
-        return (t_ch.deg[k][i][c0], ch.bar_deg(k, zs, i), t_ch.deg[k][i][c1])
+        return ((t_ch.deg[k][i][raw[0]],) + ch.bar_deg(k, raw[1:-1], i)
+                + (t_ch.deg[k][i][raw[-1]],))
 
     base = t_ch.code[0][(0, nd_ref(0, 0))]
-    tab = normalize_table(cells, faces_fn, deg_fn, K, based_raw=(base, (), base))
+    tab = normalize_table(cells, faces_fn, deg_fn, K, based_raw=(base, base))
     tab.cat = (t_ch, ch)
     return tab
 
@@ -911,7 +902,7 @@ def _bar_comparison_once(A, D):
     t_raws, raws = (ch.raws for ch in middle_tab.cat)
 
     def to_left(k, raw):
-        c0, zs, c1 = t_raws[k][raw[0]], tuple(raws[k][z] for z in raw[1]), t_raws[k][raw[2]]
+        c0, zs, c1 = t_raws[k][raw[0]], tuple(raws[k][z] for z in raw[1:-1]), t_raws[k][raw[-1]]
         chain = c0
         for z in zs + (c1,):
             chain = _chain_sum(I, chain, z, None)
@@ -922,7 +913,7 @@ def _bar_comparison_once(A, D):
         xref = B.ref(_tail_level(I, chain), len(zs), (nvec, image, tuple(z[-1] for z in zs)))
         return chain[:-1] + (xref,)
 
-    f_right = map_from_tables(middle_tab, right_tab, lambda k, raw: raw[1])  # the same X codes
+    f_right = map_from_tables(middle_tab, right_tab, lambda k, raw: raw[1:-1])  # the same X codes
     f_left = map_from_tables(middle_tab, left_tab, to_left)
     tabs = {"left": left_tab, "middle": middle_tab, "right": right_tab}
     reports = {term: homology(tab.sset, D) for term, tab in tabs.items()}

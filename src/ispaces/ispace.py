@@ -13,7 +13,9 @@ and the semistability diagnostic.
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import product as iproduct
+from itertools import chain, compress, count, product as iproduct
+from math import prod
+from operator import itemgetter, not_
 from typing import Callable, Optional
 
 from . import icat
@@ -35,7 +37,7 @@ from .simplicial import (
     quotient,
     validate_sset,
 )
-from .util import DisjointSet
+from .util import least_roots
 
 
 @dataclass
@@ -213,42 +215,76 @@ def _compositions(total_max, parts):
             yield (first,) + rest
 
 
-def _box_classes(factors, n, dim, total_max):
-    """Union-find over the raw dim-cells of the box colimit of `factors` at n.
+def _box_classes(factors, n, dim, total_max, symmetric=False):
+    """Canonical representatives of the raw dim-cells of the box colimit of
+    `factors` at n: raw cell -> the least cell of its class.
 
     A raw cell is (nvec, image, xs): nvec has sum at most total_max, image is
     that of an injection sum(nvec) -> n, and xs[i] is a dim-simplex of
-    factors[i] at level nvec[i].  Cells are joined along generating
+    factors[i] at level nvec[i].  Cells are coded by position, objects
+    (nvec, image) in lexicographic order and xs by its mixed-radix index over
+    each slot's sorted simplices, so the least code of a class
+    (`least_roots`) is its least cell.  Cells are joined along generating
     morphisms of the decomposition category, in one slot at a time: the
     standard inclusion q - 1 -> q and the adjacent transpositions of q.
     Every injection is a permutation after a standard inclusion, so these
-    generate the same relation as all morphisms do.
+    generate the same relation as all morphisms do.  Each generator moves
+    the positions of a factor level once (`moves`).  With `symmetric`, the
+    adjacent block swaps, which generate the permutations of the blocks,
+    join cells too.
     """
     simp = [[f.level(q).all_simplices(dim) for q in range(total_max + 1)] for f in factors]
-    objects = [(nvec, a.image) for nvec in _compositions(total_max, len(factors))
-               for a in icat.enumerate_injections(sum(nvec), n)]
-    ds = DisjointSet()
-    for nvec, img in objects:
-        for xs in iproduct(*[simp[i][q] for i, q in enumerate(nvec)]):
-            ds.add((nvec, img, xs))
-    for mvec, img in objects:
-        start = 0
-        for i, q in enumerate(mvec):
-            end = start + q
-            # (source level of slot i, source image, generator into q)
-            gens = [(q - 1, img[:end - 1] + img[end:], subset_inclusion(q - 1, q))] if q else []
-            for j in range(1, q):
-                p = start + j - 1
-                swap = Injection(q, q, [*range(1, j), j + 1, j, *range(j + 2, q + 1)])
-                gens.append((q, img[:p] + (img[p + 1], img[p]) + img[p + 2:], swap))
-            start = end
-            for q0, src_img, g in gens:
-                nvec = mvec[:i] + (q0,) + mvec[i + 1:]
-                act = factors[i].act(g)
-                for xs in iproduct(*[simp[l][r] for l, r in enumerate(nvec)]):
-                    ys = xs[:i] + (act(xs[i]),) + xs[i + 1:]
-                    ds.union((nvec, src_img, xs), (mvec, img, ys))
-    return ds
+    offset, cells = {}, []
+    for nvec in _compositions(total_max, len(factors)):
+        for a in icat.enumerate_injections(sum(nvec), n):
+            offset[nvec, a.image] = len(cells)
+            xss = iproduct(*[simp[i][q] for i, q in enumerate(nvec)])
+            cells += [(nvec, a.image, xs) for xs in xss]
+    moves = {}  # (factor, q, j) -> position in level q of each image under generator j
+
+    def move(i, q, j):
+        key = (id(factors[i]), q, j)
+        if key not in moves:
+            g = (Injection(q, q, [*range(1, j), j + 1, j, *range(j + 2, q + 1)]) if j
+                 else subset_inclusion(q - 1, q))
+            act, at = factors[i].act(g), {x: p for p, x in enumerate(simp[i][q])}
+            moves[key] = [at[act(x)] for x in simp[i][g.src]]
+        return moves[key]
+
+    def joins():
+        for (mvec, img), here in offset.items():
+            sizes = [len(simp[i][q]) for i, q in enumerate(mvec)]
+            start = 0
+            for i, q in enumerate(mvec):
+                end = start + q
+                # (source level, source image, generator j of q: 0 the inclusion, else (j j+1))
+                gens = [(q - 1, img[:end - 1] + img[end:], 0)] if q else []
+                gens += [(q, img[:p] + (img[p + 1], img[p]) + img[p + 2:], p - start + 1)
+                         for p in range(start, end - 1)]
+                for q0, src_img, j in gens:
+                    src = offset[mvec[:i] + (q0,) + mvec[i + 1:], src_img]
+                    yield _moved_pairs(src, here, prod(sizes[:i]), move(i, q, j), sizes[i],
+                                       prod(sizes[i + 1:]))
+                if symmetric and i + 1 < len(mvec):  # swap the blocks i and i + 1
+                    mid = end + mvec[i + 1]
+                    swapped = (mvec[:i] + (mvec[i + 1], q) + mvec[i + 2:],
+                               img[:start] + img[end:mid] + img[start:end] + img[mid:])
+                    a, b = sizes[i], sizes[i + 1]
+                    yield _moved_pairs(here, offset[swapped], prod(sizes[:i]),
+                                       [y * a + x for x in range(a) for y in range(b)], a * b,
+                                       prod(sizes[i + 2:]))
+                start = end
+
+    roots = least_roots(len(cells), chain.from_iterable(joins()))
+    return dict(zip(cells, map(cells.__getitem__, roots)))
+
+
+def _moved_pairs(src, dst, outer, moved, width, inner):
+    """Code pairs of a map of blocks of cells that moves their middle index:
+    the cells (o, p, r) of the block at src, in order, each with its image
+    (o, moved[p], r) in the block of middle width `width` at dst."""
+    return zip(count(src), [dst + (o * width + t) * inner + r
+                            for o in range(outer) for t in moved for r in range(inner)])
 
 
 def _box_face(factors, raw, i):
@@ -333,8 +369,7 @@ def box_multi(factors, dim_bound, based=False):
         return _box_single(factors[0], dim_bound)
     tables, canon = [], []
     for n in range(N + 1):
-        cn = [_box_classes(factors, n, dim, n).canonicalize()
-              for dim in range(dim_bound + 1)]
+        cn = [_box_classes(factors, n, dim, n) for dim in range(dim_bound + 1)]
         based_raw = None
         if based:
             xs0 = tuple(nd_ref(0, f.level(0).basepoint) for f in factors)
@@ -519,23 +554,30 @@ def _pushed_ref(push, refs, raw):
 
 def _based_quotient(X, tab):
     """Collapse the copy of the index nerve sitting under the basepoints, the
-    cells whose simplex (`_cell_point`) is one.  The raw cell of the basepoint
+    cells whose simplex (`_cell_point`) is one: on a nerve of elements, the
+    cells whose first object is a basepoint.  The raw cell of the basepoint
     is that of the last collapsed vertex."""
     if not X.is_based():
         raise ValueError("based homotopy colimit needs a based diagram")
-    sub = {}
-    for k, raws in enumerate(tab.raw_of):
-        for x, raw in enumerate(raws):
-            m, (_, base_dim, base_id) = _cell_point(tab, k, raw)
-            if base_dim == 0 and base_id == X.level(m).basepoint:
-                sub.setdefault(k, set()).add(x)
+    C = tab.cat
+    if isinstance(C, CodedI):
+        def flags(k, raws):
+            points = (_cell_point(tab, k, raw) for raw in raws)
+            return bytes(base_dim == 0 and base_id == X.level(m).basepoint
+                         for m, (_, base_dim, base_id) in points)
+    else:
+        at_bp, src = [p == X.level(m).basepoint for m, p in C.objects], C.src
+
+        def flags(k, raws):
+            objects = map(src.__getitem__, map(itemgetter(0), raws)) if k else raws
+            return bytes(map(at_bp.__getitem__, objects))
+    sub, raw_of = {}, []
+    for k, raws in enumerate(tab.raw_of):  # a byte per cell, one dimension at a time, for the peak
+        fl = flags(k, raws)
+        sub[k] = set(compress(count(), fl))
+        raw_of.append(list(compress(raws, map(not_, fl))))
     Q, push = quotient(tab.sset, sub)
-    raw_of = [[None] * n for n in Q.card]
-    for k, raws in enumerate(tab.raw_of):
-        for x, raw in enumerate(raws):
-            degs, _, y = push(nd_ref(k, x))
-            if not degs:
-                raw_of[k][y] = raw
+    raw_of[0].insert(0, tab.raw_of[0][max(sub[0])])
     return NormTable(Q, LazyDict(partial(_pushed_ref, push, tab.ref_of)), raw_of, tab.cat)
 
 
@@ -584,8 +626,7 @@ def latching(X, n, dim_bound=None):
     """
     if dim_bound is None:
         dim_bound = max((X.level(m).top_dim for m in range(n)), default=0)
-    canon = [_box_classes((X,), n, dim, n - 1).canonicalize()
-             for dim in range(dim_bound + 1)]
+    canon = [_box_classes((X,), n, dim, n - 1) for dim in range(dim_bound + 1)]
     tab = _box_table((X,), canon, dim_bound)
     table = {(k, x): X.act(Injection(m, n, a_img))(xref) for k, raws in enumerate(tab.raw_of)
              for x, ((m,), a_img, (xref,)) in enumerate(raws)}

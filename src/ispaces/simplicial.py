@@ -39,7 +39,7 @@ from functools import partial
 from itertools import combinations, count, filterfalse
 from typing import Optional
 
-from .util import DisjointSet
+from .util import least_roots
 from .zlinalg import ColumnMatrix, rank_and_torsion
 
 
@@ -521,13 +521,8 @@ def pi0(X):
 
     Returns a dict vertex -> representative (smallest vertex id in class).
     """
-    ds = DisjointSet()
-    for v in range(X.card[0]):
-        ds.add(v)
-    for e in range(X.n_nondeg(1)):
-        (_, _, a), (_, _, b) = X.face[1][e]  # d_0 and d_1 of an edge are vertices
-        ds.union(a, b)
-    return ds.canonicalize()
+    rows = (X.face[1][e] for e in range(X.n_nondeg(1)))  # d_0 and d_1 of an edge are vertices
+    return dict(enumerate(least_roots(X.card[0], ((a, b) for (_, _, a), (_, _, b) in rows))))
 
 
 def pi0_classes(X):

@@ -1,45 +1,24 @@
-"""Small shared helpers: union-find and deterministic orderings."""
+"""Small shared helpers: union-find on integer codes."""
 
 
-class DisjointSet:
-    """Union-find over arbitrary hashable elements.
+def least_roots(size, pairs):
+    """Union-find on the codes 0..size - 1: the list whose entry i is the
+    least code of the class of i in the equivalence that `pairs` generate.
 
-    Representatives are not canonical until `canonicalize` is called, which
-    re-points every class at its smallest member.
+    A union keeps the smaller root, so every parent pointer runs downwards
+    and one pass upwards resolves each code to its root (path halving;
+    Tarjan, J. ACM 22, 1975).
     """
-
-    def __init__(self):
-        self.parent = {}
-
-    def add(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
-
-    def find(self, x):
-        self.add(x)
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-    def classes(self):
-        out = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
-
-    def canonicalize(self):
-        """Return a dict element -> smallest member of its class."""
-        rep = {}
-        for members in self.classes().values():
-            members.sort()
-            for m in members:
-                rep[m] = members[0]
-        return rep
+    parent = list(range(size))
+    for a, b in pairs:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    for i, p in enumerate(parent):
+        parent[i] = parent[p]
+    return parent

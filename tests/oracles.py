@@ -357,6 +357,31 @@ def hocolim_reference(X, S, arrows_of, based):
                      [[raw_of[(k, y)] for y in range(n)] for k, n in enumerate(Q.card)])
 
 
+def based_quotient_reference(X, tab):
+    """The based quotient of a homotopy colimit of `ispace._hocolim`, the
+    reference for `ispace._based_quotient`: on either path every cell's
+    simplex is decoded (`ispace._cell_point`), and every cell is pushed to
+    find its new id.  The raw cell of the basepoint is that of the last
+    collapsed vertex."""
+    from ispaces.ispace import _cell_point, _pushed_ref
+    from ispaces.simplicial import LazyDict, NormTable, nd_ref, quotient
+
+    sub = {}
+    for k, raws in enumerate(tab.raw_of):
+        for x, raw in enumerate(raws):
+            m, (_, base_dim, base_id) = _cell_point(tab, k, raw)
+            if base_dim == 0 and base_id == X.level(m).basepoint:
+                sub.setdefault(k, set()).add(x)
+    Q, push = quotient(tab.sset, sub)
+    raw_of = [[None] * n for n in Q.card]
+    for k, raws in enumerate(tab.raw_of):
+        for x, raw in enumerate(raws):
+            degs, _, y = push(nd_ref(k, x))
+            if not degs:
+                raw_of[k][y] = raw
+    return NormTable(Q, LazyDict(partial(_pushed_ref, push, tab.ref_of)), raw_of, tab.cat)
+
+
 def refs_by_lookup(tab, cells):
     """{raw: ref} of every raw cell of `cells`, each looked up in tab.ref_of.
     A lookup makes the refs that `simplicial.TopRefs` makes on demand, so
@@ -591,8 +616,7 @@ def decode_bar_cell(tab, k, cell):
     the table's `cat` holds."""
     if isinstance(tab.cat, tuple):
         t_raws, raws = (ch.raws[k] for ch in tab.cat)
-        c0, zs, c1 = cell
-        return (t_raws[c0], tuple(raws[z] for z in zs), t_raws[c1])
+        return (t_raws[cell[0]], tuple(raws[z] for z in cell[1:-1]), t_raws[cell[-1]])
     return tuple(tab.cat.raws[k][z] for z in cell)
 
 

@@ -8,22 +8,50 @@ The record's decoder `raw` and encoder `ref` must also be inverse to each
 other on every simplex.
 """
 
-from ispaces.cmon import _word_classes, _words, bar, c1
+from ispaces.cmon import _word_classes, _words, bar, c1, sec52_monoid
 from ispaces.icat import Injection
-from ispaces.ispace import box_multi, free_ispace, latching
+from ispaces.ispace import _box_classes, box_multi, free_ispace, latching
 from ispaces.simplicial import ref_dim
 
 from oracles import box_colimit, is_injective
 
 
 def test_box_multi_matches_oracle():
-    C = c1(3).space
-    F = free_ispace(1, 3)
-    for factors in ((C, F), (C, C, C)):
-        B = box_multi(factors, 1)
-        for n in range(4):
-            for dim in range(2):
+    """The box powers that the registry scenarios build, and a pair of two
+    different factors, through the dimensions given."""
+    C, M = c1(3).space, sec52_monoid(2).space
+    for factors, dim_bound, based in (((C, C), 3, True), ((C, C, C), 3, True),
+                                      ((M, M), 2, False), ((M,) * 3, 2, False),
+                                      ((M,) * 4, 2, False), ((C, free_ispace(1, 3)), 2, False)):
+        B = box_multi(factors, dim_bound, based=based)
+        for n in range(B.space.N + 1):
+            for dim in range(dim_bound + 1):
                 assert B.canon[n][dim] == box_colimit(factors, n, dim, n)
+
+
+def test_generators_act_once_per_factor_level(monkeypatch):
+    """Within one `_box_classes` call on the cube of c1(3), each generator's
+    action is built once and moves each simplex of a factor level once, not
+    once per decomposition object that it joins."""
+    X = c1(3).space
+    real = X.act
+    for n in range(4):
+        for dim in range(4):
+            built, moved = [], []
+
+            def act(alpha):
+                built.append(alpha)
+                f = real(alpha)
+
+                def counted(x):
+                    moved.append((alpha, x))
+                    return f(x)
+                return counted
+
+            monkeypatch.setattr(X, "act", act)
+            _box_classes((X,) * 3, n, dim, n)
+            assert bool(built) == (n > 0)
+            assert len(built) == len(set(built)) and len(moved) == len(set(moved))
 
 
 def test_bar_powers_match_oracle():

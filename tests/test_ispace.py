@@ -1,7 +1,8 @@
 import pytest
 
 from ispaces import ispace, simplicial
-from ispaces.cmon import c1
+from ispaces.cmon import c1, sec52_monoid
+from ispaces.gamma import gamma_of_monoid
 from ispaces.icat import (
     Injection,
     comma_under,
@@ -43,9 +44,10 @@ from ispaces.simplicial import (
     sphere,
 )
 
-from oracles import (codes_of, count_injections, decode_chain, decode_element_chain,
-                     hocolim_face_reference, hocolim_reference, is_injective, opposite_ref,
-                     pairing_map, product_sset, refs_by_lookup, subsets_of)
+from oracles import (based_quotient_reference, codes_of, count_injections, decode_chain,
+                     decode_element_chain, hocolim_face_reference, hocolim_reference,
+                     is_injective, opposite_ref, pairing_map, product_sset, refs_by_lookup,
+                     subsets_of)
 
 
 S0 = discrete(2, basepoint=0)
@@ -325,6 +327,40 @@ def test_based_quotient_refs_match_eager_push():
         assert dict(lazy) == eager
         with pytest.raises(KeyError):
             lazy[(0, nd_ref(1, 0))]
+
+
+QUOTIENT_CASES = {
+    "gamma-c1": lambda: gamma_of_monoid(c1(3), 3, 3),
+    "gamma-m52": lambda: gamma_of_monoid(sec52_monoid(2), 4, 2),
+    "circle-power": lambda: hocolim_I(REFERENCE_DIAGRAMS["circle-power"](True), 3, based=True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(QUOTIENT_CASES))
+def test_based_quotient_matches_reference(monkeypatch, case):
+    """Every based quotient that the case builds against the reference that
+    decodes and pushes every cell: the cells per dimension, every face row,
+    the raw cells, the basepoint and the ref of every raw cell.  The
+    gamma cases quotient nerves of elements; the circle power, chains of
+    injection codes."""
+    seen = []
+
+    def both(X, tab):
+        got = _based_quotient(X, tab)
+        seen.append((got, based_quotient_reference(X, tab), tab))
+        return got
+
+    monkeypatch.setattr(ispace, "_based_quotient", both)
+    QUOTIENT_CASES[case]()
+    assert seen
+    for got, want, unbased in seen:
+        assert (got.sset.card, got.sset.basepoint) == (want.sset.card, want.sset.basepoint)
+        assert [list(rows) for rows in got.sset.face] == [list(rows) for rows in want.sset.face]
+        assert got.raw_of == want.raw_of
+        for raw in unbased.raw_of[-1][:1]:
+            unbased.ref_of[raw]  # the top refs are made on the first lookup that misses
+        cells = list(unbased.ref_of)  # every raw cell, degenerate ones included
+        assert {raw: got.ref_of[raw] for raw in cells} == {raw: want.ref_of[raw] for raw in cells}
 
 
 def test_based_hocolim_collapses_unit_nerve():
