@@ -20,8 +20,10 @@ degenerate k-simplex is s_i y for a (k-1)-simplex y, so the images s_i y of the
 level below name all of them, and only the nondegenerate simplices are asked
 for their faces, each by one call faces_fn(k, raw) for the whole row.  Top rows
 are built when first read (`FaceRows`) and top refs on the first lookup that
-misses (`TopRefs`), so homology builds neither.  The oracle of the tests calls
-faces_fn on degenerate cells too, so a faces_fn must accept any raw cell.
+misses (`TopRefs`), so homology builds neither.  A top degree given by position,
+as a nerve's is (`Chains`), is never listed: its raw_of is a `Kept` view, and
+homology decodes only the prefix of it that SNF reads.  The oracle of the tests
+calls faces_fn on degenerate cells too, so a faces_fn must accept any raw cell.
 
 A map of simplicial sets (`SMap`) holds the image of each nondegenerate
 source simplex.  `map_from_tables` computes each image on demand, the first
@@ -33,10 +35,11 @@ Integer homology is computed from the normalized chain complex by Smith
 normal form over arbitrary-precision integers; see `zlinalg`.
 """
 
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import combinations, count, filterfalse
+from itertools import accumulate, combinations, compress, count, filterfalse, repeat
 from typing import Optional
 
 from .util import least_roots
@@ -68,6 +71,7 @@ class LazyDict(dict):
 
 
 _UNIT_WORDS = LazyDict(lambda i: (i,))  # shared: the collector untracks a ref on first sight
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 def apply_s(i, ref):
@@ -245,7 +249,8 @@ def validate_sset(X):
 # ---------------------------------------------------------------------------
 
 class FaceRows(Sequence):
-    """Face rows by id; row x is row_fn(raws[x]), built on first read and kept."""
+    """Face rows by id; row x is row_fn(raws[x]), built on first read and kept;
+    iteration reads `raws` in order, not by position."""
 
     def __init__(self, raws, row_fn):
         self.raws, self.rows, self.row_fn = raws, [None] * len(raws), row_fn
@@ -254,13 +259,48 @@ class FaceRows(Sequence):
         return len(self.rows)
 
     def __getitem__(self, x):
-        row = self.rows[x]
-        if row is None:
-            row = self.rows[x] = self.row_fn(self.raws[x])
+        return self.rows[x] or self._row(x, self.raws[x])
+
+    def __iter__(self):
+        return map(self._row, count(), self.raws)
+
+    def _row(self, x, raw):
+        row = self.rows[x] = self.rows[x] or self.row_fn(raw)
         return row
 
     def __eq__(self, other):
         return list(self) == other
+
+
+class Kept(Sequence):
+    """The items of `cells` at the positions p with mask[p] set, read as a list
+    of them: item x is at position x + (the positions skipped below it)."""
+
+    def __init__(self, cells, mask):
+        self.cells, self.mask = cells, mask
+        self.shift = [p - j for j, p in enumerate(compress(count(), mask.translate(_FLIP)))]
+        self.ids = range(len(cells) - len(self.shift))
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __getitem__(self, x):
+        x = self.ids[x]  # a list's ids: negative ones, slices, IndexError
+        if type(x) is range:
+            return [self[y] for y in x]
+        return self.cells[x + bisect_right(self.shift, x)]
+
+    def __iter__(self):
+        return compress(self.cells, self.mask)
+
+    def without(self, xs):
+        """The view with the items of the ids xs skipped as well."""
+        mask = bytearray(self.mask)
+        for x in xs:
+            mask[x + bisect_right(self.shift, x)] = 0
+        return Kept(self.cells, mask)
+
+    __eq__ = FaceRows.__eq__
 
 
 class TopRefs(dict):
@@ -275,7 +315,7 @@ class TopRefs(dict):
         raws, self.raws = self.raws, ()
         if not raws:
             raise KeyError(raw)
-        self.update({r: ((), self.dim, x) for x, r in enumerate(raws)})
+        self.update(zip(raws, zip(repeat(()), repeat(self.dim), count())))
         return self[raw]
 
 
@@ -293,42 +333,52 @@ class NormTable:
 def normalize_table(cells, faces_fn, deg_fn, top_dim, complete=False, based_raw=None):
     """Build a normal-form SSet from an explicit simplex table.
 
-    cells[k] lists ALL k-simplices (hashable, orderable, distinct within the
-    level) for k <= top_dim.  faces_fn(k, x) returns the row (d_0 x, ..., d_k x)
-    of a k-cell x, k >= 1, and deg_fn(k, x, i) the cell s_i x.  Ids are
-    assigned in the given order of `cells`, which therefore fixes the
-    canonical ids.
+    cells[k] holds ALL k-simplices (hashable, orderable, distinct within the
+    level) for k <= top_dim: a list, which one dict gives positions, or a
+    sequence with a method position(z), the position of z or None, that holds
+    no cell of a lower level (a nerve's top `Chains`).  faces_fn(k, x) returns
+    the row (d_0 x, ..., d_k x) of a k-cell x, k >= 1, and deg_fn(k, x, i) the
+    cell s_i x.  Ids are assigned in the given order of `cells`, which
+    therefore fixes the canonical ids.
 
     Degeneracies are found from below.  Before level k is read, s_i y is
-    formed for every (k-1)-cell y and every i < k, smallest i first; a k-cell
-    equal to one of them is the ref s_i(ref of y), which by Eilenberg-Zilber
-    does not depend on the choice of (i, y).  An image that is not a k-cell
-    gets no ref; a cell repeated from a lower level keeps its lower ref.
-    Every other k-cell is nondegenerate: it gets the next id, and faces_fn is
-    called on it once for its row of the face table (the reference oracle of
-    the tests calls it on degenerate cells too).  The rows of dimension
-    top_dim are `FaceRows`, built on first read, so a faces_fn must not read
-    state changed after the call returns, and the refs of its nondegenerate
-    cells are made on the first lookup that misses (`TopRefs`).
+    formed for every (k-1)-cell y and every i < k, smallest i first, and
+    looked up by position; the k-cell at the position of the first of them is
+    the ref s_i(ref of y), which by Eilenberg-Zilber does not depend on the
+    choice of (i, y).  An image that is not a k-cell gets no ref; a cell
+    repeated from a lower level keeps its lower ref.  Every other k-cell is
+    nondegenerate: it gets the next id, and faces_fn is called on it once for
+    its row of the face table (the reference oracle of the tests calls it on
+    degenerate cells too).  A level given by position is never listed: its
+    raw_of is the `Kept` view of the positions not skipped.  The rows of
+    dimension top_dim are `FaceRows`, built on first read, so a faces_fn must
+    not read state changed after the call returns, and the refs of its
+    nondegenerate cells are made on the first lookup that misses (`TopRefs`).
     """
     ref_of, raw_of, face = TopRefs(top_dim), [], [[]]
 
     def row(k, raw):
         return tuple(map(ref_of.__getitem__, faces_fn(k, raw)))
 
-    for k in range(top_dim + 1):
-        below = {}  # s_i y -> its ref, for the (k-1)-cells y
+    for k, level in enumerate(cells[:top_dim + 1]):
+        kept, position = bytearray(b"\1") * len(level), getattr(level, "position", None)
+        listed = position is None
+        if listed:  # one dict of positions, which also finds the lower cells in it
+            pos = dict(zip(level, count()))
+            position = pos.get
+            for z in pos.keys() & ref_of.keys():
+                kept[pos[z]] = 0
         for i in range(k):
             for y in cells[k - 1]:
                 z = deg_fn(k - 1, y, i)
-                if z not in below:
-                    below[z] = apply_s(i, ref_of[y])
-        degenerate = below.keys() & cells[k]
-        ref_of.update({z: ref for z, ref in below.items() if z in degenerate and z not in ref_of})
-        raws = list(filterfalse(ref_of.__contains__, cells[k]))
+                p = position(z)
+                if p is not None and kept[p]:
+                    kept[p] = 0
+                    ref_of[z] = apply_s(i, ref_of[y])
+        raws = list(compress(level, kept)) if listed or k < top_dim else Kept(level, kept)
         raw_of.append(raws)
         if k < top_dim:
-            ref_of.update({raw: ((), k, x) for x, raw in enumerate(raws)})
+            ref_of.update(zip(raws, zip(repeat(()), repeat(k), count())))
         if k:
             face.append(FaceRows(raws, partial(row, k)) if k == top_dim
                         else [row(k, raw) for raw in raws])
@@ -436,11 +486,11 @@ def quotient(X, sub):
         raise ValueError("quotient by an empty subcomplex has no basepoint")
     if not subcomplex_closed(X, sub):
         raise ValueError("subcomplex is not closed under faces")
-    newid, card = [], []  # newid[k][x]: the new id of the k-simplex x, None inside sub
-    for k in range(X.top_dim + 1):
-        kept, inside = count(1 if k == 0 else 0), sub.get(k, ())
-        newid.append([None if x in inside else next(kept) for x in range(X.card[k])])
-        card.append(next(kept))
+    kept = [list(filterfalse(sub.get(k, ()).__contains__, range(n))) for k, n in enumerate(X.card)]
+    newid = [[None] * n for n in X.card]  # newid[k][x]: x's new id, None inside sub
+    for k, xs in enumerate(kept):
+        for y, x in enumerate(xs, k == 0):  # vertex 0 is the basepoint
+            newid[k][x] = y
 
     def push(ref):
         degs, base_dim, base_id = ref
@@ -455,15 +505,48 @@ def quotient(X, sub):
 
     face = [[]]
     for k in range(1, X.top_dim + 1):  # the top rows are pushed when read, as they are in X
-        kept = [x for x, y in enumerate(newid[k]) if y is not None]
-        face.append(FaceRows(kept, partial(pushed, X.face[k])) if k == X.top_dim
-                    else [pushed(X.face[k], x) for x in kept])
-    return SSet(tuple(card), tuple(face), complete=X.complete, basepoint=0), push
+        face.append(FaceRows(kept[k], partial(pushed, X.face[k])) if k == X.top_dim
+                    else [pushed(X.face[k], x) for x in kept[k]])
+    card = tuple(len(xs) + (k == 0) for k, xs in enumerate(kept))
+    return SSet(card, tuple(face), complete=X.complete, basepoint=0), push
 
 
 # ---------------------------------------------------------------------------
 # Nerves of finite categories.
 # ---------------------------------------------------------------------------
+
+class Chains(Sequence):
+    """The chains p + (f,) for p in `prefixes` and f in its list of `ext`, in
+    that order, by position and none of them stored: prefixes[q] + (ext[q][r],)
+    is at position off[q] + r.  An f has one index (`rank`) in every list that
+    holds it."""
+
+    def __init__(self, prefixes, ext):
+        self.prefixes, self.ext, self.index = prefixes, ext, dict(zip(prefixes, count()))
+        self.off = list(accumulate(map(len, ext), initial=0))
+        self.rank = {f: r for e in {id(e): e for e in ext}.values() for r, f in enumerate(e)}
+        self.ids = range(self.off[-1])
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        i = self.ids[i]
+        q = bisect_right(self.off, i) - 1
+        return self.prefixes[q] + (self.ext[q][i - self.off[q]],)
+
+    def __iter__(self):
+        return (p + (f,) for p, e in zip(self.prefixes, self.ext) for f in e)
+
+    def position(self, z):
+        """The position of the chain z, or None when z is not one."""
+        try:
+            q, f = self.index[z[:-1]], z[-1]
+            r, e = self.rank[f], self.ext[q]
+        except (KeyError, TypeError, IndexError):
+            return None
+        return self.off[q] + r if r < len(e) and e[r] == f else None
+
 
 def nerve(C, D):
     """Nerve of a finite category, truncated at dimension D.
@@ -472,20 +555,21 @@ def nerve(C, D):
     degeneracies.  C is an `icat.CodedCategory`, a category by construction,
     and nothing here checks it.  A raw vertex is an object code and a raw
     k-chain the tuple of its morphism codes; the chains are enumerated in
-    code order, which fixes the ids.  The result is marked complete when no
-    nondegenerate D-chain exists (all longer chains are then degenerate as
-    well), and its `cat` is C.
+    code order, which fixes the ids; the D-chains are `Chains`, decoded by
+    position when read.  The result is marked complete when no nondegenerate
+    D-chain exists (all longer chains are then degenerate as well), and its
+    `cat` is C.
     """
     src, dst, ident, after = C.src, C.dst, C.ident, C.after
     out_of = [[f for f in range(len(src)) if src[f] == j] for j in range(len(ident))]
     cells = [list(range(len(ident)))]
-    level = [()]
-    for k in range(1, D + 1):
-        if k == 1:
-            level = [(f,) for f in range(len(src))]
-        else:
-            level = [chain + (f,) for chain in level for f in out_of[dst[chain[-1]]]]
+    level, ext = [()], [range(len(src))]  # the (k-1)-chains, and the morphisms that follow each
+    for k in range(1, D):
+        level = [ch + (f,) for ch, e in zip(level, ext) for f in e]
+        ext = [out_of[dst[ch[-1]]] for ch in level]
         cells.append(level)
+    if D:
+        cells.append(Chains(level, ext))
 
     def faces_fn(k, ch):
         if k == 1:

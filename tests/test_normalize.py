@@ -222,10 +222,31 @@ def test_refs_of_images_outside_the_cells_and_of_repeated_cells(top_dim):
     top dimension and below it, and a cell repeated from a lower level keeps
     the lower level's ref, as `_box_table`'s empty product ((), (), ()) does
     in dimensions 0 and 1.  Cells are distinct within a level."""
+    _assert_edge_table_refs(top_dim, by_position=False)
+
+
+class _ByPosition(list):
+    """A level given by position, as a nerve's top `simplicial.Chains` is."""
+
+    def position(self, z):
+        return self.index(z) if z in self else None
+
+
+def test_a_top_by_position_gives_images_outside_it_no_ref():
+    """The same table with its top level given by position, which holds no
+    cell of a lower level: its images are looked up by position, none is a
+    cell, and the top is read through a `simplicial.Kept` view."""
+    _assert_edge_table_refs(2, by_position=True)
+
+
+def _assert_edge_table_refs(top_dim, by_position):
     cells, faces_fn, deg_fn = _edge_table(top_dim)
+    if by_position:
+        cells[top_dim] = _ByPosition(cells[top_dim])
     tab = simplicial.normalize_table(cells, faces_fn, deg_fn, top_dim)
     want = normalize_reference(cells, faces_fn, deg_fn, top_dim).ref_of
-    assert tab.raw_of[1] == [("e",)]
+    assert isinstance(tab.raw_of[top_dim], simplicial.Kept) == by_position
+    assert tab.raw_of[1:] == [[("e",)], [("f",)]][:top_dim]
     assert refs_by_lookup(tab, cells) == dict(tab.ref_of) == want
     assert tab.ref_of["x"] == simplicial.nd_ref(0, 1)
     assert tab.ref_of[("s", 0, 0)] == ((0,), 0, 0)

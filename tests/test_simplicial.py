@@ -1,3 +1,4 @@
+import bisect
 import gc
 import platform
 from functools import partial
@@ -35,7 +36,8 @@ from ispaces.simplicial import (
 from ispaces.icat import FinCategory, coded_injections, comma_under
 from oracles import (chain_boundary_reference, comma_under_fincategory, cyclic_group_category,
                      entries, map_table_reference, nerve_reference, normalize_pair_ref,
-                     pairing_map, product_sset, rational_rank, truncated_fincategory)
+                     normalize_reference, pairing_map, product_sset, rational_rank,
+                     truncated_fincategory)
 
 
 def test_point_and_empty():
@@ -474,3 +476,143 @@ def test_homology_reads_only_a_prefix_of_the_top_degree():
     assert homology(counted, 2).groups == homology(X, 2).groups
     assert len(rows) == 898
     assert 0 < rows.read <= len(rows) // 4
+
+
+def _recorded_nerve(monkeypatch, C, D):
+    """nerve(C, D) and the arguments of the one normalize_table call it makes."""
+    import ispaces.simplicial as simplicial
+
+    real, calls = simplicial.normalize_table, []
+    monkeypatch.setattr(simplicial, "normalize_table",
+                        lambda *args: calls.append(args) or real(*args))
+    tab = nerve(C, D)
+    monkeypatch.undo()
+    (args,) = calls
+    return tab, args
+
+
+def _random_poset(seed, n, p=0.4):
+    """A random poset on range(n) (the transitive closure of i < j edges
+    drawn with probability p), coded: a morphism (a, b) for each a <= b."""
+    import random
+
+    from ispaces.icat import coded_category
+
+    rng = random.Random(seed)
+    below = [{a} for a in range(n)]
+    for b in range(n):
+        for a in range(b):
+            if rng.random() < p:
+                below[b] |= below[a]
+    return coded_category(list(range(n)), sorted((a, b) for b in range(n) for a in below[b]),
+                          lambda f: f, lambda o: (o, o), lambda g, f: (f[0], g[1]))
+
+
+def _oracle_categories():
+    """name -> coded category: comma_under(n, N) for n <= N <= 3, the
+    categories of elements of every registry diagram of sets at truncation
+    N <= 3 over all injections and over 0 < 1 < ... < N, and random posets
+    (seeds 0-5 on 5-8 elements, edge probability 0.4)."""
+    from ispaces.cli import _models_at
+    from ispaces.icat import injections, subset_inclusion
+    from ispaces.ispace import _elements
+    from ispaces.scenarios import MONOID_MODELS, build_ispace
+    from oracles import codes_of
+
+    cats = {f"under-{n}-{N}": comma_under(n, N) for N in range(4) for n in range(N + 1)}
+    for N in range(1, 4):
+        for m in MONOID_MODELS + tuple(_models_at(N)):
+            X = build_ispace(m, N)
+            if not any(c for L in X.levels for c in L.card[1:]):
+                cats[f"elements-{m}-{N}"] = _elements(X, range(len(injections(N))))
+                cats[f"elements-N-{m}-{N}"] = _elements(
+                    X, codes_of(N, lambda a, b: [subset_inclusion(a, b)]))
+    cats.update({f"poset-{seed}": _random_poset(seed, 5 + seed % 4) for seed in range(6)})
+    return cats
+
+
+def test_positional_top_matches_reference_on_full_cell_lists(monkeypatch):
+    """The nerve with its top degree by position (`simplicial.Chains`) equals
+    `normalize_reference` run on its cells as fully built lists: cards, the
+    raw cells of every id, every face row, and the ref of every raw cell,
+    looked up one by one.  Each category is cut at D = 1, 2 and 3, and the
+    posets at D = 4 as well."""
+    cats = _oracle_categories()
+    assert len(cats) == 70
+    for name, C in cats.items():
+        for D in (1, 2, 3, 4) if name.startswith("poset") else (1, 2, 3):
+            _assert_nerve_matches_reference(monkeypatch, f"{name}-D{D}", C, D)
+
+
+def _assert_nerve_matches_reference(monkeypatch, name, C, D):
+    tab, (cells, faces_fn, deg_fn, _) = _recorded_nerve(monkeypatch, C, D)
+    assert type(cells[D]) is not list, name
+    full = [list(level) for level in cells]
+    assert len(full[D]) == len(cells[D]), name
+    want = normalize_reference(full, faces_fn, deg_fn, D)
+    assert tab.sset.card == want.sset.card, name
+    top, fresh = tab.raw_of[D], nerve(C, D)  # read by id, backwards, then in order
+    ids = range(len(top) - 1, -1, -1)
+    assert [top[x] for x in ids] == [want.raw_of[D][x] for x in ids], name
+    assert [fresh.sset.face[D][x] for x in ids] == [want.sset.face[D][x] for x in ids], name
+    assert top[-1:] + top[::3] == want.raw_of[D][-1:] + want.raw_of[D][::3], name
+    assert [list(raws) for raws in tab.raw_of] == want.raw_of, name
+    assert [list(rows) for rows in tab.sset.face] == list(want.sset.face), name
+    assert {raw: tab.ref_of[raw] for level in full for raw in level} == want.ref_of, name
+
+
+def test_trunc_4_nerve_counts_its_top_and_decodes_only_what_snf_reads(monkeypatch):
+    """nerve(comma_under(1, 4), 3) hands normalize_table a top degree whose
+    length, 141,128 with the degenerate chains, is the number of composable
+    3-chains counted apart from it (the entries of M^3, M[a][b] the number of
+    morphisms a -> b), and which `simplicial.raw_cells` counts.  Homology
+    decodes only the positions up to the last top row that SNF reads, and no
+    list or set of top chains is made on the way."""
+    import types
+
+    import ispaces.simplicial as simplicial
+
+    C = comma_under(1, 4)
+    n = len(C.ident)
+    M = [[0] * n for _ in range(n)]
+    for a, b in zip(C.src, C.dst):
+        M[a][b] += 1
+    paths = [row[:] for row in M]
+    for _ in range(2):
+        paths = [[sum(paths[a][c] * M[c][b] for c in range(n)) for b in range(n)]
+                 for a in range(n)]
+    tab, (cells, *_) = _recorded_nerve(monkeypatch, C, 3)
+    assert len(cells[3]) == sum(map(sum, paths)) == 141128
+    top = tab.raw_of[3]
+    assert top.cells is cells[3] and len(top) == tab.sset.card[3] == 124354
+
+    decoded = []
+    chains_iter, chains_item = simplicial.Chains.__iter__, simplicial.Chains.__getitem__
+    monkeypatch.setattr(simplicial.Chains, "__iter__",
+                        lambda self: (decoded.append(z) or z for z in chains_iter(self)))
+    monkeypatch.setattr(simplicial.Chains, "__getitem__",
+                        lambda self, i: decoded.append(i) or chains_item(self, i))
+    assert reduced_homology_trivial(tab.sset, 2)
+    built = sum(row is not None for row in tab.sset.face[3].rows)
+    assert 0 < built <= 5146
+    last = built - 1 + bisect.bisect_right(top.shift, built - 1)  # position of the last row read
+    assert len(decoded) == last + 1 < len(cells[3]) // 20
+
+    seen, stack, containers = set(), [tab], []
+    while stack:  # everything the table holds, through closures but not module globals
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (list, set, frozenset)):
+            containers.append(obj)
+        if isinstance(obj, types.FunctionType):
+            stack += [cell.cell_contents for cell in obj.__closure__ or ()]
+        elif isinstance(obj, (list, tuple, set, frozenset, dict)) or hasattr(obj, "__dict__"):
+            stack += gc.get_referents(obj)
+    assert len(containers) > 10
+
+    def is_chain(z):
+        return type(z) is tuple and len(z) == 3 and all(type(f) is int for f in z)
+
+    assert not any(is_chain(z) for obj in containers for z in obj)
