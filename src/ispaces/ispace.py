@@ -575,8 +575,7 @@ def _based_quotient(X, tab):
     for k, raws in enumerate(tab.raw_of):  # a byte per cell, one dimension at a time, for the peak
         fl = flags(k, raws)
         sub[k] = set(compress(count(), fl))
-        raw_of.append(list(compress(raws, map(not_, fl))) if isinstance(raws, list)
-                      else raws.without(sub[k]))  # a top by position stays a view
+        raw_of.append(list(compress(raws, map(not_, fl))))
     Q, push = quotient(tab.sset, sub)
     raw_of[0].insert(0, tab.raw_of[0][max(sub[0])])
     return NormTable(Q, LazyDict(partial(_pushed_ref, push, tab.ref_of)), raw_of, tab.cat)

@@ -20,10 +20,9 @@ degenerate k-simplex is s_i y for a (k-1)-simplex y, so the images s_i y of the
 level below name all of them, and only the nondegenerate simplices are asked
 for their faces, each by one call faces_fn(k, raw) for the whole row.  Top rows
 are built when first read (`FaceRows`) and top refs on the first lookup that
-misses (`TopRefs`), so homology builds neither.  A top degree given by position,
-as a nerve's is (`Chains`), is never listed: its raw_of is a `Kept` view, and
-homology decodes only the prefix of it that SNF reads.  The oracle of the tests
-calls faces_fn on degenerate cells too, so a faces_fn must accept any raw cell.
+misses (`TopRefs`), so homology builds neither.  A nerve's top degree is given
+by position (`Chains`) and read through a `Kept` view, so homology decodes only
+the prefix that SNF reads.
 
 A map of simplicial sets (`SMap`) holds the image of each nondegenerate
 source simplex.  `map_from_tables` computes each image on demand, the first
@@ -71,7 +70,6 @@ class LazyDict(dict):
 
 
 _UNIT_WORDS = LazyDict(lambda i: (i,))  # shared: the collector untracks a ref on first sight
-_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 def apply_s(i, ref):
@@ -249,8 +247,7 @@ def validate_sset(X):
 # ---------------------------------------------------------------------------
 
 class FaceRows(Sequence):
-    """Face rows by id; row x is row_fn(raws[x]), built on first read and kept;
-    iteration reads `raws` in order, not by position."""
+    """Face rows by id; row x is row_fn(raws[x]), built on first read and kept."""
 
     def __init__(self, raws, row_fn):
         self.raws, self.rows, self.row_fn = raws, [None] * len(raws), row_fn
@@ -261,7 +258,7 @@ class FaceRows(Sequence):
     def __getitem__(self, x):
         return self.rows[x] or self._row(x, self.raws[x])
 
-    def __iter__(self):
+    def __iter__(self):  # reads raws in order, not each by id
         return map(self._row, count(), self.raws)
 
     def _row(self, x, raw):
@@ -278,27 +275,20 @@ class Kept(Sequence):
 
     def __init__(self, cells, mask):
         self.cells, self.mask = cells, mask
-        self.shift = [p - j for j, p in enumerate(compress(count(), mask.translate(_FLIP)))]
-        self.ids = range(len(cells) - len(self.shift))
+        skipped = compress(count(), mask.translate(bytes.maketrans(b"\0\1", b"\1\0")))
+        self.shift = [p - j for j, p in enumerate(skipped)]
 
     def __len__(self):
-        return len(self.ids)
+        return len(self.cells) - len(self.shift)
 
     def __getitem__(self, x):
-        x = self.ids[x]  # a list's ids: negative ones, slices, IndexError
+        x = range(len(self))[x]  # a list's ids: negative ones, slices, IndexError
         if type(x) is range:
             return [self[y] for y in x]
         return self.cells[x + bisect_right(self.shift, x)]
 
     def __iter__(self):
         return compress(self.cells, self.mask)
-
-    def without(self, xs):
-        """The view with the items of the ids xs skipped as well."""
-        mask = bytearray(self.mask)
-        for x in xs:
-            mask[x + bisect_right(self.shift, x)] = 0
-        return Kept(self.cells, mask)
 
     __eq__ = FaceRows.__eq__
 
@@ -334,25 +324,23 @@ def normalize_table(cells, faces_fn, deg_fn, top_dim, complete=False, based_raw=
     """Build a normal-form SSet from an explicit simplex table.
 
     cells[k] holds ALL k-simplices (hashable, orderable, distinct within the
-    level) for k <= top_dim: a list, which one dict gives positions, or a
-    sequence with a method position(z), the position of z or None, that holds
-    no cell of a lower level (a nerve's top `Chains`).  faces_fn(k, x) returns
-    the row (d_0 x, ..., d_k x) of a k-cell x, k >= 1, and deg_fn(k, x, i) the
+    level) for k <= top_dim: a list, or a sequence with a method position(z),
+    the position of z or None, that holds no cell of a lower level (a nerve's
+    top `Chains`), whose raw_of is a `Kept` view.  faces_fn(k, x) returns the
+    row (d_0 x, ..., d_k x) of a k-cell x, k >= 1, and deg_fn(k, x, i) the
     cell s_i x.  Ids are assigned in the given order of `cells`, which
     therefore fixes the canonical ids.
 
     Degeneracies are found from below.  Before level k is read, s_i y is
-    formed for every (k-1)-cell y and every i < k, smallest i first, and
-    looked up by position; the k-cell at the position of the first of them is
-    the ref s_i(ref of y), which by Eilenberg-Zilber does not depend on the
-    choice of (i, y).  An image that is not a k-cell gets no ref; a cell
-    repeated from a lower level keeps its lower ref.  Every other k-cell is
-    nondegenerate: it gets the next id, and faces_fn is called on it once for
-    its row of the face table (the reference oracle of the tests calls it on
-    degenerate cells too).  A level given by position is never listed: its
-    raw_of is the `Kept` view of the positions not skipped.  The rows of
-    dimension top_dim are `FaceRows`, built on first read, so a faces_fn must
-    not read state changed after the call returns, and the refs of its
+    formed for every (k-1)-cell y and every i < k, smallest i first; the
+    k-cell at the position of the first of them is the ref s_i(ref of y),
+    which by Eilenberg-Zilber does not depend on the choice of (i, y).  An
+    image that is not a k-cell gets no ref; a cell repeated from a lower level
+    keeps its lower ref.  Every other k-cell is nondegenerate: it gets the
+    next id, and faces_fn is called on it once for its row of the face table
+    (the reference oracle of the tests calls it on any raw cell).  The rows
+    of dimension top_dim are `FaceRows`, built on first read, so a faces_fn
+    must not read state changed after the call returns, and the refs of its
     nondegenerate cells are made on the first lookup that misses (`TopRefs`).
     """
     ref_of, raw_of, face = TopRefs(top_dim), [], [[]]
@@ -362,8 +350,7 @@ def normalize_table(cells, faces_fn, deg_fn, top_dim, complete=False, based_raw=
 
     for k, level in enumerate(cells[:top_dim + 1]):
         kept, position = bytearray(b"\1") * len(level), getattr(level, "position", None)
-        listed = position is None
-        if listed:  # one dict of positions, which also finds the lower cells in it
+        if position is None:  # a list: one dict of positions, which also finds its lower cells
             pos = dict(zip(level, count()))
             position = pos.get
             for z in pos.keys() & ref_of.keys():
@@ -375,7 +362,7 @@ def normalize_table(cells, faces_fn, deg_fn, top_dim, complete=False, based_raw=
                 if p is not None and kept[p]:
                     kept[p] = 0
                     ref_of[z] = apply_s(i, ref_of[y])
-        raws = list(compress(level, kept)) if listed or k < top_dim else Kept(level, kept)
+        raws = Kept(level, kept) if hasattr(level, "position") else list(compress(level, kept))
         raw_of.append(raws)
         if k < top_dim:
             ref_of.update(zip(raws, zip(repeat(()), repeat(k), count())))
@@ -525,13 +512,12 @@ class Chains(Sequence):
         self.prefixes, self.ext, self.index = prefixes, ext, dict(zip(prefixes, count()))
         self.off = list(accumulate(map(len, ext), initial=0))
         self.rank = {f: r for e in {id(e): e for e in ext}.values() for r, f in enumerate(e)}
-        self.ids = range(self.off[-1])
 
     def __len__(self):
-        return len(self.ids)
+        return self.off[-1]
 
     def __getitem__(self, i):
-        i = self.ids[i]
+        i = range(self.off[-1])[i]
         q = bisect_right(self.off, i) - 1
         return self.prefixes[q] + (self.ext[q][i - self.off[q]],)
 

@@ -551,10 +551,11 @@ def _assert_nerve_matches_reference(monkeypatch, name, C, D):
     assert len(full[D]) == len(cells[D]), name
     want = normalize_reference(full, faces_fn, deg_fn, D)
     assert tab.sset.card == want.sset.card, name
-    top, fresh = tab.raw_of[D], nerve(C, D)  # read by id, backwards, then in order
+    top, fresh = tab.raw_of[D], nerve(C, D)  # by id, backwards, by negative id and slice, in order
     ids = range(len(top) - 1, -1, -1)
     assert [top[x] for x in ids] == [want.raw_of[D][x] for x in ids], name
     assert [fresh.sset.face[D][x] for x in ids] == [want.sset.face[D][x] for x in ids], name
+    assert [top[x] for x in range(-len(top), 0)] == want.raw_of[D], name
     assert top[-1:] + top[::3] == want.raw_of[D][-1:] + want.raw_of[D][::3], name
     assert [list(raws) for raws in tab.raw_of] == want.raw_of, name
     assert [list(rows) for rows in tab.sset.face] == list(want.sset.face), name
