@@ -13,7 +13,7 @@ and the semistability diagnostic.
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, compress, count, product as iproduct
+from itertools import chain, compress, count, product as iproduct, repeat, starmap
 from math import prod
 from operator import itemgetter, not_
 from typing import Callable, Optional
@@ -22,9 +22,11 @@ from . import icat
 from .icat import (CodedI, Injection, coded_category, coded_injections, compose, concat,
                    identity, injections, subset_inclusion)
 from .simplicial import (
+    Kept,
     LazyDict,
     NormTable,
     SMap,
+    _quotient,
     apply_s,
     discrete,
     identity_map,
@@ -34,7 +36,7 @@ from .simplicial import (
     nerve,
     normalize_table,
     pi0,
-    quotient,
+    subcomplex_closed,
     validate_sset,
 )
 from .util import least_roots
@@ -554,9 +556,9 @@ def _pushed_ref(push, refs, raw):
 
 def _based_quotient(X, tab):
     """Collapse the copy of the index nerve sitting under the basepoints, the
-    cells whose simplex (`_cell_point`) is one: on a nerve of elements, the
-    cells whose first object is a basepoint.  The raw cell of the basepoint
-    is that of the last collapsed vertex."""
+    cells whose simplex (`_cell_point`) is one: on a nerve of elements, the cells whose first
+    object is a basepoint.  They are closed under faces once their edges are (every morphism
+    out of a basepoint object ends at one).  The basepoint is the last collapsed vertex."""
     if not X.is_based():
         raise ValueError("based homotopy colimit needs a based diagram")
     C = tab.cat
@@ -569,6 +571,10 @@ def _based_quotient(X, tab):
         at_bp, src = [p == X.level(m).basepoint for m, p in C.objects], C.src
 
         def flags(k, raws):
+            if k > 1 and isinstance(raws, Kept):  # a nerve's top: one flag per prefix block
+                ch = raws.cells
+                blocks = ((at_bp[src[p[0]]], len(e)) for p, e in zip(ch.prefixes, ch.ext))
+                return bytes(compress(chain.from_iterable(starmap(repeat, blocks)), raws.mask))
             objects = map(src.__getitem__, map(itemgetter(0), raws)) if k else raws
             return bytes(map(at_bp.__getitem__, objects))
     sub, raw_of = {}, []
@@ -576,7 +582,9 @@ def _based_quotient(X, tab):
         fl = flags(k, raws)
         sub[k] = set(compress(count(), fl))
         raw_of.append(list(compress(raws, map(not_, fl))))
-    Q, push = quotient(tab.sset, sub)
+    if not subcomplex_closed(tab.sset, {k: sub[k] for k in sub if k < 2}):
+        raise ValueError("the diagram moves a basepoint off the basepoints")
+    Q, push = _quotient(tab.sset, sub)
     raw_of[0].insert(0, tab.raw_of[0][max(sub[0])])
     return NormTable(Q, LazyDict(partial(_pushed_ref, push, tab.ref_of)), raw_of, tab.cat)
 

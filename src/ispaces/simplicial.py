@@ -21,8 +21,8 @@ level below name all of them, and only the nondegenerate simplices are asked
 for their faces, each by one call faces_fn(k, raw) for the whole row.  Top rows
 are built when first read (`FaceRows`) and top refs on the first lookup that
 misses (`TopRefs`), so homology builds neither.  A nerve's top degree is given
-by position (`Chains`) and read through a `Kept` view, so homology decodes only
-the prefix that SNF reads.
+by position (`Chains`), with its own degeneracies, and read through a `Kept`
+view, so homology decodes only the prefix that SNF reads.
 
 A map of simplicial sets (`SMap`) holds the image of each nondegenerate
 source simplex.  `map_from_tables` computes each image on demand, the first
@@ -299,9 +299,11 @@ class TopRefs(dict):
 
     def __init__(self, dim):
         super().__init__()
-        self.dim, self.raws = dim, ()
+        self.dim, self.raws, self.degenerate_ref = dim, (), None
 
     def __missing__(self, raw):
+        if self.degenerate_ref and (ref := self.degenerate_ref(self, raw)):  # of a `Chains` top
+            return self.setdefault(raw, ref)
         raws, self.raws = self.raws, ()
         if not raws:
             raise KeyError(raw)
@@ -324,24 +326,22 @@ def normalize_table(cells, faces_fn, deg_fn, top_dim, complete=False, based_raw=
     """Build a normal-form SSet from an explicit simplex table.
 
     cells[k] holds ALL k-simplices (hashable, orderable, distinct within the
-    level) for k <= top_dim: a list, or a sequence with a method position(z),
-    the position of z or None, that holds no cell of a lower level (a nerve's
-    top `Chains`), whose raw_of is a `Kept` view.  faces_fn(k, x) returns the
-    row (d_0 x, ..., d_k x) of a k-cell x, k >= 1, and deg_fn(k, x, i) the
-    cell s_i x.  Ids are assigned in the given order of `cells`, which
-    therefore fixes the canonical ids.
+    level) for k <= top_dim: a list, or at the top a nerve's `Chains`, which
+    gives its own degeneracies and whose raw_of is a `Kept` view.  faces_fn(k, x)
+    returns the row (d_0 x, ..., d_k x) of a k-cell x, k >= 1, and deg_fn(k, x, i)
+    the cell s_i x.  Ids follow the order of `cells`, which fixes them.
 
-    Degeneracies are found from below.  Before level k is read, s_i y is
-    formed for every (k-1)-cell y and every i < k, smallest i first; the
-    k-cell at the position of the first of them is the ref s_i(ref of y),
-    which by Eilenberg-Zilber does not depend on the choice of (i, y).  An
-    image that is not a k-cell gets no ref; a cell repeated from a lower level
-    keeps its lower ref.  Every other k-cell is nondegenerate: it gets the
-    next id, and faces_fn is called on it once for its row of the face table
-    (the reference oracle of the tests calls it on any raw cell).  The rows
-    of dimension top_dim are `FaceRows`, built on first read, so a faces_fn
-    must not read state changed after the call returns, and the refs of its
-    nondegenerate cells are made on the first lookup that misses (`TopRefs`).
+    Degeneracies of a list are found from below.  Before level k is read, s_i y
+    is formed for every (k-1)-cell y and every i < k, smallest i first; the
+    k-cell equal to the first of them is the ref s_i(ref of y), which by
+    Eilenberg-Zilber does not depend on the choice of (i, y).  An image that
+    is not a k-cell gets no ref; a cell repeated from a lower level keeps its
+    lower ref.  Every other k-cell is nondegenerate: it gets the next id, and
+    faces_fn is called on it once for its row of the face table (the
+    reference oracle of the tests calls it on any raw cell).  The rows of
+    dimension top_dim are `FaceRows`, built on first read, so a faces_fn must
+    not read state changed after the call returns, and the top refs are made
+    on the first lookup that misses (`TopRefs`).
     """
     ref_of, raw_of, face = TopRefs(top_dim), [], [[]]
 
@@ -349,27 +349,27 @@ def normalize_table(cells, faces_fn, deg_fn, top_dim, complete=False, based_raw=
         return tuple(map(ref_of.__getitem__, faces_fn(k, raw)))
 
     for k, level in enumerate(cells[:top_dim + 1]):
-        kept, position = bytearray(b"\1") * len(level), getattr(level, "position", None)
-        if position is None:  # a list: one dict of positions, which also finds its lower cells
-            pos = dict(zip(level, count()))
-            position = pos.get
+        if hasattr(level, "degenerate_ref"):
+            raws = Kept(level, level.nondegenerate(ref_of))
+        else:  # one dict of positions, which also finds the cells of lower levels
+            kept, pos = bytearray(b"\1") * len(level), dict(zip(level, count()))
             for z in pos.keys() & ref_of.keys():
                 kept[pos[z]] = 0
-        for i in range(k):
-            for y in cells[k - 1]:
-                z = deg_fn(k - 1, y, i)
-                p = position(z)
-                if p is not None and kept[p]:
-                    kept[p] = 0
-                    ref_of[z] = apply_s(i, ref_of[y])
-        raws = Kept(level, kept) if hasattr(level, "position") else list(compress(level, kept))
+            for i in range(k):
+                for y in cells[k - 1]:
+                    z = deg_fn(k - 1, y, i)
+                    p = pos.get(z)
+                    if p is not None and kept[p]:
+                        kept[p] = 0
+                        ref_of[z] = apply_s(i, ref_of[y])
+            raws = list(compress(level, kept))
         raw_of.append(raws)
         if k < top_dim:
             ref_of.update(zip(raws, zip(repeat(()), repeat(k), count())))
         if k:
             face.append(FaceRows(raws, partial(row, k)) if k == top_dim
                         else [row(k, raw) for raw in raws])
-    ref_of.raws = raws
+    ref_of.raws, ref_of.degenerate_ref = raws, getattr(level, "degenerate_ref", None)
     bp = None
     if based_raw is not None:
         r = ref_of[based_raw]
@@ -473,6 +473,10 @@ def quotient(X, sub):
         raise ValueError("quotient by an empty subcomplex has no basepoint")
     if not subcomplex_closed(X, sub):
         raise ValueError("subcomplex is not closed under faces")
+    return _quotient(X, sub)
+
+
+def _quotient(X, sub):  # the body of `quotient`, for a `sub` known to be closed
     kept = [list(filterfalse(sub.get(k, ()).__contains__, range(n))) for k, n in enumerate(X.card)]
     newid = [[None] * n for n in X.card]  # newid[k][x]: x's new id, None inside sub
     for k, xs in enumerate(kept):
@@ -503,13 +507,13 @@ def quotient(X, sub):
 # ---------------------------------------------------------------------------
 
 class Chains(Sequence):
-    """The chains p + (f,) for p in `prefixes` and f in its list of `ext`, in
-    that order, by position and none of them stored: prefixes[q] + (ext[q][r],)
-    is at position off[q] + r.  An f has one index (`rank`) in every list that
-    holds it."""
+    """The chains p + (f,) of C for p in `prefixes` and f in its list of `ext`,
+    in that order, by position and none stored: prefixes[q] + (ext[q][r],) is
+    at off[q] + r; f has one index (`rank`) in every list that holds it.  A
+    chain is degenerate exactly when it holds an identity (`degenerate_ref`)."""
 
-    def __init__(self, prefixes, ext):
-        self.prefixes, self.ext, self.index = prefixes, ext, dict(zip(prefixes, count()))
+    def __init__(self, prefixes, ext, C):
+        self.prefixes, self.ext, self.C = prefixes, ext, C
         self.off = list(accumulate(map(len, ext), initial=0))
         self.rank = {f: r for e in {id(e): e for e in ext}.values() for r, f in enumerate(e)}
 
@@ -524,14 +528,28 @@ class Chains(Sequence):
     def __iter__(self):
         return (p + (f,) for p, e in zip(self.prefixes, self.ext) for f in e)
 
-    def position(self, z):
-        """The position of the chain z, or None when z is not one."""
-        try:
-            q, f = self.index[z[:-1]], z[-1]
-            r, e = self.rank[f], self.ext[q]
-        except (KeyError, TypeError, IndexError):
-            return None
-        return self.off[q] + r if r < len(e) and e[r] == f else None
+    def nondegenerate(self, ref_of):
+        """The nondegenerate mask: 0 over a degenerate prefix p's block, else at s_{D-1} p."""
+        ident, dst, rank, off = self.C.ident, self.C.dst, self.rank, self.off
+        mask = bytearray(b"\1") * off[-1]
+        for q, p in enumerate(self.prefixes):
+            if p and ref_of[p][0]:
+                mask[off[q]:off[q + 1]] = bytes(off[q + 1] - off[q])
+            for j in (dst[p[-1]],) if p else range(len(ident)):
+                mask[off[q] + rank[ident[j]]] = 0
+        return mask
+
+    def degenerate_ref(self, ref_of, z):
+        """The ref s_w y of a chain z with identities, None without (KeyError off
+        chains): y is z less its identities (or its first object), w their indices, decreasing."""
+        src, dst, ident = self.C.src, self.C.dst, self.C.ident
+        if not (type(z) is tuple and z and all(map(self.rank.__contains__, z))
+                and len(z) == len(self.prefixes[0]) + 1
+                and all(dst[f] == src[g] for f, g in zip(z, z[1:]))):
+            raise KeyError(z)
+        word = tuple(i for i in range(len(z) - 1, -1, -1) if ident[src[z[i]]] == z[i])
+        y = tuple(g for g in z if ident[src[g]] != g) or src[z[0]]
+        return (word,) + ref_of[y][1:] if word else None
 
 
 def nerve(C, D):
@@ -542,9 +560,9 @@ def nerve(C, D):
     and nothing here checks it.  A raw vertex is an object code and a raw
     k-chain the tuple of its morphism codes; the chains are enumerated in
     code order, which fixes the ids; the D-chains are `Chains`, decoded by
-    position when read.  The result is marked complete when no nondegenerate
-    D-chain exists (all longer chains are then degenerate as well), and its
-    `cat` is C.
+    position when read, which form no degeneracy image.  The result is marked
+    complete when no nondegenerate D-chain exists (all longer chains are then
+    degenerate as well), and its `cat` is C.
     """
     src, dst, ident, after = C.src, C.dst, C.ident, C.after
     out_of = [[f for f in range(len(src)) if src[f] == j] for j in range(len(ident))]
@@ -555,7 +573,7 @@ def nerve(C, D):
         ext = [out_of[dst[ch[-1]]] for ch in level]
         cells.append(level)
     if D:
-        cells.append(Chains(level, ext))
+        cells.append(Chains(level, ext, C))
 
     def faces_fn(k, ch):
         if k == 1:
@@ -774,20 +792,22 @@ def cone_homology(cx, cy, f_col, src_ends, dst_ends):
     """
     top = max(len(cx.counts), len(cy.counts) - 1)
     counts = [cx.count(k - 1) + cy.count(k) for k in range(top + 1)]
-    boundaries = [ColumnMatrix({}.items)]
-    for k in range(1, top + 1):
-        cols = {}
+
+    def columns(k):  # of d_k, read by SNF up to its rank bound: -dx + f(x) for x in cx, then dy
         offr, offc = cx.count(k - 2), cx.count(k - 1)
-        dx = cx.boundary_cols(k - 1)
+        dx = iter(cx.boundaries[k - 1].source() if offc else ())
+        x_col = next(dx, None)
         for x in range(offc):
-            col = {r: -v for r, v in dx.get(x, {}).items()}
-            for r, v in f_col(k - 1, x).items():
-                col[offr + r] = v
+            col = {}
+            if x_col and x_col[0] == x:
+                col, x_col = {r: -v for r, v in x_col[1].items()}, next(dx, None)
+            col.update((offr + r, v) for r, v in f_col(k - 1, x).items())
             if col:
-                cols[x] = col
-        for y, col in cy.boundary_cols(k).items():
-            cols[offc + y] = {offr + r: v for r, v in col.items()}
-        boundaries.append(ColumnMatrix(cols.items))
+                yield x, col
+        for y, col in cy.boundaries[k].source() if k < len(cy.boundaries) else ():
+            yield offc + y, {offr + r: v for r, v in col.items()}
+
+    boundaries = [ColumnMatrix(partial(columns, k)) for k in range(top + 1)]
     groups = _homology_groups(counts, boundaries, range(top + 1))
     if not (src_ends and dst_ends):
         del groups[top]

@@ -359,8 +359,25 @@ def test_based_quotient_matches_reference(monkeypatch, case):
         assert got.raw_of == want.raw_of
         for raw in unbased.raw_of[-1][:1]:
             unbased.ref_of[raw]  # the top refs are made on the first lookup that misses
-        cells = list(unbased.ref_of)  # every raw cell, degenerate ones included
+        cells = list(unbased.ref_of)  # every raw cell but the degenerate ones of a nerve's top
+        cells += getattr(unbased.raw_of[-1], "cells", ())  # ... which its `Chains` holds
         assert {raw: got.ref_of[raw] for raw in cells} == {raw: want.ref_of[raw] for raw in cells}
+
+
+@pytest.mark.parametrize("S", [1, 2])
+def test_based_hocolim_refuses_a_diagram_that_moves_its_basepoint(S):
+    """The closure check of a based quotient reads only the collapsed edges:
+    the inclusion 0 -> 1 sends the basepoint 0 of level 0 to the point 0 of
+    level 1, whose basepoint is 1, so the edge out of the basepoint object
+    (0, 0) ends outside the collapsed vertices, in the top dimension (S = 1)
+    and below it (S = 2).  With basepoints 0 and 0 the diagram is based, and
+    its quotient keeps the basepoint and the two objects (m, 1)."""
+    def build(basepoints):
+        return ispace._discrete_ispace(1, [[0, 1], [0, 1]], lambda a, p: p, basepoints)
+
+    with pytest.raises(ValueError, match="basepoint"):
+        hocolim_I(build([0, 1]), S, based=True)
+    assert hocolim_I(build([0, 0]), S, based=True).sset.card[0] == 3
 
 
 def test_based_hocolim_collapses_unit_nerve():

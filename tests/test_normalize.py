@@ -1,12 +1,14 @@
 """Normal-form assembly against the cell-by-cell reference oracle.
 
-`simplicial.normalize_table` finds degenerate cells from the level below;
+`simplicial.normalize_table` finds degenerate cells from the level below,
+or takes them from a top that gives its own (a nerve's `simplicial.Chains`);
 `oracles.normalize_reference` tests each raw cell with its own faces and
 degeneracies.  Every call made while building the objects below runs both,
 and the two `NormTable`s (normalized set with its face table and basepoint,
 and `raw_of`) must be equal, as must the refs of every raw cell, looked up
-one by one: the library makes its nondegenerate top refs on the first
-lookup that misses (`simplicial.TopRefs`).
+one by one: the library makes its nondegenerate top refs, and the
+degenerate ones of a `Chains` top, on the first lookup that misses
+(`simplicial.TopRefs`).
 
 The face rows of the top dimension are built on their first read
 (`simplicial.FaceRows`).  Each call is therefore made again after the
@@ -18,7 +20,7 @@ import pytest
 
 from ispaces import cmon, gamma, icat, ispace, simplicial
 from ispaces.simplicial import (SMap, SSet, component_subcomplex, identity_map, pi0, quotient,
-                                validate_sset)
+                                ref_dim, validate_sset)
 
 from oracles import normalize_reference, product_sset, refs_by_lookup
 
@@ -33,7 +35,12 @@ def checked(monkeypatch):
         got = real(*args, **kwargs)
         want = normalize_reference(*args, **kwargs)
         assert got == want
-        cells = args[0][:(args[3] if len(args) > 3 else kwargs["top_dim"]) + 1]
+        top = args[3] if len(args) > 3 else kwargs["top_dim"]
+        cells = args[0][:top + 1]
+        own = hasattr(cells[top], "degenerate_ref")  # a top that gives its own degeneracies
+        if top or kwargs.get("based_raw") is None:  # a top vertex looked up makes them all
+            assert dict(got.ref_of) == {raw: r for raw, r in want.ref_of.items()
+                                        if ref_dim(r) < top or r[0] and not own}
         assert refs_by_lookup(got, cells) == dict(got.ref_of) == want.ref_of
         calls.append(got.sset.card)
         return got
@@ -177,10 +184,11 @@ def test_a_face_outside_the_cells_raises_key_error():
 
 
 def test_homology_of_a_nerve_makes_no_top_ref(monkeypatch):
-    """Homology reads no ref, so after a nerve's homology its refs hold every
-    degenerate top cell and no nondegenerate one (the ref counterpart of the
-    top rows that `recorded` finds unbuilt).  One top lookup makes them all,
-    and every raw cell's ref then equals the reference's."""
+    """Homology reads no ref, so after a nerve's homology its refs hold no top
+    cell (the ref counterpart of the top rows that `recorded` finds unbuilt).
+    A degenerate top lookup makes that one ref, a nondegenerate one makes
+    every nondegenerate ref, and every raw cell's ref, looked up, then
+    equals the reference's."""
     real, calls = simplicial.normalize_table, []
 
     def record(*args):
@@ -192,12 +200,15 @@ def test_homology_of_a_nerve_makes_no_top_ref(monkeypatch):
     assert simplicial.reduced_homology_trivial(tab.sset, 2)
     (args,) = calls
     want = normalize_reference(*args).ref_of
+    below = {raw: r for raw, r in want.items() if ref_dim(r) < 3}
+    assert dict(tab.ref_of) == below
+    degenerate = [raw for raw in args[0][3] if want[raw][0]]
+    assert degenerate and tab.ref_of[degenerate[-1]] == want[degenerate[-1]]
+    assert dict(tab.ref_of) == {**below, degenerate[-1]: want[degenerate[-1]]}
     top = tab.raw_of[3]
-    assert top and not any(raw in tab.ref_of for raw in top)
-    assert all(raw in tab.ref_of for raw in args[0][3] if want[raw][0])
     assert tab.ref_of[top[-1]] == simplicial.nd_ref(3, len(top) - 1)
-    assert dict(tab.ref_of) == want
-    assert refs_by_lookup(tab, args[0]) == want
+    assert len(tab.ref_of) == len(below) + 1 + len(top)
+    assert refs_by_lookup(tab, args[0]) == dict(tab.ref_of) == want
 
 
 def _edge_table(top_dim):
@@ -225,25 +236,41 @@ def test_refs_of_images_outside_the_cells_and_of_repeated_cells(top_dim):
     _assert_edge_table_refs(top_dim, by_position=False)
 
 
-class _ByPosition(list):
-    """A level given by position, as a nerve's top `simplicial.Chains` is."""
+class _OwnDegeneracies(list):
+    """A top level that gives its own degeneracies, as a nerve's
+    `simplicial.Chains` does, found here by probing every image of the level
+    below; it holds no cell of a lower level."""
 
-    def position(self, z):
-        return self.index(z) if z in self else None
+    def __init__(self, cells, below, deg_fn, k):
+        super().__init__(cells)
+        self.images = [(deg_fn(k - 1, y, i), i, y) for i in range(k) for y in below]
+
+    def nondegenerate(self, ref_of):
+        hit = {z for z, _, _ in self.images}
+        return bytearray(z not in hit for z in self)
+
+    def degenerate_ref(self, ref_of, z):
+        if z not in self:
+            raise KeyError(z)
+        return next((simplicial.apply_s(i, ref_of[y]) for w, i, y in self.images if w == z),
+                    None)
 
 
 def test_a_top_by_position_gives_images_outside_it_no_ref():
-    """The same table with its top level given by position, which holds no
-    cell of a lower level: its images are looked up by position, none is a
-    cell, and the top is read through a `simplicial.Kept` view."""
+    """The same table with a top level that gives its own degeneracies: no
+    image is formed for it, its images that are not cells get no ref, and
+    the top is read through a `simplicial.Kept` view."""
     _assert_edge_table_refs(2, by_position=True)
 
 
 def _assert_edge_table_refs(top_dim, by_position):
     cells, faces_fn, deg_fn = _edge_table(top_dim)
+    probed = []
     if by_position:
-        cells[top_dim] = _ByPosition(cells[top_dim])
-    tab = simplicial.normalize_table(cells, faces_fn, deg_fn, top_dim)
+        cells[top_dim] = _OwnDegeneracies(cells[top_dim], cells[top_dim - 1], deg_fn, top_dim)
+    tab = simplicial.normalize_table(
+        cells, faces_fn, lambda k, raw, i: probed.append(k) or deg_fn(k, raw, i), top_dim)
+    assert (top_dim - 1 in probed) != by_position
     want = normalize_reference(cells, faces_fn, deg_fn, top_dim).ref_of
     assert isinstance(tab.raw_of[top_dim], simplicial.Kept) == by_position
     assert tab.raw_of[1:] == [[("e",)], [("f",)]][:top_dim]

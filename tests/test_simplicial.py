@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from ispaces import cmon, ispace
 from ispaces.simplicial import (
     FaceRows,
     SSet,
@@ -33,7 +34,7 @@ from ispaces.simplicial import (
     validate_sset,
 )
 
-from ispaces.icat import FinCategory, coded_injections, comma_under
+from ispaces.icat import CodedI, FinCategory, coded_injections, comma_under
 from oracles import (chain_boundary_reference, comma_under_fincategory, cyclic_group_category,
                      entries, map_table_reference, nerve_reference, normalize_pair_ref,
                      normalize_reference, pairing_map, product_sset, rational_rank,
@@ -100,6 +101,48 @@ def test_refs_and_face_rows_leave_the_cyclic_collector():
         gc.collect()
     assert top and all(type(r) is tuple for row in top for r in row)
     assert not any(gc.is_tracked(row) for row in top)
+
+
+GUARDED_TABLES = {
+    "nerve-under-1": lambda: nerve(comma_under(1, 3), 3),
+    "hocolim-terminal": lambda: ispace.hocolim_I(ispace.terminal_ispace(3), 3),
+    "hocolim-c1-based": lambda: ispace.hocolim_I(cmon.c1(3).space, 3, based=True),
+    "diagonal-circle-power": lambda: ispace.hocolim_I(ispace.power_ispace(sphere(1), 2), 3),
+}
+
+
+def _degenerate_top_cell(tab):
+    """A degenerate raw cell of the top dimension: s_0 of the first cell below
+    it, on a nerve a chain with an identity, on injection codes `_hocolim_deg`."""
+    top, C = tab.sset.top_dim, tab.cat
+    y = tab.raw_of[top - 1][0]
+    if isinstance(C, CodedI):  # the injection codes of a Bousfield-Kan diagonal
+        return ispace._hocolim_deg(C, y, 0)
+    return (C.ident[C.src[y[0]]],) + y
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED_TABLES))
+@pytest.mark.parametrize("lookup", [False, True])
+def test_tables_are_freed_by_reference_counting_alone(name, lookup):
+    """With the cyclic collector off, a table's refs and its top face rows
+    die on `del`, after homology and after a degenerate top lookup: nothing
+    in a table refers back to it, so no cycle keeps it (a ref function
+    stored as a closure over its own `ref_of` would)."""
+    import weakref
+
+    gc.collect()
+    gc.disable()
+    try:
+        tab = GUARDED_TABLES[name]()
+        homology(tab.sset, tab.sset.top_dim - 1)
+        if lookup:
+            degs, _, _ = tab.ref_of[_degenerate_top_cell(tab)]
+            assert degs
+        refs, rows = weakref.ref(tab.ref_of), weakref.ref(tab.sset.face[-1])
+        del tab
+        assert refs() is None and rows() is None
+    finally:
+        gc.enable()
 
 
 def test_standard_simplex_counts():
@@ -206,6 +249,39 @@ def test_cone_detects_iso_and_non_iso():
     # the cone of S^1 -> point is a suspension: H_2 = Z refutes the iso
     cone = map_cone_homology(collapse, 2)
     assert cone.get(2, (0, ())) == (1, ())
+
+
+def _counted(cx, reads):
+    """cx with each column read from its d_k appended to reads[k]."""
+    from ispaces.simplicial import ChainComplex
+    from ispaces.zlinalg import ColumnMatrix
+
+    def source(k, mat):
+        for x, col in mat.source():
+            reads.setdefault(k, []).append(x)
+            yield x, col
+
+    return ChainComplex(cx.counts, [ColumnMatrix(partial(source, k, mat))
+                                    for k, mat in enumerate(cx.boundaries)])
+
+
+def test_acyclic_cone_reads_no_column_past_its_rank_bound():
+    """The cone of the identity of Delta^4 is acyclic, so the rank of its d_k
+    meets the shape bound at the end of the source block, -dx + x for each
+    (k-1)-simplex x.  SNF reads that block once, then one column more, the
+    first of the target's d_k, where it sees the bound, and no other column
+    of the target."""
+    X = standard_simplex(4)
+    cx, cy = chain_complex(X), chain_complex(X)
+    src_reads, dst_reads, f_reads = {}, {}, {}
+    groups = cone_homology(_counted(cx, src_reads), _counted(cy, dst_reads),
+                           lambda k, x: f_reads.setdefault(k, []).append(x) or {x: 1}, True, True)
+    assert groups == {k: (0, ()) for k in range(6)}
+    for k in range(1, 6):
+        assert f_reads[k - 1] == list(range(cx.count(k - 1)))
+        assert src_reads.get(k - 1, []) == list(range(cx.count(k - 1) if k > 1 else 0))
+        assert dst_reads.get(k, []) == ([0] if cy.count(k) else [])
+    assert sum(map(len, dst_reads.values())) == 4 < sum(X.card[1:]) == 26
 
 
 def _apply(column_of, chain):
@@ -479,15 +555,22 @@ def test_homology_reads_only_a_prefix_of_the_top_degree():
 
 
 def _recorded_nerve(monkeypatch, C, D):
-    """nerve(C, D) and the arguments of the one normalize_table call it makes."""
+    """nerve(C, D) and the arguments of the one normalize_table call it makes,
+    which calls deg_fn on no image in the top dimension: the nerve's top
+    `Chains` gives its own degeneracies."""
     import ispaces.simplicial as simplicial
 
-    real, calls = simplicial.normalize_table, []
-    monkeypatch.setattr(simplicial, "normalize_table",
-                        lambda *args: calls.append(args) or real(*args))
+    real, calls, probed = simplicial.normalize_table, [], set()
+
+    def record(cells, faces_fn, deg_fn, top):
+        calls.append((cells, faces_fn, deg_fn, top))
+        return real(cells, faces_fn, lambda k, raw, i: probed.add(k) or deg_fn(k, raw, i), top)
+
+    monkeypatch.setattr(simplicial, "normalize_table", record)
     tab = nerve(C, D)
     monkeypatch.undo()
     (args,) = calls
+    assert probed == set(range(D - 1))
     return tab, args
 
 
@@ -566,9 +649,10 @@ def test_trunc_4_nerve_counts_its_top_and_decodes_only_what_snf_reads(monkeypatc
     """nerve(comma_under(1, 4), 3) hands normalize_table a top degree whose
     length, 141,128 with the degenerate chains, is the number of composable
     3-chains counted apart from it (the entries of M^3, M[a][b] the number of
-    morphisms a -> b), and which `simplicial.raw_cells` counts.  Homology
-    decodes only the positions up to the last top row that SNF reads, and no
-    list or set of top chains is made on the way."""
+    morphisms a -> b), and which `simplicial.raw_cells` counts.  Building the
+    nerve decodes no top chain, homology decodes only the positions up to the
+    last top row that SNF reads, and no list or set of top chains is made on
+    the way."""
     import types
 
     import ispaces.simplicial as simplicial
@@ -593,6 +677,7 @@ def test_trunc_4_nerve_counts_its_top_and_decodes_only_what_snf_reads(monkeypatc
                         lambda self: (decoded.append(z) or z for z in chains_iter(self)))
     monkeypatch.setattr(simplicial.Chains, "__getitem__",
                         lambda self, i: decoded.append(i) or chains_item(self, i))
+    assert nerve(C, 3).sset.card == tab.sset.card and decoded == []
     assert reduced_homology_trivial(tab.sset, 2)
     built = sum(row is not None for row in tab.sset.face[3].rows)
     assert 0 < built <= 5146
