@@ -36,7 +36,6 @@ from .ispace import (
     _box_deg,
     _box_face,
     _box_space,
-    _box_table,
     _chain_cells,
     _coded_chains,
     _discrete_ispace,
@@ -250,64 +249,6 @@ def cyclic2_monoid(N):
     """Genuinely constant model of the order-two group; this one is flat."""
     return monoid_ispace([0, 1], lambda x, y: (x + y) % 2, lambda e: 0, 0, N,
                          name="Z2")
-
-
-# ---------------------------------------------------------------------------
-# Free commutative monoids on an I-space.
-# ---------------------------------------------------------------------------
-
-def free_cmonoid(X):
-    """Symmetrized box powers of X with word concatenation, truncated.
-
-    Words are truncated at length N; the truncation is exact when X(0) is
-    empty, because a length-k word then needs level at least k.  The carrier
-    records `word_truncation_exact` in the monoid metadata.  Simplices are
-    built through dimension 1.
-    """
-    N = X.N
-    exact = X.level(0).size() == 0
-    W = _words(X)
-
-    def mul(m, n, rx, ry):
-        rawx = W.raw(m, rx)
-        rawy = W.raw(n, ry)
-        nvec = rawx[0] + rawy[0]
-        if len(nvec) > N:
-            raise ValueError("word-length truncation overflow")
-        raw = (nvec, rawx[1] + tuple(v + m for v in rawy[1]), rawx[2] + rawy[2])
-        dim = ref_dim(rx)
-        ref = W.ref(m + n, dim, raw)
-        if ref_dim(ref) < dim:
-            # the empty word carries no simplex data; its raw cell is shared
-            # across dimensions and normalizes to the unit vertex
-            _, base_dim, base_id = ref
-            ref = (_full_word(dim), base_dim, base_id)
-        return ref
-
-    _, _, unit_id = W.ref(0, 0, ((), (), ()))
-    return CIMonoidT(W.space, unit_id, mul, name="free",
-                     meta={"word_truncation_exact": exact})
-
-
-def _words(X):
-    """The box-colimit record of the words on X, through dimension 1."""
-    canon = [[_word_classes(X, n, dim) for dim in range(2)] for n in range(X.N + 1)]
-    # a word has at most N factors, and faces zip the factors with its blocks
-    factors = (X,) * X.N
-    return _box_space([_box_table(factors, cn, 1) for cn in canon], canon, factors)
-
-
-def _word_classes(X, n, dim):
-    """Canonical-representative dictionary of the raw dim-cells of words at n.
-
-    Words of length k <= N are the cells of the k-fold box power, taken
-    modulo the symmetric group, which permutes their blocks; the adjacent
-    block swaps generate it.
-    """
-    canon = {}
-    for k in range(X.N + 1):
-        canon.update(_box_classes((X,) * k, n, dim, n, symmetric=True))
-    return canon
 
 
 # ---------------------------------------------------------------------------
@@ -576,13 +517,6 @@ def unit_verdicts(pres, vectors=None):
 
 def _support(vec):
     return {j for j, t in enumerate(vec) if t}
-
-
-def is_grouplike(A):
-    """True iff every component class of the monoid is a unit."""
-    pres, class_vec = pi0_monoid(A)
-    verdict = unit_verdicts(pres, vectors=sorted(set(class_vec.values())))
-    return all(verdict.is_unit(v) for v in class_vec.values())
 
 
 @dataclass

@@ -3,8 +3,8 @@
 A GammaSpaceT assigns a based simplicial set to every finite based set k+
 up to a bound, with functorial actions of based maps.  The monoid extraction
 evaluates based homotopy colimits of box powers; based maps act by deleting,
-multiplying and rerouting the box factors.  The module also provides
-representables, the special/very-special verdicts, prolongation along a
+multiplying and rerouting the box factors.  The module also provides the
+special/very-special verdicts, prolongation along a
 based simplicial set, the two-variable smash extraction, and the
 Eckmann-Hilton coincidence check on components.  In positive degrees the
 Segal condition is read through the Alexander-Whitney map, in place of the
@@ -22,7 +22,6 @@ from .simplicial import (
     apply_s,
     chain_complex,
     cone_homology,
-    discrete,
     nd_ref,
     normalize_table,
     pi0,
@@ -99,28 +98,6 @@ class GammaSpaceT:
                                    for key in a.src.nondeg_keys()):
                                 bad.append(f"functoriality fails at {psi} after {phi}")
         return bad
-
-
-def representable(k, K):
-    """The discrete functor of based maps out of k+."""
-    if k > K:
-        raise ValueError("representing object exceeds the bound")
-    values = []
-    index = []
-    for l in range(K + 1):
-        maps_l = based_maps(k, l)
-        idx = {m: i for i, m in enumerate(maps_l)}
-        zero = tuple(0 for _ in range(k))
-        values.append(discrete(len(maps_l), basepoint=idx[zero]))
-        index.append(idx)
-
-    def act_fn(phi, a, b):
-        table = {}
-        for m, i in index[a].items():
-            table[(0, i)] = nd_ref(0, index[b][compose_based(phi, m)])
-        return SMap(values[a], values[b], table)
-
-    return GammaSpaceT(K, values, act_fn)
 
 
 # ---------------------------------------------------------------------------

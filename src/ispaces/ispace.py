@@ -6,8 +6,8 @@ standard constructors (free, power, constant), the box product as an
 explicit colimit over decomposition categories with union-find canonical
 representatives, homotopy colimits over the injection category and over
 its subset-inclusion subcategory (nerves of categories of elements for
-diagrams of sets, Bousfield-Kan diagonals otherwise), latching objects,
-flatness certificates, the level-shift functor R with its comparison map,
+diagrams of sets, Bousfield-Kan diagonals otherwise), flatness
+certificates, the level-shift functor R with its comparison map,
 and the semistability diagnostic.
 """
 
@@ -217,7 +217,7 @@ def _compositions(total_max, parts):
             yield (first,) + rest
 
 
-def _box_classes(factors, n, dim, total_max, symmetric=False):
+def _box_classes(factors, n, dim, total_max):
     """Canonical representatives of the raw dim-cells of the box colimit of
     `factors` at n: raw cell -> the least cell of its class.
 
@@ -231,9 +231,7 @@ def _box_classes(factors, n, dim, total_max, symmetric=False):
     standard inclusion q - 1 -> q and the adjacent transpositions of q.
     Every injection is a permutation after a standard inclusion, so these
     generate the same relation as all morphisms do.  Each generator moves
-    the positions of a factor level once (`moves`).  With `symmetric`, the
-    adjacent block swaps, which generate the permutations of the blocks,
-    join cells too.
+    the positions of a factor level once (`moves`).
     """
     simp = [[f.level(q).all_simplices(dim) for q in range(total_max + 1)] for f in factors]
     offset, cells = {}, []
@@ -267,14 +265,6 @@ def _box_classes(factors, n, dim, total_max, symmetric=False):
                     src = offset[mvec[:i] + (q0,) + mvec[i + 1:], src_img]
                     yield _moved_pairs(src, here, prod(sizes[:i]), move(i, q, j), sizes[i],
                                        prod(sizes[i + 1:]))
-                if symmetric and i + 1 < len(mvec):  # swap the blocks i and i + 1
-                    mid = end + mvec[i + 1]
-                    swapped = (mvec[:i] + (mvec[i + 1], q) + mvec[i + 2:],
-                               img[:start] + img[end:mid] + img[start:end] + img[mid:])
-                    a, b = sizes[i], sizes[i + 1]
-                    yield _moved_pairs(here, offset[swapped], prod(sizes[:i]),
-                                       [y * a + x for x in range(a) for y in range(b)], a * b,
-                                       prod(sizes[i + 2:]))
                 start = end
 
     roots = least_roots(len(cells), chain.from_iterable(joins()))
@@ -312,7 +302,7 @@ def _box_table(factors, canon, top, based_raw=None):
 class BoxISpace:
     """An I-space whose levels are colimits of raw cells (nvec, image, xs).
 
-    Box products, bar constructions and free monoids share this record.  At
+    Box products and bar constructions share this record.  At
     level n, dimension k, a raw cell has an injection sum(nvec) -> n with the
     given image and xs a k-simplex per block; canon[n][k] sends it to its
     class's canonical representative, and tables[n] numbers those.
@@ -619,26 +609,6 @@ def hocolim_map(ts, td, point):
     mor = LazyDict(lambda f: code[(C.morphisms[f][0], point(*_cell_point(ts, 1, (f,)))[2])])
     return map_from_tables(ts, td, lambda k, raw: tuple(map(mor.__getitem__, raw)) if k
                            else td.cat.src[mor[C.ident[raw]]])
-
-
-# ---------------------------------------------------------------------------
-# Latching objects.
-# ---------------------------------------------------------------------------
-
-def latching(X, n, dim_bound=None):
-    """Colimit of X over the proper injections into n, with its map to X(n).
-
-    The indexing category is the full subcategory of I/n on the injections
-    m -> n with m < n, so the automorphisms of each level m act as well.
-    Returns (SSet, SMap into X(n)).
-    """
-    if dim_bound is None:
-        dim_bound = max((X.level(m).top_dim for m in range(n)), default=0)
-    canon = [_box_classes((X,), n, dim, n - 1) for dim in range(dim_bound + 1)]
-    tab = _box_table((X,), canon, dim_bound)
-    table = {(k, x): X.act(Injection(m, n, a_img))(xref) for k, raws in enumerate(tab.raw_of)
-             for x, ((m,), a_img, (xref,)) in enumerate(raws)}
-    return tab.sset, SMap(tab.sset, X.level(n), table)
 
 
 # ---------------------------------------------------------------------------

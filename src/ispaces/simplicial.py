@@ -174,30 +174,10 @@ def discrete(n, basepoint=None):
     return SSet((n,), ([],), complete=True, basepoint=basepoint)
 
 
-def standard_simplex(n):
-    """Delta^n: nondegenerate k-simplices are (k+1)-subsets of {0..n}."""
-    simp = [sorted(combinations(range(n + 1), k + 1)) for k in range(n + 1)]
-    index = [{s: i for i, s in enumerate(level)} for level in simp]
-    face = [[]] + [
-        [tuple(nd_ref(k - 1, index[k - 1][s[:i] + s[i + 1:]]) for i in range(k + 1))
-         for s in simp[k]]
-        for k in range(1, n + 1)
-    ]
-    return SSet(tuple(len(level) for level in simp), tuple(face), complete=True)
-
-
 def simplicial_circle():
     """S^1 = Delta^1 / boundary: one vertex, one nondegenerate edge."""
     face = ([], [(nd_ref(0, 0), nd_ref(0, 0))])
     return SSet((1, 1), face, complete=True, basepoint=0)
-
-
-def sphere(n):
-    """S^n as Delta^n collapsed along its boundary (n >= 1)."""
-    dn = standard_simplex(n)
-    sub = {k: set(range(dn.card[k])) for k in range(n)}
-    sub[n] = set()
-    return quotient(dn, sub)[0]
 
 
 def validate_sset(X):

@@ -230,8 +230,3 @@ def rank_and_torsion(mat, nrows, ncols, drop_rows=(), pivots=None):
         raise AssertionError("Smith rank exceeds matrix shape")
     return len(diag), tuple(d for d in diag if d > 1)
 
-
-def bareiss_rank(mat):
-    """Fraction-free Gaussian rank of a `ColumnMatrix`, a cross-check on the SNF rank."""
-    cols = [col for _, col in mat.source()]
-    return _bareiss(_dense(cols))[0] if cols else 0

@@ -2,13 +2,13 @@
 
 Everything here is deliberately primitive: brute-force enumeration and
 textbook chain complexes, sharing as little code as possible with the
-library under test.
+library under test.  The constructions that only tests use live here too.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 
 def count_injections(m, n):
@@ -62,7 +62,6 @@ def invariant_factors(rows, ncols):
     The k-th factor is d_k / d_{k-1}, where the determinantal divisor d_k is
     the gcd of all k x k minors; the rank is the largest k with d_k != 0.
     """
-    from itertools import combinations
     from math import gcd
 
     factors = []
@@ -94,6 +93,14 @@ def columns(plain):
 def entries(mat):
     """The entries ((row, col), value) of a `ColumnMatrix`, column by column."""
     return [((r, c), v) for c, col in mat.source() for r, v in col.items()]
+
+
+def bareiss_rank(mat):
+    """Fraction-free Gaussian rank of a `ColumnMatrix`, a cross-check on the SNF rank."""
+    from ispaces.zlinalg import _bareiss, _dense
+
+    cols = [col for _, col in mat.source()]
+    return _bareiss(_dense(cols))[0] if cols else 0
 
 
 def group_homology(elements, mul, unit, top):
@@ -174,7 +181,6 @@ def comma_under_counts(n, N):
 
 def subsets_of(n):
     """All subsets of {1..n} in the library's level ordering."""
-    from itertools import combinations
     return [frozenset(s) for k in range(n + 1)
             for s in combinations(range(1, n + 1), k)]
 
@@ -237,6 +243,73 @@ def box_colimit(factors, n, dim, total_max, symmetric=False):
         r = find(x)
         least[r] = min(least.get(r, x), x)
     return {x: least[find(x)] for x in parent}
+
+
+def words(X):
+    """The `ispace.BoxISpace` of the words on X through dimension 1: the box
+    powers of X of length k <= N modulo permutations of their blocks."""
+    from ispaces.ispace import _box_space, _box_table
+
+    canon = [[{raw: least for k in range(X.N + 1)
+               for raw, least in box_colimit((X,) * k, n, dim, n, symmetric=True).items()}
+              for dim in range(2)] for n in range(X.N + 1)]
+    # a word has at most N factors, and faces zip the factors with its blocks
+    factors = (X,) * X.N
+    return _box_space([_box_table(factors, cn, 1) for cn in canon], canon, factors)
+
+
+def free_cmonoid(X):
+    """Symmetrized box powers of X with word concatenation, truncated.
+
+    Words are truncated at length N; the truncation is exact when X(0) is
+    empty, because a length-k word then needs level at least k.  The carrier
+    records `word_truncation_exact` in the monoid metadata.  Simplices are
+    built through dimension 1.
+    """
+    from ispaces.cmon import CIMonoidT, _full_word
+    from ispaces.simplicial import ref_dim
+
+    N = X.N
+    exact = X.level(0).size() == 0
+    W = words(X)
+
+    def mul(m, n, rx, ry):
+        (nx, ax, xs), (ny, ay, ys) = W.raw(m, rx), W.raw(n, ry)
+        if len(nx + ny) > N:
+            raise ValueError("word-length truncation overflow")
+        raw = (nx + ny, ax + tuple(v + m for v in ay), xs + ys)
+        dim = ref_dim(rx)
+        ref = W.ref(m + n, dim, raw)
+        if ref_dim(ref) < dim:
+            # the empty word carries no simplex data; its raw cell is shared
+            # across dimensions and normalizes to the unit vertex
+            _, base_dim, base_id = ref
+            ref = (_full_word(dim), base_dim, base_id)
+        return ref
+
+    _, _, unit_id = W.ref(0, 0, ((), (), ()))
+    return CIMonoidT(W.space, unit_id, mul, name="free",
+                     meta={"word_truncation_exact": exact})
+
+
+def latching(X, n, dim_bound=None):
+    """Colimit of X over the proper injections into n, with its map to X(n).
+
+    The indexing category is the full subcategory of I/n on the injections
+    m -> n with m < n, so the automorphisms of each level m act as well.
+    Returns (SSet, SMap into X(n)).
+    """
+    from ispaces.icat import Injection
+    from ispaces.ispace import _box_classes, _box_table
+    from ispaces.simplicial import SMap
+
+    if dim_bound is None:
+        dim_bound = max((X.level(m).top_dim for m in range(n)), default=0)
+    canon = [_box_classes((X,), n, dim, n - 1) for dim in range(dim_bound + 1)]
+    tab = _box_table((X,), canon, dim_bound)
+    table = {(k, x): X.act(Injection(m, n, a_img))(xref) for k, raws in enumerate(tab.raw_of)
+             for x, ((m,), a_img, (xref,)) in enumerate(raws)}
+    return tab.sset, SMap(tab.sset, X.level(n), table)
 
 
 def normalize_reference(cells, faces_fn, deg_fn, top_dim, complete=False, based_raw=None):
@@ -656,6 +729,28 @@ def map_table_reference(src_tab, dst_tab, raw_fn):
     return table
 
 
+def standard_simplex(n):
+    """Delta^n: nondegenerate k-simplices are (k+1)-subsets of {0..n}."""
+    from ispaces.simplicial import SSet, nd_ref
+
+    simp = [sorted(combinations(range(n + 1), k + 1)) for k in range(n + 1)]
+    index = [{s: i for i, s in enumerate(level)} for level in simp]
+    face = [[]] + [
+        [tuple(nd_ref(k - 1, index[k - 1][s[:i] + s[i + 1:]]) for i in range(k + 1))
+         for s in simp[k]]
+        for k in range(1, n + 1)
+    ]
+    return SSet(tuple(len(level) for level in simp), tuple(face), complete=True)
+
+
+def sphere(n):
+    """S^n as Delta^n collapsed along its boundary (n >= 1)."""
+    from ispaces.simplicial import quotient
+
+    dn = standard_simplex(n)
+    return quotient(dn, {k: set(range(dn.card[k])) if k < n else set() for k in range(n + 1)})[0]
+
+
 @dataclass
 class ProductData:
     sset: object
@@ -864,6 +959,32 @@ def elements_fincategory(X, arrows_of):
     return _labelled_category(
         objects, {(m, p): (I.code[identity(m)], p) for m, p in objects}, morphisms,
         lambda g, f: (I.code[compose(I.morphisms[g[0]], I.morphisms[f[0]])], f[1]))
+
+
+def representable(k, K):
+    """The discrete functor of based maps out of k+, up to the bound K."""
+    from ispaces.gamma import GammaSpaceT, based_maps, compose_based
+    from ispaces.simplicial import SMap, discrete, nd_ref
+
+    if k > K:
+        raise ValueError("representing object exceeds the bound")
+    index = [{m: i for i, m in enumerate(based_maps(k, l))} for l in range(K + 1)]
+    values = [discrete(len(idx), basepoint=idx[(0,) * k]) for idx in index]
+
+    def act_fn(phi, a, b):
+        return SMap(values[a], values[b], {(0, i): nd_ref(0, index[b][compose_based(phi, m)])
+                                           for m, i in index[a].items()})
+
+    return GammaSpaceT(K, values, act_fn)
+
+
+def is_grouplike(A):
+    """True iff every component class of the monoid is a unit."""
+    from ispaces.cmon import pi0_monoid, unit_verdicts
+
+    pres, class_vec = pi0_monoid(A)
+    verdict = unit_verdicts(pres, vectors=sorted(set(class_vec.values())))
+    return all(verdict.is_unit(v) for v in class_vec.values())
 
 
 def rank_mod_p(mat, p, bound=None):

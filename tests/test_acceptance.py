@@ -46,12 +46,11 @@ from ispaces.simplicial import (
     discrete,
     nd_ref,
     simplicial_circle,
-    sphere,
     validate_sset,
 )
-from ispaces.zlinalg import bareiss_rank, rank_and_torsion
+from ispaces.zlinalg import rank_and_torsion
 
-from oracles import columns, product_sset, rational_rank, sigma2_homology
+from oracles import bareiss_rank, columns, product_sset, rational_rank, sigma2_homology, sphere
 
 
 def _report(num, label, budget, body):

@@ -14,10 +14,8 @@ from ispaces.cmon import (
     c1,
     classifying_space_homology,
     cyclic2_monoid,
-    free_cmonoid,
     grothendieck_group,
     integers_monoid,
-    is_grouplike,
     iterated_bar_spectrum,
     merged_classes,
     pi0_monoid,
@@ -40,6 +38,8 @@ from oracles import (
     chain_sum_reference,
     decode_bar_cell,
     decode_chain,
+    free_cmonoid,
+    is_grouplike,
     sigma2_homology,
     two_sided_bar_reference,
 )

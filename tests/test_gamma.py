@@ -12,7 +12,6 @@ from ispaces.gamma import (
     pi0_monoid_of_gamma,
     projection_map,
     prolong,
-    representable,
     smash_index,
 )
 from ispaces.simplicial import (
@@ -26,7 +25,7 @@ from ispaces.simplicial import (
     simplicial_circle,
     validate_sset,
 )
-from oracles import pairing_map, product_sset
+from oracles import pairing_map, product_sset, representable
 
 
 def test_based_map_enumeration():

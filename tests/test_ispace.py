@@ -26,7 +26,6 @@ from ispaces.ispace import (
     hocolim_N,
     hocolim_map,
     is_flat,
-    latching,
     power_ispace,
     rho,
     semistability_diagnostic,
@@ -41,13 +40,12 @@ from ispaces.simplicial import (
     pi0_classes,
     reduced_homology_trivial,
     simplicial_circle,
-    sphere,
 )
 
 from oracles import (based_quotient_reference, codes_of, count_injections, decode_chain,
                      decode_element_chain, hocolim_face_reference, hocolim_reference,
-                     is_injective, opposite_ref, pairing_map, product_sset, refs_by_lookup,
-                     subsets_of)
+                     is_injective, latching, opposite_ref, pairing_map, product_sset,
+                     refs_by_lookup, sphere, subsets_of)
 
 
 S0 = discrete(2, basepoint=0)

@@ -22,7 +22,7 @@ from ispaces import cmon, gamma, icat, ispace, simplicial
 from ispaces.simplicial import (SMap, SSet, component_subcomplex, identity_map, pi0, quotient,
                                 ref_dim, validate_sset)
 
-from oracles import normalize_reference, product_sset, refs_by_lookup
+from oracles import normalize_reference, product_sset, refs_by_lookup, sphere
 
 
 @pytest.fixture
@@ -79,11 +79,11 @@ CASES = {
     "hocolim-N-c1": lambda: ispace.hocolim_N(cmon.c1(3).space, 3),
     "hocolim-c1-based": lambda: ispace.hocolim_I(cmon.c1(3).space, 3, based=True),
     "hocolim-circle-power": lambda: ispace.hocolim_I(
-        ispace.power_ispace(simplicial.sphere(1), 2), 3),
+        ispace.power_ispace(sphere(1), 2), 3),
     "nerve-elements-c1": lambda: simplicial.nerve(
         ispace._elements(cmon.c1(3).space, range(len(icat.injections(3)))), 3),
-    "power-circle": lambda: ispace.power_ispace(simplicial.sphere(1), 3),
-    "product": lambda: product_sset(simplicial.sphere(1), simplicial.sphere(2)),
+    "power-circle": lambda: ispace.power_ispace(sphere(1), 3),
+    "product": lambda: product_sset(sphere(1), sphere(2)),
     "bar-c1": lambda: cmon.bar(cmon.c1(2), 3),
     "bar-c1-top-rows": lambda: cmon.bar(cmon.c1(3), 2),
     "bar-of-hocolim-c1": lambda: cmon.bar_of_hocolim(cmon.c1(2), 3),

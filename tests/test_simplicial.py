@@ -28,8 +28,6 @@ from ispaces.simplicial import (
     reduced_homology_trivial,
     ref_dim,
     simplicial_circle,
-    sphere,
-    standard_simplex,
     tensor_complex,
     validate_sset,
 )
@@ -37,8 +35,8 @@ from ispaces.simplicial import (
 from ispaces.icat import CodedI, FinCategory, coded_injections, comma_under
 from oracles import (chain_boundary_reference, comma_under_fincategory, cyclic_group_category,
                      entries, map_table_reference, nerve_reference, normalize_pair_ref,
-                     normalize_reference, pairing_map, product_sset, rational_rank,
-                     truncated_fincategory)
+                     normalize_reference, pairing_map, product_sset, rational_rank, sphere,
+                     standard_simplex, truncated_fincategory)
 
 
 def test_point_and_empty():

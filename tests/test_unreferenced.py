@@ -6,7 +6,9 @@ by name or import for a function, by attribute for either, or as a string
 where a name is looked up by it (the name argument of `getattr` or
 `hasattr`, or an entry of the `FUNCTIONS` table in `perfbench/spans.py`,
 which wraps functions by name).  Dunder methods and the console entry
-point `cli.main` are exempt.  A method is matched by its name alone, so a
+point `cli.main` are exempt.  A public one must be referenced from `src/` or
+`perfbench/`, not from `tests/` alone, unless `TEST_ONLY_ALLOWED` says why.
+A method is matched by its name alone, so a
 method that nothing calls passes while another class defines a called method
 of the same name; `test_shared_method_names_are_listed` therefore keeps the
 public method names that two or more classes share to a listed set.
@@ -54,6 +56,16 @@ UNREAD_FIELDS_ALLOWED = {
 }
 
 
+# Public function or method name -> why it stays in src/ although only tests use it.
+TEST_ONLY_ALLOWED = {
+    "rho": "the box-versus-product comparison on homotopy colimits will call it",
+    "prolong": "the spectrum-of-units scenario will call it",
+    "iterated_bar_spectrum": "the spectrum-of-units scenario will call it",
+    "coded": "FinCategory stays in src/ while perfbench/spans.py wraps FinCategory.validate",
+    "quotient": "the checked entry to simplicial._quotient",
+}
+
+
 # Public method name shared by two or more classes in src/ -> why it is shared.
 SHARED_METHOD_NAMES = {
     "validate": "each checked structure returns its own list of defects",
@@ -74,15 +86,15 @@ def _definitions():
                         yield path, node.name, sub
 
 
-def _references():
-    """(path, line, name, is_attribute_or_string) of every possible use.
+def _references(tops=("src", "tests", "perfbench")):
+    """(path, line, name, is_attribute_or_string) of every possible use in `tops`.
 
     A string counts as a use only where a name is looked up by it: as the
     name argument of `getattr` or `hasattr`, or in the `FUNCTIONS` table of
     `perfbench/spans.py`, which names the functions it wraps.  Other strings
     there, such as the unit "s", name nothing.
     """
-    for top in ("src", "tests", "perfbench"):
+    for top in tops:
         for path in sorted((ROOT / top).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Name):
@@ -107,11 +119,12 @@ def _loaded(node):
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
 
 
-def test_every_function_is_referenced():
+def _unreferenced(tops):
+    """(name, "file:line name") of each function or method of `src/ispaces/`,
+    dunders and EXEMPT aside, that nothing in `tops` references outside it."""
     uses = {}
-    for path, line, name, loose in _references():
+    for path, line, name, loose in _references(tops):
         uses.setdefault(name, []).append((path, line, loose))
-    unused = []
     for path, cls, node in _definitions():
         name = node.name
         if (name.startswith("__") and name.endswith("__")) or (path.name, name) in EXEMPT:
@@ -122,8 +135,20 @@ def test_every_function_is_referenced():
             and not (p == path and node.lineno <= line <= node.end_lineno)
         ]
         if not outside:
-            unused.append(f"{path.name}:{node.lineno} {cls + '.' if cls else ''}{name}")
+            yield name, f"{path.name}:{node.lineno} {cls + '.' if cls else ''}{name}"
+
+
+def test_every_function_is_referenced():
+    unused = [where for _, where in _unreferenced(("src", "tests", "perfbench"))]
     assert not unused, "defined but never referenced: " + ", ".join(unused)
+
+
+def test_no_public_function_is_test_only():
+    """A public function or method that only tests reference belongs in
+    `tests/oracles.py`, unless TEST_ONLY_ALLOWED says why it stays."""
+    test_only = [where for name, where in _unreferenced(("src", "perfbench"))
+                 if not name.startswith("_") and name not in TEST_ONLY_ALLOWED]
+    assert not test_only, "referenced from tests alone: " + ", ".join(test_only)
 
 
 def test_shared_method_names_are_listed():

@@ -18,8 +18,8 @@ from ispaces.simplicial import (
 )
 from ispaces.zlinalg import ColumnMatrix, rank_and_torsion, smith_diagonal
 
-from oracles import (chain_boundary_reference, columns, cyclic_group_category, entries,
-                     group_homology, homology_mod_p, invariant_factors, product_sset)
+from oracles import (bareiss_rank, chain_boundary_reference, columns, cyclic_group_category,
+                     entries, group_homology, homology_mod_p, invariant_factors, product_sset)
 from test_normalize import CASES
 
 
@@ -46,8 +46,6 @@ def test_rank_and_torsion_known_matrix():
 
 def test_bareiss_agrees_with_smith_on_random_sparse():
     import random
-
-    from ispaces.zlinalg import bareiss_rank, rank_and_torsion
 
     rng = random.Random(7)
     for _ in range(20):
@@ -285,11 +283,19 @@ def test_chain_complex_validate_reports_nonzero_square():
 def _uct_spaces():
     from ispaces.cmon import bar_of_hocolim, c1, cyclic2_monoid, sec52_monoid
     from ispaces.gamma import gamma_of_monoid
-    from ispaces.ispace import hocolim_I
+    from ispaces.ispace import constant_ispace, hocolim_I
+    from ispaces.scenarios import _degree_component
+    from ispaces.simplicial import component_subcomplex, pi0
 
     gamma = gamma_of_monoid(c1(3), 3, 3)
+    hc = hocolim_I(c1(3).space, 3)
+    degree2 = pi0(hc.sset)[_degree_component(c1(3), hc, 2)]
     return {
-        "hocolim-c1": hocolim_I(c1(3).space, 3).sset,
+        "hocolim-c1": hc.sset,
+        # the complex of the c1-bsigma2 scenario, whose H_1 is Z/2
+        "c1-bsigma2": component_subcomplex(hc.sset, {degree2})[0],
+        # a diagram that is not of sets, so on the diagonal kernel `_coded_chains`
+        "hocolim-circle": hocolim_I(constant_ispace(simplicial_circle(), 3), 3).sset,
         "hocolim-m52": hocolim_I(sec52_monoid(3).space, 3).sset,
         "bar-c1": bar_of_hocolim(c1(3), 3).sset,
         "bar-m52": bar_of_hocolim(sec52_monoid(3), 3).sset,
@@ -300,8 +306,9 @@ def _uct_spaces():
 
 
 @pytest.mark.parametrize("p", [2, 3])
-@pytest.mark.parametrize("name", ["hocolim-c1", "hocolim-m52", "bar-c1", "bar-m52", "bar-z2",
-                                  "gamma-c1-1", "gamma-c1-2", "gamma-c1-3", "BZ3"])
+@pytest.mark.parametrize("name", ["hocolim-c1", "c1-bsigma2", "hocolim-circle", "hocolim-m52",
+                                  "bar-c1", "bar-m52", "bar-z2", "gamma-c1-1", "gamma-c1-2",
+                                  "gamma-c1-3", "BZ3"])
 def test_homology_mod_p_obeys_universal_coefficients(name, p):
     """dim H_k(X; Z/p) = b_k + t_k(p) + t_{k-1}(p), where b_k is the free rank
     of H_k(X; Z) and t_k(p) counts its torsion coefficients divisible by p:
