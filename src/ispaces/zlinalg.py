@@ -2,24 +2,27 @@
 
 A matrix is a `ColumnMatrix`: its nonzero columns, in increasing order, each
 a dict {row: nonzero int}.  Columns are read one at a time, in order, and
-never all held: each is eliminated against the unit pivot columns found so
-far, in the order they were found.  A reduced column with a +-1 entry becomes
-a new pivot column (a Smith entry 1), and a column left with only non-unit
-entries is set aside.  Unit pivots never create torsion and keep entries
-small.  The loop stops once the rank reaches the bound the shape allows,
-since every further Smith entry is then 1, so the columns past that point are
-never read.  The set-aside columns, reduced against every pivot, form a small
-residue of columns whose Smith form is taken densely, modulo a nonzero minor
-of maximal size so that its entries stay bounded.
+never all held.  Each is cleared at the rows of the unit pivot columns found
+so far, which are kept in reduced echelon (Gauss-Jordan) form, each zero at
+every other pivot row, so one pass over the column's own entries clears it
+(Dumas, Saunders & Villard, J. Symbolic Comput. 32, 2001).  A cleared column
+with a +-1 entry becomes a new pivot column (a Smith entry 1) and clears its
+row from the earlier ones; a column left with only non-unit entries is set
+aside.  Unit pivots never create torsion and keep entries small.  The loop
+stops once the rank reaches the bound the shape allows, since every further
+Smith entry is then 1, so the columns past that point are never read.  The
+set-aside columns, cleared at every pivot row, form a small residue of
+columns whose Smith form is taken densely, modulo a nonzero minor of maximal
+size so that its entries stay bounded.
 
 For a chain complex, the unit pivot columns of d_k may be dropped as rows of
 d_{k+1} (clearing, as in Chen & Kerber 2011, Bauer, Kerber & Reininghaus
-2014 and Bauer, Ripser, J. Appl. Comput. Topol. 2021): this changes neither
-rank nor torsion.  Everything runs over Python's arbitrary-precision
-integers; no floats anywhere.
+2014 and Bauer, Ripser, J. Appl. Comput. Topol. 2021), as pivots with no
+other entry: this changes neither rank nor torsion.  Everything runs over
+Python's arbitrary-precision integers; no floats anywhere.
 """
 
-import heapq
+from collections import defaultdict
 from math import gcd
 
 
@@ -50,63 +53,75 @@ class ColumnMatrix:
         return sum(len(col) for _, col in self.source())
 
 
-def _reduce(col, pivot_at, pivot_cols):
-    """Clear `col` (row -> value) at every pivot row, in pivot order.
+def _reduce(entries, pivot_rows, tails):
+    """A copy of the column `entries` (row -> value) cleared at every pivot row.
 
-    Pivot column p, stored as (row, value, entries), is zero at the rows of
-    the pivots found before it, so one pass in pivot order leaves `col` zero
-    at every pivot row.
+    tails[r] is the pivot column at row r times its +-1, less its entry 1 at
+    r, and zero at every other pivot row, so one pass over `entries` clears
+    them all.  A pivot with no tail, such as a cleared row, is just dropped.
     """
-    heap = [pivot_at[r] for r in col if r in pivot_at]
-    heapq.heapify(heap)
-    while heap:
-        pr, pv, entries = pivot_cols[heapq.heappop(heap)]
-        f = col.get(pr)
-        if not f:  # no entry, or a stored 0
-            continue
-        f *= pv  # pv is its own inverse
-        for r, v in entries.items():
-            nv = col.get(r, 0) - f * v
+    col = {r: v for r, v in entries.items() if r not in pivot_rows}
+    for r in entries.keys() & tails.keys():
+        f = entries[r]
+        for s, v in tails[r].items():
+            nv = col.get(s, 0) - f * v
             if nv:
-                if r not in col and r in pivot_at:
-                    heapq.heappush(heap, pivot_at[r])
-                col[r] = nv
+                col[s] = nv
             else:
-                col.pop(r, None)  # a stored 0 of the pivot's entries may meet no entry
+                col.pop(s, None)  # a stored 0 of the tail may meet no entry
     return col
 
 
 def _unit_pivot_eliminate(mat, nrows, ncols, drop_rows=(), pivots=None):
     """Column-by-column elimination with +-1 pivots.  Returns (rank, residue).
 
-    Rows in `drop_rows` are ignored.  The ids of the unit pivot columns are
-    appended to the list `pivots` when one is given.  The residue is the list
-    of nonzero set-aside columns, each reduced to zero at every pivot row.
-    The columns of `mat` are read in order, each copied when the loop
-    reaches it, so the loop holds the pivot and set-aside columns, never all
-    of `mat`.  It stops at the bound min(nrows - len(drop), ncols) that the
-    shape allows (see `rank_and_torsion`), before reading any further column.
+    The pivots are `tails` keyed by pivot row (see `_reduce`); a new pivot
+    clears its row from the tails that hold it, which `holders` lists by row
+    (stale entries are skipped).  Rows in `drop_rows` are pivots with no
+    tail.  The ids of the unit pivot columns are appended to the list
+    `pivots` when one is given.  The residue is the list of nonzero
+    set-aside columns, cleared at every pivot row.  The columns of `mat` are
+    read in order, so the loop holds the pivots and set-aside columns, never
+    all of `mat`, and it stops at the bound min(nrows - len(drop), ncols)
+    that the shape allows (see `rank_and_torsion`) before reading further.
     """
-    drop = set(drop_rows)
-    bound = min(nrows - len(drop), ncols)
-    pivot_at = {}  # pivot row -> index into pivot_cols
-    pivot_cols = []
-    aside = []
+    pivot_rows = set(drop_rows)
+    ndrop = len(pivot_rows)
+    full = min(nrows, ncols + ndrop)
+    tails, holders, aside = {}, defaultdict(list), []
     for c, entries in mat.source():
-        if len(pivot_cols) == bound:
-            return bound, []
-        col = _reduce({r: v for r, v in entries.items() if r not in drop}, pivot_at, pivot_cols)
+        if len(pivot_rows) == full:
+            return full - ndrop, []
+        col = _reduce(entries, pivot_rows, tails)
+        if not col:
+            continue
         pr = max((r for r, v in col.items() if v in (1, -1)), default=None)
         if pr is None:
-            if col:
-                aside.append(col)
+            aside.append(col)
             continue
-        pivot_at[pr] = len(pivot_cols)
-        pivot_cols.append((pr, col[pr], col))
+        pivot_rows.add(pr)
         if pivots is not None:
             pivots.append(c)
-    residue = [_reduce(col, pivot_at, pivot_cols) for col in aside]
-    return len(pivot_cols), [col for col in residue if col]
+        if col.pop(pr) == -1:
+            col = {s: -v for s, v in col.items()}
+        for q in holders.pop(pr, ()):
+            tail = tails[q]
+            f = tail.pop(pr, 0)  # 0 for a stale entry
+            if f:
+                for s, v in col.items():
+                    nv = tail.get(s, 0) - f * v
+                    if nv:
+                        if s not in tail:
+                            holders[s].append(q)
+                        tail[s] = nv
+                    else:
+                        tail.pop(s, None)
+        if col:
+            tails[pr] = col
+            for s in col:
+                holders[s].append(pr)
+    residue = [_reduce(col, pivot_rows, tails) for col in aside]
+    return len(pivot_rows) - ndrop, [col for col in residue if col]
 
 
 def _dense(cols):

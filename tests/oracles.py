@@ -5,6 +5,7 @@ textbook chain complexes, sharing as little code as possible with the
 library under test.  The constructions that only tests use live here too.
 """
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -103,15 +104,63 @@ def bareiss_rank(mat):
     return _bareiss(_dense(cols))[0] if cols else 0
 
 
+def heap_eliminate(mat, nrows, ncols, drop_rows=(), pivots=None):
+    """Unit-pivot elimination with pivots in plain echelon form, a reference
+    for `zlinalg._unit_pivot_eliminate`; same arguments and (rank, residue).
+
+    Each pivot column is zero at the rows of the pivots found before it, so a
+    column is cleared by popping the pivots at its rows from a heap in the
+    order they were found, pushing each pivot row that a subtraction fills in.
+    Rows in `drop_rows` are filtered out of a copy of each column.
+    """
+    drop = set(drop_rows)
+    bound = min(nrows - len(drop), ncols)
+    pivot_at = {}  # pivot row -> index into pivot_cols
+    pivot_cols = []  # (row, +-1, column)
+
+    def reduce(col):
+        heap = [pivot_at[r] for r in col if r in pivot_at]
+        heapq.heapify(heap)
+        while heap:
+            pr, pv, piv = pivot_cols[heapq.heappop(heap)]
+            f = col.get(pr)
+            if not f:  # no entry, or a stored 0
+                continue
+            f *= pv
+            for r, v in piv.items():
+                nv = col.get(r, 0) - f * v
+                if nv:
+                    if r not in col and r in pivot_at:
+                        heapq.heappush(heap, pivot_at[r])
+                    col[r] = nv
+                else:
+                    col.pop(r, None)
+        return col
+
+    aside = []
+    for c, entries in mat.source():
+        if len(pivot_cols) == bound:
+            return bound, []
+        col = reduce({r: v for r, v in entries.items() if r not in drop})
+        pr = max((r for r, v in col.items() if v in (1, -1)), default=None)
+        if pr is None:
+            if col:
+                aside.append(col)
+            continue
+        pivot_at[pr] = len(pivot_cols)
+        pivot_cols.append((pr, col[pr], col))
+        if pivots is not None:
+            pivots.append(c)
+    residue = [reduce(col) for col in aside]
+    return len(pivot_cols), [col for col in residue if col]
+
+
 def group_homology(elements, mul, unit, top):
     """Integral group homology H_k for k <= top via the bar complex.
 
     C_k = Z[G^k]; the boundary alternates multiplying adjacent entries and
     dropping the ends.  Returns dict k -> (rank, sorted torsion list).
     """
-    import sys
-    import os
-    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
     from ispaces.zlinalg import rank_and_torsion
 
     idx = {g: i for i, g in enumerate(elements)}

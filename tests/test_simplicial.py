@@ -522,10 +522,14 @@ class _CountedRows(list):
             yield row
 
 
-def test_homology_builds_few_top_rows_of_the_trunc_4_nerve():
+def test_homology_builds_few_top_rows_of_the_trunc_4_nerve(monkeypatch):
     """The top face rows of a nerve are built when SNF reads them, and SNF
-    stops at its rank bound: the reduced homology of (1 | I) at truncation
-    4 builds 5,146 of its 124,354 rows of d_3, counted as they are built."""
+    stops at its rank bound, the 5,362 rows of d_3 less those cleared in
+    degree 2: the reduced homology of (1 | I) at truncation 4 builds 5,146
+    of its 124,354 rows of d_3, counted as they are built.  Both the cell
+    order and the pivot choice fix that count."""
+    import ispaces.simplicial as simplicial
+
     X = nerve(comma_under(1, 4), 3).sset
     top = X.face[3]
     assert isinstance(top, FaceRows) and len(top) == 124354
@@ -535,10 +539,18 @@ def test_homology_builds_few_top_rows_of_the_trunc_4_nerve():
         built.append(raw)
         return build(raw)
 
+    calls, snf = [], simplicial.rank_and_torsion
+
+    def recorded(mat, nrows, ncols, drop_rows=(), pivots=None):
+        calls.append(snf(mat, nrows, ncols, drop_rows, pivots) + (nrows - len(drop_rows), ncols))
+        return calls[-1][:2]
+
     top.row_fn = counted
+    monkeypatch.setattr(simplicial, "rank_and_torsion", recorded)
     assert reduced_homology_trivial(X, 2)
-    assert 0 < len(built) <= 6000
-    assert len(built) == sum(row is not None for row in top.rows)
+    rank, _, bound, ncols = calls[-1]
+    assert rank == bound < 5362 and ncols == 124354
+    assert len(built) == sum(row is not None for row in top.rows) == 5146
 
 
 def test_homology_reads_only_a_prefix_of_the_top_degree():

@@ -16,10 +16,11 @@ from ispaces.simplicial import (
     point,
     simplicial_circle,
 )
-from ispaces.zlinalg import ColumnMatrix, rank_and_torsion, smith_diagonal
+from ispaces.zlinalg import ColumnMatrix, _unit_pivot_eliminate, rank_and_torsion, smith_diagonal
 
 from oracles import (bareiss_rank, chain_boundary_reference, columns, cyclic_group_category,
-                     entries, group_homology, homology_mod_p, invariant_factors, product_sset)
+                     entries, group_homology, heap_eliminate, homology_mod_p, invariant_factors,
+                     product_sset)
 from test_normalize import CASES
 
 
@@ -320,3 +321,57 @@ def test_homology_mod_p_obeys_universal_coefficients(name, p):
     t = {k: sum(1 for c in groups[k][1] if c % p == 0) for k in groups}
     want = {k: groups[k][0] + t[k] + t.get(k - 1, 0) for k in groups}
     assert homology_mod_p(X, p, 2) == want
+
+
+# ---------------------------------------------------------------------------
+# Pivots in reduced echelon form against the heap-ordered reference.
+# ---------------------------------------------------------------------------
+
+def _same_elimination(mat, nrows, ncols, drop_rows=()):
+    """Both eliminations of one matrix: the same rank and pivot columns, and
+    the same residue columns once stored zeros are left out (the reference
+    keeps a stored 0 at a pivot row, the reduced form drops it).  Returns
+    the pivot columns and the residue."""
+    got, want = [], []
+    new = _unit_pivot_eliminate(mat, nrows, ncols, drop_rows, got)
+    old = heap_eliminate(mat, nrows, ncols, drop_rows, want)
+
+    def nonzero(residue):
+        return [c for c in ({r: v for r, v in col.items() if v} for col in residue) if c]
+
+    assert new[0] == old[0] and got == want and nonzero(new[1]) == nonzero(old[1])
+    return got, new[1]
+
+
+def test_reduced_pivots_agree_with_heap_order_on_random_sparse():
+    """Seed 33: 400 matrices with up to 24 nonzero rows and columns, entries
+    mostly +-1 among 0 (stored), +-2 and 3, a random set of dropped rows,
+    and a shape 0, 1 or 3 larger than the nonzero part each way."""
+    rng = random.Random(33)
+    values = (1, -1, 1, -1, 0, 2, -2, 3)
+    stops = residues = 0
+    for _ in range(400):
+        m, n = rng.randint(1, 24), rng.randint(1, 24)
+        density = rng.uniform(0.05, 0.4)
+        cols = {}
+        for c in range(n):
+            col = {r: rng.choice(values) for r in range(m) if rng.random() < density}
+            if col:
+                cols[c] = col
+        nrows, ncols = m + rng.choice((0, 0, 1, 3)), n + rng.choice((0, 0, 1, 3))
+        drop = rng.sample(range(nrows), rng.randint(0, nrows // 3))
+        pivots, residue = _same_elimination(ColumnMatrix(cols.items), nrows, ncols, drop)
+        stops += len(pivots) == min(nrows - len(drop), ncols)
+        residues += bool(residue)
+    assert stops > 40 and residues > 200
+
+
+def test_reduced_pivots_agree_with_heap_order_on_cleared_complexes():
+    """Every d_k of the universal-coefficient spaces, with the rows cleared
+    in the degree below."""
+    for X in _uct_spaces().values():
+        cx = chain_complex(X, top=min(3, X.top_dim))
+        cleared = ()
+        for k in range(1, len(cx.counts)):
+            cleared, _ = _same_elimination(cx.boundaries[k], cx.counts[k - 1], cx.counts[k],
+                                           cleared)
