@@ -13,7 +13,7 @@ and the semistability diagnostic.
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, compress, count, product as iproduct, repeat, starmap
+from itertools import chain, compress, count, pairwise, product as iproduct, repeat
 from math import prod
 from operator import itemgetter, not_
 from typing import Callable, Optional
@@ -548,7 +548,8 @@ def _based_quotient(X, tab):
     """Collapse the copy of the index nerve sitting under the basepoints, the
     cells whose simplex (`_cell_point`) is one: on a nerve of elements, the cells whose first
     object is a basepoint.  They are closed under faces once their edges are (every morphism
-    out of a basepoint object ends at one).  The basepoint is the last collapsed vertex."""
+    out of a basepoint object ends at one).  The basepoint is the last collapsed vertex.  A
+    nerve's top is flagged per block and kept as the `Kept` view on the other blocks."""
     if not X.is_based():
         raise ValueError("based homotopy colimit needs a based diagram")
     C = tab.cat
@@ -561,17 +562,18 @@ def _based_quotient(X, tab):
         at_bp, src = [p == X.level(m).basepoint for m, p in C.objects], C.src
 
         def flags(k, raws):
-            if k > 1 and isinstance(raws, Kept):  # a nerve's top: one flag per prefix block
-                ch = raws.cells
-                blocks = ((at_bp[src[p[0]]], len(e)) for p, e in zip(ch.prefixes, ch.ext))
-                return bytes(compress(chain.from_iterable(starmap(repeat, blocks)), raws.mask))
+            if k > 1 and isinstance(raws, Kept):  # a nerve's top: one flag per block
+                firsts = (at_bp[src[raws.cells.prefixes[q][0]]] for q in raws.blocks)
+                sizes = (b - a for a, b in pairwise(raws.koff))
+                return bytes(chain.from_iterable(map(repeat, firsts, sizes)))
             objects = map(src.__getitem__, map(itemgetter(0), raws)) if k else raws
             return bytes(map(at_bp.__getitem__, objects))
     sub, raw_of = {}, []
     for k, raws in enumerate(tab.raw_of):  # a byte per cell, one dimension at a time, for the peak
         fl = flags(k, raws)
         sub[k] = set(compress(count(), fl))
-        raw_of.append(list(compress(raws, map(not_, fl))))
+        raw_of.append(raws.where(lambda p: not at_bp[src[p[0]]]) if k > 1 and isinstance(raws, Kept)
+                      else list(compress(raws, map(not_, fl))))
     if not subcomplex_closed(tab.sset, {k: sub[k] for k in sub if k < 2}):
         raise ValueError("the diagram moves a basepoint off the basepoints")
     Q, push = _quotient(tab.sset, sub)

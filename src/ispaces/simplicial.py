@@ -18,11 +18,12 @@ words needed for a given dimension.
 listing raw_of[k][x], the raw cell of the nondegenerate k-simplex x.  Every
 degenerate k-simplex is s_i y for a (k-1)-simplex y, so the images s_i y of the
 level below name all of them, and only the nondegenerate simplices are asked
-for their faces, each by one call faces_fn(k, raw) for the whole row.  Top rows
+for their faces, each by one call faces_fn(k, raw) for the whole row.  Rows
 are built when first read (`FaceRows`) and top refs on the first lookup that
-misses (`TopRefs`), so homology builds neither.  A nerve's top degree is given
-by position (`Chains`), with its own degeneracies, and read through a `Kept`
-view, so homology decodes only the prefix that SNF reads.
+misses (`TopRefs`), so homology builds only the rows SNF reads, and no top ref.
+A nerve's top degree is given by position (`Chains`), with its own degeneracies,
+and read through a `Kept` view by blocks, so homology decodes only the prefix
+that SNF reads.
 
 A map of simplicial sets (`SMap`) holds the image of each nondegenerate
 source simplex.  `map_from_tables` computes each image on demand, the first
@@ -38,7 +39,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import accumulate, combinations, compress, count, filterfalse, repeat
+from itertools import accumulate, chain, combinations, compress, count, filterfalse, repeat
 from typing import Optional
 
 from .util import least_roots
@@ -250,25 +251,41 @@ class FaceRows(Sequence):
 
 
 class Kept(Sequence):
-    """The items of `cells` at the positions p with mask[p] set, read as a list
-    of them: item x is at position x + (the positions skipped below it)."""
+    """The chains of the blocks `blocks` of `cells` (a `Chains`), read as a list
+    of them, none kept per position: block blocks[i] less the ranks holes[i]
+    (sorted), from item koff[i] on."""
 
-    def __init__(self, cells, mask):
-        self.cells, self.mask = cells, mask
-        skipped = compress(count(), mask.translate(bytes.maketrans(b"\0\1", b"\1\0")))
-        self.shift = [p - j for j, p in enumerate(skipped)]
+    def __init__(self, cells, blocks, holes):
+        self.cells, self.blocks, self.holes, off = cells, blocks, holes, cells.off
+        self.koff = list(accumulate((off[q + 1] - off[q] - len(h) for q, h in zip(blocks, holes)),
+                                    initial=0))
 
     def __len__(self):
-        return len(self.cells) - len(self.shift)
+        return self.koff[-1]
 
     def __getitem__(self, x):
         x = range(len(self))[x]  # a list's ids: negative ones, slices, IndexError
         if type(x) is range:
             return [self[y] for y in x]
-        return self.cells[x + bisect_right(self.shift, x)]
+        i = bisect_right(self.koff, x) - 1
+        q, r = self.blocks[i], x - self.koff[i]
+        for h in self.holes[i]:  # step over the holes at or below r
+            r += h <= r
+        return self.cells.prefixes[q] + (self.cells.ext[q][r],)
 
-    def __iter__(self):
-        return compress(self.cells, self.mask)
+    def __iter__(self):  # decodes the positions in order, up to the last kept one
+        return compress(self.cells, chain.from_iterable(self._selectors()))
+
+    def _selectors(self):  # per block: 0 at the positions skipped before it, then 1 but at holes
+        off, end = self.cells.off, 0
+        for q, holes in zip(self.blocks, self.holes):
+            yield bytes(off[q] - end) + bytes(r not in holes for r in range(off[q + 1] - off[q]))
+            end = off[q + 1]
+
+    def where(self, keep):
+        """The view on the blocks whose prefix passes `keep`."""
+        flags = [keep(self.cells.prefixes[q]) for q in self.blocks]
+        return Kept(self.cells, [*compress(self.blocks, flags)], [*compress(self.holes, flags)])
 
     __eq__ = FaceRows.__eq__
 
@@ -307,7 +324,7 @@ def normalize_table(cells, faces_fn, deg_fn, top_dim, complete=False, based_raw=
 
     cells[k] holds ALL k-simplices (hashable, orderable, distinct within the
     level) for k <= top_dim: a list, or at the top a nerve's `Chains`, which
-    gives its own degeneracies and whose raw_of is a `Kept` view.  faces_fn(k, x)
+    gives its own degeneracies and its raw_of (a `Kept` view).  faces_fn(k, x)
     returns the row (d_0 x, ..., d_k x) of a k-cell x, k >= 1, and deg_fn(k, x, i)
     the cell s_i x.  Ids follow the order of `cells`, which fixes them.
 
@@ -319,9 +336,10 @@ def normalize_table(cells, faces_fn, deg_fn, top_dim, complete=False, based_raw=
     lower ref.  Every other k-cell is nondegenerate: it gets the next id, and
     faces_fn is called on it once for its row of the face table (the
     reference oracle of the tests calls it on any raw cell).  The rows of
-    dimension top_dim are `FaceRows`, built on first read, so a faces_fn must
-    not read state changed after the call returns, and the top refs are made
-    on the first lookup that misses (`TopRefs`).
+    every dimension are `FaceRows`, built on first read, so a faces_fn must
+    not read state changed after the call returns (a row naming no cell
+    raises KeyError when read); the top refs are made on the first lookup
+    that misses (`TopRefs`).
     """
     ref_of, raw_of, face = TopRefs(top_dim), [], [[]]
 
@@ -330,7 +348,7 @@ def normalize_table(cells, faces_fn, deg_fn, top_dim, complete=False, based_raw=
 
     for k, level in enumerate(cells[:top_dim + 1]):
         if hasattr(level, "degenerate_ref"):
-            raws = Kept(level, level.nondegenerate(ref_of))
+            raws = level.nondegenerate(ref_of)
         else:  # one dict of positions, which also finds the cells of lower levels
             kept, pos = bytearray(b"\1") * len(level), dict(zip(level, count()))
             for z in pos.keys() & ref_of.keys():
@@ -347,8 +365,7 @@ def normalize_table(cells, faces_fn, deg_fn, top_dim, complete=False, based_raw=
         if k < top_dim:
             ref_of.update(zip(raws, zip(repeat(()), repeat(k), count())))
         if k:
-            face.append(FaceRows(raws, partial(row, k)) if k == top_dim
-                        else [row(k, raw) for raw in raws])
+            face.append(FaceRows(raws, partial(row, k)))
     ref_of.raws, ref_of.degenerate_ref = raws, getattr(level, "degenerate_ref", None)
     bp = None
     if based_raw is not None:
@@ -474,10 +491,8 @@ def _quotient(X, sub):  # the body of `quotient`, for a `sub` known to be closed
     def pushed(rows, x):
         return tuple(map(moved.__getitem__, rows[x]))
 
-    face = [[]]
-    for k in range(1, X.top_dim + 1):  # the top rows are pushed when read, as they are in X
-        face.append(FaceRows(kept[k], partial(pushed, X.face[k])) if k == X.top_dim
-                    else [pushed(X.face[k], x) for x in kept[k]])
+    face = [[]] + [FaceRows(kept[k], partial(pushed, X.face[k]))  # pushed when read
+                   for k in range(1, X.top_dim + 1)]
     card = tuple(len(xs) + (k == 0) for k, xs in enumerate(kept))
     return SSet(card, tuple(face), complete=X.complete, basepoint=0), push
 
@@ -509,15 +524,14 @@ class Chains(Sequence):
         return (p + (f,) for p, e in zip(self.prefixes, self.ext) for f in e)
 
     def nondegenerate(self, ref_of):
-        """The nondegenerate mask: 0 over a degenerate prefix p's block, else at s_{D-1} p."""
-        ident, dst, rank, off = self.C.ident, self.C.dst, self.rank, self.off
-        mask = bytearray(b"\1") * off[-1]
-        for q, p in enumerate(self.prefixes):
-            if p and ref_of[p][0]:
-                mask[off[q]:off[q + 1]] = bytes(off[q + 1] - off[q])
-            for j in (dst[p[-1]],) if p else range(len(ident)):
-                mask[off[q] + rank[ident[j]]] = 0
-        return mask
+        """The nondegenerate chains, a `Kept` view: the block of each prefix p
+        with a nondegenerate ref, less the identity of its last object (at
+        D = 1, the one block of () less every identity)."""
+        ps, dst, ids = self.prefixes, self.C.dst, [self.rank[f] for f in self.C.ident]
+        hole = [(r,) for r in ids]  # one tuple per object, shared by its blocks
+        blocks = [q for q, p in enumerate(ps) if not (p and ref_of[p][0])]
+        return Kept(self, blocks, [hole[dst[ps[q][-1]]] if ps[q] else tuple(sorted(ids))
+                                   for q in blocks])
 
     def degenerate_ref(self, ref_of, z):
         """The ref s_w y of a chain z with identities, None without (KeyError off

@@ -83,15 +83,16 @@ def _unit_pivot_eliminate(mat, nrows, ncols, drop_rows=(), pivots=None):
     set-aside columns, cleared at every pivot row.  The columns of `mat` are
     read in order, so the loop holds the pivots and set-aside columns, never
     all of `mat`, and it stops at the bound min(nrows - len(drop), ncols)
-    that the shape allows (see `rank_and_torsion`) before reading further.
+    that the shape allows (see `rank_and_torsion`), checked before the first
+    read and at each new pivot.
     """
     pivot_rows = set(drop_rows)
     ndrop = len(pivot_rows)
     full = min(nrows, ncols + ndrop)
     tails, holders, aside = {}, defaultdict(list), []
+    if len(pivot_rows) == full:
+        return full - ndrop, []
     for c, entries in mat.source():
-        if len(pivot_rows) == full:
-            return full - ndrop, []
         col = _reduce(entries, pivot_rows, tails)
         if not col:
             continue
@@ -102,6 +103,8 @@ def _unit_pivot_eliminate(mat, nrows, ncols, drop_rows=(), pivots=None):
         pivot_rows.add(pr)
         if pivots is not None:
             pivots.append(c)
+        if len(pivot_rows) == full:
+            return full - ndrop, []
         if col.pop(pr) == -1:
             col = {s: -v for s, v in col.items()}
         for q in holders.pop(pr, ()):

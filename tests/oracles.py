@@ -941,6 +941,21 @@ def nerve_reference(C, D):
     return NormTable(sset, refs_by_lookup(tab, cells), tab.raw_of)
 
 
+def nondegenerate_chains_reference(C, D):
+    """The composable D-chains of a coded category C (D >= 1) that hold no
+    identity, in the order of a nerve's cells: by first morphism code, then
+    each next morphism by code.  The brute-force reference for the
+    `simplicial.Kept` view of a nerve's nondegenerate top."""
+    out_of = {}  # every object has its identity, so a key
+    for f in range(len(C.src)):
+        out_of.setdefault(C.src[f], []).append(f)
+    chains = [(f,) for f in range(len(C.src))]
+    for _ in range(D - 1):
+        chains = [ch + (f,) for ch in chains for f in out_of[C.dst[ch[-1]]]]
+    idents = set(C.ident)
+    return [ch for ch in chains if idents.isdisjoint(ch)]
+
+
 def cyclic_group_category(n):
     """The cyclic group of order n as a one-object category."""
     from ispaces.icat import FinCategory

@@ -184,7 +184,7 @@ def test_hocolim_comparison_map_validates():
 def test_snf_reads_few_top_columns_of_the_terminal_hocolim():
     """The terminal diagram's homotopy colimit is the nerve of its category
     of elements, whose cell order lets SNF meet its pivots early: homology
-    through degree 2 at truncation 4 reads 1,913 of the 46,404 rows of d_3
+    through degree 2 at truncation 4 reads 1,912 of the 46,404 rows of d_3
     (the Bousfield-Kan diagonal's order read 13,654).  The top rows are built
     when read (`simplicial.FaceRows`), so the rows built are the rows read."""
     tab = hocolim_I(terminal_ispace(4), 3)

@@ -10,7 +10,7 @@ one by one: the library makes its nondegenerate top refs, and the
 degenerate ones of a `Chains` top, on the first lookup that misses
 (`simplicial.TopRefs`).
 
-The face rows of the top dimension are built on their first read
+The face rows of every dimension are built on their first read
 (`simplicial.FaceRows`).  Each call is therefore made again after the
 object is built, and the rows of fresh results are read by every reader of a
 whole dimension, against an eagerly built copy.
@@ -53,14 +53,13 @@ def checked(monkeypatch):
 @pytest.fixture
 def recorded(monkeypatch):
     """Record every normalize_table call: its arguments, the set it returned
-    with no top row built yet, and the reference set made at the call."""
+    with no row built yet in any dimension, and the reference set made at the call."""
     real = simplicial.normalize_table
     calls = []
 
     def record(*args, **kwargs):
         got = real(*args, **kwargs)
-        top = got.sset.face[-1]
-        assert not got.sset.top_dim or all(row is None for row in top.rows)
+        assert all(row is None for rows in got.sset.face[1:] for row in rows.rows)
         calls.append((args, kwargs, got.sset, normalize_reference(*args, **kwargs).sset))
         return got
 
@@ -110,13 +109,13 @@ def _quotient_set(X):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_lazy_top_rows_match_reference_and_eager_copy(recorded, name):
-    """Every call returns a set whose top rows are not built yet.  Read in
-    id order once the object is built, they equal the reference rows made
-    at the call.  Made again, every reader of a whole dimension agrees on a
+    """Every call returns a set with no row built yet (`recorded`).  Its top
+    rows, read in id order once the object is built, equal the reference
+    rows made at the call.  Made again, every reader of a whole dimension agrees on a
     fresh result with an eagerly built copy; a quotient builds only the top
     rows of its subcomplex, and none of its own.  A faces_fn that names a
-    cell outside `cells` in the top dimension raises KeyError when its row
-    is read, by any reader."""
+    cell outside `cells` in any dimension raises KeyError when its row is
+    read, by any reader."""
     real, calls = recorded
     CASES[name]()
     assert calls
@@ -148,21 +147,23 @@ def test_lazy_top_rows_match_reference_and_eager_copy(recorded, name):
         if not (top and got.card[top]):
             continue
 
-        def poisoned(k, raw):
-            row = tuple(faces_fn(k, raw))
-            return (object(),) + row[1:] if k == top else row
+        for bad in range(1, top + 1):
+            def poisoned(k, raw):
+                row = tuple(faces_fn(k, raw))
+                return (object(),) + row[1:] if k == bad else row
 
-        bad_args = (cells, poisoned, deg_fn, top) + args[4:]
-        for read in (lambda X: X.face[top][0], validate_sset, _eager,
-                     lambda X: quotient(X, _quotient_set(eager)),
-                     lambda X: component_subcomplex(X, reps), lambda X: X == eager):
-            with pytest.raises(KeyError):
-                read(real(*bad_args, **kwargs).sset)
+            bad_args = (cells, poisoned, deg_fn, top) + args[4:]
+            for read in (lambda X: X.face[bad][0], validate_sset, _eager,
+                         lambda X: quotient(X, _quotient_set(eager)),
+                         lambda X: component_subcomplex(X, reps), lambda X: X == eager):
+                with pytest.raises(KeyError):
+                    read(real(*bad_args, **kwargs).sset)
 
 
 def test_a_face_outside_the_cells_raises_key_error():
     """A row naming a vertex that is not a cell raises KeyError when it is
-    read in the top dimension, and at once below it."""
+    read, in the top dimension (top_dim 1) and below it (top_dim 2): every
+    row is built on its first read, so the table itself builds."""
     cells = [[0, 1], [("a",), ("b",)], []]
     faces = {("a",): (1, 0), ("b",): (1, 9)}
 
@@ -172,15 +173,14 @@ def test_a_face_outside_the_cells_raises_key_error():
     def deg_fn(k, raw, i):
         return ("s", i, raw)
 
-    tab = simplicial.normalize_table(cells, faces_fn, deg_fn, 1)
-    assert tab.sset.card == (2, 2)
-    assert tab.sset.face[1][0] == (simplicial.nd_ref(0, 1), simplicial.nd_ref(0, 0))
-    with pytest.raises(KeyError):
-        tab.sset.face[1][1]
-    with pytest.raises(KeyError):
-        simplicial.homology(tab.sset, 0)
-    with pytest.raises(KeyError):
-        simplicial.normalize_table(cells, faces_fn, deg_fn, 2)
+    for top in (1, 2):
+        tab = simplicial.normalize_table(cells, faces_fn, deg_fn, top)
+        assert tab.sset.card == (2, 2, 0)[:top + 1]
+        assert tab.sset.face[1][0] == (simplicial.nd_ref(0, 1), simplicial.nd_ref(0, 0))
+        with pytest.raises(KeyError):
+            tab.sset.face[1][1]
+        with pytest.raises(KeyError):
+            simplicial.homology(tab.sset, top - 1)
 
 
 def test_homology_of_a_nerve_makes_no_top_ref(monkeypatch):
@@ -247,7 +247,8 @@ class _OwnDegeneracies(list):
 
     def nondegenerate(self, ref_of):
         hit = {z for z, _, _ in self.images}
-        return bytearray(z not in hit for z in self)
+        self.kept = [z for z in self if z not in hit]
+        return self.kept
 
     def degenerate_ref(self, ref_of, z):
         if z not in self:
@@ -259,7 +260,7 @@ class _OwnDegeneracies(list):
 def test_a_top_by_position_gives_images_outside_it_no_ref():
     """The same table with a top level that gives its own degeneracies: no
     image is formed for it, its images that are not cells get no ref, and
-    the top is read through a `simplicial.Kept` view."""
+    its nondegenerate cells are the ones its `nondegenerate` returns."""
     _assert_edge_table_refs(2, by_position=True)
 
 
@@ -272,7 +273,7 @@ def _assert_edge_table_refs(top_dim, by_position):
         cells, faces_fn, lambda k, raw, i: probed.append(k) or deg_fn(k, raw, i), top_dim)
     assert (top_dim - 1 in probed) != by_position
     want = normalize_reference(cells, faces_fn, deg_fn, top_dim).ref_of
-    assert isinstance(tab.raw_of[top_dim], simplicial.Kept) == by_position
+    assert (tab.raw_of[top_dim] is getattr(cells[top_dim], "kept", None)) == by_position
     assert tab.raw_of[1:] == [[("e",)], [("f",)]][:top_dim]
     assert refs_by_lookup(tab, cells) == dict(tab.ref_of) == want
     assert tab.ref_of["x"] == simplicial.nd_ref(0, 1)
