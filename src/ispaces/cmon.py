@@ -29,6 +29,7 @@ from .simplicial import (
     pi0,
     pi0_classes,
     ref_dim,
+    vertex_ref,
 )
 from .ispace import (
     ISpaceT,
@@ -51,10 +52,6 @@ from .util import least_roots
 from .zlinalg import ColumnMatrix, rank_and_torsion
 
 
-def _full_word(k):
-    return tuple(range(k - 1, -1, -1))
-
-
 @dataclass
 class CIMonoidT:
     """Commutative monoid object for the box product, at truncation N.
@@ -75,7 +72,7 @@ class CIMonoidT:
         return self.space.N
 
     def unit_ref(self, dim=0):
-        return (_full_word(dim), 0, self.unit)
+        return vertex_ref(dim, self.unit)
 
     def level(self, n):
         return self.space.level(n)

@@ -17,6 +17,7 @@ from itertools import product as iproduct
 from typing import Callable, Optional
 
 from .simplicial import (
+    LazyDict,
     SMap,
     alexander_whitney,
     apply_s,
@@ -28,6 +29,7 @@ from .simplicial import (
     point,
     ref_dim,
     tensor_complex,
+    vertex_ref,
 )
 from .ispace import _cell_point, box_multi, hocolim_I, hocolim_map
 from .cmon import class_presentation, unit_verdicts
@@ -160,11 +162,7 @@ def gamma_of_monoid(A, K, S):
             bp = values[l].basepoint
             return SMap(values[0], values[l], {(0, 0): nd_ref(0, bp)})
         if l == 0:
-            table = {}
-            for d in range(values[k].top_dim + 1):
-                for x in range(values[k].card[d]):
-                    table[(d, x)] = (tuple(range(d - 1, -1, -1)), 0, 0)
-            return SMap(values[k], values[0], table)
+            return SMap(values[k], values[0], LazyDict(lambda key: vertex_ref(key[0], 0)))
 
         return hocolim_map(tabs[k], tabs[l], lambda n, x: boxes[l].ref(
             n, ref_dim(x), _apply_based_to_raw(A, phi, l, boxes[k].raw(n, x))))
@@ -332,7 +330,7 @@ def prolong(X, Kbase, dim_bound=None):
     orders = []
     for s in range(dim_bound + 1):
         simps = Kbase.all_simplices(s)
-        bp = (tuple(range(s - 1, -1, -1)), 0, Kbase.basepoint)
+        bp = vertex_ref(s, Kbase.basepoint)
         rest = sorted(r for r in simps if r != bp)
         orders.append({r: i + 1 for i, r in enumerate(rest)} | {bp: 0})
         sizes.append(len(rest))

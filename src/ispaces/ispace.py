@@ -11,6 +11,7 @@ certificates, the level-shift functor R with its comparison map,
 and the semistability diagnostic.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, compress, count, pairwise, product as iproduct, repeat
@@ -22,11 +23,12 @@ from . import icat
 from .icat import (CodedI, Injection, coded_category, coded_injections, compose, concat,
                    identity, injections, subset_inclusion)
 from .simplicial import (
+    FaceRows,
     Kept,
     LazyDict,
     NormTable,
     SMap,
-    _quotient,
+    SSet,
     apply_s,
     discrete,
     identity_map,
@@ -38,6 +40,7 @@ from .simplicial import (
     pi0,
     subcomplex_closed,
     validate_sset,
+    vertex_ref,
 )
 from .util import least_roots
 
@@ -194,7 +197,7 @@ def power_ispace(K, N):
         src_t, dst_t = tables[alpha.src], tables[alpha.dst]
 
         def push(k, raw, alpha=alpha):
-            out = [(tuple(range(k - 1, -1, -1)), 0, K.basepoint)] * alpha.dst
+            out = [vertex_ref(k, K.basepoint)] * alpha.dst
             for i, r in enumerate(raw):
                 out[alpha(i + 1) - 1] = r
             return tuple(out)
@@ -544,12 +547,29 @@ def _pushed_ref(push, refs, raw):
     return push(refs[raw])
 
 
+def _moved_ref(sub, ref):
+    """The ref that a ref moves to in the quotient by the sorted collapsed ids sub[k]: the
+    degenerate basepoint, or its id less the collapsed ids below it (vertex 0 is the basepoint)."""
+    degs, base_dim, base_id = ref
+    ids = sub[base_dim]
+    i = bisect_left(ids, base_id)
+    if i < len(ids) and ids[i] == base_id:
+        return vertex_ref(len(degs) + base_dim, 0)
+    return (degs, base_dim, base_id - i + (base_dim == 0))
+
+
+def _pushed_row(push, row_fn, raw):
+    """The row of a kept raw cell in a quotient: its unquotiented row, pushed."""
+    return tuple(map(push, row_fn(raw)))
+
+
 def _based_quotient(X, tab):
     """Collapse the copy of the index nerve sitting under the basepoints, the
     cells whose simplex (`_cell_point`) is one: on a nerve of elements, the cells whose first
     object is a basepoint.  They are closed under faces once their edges are (every morphism
     out of a basepoint object ends at one).  The basepoint is the last collapsed vertex.  A
-    nerve's top is flagged per block and kept as the `Kept` view on the other blocks."""
+    nerve's top is flagged per block and kept as the `Kept` view on the other blocks.  New ids
+    come from the sorted collapsed ids (`_moved_ref`), rows from the kept raw cells."""
     if not X.is_based():
         raise ValueError("based homotopy colimit needs a based diagram")
     C = tab.cat
@@ -568,16 +588,19 @@ def _based_quotient(X, tab):
                 return bytes(chain.from_iterable(map(repeat, firsts, sizes)))
             objects = map(src.__getitem__, map(itemgetter(0), raws)) if k else raws
             return bytes(map(at_bp.__getitem__, objects))
-    sub, raw_of = {}, []
+    sub, raw_of = [], []
     for k, raws in enumerate(tab.raw_of):  # a byte per cell, one dimension at a time, for the peak
         fl = flags(k, raws)
-        sub[k] = set(compress(count(), fl))
+        sub.append(list(compress(count(), fl)))
         raw_of.append(raws.where(lambda p: not at_bp[src[p[0]]]) if k > 1 and isinstance(raws, Kept)
                       else list(compress(raws, map(not_, fl))))
-    if not subcomplex_closed(tab.sset, {k: sub[k] for k in sub if k < 2}):
+    if not subcomplex_closed(tab.sset, {k: set(ids) for k, ids in enumerate(sub[:2])}):
         raise ValueError("the diagram moves a basepoint off the basepoints")
-    Q, push = _quotient(tab.sset, sub)
-    raw_of[0].insert(0, tab.raw_of[0][max(sub[0])])
+    raw_of[0].insert(0, tab.raw_of[0][sub[0][-1]])
+    push = LazyDict(partial(_moved_ref, sub)).__getitem__  # each ref once, shared by its rows
+    face = [[]] + [FaceRows(raws, partial(_pushed_row, push, rows.row_fn))
+                   for raws, rows in zip(raw_of[1:], tab.sset.face[1:])]
+    Q = SSet(tuple(map(len, raw_of)), tuple(face), complete=tab.sset.complete, basepoint=0)
     return NormTable(Q, LazyDict(partial(_pushed_ref, push, tab.ref_of)), raw_of, tab.cat)
 
 

@@ -39,7 +39,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import accumulate, chain, combinations, compress, count, filterfalse, repeat
+from itertools import accumulate, combinations, compress, count, repeat
 from typing import Optional
 
 from .util import least_roots
@@ -49,6 +49,11 @@ from .zlinalg import ColumnMatrix, rank_and_torsion
 def nd_ref(k, x):
     """The ref of the nondegenerate k-simplex x."""
     return ((), k, x)
+
+
+def vertex_ref(k, v):
+    """The ref of the k-simplex s_{k-1} ... s_0 v, the vertex v made k-dimensional."""
+    return (tuple(range(k - 1, -1, -1)), 0, v)
 
 
 def ref_dim(ref):
@@ -273,14 +278,10 @@ class Kept(Sequence):
             r += h <= r
         return self.cells.prefixes[q] + (self.cells.ext[q][r],)
 
-    def __iter__(self):  # decodes the positions in order, up to the last kept one
-        return compress(self.cells, chain.from_iterable(self._selectors()))
-
-    def _selectors(self):  # per block: 0 at the positions skipped before it, then 1 but at holes
-        off, end = self.cells.off, 0
-        for q, holes in zip(self.blocks, self.holes):
-            yield bytes(off[q] - end) + bytes(r not in holes for r in range(off[q + 1] - off[q]))
-            end = off[q + 1]
+    def __iter__(self):  # block by block, decoding no chain of a hole or a skipped block
+        ps, ext = self.cells.prefixes, self.cells.ext
+        return (ps[q] + (f,) for q, holes in zip(self.blocks, self.holes)
+                for r, f in enumerate(ext[q]) if r not in holes)
 
     def where(self, keep):
         """The view on the blocks whose prefix passes `keep`."""
@@ -422,11 +423,7 @@ class SMap:
 
 
 def identity_map(X):
-    table = {}
-    for k in range(X.top_dim + 1):
-        for x in range(X.card[k]):
-            table[(k, x)] = nd_ref(k, x)
-    return SMap(X, X, table)
+    return SMap(X, X, {key: nd_ref(*key) for key in X.nondeg_keys()})
 
 
 def _table_image(src_tab, dst_tab, raw_fn, key):
@@ -447,7 +444,7 @@ def map_from_tables(src_tab, dst_tab, raw_fn):
 
 
 # ---------------------------------------------------------------------------
-# Quotients.
+# Subcomplexes.
 # ---------------------------------------------------------------------------
 
 def subcomplex_closed(X, sub):
@@ -458,43 +455,6 @@ def subcomplex_closed(X, sub):
                 if base_id not in sub.get(base_dim, ()):
                     return False
     return True
-
-
-def quotient(X, sub):
-    """Collapse a face-closed subcomplex to a basepoint.
-
-    Returns (based SSet, function mapping old refs to new refs).  The
-    basepoint is vertex 0 of the result; `sub` must be nonempty.
-    """
-    if not any(sub.get(k) for k in range(X.top_dim + 1)):
-        raise ValueError("quotient by an empty subcomplex has no basepoint")
-    if not subcomplex_closed(X, sub):
-        raise ValueError("subcomplex is not closed under faces")
-    return _quotient(X, sub)
-
-
-def _quotient(X, sub):  # the body of `quotient`, for a `sub` known to be closed
-    kept = [list(filterfalse(sub.get(k, ()).__contains__, range(n))) for k, n in enumerate(X.card)]
-    newid = [[None] * n for n in X.card]  # newid[k][x]: x's new id, None inside sub
-    for k, xs in enumerate(kept):
-        for y, x in enumerate(xs, k == 0):  # vertex 0 is the basepoint
-            newid[k][x] = y
-
-    def push(ref):
-        degs, base_dim, base_id = ref
-        if newid[base_dim][base_id] is None:
-            return (tuple(range(ref_dim(ref) - 1, -1, -1)), 0, 0)
-        return (degs, base_dim, newid[base_dim][base_id])
-
-    moved = LazyDict(push)  # each face ref is pushed once, and shared by its rows
-
-    def pushed(rows, x):
-        return tuple(map(moved.__getitem__, rows[x]))
-
-    face = [[]] + [FaceRows(kept[k], partial(pushed, X.face[k]))  # pushed when read
-                   for k in range(1, X.top_dim + 1)]
-    card = tuple(len(xs) + (k == 0) for k, xs in enumerate(kept))
-    return SSet(card, tuple(face), complete=X.complete, basepoint=0), push
 
 
 # ---------------------------------------------------------------------------

@@ -315,8 +315,8 @@ def free_cmonoid(X):
     records `word_truncation_exact` in the monoid metadata.  Simplices are
     built through dimension 1.
     """
-    from ispaces.cmon import CIMonoidT, _full_word
-    from ispaces.simplicial import ref_dim
+    from ispaces.cmon import CIMonoidT
+    from ispaces.simplicial import ref_dim, vertex_ref
 
     N = X.N
     exact = X.level(0).size() == 0
@@ -333,7 +333,7 @@ def free_cmonoid(X):
             # the empty word carries no simplex data; its raw cell is shared
             # across dimensions and normalizes to the unit vertex
             _, base_dim, base_id = ref
-            ref = (_full_word(dim), base_dim, base_id)
+            ref = vertex_ref(dim, base_id)
         return ref
 
     _, _, unit_id = W.ref(0, 0, ((), (), ()))
@@ -431,6 +431,44 @@ def hocolim_face_reference(X, raw, i):
     return (levels[:i] + levels[i + 1:], new_arrows, X.level(levels[-1]).d(i, x))
 
 
+def quotient(X, sub):
+    """Collapse a face-closed subcomplex to a basepoint.
+
+    `sub` maps a dimension to a set of nondegenerate ids; it must be nonempty
+    and closed under faces.  Returns (based SSet, function mapping old refs
+    to new refs).  The basepoint is vertex 0 of the result, and the other
+    simplices keep their order, with new ids listed per cell: the reference
+    for the ids that `ispace._based_quotient` computes.  Rows are pushed when
+    read, each face ref once.
+    """
+    from ispaces.simplicial import FaceRows, LazyDict, SSet, ref_dim, subcomplex_closed
+
+    if not any(sub.get(k) for k in range(X.top_dim + 1)):
+        raise ValueError("quotient by an empty subcomplex has no basepoint")
+    if not subcomplex_closed(X, sub):
+        raise ValueError("subcomplex is not closed under faces")
+    kept = [[x for x in range(n) if x not in sub.get(k, ())] for k, n in enumerate(X.card)]
+    newid = [[None] * n for n in X.card]  # newid[k][x]: x's new id, None inside sub
+    for k, xs in enumerate(kept):
+        for y, x in enumerate(xs, k == 0):  # vertex 0 is the basepoint
+            newid[k][x] = y
+
+    def push(ref):
+        degs, base_dim, base_id = ref
+        if newid[base_dim][base_id] is None:
+            return (tuple(range(ref_dim(ref) - 1, -1, -1)), 0, 0)
+        return (degs, base_dim, newid[base_dim][base_id])
+
+    moved = LazyDict(push)  # each face ref is pushed once, and shared by its rows
+
+    def pushed(rows, x):
+        return tuple(map(moved.__getitem__, rows[x]))
+
+    face = [[]] + [FaceRows(kept[k], partial(pushed, X.face[k])) for k in range(1, X.top_dim + 1)]
+    card = tuple(len(xs) + (k == 0) for k, xs in enumerate(kept))
+    return SSet(card, tuple(face), complete=X.complete, basepoint=0), push
+
+
 def hocolim_reference(X, S, arrows_of, based):
     """The homotopy colimit of X through dimension S on nested raw cells.
 
@@ -441,7 +479,7 @@ def hocolim_reference(X, S, arrows_of, based):
     The based form collapses the cells over the basepoints and keeps an
     eager dictionary of refs.  Returns a `NormTable`.
     """
-    from ispaces.simplicial import NormTable, apply_s, nd_ref, normalize_table, quotient
+    from ispaces.simplicial import NormTable, apply_s, nd_ref, normalize_table
 
     chains = [[((m,), ()) for m in range(X.N + 1)]]
     for _ in range(S):
@@ -486,7 +524,7 @@ def based_quotient_reference(X, tab):
     find its new id.  The raw cell of the basepoint is that of the last
     collapsed vertex."""
     from ispaces.ispace import _cell_point, _pushed_ref
-    from ispaces.simplicial import LazyDict, NormTable, nd_ref, quotient
+    from ispaces.simplicial import LazyDict, NormTable, nd_ref
 
     sub = {}
     for k, raws in enumerate(tab.raw_of):
@@ -794,8 +832,6 @@ def standard_simplex(n):
 
 def sphere(n):
     """S^n as Delta^n collapsed along its boundary (n >= 1)."""
-    from ispaces.simplicial import quotient
-
     dn = standard_simplex(n)
     return quotient(dn, {k: set(range(dn.card[k])) if k < n else set() for k in range(n + 1)})[0]
 

@@ -378,6 +378,36 @@ def test_based_hocolim_refuses_a_diagram_that_moves_its_basepoint(S):
     assert hocolim_I(build([0, 0]), S, based=True).sset.card[0] == 3
 
 
+@pytest.mark.parametrize("path", ["elements", "chains"])
+@pytest.mark.parametrize("S", [1, 2, 3])
+def test_based_hocolim_refuses_a_basepoint_moved_out_of_level_0(path, S):
+    """A functorial diagram over I(2) whose maps are identities: two points
+    (elements), or a circle and a point (chains of injection codes).  With
+    basepoint 1 at level 0 and 0 above it, every map out of level 0 sends the
+    basepoint to a point that is not one, while the maps between levels 1 and
+    2 keep it: the based homotopy colimit refuses on both paths, at every S.
+    With basepoint 0 throughout it collapses the copy of the index nerve over
+    the basepoints."""
+    from ispaces.simplicial import SMap, SSet, identity_map
+
+    def build(basepoints):
+        if path == "elements":
+            return ispace._discrete_ispace(2, [[0, 1]] * 3, lambda a, p: p, basepoints)
+        loop = ([], [(nd_ref(0, 0), nd_ref(0, 0))])
+        levels = tuple(SSet((2, 1), loop, complete=True, basepoint=b) for b in basepoints)
+        table = identity_map(levels[0]).table
+        return ispace.ISpaceT(2, levels, {f: SMap(levels[f.src], levels[f.dst], table)
+                                          for f in injections(2)})
+
+    assert build([0, 0, 0]).validate() == []  # functorial; with [1, 0, 0] not based
+    assert build([1, 0, 0]).validate() == [f"basepoint not preserved by Injection(0->{n}, ())"
+                                           for n in (1, 2)]
+    with pytest.raises(ValueError, match="moves a basepoint off the basepoints"):
+        hocolim_I(build([1, 0, 0]), S, based=True)
+    tab = hocolim_I(build([0, 0, 0]), S, based=True)
+    assert tab.sset.basepoint == 0 and tab.sset.card[0] == 1 + 3  # (m, 1) for m = 0, 1, 2
+
+
 def test_based_hocolim_collapses_unit_nerve():
     X = terminal_ispace(2, based=True)
     tab = hocolim_I(X, 2, based=True)

@@ -19,10 +19,10 @@ whole dimension, against an eagerly built copy.
 import pytest
 
 from ispaces import cmon, gamma, icat, ispace, simplicial
-from ispaces.simplicial import (SMap, SSet, component_subcomplex, identity_map, pi0, quotient,
-                                ref_dim, validate_sset)
+from ispaces.simplicial import (SMap, SSet, component_subcomplex, identity_map, pi0, ref_dim,
+                                validate_sset)
 
-from oracles import normalize_reference, product_sset, refs_by_lookup, sphere
+from oracles import normalize_reference, product_sset, quotient, refs_by_lookup, sphere
 
 
 @pytest.fixture

@@ -62,7 +62,6 @@ TEST_ONLY_ALLOWED = {
     "prolong": "the spectrum-of-units scenario will call it",
     "iterated_bar_spectrum": "the spectrum-of-units scenario will call it",
     "coded": "FinCategory stays in src/ while perfbench/spans.py wraps FinCategory.validate",
-    "quotient": "the checked entry to simplicial._quotient",
 }
 
 
