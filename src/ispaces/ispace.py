@@ -14,7 +14,7 @@ and the semistability diagnostic.
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, compress, count, pairwise, product as iproduct, repeat
+from itertools import chain, compress, count, product as iproduct, repeat
 from math import prod
 from operator import itemgetter, not_
 from typing import Callable, Optional
@@ -23,8 +23,8 @@ from . import icat
 from .icat import (CodedI, Injection, coded_category, coded_injections, compose, concat,
                    identity, injections, subset_inclusion)
 from .simplicial import (
+    Chains,
     FaceRows,
-    Kept,
     LazyDict,
     NormTable,
     SMap,
@@ -568,7 +568,7 @@ def _based_quotient(X, tab):
     cells whose simplex (`_cell_point`) is one: on a nerve of elements, the cells whose first
     object is a basepoint.  They are closed under faces once their edges are (every morphism
     out of a basepoint object ends at one).  The basepoint is the last collapsed vertex.  A
-    nerve's top is flagged per block and kept as the `Kept` view on the other blocks.  New ids
+    nerve's top is flagged per prefix and kept as the `Chains` of the other prefixes.  New ids
     come from the sorted collapsed ids (`_moved_ref`), rows from the kept raw cells."""
     if not X.is_based():
         raise ValueError("based homotopy colimit needs a based diagram")
@@ -582,18 +582,17 @@ def _based_quotient(X, tab):
         at_bp, src = [p == X.level(m).basepoint for m, p in C.objects], C.src
 
         def flags(k, raws):
-            if k > 1 and isinstance(raws, Kept):  # a nerve's top: one flag per block
-                firsts = (at_bp[src[raws.cells.prefixes[q][0]]] for q in raws.blocks)
-                sizes = (b - a for a, b in pairwise(raws.koff))
-                return bytes(chain.from_iterable(map(repeat, firsts, sizes)))
+            if k > 1 and isinstance(raws, Chains):  # a nerve's top: one flag per prefix
+                firsts = (at_bp[src[p[0]]] for p in raws.prefixes)
+                return bytes(chain.from_iterable(map(repeat, firsts, map(len, raws.ext))))
             objects = map(src.__getitem__, map(itemgetter(0), raws)) if k else raws
             return bytes(map(at_bp.__getitem__, objects))
     sub, raw_of = [], []
     for k, raws in enumerate(tab.raw_of):  # a byte per cell, one dimension at a time, for the peak
         fl = flags(k, raws)
         sub.append(list(compress(count(), fl)))
-        raw_of.append(raws.where(lambda p: not at_bp[src[p[0]]]) if k > 1 and isinstance(raws, Kept)
-                      else list(compress(raws, map(not_, fl))))
+        raw_of.append(list(compress(raws, map(not_, fl))) if k < 2 or not isinstance(raws, Chains)
+                      else raws.where(lambda p: not at_bp[src[p[0]]]))
     if not subcomplex_closed(tab.sset, {k: set(ids) for k, ids in enumerate(sub[:2])}):
         raise ValueError("the diagram moves a basepoint off the basepoints")
     raw_of[0].insert(0, tab.raw_of[0][sub[0][-1]])

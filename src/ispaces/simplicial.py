@@ -21,9 +21,10 @@ level below name all of them, and only the nondegenerate simplices are asked
 for their faces, each by one call faces_fn(k, raw) for the whole row.  Rows
 are built when first read (`FaceRows`) and top refs on the first lookup that
 misses (`TopRefs`), so homology builds only the rows SNF reads, and no top ref.
-A nerve's top degree is given by position (`Chains`), with its own degeneracies,
-and read through a `Kept` view by blocks, so homology decodes only the prefix
-that SNF reads.
+A nerve's top degree is given by position (`Chains`), with its own degeneracies;
+its nondegenerate chains are a `Chains` too, the nondegenerate prefixes each
+followed by the non-identity morphisms out of its last object, so homology
+decodes only the top chains that SNF reads.
 
 A map of simplicial sets (`SMap`) holds the image of each nondegenerate
 source simplex.  `map_from_tables` computes each image on demand, the first
@@ -233,19 +234,26 @@ def validate_sset(X):
 # ---------------------------------------------------------------------------
 
 class FaceRows(Sequence):
-    """Face rows by id; row x is row_fn(raws[x]), built on first read and kept."""
+    """Face rows by id; row x is row_fn(raws[x]), built on first read and kept.
+    The slots of the rows are made on the first read of any row."""
 
     def __init__(self, raws, row_fn):
-        self.raws, self.rows, self.row_fn = raws, [None] * len(raws), row_fn
+        self.raws, self.rows, self.row_fn = raws, None, row_fn
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.raws)
 
     def __getitem__(self, x):
-        return self.rows[x] or self._row(x, self.raws[x])
+        return (self.rows or self._slots())[x] or self._row(x, self.raws[x])
 
     def __iter__(self):  # reads raws in order, not each by id
+        self._slots()
         return map(self._row, count(), self.raws)
+
+    def _slots(self):
+        if self.rows is None:
+            self.rows = [None] * len(self.raws)
+        return self.rows
 
     def _row(self, x, raw):
         row = self.rows[x] = self.rows[x] or self.row_fn(raw)
@@ -253,42 +261,6 @@ class FaceRows(Sequence):
 
     def __eq__(self, other):
         return list(self) == other
-
-
-class Kept(Sequence):
-    """The chains of the blocks `blocks` of `cells` (a `Chains`), read as a list
-    of them, none kept per position: block blocks[i] less the ranks holes[i]
-    (sorted), from item koff[i] on."""
-
-    def __init__(self, cells, blocks, holes):
-        self.cells, self.blocks, self.holes, off = cells, blocks, holes, cells.off
-        self.koff = list(accumulate((off[q + 1] - off[q] - len(h) for q, h in zip(blocks, holes)),
-                                    initial=0))
-
-    def __len__(self):
-        return self.koff[-1]
-
-    def __getitem__(self, x):
-        x = range(len(self))[x]  # a list's ids: negative ones, slices, IndexError
-        if type(x) is range:
-            return [self[y] for y in x]
-        i = bisect_right(self.koff, x) - 1
-        q, r = self.blocks[i], x - self.koff[i]
-        for h in self.holes[i]:  # step over the holes at or below r
-            r += h <= r
-        return self.cells.prefixes[q] + (self.cells.ext[q][r],)
-
-    def __iter__(self):  # block by block, decoding no chain of a hole or a skipped block
-        ps, ext = self.cells.prefixes, self.cells.ext
-        return (ps[q] + (f,) for q, holes in zip(self.blocks, self.holes)
-                for r, f in enumerate(ext[q]) if r not in holes)
-
-    def where(self, keep):
-        """The view on the blocks whose prefix passes `keep`."""
-        flags = [keep(self.cells.prefixes[q]) for q in self.blocks]
-        return Kept(self.cells, [*compress(self.blocks, flags)], [*compress(self.holes, flags)])
-
-    __eq__ = FaceRows.__eq__
 
 
 class TopRefs(dict):
@@ -325,9 +297,10 @@ def normalize_table(cells, faces_fn, deg_fn, top_dim, complete=False, based_raw=
 
     cells[k] holds ALL k-simplices (hashable, orderable, distinct within the
     level) for k <= top_dim: a list, or at the top a nerve's `Chains`, which
-    gives its own degeneracies and its raw_of (a `Kept` view).  faces_fn(k, x)
-    returns the row (d_0 x, ..., d_k x) of a k-cell x, k >= 1, and deg_fn(k, x, i)
-    the cell s_i x.  Ids follow the order of `cells`, which fixes them.
+    gives its own degeneracies and its raw_of (the `Chains` of its
+    nondegenerate chains).  faces_fn(k, x) returns the row (d_0 x, ..., d_k x)
+    of a k-cell x, k >= 1, and deg_fn(k, x, i) the cell s_i x.  Ids follow the
+    order of `cells`, which fixes them.
 
     Degeneracies of a list are found from below.  Before level k is read, s_i y
     is formed for every (k-1)-cell y and every i < k, smallest i first; the
@@ -464,40 +437,50 @@ def subcomplex_closed(X, sub):
 class Chains(Sequence):
     """The chains p + (f,) of C for p in `prefixes` and f in its list of `ext`,
     in that order, by position and none stored: prefixes[q] + (ext[q][r],) is
-    at off[q] + r; f has one index (`rank`) in every list that holds it.  A
-    chain is degenerate exactly when it holds an identity (`degenerate_ref`)."""
+    at off[q] + r.  A chain is degenerate exactly when it holds an identity
+    (`degenerate_ref`), and `nondegenerate` gives the chains that hold none."""
 
     def __init__(self, prefixes, ext, C):
         self.prefixes, self.ext, self.C = prefixes, ext, C
         self.off = list(accumulate(map(len, ext), initial=0))
-        self.rank = {f: r for e in {id(e): e for e in ext}.values() for r, f in enumerate(e)}
 
     def __len__(self):
         return self.off[-1]
 
     def __getitem__(self, i):
-        i = range(self.off[-1])[i]
+        i = range(self.off[-1])[i]  # a list's ids: negative ones, slices, IndexError
+        if type(i) is range:
+            return [self[j] for j in i]
         q = bisect_right(self.off, i) - 1
         return self.prefixes[q] + (self.ext[q][i - self.off[q]],)
 
     def __iter__(self):
         return (p + (f,) for p, e in zip(self.prefixes, self.ext) for f in e)
 
+    __eq__ = FaceRows.__eq__
+
+    def where(self, keep):
+        """The chains whose prefix passes `keep`."""
+        flags = list(map(keep, self.prefixes))
+        return Chains([*compress(self.prefixes, flags)], [*compress(self.ext, flags)], self.C)
+
     def nondegenerate(self, ref_of):
-        """The nondegenerate chains, a `Kept` view: the block of each prefix p
-        with a nondegenerate ref, less the identity of its last object (at
-        D = 1, the one block of () less every identity)."""
-        ps, dst, ids = self.prefixes, self.C.dst, [self.rank[f] for f in self.C.ident]
-        hole = [(r,) for r in ids]  # one tuple per object, shared by its blocks
-        blocks = [q for q, p in enumerate(ps) if not (p and ref_of[p][0])]
-        return Kept(self, blocks, [hole[dst[ps[q][-1]]] if ps[q] else tuple(sorted(ids))
-                                   for q in blocks])
+        """The nondegenerate chains, in the same order: each prefix p with a
+        nondegenerate ref (at D = 1, the one prefix ()), followed by the
+        non-identity morphisms of its list, one list per list of `ext`.  A chain
+        with a degenerate prefix is degenerate, so no id moves."""
+        src, ident = self.C.src, self.C.ident
+        moving = {id(e): [f for f in e if ident[src[f]] != f]
+                  for e in {id(e): e for e in self.ext}.values()}
+        flags = [not (p and ref_of[p][0]) for p in self.prefixes]
+        return Chains([*compress(self.prefixes, flags)],
+                      [moving[id(e)] for e in compress(self.ext, flags)], self.C)
 
     def degenerate_ref(self, ref_of, z):
         """The ref s_w y of a chain z with identities, None without (KeyError off
         chains): y is z less its identities (or its first object), w their indices, decreasing."""
         src, dst, ident = self.C.src, self.C.dst, self.C.ident
-        if not (type(z) is tuple and z and all(map(self.rank.__contains__, z))
+        if not (type(z) is tuple and z and all(map(range(len(src)).__contains__, z))
                 and len(z) == len(self.prefixes[0]) + 1
                 and all(dst[f] == src[g] for f, g in zip(z, z[1:]))):
             raise KeyError(z)
@@ -514,7 +497,8 @@ def nerve(C, D):
     and nothing here checks it.  A raw vertex is an object code and a raw
     k-chain the tuple of its morphism codes; the chains are enumerated in
     code order, which fixes the ids; the D-chains are `Chains`, decoded by
-    position when read, which form no degeneracy image.  The result is marked
+    position when read, which form no degeneracy image, and the top raw_of is
+    the `Chains` of those that hold no identity.  The result is marked
     complete when no nondegenerate D-chain exists (all longer chains are then
     degenerate as well), and its `cat` is C.
     """

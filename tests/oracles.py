@@ -981,7 +981,7 @@ def nondegenerate_chains_reference(C, D):
     """The composable D-chains of a coded category C (D >= 1) that hold no
     identity, in the order of a nerve's cells: by first morphism code, then
     each next morphism by code.  The brute-force reference for the
-    `simplicial.Kept` view of a nerve's nondegenerate top."""
+    nondegenerate `simplicial.Chains` of a nerve's top."""
     out_of = {}  # every object has its identity, so a key
     for f in range(len(C.src)):
         out_of.setdefault(C.src[f], []).append(f)

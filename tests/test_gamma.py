@@ -122,6 +122,15 @@ def test_special_at_degree_zero_pushes_vertices_only():
         assert f.table and {k for k, _ in f.table} == {0}
 
 
+def test_special_at_degree_zero_makes_no_top_row_slots():
+    # the component check reads vertices and edges, so the top face rows of
+    # every value, a based quotient, get no slots
+    G = gamma_of_monoid(c1(3), 3, 3)
+    assert is_special(G, D=0).verdict == "special-evidence"
+    tops = [X.face[X.top_dim] for X in G.values[1:]]
+    assert len(tops) == 3 and all(rows.rows is None for rows in tops)
+
+
 def test_special_refuted_for_broken_functor():
     # X(2+) a point cannot project onto a 2-point X(1+) squared
     values = [point(), discrete(2, basepoint=0), point()]

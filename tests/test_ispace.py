@@ -27,6 +27,7 @@ from ispaces.ispace import (
     hocolim_map,
     is_flat,
     power_ispace,
+    restrict,
     rho,
     semistability_diagnostic,
     terminal_ispace,
@@ -358,8 +359,19 @@ def test_based_quotient_matches_reference(monkeypatch, case):
         for raw in unbased.raw_of[-1][:1]:
             unbased.ref_of[raw]  # the top refs are made on the first lookup that misses
         cells = list(unbased.ref_of)  # every raw cell but the degenerate ones of a nerve's top
-        cells += getattr(unbased.raw_of[-1], "cells", ())  # ... which its `Chains` holds
+        top = unbased.ref_of.degenerate_ref  # ... which its `Chains` of all top chains holds
+        cells += getattr(top, "__self__", ())
         assert {raw: got.ref_of[raw] for raw in cells} == {raw: want.ref_of[raw] for raw in cells}
+
+
+@pytest.mark.parametrize("S", [1, 2, 3])
+def test_hocolim_N_of_an_empty_diagram(S):
+    """F_1 restricted to truncation 0 is empty (there is no injection 1 -> 0),
+    so its category of elements has no object: its homotopy colimit is the
+    empty set, complete, with zero homology."""
+    tab = hocolim_N(restrict(free_ispace(1, 2), 0), S)
+    assert tab.sset.card == (0,) * (S + 1) and tab.sset.complete
+    assert homology(tab.sset, S).groups == {k: (0, ()) for k in range(S + 1)}
 
 
 @pytest.mark.parametrize("S", [1, 2])

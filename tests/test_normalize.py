@@ -59,7 +59,7 @@ def recorded(monkeypatch):
 
     def record(*args, **kwargs):
         got = real(*args, **kwargs)
-        assert all(row is None for rows in got.sset.face[1:] for row in rows.rows)
+        assert all(rows.rows is None for rows in got.sset.face[1:])
         calls.append((args, kwargs, got.sset, normalize_reference(*args, **kwargs).sset))
         return got
 
@@ -134,9 +134,9 @@ def test_lazy_top_rows_match_reference_and_eager_copy(recorded, name):
         X, sub = fresh(), _quotient_set(eager)
         Q = quotient(X, sub)[0]
         if top:  # the closure check reads the rows in sub; the rest wait for a reader of Q
-            assert sum(row is not None for row in X.face[top].rows) == len(sub[top])
+            assert sum(row is not None for row in X.face[top].rows or ()) == len(sub[top])
             assert isinstance(Q.face[top], simplicial.FaceRows)
-            assert all(row is None for row in Q.face[top].rows)
+            assert Q.face[top].rows is None
         assert Q == quotient(eager, sub)[0]
         reps = {pi0(eager)[0]} if eager.card[0] else set()
         assert component_subcomplex(fresh(), reps) == component_subcomplex(eager, reps)

@@ -7,8 +7,8 @@ import pytest
 
 from ispaces import cmon, ispace
 from ispaces.simplicial import (
+    Chains,
     FaceRows,
-    Kept,
     SSet,
     alexander_whitney,
     apply_s,
@@ -392,6 +392,21 @@ def test_nerve_of_poset_is_contractible():
     assert reduced_homology_trivial(n, 2)
 
 
+@pytest.mark.parametrize("D", [1, 2, 3])
+def test_nerve_of_the_empty_category(D):
+    """The category with no objects has an empty nerve: no cell in any
+    dimension, complete, with zero homology.  A chain looked up in it is no
+    chain of its top, a KeyError, not an IndexError of its prefixes."""
+    from ispaces.icat import coded_category
+
+    tab = nerve(coded_category([], [], None, None, None), D)
+    assert tab.sset.card == (0,) * (D + 1) and tab.sset.complete
+    assert list(tab.raw_of[D]) == [] and validate_sset(tab.sset) == []
+    assert homology(tab.sset, D).groups == {k: (0, ()) for k in range(D + 1)}
+    with pytest.raises(KeyError):
+        tab.ref_of[(0,) * D]
+
+
 def test_homology_refuses_incomplete_skeleton():
     s1 = simplicial_circle()
     trimmed = type(s1)(s1.card, s1.face, complete=False, basepoint=None)
@@ -640,17 +655,20 @@ KEPT_CASES["poset-D1"] = (partial(_random_poset, 3, 8), 1)
 
 @pytest.mark.parametrize("name", sorted(KEPT_CASES))
 def test_kept_view_is_the_list_of_chains_with_no_identity(name):
-    """A nerve's nondegenerate top is a `Kept` view that holds per block, not
-    per position: its blocks, their holes and their cumulative counts.  It
-    reads as the list of the top chains that hold no identity, filtered by
-    brute force: by iteration, by every id, by negative ids and by slices,
-    with a list's IndexError.  `where(keep)` is the view on the chains whose
-    prefix passes `keep`."""
+    """A nerve's nondegenerate top is a `Chains` of its own that holds per
+    prefix, not per position: its prefixes, their lists of non-identity
+    morphisms (at most one list per object, shared) and their cumulative
+    counts.  It reads as the list of the top chains that hold no identity,
+    filtered by brute force: by iteration, by every id, by negative ids and by
+    slices, with a list's IndexError.  `where(keep)` is the `Chains` of the
+    chains whose prefix passes `keep`."""
     make, D = KEPT_CASES[name]
     C = make()
-    top, want = nerve(C, D).raw_of[D], nondegenerate_chains_reference(C, D)
-    assert isinstance(top, Kept) and sorted(vars(top)) == ["blocks", "cells", "holes", "koff"]
-    assert len(top.holes) == len(top.blocks) == len(top.koff) - 1 <= len(top.cells.prefixes)
+    tab, want = nerve(C, D), nondegenerate_chains_reference(C, D)
+    top, every = tab.raw_of[D], tab.ref_of.degenerate_ref.__self__
+    assert isinstance(top, Chains) and sorted(vars(top)) == ["C", "ext", "off", "prefixes"]
+    assert len(top.prefixes) == len(top.ext) == len(top.off) - 1 <= len(every.prefixes)
+    assert top.C is every.C and len({id(e) for e in top.ext}) <= len(C.ident)
     assert len(top) == len(want) and list(top) == want
     assert [top[x] for x in range(len(top))] == want
     assert [top[x] for x in range(-len(top), 0)] == want
@@ -663,7 +681,8 @@ def test_kept_view_is_the_list_of_chains_with_no_identity(name):
     for keep in (lambda p: True, lambda p: False, lambda p: sum(p) % 3 != 1,
                  lambda p: not p or C.src[p[0]] % 2 == 0):
         view, kept = top.where(keep), [z for z in want if keep(z[:-1])]
-        assert isinstance(view, Kept) and view.cells is top.cells
+        assert isinstance(view, Chains) and view.C is top.C
+        assert {id(e) for e in view.ext} <= {id(e) for e in top.ext}
         assert list(view) == [view[x] for x in range(len(view))] == kept
         assert view[::-2] == kept[::-2] and view[-1:] == kept[-1:]
 
@@ -705,8 +724,8 @@ def test_trunc_4_nerve_counts_its_top_and_decodes_only_what_snf_reads(monkeypatc
     3-chains counted apart from it (the entries of M^3, M[a][b] the number of
     morphisms a -> b), and which `simplicial.raw_cells` counts.  Building the
     nerve decodes no top chain, homology decodes one top chain per top row
-    that SNF reads (the `Kept` view skips the chains of holes and of
-    degenerate blocks), and no list or set of top chains is made on the way."""
+    that SNF reads (its nondegenerate `Chains` holds no chain with an
+    identity), and no list or set of top chains is made on the way."""
     import ispaces.simplicial as simplicial
 
     C = comma_under(1, 4)
@@ -721,15 +740,15 @@ def test_trunc_4_nerve_counts_its_top_and_decodes_only_what_snf_reads(monkeypatc
     tab, (cells, *_) = _recorded_nerve(monkeypatch, C, 3)
     assert len(cells[3]) == sum(map(sum, paths)) == 141128
     top = tab.raw_of[3]
-    assert top.cells is cells[3] and len(top) == tab.sset.card[3] == 124354
+    assert tab.ref_of.degenerate_ref.__self__ is cells[3]
+    assert type(top) is simplicial.Chains and len(top) == tab.sset.card[3] == 124354
 
-    decoded = []  # every top chain decoded, by iteration or by id, through either class
-    for cls in (simplicial.Chains, simplicial.Kept):
-        it, item = cls.__iter__, cls.__getitem__
-        monkeypatch.setattr(cls, "__iter__",
-                            lambda self, it=it: (decoded.append(z) or z for z in it(self)))
-        monkeypatch.setattr(cls, "__getitem__",
-                            lambda self, i, item=item: decoded.append(i) or item(self, i))
+    decoded = []  # every top chain decoded, by iteration or by id, of every `Chains`
+    it, item = simplicial.Chains.__iter__, simplicial.Chains.__getitem__
+    monkeypatch.setattr(simplicial.Chains, "__iter__",
+                        lambda self: (decoded.append(z) or z for z in it(self)))
+    monkeypatch.setattr(simplicial.Chains, "__getitem__",
+                        lambda self, i: decoded.append(i) or item(self, i))
     assert nerve(C, 3).sset.card == tab.sset.card and decoded == []
     assert reduced_homology_trivial(tab.sset, 2)
     built = sum(row is not None for row in tab.sset.face[3].rows)
@@ -739,11 +758,11 @@ def test_trunc_4_nerve_counts_its_top_and_decodes_only_what_snf_reads(monkeypatc
 
 def test_based_hocolim_of_elements_holds_no_top_chain():
     """The based homotopy colimit of c1(3), a quotient of the nerve of its
-    category of elements, keeps its top as a `Kept` view on the blocks whose
+    category of elements, keeps its top as the `Chains` of the prefixes whose
     first object is not a basepoint: after homology it holds no decoded top
     chain."""
     tab = ispace.hocolim_I(cmon.c1(3).space, 3, based=True)
-    assert isinstance(tab.raw_of[3], Kept) and len(tab.raw_of[3]) == tab.sset.card[3] > 0
+    assert isinstance(tab.raw_of[3], Chains) and len(tab.raw_of[3]) == tab.sset.card[3] > 0
     homology(tab.sset, 2)
     _assert_holds_no_top_chain(tab)
 
