@@ -755,13 +755,20 @@ def _tuples_bounded(pools, budget):
     head levels sum to at most `budget`, in the order of the product of the pools.
 
     Each pool is bucketed once by the budget left: fits[b] holds its pairs of
-    head level at most b, so a prefix extends without testing any item.
+    head level at most b, so a prefix extends without testing any item.  The
+    prefixes carry the budget left; the last pool extends each prefix straight
+    into the result, which holds no such pair.
     """
-    level = [((), budget)]
-    for pool in pools:
+    if not pools:
+        return [()]
+    level, out = [((), budget)], []
+    for pool in pools[:-1]:
         fits = [[(z, h) for z, h in pool if h <= b] for b in range(budget + 1)]
         level = [(t + (z,), left - h) for t, left in level for z, h in fits[left]]
-    return [t for t, _ in level]
+    fits = [[(z,) for z, h in pools[-1] if h <= b] for b in range(budget + 1)]
+    for t, left in level:
+        out.extend(map(t.__add__, fits[left]))
+    return out
 
 
 def two_sided_bar_of_hocolim(A, K):

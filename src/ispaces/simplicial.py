@@ -19,8 +19,9 @@ listing raw_of[k][x], the raw cell of the nondegenerate k-simplex x.  Every
 degenerate k-simplex is s_i y for a (k-1)-simplex y, so the images s_i y of the
 level below name all of them, and only the nondegenerate simplices are asked
 for their faces, each by one call faces_fn(k, raw) for the whole row.  Rows
-are built when first read (`FaceRows`) and top refs on the first lookup that
-misses (`TopRefs`), so homology builds only the rows SNF reads, and no top ref.
+are built when read (`FaceRows`), and kept only when read by id, and top refs
+on the first lookup that misses (`TopRefs`), so homology builds only the rows
+SNF reads, keeps none of them, and makes no top ref.
 A nerve's top degree is given by position (`Chains`), with its own degeneracies;
 its nondegenerate chains are a `Chains` too, the nondegenerate prefixes each
 followed by the non-identity morphisms out of its last object, so homology
@@ -111,7 +112,7 @@ class SSet:
     card[k] is the number of nondegenerate k-simplices (ids 0..card[k]-1).
     face[k][x] is the tuple (d_0 x, ..., d_k x) of refs, for
     1 <= k <= top_dim; face[0] is empty, since vertices have no faces.
-    face[k] is a list, or a `FaceRows` that builds each row on first read.
+    face[k] is a list, or a `FaceRows` that builds each row when it is read.
     `complete` asserts that the untruncated object has no nondegenerate
     simplices above top_dim, so homology in every degree is trustworthy.
     """
@@ -234,8 +235,9 @@ def validate_sset(X):
 # ---------------------------------------------------------------------------
 
 class FaceRows(Sequence):
-    """Face rows by id; row x is row_fn(raws[x]), built on first read and kept.
-    The slots of the rows are made on the first read of any row."""
+    """Face rows by id; row x is row_fn(raws[x]).  A row read by id is built
+    on first read and kept, in slots made on the first such read; a pass in
+    order reads the kept rows and builds the others without keeping them."""
 
     def __init__(self, raws, row_fn):
         self.raws, self.rows, self.row_fn = raws, None, row_fn
@@ -244,20 +246,15 @@ class FaceRows(Sequence):
         return len(self.raws)
 
     def __getitem__(self, x):
-        return (self.rows or self._slots())[x] or self._row(x, self.raws[x])
-
-    def __iter__(self):  # reads raws in order, not each by id
-        self._slots()
-        return map(self._row, count(), self.raws)
-
-    def _slots(self):
         if self.rows is None:
             self.rows = [None] * len(self.raws)
-        return self.rows
-
-    def _row(self, x, raw):
-        row = self.rows[x] = self.rows[x] or self.row_fn(raw)
+        row = self.rows[x] = self.rows[x] or self.row_fn(self.raws[x])
         return row
+
+    def __iter__(self):  # reads raws in order, not each by id
+        if self.rows is None:
+            return map(self.row_fn, self.raws)
+        return (row or self.row_fn(raw) for row, raw in zip(self.rows, self.raws))
 
     def __eq__(self, other):
         return list(self) == other
@@ -303,17 +300,19 @@ def normalize_table(cells, faces_fn, deg_fn, top_dim, complete=False, based_raw=
     order of `cells`, which fixes them.
 
     Degeneracies of a list are found from below.  Before level k is read, s_i y
-    is formed for every (k-1)-cell y and every i < k, smallest i first; the
-    k-cell equal to the first of them is the ref s_i(ref of y), which by
-    Eilenberg-Zilber does not depend on the choice of (i, y).  An image that
-    is not a k-cell gets no ref; a cell repeated from a lower level keeps its
-    lower ref.  Every other k-cell is nondegenerate: it gets the next id, and
-    faces_fn is called on it once for its row of the face table (the
-    reference oracle of the tests calls it on any raw cell).  The rows of
-    every dimension are `FaceRows`, built on first read, so a faces_fn must
-    not read state changed after the call returns (a row naming no cell
-    raises KeyError when read); the top refs are made on the first lookup
-    that misses (`TopRefs`).
+    is formed for every (k-1)-cell y and every i < k, smallest i first, into
+    one dict that maps each image to its first (i, y).  The level is then
+    walked once: a cell repeated from a lower level keeps its lower ref, a
+    cell among the images gets the ref s_i(ref of y), which by
+    Eilenberg-Zilber does not depend on the choice of (i, y), and every other
+    k-cell is nondegenerate: it gets the next id, and faces_fn is called on
+    it for its row of the face table (the reference oracle of the tests
+    calls it on any raw cell).  An image that is not a k-cell gets no ref.
+    The rows of every dimension are `FaceRows`, built when read and kept
+    only when read by id, so faces_fn may be called on a cell more than
+    once and must not read state changed after the call returns (a row
+    naming no cell raises KeyError when read); the top refs are made on the
+    first lookup that misses (`TopRefs`).
     """
     ref_of, raw_of, face = TopRefs(top_dim), [], [[]]
 
@@ -323,18 +322,17 @@ def normalize_table(cells, faces_fn, deg_fn, top_dim, complete=False, based_raw=
     for k, level in enumerate(cells[:top_dim + 1]):
         if hasattr(level, "degenerate_ref"):
             raws = level.nondegenerate(ref_of)
-        else:  # one dict of positions, which also finds the cells of lower levels
-            kept, pos = bytearray(b"\1") * len(level), dict(zip(level, count()))
-            for z in pos.keys() & ref_of.keys():
-                kept[pos[z]] = 0
+        else:  # one dict of the images s_i y, each to its first (i, y)
+            images, raws = {}, []
             for i in range(k):
                 for y in cells[k - 1]:
-                    z = deg_fn(k - 1, y, i)
-                    p = pos.get(z)
-                    if p is not None and kept[p]:
-                        kept[p] = 0
-                        ref_of[z] = apply_s(i, ref_of[y])
-            raws = list(compress(level, kept))
+                    images.setdefault(deg_fn(k - 1, y, i), (i, y))
+            for z in level:
+                if z not in ref_of:
+                    if (iy := images.get(z)) is None:
+                        raws.append(z)
+                    else:
+                        ref_of[z] = apply_s(iy[0], ref_of[iy[1]])
         raw_of.append(raws)
         if k < top_dim:
             ref_of.update(zip(raws, zip(repeat(()), repeat(k), count())))

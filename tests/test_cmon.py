@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from math import prod
 
 import pytest
@@ -267,6 +268,20 @@ def test_tuples_bounded_matches_oracle():
                 pools = [[(j, c[j][0]) for j in js] for c, js in zip(chains, codes)]
                 assert ([tuple(d[j] for d, j in zip(nested, t)) for t in _tuples_bounded(pools, N)]
                         == bounded_tuples([list(d.values()) for d in nested], N))
+
+
+def test_tuples_bounded_is_the_filtered_product():
+    """`_tuples_bounded` is itertools.product filtered by the budget, in
+    product order: on seeded random pools, on no pools and with an empty pool."""
+    rng = random.Random(37)
+    cases = [([], 0), ([], 3), ([[(0, 0), (1, 1)], []], 3), ([[], [(0, 0)]], 1)]
+    for _ in range(300):
+        pools = [[(f"{p}.{j}", rng.randint(0, 3)) for j in range(rng.randint(0, 4))]
+                 for p in range(rng.randint(0, 4))]
+        cases.append((pools, rng.randint(0, 4)))
+    for pools, budget in cases:
+        assert _tuples_bounded(pools, budget) == [
+            tuple(z for z, _ in t) for t in product(*pools) if sum(h for _, h in t) <= budget]
 
 
 CODED_BAR_MONOIDS = {"c1-2": lambda: c1(2), "c1-3": lambda: c1(3),

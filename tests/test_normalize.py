@@ -236,6 +236,25 @@ def test_refs_of_images_outside_the_cells_and_of_repeated_cells(top_dim):
     _assert_edge_table_refs(top_dim, by_position=False)
 
 
+def test_a_degenerate_cell_of_a_list_level_takes_its_smallest_index():
+    """When images s_i y and s_j y' of the level below are one cell of a list
+    level, its ref is that of the smallest index, whatever the order of the
+    level below: here "d" is s_1 of the first edge and s_0 of the second,
+    and is named s_0 of the second.  (In a simplicial set the two refs are
+    equal, by Eilenberg-Zilber.)  A repeated vertex that is also an image
+    keeps its own ref."""
+    cells = [[0, 1], [("e", 0), ("e", 1)], [1, "d", ("f",)]]
+    faces = {("e", 0): (1, 0), ("e", 1): (0, 1), ("f",): (("e", 0), ("e", 1), ("e", 0))}
+    named = {(("e", 0), 1): "d", (("e", 1), 0): "d", (("e", 1), 1): 1}
+
+    def deg_fn(k, raw, i):
+        return named.get((raw, i), ("s", i, raw))
+
+    tab = simplicial.normalize_table(cells, lambda k, raw: faces[raw], deg_fn, 2)
+    assert tab.ref_of["d"] == ((0,), 1, 1) and tab.ref_of[1] == simplicial.nd_ref(0, 1)
+    assert tab.raw_of[1:] == [[("e", 0), ("e", 1)], [("f",)]]
+
+
 class _OwnDegeneracies(list):
     """A top level that gives its own degeneracies, as a nerve's
     `simplicial.Chains` does, found here by probing every image of the level

@@ -100,6 +100,44 @@ def test_refs_and_face_rows_leave_the_cyclic_collector():
     assert not any(gc.is_tracked(row) for row in top)
 
 
+def test_face_rows_keep_a_row_read_by_id_and_no_row_of_a_pass():
+    """A row read by id is built once and kept; a pass in order reads it
+    from its slot and builds every other row, keeping none of them."""
+    X = nerve(comma_under(1, 3), 3).sset
+    top = X.face[3]
+    built, build = [], top.row_fn
+    top.row_fn = lambda raw: built.append(raw) or build(raw)
+    x = len(top) // 2
+    row = top[x]
+    assert top[x] is row and built == [top.raws[x]]
+    for _ in range(2):
+        rows = list(top)
+        assert rows[x] is row and rows == [build(raw) for raw in top.raws]
+    assert len(built) == 1 + 2 * (len(top) - 1) and built.count(top.raws[x]) == 1
+    assert [y for y, kept in enumerate(top.rows) if kept is not None] == [x]
+    assert list(X.face[2]) and X.face[2].rows is None
+
+
+def test_a_pass_over_the_trunc_4_nerve_holds_no_row():
+    """After the reduced homology of (1 | I) at truncation 4, one pass of
+    `len` over every boundary of a fresh chain complex reads all 124,354
+    top rows in order.  It builds each row again and keeps none, so its
+    traced Python allocations peak within 2 MB of where they start (a pass
+    that keeps its rows holds about 8.5 MB of them)."""
+    import tracemalloc
+
+    X = nerve(comma_under(1, 4), 3).sset
+    assert reduced_homology_trivial(X, 2)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert [len(d) for d in chain_complex(X).boundaries][3] > 3 * 124354
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 2 * 2 ** 20
+
+
 GUARDED_TABLES = {
     "nerve-under-1": lambda: nerve(comma_under(1, 3), 3),
     "hocolim-terminal": lambda: ispace.hocolim_I(ispace.terminal_ispace(3), 3),
@@ -542,16 +580,17 @@ def test_homology_builds_few_top_rows_of_the_trunc_4_nerve(monkeypatch):
     of its 124,354 rows of d_3, counted as they are built, and no row past
     its last pivot.  The rows below the top are built when read too: SNF
     meets the bound of d_2 after 217 of its 5,362 rows.  Both the cell
-    order and the pivot choice fix these counts."""
+    order and the pivot choice fix these counts.  SNF reads the rows in one
+    pass in order, which keeps none of them."""
     import ispaces.simplicial as simplicial
 
     X = nerve(comma_under(1, 4), 3).sset
     top = X.face[3]
     assert isinstance(top, FaceRows) and len(top) == 124354
-    built, build = [], top.row_fn
+    built = {2: [], 3: []}
 
-    def counted(raw):
-        built.append(raw)
+    def counted(k, build, raw):
+        built[k].append(raw)
         return build(raw)
 
     calls, snf = [], simplicial.rank_and_torsion
@@ -560,13 +599,14 @@ def test_homology_builds_few_top_rows_of_the_trunc_4_nerve(monkeypatch):
         calls.append(snf(mat, nrows, ncols, drop_rows, pivots) + (nrows - len(drop_rows), ncols))
         return calls[-1][:2]
 
-    top.row_fn = counted
+    for k in built:
+        X.face[k].row_fn = partial(counted, k, X.face[k].row_fn)
     monkeypatch.setattr(simplicial, "rank_and_torsion", recorded)
     assert reduced_homology_trivial(X, 2)
     rank, _, bound, ncols = calls[-1]
     assert rank == bound < 5362 and ncols == 124354
-    assert len(built) == sum(row is not None for row in top.rows) == 5145
-    assert len(X.face[2]) == 5362 and sum(row is not None for row in X.face[2].rows) == 217
+    assert len(built[3]) == 5145 and top.rows is None
+    assert len(X.face[2]) == 5362 and len(built[2]) == 217 and X.face[2].rows is None
 
 
 def test_homology_reads_only_a_prefix_of_the_top_degree():
@@ -750,9 +790,12 @@ def test_trunc_4_nerve_counts_its_top_and_decodes_only_what_snf_reads(monkeypatc
     monkeypatch.setattr(simplicial.Chains, "__getitem__",
                         lambda self, i: decoded.append(i) or item(self, i))
     assert nerve(C, 3).sset.card == tab.sset.card and decoded == []
+    top_rows, built = tab.sset.face[3], []
+    build = top_rows.row_fn
+    top_rows.row_fn = lambda raw: built.append(raw) or build(raw)
     assert reduced_homology_trivial(tab.sset, 2)
-    built = sum(row is not None for row in tab.sset.face[3].rows)
-    assert len(decoded) == built == 5145
+    assert len(decoded) == len(built) == 5145 and top_rows.rows is None
+    top_rows.row_fn = build  # the counting wrapper holds the chains it built
     _assert_holds_no_top_chain(tab)
 
 
@@ -771,14 +814,15 @@ def test_based_hocolim_of_elements_holds_no_list_over_its_top():
     """The based quotient computes the new id of a cell from the sorted
     collapsed ids and reads each row from its kept raw cell, so after
     homology `hocolim_I(c1(3).space, 3, based=True)` holds no list, set or
-    bytes object as long as half its top but the slots of its own top rows:
-    no new id per cell, no list of kept ids and no row slots of the nerve it
-    quotients (2,137 top cells, of which 1,585 are kept)."""
+    bytes object as long as half its top: no new id per cell, no list of
+    kept ids, no row slots of the nerve it quotients (2,137 top cells, of
+    which 1,585 are kept) and, since SNF reads the top rows in one pass in
+    order, no slots of its own top rows."""
     tab = ispace.hocolim_I(cmon.c1(3).space, 3, based=True)
     homology(tab.sset, 2)
-    rows, held = tab.sset.face[3].rows, _held_containers(tab)
-    assert tab.sset.card[3] == len(rows) == 1585 and any(obj is rows for obj in held)
-    assert [len(obj) for obj in held if len(obj) >= len(rows) / 2 and obj is not rows] == []
+    held = _held_containers(tab)
+    assert tab.sset.card[3] == 1585 and tab.sset.face[3].rows is None
+    assert [len(obj) for obj in held if len(obj) >= 1585 / 2] == []
 
 
 def _held_containers(tab):
