@@ -4,15 +4,17 @@ A CIMonoidT is an ISpaceT carrier with a unit vertex in level 0 and a
 multiplication defined on pairs of equal-dimension simplices, landing in the
 level-sum space.  The module provides the subsets model of the free monoid
 on a degree-one generator, filtered models of ordinary commutative monoids,
-presentations of the component monoid with Grothendieck groups, exact unit
-detection by support closure (no search bound), bar constructions, and the
-three-term comparison between the bar construction of the diagram monoid
-and of its homotopy colimit.
+component-monoid presentations as reduced rewriting systems by completion,
+Grothendieck groups, exact unit detection by support closure (neither with
+a search bound), bar constructions, and the three-term comparison between
+the bar construction of the diagram monoid and of its homotopy colimit.
 """
 
+import heapq
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, combinations
+from operator import add, ge
 from typing import Callable, Optional
 
 from . import icat
@@ -301,19 +303,32 @@ def pi0_monoid(A):
     """Presentation of the component monoid of the homotopy colimit.
 
     Generators are the merged non-unit component classes; relations record
-    every product of vertices with level sum at most N, then the
-    presentation is minimized by eliminating definable generators and
-    dropping relations derivable from the rest.
+    every product of vertices with level sum at most N.  The result is the
+    reduced rewriting system of their congruence (`_complete`) over the
+    generators no rule rewrites: unique for the order, so neither N past the
+    congruence nor the order of the products moves it.
 
-    Returns (CommMonoidPres, class-to-vector map keyed by class rep).
+    Returns (CommMonoidPres, class rep -> normal form of its vector).
     """
     cls, classes, unit_cls = merged_classes(A)
-    products = ((cls(m, x), cls(n, y), cls(m + n, A.mul(m, n, nd_ref(0, x), nd_ref(0, y))[2]))
-                for m in range(A.N + 1) for n in range(A.N + 1 - m)
-                for x in range(A.level(m).card[0]) for y in range(A.level(n).card[0]))
-    pres, class_vec = class_presentation(classes, unit_cls, products)
-    pres, subst = _minimize_presentation(pres)
-    return pres, {c: _substitute(v, subst, len(pres.generators)) for c, v in class_vec.items()}
+    pres, class_vec = class_presentation(classes, unit_cls, _vertex_products(A, cls))
+    rules = _complete(pres.relations)
+    live = [j for j, c in enumerate(pres.generators) if class_vec[c] not in rules]
+
+    def restrict(vec):
+        return tuple(vec[j] for j in live)
+
+    rels = sorted(tuple(sorted((restrict(lhs), restrict(rhs))))
+                  for lhs, rhs in rules.items() if sum(lhs) > 1)
+    return (CommMonoidPres([pres.generators[j] for j in live], rels),
+            {c: restrict(_normal_form(v, rules)) for c, v in class_vec.items()})
+
+
+def _vertex_products(A, cls):
+    """(class of x, class of y, class of xy) for vertices x, y with level sum at most N."""
+    return ((cls(m, x), cls(n, y), cls(m + n, A.mul(m, n, nd_ref(0, x), nd_ref(0, y))[2]))
+            for m in range(A.N + 1) for n in range(A.N + 1 - m)
+            for x in range(A.level(m).card[0]) for y in range(A.level(n).card[0]))
 
 
 def class_presentation(classes, unit_cls, products):
@@ -333,113 +348,58 @@ def class_presentation(classes, unit_cls, products):
 
     rels = set()
     for a, b, c in products:
-        lhs, rhs = _vec_add(evec(a), evec(b)), evec(c)
+        lhs, rhs = tuple(map(add, evec(a), evec(b))), evec(c)
         if lhs != rhs:
             rels.add(tuple(sorted((lhs, rhs))))
     return CommMonoidPres(gens, sorted(rels)), {c: evec(c) for c in classes}
 
 
-def _vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def _minimize_presentation(pres):
-    """Eliminate generators defined by a relation, then prune relations.
-
-    Returns the reduced presentation plus the substitution map old-generator
-    index -> vector over the surviving generators.
+def _complete(relations):
+    """The reduced convergent rewriting system {lhs: rhs} of the congruence
+    on N^g that `relations` generate, by Knuth-Bendix completion (here
+    Buchberger's algorithm on difference binomials: Eisenbud & Sturmfels,
+    *Binomial ideals*, 1996).  Words are ordered lexicographically with later
+    generators larger, an elimination order.  Equations go smallest first; a
+    new rule sends back each rule whose left side lies above its own and
+    queues its critical pairs with the rest.  Left sides stay an antichain,
+    so this ends (Dickson's lemma); congruent words have one normal form.
     """
-    gens = list(pres.generators)
-    rels = [tuple(sorted((u, v))) for u, v in pres.relations]
-    subst = {i: tuple(1 if j == i else 0 for j in range(len(gens)))
-             for i in range(len(gens))}
-    changed = True
-    while changed:
-        changed = False
-        for u, v in sorted(set(rels)):
-            for a, b in ((u, v), (v, u)):
-                if sum(a) == 1 and max(a) == 1:
-                    i = a.index(1)
-                    if b[i] == 0:
-                        # generator i is definable as the word b
-                        rels = [tuple(sorted((_elim(x, i, b), _elim(y, i, b))))
-                                for x, y in rels]
-                        for k in subst:
-                            subst[k] = _elim(subst[k], i, b)
-                        changed = True
-                        break
-            if changed:
+    queue = []
+
+    def push(u, v):
+        heapq.heappush(queue, (max(u[::-1], v[::-1]), u, v))
+
+    for u, v in relations:
+        push(u, v)
+    rules = {}
+    while queue:
+        _, u, v = heapq.heappop(queue)
+        rhs, lhs = sorted((_normal_form(u, rules), _normal_form(v, rules)), key=lambda w: w[::-1])
+        if lhs == rhs:
+            continue
+        for old in [old for old in rules if all(map(ge, old, lhs))]:
+            push(old, rules.pop(old))
+        for old, new in rules.items():
+            if any(map(min, old, lhs)):
+                peak = tuple(map(max, old, lhs))
+                push(_step(peak, old, new), _step(peak, lhs, rhs))
+        rules[lhs] = rhs
+    return {lhs: _normal_form(rhs, rules) for lhs, rhs in rules.items()}
+
+
+def _step(vec, lhs, rhs):
+    return tuple(a - b + c for a, b, c in zip(vec, lhs, rhs))
+
+
+def _normal_form(vec, rules):
+    """Rewrite `vec` by `rules` until no left side lies below it."""
+    while True:
+        for lhs, rhs in rules.items():
+            if all(map(ge, vec, lhs)):
+                vec = _step(vec, lhs, rhs)
                 break
-    live = sorted({j for vec in subst.values() for j, t in enumerate(vec) if t}
-                  | {j for u, v in rels if u != v
-                     for j, t in enumerate(_vec_add(u, v)) if t})
-
-    def shrink(vec):
-        return tuple(vec[j] for j in live)
-
-    rels = sorted({(shrink(u), shrink(v)) for u, v in rels if u != v})
-    new_gens = [gens[j] for j in live]
-    subst = {i: shrink(v) for i, v in subst.items()}
-    rels = _prune_relations(rels)
-    return CommMonoidPres(new_gens, rels), subst
-
-
-def _elim(vec, i, word):
-    """Replace generator i by `word` inside an exponent vector."""
-    t = vec[i]
-    out = list(vec)
-    out[i] = 0
-    for j, w in enumerate(word):
-        out[j] += t * w
-    return tuple(out)
-
-
-def _substitute(vec, subst, g):
-    out = (0,) * g
-    for i, t in enumerate(vec):
-        for _ in range(t):
-            out = _vec_add(out, subst[i])
-    return out
-
-
-# Rewriting steps that `_prune_relations` tries before it keeps a relation.
-PRUNE_STEPS = 6
-
-
-def _prune_relations(rels):
-    """Drop relations derivable from the others by PRUNE_STEPS rewritings."""
-    kept = list(rels)
-    i = 0
-    while i < len(kept):
-        cand = kept[i]
-        rest = kept[:i] + kept[i + 1:]
-        if rest and _congruent(cand[0], cand[1], rest, PRUNE_STEPS):
-            kept = rest
         else:
-            i += 1
-    return kept
-
-
-def _congruent(u, v, rels, step_bound):
-    """Bounded decision of u ~ v under the congruence generated by rels."""
-    seen = {u}
-    frontier = [u]
-    for _ in range(step_bound):
-        new = []
-        for w in frontier:
-            for a, b in rels:
-                for src, dst in ((a, b), (b, a)):
-                    if all(w[j] >= src[j] for j in range(len(w))):
-                        w2 = tuple(w[j] - src[j] + dst[j] for j in range(len(w)))
-                        if w2 == v:
-                            return True
-                        if w2 not in seen:
-                            seen.add(w2)
-                            new.append(w2)
-        frontier = new
-        if not frontier:
-            break
-    return v in seen
+            return vec
 
 
 def grothendieck_group(pres):
@@ -529,8 +489,8 @@ class UnitsReport:
 
 def units(A):
     """The submonoid of unit components, with the complement decomposition."""
-    pres, class_vec = pi0_monoid(A)
     cls, classes, unit_cls = merged_classes(A)
+    pres, class_vec = class_presentation(classes, unit_cls, _vertex_products(A, cls))
     verdict = unit_verdicts(pres, vectors=sorted(set(class_vec.values())))
     unit_classes = [c for c in classes if verdict.is_unit(class_vec[c])]
     nonunit_classes = [c for c in classes if c not in unit_classes]

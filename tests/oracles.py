@@ -1154,6 +1154,13 @@ def _rewrites_of(u, relations, steps):
     return seen
 
 
+def bounded_congruence(u, v, relations, steps=6):
+    """True if u rewrites to v within `steps` steps of `_rewrites_of`: the
+    bounded breadth-first search with which the library once pruned its
+    presentations.  True is a derivation; False settles nothing."""
+    return v in _rewrites_of(u, relations, steps)
+
+
 def bounded_unit_search(relations, g, vectors, bound=4, cap=3):
     """Unit status of each vector of N^g / relations by two bounded searches,
     the search the library once used: "unit" if some word w of at most

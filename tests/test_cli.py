@@ -153,6 +153,13 @@ def test_cli_pi0_and_units(capsys):
     assert len(payload["unit_classes"]) == 2
 
 
+def test_cli_pi0_presentation_is_the_same_at_trunc_3_and_4(capsys):
+    _, at3 = run_cli(capsys, "pi0", "--trunc", "3", "z")
+    _, at4 = run_cli(capsys, "pi0", "--trunc", "4", "z")
+    assert at3 == at4
+    assert at4["presentation"]["rels"] == [[[0, 0], [1, 1]]]
+
+
 def test_cli_bar_summary(capsys):
     code, payload = run_cli(capsys, "bar", "--trunc", "2", "m52")
     assert code == 0

@@ -1,6 +1,7 @@
 import random
-from itertools import product
+from itertools import combinations, product
 from math import prod
+from operator import ge
 
 import pytest
 
@@ -8,6 +9,8 @@ from ispaces import cmon
 from ispaces.cmon import (
     CommMonoidPres,
     _chain_sum,
+    _complete,
+    _normal_form,
     _tuples_bounded,
     bar,
     bar_comparison,
@@ -28,12 +31,14 @@ from ispaces.cmon import (
 )
 from ispaces.icat import coded_injections, injections
 from ispaces.ispace import _chain_cells, free_ispace, hocolim_I, terminal_ispace
+from ispaces.scenarios import build_monoid
 from ispaces.simplicial import homology, pi0_classes
 
 from oracles import (
     bar_comparison_once_reference,
     bar_mul_reference,
     bar_of_hocolim_reference,
+    bounded_congruence,
     bounded_tuples,
     bounded_unit_search,
     chain_sum_reference,
@@ -53,17 +58,54 @@ def test_monoid_axioms_on_models():
         assert validate_monoid(A) == []
 
 
-def test_c1_pi0_presentation_is_free():
-    pres, _ = pi0_monoid(c1(3))
-    assert len(pres.generators) == 1
-    assert pres.relations == []
-
-
-def test_m52_pi0_presentation():
-    pres, _ = pi0_monoid(sec52_monoid(3))
-    assert len(pres.generators) == 2
+# the reduced rewriting system of each model, the same at every truncation
+PI0_PRESENTATIONS = {
+    "c1": (["(1, 1)"], []),  # free on one generator
     # 0' is 2-torsion and absorbed by the positive part
-    assert len(pres.relations) == 2
+    "m52": (["(0, 1)", "(1, 2)"], [((0, 0), (2, 0)), ((0, 1), (1, 1))]),
+    "z": (["(1, 0)", "(1, 2)"], [((0, 0), (1, 1))]),
+    "z2": (["(0, 1)"], [((0,), (2,))]),
+}
+
+
+@pytest.mark.parametrize("trunc", [2, 3, 4, 5])
+@pytest.mark.parametrize("model", sorted(PI0_PRESENTATIONS))
+def test_pi0_presentation_does_not_move_with_the_truncation(model, trunc):
+    pres, class_vec = pi0_monoid(build_monoid(model, trunc))
+    assert ([str(g) for g in pres.generators], pres.relations) == PI0_PRESENTATIONS[model]
+    # each generator is its own class's normal form
+    for i, g in enumerate(pres.generators):
+        assert class_vec[g] == tuple(int(i == j) for j in range(len(pres.generators)))
+
+
+def test_completion_agrees_with_bounded_congruence_search():
+    # seed 38: g <= 4 generators, at most 5 relations, entries 0..2
+    rng = random.Random(38)
+    derived = apart = 0
+    for _ in range(100):
+        g = rng.randint(1, 4)
+        rels = [tuple(tuple(rng.randint(0, 2) for _ in range(g)) for _ in range(2))
+                for _ in range(rng.randint(0, 5))]
+        rules = _complete(rels)
+        shuffled = [pair[::-1] if rng.random() < 0.5 else pair
+                    for pair in rng.sample(rels, len(rels))]
+        assert _complete(shuffled) == rules, rels
+        # reduced: left sides an antichain above normal right sides
+        for lhs, rhs in rules.items():
+            assert lhs[::-1] > rhs[::-1]
+            assert _normal_form(rhs, rules) == rhs
+            assert not any(all(map(ge, lhs, other)) for other in rules if other != lhs)
+        for u, v in rels:
+            assert _normal_form(u, rules) == _normal_form(v, rules)
+        words = sorted({tuple(rng.randint(0, 2) for _ in range(g)) for _ in range(6)})
+        for u, v in combinations(words, 2):
+            same = _normal_form(u, rules) == _normal_form(v, rules)
+            found = bounded_congruence(u, v, rels)
+            # a derivation makes the normal forms agree; differing ones admit none
+            assert same or not found, (rels, u, v)
+            derived += found
+            apart += not same
+    assert derived > 0 and apart > 0
 
 
 def test_merged_classes_c1():
@@ -152,6 +194,18 @@ def test_units_of_m52():
     assert is_grouplike(rep.units_monoid)
     for n, f in rep.inclusion.items():
         assert f.validate() == [], n
+
+
+def test_units_merges_classes_once(monkeypatch):
+    calls = []
+
+    def counted(A):
+        calls.append(A)
+        return merged_classes(A)
+
+    monkeypatch.setattr(cmon, "merged_classes", counted)
+    assert len(units(sec52_monoid(3)).unit_classes) == 2
+    assert len(calls) == 1
 
 
 def test_units_decomposition_covers_everything():

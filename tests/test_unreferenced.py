@@ -324,7 +324,7 @@ def test_every_dataclass_field_is_read():
 def test_every_constant_is_read():
     """Every name that a module in `src/ispaces/` binds by a top-level
     assignment, dunders aside, is read in `src/`, `tests/` or `perfbench/`:
-    loaded as a name, or as an attribute (`cmon.PRUNE_STEPS`).  A retired
+    loaded as a name, or as an attribute (`scenarios.REGISTRY`).  A retired
     cap or bound then cannot linger as a constant."""
     read = set()
     for top in ("src", "tests", "perfbench"):
