@@ -134,7 +134,7 @@ def cmd_gamma(args, cfg):
         "special": sv.verdict,
         "very_special": sv.very_special,
         "witness": sv.witness,
-        "detail": {k: v for k, v in sv.detail.items() if k != "pi0_monoid"},
+        "detail": sv.detail,
     }, sv.verdict != "refuted"
 
 

@@ -307,7 +307,6 @@ def is_special(X, D=0):
         vs = "refuted"
         vs_witness = {"non_unit_classes": non_units,
                       "witness": uv.status[class_vec[non_units[0]]]}
-    detail["pi0_monoid"] = pres.to_json()
     return SpecialVerdict(verdict, witness, vs, vs_witness, detail)
 
 

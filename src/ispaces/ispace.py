@@ -558,11 +558,6 @@ def _moved_ref(sub, ref):
     return (degs, base_dim, base_id - i + (base_dim == 0))
 
 
-def _pushed_row(push, row_fn, raw):
-    """The row of a kept raw cell in a quotient: its unquotiented row, pushed."""
-    return tuple(map(push, row_fn(raw)))
-
-
 def _based_quotient(X, tab):
     """Collapse the copy of the index nerve sitting under the basepoints, the
     cells whose simplex (`_cell_point`) is one: on a nerve of elements, the cells whose first
@@ -597,7 +592,7 @@ def _based_quotient(X, tab):
         raise ValueError("the diagram moves a basepoint off the basepoints")
     raw_of[0].insert(0, tab.raw_of[0][sub[0][-1]])
     push = LazyDict(partial(_moved_ref, sub)).__getitem__  # each ref once, shared by its rows
-    face = [[]] + [FaceRows(raws, partial(_pushed_row, push, rows.row_fn))
+    face = [[]] + [FaceRows(raws, rows.refs, push)
                    for raws, rows in zip(raw_of[1:], tab.sset.face[1:])]
     Q = SSet(tuple(map(len, raw_of)), tuple(face), complete=tab.sset.complete, basepoint=0)
     return NormTable(Q, LazyDict(partial(_pushed_ref, push, tab.ref_of)), raw_of, tab.cat)

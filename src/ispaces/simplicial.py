@@ -19,9 +19,11 @@ listing raw_of[k][x], the raw cell of the nondegenerate k-simplex x.  Every
 degenerate k-simplex is s_i y for a (k-1)-simplex y, so the images s_i y of the
 level below name all of them, and only the nondegenerate simplices are asked
 for their faces, each by one call faces_fn(k, raw) for the whole row.  Rows
-are built when read (`FaceRows`), and kept only when read by id, and top refs
-on the first lookup that misses (`TopRefs`), so homology builds only the rows
-SNF reads, keeps none of them, and makes no top ref.
+are built when read by id, and kept (`FaceRows`), and top refs on the first
+lookup that misses (`TopRefs`).  Homology builds no row: a boundary column
+is summed straight from the faces of its cell, looked up in raw -> ref, so
+homology reads the faces of the cells whose columns SNF reads, and makes no
+top ref.
 A nerve's top degree is given by position (`Chains`), with its own degeneracies;
 its nondegenerate chains are a `Chains` too, the nondegenerate prefixes each
 followed by the non-identity morphisms out of its last object, so homology
@@ -235,12 +237,13 @@ def validate_sset(X):
 # ---------------------------------------------------------------------------
 
 class FaceRows(Sequence):
-    """Face rows by id; row x is row_fn(raws[x]).  A row read by id is built
-    on first read and kept, in slots made on the first such read; a pass in
-    order reads the kept rows and builds the others without keeping them."""
+    """Face rows by id: row x is the tuple of ref(f) for the faces f in
+    faces_fn(raws[x]).  A row read by id is built on first read and kept, in
+    slots made on the first such read; a pass in order (`faces`) reads the
+    kept rows and maps `ref` over the faces of the others, building no row."""
 
-    def __init__(self, raws, row_fn):
-        self.raws, self.rows, self.row_fn = raws, None, row_fn
+    def __init__(self, raws, faces_fn, ref):
+        self.raws, self.rows, self.faces_fn, self.ref = raws, None, faces_fn, ref
 
     def __len__(self):
         return len(self.raws)
@@ -248,13 +251,21 @@ class FaceRows(Sequence):
     def __getitem__(self, x):
         if self.rows is None:
             self.rows = [None] * len(self.raws)
-        row = self.rows[x] = self.rows[x] or self.row_fn(self.raws[x])
+        row = self.rows[x] = self.rows[x] or tuple(self.refs(self.raws[x]))
         return row
 
-    def __iter__(self):  # reads raws in order, not each by id
+    def refs(self, raw):
+        """The face refs of the cell raw, as an iterator."""
+        return map(self.ref, self.faces_fn(raw))
+
+    def faces(self):
+        """The face refs of each row in order: the kept row, else an iterator."""
         if self.rows is None:
-            return map(self.row_fn, self.raws)
-        return (row or self.row_fn(raw) for row, raw in zip(self.rows, self.raws))
+            return map(map, repeat(self.ref), map(self.faces_fn, self.raws))
+        return (row or self.refs(raw) for row, raw in zip(self.rows, self.raws))
+
+    def __iter__(self):  # reads raws in order, not each by id
+        return map(tuple, self.faces())
 
     def __eq__(self, other):
         return list(self) == other
@@ -308,16 +319,15 @@ def normalize_table(cells, faces_fn, deg_fn, top_dim, complete=False, based_raw=
     k-cell is nondegenerate: it gets the next id, and faces_fn is called on
     it for its row of the face table (the reference oracle of the tests
     calls it on any raw cell).  An image that is not a k-cell gets no ref.
-    The rows of every dimension are `FaceRows`, built when read and kept
-    only when read by id, so faces_fn may be called on a cell more than
-    once and must not read state changed after the call returns (a row
-    naming no cell raises KeyError when read); the top refs are made on the
-    first lookup that misses (`TopRefs`).
+    The rows of every dimension are `FaceRows` over faces_fn and the refs:
+    a row is built and kept when read by id, and a boundary column is
+    summed from faces_fn(k, raw) with no row built.  So faces_fn may be
+    called on a cell more than once and must not read state changed after
+    the call returns (a face naming no cell raises KeyError when its row or
+    column is read); the top refs are made on the first lookup that misses
+    (`TopRefs`).
     """
     ref_of, raw_of, face = TopRefs(top_dim), [], [[]]
-
-    def row(k, raw):
-        return tuple(map(ref_of.__getitem__, faces_fn(k, raw)))
 
     for k, level in enumerate(cells[:top_dim + 1]):
         if hasattr(level, "degenerate_ref"):
@@ -337,7 +347,7 @@ def normalize_table(cells, faces_fn, deg_fn, top_dim, complete=False, based_raw=
         if k < top_dim:
             ref_of.update(zip(raws, zip(repeat(()), repeat(k), count())))
         if k:
-            face.append(FaceRows(raws, partial(row, k)))
+            face.append(FaceRows(raws, partial(faces_fn, k), ref_of.__getitem__))
     ref_of.raws, ref_of.degenerate_ref = raws, getattr(level, "degenerate_ref", None)
     bp = None
     if based_raw is not None:
@@ -622,8 +632,9 @@ def chain_complex(X, top=None):
 
     Column x of d_k is the alternating sum of the nondegenerate faces of
     x, with cancelled entries left out.  Each d_k is a `ColumnMatrix` over
-    `_boundary_columns`, so a column is summed only when it is read; SNF
-    stops reading once its rank bound is met.
+    `_boundary_columns`, so a column is summed only when it is read, from
+    the face refs of its cell with no row built; SNF stops reading once its
+    rank bound is met.
     """
     top = X.top_dim if top is None else min(top, X.top_dim)
     counts = [X.n_nondeg(k) for k in range(top + 1)]
@@ -632,16 +643,18 @@ def chain_complex(X, top=None):
 
 
 def _boundary_columns(rows):
-    """(x, column) of each nonzero column of the boundary of the face rows, in order."""
-    for x, faces in enumerate(rows):
+    """(x, column) of each nonzero column of the boundary of the face rows, in
+    order: each column is summed from the face refs of `FaceRows.faces`."""
+    for x, faces in enumerate(rows.faces() if isinstance(rows, FaceRows) else rows):
         col = {}
         sign = 1
         for degs, _, base_id in faces:
             if not degs:
-                col[base_id] = col.get(base_id, 0) + sign
+                if v := col.get(base_id, 0) + sign:
+                    col[base_id] = v
+                else:
+                    del col[base_id]
             sign = -sign
-        if not all(col.values()):
-            col = {r: v for r, v in col.items() if v}
         if col:
             yield x, col
 

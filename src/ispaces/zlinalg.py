@@ -5,7 +5,11 @@ a dict {row: nonzero int}.  Columns are read one at a time, in order, and
 never all held.  Each is cleared at the rows of the unit pivot columns found
 so far, which are kept in reduced echelon (Gauss-Jordan) form, each zero at
 every other pivot row, so one pass over the column's own entries clears it
-(Dumas, Saunders & Villard, J. Symbolic Comput. 32, 2001).  A cleared column
+(Dumas, Saunders & Villard, J. Symbolic Comput. 32, 2001).  A column that
+meets no pivot column with other entries is only filtered: its entries at
+pivot rows are dropped.  On the comma-category nerves, every column of d_2
+and d_3 that is read is of this kind and keeps one entry, a pivot at once
+(an apparent pair, in the terms of Bauer's Ripser).  A cleared column
 with a +-1 entry becomes a new pivot column (a Smith entry 1) and clears its
 row from the earlier ones; a column left with only non-unit entries is set
 aside.  Unit pivots never create torsion and keep entries small.  The loop
@@ -78,8 +82,10 @@ def _unit_pivot_eliminate(mat, nrows, ncols, drop_rows=(), pivots=None):
     The pivots are `tails` keyed by pivot row (see `_reduce`); a new pivot
     clears its row from the tails that hold it, which `holders` lists by row
     (stale entries are skipped).  Rows in `drop_rows` are pivots with no
-    tail.  The ids of the unit pivot columns are appended to the list
-    `pivots` when one is given.  The residue is the list of nonzero
+    tail.  Only a column that meets a tail goes through `_reduce`; one pass
+    over its entries then drops those at pivot rows and finds its pivot row,
+    the largest row with a +-1 entry.  The ids of the unit pivot columns are
+    appended to the list `pivots` when one is given.  The residue is the list of nonzero
     set-aside columns, cleared at every pivot row.  The columns of `mat` are
     read in order, so the loop holds the pivots and set-aside columns, never
     all of `mat`, and it stops at the bound min(nrows - len(drop), ncols)
@@ -93,12 +99,17 @@ def _unit_pivot_eliminate(mat, nrows, ncols, drop_rows=(), pivots=None):
     if len(pivot_rows) == full:
         return full - ndrop, []
     for c, entries in mat.source():
-        col = _reduce(entries, pivot_rows, tails)
-        if not col:
-            continue
-        pr = max((r for r, v in col.items() if v in (1, -1)), default=None)
+        if tails and not entries.keys().isdisjoint(tails.keys()):
+            entries = _reduce(entries, pivot_rows, tails)
+        col, pr = {}, None  # the entries off the pivot rows, and the largest row of a +-1
+        for r, v in entries.items():
+            if r not in pivot_rows:
+                col[r] = v
+                if (v == 1 or v == -1) and (pr is None or r > pr):
+                    pr = r
         if pr is None:
-            aside.append(col)
+            if col:
+                aside.append(col)
             continue
         pivot_rows.add(pr)
         if pivots is not None:

@@ -460,11 +460,8 @@ def quotient(X, sub):
         return (degs, base_dim, newid[base_dim][base_id])
 
     moved = LazyDict(push)  # each face ref is pushed once, and shared by its rows
-
-    def pushed(rows, x):
-        return tuple(map(moved.__getitem__, rows[x]))
-
-    face = [[]] + [FaceRows(kept[k], partial(pushed, X.face[k])) for k in range(1, X.top_dim + 1)]
+    face = [[]] + [FaceRows(kept[k], X.face[k].__getitem__, moved.__getitem__)
+                   for k in range(1, X.top_dim + 1)]
     card = tuple(len(xs) + (k == 0) for k, xs in enumerate(kept))
     return SSet(card, tuple(face), complete=X.complete, basepoint=0), push
 

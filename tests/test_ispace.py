@@ -185,15 +185,16 @@ def test_hocolim_comparison_map_validates():
 def test_snf_reads_few_top_columns_of_the_terminal_hocolim():
     """The terminal diagram's homotopy colimit is the nerve of its category
     of elements, whose cell order lets SNF meet its pivots early: homology
-    through degree 2 at truncation 4 reads 1,912 of the 46,404 rows of d_3
-    (the Bousfield-Kan diagonal's order read 13,654).  The top rows are built
-    when read (`simplicial.FaceRows`), so the rows built are the rows read,
-    counted as they are built; a pass in order keeps none of them."""
+    through degree 2 at truncation 4 reads 1,912 of the 46,404 columns of
+    d_3 (the Bousfield-Kan diagonal's order read 13,654).  A column is summed
+    from the faces of its cell when it is read (`simplicial.FaceRows.faces`),
+    so the columns read are counted per call of `faces_fn`; a pass in order
+    keeps no row."""
     tab = hocolim_I(terminal_ispace(4), 3)
     top = tab.sset.face[3]
     assert isinstance(top, simplicial.FaceRows) and len(top) == 46404
-    built, build = [], top.row_fn
-    top.row_fn = lambda raw: built.append(raw) or build(raw)
+    built, faces = [], top.faces_fn
+    top.faces_fn = lambda raw: built.append(raw) or faces(raw)
     assert homology(tab.sset, 2).groups == {0: (1, ()), 1: (0, ()), 2: (0, ())}
     assert 0 < len(built) <= 2000 and top.rows is None
 

@@ -22,7 +22,8 @@ from ispaces import cmon, gamma, icat, ispace, simplicial
 from ispaces.simplicial import (SMap, SSet, component_subcomplex, identity_map, pi0, ref_dim,
                                 validate_sset)
 
-from oracles import normalize_reference, product_sset, quotient, refs_by_lookup, sphere
+from oracles import (chain_boundary_reference, entries, normalize_reference, product_sset,
+                     quotient, refs_by_lookup, sphere)
 
 
 @pytest.fixture
@@ -181,6 +182,53 @@ def test_a_face_outside_the_cells_raises_key_error():
             tab.sset.face[1][1]
         with pytest.raises(KeyError):
             simplicial.homology(tab.sset, top - 1)
+
+
+STREAMED = {
+    "nerve": lambda: simplicial.nerve(icat.comma_under(1, 3), 3),
+    "elements-hocolim": lambda: ispace.hocolim_I(ispace.terminal_ispace(3), 3),
+    "coded-chains": lambda: ispace._coded_chains(cmon.c1(3).space, 3,
+                                                 range(len(icat.injections(3)))),
+    "bar-of-hocolim": lambda: cmon.bar_of_hocolim(cmon.c1(3), 3),
+    "two-sided-bar-of-hocolim": lambda: cmon.two_sided_bar_of_hocolim(cmon.c1(3), 3),
+    "box-level": lambda: ispace.box_multi(
+        (cmon.c1(3).space, ispace.power_ispace(sphere(1), 3)), 3, based=True).tables[3],
+    "based-quotient": lambda: ispace.hocolim_I(cmon.c1(3).space, 3, based=True),
+}
+
+
+def _by_id(X):
+    """X with its face table read row by row, by id, into lists."""
+    return SSet(X.card, tuple([rows[x] for x in range(len(rows))] for rows in X.face),
+                X.complete, X.basepoint)
+
+
+@pytest.mark.parametrize("name", sorted(STREAMED))
+def test_streamed_columns_match_columns_of_the_face_rows(name):
+    """Each column of d_1, d_2 and d_3 at truncation 3 is summed straight from
+    the faces of its cell (`simplicial.FaceRows.faces`), building no row.  It
+    equals the column that the reference sums from the rows of a fresh copy
+    built by id, and so do the columns once some rows are kept by id and the
+    columns of an eager copy, whose face table is lists.  A face that names no
+    cell raises KeyError when its column is read."""
+    X = STREAMED[name]().sset
+    assert X.top_dim == 3 and all(X.card)
+    want = [chain_boundary_reference(_by_id(STREAMED[name]().sset), k) for k in (1, 2, 3)]
+    assert want[2]
+
+    def columns(X):
+        return [entries(simplicial.chain_complex(X).boundaries[k]) for k in (1, 2, 3)]
+
+    assert columns(X) == want and all(rows.rows is None for rows in X.face[1:])
+    for rows in X.face[1:]:  # two rows read by id, and kept
+        rows[0], rows[len(rows) // 2]
+    assert columns(X) == want == columns(_eager(X))
+    rows = X.face[3]  # a quotient pushes the faces that the rows it quotients read
+    held = getattr(rows.faces_fn, "__self__", rows)
+    faces = held.faces_fn
+    held.faces_fn = lambda raw: (object(),) + tuple(faces(raw))[1:]
+    with pytest.raises(KeyError):
+        columns(X)
 
 
 def test_homology_of_a_nerve_makes_no_top_ref(monkeypatch):

@@ -102,18 +102,23 @@ def test_refs_and_face_rows_leave_the_cyclic_collector():
 
 def test_face_rows_keep_a_row_read_by_id_and_no_row_of_a_pass():
     """A row read by id is built once and kept; a pass in order reads it
-    from its slot and builds every other row, keeping none of them."""
+    from its slot and builds every other row, keeping none of them.  The
+    pass of `faces` that boundary columns are summed from reads the faces of
+    every other cell too, but builds no row: it gives their refs unbuilt."""
     X = nerve(comma_under(1, 3), 3).sset
     top = X.face[3]
-    built, build = [], top.row_fn
-    top.row_fn = lambda raw: built.append(raw) or build(raw)
+    built, faces = [], top.faces_fn
+    top.faces_fn = lambda raw: built.append(raw) or faces(raw)
     x = len(top) // 2
     row = top[x]
     assert top[x] is row and built == [top.raws[x]]
     for _ in range(2):
         rows = list(top)
-        assert rows[x] is row and rows == [build(raw) for raw in top.raws]
+        assert rows[x] is row and rows == [tuple(map(top.ref, faces(raw))) for raw in top.raws]
     assert len(built) == 1 + 2 * (len(top) - 1) and built.count(top.raws[x]) == 1
+    passed = list(top.faces())
+    assert passed[x] is row and len(built) == 3 * len(top) - 2
+    assert [type(refs) is tuple for refs in passed] == [y == x for y in range(len(top))]
     assert [y for y, kept in enumerate(top.rows) if kept is not None] == [x]
     assert list(X.face[2]) and X.face[2].rows is None
 
@@ -574,14 +579,14 @@ class _CountedRows(list):
 
 
 def test_homology_builds_few_top_rows_of_the_trunc_4_nerve(monkeypatch):
-    """The top face rows of a nerve are built when SNF reads them, and SNF
-    stops at its rank bound, the 5,362 rows of d_3 less those cleared in
-    degree 2: the reduced homology of (1 | I) at truncation 4 builds 5,145
-    of its 124,354 rows of d_3, counted as they are built, and no row past
-    its last pivot.  The rows below the top are built when read too: SNF
-    meets the bound of d_2 after 217 of its 5,362 rows.  Both the cell
-    order and the pivot choice fix these counts.  SNF reads the rows in one
-    pass in order, which keeps none of them."""
+    """The faces of a nerve's top cell are read when SNF reads its column,
+    and SNF stops at its rank bound, the 5,362 rows of d_3 less those
+    cleared in degree 2: the reduced homology of (1 | I) at truncation 4
+    reads the faces of 5,145 of its 124,354 top cells, counted per call of
+    `faces_fn`, and none past its last pivot.  The faces below the top are
+    read per column too: SNF meets the bound of d_2 after 217 of its 5,362
+    columns.  Both the cell order and the pivot choice fix these counts.
+    SNF reads the columns in one pass in order, which keeps no row."""
     import ispaces.simplicial as simplicial
 
     X = nerve(comma_under(1, 4), 3).sset
@@ -600,7 +605,7 @@ def test_homology_builds_few_top_rows_of_the_trunc_4_nerve(monkeypatch):
         return calls[-1][:2]
 
     for k in built:
-        X.face[k].row_fn = partial(counted, k, X.face[k].row_fn)
+        X.face[k].faces_fn = partial(counted, k, X.face[k].faces_fn)
     monkeypatch.setattr(simplicial, "rank_and_torsion", recorded)
     assert reduced_homology_trivial(X, 2)
     rank, _, bound, ncols = calls[-1]
@@ -763,8 +768,8 @@ def test_trunc_4_nerve_counts_its_top_and_decodes_only_what_snf_reads(monkeypatc
     length, 141,128 with the degenerate chains, is the number of composable
     3-chains counted apart from it (the entries of M^3, M[a][b] the number of
     morphisms a -> b), and which `simplicial.raw_cells` counts.  Building the
-    nerve decodes no top chain, homology decodes one top chain per top row
-    that SNF reads (its nondegenerate `Chains` holds no chain with an
+    nerve decodes no top chain, homology decodes one top chain per column
+    of d_3 that SNF reads (its nondegenerate `Chains` holds no chain with an
     identity), and no list or set of top chains is made on the way."""
     import ispaces.simplicial as simplicial
 
@@ -791,11 +796,11 @@ def test_trunc_4_nerve_counts_its_top_and_decodes_only_what_snf_reads(monkeypatc
                         lambda self, i: decoded.append(i) or item(self, i))
     assert nerve(C, 3).sset.card == tab.sset.card and decoded == []
     top_rows, built = tab.sset.face[3], []
-    build = top_rows.row_fn
-    top_rows.row_fn = lambda raw: built.append(raw) or build(raw)
+    faces = top_rows.faces_fn
+    top_rows.faces_fn = lambda raw: built.append(raw) or faces(raw)
     assert reduced_homology_trivial(tab.sset, 2)
     assert len(decoded) == len(built) == 5145 and top_rows.rows is None
-    top_rows.row_fn = build  # the counting wrapper holds the chains it built
+    top_rows.faces_fn = faces  # the counting wrapper holds the chains it read
     _assert_holds_no_top_chain(tab)
 
 

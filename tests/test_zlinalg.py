@@ -3,10 +3,12 @@
 import random
 import time
 from functools import lru_cache
+from itertools import islice
 
 import pytest
 
-from ispaces import simplicial
+from ispaces import simplicial, zlinalg
+from ispaces.icat import comma_under
 from ispaces.simplicial import (
     SMap,
     chain_complex,
@@ -366,12 +368,22 @@ def test_reduced_pivots_agree_with_heap_order_on_random_sparse():
     assert stops > 40 and residues > 200
 
 
-def test_reduced_pivots_agree_with_heap_order_on_cleared_complexes():
-    """Every d_k of the universal-coefficient spaces, with the rows cleared
-    in the degree below."""
-    for X in _uct_spaces().values():
+def test_reduced_pivots_agree_with_heap_order_on_cleared_complexes(monkeypatch):
+    """Every d_k of the universal-coefficient spaces and of the nerve of
+    (1 | I) at truncation 3, with the rows cleared in the degree below.  On
+    the nerve, every column of d_2 and d_3 that is read meets no tail and
+    becomes a pivot, the common case of the elimination loop: the pivots are
+    the columns read, and none of them is reduced (`zlinalg._reduce`)."""
+    reduce, reduced = zlinalg._reduce, []
+    monkeypatch.setattr(zlinalg, "_reduce", lambda *args: reduced.append(args) or reduce(*args))
+    nerve_under_1 = nerve(comma_under(1, 3), 3).sset
+    for X in (*_uct_spaces().values(), nerve_under_1):
         cx = chain_complex(X, top=min(3, X.top_dim))
         cleared = ()
         for k in range(1, len(cx.counts)):
-            cleared, _ = _same_elimination(cx.boundaries[k], cx.counts[k - 1], cx.counts[k],
-                                           cleared)
+            reduced.clear()
+            cleared, residue = _same_elimination(cx.boundaries[k], cx.counts[k - 1],
+                                                 cx.counts[k], cleared)
+            if X is nerve_under_1 and k > 1:
+                read = [c for c, _ in islice(cx.boundaries[k].source(), len(cleared))]
+                assert cleared == read and reduced == [] and residue == []
