@@ -12,16 +12,18 @@ the bar construction of the diagram monoid and of its homotopy colimit.
 
 import heapq
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import accumulate, combinations
-from operator import add, ge
+from functools import partial, reduce
+from itertools import accumulate, combinations, repeat
+from operator import add, and_, ge, getitem, itemgetter
 from typing import Callable, Optional
 
 from . import icat
 from .icat import coded_injections, concat, injections, shuffle
 from .simplicial import (
+    Chains,
     LazyDict,
     SMap,
+    apply_s,
     component_subcomplex,
     homology,
     map_cone_homology,
@@ -653,15 +655,16 @@ def _chain_mul(A, I, z, w):
 
 class _ChainCodes:
     """The raw chains of the homotopy colimit of X through dimension K
-    (`_chain_cells`), coded by position j in raws[k] (code[k]), with tables of
-    codes filled on first lookup: faces[k][j], the faces of chain j;
-    deg[k][i][j], s_i of it; for a monoid A on X, mul[k][j, l], the product
-    (`_chain_mul`) of chains j and l; and unit[k], the unit k-chain."""
+    (`_chain_cells`), coded by position j in raws[k] (code[k]), with head levels
+    heads[k][j] and tables of codes filled on first lookup: faces[k][j], the faces
+    of chain j; deg[k][i][j], s_i of it; for a monoid A on X, mul[k][j, l], the
+    product (`_chain_mul`) of chains j and l; and unit[k], the unit k-chain."""
 
     def __init__(self, X, K, A=None):
         I = coded_injections(X.N)
         raws = self.raws = _chain_cells(X, K, range(len(I.morphisms)))
         code = self.code = [{z: j for j, z in enumerate(r)} for r in raws]
+        self.heads = [tuple(z[0] for z in r) for r in raws]
         faces = _hocolim_faces(X)
         self.faces = [LazyDict(lambda j, k=k: tuple(map(code[k - 1].__getitem__,
                                                         faces(raws[k][j]))))
@@ -673,9 +676,17 @@ class _ChainCodes:
                     for k in range(K + 1)]
         self.unit = LazyDict(lambda k: code[k][(0,) + (I.ident[0],) * k + (A.unit_ref(k),)])
 
-    def pool(self, k):
-        """(code, head level) of every k-chain, for `_tuples_bounded`."""
-        return [(j, z[0]) for j, z in enumerate(self.raws[k])]
+    def masks(self, k, unit):
+        """ok[j], the bits 1 << i of the i with k-chain j in the image of s_i
+        (`deg`), in a bar slot where s_unit inserts the unit k-chain: there bit
+        `unit` is the unit chain's alone, and it has every bit."""
+        ok = [0] * len(self.raws[k])
+        for i in set(range(k)) - {unit}:
+            for j in map(self.deg[k - 1][i].__getitem__, range(len(self.raws[k - 1]))):
+                ok[j] |= 1 << i
+        if 0 <= unit < k:
+            ok[self.unit[k]] = (1 << k) - 1
+        return ok
 
     def bar_faces(self, k, zs):
         """cols[i], the codes of d_i of every entry of zs, and the inner faces
@@ -690,45 +701,82 @@ class _ChainCodes:
         return zd[:i] + (self.unit[k + 1],) + zd[i:]
 
 
+def _bounded(heads, budget):
+    """(prefixes, ext) of the tuples of codes j, one per slot t, whose heads[t][j]
+    sum to at most `budget`, in product order: p + (f,) for each prefix p and f
+    in its ext list, the last slot's codes that fit the budget p leaves, one list per budget."""
+    fits = {h: [[j for j, v in enumerate(h) if v <= b] for b in range(budget + 1)]
+            for h in set(heads)}
+    prefixes, left = [()], [budget]
+    for h, fit in zip(heads[:-1], map(fits.get, heads)):
+        prefixes = [p + (j,) for p, b in zip(prefixes, left) for j in fit[b]]
+        left = [b - h[j] for b in left for j in fit[b]]
+    return prefixes, list(map(fits[heads[-1]].__getitem__, left))
+
+
+class _BarTop(Chains):
+    """The bar k-cells by position: a k-chain code per slot t, in the chain
+    table tabs[t] (the `cat`), head levels summing to at most `budget`.  s_i
+    inserts the unit k-chain at slot lead + i, so a cell is s_i y exactly when
+    that slot holds the unit and every other entry is in the image of s_i:
+    ok[t][z] masks the i that an entry z at slot t allows."""
+
+    def __init__(self, tabs, k, budget, lead=0):
+        super().__init__(*_bounded([tab.heads[k] for tab in tabs], budget), tabs)
+        self.lead, self.full, self.faces = lead, (1 << k) - 1, [tab.faces[k] for tab in tabs]
+        self.ok = [tab.masks(k, t - lead) for t, tab in enumerate(tabs)]
+
+    def nondegenerate(self, ref_of):
+        """The cells that are s_i of no lower cell, in the same order: a prefix's
+        list is filtered only if it allows some i, once per list and bits allowed."""
+        *ok, last = self.ok
+        allowed = repeat(self.full)
+        for t, o in enumerate(ok):  # the i that every entry of a prefix allows
+            allowed = map(and_, allowed, map(o.__getitem__, map(itemgetter(t), self.prefixes)))
+        lists = {id(e): e for e in self.ext}
+        kept = LazyDict(lambda key: [f for f in lists[key[0]] if not last[f] & key[1]])
+        return Chains(self.prefixes, [kept[id(e), bits] if bits else e
+                                      for e, bits in zip(self.ext, allowed)], self.C)
+
+    def degenerate_ref(self, ref_of, z):
+        """apply_s(i, ref of y) for a cell z = s_i y, i least, with y the faces d_i of
+        the entries of z off its unit slot; None for a nondegenerate z (KeyError off cells)."""
+        if not (type(z) is tuple and len(z) == len(self.ok)
+                and all(map(range.__contains__, map(range, map(len, self.ok)), z))):
+            raise KeyError(z)
+        if not (bits := reduce(and_, map(getitem, self.ok, z), self.full)):
+            return None
+        i = (bits & -bits).bit_length() - 1
+        y = [faces[e][i] for faces, e in zip(self.faces, z)]
+        del y[self.lead + i]  # the unit chain
+        return apply_s(i, ref_of[tuple(y)])
+
+
 def bar_of_hocolim(A, K):
     """B of the simplicial monoid A_hI, truncated by total head level.
 
     Diagonal k-simplices are k-tuples of raw k-cells of the homotopy colimit
     whose top chain levels sum to at most N, each coded in the construction's
-    `_ChainCodes`, the table's `cat`; bar faces multiply adjacent entries
-    with the chainwise block-sum product, once per pair of codes.
+    `_ChainCodes`, the table's `cat`; the top ones by position (`_BarTop`).
+    Bar faces multiply adjacent entries with the chainwise block-sum product,
+    once per pair of codes (`_ChainCodes.bar_faces`, unrolled for k = 3).
     """
     ch = _ChainCodes(A.space, K, A)
-    cells = [_tuples_bounded([ch.pool(k)] * k, A.N) for k in range(K + 1)]
+    cells = [[()]] + [list(Chains(*_bounded([ch.heads[k]] * k, A.N), None)) for k in range(1, K)]
+    cells += [_BarTop([ch] * K, K, A.N)] if K else []
 
     def faces_fn(k, zs):
-        cols, middle = ch.bar_faces(k, zs)
-        return (cols[0][1:],) + middle + (cols[k][:-1],)
+        if k != 3:
+            cols, middle = ch.bar_faces(k, zs)
+            return (cols[0][1:],) + middle + (cols[k][:-1],)
+        # the top of classifying_space_homology(A, 2): unrolled, a row is read three times faster
+        mul = ch.mul[2]
+        (_, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, _) = map(ch.faces[3].__getitem__, zs)
+        return (b0, c0), (mul[a1, b1], c1), (a2, mul[b2, c2]), (a3, b3)
 
     tab = normalize_table(cells, faces_fn, ch.bar_deg, K, based_raw=())
     tab.cat = ch
     return tab
-
-
-def _tuples_bounded(pools, budget):
-    """Tuples of items, one from each pool of (item, head level) pairs, whose
-    head levels sum to at most `budget`, in the order of the product of the pools.
-
-    Each pool is bucketed once by the budget left: fits[b] holds its pairs of
-    head level at most b, so a prefix extends without testing any item.  The
-    prefixes carry the budget left; the last pool extends each prefix straight
-    into the result, which holds no such pair.
-    """
-    if not pools:
-        return [()]
-    level, out = [((), budget)], []
-    for pool in pools[:-1]:
-        fits = [[(z, h) for z, h in pool if h <= b] for b in range(budget + 1)]
-        level = [(t + (z,), left - h) for t, left in level for z, h in fits[left]]
-    fits = [[(z,) for z, h in pools[-1] if h <= b] for b in range(budget + 1)]
-    for t, left in level:
-        out.extend(map(t.__add__, fits[left]))
-    return out
 
 
 def two_sided_bar_of_hocolim(A, K):
@@ -742,10 +790,9 @@ def two_sided_bar_of_hocolim(A, K):
     """
     I = coded_injections(A.N)
     ch, t_ch = _ChainCodes(A.space, K, A), _ChainCodes(terminal_ispace(A.N), K)
-    cells = []
-    for k in range(K + 1):
-        pools = [t_ch.pool(k)] + [ch.pool(k)] * k + [t_ch.pool(k)]
-        cells.append(_tuples_bounded(pools, A.N))
+    tabs = [[t_ch] + [ch] * k + [t_ch] for k in range(K + 1)]
+    cells = [list(Chains(*_bounded([t.heads[k] for t in tabs[k]], A.N), None)) for k in range(K)]
+    cells.append(_BarTop(tabs[K], K, A.N, lead=1))
     # the nerve chains absorb an outer entry, keeping their point simplex
     before = [LazyDict(lambda cz, k=k: t_ch.code[k][_chain_sum(
         I, t_ch.raws[k][cz[0]], ch.raws[k][cz[1]], t_ch.raws[k][cz[0]][-1])]) for k in range(K)]

@@ -24,10 +24,10 @@ lookup that misses (`TopRefs`).  Homology builds no row: a boundary column
 is summed straight from the faces of its cell, looked up in raw -> ref, so
 homology reads the faces of the cells whose columns SNF reads, and makes no
 top ref.
-A nerve's top degree is given by position (`Chains`), with its own degeneracies;
-its nondegenerate chains are a `Chains` too, the nondegenerate prefixes each
-followed by the non-identity morphisms out of its last object, so homology
-decodes only the top chains that SNF reads.
+A nerve's top degree, and a bar's (`cmon._BarTop`), is given by position
+(`Chains`), with its own degeneracies; a nerve's nondegenerate chains are a
+`Chains` too, the nondegenerate prefixes each followed by the non-identity
+morphisms out of its last object: homology decodes only the top chains SNF reads.
 
 A map of simplicial sets (`SMap`) holds the image of each nondegenerate
 source simplex.  `map_from_tables` computes each image on demand, the first
@@ -42,7 +42,7 @@ normal form over arbitrary-precision integers; see `zlinalg`.
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 from itertools import accumulate, combinations, compress, count, repeat
 from typing import Optional
 
@@ -304,11 +304,11 @@ def normalize_table(cells, faces_fn, deg_fn, top_dim, complete=False, based_raw=
     """Build a normal-form SSet from an explicit simplex table.
 
     cells[k] holds ALL k-simplices (hashable, orderable, distinct within the
-    level) for k <= top_dim: a list, or at the top a nerve's `Chains`, which
-    gives its own degeneracies and its raw_of (the `Chains` of its
-    nondegenerate chains).  faces_fn(k, x) returns the row (d_0 x, ..., d_k x)
-    of a k-cell x, k >= 1, and deg_fn(k, x, i) the cell s_i x.  Ids follow the
-    order of `cells`, which fixes them.
+    level) for k <= top_dim: a list, or at the top a `Chains` (a nerve's, or
+    a bar's `cmon._BarTop`), which gives its own degeneracies and its raw_of
+    (a `Chains` of its nondegenerate cells).  faces_fn(k, x) returns the row
+    (d_0 x, ..., d_k x) of a k-cell x, k >= 1, and deg_fn(k, x, i) the cell
+    s_i x.  Ids follow the order of `cells`, which fixes them.
 
     Degeneracies of a list are found from below.  Before level k is read, s_i y
     is formed for every (k-1)-cell y and every i < k, smallest i first, into
@@ -444,13 +444,16 @@ def subcomplex_closed(X, sub):
 
 class Chains(Sequence):
     """The chains p + (f,) of C for p in `prefixes` and f in its list of `ext`,
-    in that order, by position and none stored: prefixes[q] + (ext[q][r],) is
-    at off[q] + r.  A chain is degenerate exactly when it holds an identity
-    (`degenerate_ref`), and `nondegenerate` gives the chains that hold none."""
+    in order, by position and none stored: prefixes[q] + (ext[q][r],) is at
+    off[q] + r.  A chain is degenerate when it holds an identity (`degenerate_ref`),
+    and `nondegenerate` gives those with none; `cmon._BarTop` overrides both."""
 
     def __init__(self, prefixes, ext, C):
         self.prefixes, self.ext, self.C = prefixes, ext, C
-        self.off = list(accumulate(map(len, ext), initial=0))
+
+    @cached_property
+    def off(self):  # made on the first count or lookup by id: a bar's top may have neither
+        return list(accumulate(map(len, self.ext), initial=0))
 
     def __len__(self):
         return self.off[-1]

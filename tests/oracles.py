@@ -659,8 +659,29 @@ def _unit_chain(A, I, s):
     return (0,) + (I.ident[0],) * s + (A.unit_ref(s),)
 
 
+def tuples_bounded(pools, budget):
+    """Tuples of items, one from each pool of (item, head level) pairs, whose
+    head levels sum to at most `budget`, in the order of the product of the pools.
+
+    Each pool is bucketed once by the budget left: fits[b] holds its pairs of
+    head level at most b, so a prefix extends without testing any item.  The
+    prefixes carry the budget left; the last pool extends each prefix straight
+    into the result, which holds no such pair.
+    """
+    if not pools:
+        return [()]
+    level, out = [((), budget)], []
+    for pool in pools[:-1]:
+        fits = [[(z, h) for z, h in pool if h <= b] for b in range(budget + 1)]
+        level = [(t + (z,), left - h) for t, left in level for z, h in fits[left]]
+    fits = [[(z,) for z, h in pools[-1] if h <= b] for b in range(budget + 1)]
+    for t, left in level:
+        out.extend(map(t.__add__, fits[left]))
+    return out
+
+
 def _raw_pool(raws):
-    """The (cell, head level) pool of `cmon._tuples_bounded` over raw chains."""
+    """The (cell, head level) pool of `tuples_bounded` over raw chains."""
     return [(z, z[0]) for z in raws]
 
 
@@ -668,14 +689,14 @@ def bar_of_hocolim_reference(A, K):
     """`cmon.bar_of_hocolim` on nested raw cells: a bar k-cell is the k-tuple
     of its raw chain cells, with faces, products and degeneracies computed on
     them, not on codes.  Returns its `NormTable`."""
-    from ispaces.cmon import _chain_mul, _tuples_bounded
+    from ispaces.cmon import _chain_mul
     from ispaces.icat import coded_injections
     from ispaces.ispace import _chain_cells, _hocolim_deg, _hocolim_faces
     from ispaces.simplicial import normalize_table
 
     X, I = A.space, coded_injections(A.N)
     raws = _chain_cells(X, K, range(len(I.morphisms)))
-    cells = [_tuples_bounded([_raw_pool(raws[k])] * k, A.N) for k in range(K + 1)]
+    cells = [tuples_bounded([_raw_pool(raws[k])] * k, A.N) for k in range(K + 1)]
     faces, mul = _Memo(_hocolim_faces(X)), _Memo(partial(_chain_mul, A, I))
 
     def faces_fn(k, raw):
@@ -694,7 +715,7 @@ def two_sided_bar_reference(A, K):
     """`cmon.two_sided_bar_of_hocolim` on nested raw cells (c0, zs, c1), whose
     outer faces absorb the end entries into the nerve chains by block sum.
     Returns its `NormTable`."""
-    from ispaces.cmon import _chain_mul, _chain_sum, _tuples_bounded
+    from ispaces.cmon import _chain_mul, _chain_sum
     from ispaces.icat import coded_injections
     from ispaces.ispace import _chain_cells, _hocolim_deg, _hocolim_faces, terminal_ispace
     from ispaces.simplicial import nd_ref, normalize_table
@@ -706,7 +727,7 @@ def two_sided_bar_reference(A, K):
     cells = []
     for k in range(K + 1):
         pools = [_raw_pool(t_raws[k])] + [_raw_pool(raws[k])] * k + [_raw_pool(t_raws[k])]
-        cells.append([(t[0], t[1:-1], t[-1]) for t in _tuples_bounded(pools, A.N)])
+        cells.append([(t[0], t[1:-1], t[-1]) for t in tuples_bounded(pools, A.N)])
     faces, t_faces = _Memo(_hocolim_faces(X)), _Memo(_hocolim_faces(T))
     mul, plus = _Memo(partial(_chain_mul, A, I)), _Memo(partial(_chain_sum, I))
 

@@ -11,7 +11,6 @@ from ispaces.cmon import (
     _chain_sum,
     _complete,
     _normal_form,
-    _tuples_bounded,
     bar,
     bar_comparison,
     bar_monoid,
@@ -32,7 +31,7 @@ from ispaces.cmon import (
 from ispaces.icat import coded_injections, injections
 from ispaces.ispace import _chain_cells, free_ispace, hocolim_I, terminal_ispace
 from ispaces.scenarios import build_monoid
-from ispaces.simplicial import homology, pi0_classes
+from ispaces.simplicial import Chains, homology, pi0_classes
 
 from oracles import (
     bar_comparison_once_reference,
@@ -47,6 +46,7 @@ from oracles import (
     free_cmonoid,
     is_grouplike,
     sigma2_homology,
+    tuples_bounded,
     two_sided_bar_reference,
 )
 
@@ -299,7 +299,8 @@ def test_grothendieck_matches_bar_h1():
 
 
 def test_tuples_bounded_matches_oracle():
-    """The bar cell enumerator against a filtered itertools.product, in order.
+    """The bar cell enumerators (`tuples_bounded`, and `cmon._bounded` by
+    position where the pools are whole) against a filtered itertools.product, in order.
 
     For k <= 3 slots, the pools are those of the one-sided bar (k copies of
     the codes of the raw k-cells of the homotopy colimit, with their head
@@ -320,13 +321,20 @@ def test_tuples_bounded_matches_oracle():
                 codes = [range(len(c))[::step] for c in chains]
                 nested = [{j: decode_chain(N, c[j]) for j in js} for c, js in zip(chains, codes)]
                 pools = [[(j, c[j][0]) for j in js] for c, js in zip(chains, codes)]
-                assert ([tuple(d[j] for d, j in zip(nested, t)) for t in _tuples_bounded(pools, N)]
-                        == bounded_tuples([list(d.values()) for d in nested], N))
+                want = bounded_tuples([list(d.values()) for d in nested], N)
+                cells = tuples_bounded(pools, N)
+                assert [tuple(d[j] for d, j in zip(nested, t)) for t in cells] == want
+                if step == 1 and chains:  # the bars' own enumerator, on whole pools
+                    heads = [tuple(z[0] for z in c) for c in chains]
+                    cells = Chains(*cmon._bounded(heads, N), None)
+                    assert [tuple(d[j] for d, j in zip(nested, t)) for t in cells] == want
 
 
 def test_tuples_bounded_is_the_filtered_product():
-    """`_tuples_bounded` is itertools.product filtered by the budget, in
-    product order: on seeded random pools, on no pools and with an empty pool."""
+    """`tuples_bounded`, and the cells by position of `cmon._bounded` that the
+    bar tops are, are itertools.product filtered by the budget, in product
+    order: on seeded random pools, on no pools and with an empty pool.  A
+    positional cell needs a slot, so the cases with no pools give it none."""
     rng = random.Random(37)
     cases = [([], 0), ([], 3), ([[(0, 0), (1, 1)], []], 3), ([[], [(0, 0)]], 1)]
     for _ in range(300):
@@ -334,8 +342,13 @@ def test_tuples_bounded_is_the_filtered_product():
                  for p in range(rng.randint(0, 4))]
         cases.append((pools, rng.randint(0, 4)))
     for pools, budget in cases:
-        assert _tuples_bounded(pools, budget) == [
-            tuple(z for z, _ in t) for t in product(*pools) if sum(h for _, h in t) <= budget]
+        want = [tuple(z for z, _ in t) for t in product(*pools) if sum(h for _, h in t) <= budget]
+        assert tuples_bounded(pools, budget) == want
+        if pools:
+            heads = [tuple(h for _, h in pool) for pool in pools]
+            top = Chains(*cmon._bounded(heads, budget), None)
+            assert len(top) == len(want)
+            assert [tuple(pool[j][0] for pool, j in zip(pools, cell)) for cell in top] == want
 
 
 CODED_BAR_MONOIDS = {"c1-2": lambda: c1(2), "c1-3": lambda: c1(3),
@@ -350,13 +363,38 @@ CODED_BAR_MONOIDS = {"c1-2": lambda: c1(2), "c1-3": lambda: c1(3),
 def test_coded_bars_match_raw_reference(name, build, reference):
     """Both bars on chain codes against the raw-tuple builders at K = 3: the
     cells decoded through the chain tables, the cells per dimension, the
-    basepoint and every face row are the reference's."""
+    basepoint, every face row, and the ref of every top cell, degenerate ones
+    included, are the reference's.  A tuple that is no cell, of the wrong
+    length or with a code past its pool, raises KeyError from `ref_of`."""
     A = CODED_BAR_MONOIDS[name]()
     got, want = build(A, 3), reference(A, 3)
     assert ([[decode_bar_cell(got, k, cell) for cell in cells]
              for k, cells in enumerate(got.raw_of)] == want.raw_of)
     assert (got.sset.card, got.sset.basepoint) == (want.sset.card, want.sset.basepoint)
     assert [list(rows) for rows in got.sset.face] == [list(rows) for rows in want.sset.face]
+    if build is cmon.bar_of_hocolim:
+        tabs = [got.cat] * 3
+    else:
+        tabs = [got.cat[0]] + [got.cat[1]] * 3 + [got.cat[0]]
+    top = tuples_bounded([[(j, z[0]) for j, z in enumerate(tab.raws[3])] for tab in tabs], A.N)
+    assert len(top) > got.sset.card[3]
+    assert [got.ref_of[cell] for cell in top] == [want.ref_of[decode_bar_cell(got, 3, cell)]
+                                                  for cell in top]
+    past = [len(tab.raws[3]) if t == len(tabs) // 2 else 0 for t, tab in enumerate(tabs)]
+    for cell in ((0,) * (len(tabs) + 1), tuple(past)):
+        with pytest.raises(KeyError):
+            got.ref_of[cell]
+
+
+def test_bar_top_holds_no_ref_until_one_is_looked_up():
+    """The top of `bar_of_hocolim(c1(3), 3)` is given by position: its table
+    holds no top ref after the build, and a lookup of the degenerate cell of
+    three unit chains makes its ref s_2 s_1 s_0 of the basepoint, and no other."""
+    tab = cmon.bar_of_hocolim(c1(3), 3)
+    assert [cell for cell in tab.ref_of if len(cell) == 3] == []
+    unit = (tab.cat.unit[3],) * 3
+    assert tab.ref_of[unit] == ((2, 1, 0), 0, tab.sset.basepoint)
+    assert [cell for cell in tab.ref_of if len(cell) == 3] == [unit]
 
 
 @pytest.mark.parametrize("build, D", [(lambda: c1(2), 1), (lambda: c1(3), 0)],

@@ -43,6 +43,9 @@ UNREAD_ALLOWED = {
     ("push", "d"): _RAW_MAP,
     ("to_left", "k"): _RAW_MAP,
     ("mul_point", "n"): "discrete_monoid multiplies points as mul_point(m, n, s, t)",
+    ("nondegenerate", "ref_of"):
+        "normalize_table calls level.nondegenerate(ref_of) on a top given by position; "
+        "a bar top finds its degenerate cells from chain masks, with no ref",
     ("scenario_grothendieck", "cfg"): "run_all calls every registry scenario with its RunConfig",
     ("cmd_scenario", "args"): "main calls every subcommand as fn(args, cfg); --name is in cfg",
 }
@@ -71,6 +74,10 @@ SHARED_METHOD_NAMES = {
     "act": "a functor's action on a morphism: of I on an ISpaceT, of based maps on a GammaSpaceT",
     "level": "CIMonoidT.level reads the level of its carrier ISpaceT",
     "to_json": "each serialised result (a presentation, a scenario report) writes its own JSON",
+    "nondegenerate": "a top given by position (a nerve's `Chains`, a bar's `_BarTop`) lists "
+                     "its own nondegenerate cells for normalize_table",
+    "degenerate_ref": "a top given by position (a nerve's `Chains`, a bar's `_BarTop`) gives "
+                      "the ref of its own degenerate cells to `TopRefs`",
 }
 
 
