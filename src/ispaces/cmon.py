@@ -90,11 +90,13 @@ def validate_monoid(A):
         return bad
     X = A.space
     N = A.N
+    simp = [[X.level(m).all_simplices(k) for k in range(2)] for m in range(N + 1)]
     for m in range(N + 1):
         for n in range(N + 1 - m):
+            tau = X.act(shuffle(m, n))
             for k in range(2):
-                for rx in X.level(m).all_simplices(k):
-                    for ry in X.level(n).all_simplices(k):
+                for rx in simp[m][k]:
+                    for ry in simp[n][k]:
                         p = A.mul(m, n, rx, ry)
                         if ref_dim(p) != k:
                             bad.append(f"mul({m},{n}) changes dimension")
@@ -106,13 +108,12 @@ def validate_monoid(A):
                                             X.level(n).d(i, ry))
                                 if lhs != rhs:
                                     bad.append(f"mul({m},{n}) does not commute with d_{i}")
-                        tau = X.act(shuffle(m, n))
                         if tau(p) != A.mul(n, m, ry, rx):
                             bad.append(f"commutativity fails at ({m},{n})")
     for n in range(N + 1):
         for k in range(2):
             u = A.unit_ref(k)
-            for ry in X.level(n).all_simplices(k):
+            for ry in simp[n][k]:
                 if A.mul(0, n, u, ry) != ry:
                     bad.append(f"left unit fails at level {n}")
                 if A.mul(n, 0, ry, u) != ry:
@@ -121,9 +122,9 @@ def validate_monoid(A):
         for n in range(N + 1 - m):
             for p_ in range(N + 1 - m - n):
                 for k in range(2):
-                    for rx in X.level(m).all_simplices(k):
-                        for ry in X.level(n).all_simplices(k):
-                            for rz in X.level(p_).all_simplices(k):
+                    for rx in simp[m][k]:
+                        for ry in simp[n][k]:
+                            for rz in simp[p_][k]:
                                 a = A.mul(m + n, p_, A.mul(m, n, rx, ry), rz)
                                 b = A.mul(m, n + p_, rx, A.mul(n, p_, ry, rz))
                                 if a != b:
@@ -136,8 +137,8 @@ def validate_monoid(A):
             both = X.act(concat(alpha, beta))
             fa, fb = X.act(alpha), X.act(beta)
             for k in range(2):
-                for rx in X.level(alpha.src).all_simplices(k):
-                    for ry in X.level(beta.src).all_simplices(k):
+                for rx in simp[alpha.src][k]:
+                    for ry in simp[beta.src][k]:
                         lhs = both(A.mul(alpha.src, beta.src, rx, ry))
                         rhs = A.mul(alpha.dst, beta.dst, fa(rx), fb(ry))
                         if lhs != rhs:

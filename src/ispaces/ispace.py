@@ -3,9 +3,10 @@
 An ISpaceT assigns a finite simplicial set to every level 0..N and a
 structure map to every injection between levels.  The module provides the
 standard constructors (free, power, constant), the box product as an
-explicit colimit over decomposition categories with union-find canonical
-representatives, homotopy colimits over the injection category and over
-its subset-inclusion subcategory (nerves of categories of elements for
+explicit colimit over the poset of sorted decompositions with union-find
+canonical representatives (other raw cells are resolved on lookup),
+homotopy colimits over the injection category and over its
+subset-inclusion subcategory (nerves of categories of elements for
 diagrams of sets, Bousfield-Kan diagonals otherwise), flatness
 certificates, the level-shift functor R with its comparison map,
 and the semistability diagnostic.
@@ -13,8 +14,8 @@ and the semistability diagnostic.
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import chain, compress, count, product as iproduct, repeat
+from functools import lru_cache, partial
+from itertools import accumulate, chain, compress, count, product as iproduct, repeat
 from math import prod
 from operator import itemgetter, not_
 from typing import Callable, Optional
@@ -38,6 +39,7 @@ from .simplicial import (
     nerve,
     normalize_table,
     pi0,
+    ref_dim,
     subcomplex_closed,
     validate_sset,
     vertex_ref,
@@ -210,68 +212,93 @@ def power_ispace(K, N):
 # Box products.
 # ---------------------------------------------------------------------------
 
-def _compositions(total_max, parts):
-    """All tuples of `parts` nonnegative ints with sum <= total_max."""
-    if parts == 0:
-        yield ()
-        return
-    for first in range(total_max + 1):
-        for rest in _compositions(total_max - first, parts - 1):
-            yield (first,) + rest
+def _sorted_blocks(nvec, img):
+    """The blocks of an image cut by nvec, and the image that sorts each block."""
+    blocks = [img[e - q:e] for q, e in zip(nvec, accumulate(nvec))]
+    return blocks, tuple(chain.from_iterable(map(sorted, blocks)))
+
+
+@lru_cache(maxsize=None)
+def _sorted_decompositions(k, n, total_max):
+    """The skeleton of the decompositions (nvec, image) of n into k blocks of
+    total at most total_max, built once per (k, n, total_max): the objects
+    whose image increases on every block, in lexicographic order, each with
+    its position, and the arrows (src, dst, i, q, p), the coface delta_p:
+    q - 1 -> q (order-preserving, skipping p) in block i, between positions.
+    Every object is iso to one of these, and they form a poset, generated by
+    adding one element to one block."""
+    objects = {obj: t for t, obj in enumerate(
+        (nvec, a.image) for nvec in iproduct(range(total_max + 1), repeat=k)
+        if sum(nvec) <= total_max for a in icat.enumerate_injections(sum(nvec), n)
+        if _sorted_blocks(nvec, a.image)[1] == a.image)}
+    arrows = []
+    for (mvec, img), dst in objects.items():
+        for i, (q, end) in enumerate(zip(mvec, accumulate(mvec))):
+            lower = mvec[:i] + (q - 1,) + mvec[i + 1:]
+            arrows += [(objects[lower, img[:end - q + p - 1] + img[end - q + p:]], dst, i, q, p)
+                       for p in range(1, q + 1)]
+    return objects, arrows
+
+
+class _BoxClasses(dict):
+    """Raw cell -> the least cell of its class (`_box_classes`), stored at the
+    sorted `objects`.  Any other raw cell is moved on its first lookup to the
+    sorted object of its orbit, x_i along the permutation that sorts block i
+    through factors[i], and kept; a key that is no raw cell raises KeyError."""
+
+    def __missing__(self, raw):
+        nvec, img, xs = raw
+        blocks, ordered = _sorted_blocks(nvec, img)
+        if ordered == img or len(img) != sum(nvec) or (nvec, ordered) not in self.objects:
+            raise KeyError(raw)
+        moved = tuple(f.act(Injection(len(b), len(b), [sum(u <= v for u in b) for v in b]))(x)
+                      for f, b, x in zip(self.factors, blocks, xs))
+        least = self[raw] = dict.__getitem__(self, (nvec, ordered, moved))
+        return least
 
 
 def _box_classes(factors, n, dim, total_max):
     """Canonical representatives of the raw dim-cells of the box colimit of
-    `factors` at n: raw cell -> the least cell of its class.
+    `factors` at n: raw cell -> the least cell of its class, a `_BoxClasses`.
 
     A raw cell is (nvec, image, xs): nvec has sum at most total_max, image is
     that of an injection sum(nvec) -> n, and xs[i] is a dim-simplex of
-    factors[i] at level nvec[i].  Cells are coded by position, objects
-    (nvec, image) in lexicographic order and xs by its mixed-radix index over
-    each slot's sorted simplices, so the least code of a class
-    (`least_roots`) is its least cell.  Cells are joined along generating
-    morphisms of the decomposition category, in one slot at a time: the
-    standard inclusion q - 1 -> q and the adjacent transpositions of q.
-    Every injection is a permutation after a standard inclusion, so these
-    generate the same relation as all morphisms do.  Each generator moves
-    the positions of a factor level once (`moves`).
+    factors[i] at level nvec[i].  The colimit is taken over the equivalent
+    skeleton of sorted objects (`_sorted_decompositions`), where each class
+    has its least cell, since sorting each block of an image makes it the
+    least of its orbit.  Cells there are coded by position, objects in
+    lexicographic order and xs by its mixed-radix index over each slot's
+    sorted simplices, so the least code of a class (`least_roots`) is its
+    least cell.  Cells are joined along the cofaces, in one slot at a time,
+    and each coface moves the positions of a factor level once (`moves`).
     """
+    objects, arrows = _sorted_decompositions(len(factors), n, total_max)
     simp = [[f.level(q).all_simplices(dim) for q in range(total_max + 1)] for f in factors]
-    offset, cells = {}, []
-    for nvec in _compositions(total_max, len(factors)):
-        for a in icat.enumerate_injections(sum(nvec), n):
-            offset[nvec, a.image] = len(cells)
-            xss = iproduct(*[simp[i][q] for i, q in enumerate(nvec)])
-            cells += [(nvec, a.image, xs) for xs in xss]
-    moves = {}  # (factor, q, j) -> position in level q of each image under generator j
+    offset, sizes, cells = [], [], []
+    for nvec, img in objects:
+        offset.append(len(cells))
+        sizes.append([len(simp[i][q]) for i, q in enumerate(nvec)])
+        cells += [(nvec, img, xs) for xs in iproduct(*[simp[i][q] for i, q in enumerate(nvec)])]
+    moves = {}  # (factor, q, p) -> position in level q of each image under the coface p
 
-    def move(i, q, j):
-        key = (id(factors[i]), q, j)
+    def move(i, q, p):
+        key = (id(factors[i]), q, p)
         if key not in moves:
-            g = (Injection(q, q, [*range(1, j), j + 1, j, *range(j + 2, q + 1)]) if j
-                 else subset_inclusion(q - 1, q))
-            act, at = factors[i].act(g), {x: p for p, x in enumerate(simp[i][q])}
-            moves[key] = [at[act(x)] for x in simp[i][g.src]]
+            act = factors[i].act(Injection(q - 1, q, [*range(1, p), *range(p + 1, q + 1)]))
+            at = {x: t for t, x in enumerate(simp[i][q])}
+            moves[key] = [at[act(x)] for x in simp[i][q - 1]]
         return moves[key]
 
     def joins():
-        for (mvec, img), here in offset.items():
-            sizes = [len(simp[i][q]) for i, q in enumerate(mvec)]
-            start = 0
-            for i, q in enumerate(mvec):
-                end = start + q
-                # (source level, source image, generator j of q: 0 the inclusion, else (j j+1))
-                gens = [(q - 1, img[:end - 1] + img[end:], 0)] if q else []
-                gens += [(q, img[:p] + (img[p + 1], img[p]) + img[p + 2:], p - start + 1)
-                         for p in range(start, end - 1)]
-                for q0, src_img, j in gens:
-                    src = offset[mvec[:i] + (q0,) + mvec[i + 1:], src_img]
-                    yield _moved_pairs(src, here, prod(sizes[:i]), move(i, q, j), sizes[i],
-                                       prod(sizes[i + 1:]))
-                start = end
+        for src, dst, i, q, p in arrows:
+            size = sizes[dst]
+            yield _moved_pairs(offset[src], offset[dst], prod(size[:i]), move(i, q, p), size[i],
+                               prod(size[i + 1:]))
 
-    roots = least_roots(len(cells), chain.from_iterable(joins()))
-    return dict(zip(cells, map(cells.__getitem__, roots)))
+    classes = _BoxClasses(zip(cells, map(cells.__getitem__, least_roots(
+        len(cells), chain.from_iterable(joins())))))
+    classes.factors, classes.objects = factors, objects
+    return classes
 
 
 def _moved_pairs(src, dst, outer, moved, width, inner):
@@ -308,13 +335,15 @@ class BoxISpace:
     Box products and bar constructions share this record.  At
     level n, dimension k, a raw cell has an injection sum(nvec) -> n with the
     given image and xs a k-simplex per block; canon[n][k] sends it to its
-    class's canonical representative, and tables[n] numbers those.
-    deg(raw, j) is s_j on a raw cell.
+    class's canonical representative, and tables[n] numbers those.  canon
+    stores only some raw cells (a `_BoxClasses` those at sorted objects) and
+    resolves any other on its first lookup, so look raw cells up rather than
+    walk its keys.  deg(raw, j) is s_j on a raw cell.
     """
 
     space: ISpaceT
     tables: list  # NormTable per level
-    canon: list  # per level, per dim: dict raw -> canonical raw
+    canon: list  # per level, per dim: raw -> canonical raw, resolved on lookup
     factors: tuple
     deg: Callable
 
@@ -358,17 +387,13 @@ def box_multi(factors, dim_bound, based=False):
     product of the factor levels (see `_box_classes`); the canonical
     representative of a class is its lexicographically smallest raw cell.
     """
-    k_factors = len(factors)
-    N = min(f.N for f in factors)
-    if k_factors == 1:
+    if len(factors) == 1:
         return _box_single(factors[0], dim_bound)
+    xs0 = tuple(nd_ref(0, f.level(0).basepoint) for f in factors)  # read only when based
     tables, canon = [], []
-    for n in range(N + 1):
+    for n in range(min(f.N for f in factors) + 1):
         cn = [_box_classes(factors, n, dim, n) for dim in range(dim_bound + 1)]
-        based_raw = None
-        if based:
-            xs0 = tuple(nd_ref(0, f.level(0).basepoint) for f in factors)
-            based_raw = cn[0][((0,) * k_factors, (), xs0)]
+        based_raw = cn[0][((0,) * len(factors), (), xs0)] if based else None
         tables.append(_box_table(factors, cn, dim_bound, based_raw))
         canon.append(cn)
     return _box_space(tables, canon, factors)
@@ -378,28 +403,31 @@ def _box_single(X, dim_bound):
     """One-factor box product: canonically the I-space itself.
 
     The class of ((m,), alpha, (x,)) is X(alpha)(x); representatives live at
-    the identity decomposition, so the colimit is X(n) on the nose.
+    the identity decomposition, so the colimit is X(n) on the nose.  Raw
+    cells are resolved on their first lookup (`_single_class`).
     """
     tables, canon = [], []
     for n in range(X.N + 1):
-        cn = []
-        ref_of = {}
-        for dim in range(dim_bound + 1):
-            cdict = {}
-            for m in range(n + 1):
-                for a in icat.enumerate_injections(m, n):
-                    for x in X.level(m).all_simplices(dim):
-                        img = X.act(a)(x)
-                        raw = ((m,), a.image, (x,))
-                        key = ((n,), identity(n).image, (img,))
-                        cdict[raw] = key
-                        ref_of[key] = img
-            cn.append(cdict)
-        raw_of = [[((n,), identity(n).image, (nd_ref(k, x),)) for x in range(card)]
+        head = ((n,), identity(n).image)
+        canon.append([LazyDict(partial(_single_class, X, head, dim))
+                      for dim in range(dim_bound + 1)])
+        ref_of = {head + ((r,),): r for k in range(dim_bound + 1)
+                  for r in X.level(n).all_simplices(k)}
+        raw_of = [[head + ((nd_ref(k, x),),) for x in range(card)]
                   for k, card in enumerate(X.level(n).card)]
         tables.append(NormTable(X.level(n), ref_of, raw_of))
-        canon.append(cn)
     return BoxISpace(X, tables, canon, (X,), _box_deg)
+
+
+def _single_class(X, head, dim, raw):
+    """The class head + ((X(alpha)(x),),) of a raw dim-cell ((m,), image, (x,))
+    of a one-factor box, at its identity decomposition `head`.  An injection
+    is the tuple (src, dst, image), so a key that names none misses."""
+    (m,), img, (x,) = raw
+    y = X.act((m, head[0][0], img))(x)
+    if ref_dim(y) != dim:
+        raise KeyError(raw)
+    return head + ((y,),)
 
 
 def rho(BXY):

@@ -1,19 +1,38 @@
 """The box-power colimit kernel against the brute-force colimit oracle.
 
-The library joins raw cells along generating morphisms only (standard
-inclusions and adjacent transpositions, one slot at a time); the oracle
-joins them along every morphism of the decomposition category.  Both must
-give the same canonical representatives.
+The library takes the colimit over the skeleton of sorted decompositions,
+whose images increase on every block, and joins raw cells there along the
+cofaces q - 1 -> q only, one slot at a time; other raw cells are resolved
+on lookup.  The oracle joins every raw cell along every morphism of the
+decomposition category.  Both must give the same canonical representatives.
 The record's decoder `raw` and encoder `ref` must also be inverse to each
 other on every simplex.
 """
 
+from itertools import product
+from math import factorial, prod
+
+import pytest
+
+from ispaces import ispace
 from ispaces.cmon import bar, c1, sec52_monoid
 from ispaces.icat import Injection
-from ispaces.ispace import _box_classes, box_multi, free_ispace
-from ispaces.simplicial import ref_dim
+from ispaces.ispace import (_box_classes, box_multi, collapsing_ispace, constant_ispace,
+                            free_ispace, power_ispace)
+from ispaces.simplicial import apply_s, nd_ref, ref_dim, simplicial_circle
 
-from oracles import box_colimit, is_injective, latching, words
+from oracles import box_colimit, is_injective, latching, sphere, words
+
+
+def _assert_matches_oracle(classes, oracle):
+    """The stored cells are raw cells with the oracle's representatives, every
+    raw cell of the oracle looks up to its representative, and the two sets
+    of representatives are equal."""
+    stored = dict(classes)
+    assert stored.keys() <= oracle.keys()
+    assert all(stored[raw] == oracle[raw] for raw in stored)
+    assert all(classes[raw] == least for raw, least in oracle.items())
+    assert set(stored.values()) == set(oracle.values())
 
 
 def test_box_multi_matches_oracle():
@@ -26,11 +45,70 @@ def test_box_multi_matches_oracle():
         B = box_multi(factors, dim_bound, based=based)
         for n in range(B.space.N + 1):
             for dim in range(dim_bound + 1):
-                assert B.canon[n][dim] == box_colimit(factors, n, dim, n)
+                _assert_matches_oracle(B.canon[n][dim], box_colimit(factors, n, dim, n))
+
+
+@pytest.mark.parametrize("name", ["sphere-power", "constant-circle", "collapsing"])
+def test_skeleton_matches_oracle_off_the_scenarios(name):
+    """Box squares that no scenario takes: a power of S^1 and a constant
+    circle, whose structure maps carry higher simplices, and the collapsing
+    diagram, whose structure maps are not injective."""
+    X = {"sphere-power": lambda: power_ispace(sphere(1), 2),
+         "constant-circle": lambda: constant_ispace(simplicial_circle(), 2),
+         "collapsing": lambda: collapsing_ispace(2)}[name]()
+    for factors in ((X, X), (X, free_ispace(1, 2))):
+        for n in range(3):
+            for dim in range(3):
+                _assert_matches_oracle(_box_classes(factors, n, dim, n),
+                                       box_colimit(factors, n, dim, n))
+
+
+def test_a_key_that_is_no_raw_cell_raises_key_error():
+    C = c1(3).space
+    x0, x9, e0 = nd_ref(0, 0), nd_ref(0, 99), apply_s(0, nd_ref(0, 0))
+    classes = _box_classes((C, C), 3, 0, 3)
+    assert classes[((1, 1), (2, 1), (x0, x0))] == classes[((1, 1), (1, 2), (x0, x0))]
+    for key in (((1, 1), (1, 2), (x0, x9)),  # a sorted object, no simplex of C(1)
+                ((2, 0), (2, 1), (x9, x0)),  # an unsorted object, no simplex of C(2)
+                ((2, 0), (2, 1), (e0, x0)),  # a simplex of the wrong dimension
+                ((2, 0), (1, 1), (x0, x0)),  # not injective
+                ((2, 0), (4, 1), (x0, x0)),  # out of range
+                ((2, 0), (2, 1, 3), (x0, x0)),  # an image longer than the blocks
+                ((2, 2), (4, 3, 2, 1), (x0, x0)),  # more than total_max
+                ((1, 1, 0), (2, 1), (x0, x0, x0))):  # too many blocks
+        with pytest.raises(KeyError):
+            classes[key]
+    single = box_multi((C,), 1).canon[3][0]
+    assert single[((2,), (3, 1), (x0,))] == ((3,), (1, 2, 3), (C.act(Injection(2, 3, (3, 1)))(x0),))
+    for key in (((2,), (3, 3), (x0,)), ((2,), (3, 1), (x9,)), ((2,), (3, 1), (e0,)),
+                ((4,), (1, 2, 3, 4), (x0,))):
+        with pytest.raises(KeyError):
+            single[key]
+
+
+def test_cells_are_numbered_at_sorted_objects_only(monkeypatch):
+    """On the cube of c1(3), the kernel numbers a cell for each sorted object
+    (nvec, image) and each tuple of simplices: n!/((n - s)! q_1! ... q_k!)
+    images for s = sum(nvec), not the n!/(n - s)! of all injections."""
+    X = c1(3).space
+    sizes, real = [], ispace.least_roots
+
+    def counted(size, pairs):
+        sizes.append(size)
+        return real(size, pairs)
+
+    monkeypatch.setattr(ispace, "least_roots", counted)
+    for n in range(4):
+        for dim in range(4):
+            _box_classes((X,) * 3, n, dim, n)
+            assert sizes.pop() == sum(
+                factorial(n) // (factorial(n - sum(nvec)) * prod(map(factorial, nvec)))
+                * prod(len(X.level(q).all_simplices(dim)) for q in nvec)
+                for nvec in product(range(n + 1), repeat=3) if sum(nvec) <= n)
 
 
 def test_generators_act_once_per_factor_level(monkeypatch):
-    """Within one `_box_classes` call on the cube of c1(3), each generator's
+    """Within one `_box_classes` call on the cube of c1(3), each coface's
     action is built once and moves each simplex of a factor level once, not
     once per decomposition object that it joins."""
     X = c1(3).space
@@ -59,7 +137,7 @@ def test_bar_powers_match_oracle():
     B = bar(A, 3)
     for n in range(4):
         for k in range(4):
-            assert B.canon[n][k] == box_colimit((A.space,) * k, n, k, n)
+            _assert_matches_oracle(B.canon[n][k], box_colimit((A.space,) * k, n, k, n))
 
 
 def _round_trip_misses(B):

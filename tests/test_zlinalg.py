@@ -134,6 +134,24 @@ def test_clearing_keeps_odd_torsion_of_cyclic_group_nerve(monkeypatch):
     assert homology(bz3, 2).groups == groups
 
 
+def test_homology_clears_each_degree_by_the_pivots_below(monkeypatch):
+    """`homology` hands each d_{k+1} the pivot columns that its call on d_k
+    appended, as a non-empty `drop_rows`; d_1 drops none.  No traced count
+    sees the clearing, since SNF's input nonzeros are counted before rows
+    are dropped."""
+    calls = []
+
+    def recorded(mat, nrows, ncols, drop_rows=(), pivots=None):
+        calls.append((drop_rows, pivots))
+        return rank_and_torsion(mat, nrows, ncols, drop_rows, pivots)
+
+    monkeypatch.setattr(simplicial, "rank_and_torsion", recorded)
+    homology(nerve(comma_under(1, 4), 3).sset, 2)
+    assert len(calls) == 3 and calls[0][0] == ()
+    for (_, below), (drop_rows, _) in zip(calls, calls[1:]):
+        assert below and list(drop_rows) == below
+
+
 def test_clearing_on_torus_where_rank_bound_is_not_reached():
     t2 = product_sset(simplicial_circle(), simplicial_circle()).sset
     assert homology(t2, 2).group(2) == (1, ())
