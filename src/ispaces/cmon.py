@@ -47,7 +47,6 @@ from .ispace import (
     _hocolim_deg,
     _hocolim_faces,
     _tail_level,
-    hocolim_I,
     is_flat,
     restrict,
     terminal_ispace,
@@ -602,38 +601,7 @@ def bar(A, S):
         base = cn[0][((), (), ())]
         tables.append(normalize_table(cells, faces_fn, deg_fn, S, based_raw=base))
         canon.append(cn)
-    return _box_space(tables, canon, powers, partial(_bar_deg, A))
-
-
-def bar_monoid(A, B):
-    """B(A) as a commutative monoid, by blockwise interleaving.
-
-    The product of two bar cells of equal degree multiplies corresponding
-    blocks with the monoid multiplication.  Its decomposition image
-    interleaves the two images block by block, the second shifted past
-    level m: the block sum of the two injections after the block shuffle.
-    B is the bar construction of A.
-    """
-
-    def mul(m, n, rx, ry):
-        nv1, a1_img, xs = B.raw(m, rx)
-        nv2, a2_img, ys = B.raw(n, ry)
-        k = len(nv1)
-        if len(nv2) != k:
-            raise ValueError("bar cells of unequal degree")
-        shifted = tuple(v + m for v in a2_img)
-        image = ()
-        i1 = i2 = 0
-        for t1, t2 in zip(nv1, nv2):
-            image += a1_img[i1:i1 + t1] + shifted[i2:i2 + t2]
-            i1 += t1
-            i2 += t2
-        nvec = tuple(nv1[i] + nv2[i] for i in range(k))
-        zs = tuple(A.mul(nv1[i], nv2[i], xs[i], ys[i]) for i in range(k))
-        return B.ref(m + n, k, (nvec, image, zs))
-
-    unit_id = B.space.level(0).basepoint
-    return CIMonoidT(B.space, unit_id, mul, name=A.name + "-bar")
+    return _box_space(tables, canon, partial(_bar_deg, A))
 
 
 # ---------------------------------------------------------------------------
@@ -899,18 +867,3 @@ def classifying_space_homology(A, D):
     tab = bar_of_hocolim(A, D + 1)
     return homology(tab.sset, D), tab
 
-
-def iterated_bar_spectrum(A, n_max, D):
-    """Based homotopy colimits of the iterated bar constructions.
-
-    Entry k is the based homotopy colimit over the injection category of the
-    k-fold bar construction, reported with homology through degree D.
-    """
-    out = []
-    cur = A
-    for k in range(n_max + 1):
-        tab = hocolim_I(cur.space, D + 1, based=True)
-        out.append((tab.sset, homology(tab.sset, D)))
-        if k < n_max:
-            cur = bar_monoid(cur, bar(cur, D + 2))
-    return out

@@ -4,8 +4,7 @@ A GammaSpaceT assigns a based simplicial set to every finite based set k+
 up to a bound, with functorial actions of based maps.  The monoid extraction
 evaluates based homotopy colimits of box powers; based maps act by deleting,
 multiplying and rerouting the box factors.  The module also provides the
-special/very-special verdicts, prolongation along a
-based simplicial set, the two-variable smash extraction, and the
+special/very-special verdicts, the two-variable smash extraction, and the
 Eckmann-Hilton coincidence check on components.  In positive degrees the
 Segal condition is read through the Alexander-Whitney map, in place of the
 product (Eilenberg-Zilber; Eilenberg & Mac Lane, Ann. Math. 58, 1953).
@@ -13,18 +12,15 @@ product (Eilenberg-Zilber; Eilenberg & Mac Lane, Ann. Math. 58, 1953).
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import product as iproduct
 from typing import Callable, Optional
 
 from .simplicial import (
     LazyDict,
     SMap,
     alexander_whitney,
-    apply_s,
     chain_complex,
     cone_homology,
     nd_ref,
-    normalize_table,
     pi0,
     point,
     ref_dim,
@@ -33,20 +29,6 @@ from .simplicial import (
 )
 from .ispace import _cell_point, box_multi, hocolim_I, hocolim_map
 from .cmon import class_presentation, unit_verdicts
-
-
-def based_maps(k, l):
-    """All based functions k+ -> l+, as length-k tuples over 0..l."""
-    return sorted(iproduct(*[range(l + 1)] * k))
-
-
-def compose_based(psi, phi):
-    """psi after phi, for based maps given as image tuples."""
-    return tuple(psi[v - 1] if v else 0 for v in phi)
-
-
-def identity_based(k):
-    return tuple(range(1, k + 1))
 
 
 @dataclass
@@ -67,39 +49,6 @@ class GammaSpaceT:
         if key not in self._cache:
             self._cache[key] = self.act_fn(phi, k, l)
         return self._cache[key]
-
-    def validate(self, K_check=None):
-        bad = []
-        if self.values[0].size() != 1:
-            bad.append("value at 0+ is not a point")
-        K = self.K if K_check is None else min(K_check, self.K)
-        for k in range(K + 1):
-            for l in range(K + 1):
-                for phi in based_maps(k, l):
-                    f = self.act(phi, k, l)
-                    bad += [f"map {phi}: {m}" for m in f.validate()]
-                    bp = self.values[k].basepoint
-                    _, _, img = f(nd_ref(0, bp))
-                    if img != self.values[l].basepoint:
-                        bad.append(f"map {phi} not based")
-        if bad:
-            return bad
-        for k in range(K + 1):
-            f = self.act(identity_based(k), k, k)
-            if any(f.table[key] != nd_ref(*key) for key in f.src.nondeg_keys()):
-                bad.append(f"identity does not act trivially at {k}+")
-        for k in range(K + 1):
-            for l in range(K + 1):
-                for m in range(K + 1):
-                    for phi in based_maps(k, l):
-                        for psi in based_maps(l, m):
-                            lhs = self.act(compose_based(psi, phi), k, m)
-                            a = self.act(phi, k, l)
-                            b = self.act(psi, l, m)
-                            if any(lhs.table[key] != b(a.table[key])
-                                   for key in a.src.nondeg_keys()):
-                                bad.append(f"functoriality fails at {psi} after {phi}")
-        return bad
 
 
 # ---------------------------------------------------------------------------
@@ -311,64 +260,6 @@ def is_special(X, D=0):
 
 
 # ---------------------------------------------------------------------------
-# Prolongation.
-# ---------------------------------------------------------------------------
-
-def prolong(X, Kbase, dim_bound=None):
-    """Evaluate a Gamma-space on a based simplicial set, then take diagonals.
-
-    The based set of s-simplices of the argument is identified with c+ by
-    listing the basepoint-degenerate simplex first and the rest in a fixed
-    order; structure maps of the argument act through the functor.
-    """
-    if Kbase.basepoint is None:
-        raise ValueError("prolongation needs a based argument")
-    if dim_bound is None:
-        dim_bound = X.K
-    sizes = []
-    orders = []
-    for s in range(dim_bound + 1):
-        simps = Kbase.all_simplices(s)
-        bp = vertex_ref(s, Kbase.basepoint)
-        rest = sorted(r for r in simps if r != bp)
-        orders.append({r: i + 1 for i, r in enumerate(rest)} | {bp: 0})
-        sizes.append(len(rest))
-        if len(rest) > X.K:
-            raise ValueError(
-                f"argument has {len(rest)} non-basepoint simplices in "
-                f"dimension {s}; bound is {X.K}")
-
-    def op_map(s, t, op):
-        """Based map (sizes[s])+ -> (sizes[t])+ induced by a simplex operator."""
-        inv = {i: r for r, i in orders[s].items()}
-        return tuple(orders[t][op(inv[i])] for i in range(1, sizes[s] + 1))
-
-    cells = [
-        [(s, r) for r in X.values[sizes[s]].all_simplices(s)]
-        for s in range(dim_bound + 1)
-    ]
-
-    def faces_fn(s, raw):
-        _, ref = raw
-        row = []
-        for i in range(s + 1):
-            phi = op_map(s, s - 1, lambda r: Kbase.d(i, r))
-            f = X.act(phi, sizes[s], sizes[s - 1])
-            row.append((s - 1, X.values[sizes[s - 1]].d(i, f(ref))))
-        return tuple(row)
-
-    def deg_fn(s, raw, i):
-        _, ref = raw
-        phi = op_map(s, s + 1, lambda r: apply_s(i, r))
-        f = X.act(phi, sizes[s], sizes[s + 1])
-        return (s + 1, apply_s(i, f(ref)))
-
-    bp0 = (0, nd_ref(0, X.values[sizes[0]].basepoint))
-    tab = normalize_table(cells, faces_fn, deg_fn, dim_bound, based_raw=bp0)
-    return tab.sset
-
-
-# ---------------------------------------------------------------------------
 # Two-variable smash extraction and the Eckmann-Hilton check.
 # ---------------------------------------------------------------------------
 
@@ -408,13 +299,6 @@ class BiGammaT:
             for j in range(1, l + 1):
                 image.append(sm_dst(i, phi[j - 1]))
         return self.gamma.act(tuple(image), k * l, k * l2)
-
-    def validate(self):
-        bad = []
-        for k in range(self.K + 1):
-            if self.value(k, 0).size() != 1 or self.value(0, k).size() != 1:
-                bad.append(f"value at ({k}+, 0+) is not a point")
-        return bad
 
 
 def bi_gamma_from(A, K, S):

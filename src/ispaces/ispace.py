@@ -344,7 +344,6 @@ class BoxISpace:
     space: ISpaceT
     tables: list  # NormTable per level
     canon: list  # per level, per dim: raw -> canonical raw, resolved on lookup
-    factors: tuple
     deg: Callable
 
     def ref(self, n, dim, raw):
@@ -361,7 +360,7 @@ class BoxISpace:
         return raw
 
 
-def _box_space(tables, canon, factors, deg=_box_deg):
+def _box_space(tables, canon, deg=_box_deg):
     """The record of levelwise colimits with raw cells (nvec, image, xs).
 
     tables[n] is the normalized level n and canon[n][k] its dictionary of
@@ -377,7 +376,7 @@ def _box_space(tables, canon, factors, deg=_box_deg):
                  for k, raws in enumerate(tables[alpha.src].raw_of)
                  for x, (nvec, a_img, xs) in enumerate(raws)}
         maps[alpha] = SMap(levels[alpha.src], levels[alpha.dst], table)
-    return BoxISpace(ISpaceT(N, levels, maps), tables, canon, tuple(factors), deg)
+    return BoxISpace(ISpaceT(N, levels, maps), tables, canon, deg)
 
 
 def box_multi(factors, dim_bound, based=False):
@@ -396,7 +395,7 @@ def box_multi(factors, dim_bound, based=False):
         based_raw = cn[0][((0,) * len(factors), (), xs0)] if based else None
         tables.append(_box_table(factors, cn, dim_bound, based_raw))
         canon.append(cn)
-    return _box_space(tables, canon, factors)
+    return _box_space(tables, canon)
 
 
 def _box_single(X, dim_bound):
@@ -416,7 +415,7 @@ def _box_single(X, dim_bound):
         raw_of = [[head + ((nd_ref(k, x),),) for x in range(card)]
                   for k, card in enumerate(X.level(n).card)]
         tables.append(NormTable(X.level(n), ref_of, raw_of))
-    return BoxISpace(X, tables, canon, (X,), _box_deg)
+    return BoxISpace(X, tables, canon, _box_deg)
 
 
 def _single_class(X, head, dim, raw):
@@ -428,29 +427,6 @@ def _single_class(X, head, dim, raw):
     if ref_dim(y) != dim:
         raise KeyError(raw)
     return head + ((y,),)
-
-
-def rho(BXY):
-    """The comparison box(X, Y) -> X x Y, as its two projections per level.
-
-    A map into a product is simplicial exactly when both of its components
-    are, so level n gives the pair of maps box(X, Y)(n) -> X(n) and
-    box(X, Y)(n) -> Y(n); each pushes a raw cell (nvec, image, (rx, ry))
-    along the decomposition injection restricted to that factor's block.
-    """
-    X, Y = BXY.factors
-    maps = []
-    for n in range(BXY.space.N + 1):
-        px, py = {}, {}
-        for k, raws in enumerate(BXY.tables[n].raw_of):
-            for x, (nvec, a_img, (rx, ry)) in enumerate(raws):
-                a = Injection(sum(nvec), n, a_img)
-                px[(k, x)] = X.act(compose(a, subset_inclusion(nvec[0], a.src)))(rx)
-                py[(k, x)] = Y.act(compose(a, Injection(nvec[1], a.src,
-                                                         range(nvec[0] + 1, a.src + 1))))(ry)
-        src = BXY.space.level(n)
-        maps.append((SMap(src, X.level(n), px), SMap(src, Y.level(n), py)))
-    return maps
 
 
 # ---------------------------------------------------------------------------

@@ -170,9 +170,6 @@ class SSet:
         """True when the set provably has no nondegenerate k-simplex."""
         return self.n_nondeg(k) == 0 if k <= self.top_dim else self.complete
 
-    def size(self):
-        return sum(self.card)
-
 
 def point():
     """The based one-point simplicial set."""
@@ -614,20 +611,6 @@ class ChainComplex:
     def boundary_cols(self, k):
         """The columns {x: {row: value}} of d_k; empty outside the complex."""
         return self.boundaries[k].cols if 1 <= k < len(self.boundaries) else {}
-
-    def validate(self):
-        bad = []
-        for k in range(2, len(self.counts)):
-            below = self.boundaries[k - 1].cols
-            for col in self.boundaries[k].cols.values():
-                prod = {}  # d_{k-1} applied to this column of d_k
-                for r, v in col.items():
-                    for r2, w in below.get(r, {}).items():
-                        prod[r2] = prod.get(r2, 0) + v * w
-                if any(prod.values()):
-                    bad.append(f"boundary squared nonzero in degree {k}")
-                    break
-        return bad
 
 
 def chain_complex(X, top=None):

@@ -304,7 +304,7 @@ def words(X):
               for dim in range(2)] for n in range(X.N + 1)]
     # a word has at most N factors, and faces zip the factors with its blocks
     factors = (X,) * X.N
-    return _box_space([_box_table(factors, cn, 1) for cn in canon], canon, factors)
+    return _box_space([_box_table(factors, cn, 1) for cn in canon], canon)
 
 
 def free_cmonoid(X):
@@ -319,7 +319,7 @@ def free_cmonoid(X):
     from ispaces.simplicial import ref_dim, vertex_ref
 
     N = X.N
-    exact = X.level(0).size() == 0
+    exact = sum(X.level(0).card) == 0
     W = words(X)
 
     def mul(m, n, rx, ry):
@@ -798,6 +798,58 @@ def decode_bar_cell(tab, k, cell):
     return tuple(tab.cat.raws[k][z] for z in cell)
 
 
+def bar_monoid(A, B):
+    """B(A) as a commutative monoid, by blockwise interleaving.
+
+    The product of two bar cells of equal degree multiplies corresponding
+    blocks with the monoid multiplication.  Its decomposition image
+    interleaves the two images block by block, the second shifted past
+    level m: the block sum of the two injections after the block shuffle.
+    B is the bar construction of A, `cmon.bar(A, S)`.
+    """
+    from ispaces.cmon import CIMonoidT
+
+    def mul(m, n, rx, ry):
+        nv1, a1_img, xs = B.raw(m, rx)
+        nv2, a2_img, ys = B.raw(n, ry)
+        k = len(nv1)
+        if len(nv2) != k:
+            raise ValueError("bar cells of unequal degree")
+        shifted = tuple(v + m for v in a2_img)
+        image = ()
+        i1 = i2 = 0
+        for t1, t2 in zip(nv1, nv2):
+            image += a1_img[i1:i1 + t1] + shifted[i2:i2 + t2]
+            i1 += t1
+            i2 += t2
+        nvec = tuple(nv1[i] + nv2[i] for i in range(k))
+        zs = tuple(A.mul(nv1[i], nv2[i], xs[i], ys[i]) for i in range(k))
+        return B.ref(m + n, k, (nvec, image, zs))
+
+    unit_id = B.space.level(0).basepoint
+    return CIMonoidT(B.space, unit_id, mul, name=A.name + "-bar")
+
+
+def iterated_bar_spectrum(A, n_max, D):
+    """Based homotopy colimits of the iterated bar constructions.
+
+    Entry k is the based homotopy colimit over the injection category of the
+    k-fold bar construction, reported with homology through degree D.
+    """
+    from ispaces.cmon import bar
+    from ispaces.ispace import hocolim_I
+    from ispaces.simplicial import homology
+
+    out = []
+    cur = A
+    for k in range(n_max + 1):
+        tab = hocolim_I(cur.space, D + 1, based=True)
+        out.append((tab.sset, homology(tab.sset, D)))
+        if k < n_max:
+            cur = bar_monoid(cur, bar(cur, D + 2))
+    return out
+
+
 def bar_mul_reference(A, B, m, n, rx, ry):
     """Product of two cells of the bar construction B of A in levels m and
     n, through checked injections: the block sum of the two decomposition
@@ -925,7 +977,7 @@ def pairing_map(prod, f, g, top):
     """(f, g): Z -> X x Y from maps f: Z -> X, g: Z -> Y, through dimension top,
     into a product built by `product_sset`: the pairing into the product
     simplicial set, against which the Alexander-Whitney cone of
-    `gamma.is_special` and the projections of `ispace.rho` are checked.  The
+    `gamma.is_special` and the projections of `rho` are checked.  The
     product may be a skeleton, so the pairing is tabulated on the simplices
     of Z of dimension at most `top` only."""
     from ispaces.simplicial import SMap, nd_ref
@@ -936,6 +988,49 @@ def pairing_map(prod, f, g, top):
             ra, rb = f(nd_ref(k, x)), g(nd_ref(k, x))
             table[(k, x)] = normalize_pair_ref(prod, ra, rb)
     return SMap(f.src, prod.sset, table)
+
+
+def rho(BXY, X, Y):
+    """The comparison box(X, Y) -> X x Y, as its two projections per level.
+
+    A map into a product is simplicial exactly when both of its components
+    are, so level n gives the pair of maps box(X, Y)(n) -> X(n) and
+    box(X, Y)(n) -> Y(n); each pushes a raw cell (nvec, image, (rx, ry))
+    along the decomposition injection restricted to that factor's block.
+    BXY is `ispace.box_multi((X, Y), ...)`.
+    """
+    from ispaces.icat import Injection, compose, subset_inclusion
+    from ispaces.simplicial import SMap
+
+    maps = []
+    for n in range(BXY.space.N + 1):
+        px, py = {}, {}
+        for k, raws in enumerate(BXY.tables[n].raw_of):
+            for x, (nvec, a_img, (rx, ry)) in enumerate(raws):
+                a = Injection(sum(nvec), n, a_img)
+                px[(k, x)] = X.act(compose(a, subset_inclusion(nvec[0], a.src)))(rx)
+                py[(k, x)] = Y.act(compose(a, Injection(nvec[1], a.src,
+                                                         range(nvec[0] + 1, a.src + 1))))(ry)
+        src = BXY.space.level(n)
+        maps.append((SMap(src, X.level(n), px), SMap(src, Y.level(n), py)))
+    return maps
+
+
+def validate_chain_complex(cx):
+    """Defects of a `simplicial.ChainComplex`: each degree k in which some
+    column of d_k is not sent to zero by d_{k-1}."""
+    bad = []
+    for k in range(2, len(cx.counts)):
+        below = cx.boundaries[k - 1].cols
+        for col in cx.boundaries[k].cols.values():
+            prod = {}  # d_{k-1} applied to this column of d_k
+            for r, v in col.items():
+                for r2, w in below.get(r, {}).items():
+                    prod[r2] = prod.get(r2, 0) + v * w
+            if any(prod.values()):
+                bad.append(f"boundary squared nonzero in degree {k}")
+                break
+    return bad
 
 
 def chain_boundary_reference(X, k):
@@ -1079,9 +1174,128 @@ def elements_fincategory(X, arrows_of):
         lambda g, f: (I.code[compose(I.morphisms[g[0]], I.morphisms[f[0]])], f[1]))
 
 
+def based_maps(k, l):
+    """All based functions k+ -> l+, as length-k tuples over 0..l."""
+    return sorted(product(*[range(l + 1)] * k))
+
+
+def compose_based(psi, phi):
+    """psi after phi, for based maps given as image tuples."""
+    return tuple(psi[v - 1] if v else 0 for v in phi)
+
+
+def identity_based(k):
+    return tuple(range(1, k + 1))
+
+
+def validate_gamma(X, K_check=None):
+    """Defects of a `gamma.GammaSpaceT` through k+ <= K_check: a value at 0+
+    that is no point, maps that are no simplicial maps or not based, and
+    failures of the identity and composition laws."""
+    from ispaces.simplicial import nd_ref
+
+    bad = []
+    if sum(X.values[0].card) != 1:
+        bad.append("value at 0+ is not a point")
+    K = X.K if K_check is None else min(K_check, X.K)
+    for k in range(K + 1):
+        for l in range(K + 1):
+            for phi in based_maps(k, l):
+                f = X.act(phi, k, l)
+                bad += [f"map {phi}: {m}" for m in f.validate()]
+                bp = X.values[k].basepoint
+                _, _, img = f(nd_ref(0, bp))
+                if img != X.values[l].basepoint:
+                    bad.append(f"map {phi} not based")
+    if bad:
+        return bad
+    for k in range(K + 1):
+        f = X.act(identity_based(k), k, k)
+        if any(f.table[key] != nd_ref(*key) for key in f.src.nondeg_keys()):
+            bad.append(f"identity does not act trivially at {k}+")
+    for k in range(K + 1):
+        for l in range(K + 1):
+            for m in range(K + 1):
+                for phi in based_maps(k, l):
+                    for psi in based_maps(l, m):
+                        lhs = X.act(compose_based(psi, phi), k, m)
+                        a = X.act(phi, k, l)
+                        b = X.act(psi, l, m)
+                        if any(lhs.table[key] != b(a.table[key])
+                               for key in a.src.nondeg_keys()):
+                            bad.append(f"functoriality fails at {psi} after {phi}")
+    return bad
+
+
+def validate_bi_gamma(X):
+    """Defects of a `gamma.BiGammaT`: the values at (k+, 0+) and (0+, k+)
+    that are not a point."""
+    bad = []
+    for k in range(X.K + 1):
+        if sum(X.value(k, 0).card) != 1 or sum(X.value(0, k).card) != 1:
+            bad.append(f"value at ({k}+, 0+) is not a point")
+    return bad
+
+
+def prolong(X, Kbase, dim_bound=None):
+    """Evaluate a Gamma-space on a based simplicial set, then take diagonals.
+
+    The based set of s-simplices of the argument is identified with c+ by
+    listing the basepoint-degenerate simplex first and the rest in a fixed
+    order; structure maps of the argument act through the functor.
+    """
+    from ispaces.simplicial import apply_s, nd_ref, normalize_table, vertex_ref
+
+    if Kbase.basepoint is None:
+        raise ValueError("prolongation needs a based argument")
+    if dim_bound is None:
+        dim_bound = X.K
+    sizes = []
+    orders = []
+    for s in range(dim_bound + 1):
+        simps = Kbase.all_simplices(s)
+        bp = vertex_ref(s, Kbase.basepoint)
+        rest = sorted(r for r in simps if r != bp)
+        orders.append({r: i + 1 for i, r in enumerate(rest)} | {bp: 0})
+        sizes.append(len(rest))
+        if len(rest) > X.K:
+            raise ValueError(
+                f"argument has {len(rest)} non-basepoint simplices in "
+                f"dimension {s}; bound is {X.K}")
+
+    def op_map(s, t, op):
+        """Based map (sizes[s])+ -> (sizes[t])+ induced by a simplex operator."""
+        inv = {i: r for r, i in orders[s].items()}
+        return tuple(orders[t][op(inv[i])] for i in range(1, sizes[s] + 1))
+
+    cells = [
+        [(s, r) for r in X.values[sizes[s]].all_simplices(s)]
+        for s in range(dim_bound + 1)
+    ]
+
+    def faces_fn(s, raw):
+        _, ref = raw
+        row = []
+        for i in range(s + 1):
+            phi = op_map(s, s - 1, lambda r: Kbase.d(i, r))
+            f = X.act(phi, sizes[s], sizes[s - 1])
+            row.append((s - 1, X.values[sizes[s - 1]].d(i, f(ref))))
+        return tuple(row)
+
+    def deg_fn(s, raw, i):
+        _, ref = raw
+        phi = op_map(s, s + 1, lambda r: apply_s(i, r))
+        f = X.act(phi, sizes[s], sizes[s + 1])
+        return (s + 1, apply_s(i, f(ref)))
+
+    bp0 = (0, nd_ref(0, X.values[sizes[0]].basepoint))
+    tab = normalize_table(cells, faces_fn, deg_fn, dim_bound, based_raw=bp0)
+    return tab.sset
+
+
 def representable(k, K):
     """The discrete functor of based maps out of k+, up to the bound K."""
-    from ispaces.gamma import GammaSpaceT, based_maps, compose_based
+    from ispaces.gamma import GammaSpaceT
     from ispaces.simplicial import SMap, discrete, nd_ref
 
     if k > K:

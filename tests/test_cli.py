@@ -173,13 +173,20 @@ def test_cli_gamma(capsys):
     assert payload["very_special"] == "refuted"
 
 
-@pytest.mark.parametrize("K", ["1", "0", "-1"])
+@pytest.mark.parametrize("K", ["1", "0"])
 def test_cli_gamma_below_two_is_inconclusive(capsys, K):
     code, payload = run_cli(capsys, "gamma", "--trunc", "2", "--K", K, "c1")
     assert code == 0
     assert payload["special"] == "inconclusive"
     assert payload["very_special"] == "unknown"
     assert "no pair (k, l)" in payload["detail"]["reason"]
+
+
+def test_cli_gamma_negative_K_is_refused(capsys):
+    # a negative size bound names no based set, so it is a malformed configuration
+    code, payload = run_cli(capsys, "gamma", "--trunc", "2", "--K", "-1", "c1")
+    assert code == 2
+    assert payload == {"error": "based-set size bound must be nonnegative"}
 
 
 def test_cli_scenario_out_file(tmp_path, capsys):

@@ -13,13 +13,11 @@ from ispaces.cmon import (
     _normal_form,
     bar,
     bar_comparison,
-    bar_monoid,
     c1,
     classifying_space_homology,
     cyclic2_monoid,
     grothendieck_group,
     integers_monoid,
-    iterated_bar_spectrum,
     merged_classes,
     pi0_monoid,
     restrict_monoid,
@@ -35,6 +33,7 @@ from ispaces.simplicial import Chains, homology, pi0_classes
 
 from oracles import (
     bar_comparison_once_reference,
+    bar_monoid,
     bar_mul_reference,
     bar_of_hocolim_reference,
     bounded_congruence,
@@ -45,6 +44,7 @@ from oracles import (
     decode_chain,
     free_cmonoid,
     is_grouplike,
+    iterated_bar_spectrum,
     sigma2_homology,
     tuples_bounded,
     two_sided_bar_reference,

@@ -2,16 +2,14 @@ import pytest
 
 from ispaces.cmon import c1, cyclic2_monoid, pi0_monoid, sec52_monoid, units
 from ispaces.gamma import (
+    BiGammaT,
     GammaSpaceT,
-    based_maps,
     bi_gamma_from,
-    compose_based,
     eckmann_hilton_check,
     gamma_of_monoid,
     is_special,
     pi0_monoid_of_gamma,
     projection_map,
-    prolong,
     smash_index,
 )
 from ispaces.simplicial import (
@@ -25,7 +23,16 @@ from ispaces.simplicial import (
     simplicial_circle,
     validate_sset,
 )
-from oracles import pairing_map, product_sset, representable
+from oracles import (
+    based_maps,
+    compose_based,
+    pairing_map,
+    product_sset,
+    prolong,
+    representable,
+    validate_bi_gamma,
+    validate_gamma,
+)
 
 
 def test_based_map_enumeration():
@@ -37,17 +44,47 @@ def test_based_map_enumeration():
 def test_representable_levels_and_functoriality():
     R = representable(1, 3)
     assert [v.card[0] for v in R.values] == [1, 2, 3, 4]
-    assert R.validate(K_check=2) == []
+    assert validate_gamma(R, K_check=2) == []
     R2 = representable(2, 2)
     assert R2.values[1].card[0] == 4
 
 
 def test_gamma_of_monoid_basics():
     G = gamma_of_monoid(c1(2), 2, 2)
-    assert G.values[0].size() == 1
+    assert sum(G.values[0].card) == 1
     for v in G.values:
         assert validate_sset(v) == []
-    assert G.validate(K_check=2) == []
+    assert validate_gamma(G, K_check=2) == []
+
+
+def _identity_on_two_points(from_point):
+    """Values a point at 0+ and two points, 0 the basepoint, at 1+ and 2+;
+    every based map between 1+ and 2+ acts as the identity, and the point
+    at 0+ goes to vertex `from_point`.  No functor: the zero map 1+ -> 1+
+    acts as the identity, but its factorisation through 0+ does not."""
+    values = [point(), discrete(2, basepoint=0), discrete(2, basepoint=0)]
+
+    def act_fn(phi, k, l):
+        if l == 0:
+            table = {(0, x): nd_ref(0, 0) for x in range(values[k].card[0])}
+        elif k == 0:
+            table = {(0, 0): nd_ref(0, from_point)}
+        else:
+            table = {(0, x): nd_ref(0, x) for x in range(2)}
+        return SMap(values[k], values[l], table)
+
+    return GammaSpaceT(2, values, act_fn)
+
+
+def test_gamma_validator_reports_broken_functoriality():
+    bad = validate_gamma(_identity_on_two_points(0))
+    assert "functoriality fails at () after (0,)" in bad
+    assert all(m.startswith("functoriality fails at ") for m in bad), bad
+
+
+def test_gamma_validator_reports_a_map_that_is_not_based():
+    # the maps 0+ -> 1+ and 0+ -> 2+ send the basepoint to vertex 1
+    assert validate_gamma(_identity_on_two_points(1)) == ["map () not based"] * 2
 
 
 def test_gamma_maps_validate():
@@ -230,7 +267,15 @@ def test_bi_gamma_values():
     X = bi_gamma_from(A, 2, 2)
     assert X.value(1, 1).card == X.gamma.values[1].card
     assert X.value(2, 2).card == X.gamma.values[4].card
-    assert X.validate() == []
+    assert validate_bi_gamma(X) == []
+
+
+def test_bi_gamma_validator_reports_a_value_that_is_not_a_point():
+    # the value at (k+, 0+) is that of the one-variable functor at 0+
+    two = discrete(2, basepoint=0)
+    G = GammaSpaceT(1, [two, two], lambda phi, k, l: SMap(two, two, {}))
+    assert validate_bi_gamma(BiGammaT(1, G)) == ["value at (0+, 0+) is not a point",
+                                                 "value at (1+, 0+) is not a point"]
 
 
 @pytest.mark.parametrize("build", [lambda: c1(2), lambda: sec52_monoid(2)])

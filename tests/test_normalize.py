@@ -18,7 +18,7 @@ whole dimension, against an eagerly built copy.
 
 import pytest
 
-from ispaces import cmon, gamma, icat, ispace, simplicial
+from ispaces import cmon, icat, ispace, simplicial
 from ispaces.simplicial import (SMap, SSet, component_subcomplex, identity_map, pi0, ref_dim,
                                 validate_sset)
 
@@ -46,7 +46,7 @@ def checked(monkeypatch):
         calls.append(got.sset.card)
         return got
 
-    for mod in (simplicial, ispace, cmon, gamma):
+    for mod in (simplicial, ispace, cmon):
         monkeypatch.setattr(mod, "normalize_table", both)
     return calls
 
@@ -64,7 +64,7 @@ def recorded(monkeypatch):
         calls.append((args, kwargs, got.sset, normalize_reference(*args, **kwargs).sset))
         return got
 
-    for mod in (simplicial, ispace, cmon, gamma):
+    for mod in (simplicial, ispace, cmon):
         monkeypatch.setattr(mod, "normalize_table", record)
     return real, calls
 

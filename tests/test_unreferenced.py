@@ -7,11 +7,14 @@ where a name is looked up by it (the name argument of `getattr` or
 `hasattr`, or an entry of the `FUNCTIONS` table in `perfbench/spans.py`,
 which wraps functions by name).  Dunder methods and the console entry
 point `cli.main` are exempt.  A public one must be referenced from `src/` or
-`perfbench/`, not from `tests/` alone, unless `TEST_ONLY_ALLOWED` says why.
-A method is matched by its name alone, so a
-method that nothing calls passes while another class defines a called method
-of the same name; `test_shared_method_names_are_listed` therefore keeps the
-public method names that two or more classes share to a listed set.
+`perfbench/`, not from `tests/` alone, unless `TEST_ONLY_ALLOWED` says why,
+and every name that `TEST_ONLY_ALLOWED` lists must still be reached from
+tests alone.  A method is matched by its name alone, so a method that
+nothing calls passes while another class defines a called method of the same
+name; `test_shared_method_names_are_listed` therefore fixes, for each public
+method name that two or more classes share, the exact set of classes that
+define it.  A class that adds a method of a shared name fails there until
+its caller in `src/` is looked at and the class is listed.
 
 Every parameter of every function in `src/ispaces/`, nested ones and lambdas
 included, must be read in that function's body, except `self` and the
@@ -61,23 +64,30 @@ UNREAD_FIELDS_ALLOWED = {
 
 # Public function or method name -> why it stays in src/ although only tests use it.
 TEST_ONLY_ALLOWED = {
-    "rho": "the box-versus-product comparison on homotopy colimits will call it",
-    "prolong": "the spectrum-of-units scenario will call it",
-    "iterated_bar_spectrum": "the spectrum-of-units scenario will call it",
     "coded": "FinCategory stays in src/ while perfbench/spans.py wraps FinCategory.validate",
 }
 
 
-# Public method name shared by two or more classes in src/ -> why it is shared.
+# Public method name shared by two or more classes in src/ -> (the classes that
+# define it, why it is shared and where src/ calls each class's method).
 SHARED_METHOD_NAMES = {
-    "validate": "each checked structure returns its own list of defects",
-    "act": "a functor's action on a morphism: of I on an ISpaceT, of based maps on a GammaSpaceT",
-    "level": "CIMonoidT.level reads the level of its carrier ISpaceT",
-    "to_json": "each serialised result (a presentation, a scenario report) writes its own JSON",
-    "nondegenerate": "a top given by position (a nerve's `Chains`, a bar's `_BarTop`) lists "
-                     "its own nondegenerate cells for normalize_table",
-    "degenerate_ref": "a top given by position (a nerve's `Chains`, a bar's `_BarTop`) gives "
-                      "the ref of its own degenerate cells to `TopRefs`",
+    "validate": ({"ISpaceT", "SMap", "FinCategory", "RunConfig"},
+                 "each checked structure returns its own list of defects: the CLI, the "
+                 "scenarios and validate_monoid call ISpaceT's, ISpaceT.validate calls "
+                 "SMap's, FinCategory.coded calls its own, cli.main, run_scenario and run_all "
+                 "call RunConfig's"),
+    "act": ({"ISpaceT", "GammaSpaceT"},
+            "a functor's action on a morphism: of I on an ISpaceT, of based maps on a "
+            "GammaSpaceT"),
+    "level": ({"ISpaceT", "CIMonoidT"}, "CIMonoidT.level reads the level of its carrier ISpaceT"),
+    "to_json": ({"CommMonoidPres", "ScenarioReport"},
+                "each serialised result (a presentation, a scenario report) writes its own JSON"),
+    "nondegenerate": ({"Chains", "_BarTop"},
+                      "a top given by position (a nerve's `Chains`, a bar's `_BarTop`) lists "
+                      "its own nondegenerate cells for normalize_table"),
+    "degenerate_ref": ({"Chains", "_BarTop"},
+                       "a top given by position (a nerve's `Chains`, a bar's `_BarTop`) gives "
+                       "the ref of its own degenerate cells to `TopRefs`"),
 }
 
 
@@ -151,22 +161,29 @@ def test_every_function_is_referenced():
 
 def test_no_public_function_is_test_only():
     """A public function or method that only tests reference belongs in
-    `tests/oracles.py`, unless TEST_ONLY_ALLOWED says why it stays."""
-    test_only = [where for name, where in _unreferenced(("src", "perfbench"))
-                 if not name.startswith("_") and name not in TEST_ONLY_ALLOWED]
+    `tests/oracles.py`, unless TEST_ONLY_ALLOWED says why it stays; an entry
+    of TEST_ONLY_ALLOWED whose name the program now reaches, or that no
+    longer exists, is stale."""
+    public = {name: where for name, where in _unreferenced(("src", "perfbench"))
+              if not name.startswith("_")}
+    test_only = [where for name, where in public.items() if name not in TEST_ONLY_ALLOWED]
     assert not test_only, "referenced from tests alone: " + ", ".join(test_only)
+    stale = sorted(set(TEST_ONLY_ALLOWED) - set(public))
+    assert not stale, "listed as test-only but reached from src/ or perfbench/: " + ", ".join(stale)
 
 
 def test_shared_method_names_are_listed():
-    """The public method names that two or more classes share are exactly the
-    names in SHARED_METHOD_NAMES, which `test_every_function_is_referenced`
-    cannot tell apart.  A new shared name fails here until it is looked at."""
+    """The public method names that two or more classes share, and the
+    classes that define each, are exactly those in SHARED_METHOD_NAMES:
+    `test_every_function_is_referenced` cannot tell their methods apart.  A
+    new shared name, or a new class defining a listed one, fails here until
+    it is looked at."""
     owners = {}
     for path, cls, node in _definitions():
         if cls is not None and not node.name.startswith("_"):
             owners.setdefault(node.name, set()).add(cls)
-    shared = {name: sorted(classes) for name, classes in owners.items() if len(classes) > 1}
-    assert set(shared) == set(SHARED_METHOD_NAMES), shared
+    shared = {name: classes for name, classes in owners.items() if len(classes) > 1}
+    assert shared == {name: classes for name, (classes, _) in SHARED_METHOD_NAMES.items()}, shared
 
 
 def test_every_parameter_is_read():
