@@ -125,8 +125,6 @@ def cmd_bar(args, cfg):
 
 
 def cmd_gamma(args, cfg):
-    if args.K < 0:
-        raise ValueError("based-set size bound must be nonnegative")
     A = build_monoid(args.model[0], cfg.trunc)
     G = gamma.gamma_of_monoid(A, args.K, max(cfg.S, 2))
     sv = gamma.is_special(G, D=0)

@@ -492,7 +492,8 @@ class UnitsReport:
 def units(A):
     """The submonoid of unit components, with the complement decomposition."""
     cls, classes, unit_cls = merged_classes(A)
-    pres, class_vec = class_presentation(classes, unit_cls, _vertex_products(A, cls))
+    products = list(_vertex_products(A, cls))
+    pres, class_vec = class_presentation(classes, unit_cls, products)
     verdict = unit_verdicts(pres, vectors=sorted(set(class_vec.values())))
     unit_classes = [c for c in classes if verdict.is_unit(class_vec[c])]
     nonunit_classes = [c for c in classes if c not in unit_classes]
@@ -530,22 +531,9 @@ def units(A):
     def mul(m, n, rx, ry):
         return pull(m + n, A.mul(m, n, incl[m](rx), incl[n](ry)))
 
-    closed = True
-    for m in range(A.N + 1):
-        for n in range(A.N + 1 - m):
-            for x in level_split[m][0]:
-                for y in level_split[n][0]:
-                    _, _, p = A.mul(m, n, nd_ref(0, x), nd_ref(0, y))
-                    if cls(m + n, p) not in unit_classes:
-                        closed = False
-    absorption = True
-    for m in range(A.N + 1):
-        for n in range(A.N + 1 - m):
-            for x in level_split[m][1]:
-                for y in range(A.level(n).card[0]):
-                    _, _, p = A.mul(m, n, nd_ref(0, x), nd_ref(0, y))
-                    if cls(m + n, p) in unit_classes:
-                        absorption = False
+    closed = all(c in unit_classes for a, b, c in products
+                 if a in unit_classes and b in unit_classes)
+    absorption = not any(c in unit_classes for a, _, c in products if a not in unit_classes)
     units_monoid = CIMonoidT(space, newid[0][0][A.unit], mul,
                              name=A.name + "-units")
     return UnitsReport(units_monoid, incl, unit_classes, nonunit_classes,
@@ -581,27 +569,14 @@ def bar(A, S):
     """Bar construction B(A), realized levelwise by the diagonal.
 
     Degree k of the underlying simplicial object is the k-fold box power of
-    the carrier; the diagonal has its k-simplices in bar degree k.  The
-    record's degeneracies insert an empty unit block (`_bar_deg`).
+    the carrier; the diagonal has its k-simplices in bar degree k.  Levels
+    and maps come from the box products' builder, `ispace._box_space`, with
+    the bar's faces (`_bar_face`) and degeneracies, which insert an empty
+    unit block (`_bar_deg`), and the empty cell as basepoint.
     """
-    X = A.space
-    powers = (X,) * S  # the factors of every bar cell; zip stops at its length
-    canon = []
-    tables = []
-    for n in range(A.N + 1):
-        cn = [_box_classes(powers[:k], n, k, n) for k in range(S + 1)]
-        cells = [sorted(set(cn[k].values())) for k in range(S + 1)]
-
-        def faces_fn(k, raw, cn=cn):
-            return tuple(cn[k - 1][_bar_face(A, powers, raw, i)] for i in range(k + 1))
-
-        def deg_fn(k, raw, i, cn=cn):
-            return cn[k + 1][_bar_deg(A, raw, i)]
-
-        base = cn[0][((), (), ())]
-        tables.append(normalize_table(cells, faces_fn, deg_fn, S, based_raw=base))
-        canon.append(cn)
-    return _box_space(tables, canon, partial(_bar_deg, A))
+    powers = (A.space,) * S  # the factors of every bar cell; zip stops at its length
+    return _box_space(A.N, lambda n, k: _box_classes(powers[:k], n, k, n),
+                      partial(_bar_face, A, powers), S, partial(_bar_deg, A), ((), (), ()))
 
 
 # ---------------------------------------------------------------------------

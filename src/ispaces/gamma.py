@@ -98,6 +98,8 @@ def gamma_of_monoid(A, K, S):
     monoid multiplication.  Box powers and homotopy colimits are built
     through dimension S.
     """
+    if K < 0:
+        raise ValueError("based-set size bound must be nonnegative")
     boxes = [None]
     for k in range(1, K + 1):
         boxes.append(box_multi(tuple(A.space for _ in range(k)), S, based=True))

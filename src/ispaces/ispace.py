@@ -319,26 +319,19 @@ def _box_deg(raw, i):
     return (nvec, alpha, tuple(apply_s(i, r) for r in xrefs))
 
 
-def _box_table(factors, canon, top, based_raw=None):
-    """Normalized level whose raw k-cells are the canonical ones of canon[k]."""
-    return normalize_table([sorted(set(c.values())) for c in canon],
-                           lambda k, raw: tuple(canon[k - 1][_box_face(factors, raw, i)]
-                                                for i in range(k + 1)),
-                           lambda k, raw, i: canon[k + 1][_box_deg(raw, i)],
-                           top, based_raw=based_raw)
-
-
 @dataclass
 class BoxISpace:
     """An I-space whose levels are colimits of raw cells (nvec, image, xs).
 
-    Box products and bar constructions share this record.  At
-    level n, dimension k, a raw cell has an injection sum(nvec) -> n with the
-    given image and xs a k-simplex per block; canon[n][k] sends it to its
-    class's canonical representative, and tables[n] numbers those.  canon
-    stores only some raw cells (a `_BoxClasses` those at sorted objects) and
-    resolves any other on its first lookup, so look raw cells up rather than
-    walk its keys.  deg(raw, j) is s_j on a raw cell.
+    Box products and bar constructions share this record and its one
+    builder, `_box_space`, whose structure maps push a raw cell on its first
+    lookup.  At level n, dimension k, a raw cell has an injection
+    sum(nvec) -> n with the given image and xs a k-simplex per block;
+    canon[n][k] sends it to its class's canonical representative, and
+    tables[n] numbers those.  canon stores only some raw cells (a
+    `_BoxClasses` those at sorted objects) and resolves any other on its
+    first lookup, so look raw cells up rather than walk its keys.
+    deg(raw, j) is s_j on a raw cell.
     """
 
     space: ISpaceT
@@ -360,23 +353,34 @@ class BoxISpace:
         return raw
 
 
-def _box_space(tables, canon, deg=_box_deg):
-    """The record of levelwise colimits with raw cells (nvec, image, xs).
-
-    tables[n] is the normalized level n and canon[n][k] its dictionary of
-    canonical raw k-cells; an injection alpha acts by postcomposition on the
-    decomposition injection.
+def _box_space(N, classes, face, top, deg=_box_deg, base=None):
+    """The record of levels 0..N, through dimension top, of a levelwise
+    colimit of raw cells (nvec, image, xs).  classes(n, k) is a dict, such
+    as a `_BoxClasses`, from each raw k-cell of level n to the least cell of
+    its class; face(raw, i) and deg(raw, i) are d_i and s_i on a raw cell,
+    and base, when given, is the raw vertex of every basepoint.  An
+    injection alpha acts by postcomposition on the decomposition injection;
+    its map pushes each raw cell on its first lookup (`map_from_tables`).
     """
-    N = len(tables) - 1
-    levels = tuple(t.sset for t in tables)
-    maps = {}
-    for alpha in injections(N):
-        dst, dst_canon = tables[alpha.dst], canon[alpha.dst]
-        table = {(k, x): dst.ref_of[dst_canon[k][(nvec, tuple(map(alpha, a_img)), xs)]]
-                 for k, raws in enumerate(tables[alpha.src].raw_of)
-                 for x, (nvec, a_img, xs) in enumerate(raws)}
-        maps[alpha] = SMap(levels[alpha.src], levels[alpha.dst], table)
-    return BoxISpace(ISpaceT(N, levels, maps), tables, canon, deg)
+    tables, canon = [], []
+    for n in range(N + 1):
+        cn = [classes(n, k) for k in range(top + 1)]
+        tables.append(normalize_table(
+            [sorted(set(c.values())) for c in cn],
+            lambda k, raw, cn=cn: tuple(cn[k - 1][face(raw, i)] for i in range(k + 1)),
+            lambda k, raw, i, cn=cn: cn[k + 1][deg(raw, i)],
+            top, based_raw=None if base is None else cn[0][base]))
+        canon.append(cn)
+    maps = {alpha: map_from_tables(tables[alpha.src], tables[alpha.dst],
+                                   partial(_pushed_raw, canon[alpha.dst], alpha))
+            for alpha in injections(N)}
+    return BoxISpace(ISpaceT(N, tuple(t.sset for t in tables), maps), tables, canon, deg)
+
+
+def _pushed_raw(canon, alpha, k, raw):
+    """The canonical raw k-cell that alpha pushes raw to, for `map_from_tables`."""
+    nvec, a_img, xs = raw
+    return canon[k][(nvec, tuple(map(alpha, a_img)), xs)]
 
 
 def box_multi(factors, dim_bound, based=False):
@@ -388,14 +392,9 @@ def box_multi(factors, dim_bound, based=False):
     """
     if len(factors) == 1:
         return _box_single(factors[0], dim_bound)
-    xs0 = tuple(nd_ref(0, f.level(0).basepoint) for f in factors)  # read only when based
-    tables, canon = [], []
-    for n in range(min(f.N for f in factors) + 1):
-        cn = [_box_classes(factors, n, dim, n) for dim in range(dim_bound + 1)]
-        based_raw = cn[0][((0,) * len(factors), (), xs0)] if based else None
-        tables.append(_box_table(factors, cn, dim_bound, based_raw))
-        canon.append(cn)
-    return _box_space(tables, canon)
+    base = ((0,) * len(factors), (), tuple(nd_ref(0, f.level(0).basepoint) for f in factors))
+    return _box_space(min(f.N for f in factors), lambda n, k: _box_classes(factors, n, k, n),
+                      partial(_box_face, factors), dim_bound, base=base if based else None)
 
 
 def _box_single(X, dim_bound):

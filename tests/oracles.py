@@ -297,14 +297,14 @@ def box_colimit(factors, n, dim, total_max, symmetric=False):
 def words(X):
     """The `ispace.BoxISpace` of the words on X through dimension 1: the box
     powers of X of length k <= N modulo permutations of their blocks."""
-    from ispaces.ispace import _box_space, _box_table
+    from ispaces.ispace import _box_face, _box_space
 
     canon = [[{raw: least for k in range(X.N + 1)
                for raw, least in box_colimit((X,) * k, n, dim, n, symmetric=True).items()}
               for dim in range(2)] for n in range(X.N + 1)]
     # a word has at most N factors, and faces zip the factors with its blocks
     factors = (X,) * X.N
-    return _box_space([_box_table(factors, cn, 1) for cn in canon], canon)
+    return _box_space(X.N, lambda n, k: canon[n][k], partial(_box_face, factors), 1)
 
 
 def free_cmonoid(X):
@@ -349,13 +349,16 @@ def latching(X, n, dim_bound=None):
     Returns (SSet, SMap into X(n)).
     """
     from ispaces.icat import Injection
-    from ispaces.ispace import _box_classes, _box_table
-    from ispaces.simplicial import SMap
+    from ispaces.ispace import _box_classes, _box_deg, _box_face
+    from ispaces.simplicial import SMap, normalize_table
 
     if dim_bound is None:
         dim_bound = max((X.level(m).top_dim for m in range(n)), default=0)
     canon = [_box_classes((X,), n, dim, n - 1) for dim in range(dim_bound + 1)]
-    tab = _box_table((X,), canon, dim_bound)
+    tab = normalize_table([sorted(set(c.values())) for c in canon],
+                          lambda k, raw: tuple(canon[k - 1][_box_face((X,), raw, i)]
+                                               for i in range(k + 1)),
+                          lambda k, raw, i: canon[k + 1][_box_deg(raw, i)], dim_bound)
     table = {(k, x): X.act(Injection(m, n, a_img))(xref) for k, raws in enumerate(tab.raw_of)
              for x, ((m,), a_img, (xref,)) in enumerate(raws)}
     return tab.sset, SMap(tab.sset, X.level(n), table)

@@ -19,7 +19,7 @@ from ispaces.cmon import bar, c1, sec52_monoid
 from ispaces.icat import Injection
 from ispaces.ispace import (_box_classes, box_multi, collapsing_ispace, constant_ispace,
                             free_ispace, power_ispace)
-from ispaces.simplicial import apply_s, nd_ref, ref_dim, simplicial_circle
+from ispaces.simplicial import LazyDict, apply_s, nd_ref, ref_dim, simplicial_circle
 
 from oracles import box_colimit, is_injective, latching, sphere, words
 
@@ -158,6 +158,19 @@ def test_raw_cells_round_trip():
     for B, total in ((box_multi((C, C), 2, based=True), 120), (box_multi((C,), 2), 45),
                      (bar(c1(3), 3), 144)):
         assert _round_trip_misses(B) == (total, [])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: bar(c1(2), 2),
+    lambda: bar(sec52_monoid(2), 2),
+    lambda: box_multi((c1(2).space,) * 2, 2, based=True),
+], ids=["bar-c1", "bar-m52", "box-c1-based"])
+def test_structure_maps_of_the_box_builder(build):
+    # the maps of box products and bar constructions are functorial and keep
+    # basepoints, and each is made on demand: no image is pushed at build
+    B = build()
+    assert all(isinstance(f.table, LazyDict) and not f.table for f in B.space.maps.values())
+    assert B.space.validate() == []
 
 
 def test_words_round_trip_but_for_the_empty_word():

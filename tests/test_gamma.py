@@ -131,7 +131,7 @@ def test_special_evidence_for_c1():
     assert sv.very_special_witness is not None
 
 
-@pytest.mark.parametrize("K", [1, 0, -1])
+@pytest.mark.parametrize("K", [1, 0])
 def test_special_is_inconclusive_without_a_pair_to_check(K):
     """Below K = 2 no pair (k, l) with k + l <= K exists, so the Segal check
     has nothing to test and the verdict says so instead of passing."""
@@ -140,6 +140,12 @@ def test_special_is_inconclusive_without_a_pair_to_check(K):
     assert sv.witness is None
     assert sv.very_special == "unknown"
     assert "no pair (k, l)" in sv.detail["reason"]
+
+
+def test_gamma_of_monoid_refuses_a_negative_K():
+    # a negative size bound names no based set, so no Gamma-space is built
+    with pytest.raises(ValueError, match="based-set size bound must be nonnegative"):
+        gamma_of_monoid(c1(2), -1, 2)
 
 
 def test_very_special_refuted_past_a_grading_cap():

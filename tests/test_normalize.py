@@ -279,8 +279,8 @@ def _edge_table(top_dim):
 def test_refs_of_images_outside_the_cells_and_of_repeated_cells(top_dim):
     """A degeneracy image that is not a cell of its level gets no ref, in the
     top dimension and below it, and a cell repeated from a lower level keeps
-    the lower level's ref, as `_box_table`'s empty product ((), (), ()) does
-    in dimensions 0 and 1.  Cells are distinct within a level."""
+    the lower level's ref, as the empty word ((), (), ()) of `oracles.words`
+    does in dimensions 0 and 1.  Cells are distinct within a level."""
     _assert_edge_table_refs(top_dim, by_position=False)
 
 
