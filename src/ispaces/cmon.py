@@ -6,8 +6,9 @@ level-sum space.  The module provides the subsets model of the free monoid
 on a degree-one generator, filtered models of ordinary commutative monoids,
 component-monoid presentations as reduced rewriting systems by completion,
 Grothendieck groups, exact unit detection by support closure (neither with
-a search bound), bar constructions, and the three-term comparison between
-the bar construction of the diagram monoid and of its homotopy colimit.
+a search bound), bar constructions, whose faces and degeneracies are the
+circle's based maps acting on box cells, and the three-term comparison
+between the bar construction of the diagram monoid and of its homotopy colimit.
 """
 
 import heapq
@@ -544,25 +545,42 @@ def units(A):
 # Bar constructions.
 # ---------------------------------------------------------------------------
 
+def _based_action(A, phi, l, dim, raw):
+    """Push a raw box cell of k blocks along a based map phi: k+ -> l+, where
+    phi[i] in 0..l is the image of block i.  Blocks sent to 0 are deleted, the
+    blocks of each fiber are multiplied in order (an empty fiber gives the
+    unit dim-simplex) and the image is rerouted blockwise.  The bar's faces
+    and degeneracies act by the simplicial circle's maps (`_bar_face`,
+    `_bar_deg`), the Gamma-space of A by all (`gamma.gamma_of_monoid`)."""
+    nvec, a_img, xs = raw
+    offsets = (0, *accumulate(nvec))
+    new_nvec, image, new_xs = [], [], []
+    for j in range(1, l + 1):
+        lev, acc = 0, None
+        for i, t in enumerate(phi):
+            if t == j:
+                acc = xs[i] if acc is None else A.mul(lev, nvec[i], acc, xs[i])
+                lev += nvec[i]
+                image += a_img[offsets[i]: offsets[i + 1]]
+        new_nvec.append(lev)
+        new_xs.append(A.unit_ref(dim) if acc is None else acc)
+    return (tuple(new_nvec), tuple(image), tuple(new_xs))
+
+
 def _bar_face(A, factors, raw, i):
-    """Bar face d_i on a raw cell: d_i in every block, then the horizontal face."""
-    nvec, a_img, xs = _box_face(factors, raw, i)
-    k = len(nvec)
-    if i == 0:
-        return (nvec[1:], a_img[nvec[0]:], xs[1:])
-    if i == k:
-        return (nvec[:-1], a_img[: sum(nvec) - nvec[-1]], xs[:-1])
-    merged = A.mul(nvec[i - 1], nvec[i], xs[i - 1], xs[i])
-    nv = nvec[: i - 1] + (nvec[i - 1] + nvec[i],) + nvec[i + 1:]
-    return (nv, a_img, xs[: i - 1] + (merged,) + xs[i + 1:])
+    """Bar face d_i on a raw k-cell: d_i in every block, then the circle's d_i:
+    k+ -> (k-1)+, which drops block 0 or k - 1 (i = 0, k) or merges i - 1, i."""
+    k = len(raw[0])
+    return _based_action(A, [(j + (j < i)) % k for j in range(k)], k - 1, k - 1,
+                         _box_face(factors, raw, i))
 
 
 def _bar_deg(A, raw, i):
-    """Bar degeneracy s_i on a raw cell: s_i in every block, then an empty
-    unit block inserted at position i.  A raw k-cell has k blocks."""
-    nvec, a_img, xs = _box_deg(raw, i)
-    unit = A.unit_ref(len(nvec) + 1)
-    return (nvec[:i] + (0,) + nvec[i:], a_img, xs[:i] + (unit,) + xs[i:])
+    """Bar degeneracy s_i on a raw k-cell: s_i in every block, then the
+    circle's s_i: k+ -> (k+1)+, which inserts an empty unit block at i."""
+    k = len(raw[0])
+    return _based_action(A, [j + 1 + (j >= i) for j in range(k)], k + 1, k + 1,
+                         _box_deg(raw, i))
 
 
 def bar(A, S):
@@ -571,8 +589,8 @@ def bar(A, S):
     Degree k of the underlying simplicial object is the k-fold box power of
     the carrier; the diagonal has its k-simplices in bar degree k.  Levels
     and maps come from the box products' builder, `ispace._box_space`, with
-    the bar's faces (`_bar_face`) and degeneracies, which insert an empty
-    unit block (`_bar_deg`), and the empty cell as basepoint.
+    the bar's faces and degeneracies (`_bar_face`, `_bar_deg`), the action of
+    the simplicial circle's based maps, and the empty cell as basepoint.
     """
     powers = (A.space,) * S  # the factors of every bar cell; zip stops at its length
     return _box_space(A.N, lambda n, k: _box_classes(powers[:k], n, k, n),

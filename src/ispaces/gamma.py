@@ -3,11 +3,13 @@
 A GammaSpaceT assigns a based simplicial set to every finite based set k+
 up to a bound, with functorial actions of based maps.  The monoid extraction
 evaluates based homotopy colimits of box powers; based maps act by deleting,
-multiplying and rerouting the box factors.  The module also provides the
-special/very-special verdicts, the two-variable smash extraction, and the
-Eckmann-Hilton coincidence check on components.  In positive degrees the
-Segal condition is read through the Alexander-Whitney map, in place of the
-product (Eilenberg-Zilber; Eilenberg & Mac Lane, Ann. Math. 58, 1953).
+multiplying and rerouting the box factors (`cmon._based_action`, whose maps
+of the simplicial circle are the bar's faces and degeneracies).  The module
+also provides the special/very-special verdicts, the two-variable smash
+extraction, and the Eckmann-Hilton coincidence check on components.  In
+positive degrees the Segal condition is read through the Alexander-Whitney
+map, in place of the product (Eilenberg-Zilber; Eilenberg & Mac Lane, Ann.
+Math. 58, 1953).
 """
 
 from dataclasses import dataclass, field
@@ -28,15 +30,15 @@ from .simplicial import (
     vertex_ref,
 )
 from .ispace import _cell_point, box_multi, hocolim_I, hocolim_map
-from .cmon import class_presentation, unit_verdicts
+from .cmon import _based_action, class_presentation, unit_verdicts
 
 
 @dataclass
 class GammaSpaceT:
     """Based functor on finite based sets up to a bound, evaluated lazily.
 
-    `act_fn(phi, k, l)` builds the SMap for a based map phi: k+ -> l+; built
-    maps are cached.
+    `act_fn(phi, k, l)` builds the SMap for a based map phi: k+ -> l+ with
+    k, l <= K, which `act` caches; `act` refuses a tuple that is no such map.
     """
 
     K: int
@@ -47,6 +49,9 @@ class GammaSpaceT:
     def act(self, phi, k, l):
         key = (phi, k, l)
         if key not in self._cache:
+            if not (0 <= k <= self.K and 0 <= l <= self.K and len(phi) == k
+                    and all(0 <= t <= l for t in phi)):
+                raise ValueError(f"{phi!r} is no based map {k}+ -> {l}+ with k, l <= {self.K}")
             self._cache[key] = self.act_fn(phi, k, l)
         return self._cache[key]
 
@@ -54,41 +59,6 @@ class GammaSpaceT:
 # ---------------------------------------------------------------------------
 # Extraction from a commutative monoid.
 # ---------------------------------------------------------------------------
-
-def _apply_based_to_raw(A, phi, l, raw):
-    """Push a k-factor box raw cell along a based map phi: k+ -> l+.
-
-    Factors sent to the basepoint are deleted; factors in the same fiber are
-    multiplied in order; the decomposition injection is rerouted blockwise.
-    """
-    nvec, a_img, xs = raw
-    k = len(nvec)
-    offsets = [0]
-    for t in nvec:
-        offsets.append(offsets[-1] + t)
-    new_nvec = []
-    new_xs = []
-    image = []
-    dim = ref_dim(xs[0]) if xs else 0
-    for j in range(1, l + 1):
-        fiber = [i for i in range(k) if phi[i] == j]
-        total = sum(nvec[i] for i in fiber)
-        acc = None
-        lev = 0
-        for i in fiber:
-            if acc is None:
-                acc, lev = xs[i], nvec[i]
-            else:
-                acc = A.mul(lev, nvec[i], acc, xs[i])
-                lev += nvec[i]
-        if acc is None:
-            acc = A.unit_ref(dim)
-        new_nvec.append(total)
-        new_xs.append(acc)
-        for i in fiber:
-            image.extend(a_img[offsets[i]: offsets[i] + nvec[i]])
-    return (tuple(new_nvec), tuple(image), tuple(new_xs))
-
 
 def gamma_of_monoid(A, K, S):
     """The functor k+ -> based homotopy colimit of the k-fold box power.
@@ -116,7 +86,7 @@ def gamma_of_monoid(A, K, S):
             return SMap(values[k], values[0], LazyDict(lambda key: vertex_ref(key[0], 0)))
 
         return hocolim_map(tabs[k], tabs[l], lambda n, x: boxes[l].ref(
-            n, ref_dim(x), _apply_based_to_raw(A, phi, l, boxes[k].raw(n, x))))
+            n, ref_dim(x), _based_action(A, phi, l, ref_dim(x), boxes[k].raw(n, x))))
 
     gam = GammaSpaceT(K, values, act_fn)
     gam.tabs = tabs

@@ -89,21 +89,17 @@ def _groups_json(groups):
 # Model registry shared with the command-line interface.
 # ---------------------------------------------------------------------------
 
-MONOID_MODELS = ("c1", "m52", "z", "z2")
+MONOIDS = {"c1": cmon.c1, "m52": cmon.sec52_monoid, "z": cmon.integers_monoid,
+           "z2": cmon.cyclic2_monoid}
+MONOID_MODELS = tuple(MONOIDS)
 ISPACE_MODELS = ("terminal", "f1", "f2", "f3", "s0pow", "collapsing",
                  "constant-s1")
 
 
 def build_monoid(name, N):
-    if name == "c1":
-        return cmon.c1(N)
-    if name == "m52":
-        return cmon.sec52_monoid(N)
-    if name == "z":
-        return cmon.integers_monoid(N)
-    if name == "z2":
-        return cmon.cyclic2_monoid(N)
-    raise ValueError(f"unknown monoid model {name!r}")
+    if name not in MONOIDS:
+        raise ValueError(f"unknown monoid model {name!r}")
+    return MONOIDS[name](N)
 
 
 def build_ispace(name, N):

@@ -15,7 +15,7 @@ from math import factorial, prod
 import pytest
 
 from ispaces import ispace
-from ispaces.cmon import bar, c1, sec52_monoid
+from ispaces.cmon import _bar_deg, _bar_face, _based_action, bar, c1, cyclic2_monoid, sec52_monoid
 from ispaces.icat import Injection
 from ispaces.ispace import (_box_classes, box_multi, collapsing_ispace, constant_ispace,
                             free_ispace, power_ispace)
@@ -138,6 +138,54 @@ def test_bar_powers_match_oracle():
     for n in range(4):
         for k in range(4):
             _assert_matches_oracle(B.canon[n][k], box_colimit((A.space,) * k, n, k, n))
+
+
+def _bar_face_formula(A, factors, raw, i):
+    """d_i of a raw bar k-cell, written out: d_i in every block, then block 0
+    dropped (i = 0), block k - 1 dropped (i = k) or blocks i - 1 and i merged."""
+    nvec, a_img, xs = ispace._box_face(factors, raw, i)
+    k = len(nvec)
+    if i == 0:
+        return (nvec[1:], a_img[nvec[0]:], xs[1:])
+    if i == k:
+        return (nvec[:-1], a_img[:len(a_img) - nvec[-1]], xs[:-1])
+    merged = A.mul(nvec[i - 1], nvec[i], xs[i - 1], xs[i])
+    return (nvec[:i - 1] + (nvec[i - 1] + nvec[i],) + nvec[i + 1:], a_img,
+            xs[:i - 1] + (merged,) + xs[i + 1:])
+
+
+def _bar_deg_formula(A, raw, i):
+    """s_i of a raw bar k-cell, written out: s_i in every block, then an empty
+    unit block inserted at position i."""
+    nvec, a_img, xs = ispace._box_deg(raw, i)
+    return (nvec[:i] + (0,) + nvec[i:], a_img, xs[:i] + (A.unit_ref(len(nvec) + 1),) + xs[i:])
+
+
+@pytest.mark.parametrize("build", [c1, sec52_monoid, cyclic2_monoid], ids=["c1", "m52", "z2"])
+def test_bar_operators_are_the_circle_maps(build):
+    """The bar's faces and degeneracies, the action of the simplicial
+    circle's based maps (`cmon._based_action`), agree with the formulas on
+    every stored raw cell and on the raw cell of every simplex below the top."""
+    A = build(3)
+    B, factors = bar(A, 3), (A.space,) * 3
+    for n in range(A.N + 1):
+        raw_of = B.tables[n].raw_of
+        for k in range(1, len(raw_of)):
+            for raw in raw_of[k]:
+                for i in range(k + 1):
+                    assert _bar_face(A, factors, raw, i) == _bar_face_formula(A, factors, raw, i)
+        for k in range(3):
+            for r in B.space.level(n).all_simplices(k):
+                raw = B.raw(n, r)
+                for i in range(k + 1):
+                    assert _bar_deg(A, raw, i) == _bar_deg_formula(A, raw, i), (n, r, i)
+
+
+def test_based_action_gives_the_unit_of_the_dimension_asked():
+    # s_0 of the bar's empty 0-cell needs the unit 1-simplex, which the
+    # empty cell itself cannot tell
+    A = c1(2)
+    assert _based_action(A, (), 2, 1, ((), (), ())) == ((0, 0), (), (A.unit_ref(1),) * 2)
 
 
 def _round_trip_misses(B):

@@ -57,6 +57,16 @@ def test_gamma_of_monoid_basics():
     assert validate_gamma(G, K_check=2) == []
 
 
+@pytest.mark.parametrize("phi,k,l", [
+    ((3,), 1, 2), ((-1,), 1, 1), ((1, 1, 1), 1, 2), ((1,), 2, 1), ((1,), 1, 3), ((1, 1, 1), 3, 1),
+], ids=["entry-above-l", "negative-entry", "too-long", "too-short", "l-above-K", "k-above-K"])
+def test_act_refuses_what_is_no_based_map(phi, k, l):
+    G = gamma_of_monoid(c1(2), 2, 2)
+    with pytest.raises(ValueError, match="no based map"):
+        G.act(phi, k, l)
+    assert not G._cache
+
+
 def _identity_on_two_points(from_point):
     """Values a point at 0+ and two points, 0 the basepoint, at 1+ and 2+;
     every based map between 1+ and 2+ acts as the identity, and the point
