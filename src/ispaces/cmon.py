@@ -12,6 +12,7 @@ between the bar construction of the diagram monoid and of its homotopy colimit.
 """
 
 import heapq
+import json
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import accumulate, combinations, repeat
@@ -592,8 +593,8 @@ def bar(A, S):
     the bar's faces and degeneracies (`_bar_face`, `_bar_deg`), the action of
     the simplicial circle's based maps, and the empty cell as basepoint.
     """
-    powers = (A.space,) * S  # the factors of every bar cell; zip stops at its length
-    return _box_space(A.N, lambda n, k: _box_classes(powers[:k], n, k, n),
+    powers, levels = (A.space,) * S, {}  # the factors of every bar cell; zip stops at its length
+    return _box_space(A.N, lambda n, k: _box_classes(powers[:k], n, k, n, levels),
                       partial(_bar_face, A, powers), S, partial(_bar_deg, A), ((), (), ()))
 
 
@@ -841,7 +842,7 @@ def bar_comparison(A, D):
     """
     cert = is_flat(A.space)
     if not cert.flat:
-        raise ValueError(f"carrier is not flat: {cert.witness}")
+        raise ValueError(f"carrier is not flat: {json.dumps(cert.witness, sort_keys=True)}")
     hi = _bar_comparison_once(A, D)
     if A.N >= 2:
         lo = _bar_comparison_once(restrict_monoid(A, A.N - 1), D)

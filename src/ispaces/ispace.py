@@ -257,7 +257,7 @@ class _BoxClasses(dict):
         return least
 
 
-def _box_classes(factors, n, dim, total_max):
+def _box_classes(factors, n, dim, total_max, levels):
     """Canonical representatives of the raw dim-cells of the box colimit of
     `factors` at n: raw cell -> the least cell of its class, a `_BoxClasses`.
 
@@ -270,24 +270,33 @@ def _box_classes(factors, n, dim, total_max):
     lexicographic order and xs by its mixed-radix index over each slot's
     sorted simplices, so the least code of a class (`least_roots`) is its
     least cell.  Cells are joined along the cofaces, in one slot at a time,
-    and each coface moves the positions of a factor level once (`moves`).
+    and each coface moves the positions of a factor level once (`move`).
+    The sorted simplices of a factor level and the moves of a coface are kept
+    in `levels`, which one construction passes to all its calls, by factor,
+    q, dim (and p), so equal factors and later levels share them.
     """
     objects, arrows = _sorted_decompositions(len(factors), n, total_max)
-    simp = [[f.level(q).all_simplices(dim) for q in range(total_max + 1)] for f in factors]
+
+    def simp(i, q):
+        key = (id(factors[i]), q, dim)
+        if key not in levels:
+            levels[key] = factors[i].level(q).all_simplices(dim)
+        return levels[key]
+
     offset, sizes, cells = [], [], []
     for nvec, img in objects:
         offset.append(len(cells))
-        sizes.append([len(simp[i][q]) for i, q in enumerate(nvec)])
-        cells += [(nvec, img, xs) for xs in iproduct(*[simp[i][q] for i, q in enumerate(nvec)])]
-    moves = {}  # (factor, q, p) -> position in level q of each image under the coface p
+        xs = [simp(i, q) for i, q in enumerate(nvec)]
+        sizes.append(list(map(len, xs)))
+        cells += [(nvec, img, x) for x in iproduct(*xs)]
 
-    def move(i, q, p):
-        key = (id(factors[i]), q, p)
-        if key not in moves:
+    def move(i, q, p):  # position in level q of each image under the coface p
+        key = (id(factors[i]), q, dim, p)
+        if key not in levels:
             act = factors[i].act(Injection(q - 1, q, [*range(1, p), *range(p + 1, q + 1)]))
-            at = {x: t for t, x in enumerate(simp[i][q])}
-            moves[key] = [at[act(x)] for x in simp[i][q - 1]]
-        return moves[key]
+            at = {x: t for t, x in enumerate(simp(i, q))}
+            levels[key] = [at[act(x)] for x in simp(i, q - 1)]
+        return levels[key]
 
     def joins():
         for src, dst, i, q, p in arrows:
@@ -393,7 +402,9 @@ def box_multi(factors, dim_bound, based=False):
     if len(factors) == 1:
         return _box_single(factors[0], dim_bound)
     base = ((0,) * len(factors), (), tuple(nd_ref(0, f.level(0).basepoint) for f in factors))
-    return _box_space(min(f.N for f in factors), lambda n, k: _box_classes(factors, n, k, n),
+    levels = {}  # the factor levels and cofaces of every call (`_box_classes`)
+    return _box_space(min(f.N for f in factors),
+                      lambda n, k: _box_classes(factors, n, k, n, levels),
                       partial(_box_face, factors), dim_bound, base=base if based else None)
 
 

@@ -7,6 +7,7 @@ next lower truncation.
 """
 
 import json
+import re
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -107,7 +108,7 @@ def build_ispace(name, N):
         return build_monoid(name, N).space
     if name == "terminal":
         return ispace.terminal_ispace(N)
-    if name.startswith("f") and name[1:].isdigit():
+    if re.fullmatch("f[1-9][0-9]*", name):  # F_n for n > 0, written in ASCII without a leading 0
         return ispace.free_ispace(int(name[1:]), N)
     if name == "s0pow":
         return ispace.power_ispace(simplicial.discrete(2, basepoint=0), N)

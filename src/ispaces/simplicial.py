@@ -80,15 +80,18 @@ class LazyDict(dict):
 
 
 _UNIT_WORDS = LazyDict(lambda i: (i,))  # shared: the collector untracks a ref on first sight
+_WORDS = LazyDict(lambda key: (tuple(j + 1 for j in key[1] if j >= key[0]) + (key[0],)
+                               + tuple(j for j in key[1] if j < key[0])))
 
 
 def apply_s(i, ref):
-    """Degeneracy s_i applied to a ref, renormalized."""
+    """Degeneracy s_i applied to a ref, renormalized.  The word of s_i after
+    degs is looked up in a table shared by every call, keyed by (i, degs),
+    and by i alone for the empty word, the commonest."""
     degs, base_dim, base_id = ref
     if not degs:
         return (_UNIT_WORDS[i], base_dim, base_id)
-    return (tuple(j + 1 for j in degs if j >= i) + (i,) + tuple(j for j in degs if j < i),
-            base_dim, base_id)
+    return (_WORDS[i, degs], base_dim, base_id)
 
 
 def apply_word(word, ref):
@@ -165,6 +168,13 @@ class SSet:
         else:
             res = self.face[base_dim][base_id][k]
         return apply_word(out, res)
+
+    @cached_property
+    def components(self):
+        """The dict that `pi0` returns, made on its first read."""
+        rows = (self.face[1][e] for e in range(self.n_nondeg(1)))  # an edge's faces are vertices
+        pairs = ((a, b) for (_, _, a), (_, _, b) in rows)
+        return dict(enumerate(least_roots(self.card[0], pairs)))
 
     def vanishes(self, k):
         """True when the set provably has no nondegenerate k-simplex."""
@@ -553,10 +563,11 @@ def nerve(C, D):
 def pi0(X):
     """Partition of the vertex set by the coequalizer of d_0, d_1.
 
-    Returns a dict vertex -> representative (smallest vertex id in class).
+    Returns a dict vertex -> representative (smallest vertex id in class),
+    computed once per X and kept on it (`SSet.components`): read it, do not
+    change it.
     """
-    rows = (X.face[1][e] for e in range(X.n_nondeg(1)))  # d_0 and d_1 of an edge are vertices
-    return dict(enumerate(least_roots(X.card[0], ((a, b) for (_, _, a), (_, _, b) in rows))))
+    return X.components
 
 
 def pi0_classes(X):

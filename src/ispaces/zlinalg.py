@@ -12,12 +12,12 @@ and d_3 that is read is of this kind and keeps one entry, a pivot at once
 (an apparent pair, in the terms of Bauer's Ripser).  A cleared column
 with a +-1 entry becomes a new pivot column (a Smith entry 1) and clears its
 row from the earlier ones; a column left with only non-unit entries is set
-aside.  Unit pivots never create torsion and keep entries small.  The loop
-stops once the rank reaches the bound the shape allows, since every further
-Smith entry is then 1, so the columns past that point are never read.  The
-set-aside columns, cleared at every pivot row, form a small residue of
-columns whose Smith form is taken densely, modulo a nonzero minor of maximal
-size so that its entries stay bounded.
+aside, one held per leading row (Hermite reduction).  Unit pivots never
+create torsion and keep entries small.  The loop stops once the rank reaches
+the bound the shape allows, since every further Smith entry is then 1, so
+the columns past that point are never read.  The held columns, cleared at
+every pivot row, form a small residue whose Smith form is taken densely,
+modulo a nonzero minor of maximal size so that its entries stay bounded.
 
 For a chain complex, the unit pivot columns of d_k may be dropped as rows of
 d_{k+1} (clearing, as in Chen & Kerber 2011, Bauer, Kerber & Reininghaus
@@ -76,6 +76,11 @@ def _reduce(entries, pivot_rows, tails):
     return col
 
 
+def _combine(a, u, b, v):
+    """The column a * u + b * v, without zero entries."""
+    return {r: w for r in u.keys() | v.keys() if (w := a * u.get(r, 0) + b * v.get(r, 0))}
+
+
 def _unit_pivot_eliminate(mat, nrows, ncols, drop_rows=(), pivots=None):
     """Column-by-column elimination with +-1 pivots.  Returns (rank, residue).
 
@@ -85,17 +90,19 @@ def _unit_pivot_eliminate(mat, nrows, ncols, drop_rows=(), pivots=None):
     tail.  Only a column that meets a tail goes through `_reduce`; one pass
     over its entries then drops those at pivot rows and finds its pivot row,
     the largest row with a +-1 entry.  The ids of the unit pivot columns are
-    appended to the list `pivots` when one is given.  The residue is the list of nonzero
-    set-aside columns, cleared at every pivot row.  The columns of `mat` are
-    read in order, so the loop holds the pivots and set-aside columns, never
-    all of `mat`, and it stops at the bound min(nrows - len(drop), ncols)
-    that the shape allows (see `rank_and_torsion`), checked before the first
-    read and at each new pivot.
+    appended to the list `pivots` when one is given.  A set-aside column is
+    held at its leading (largest) row, merged with the one held there by a
+    unimodular pair (`_bezout`, which keeps the lattice they span), the rest
+    going on to its next leading row; the residue is the held columns, cleared
+    at every pivot row.  The columns of `mat` are read in order, so the loop
+    holds the pivots and held columns, never all of `mat`, and it stops at
+    the bound min(nrows - len(drop), ncols) that the shape allows (see
+    `rank_and_torsion`), checked before the first read and at each new pivot.
     """
     pivot_rows = set(drop_rows)
     ndrop = len(pivot_rows)
     full = min(nrows, ncols + ndrop)
-    tails, holders, aside = {}, defaultdict(list), []
+    tails, holders, aside = {}, defaultdict(list), {}
     if len(pivot_rows) == full:
         return full - ndrop, []
     for c, entries in mat.source():
@@ -107,9 +114,14 @@ def _unit_pivot_eliminate(mat, nrows, ncols, drop_rows=(), pivots=None):
                 col[r] = v
                 if (v == 1 or v == -1) and (pr is None or r > pr):
                     pr = r
-        if pr is None:
+        if pr is None:  # set aside, without its stored zeros
+            col = {r: v for r, v in col.items() if v}
+            while col and (lead := max(col)) in aside:
+                held = aside[lead]
+                x, y, p, q = _bezout(held[lead], col[lead])
+                aside[lead], col = _combine(x, held, y, col), _combine(p, col, -q, held)
             if col:
-                aside.append(col)
+                aside[lead] = col
             continue
         pivot_rows.add(pr)
         if pivots is not None:
@@ -134,7 +146,7 @@ def _unit_pivot_eliminate(mat, nrows, ncols, drop_rows=(), pivots=None):
             tails[pr] = col
             for s in col:
                 holders[s].append(pr)
-    residue = [_reduce(col, pivot_rows, tails) for col in aside]
+    residue = [_reduce(col, pivot_rows, tails) for col in aside.values()]
     return len(pivot_rows) - ndrop, [col for col in residue if col]
 
 

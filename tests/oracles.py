@@ -354,7 +354,7 @@ def latching(X, n, dim_bound=None):
 
     if dim_bound is None:
         dim_bound = max((X.level(m).top_dim for m in range(n)), default=0)
-    canon = [_box_classes((X,), n, dim, n - 1) for dim in range(dim_bound + 1)]
+    canon = [_box_classes((X,), n, dim, n - 1, {}) for dim in range(dim_bound + 1)]
     tab = normalize_table([sorted(set(c.values())) for c in canon],
                           lambda k, raw: tuple(canon[k - 1][_box_face((X,), raw, i)]
                                                for i in range(k + 1)),

@@ -166,6 +166,32 @@ def test_cli_bar_summary(capsys):
     assert payload["homology"]["1"] == [1, []]
 
 
+def test_cli_bar_refusal_renders_the_flatness_witness_as_json(capsys):
+    code, payload = run_cli(capsys, "bar", "--full", "--deg", "0", "--trunc", "2", "z")
+    assert code == 2
+    prefix = "carrier is not flat: "
+    assert payload["error"].startswith(prefix)
+    witness = json.loads(payload["error"][len(prefix):])
+    assert witness == {"dim": 0, "kind": "intersection", "triple": [1, 0, 1]}
+    assert payload["error"][len(prefix):] == json.dumps(witness, sort_keys=True)
+
+
+@pytest.mark.parametrize("model", ["f01", "f\u0661", "f0", "f", "f+1", "f 1", "f1\n", "F1"],
+                         ids=["leading-zero", "arabic-indic-digit", "zero", "no-digits", "sign",
+                              "space", "newline", "capital"])
+def test_cli_free_models_are_f_and_a_positive_ascii_integer(capsys, model):
+    code, payload = run_cli(capsys, "hocolim", "--trunc", "2", "--deg", "0", model)
+    assert code == 2
+    assert payload == {"error": f"unknown diagram model {model!r}"}
+
+
+def test_cli_free_model_at_and_above_the_truncation(capsys):
+    code, payload = run_cli(capsys, "hocolim", "--trunc", "2", "--deg", "0", "f2")
+    assert code == 0 and payload["model"] == "f2"
+    code, payload = run_cli(capsys, "hocolim", "--trunc", "2", "--deg", "0", "f10")
+    assert code == 2 and payload == {"error": "generator level exceeds the truncation"}
+
+
 def test_cli_gamma(capsys):
     code, payload = run_cli(capsys, "gamma", "--trunc", "2", "--K", "2", "c1")
     assert code == 0

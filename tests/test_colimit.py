@@ -19,7 +19,7 @@ from ispaces.cmon import _bar_deg, _bar_face, _based_action, bar, c1, cyclic2_mo
 from ispaces.icat import Injection
 from ispaces.ispace import (_box_classes, box_multi, collapsing_ispace, constant_ispace,
                             free_ispace, power_ispace)
-from ispaces.simplicial import LazyDict, apply_s, nd_ref, ref_dim, simplicial_circle
+from ispaces.simplicial import LazyDict, SSet, apply_s, nd_ref, ref_dim, simplicial_circle
 
 from oracles import box_colimit, is_injective, latching, sphere, words
 
@@ -59,14 +59,14 @@ def test_skeleton_matches_oracle_off_the_scenarios(name):
     for factors in ((X, X), (X, free_ispace(1, 2))):
         for n in range(3):
             for dim in range(3):
-                _assert_matches_oracle(_box_classes(factors, n, dim, n),
+                _assert_matches_oracle(_box_classes(factors, n, dim, n, {}),
                                        box_colimit(factors, n, dim, n))
 
 
 def test_a_key_that_is_no_raw_cell_raises_key_error():
     C = c1(3).space
     x0, x9, e0 = nd_ref(0, 0), nd_ref(0, 99), apply_s(0, nd_ref(0, 0))
-    classes = _box_classes((C, C), 3, 0, 3)
+    classes = _box_classes((C, C), 3, 0, 3, {})
     assert classes[((1, 1), (2, 1), (x0, x0))] == classes[((1, 1), (1, 2), (x0, x0))]
     for key in (((1, 1), (1, 2), (x0, x9)),  # a sorted object, no simplex of C(1)
                 ((2, 0), (2, 1), (x9, x0)),  # an unsorted object, no simplex of C(2)
@@ -100,7 +100,7 @@ def test_cells_are_numbered_at_sorted_objects_only(monkeypatch):
     monkeypatch.setattr(ispace, "least_roots", counted)
     for n in range(4):
         for dim in range(4):
-            _box_classes((X,) * 3, n, dim, n)
+            _box_classes((X,) * 3, n, dim, n, {})
             assert sizes.pop() == sum(
                 factorial(n) // (factorial(n - sum(nvec)) * prod(map(factorial, nvec)))
                 * prod(len(X.level(q).all_simplices(dim)) for q in nvec)
@@ -127,9 +127,32 @@ def test_generators_act_once_per_factor_level(monkeypatch):
                 return counted
 
             monkeypatch.setattr(X, "act", act)
-            _box_classes((X,) * 3, n, dim, n)
+            _box_classes((X,) * 3, n, dim, n, {})
             assert bool(built) == (n > 0)
             assert len(built) == len(set(built)) and len(moved) == len(set(moved))
+
+
+def test_box_power_builds_each_level_table_once(monkeypatch):
+    """`box_multi` of the cube of c1(3) builds each factor level's sorted
+    simplices and each coface's moves once for the whole construction, not
+    once per level n and per equal factor: every simplex list is asked for
+    once per (level, dim), and each coface acts on one dimension once."""
+    X = c1(3).space
+    lists, real_all = [], SSet.all_simplices
+    monkeypatch.setattr(SSet, "all_simplices",
+                        lambda self, k: lists.append((id(self), k)) or real_all(self, k))
+    built, real_act = [], X.act
+
+    def act(alpha):  # records the dimensions that the action is applied in
+        f, dims = real_act(alpha), set()
+        built.append((alpha, dims))
+        return lambda x: dims.add(ref_dim(x)) or f(x)
+
+    monkeypatch.setattr(X, "act", act)
+    box_multi((X,) * 3, 3)
+    assert len(lists) == len(set(lists)) == 4 * (X.N + 1)
+    cofaces = [(alpha, dim) for alpha, dims in built if alpha.src < alpha.dst for dim in dims]
+    assert cofaces and len(cofaces) == len(set(cofaces))
 
 
 def test_bar_powers_match_oracle():

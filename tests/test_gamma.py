@@ -18,6 +18,7 @@ from ispaces.simplicial import (
     homology,
     map_cone_homology,
     nd_ref,
+    pi0,
     pi0_classes,
     point,
     simplicial_circle,
@@ -310,6 +311,17 @@ def test_eckmann_hilton_compares_one_map_with_itself(build):
     X = bi_gamma_from(build(), 2, 2)
     for phi in ((1, 0), (0, 1), (1, 1)):
         assert X.act1(phi, 2, 1, 1) is X.act2(1, phi, 2, 1)
+
+
+def test_pi0_is_kept_once_per_value():
+    """Each value's pi0 is computed once and kept on it: the verdicts read
+    that one dict and leave it as it was."""
+    G, X = gamma_of_monoid(c1(3), 3, 2), bi_gamma_from(c1(2), 2, 2)
+    values = G.values + X.gamma.values
+    kept = [pi0(v) for v in values]
+    copies = [dict(r) for r in kept]
+    assert is_special(G).verdict == "special-evidence" and eckmann_hilton_check(X).passed
+    assert all(pi0(v) is r and r == c for v, r, c in zip(values, kept, copies))
 
 
 def test_special_refuses_skeleta_below_the_homology_check():

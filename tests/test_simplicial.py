@@ -56,6 +56,19 @@ def test_degeneracy_normal_form():
     assert r == ((2, 1, 0), 0, 3) and ref_dim(r) == 3
 
 
+def test_degeneracy_words_come_from_one_table():
+    """s_i after a word, for every strictly decreasing word of length at most
+    4 on 0..7 and every i <= 5: the word is the closed formula's, and equal
+    words are one shared tuple, looked up rather than built per call."""
+    for length in range(5):
+        for degs in combinations(range(7, -1, -1), length):
+            for i in range(6):
+                want = (tuple(j + 1 for j in degs if j >= i) + (i,)
+                        + tuple(j for j in degs if j < i))
+                got, again = apply_s(i, (degs, 2, 7)), apply_s(i, (tuple(list(degs)), 0, 1))
+                assert got == (want, 2, 7) and got[0] is again[0]
+
+
 def test_apply_word_matches_single_degeneracies():
     """The concatenation shortcut of apply_word against s_i one at a time."""
     for k in range(5):

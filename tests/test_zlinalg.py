@@ -8,6 +8,7 @@ from itertools import islice
 import pytest
 
 from ispaces import simplicial, zlinalg
+from ispaces.cmon import c1, classifying_space_homology
 from ispaces.icat import comma_under
 from ispaces.simplicial import (
     SMap,
@@ -302,7 +303,7 @@ def test_chain_complex_validate_reports_nonzero_square():
 
 @lru_cache(maxsize=None)
 def _uct_spaces():
-    from ispaces.cmon import bar_of_hocolim, c1, cyclic2_monoid, sec52_monoid
+    from ispaces.cmon import bar_of_hocolim, cyclic2_monoid, sec52_monoid
     from ispaces.gamma import gamma_of_monoid
     from ispaces.ispace import constant_ispace, hocolim_I
     from ispaces.scenarios import _degree_component
@@ -349,17 +350,18 @@ def test_homology_mod_p_obeys_universal_coefficients(name, p):
 
 def _same_elimination(mat, nrows, ncols, drop_rows=()):
     """Both eliminations of one matrix: the same rank and pivot columns, and
-    the same residue columns once stored zeros are left out (the reference
-    keeps a stored 0 at a pivot row, the reduced form drops it).  Returns
-    the pivot columns and the residue."""
+    residues with the same Smith diagonal (`zlinalg._dense_smith`, which
+    `test_set_aside_columns_agree_with_heap_order_up_to_the_lattice` checks
+    against `oracles.invariant_factors`).  The residues are not compared
+    column for column: SNF holds one set-aside column per leading row,
+    merged with the others there by unimodular pairs, so its residue spans
+    the lattice of the reference's with other columns.  Returns the pivot
+    columns and the residue."""
     got, want = [], []
     new = _unit_pivot_eliminate(mat, nrows, ncols, drop_rows, got)
     old = heap_eliminate(mat, nrows, ncols, drop_rows, want)
-
-    def nonzero(residue):
-        return [c for c in ({r: v for r, v in col.items() if v} for col in residue) if c]
-
-    assert new[0] == old[0] and got == want and nonzero(new[1]) == nonzero(old[1])
+    assert new[0] == old[0] and got == want
+    assert zlinalg._dense_smith(new[1]) == zlinalg._dense_smith(old[1])
     return got, new[1]
 
 
@@ -451,3 +453,24 @@ def test_set_aside_columns_agree_with_heap_order_up_to_the_lattice():
         assert smith_diagonal(mat, nrows, len(cols), drop) == [1] * rank + diag
         torsion += any(d > 1 for d in diag)
     assert repeats > 300 and shared > 600 and torsion > 100
+
+
+def test_snf_holds_one_set_aside_column_per_leading_row(monkeypatch):
+    """Memory guard: SNF holds at most one set-aside column per leading row.
+    With no +-1 entry there is no pivot, so the residue is every column held:
+    300 copies each of three columns on four rows leave at most four.  On
+    the classifying space of c1(3), the elimination that sets aside the most
+    columns (376 once kept, all on one row) hands the dense pass one column
+    per row that its residue meets, and the groups are Z, Z, Z/2."""
+    pool = [{0: 2, 3: 4}, {1: 3, 3: 6}, {2: -2, 3: 2}]
+    mat = ColumnMatrix(lambda: ((c, dict(pool[c % 3])) for c in range(900)))  # fresh columns
+    rank, residue = _unit_pivot_eliminate(mat, 4, 900)
+    assert rank == 0 and 0 < len(residue) <= 4
+    assert invariant_factors(_dense_rows(residue, 4), len(residue)) == invariant_factors(
+        _dense_rows(pool, 4), 3)
+    dense, residues = zlinalg._dense_smith, []
+    monkeypatch.setattr(zlinalg, "_dense_smith", lambda cols: residues.append(cols) or dense(cols))
+    report, _ = classifying_space_homology(c1(3), 2)
+    assert report.groups == {0: (1, ()), 1: (1, ()), 2: (0, (2,))}
+    assert any(residues) and all(len(cols) <= len({r for col in cols for r in col})
+                                 for cols in residues)
