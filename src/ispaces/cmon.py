@@ -91,6 +91,7 @@ def validate_monoid(A):
         return bad
     X = A.space
     N = A.N
+    mul = LazyDict(lambda key: A.mul(*key))  # each product formed once, by (m, n, rx, ry)
     simp = [[X.level(m).all_simplices(k) for k in range(2)] for m in range(N + 1)]
     for m in range(N + 1):
         for n in range(N + 1 - m):
@@ -98,26 +99,25 @@ def validate_monoid(A):
             for k in range(2):
                 for rx in simp[m][k]:
                     for ry in simp[n][k]:
-                        p = A.mul(m, n, rx, ry)
+                        p = mul[m, n, rx, ry]
                         if ref_dim(p) != k:
                             bad.append(f"mul({m},{n}) changes dimension")
                             continue
                         if k >= 1:
                             for i in range(k + 1):
                                 lhs = X.level(m + n).d(i, p)
-                                rhs = A.mul(m, n, X.level(m).d(i, rx),
-                                            X.level(n).d(i, ry))
+                                rhs = mul[m, n, X.level(m).d(i, rx), X.level(n).d(i, ry)]
                                 if lhs != rhs:
                                     bad.append(f"mul({m},{n}) does not commute with d_{i}")
-                        if tau(p) != A.mul(n, m, ry, rx):
+                        if tau(p) != mul[n, m, ry, rx]:
                             bad.append(f"commutativity fails at ({m},{n})")
     for n in range(N + 1):
         for k in range(2):
             u = A.unit_ref(k)
             for ry in simp[n][k]:
-                if A.mul(0, n, u, ry) != ry:
+                if mul[0, n, u, ry] != ry:
                     bad.append(f"left unit fails at level {n}")
-                if A.mul(n, 0, ry, u) != ry:
+                if mul[n, 0, ry, u] != ry:
                     bad.append(f"right unit fails at level {n}")
     for m in range(N + 1):
         for n in range(N + 1 - m):
@@ -126,8 +126,8 @@ def validate_monoid(A):
                     for rx in simp[m][k]:
                         for ry in simp[n][k]:
                             for rz in simp[p_][k]:
-                                a = A.mul(m + n, p_, A.mul(m, n, rx, ry), rz)
-                                b = A.mul(m, n + p_, rx, A.mul(n, p_, ry, rz))
+                                a = mul[m + n, p_, mul[m, n, rx, ry], rz]
+                                b = mul[m, n + p_, rx, mul[n, p_, ry, rz]]
                                 if a != b:
                                     bad.append(
                                         f"associativity fails at ({m},{n},{p_})")
@@ -140,8 +140,8 @@ def validate_monoid(A):
             for k in range(2):
                 for rx in simp[alpha.src][k]:
                     for ry in simp[beta.src][k]:
-                        lhs = both(A.mul(alpha.src, beta.src, rx, ry))
-                        rhs = A.mul(alpha.dst, beta.dst, fa(rx), fb(ry))
+                        lhs = both(mul[alpha.src, beta.src, rx, ry])
+                        rhs = mul[alpha.dst, beta.dst, fa(rx), fb(ry)]
                         if lhs != rhs:
                             bad.append(f"naturality fails at ({alpha},{beta})")
     return sorted(set(bad))

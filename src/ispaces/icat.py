@@ -96,8 +96,8 @@ def injections(N):
 class CodedCategory:
     """A finite category on dense integer codes.
 
-    objects[j] and morphisms[f] are the labels of codes j and f, each list in
-    sorted label order; src[f] and dst[f] are object codes, ident[j] is the
+    objects[j] and morphisms[f] are the labels of codes j and f, as listed to
+    `coded_category`; src[f] and dst[f] are object codes, ident[j] is the
     code of the identity of j, and after[g] maps the code f of each morphism
     into the source of g to the code of g o f.  `coded_category` builds it.
     """
@@ -111,9 +111,9 @@ class CodedCategory:
 
 
 def coded_category(objects, morphisms, ends, ident, compose):
-    """The `CodedCategory` on sorted lists of object and morphism labels, for a
-    category by construction: ends(f) is the (source, target) of f, ident(o)
-    the identity of o and compose(g, f) is g o f, all as labels.  Nothing is
+    """The `CodedCategory` on lists of object and morphism labels, in any order (a label's
+    code is its position), for a category by construction: ends(f) is the (source, target) of
+    f, ident(o) the identity of o and compose(g, f) is g o f, all as labels.  Nothing is
     checked; `FinCategory.coded` validates hand-built tables first."""
     obj = {o: j for j, o in enumerate(objects)}
     code = {f: i for i, f in enumerate(morphisms)}

@@ -15,9 +15,9 @@ and the semistability diagnostic.
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import accumulate, chain, compress, count, product as iproduct, repeat
+from itertools import accumulate, chain, compress, count, product as iproduct
 from math import prod
-from operator import itemgetter, not_
+from operator import not_
 from typing import Callable, Optional
 
 from . import icat
@@ -40,7 +40,6 @@ from .simplicial import (
     normalize_table,
     pi0,
     ref_dim,
-    subcomplex_closed,
     validate_sset,
     vertex_ref,
 )
@@ -504,18 +503,24 @@ def _hocolim_deg(I, raw, i):
     return raw[:i + 1] + (I.ident[m],) + raw[i + 1:-1] + (apply_s(i, raw[-1]),)
 
 
-def _elements(X, arrows):
+def _elements(X, arrows, based=False):
     """The category of elements of a diagram of sets X over the sorted codes
     `arrows` of injections, coded.
 
     Objects are the pairs (m, p) of a level and a vertex of X(m); (a, p):
     (m, p) -> (n, X(a)p) is named by the code a of an injection, and (b, q)
-    after (a, p) is (after[b][a], p), composed on the codes of I."""
+    after (a, p) is (after[b][a], p), composed on the codes of I.  Codes follow label order,
+    but when based, stable partitions put the basepoint objects and the morphisms out of them
+    first, so that the cells over the basepoints open every level of the nerve."""
     I = coded_injections(X.N)
     moved = {a: [X.act(I.morphisms[a])(nd_ref(0, p))[2] for p in range(X.level(I.src[a]).card[0])]
              for a in arrows}
     objects = [(m, p) for m in range(X.N + 1) for p in range(X.level(m).card[0])]
-    return coded_category(objects, [(a, p) for a in arrows for p in range(len(moved[a]))],
+    morphisms = [(a, p) for a in arrows for p in range(len(moved[a]))]
+    if based:
+        objects.sort(key=lambda o: o[1] != X.level(o[0]).basepoint)
+        morphisms.sort(key=lambda f: f[1] != X.level(I.src[f[0]]).basepoint)
+    return coded_category(objects, morphisms,
                           lambda f: ((I.src[f[0]], f[1]), (I.dst[f[0]], moved[f[0]][f[1]])),
                           lambda o: (I.ident[o[0]], o[1]),
                           lambda g, f: (I.after[g[0]][f[0]], f[1]))
@@ -552,7 +557,7 @@ def _hocolim(X, S, arrows, based):
     if any(n for L in X.levels for n in L.card[1:]):
         tab = _coded_chains(X, S, arrows)
     else:
-        tab = nerve(_elements(X, arrows), S)
+        tab = nerve(_elements(X, arrows, based), S)
     return _based_quotient(X, tab) if based else tab
 
 
@@ -561,9 +566,17 @@ def _pushed_ref(push, refs, raw):
     return push(refs[raw])
 
 
-def _moved_ref(sub, ref):
-    """The ref that a ref moves to in the quotient by the sorted collapsed ids sub[k]: the
-    degenerate basepoint, or its id less the collapsed ids below it (vertex 0 is the basepoint)."""
+def _moved_ref(cut, ref):
+    """The ref that a ref moves to in the quotient by the first cut[k] nondegenerate k-cells:
+    the degenerate basepoint, or its id less cut[k] (vertex 0 is the basepoint)."""
+    degs, base_dim, base_id = ref
+    if base_id < cut[base_dim]:
+        return vertex_ref(len(degs) + base_dim, 0)
+    return (degs, base_dim, base_id - cut[base_dim] + (base_dim == 0))
+
+
+def _diagonal_ref(sub, ref):
+    """`_moved_ref` for the sorted collapsed ids sub[k], which need not come first."""
     degs, base_dim, base_id = ref
     ids = sub[base_dim]
     i = bisect_left(ids, base_id)
@@ -573,39 +586,41 @@ def _moved_ref(sub, ref):
 
 
 def _based_quotient(X, tab):
-    """Collapse the copy of the index nerve sitting under the basepoints, the
-    cells whose simplex (`_cell_point`) is one: on a nerve of elements, the cells whose first
-    object is a basepoint.  They are closed under faces once their edges are (every morphism
-    out of a basepoint object ends at one).  The basepoint is the last collapsed vertex.  A
-    nerve's top is flagged per prefix and kept as the `Chains` of the other prefixes.  New ids
-    come from the sorted collapsed ids (`_moved_ref`), rows from the kept raw cells."""
+    """Collapse the copy of the index nerve sitting under the basepoints, the cells whose
+    simplex (`_cell_point`) is one, to vertex 0, the raw cell of the last collapsed vertex.  On
+    a nerve of `_elements(X, arrows, based=True)` they are the first cut[k] nondegenerate
+    k-cells, those whose first object is a basepoint, closed under faces when every morphism
+    out of a basepoint object ends at one: each level is sliced (its top `Chains` at a prefix)
+    and refs move by the cut (`_moved_ref`).  The diagonal flags its cells, checks the faces of
+    its collapsed edges and moves refs by the collapsed ids (`_diagonal_ref`)."""
     if not X.is_based():
         raise ValueError("based homotopy colimit needs a based diagram")
     C = tab.cat
     if isinstance(C, CodedI):
-        def flags(k, raws):
+        sub, raw_of = [], []
+        for k, raws in enumerate(tab.raw_of):  # a byte per cell, a dimension at a time
             points = (_cell_point(tab, k, raw) for raw in raws)
-            return bytes(base_dim == 0 and base_id == X.level(m).basepoint
-                         for m, (_, base_dim, base_id) in points)
+            flags = bytes(base_dim == 0 and base_id == X.level(m).basepoint
+                          for m, (_, base_dim, base_id) in points)
+            sub.append(list(compress(count(), flags)))
+            raw_of.append(list(compress(raws, map(not_, flags))))
+        closed = {r[2] for ids in sub[1:2] for x in ids for r in tab.sset.face[1][x]} <= {*sub[0]}
+        base, push = sub[0][-1], LazyDict(partial(_diagonal_ref, sub))
     else:
-        at_bp, src = [p == X.level(m).basepoint for m, p in C.objects], C.src
-
-        def flags(k, raws):
-            if k > 1 and isinstance(raws, Chains):  # a nerve's top: one flag per prefix
-                firsts = (at_bp[src[p[0]]] for p in raws.prefixes)
-                return bytes(chain.from_iterable(map(repeat, firsts, map(len, raws.ext))))
-            objects = map(src.__getitem__, map(itemgetter(0), raws)) if k else raws
-            return bytes(map(at_bp.__getitem__, objects))
-    sub, raw_of = [], []
-    for k, raws in enumerate(tab.raw_of):  # a byte per cell, one dimension at a time, for the peak
-        fl = flags(k, raws)
-        sub.append(list(compress(count(), fl)))
-        raw_of.append(list(compress(raws, map(not_, fl))) if k < 2 or not isinstance(raws, Chains)
-                      else raws.where(lambda p: not at_bp[src[p[0]]]))
-    if not subcomplex_closed(tab.sset, {k: set(ids) for k, ids in enumerate(sub[:2])}):
+        b = sum(p == X.level(m).basepoint for m, p in C.objects)
+        out = sum(map(b.__gt__, C.src))  # the morphisms out of basepoint objects, coded first
+        closed = len(tab.raw_of) == 1 or all(map(b.__gt__, C.dst[:out]))
+        cut, raw_of = [b], [tab.raw_of[0][b:]]
+        for k, raws in enumerate(tab.raw_of[1:], 1):
+            top = k > 1 and isinstance(raws, Chains)  # a nerve's top: cut at a prefix
+            q = bisect_left(raws.prefixes if top else raws, (out,))
+            cut.append(raws.off[q] if top else q)
+            raw_of.append(Chains(raws.prefixes[q:], raws.ext[q:], C) if top else raws[q:])
+        base, push = b - 1, LazyDict(partial(_moved_ref, cut))
+    if not closed:
         raise ValueError("the diagram moves a basepoint off the basepoints")
-    raw_of[0].insert(0, tab.raw_of[0][sub[0][-1]])
-    push = LazyDict(partial(_moved_ref, sub)).__getitem__  # each ref once, shared by its rows
+    raw_of[0].insert(0, tab.raw_of[0][base])
+    push = push.__getitem__  # each ref once, shared by its rows
     face = [[]] + [FaceRows(raws, rows.refs, push)
                    for raws, rows in zip(raw_of[1:], tab.sset.face[1:])]
     Q = SSet(tuple(map(len, raw_of)), tuple(face), complete=tab.sset.complete, basepoint=0)

@@ -432,20 +432,6 @@ def map_from_tables(src_tab, dst_tab, raw_fn):
 
 
 # ---------------------------------------------------------------------------
-# Subcomplexes.
-# ---------------------------------------------------------------------------
-
-def subcomplex_closed(X, sub):
-    """Check that `sub` (dict dim -> set of nondeg ids) is face-closed."""
-    for k in range(1, X.top_dim + 1):
-        for x in sub.get(k, ()):
-            for _, base_dim, base_id in X.face[k][x]:
-                if base_id not in sub.get(base_dim, ()):
-                    return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # Nerves of finite categories.
 # ---------------------------------------------------------------------------
 
@@ -476,11 +462,6 @@ class Chains(Sequence):
         return (p + (f,) for p, e in zip(self.prefixes, self.ext) for f in e)
 
     __eq__ = FaceRows.__eq__
-
-    def where(self, keep):
-        """The chains whose prefix passes `keep`."""
-        flags = list(map(keep, self.prefixes))
-        return Chains([*compress(self.prefixes, flags)], [*compress(self.ext, flags)], self.C)
 
     def nondegenerate(self, ref_of):
         """The nondegenerate chains, in the same order: each prefix p with a
@@ -521,7 +502,9 @@ def nerve(C, D):
     degenerate as well), and its `cat` is C.
     """
     src, dst, ident, after = C.src, C.dst, C.ident, C.after
-    out_of = [[f for f in range(len(src)) if src[f] == j] for j in range(len(ident))]
+    out_of = [[] for _ in ident]
+    for f, j in enumerate(src):
+        out_of[j].append(f)
     cells = [list(range(len(ident)))]
     level, ext = [()], [range(len(src))]  # the (k-1)-chains, and the morphisms that follow each
     for k in range(1, D):

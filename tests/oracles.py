@@ -79,6 +79,39 @@ def invariant_factors(rows, ncols):
     return factors
 
 
+def hermite_normal_form(cols, rows):
+    """The column Hermite normal form of the lattice that the columns {row:
+    value} span, over the row indices `rows`: a tuple of columns, each a
+    tuple of its entries at `rows` from the largest row down.
+
+    Rows are taken from the largest: gcd steps between the columns nonzero
+    there leave one, the pivot, which is made positive and reduces the
+    entry of every earlier pivot column at its row into [0, pivot).  So the
+    pivots stand at strictly decreasing rows with zeros above them, and the
+    form is unique for the lattice (Cohen, A Course in Computational
+    Algebraic Number Theory, 1993, section 2.4.2): two sets of columns span
+    one lattice exactly when their forms over the same rows are equal.
+    """
+    pool = [[col.get(r, 0) for r in sorted(rows, reverse=True)] for col in cols]
+    form = []
+    for i in range(len(rows)):
+        while len(live := [v for v in pool if v[i]]) > 1:
+            least = min(live, key=lambda v: abs(v[i]))
+            for v in live:
+                if v is not least:
+                    f = v[i] // least[i]
+                    v[:] = [a - f * b for a, b in zip(v, least)]
+        if live:
+            pool.remove(piv := live[0])
+            if piv[i] < 0:
+                piv[:] = [-a for a in piv]
+            for v in form:
+                f = v[i] // piv[i]
+                v[:] = [a - f * b for a, b in zip(v, piv)]
+            form.append(piv)
+    return tuple(map(tuple, form))
+
+
 def columns(plain):
     """A plain dict (row, col) -> int as a `ColumnMatrix`: its nonzero
     columns in increasing order, rows in the dict's order."""
@@ -434,6 +467,25 @@ def hocolim_face_reference(X, raw, i):
     return (levels[:i] + levels[i + 1:], new_arrows, X.level(levels[-1]).d(i, x))
 
 
+def subcomplex_closed(X, sub):
+    """Check that `sub` (dict dim -> set of nondeg ids) is face-closed."""
+    for k in range(1, X.top_dim + 1):
+        for x in sub.get(k, ()):
+            for _, base_dim, base_id in X.face[k][x]:
+                if base_id not in sub.get(base_dim, ()):
+                    return False
+    return True
+
+
+def chains_where(top, keep):
+    """The `simplicial.Chains` of the chains of `top` whose prefix passes `keep`."""
+    from ispaces.simplicial import Chains
+
+    flags = list(map(keep, top.prefixes))
+    return Chains([p for p, f in zip(top.prefixes, flags) if f],
+                  [e for e, f in zip(top.ext, flags) if f], top.C)
+
+
 def quotient(X, sub):
     """Collapse a face-closed subcomplex to a basepoint.
 
@@ -444,7 +496,7 @@ def quotient(X, sub):
     for the ids that `ispace._based_quotient` computes.  Rows are pushed when
     read, each face ref once.
     """
-    from ispaces.simplicial import FaceRows, LazyDict, SSet, ref_dim, subcomplex_closed
+    from ispaces.simplicial import FaceRows, LazyDict, SSet, ref_dim
 
     if not any(sub.get(k) for k in range(X.top_dim + 1)):
         raise ValueError("quotient by an empty subcomplex has no basepoint")

@@ -17,6 +17,7 @@ from ispaces.ispace import (
     R_functor,
     _based_quotient,
     _chain_cells,
+    _elements,
     _hocolim_faces,
     box_multi,
     collapsing_ispace,
@@ -310,14 +311,16 @@ def test_based_quotient_refs_match_eager_push():
     """The based quotient pushes each ref on its first lookup; forced on
     every raw cell, the refs equal the eager {raw: push(ref)} dict, and a
     raw cell without a ref raises KeyError.  c1 is a diagram of sets, whose
-    raw cells are chains in its category of elements; the circle power's
-    are chains of injection codes."""
+    raw cells are chains in its category of elements, quotiented from its
+    nerve in the based order (basepoint objects and the morphisms out of
+    them first); the circle power's are chains of injection codes."""
     for diagram in ("c1", "circle-power"):
         X = REFERENCE_DIAGRAMS[diagram](True)
-        unbased = hocolim_I(X, 3)
         if diagram == "c1":
+            unbased = nerve(_elements(X, range(len(injections(X.N))), based=True), 3)
             cells = _element_chains(unbased.cat, 3)
         else:
+            unbased = hocolim_I(X, 3)
             cells = _chain_cells(X, 3, range(len(injections(X.N))))
         tab = _based_quotient(X, unbased)
         lazy = tab.ref_of
@@ -367,6 +370,43 @@ def test_based_quotient_matches_reference(monkeypatch, case):
         assert {raw: got.ref_of[raw] for raw in cells} == {raw: want.ref_of[raw] for raw in cells}
 
 
+@pytest.mark.parametrize("monoid", [c1, sec52_monoid], ids=["c1", "m52"])
+def test_based_nerve_opens_each_level_with_the_collapsed_cells(monkeypatch, monoid):
+    """The based Gamma-values k = 1, 2, 3 of c1(3) and sec52_monoid(3) are
+    quotients of nerves of elements coded basepoints first.  In every
+    dimension the nondegenerate cells whose first object is a basepoint
+    object (`_cell_point`) form an initial block, and the other cells,
+    decoded to object and morphism labels, come in the order of the nerve of
+    the same category coded in label order, the unbased one, which spreads
+    its collapsed cells out."""
+    seen, real = [], ispace._based_quotient
+
+    def record(X, tab):
+        seen.append((X, tab))
+        return real(X, tab)
+
+    def split(X, tab, k):  # (collapsed?, labels) of each nondegenerate k-cell
+        C = tab.cat
+        for raw in tab.raw_of[k]:
+            m, (_, _, p) = ispace._cell_point(tab, k, raw)
+            label = tuple(C.morphisms[f] for f in raw) if k else C.objects[raw]
+            yield p == X.level(m).basepoint, label
+
+    monkeypatch.setattr(ispace, "_based_quotient", record)
+    gamma_of_monoid(monoid(3), 3, 3)
+    assert len(seen) == 3
+    spread = 0
+    for X, tab in seen:
+        unbased = nerve(_elements(X, range(len(injections(X.N)))), 3)
+        for k in range(4):
+            got, want = (list(split(X, t, k)) for t in (tab, unbased))
+            flags = [c for c, _ in got]
+            assert flags == sorted(flags, reverse=True) and sum(flags) == sum(c for c, _ in want)
+            assert [z for c, z in got if not c] == [z for c, z in want if not c]
+            spread += [c for c, _ in want] != sorted((c for c, _ in want), reverse=True)
+    assert spread
+
+
 @pytest.mark.parametrize("S", [1, 2, 3])
 def test_hocolim_N_of_an_empty_diagram(S):
     """F_1 restricted to truncation 0 is empty (there is no injection 1 -> 0),
@@ -379,12 +419,14 @@ def test_hocolim_N_of_an_empty_diagram(S):
 
 @pytest.mark.parametrize("S", [1, 2])
 def test_based_hocolim_refuses_a_diagram_that_moves_its_basepoint(S):
-    """The closure check of a based quotient reads only the collapsed edges:
-    the inclusion 0 -> 1 sends the basepoint 0 of level 0 to the point 0 of
-    level 1, whose basepoint is 1, so the edge out of the basepoint object
-    (0, 0) ends outside the collapsed vertices, in the top dimension (S = 1)
-    and below it (S = 2).  With basepoints 0 and 0 the diagram is based, and
-    its quotient keeps the basepoint and the two objects (m, 1)."""
+    """The closure check of a based quotient reads the morphisms out of the
+    basepoint objects, which a based nerve of elements codes first: the
+    inclusion 0 -> 1 sends the basepoint 0 of level 0 to the point 0 of
+    level 1, whose basepoint is 1, so the morphism out of the basepoint
+    object (0, 0) ends at (1, 0), which is no basepoint object, whether the
+    edges are the top dimension (S = 1) or below it (S = 2).  With
+    basepoints 0 and 0 the diagram is based, and its quotient keeps the
+    basepoint and the two objects (m, 1)."""
     def build(basepoints):
         return ispace._discrete_ispace(1, [[0, 1], [0, 1]], lambda a, p: p, basepoints)
 
@@ -400,9 +442,11 @@ def test_based_hocolim_refuses_a_basepoint_moved_out_of_level_0(path, S):
     (elements), or a circle and a point (chains of injection codes).  With
     basepoint 1 at level 0 and 0 above it, every map out of level 0 sends the
     basepoint to a point that is not one, while the maps between levels 1 and
-    2 keep it: the based homotopy colimit refuses on both paths, at every S.
-    With basepoint 0 throughout it collapses the copy of the index nerve over
-    the basepoints."""
+    2 keep it: the based homotopy colimit refuses on both paths, at every S,
+    on elements because a morphism out of a basepoint object ends at no
+    basepoint object, on chains because a collapsed edge has a face that is
+    not collapsed.  With basepoint 0 throughout it collapses the copy of the
+    index nerve over the basepoints."""
     from ispaces.simplicial import SMap, SSet, identity_map
 
     def build(basepoints):

@@ -32,7 +32,7 @@ from ispaces.simplicial import (
 )
 
 from ispaces.icat import CodedI, FinCategory, coded_injections, comma_under
-from oracles import (based_maps, chain_boundary_reference, comma_under_fincategory,
+from oracles import (based_maps, chain_boundary_reference, chains_where, comma_under_fincategory,
                      cyclic_group_category, entries, map_table_reference, nerve_reference,
                      nondegenerate_chains_reference, normalize_pair_ref, normalize_reference,
                      pairing_map, product_sset, quotient, rational_rank, sphere, standard_simplex,
@@ -719,7 +719,7 @@ def test_kept_view_is_the_list_of_chains_with_no_identity(name):
     morphisms (at most one list per object, shared) and their cumulative
     counts.  It reads as the list of the top chains that hold no identity,
     filtered by brute force: by iteration, by every id, by negative ids and by
-    slices, with a list's IndexError.  `where(keep)` is the `Chains` of the
+    slices, with a list's IndexError.  `oracles.chains_where(top, keep)` is the `Chains` of the
     chains whose prefix passes `keep`."""
     make, D = KEPT_CASES[name]
     C = make()
@@ -739,7 +739,7 @@ def test_kept_view_is_the_list_of_chains_with_no_identity(name):
             top[x]
     for keep in (lambda p: True, lambda p: False, lambda p: sum(p) % 3 != 1,
                  lambda p: not p or C.src[p[0]] % 2 == 0):
-        view, kept = top.where(keep), [z for z in want if keep(z[:-1])]
+        view, kept = chains_where(top, keep), [z for z in want if keep(z[:-1])]
         assert isinstance(view, Chains) and view.C is top.C
         assert {id(e) for e in view.ext} <= {id(e) for e in top.ext}
         assert list(view) == [view[x] for x in range(len(view))] == kept

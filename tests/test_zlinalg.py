@@ -22,8 +22,8 @@ from ispaces.simplicial import (
 from ispaces.zlinalg import ColumnMatrix, _unit_pivot_eliminate, rank_and_torsion, smith_diagonal
 
 from oracles import (bareiss_rank, chain_boundary_reference, columns, cyclic_group_category,
-                     entries, group_homology, heap_eliminate, homology_mod_p, invariant_factors,
-                     product_sset, validate_chain_complex)
+                     entries, group_homology, heap_eliminate, hermite_normal_form, homology_mod_p,
+                     invariant_factors, product_sset, rational_rank, validate_chain_complex)
 from test_normalize import CASES
 
 
@@ -350,19 +350,67 @@ def test_homology_mod_p_obeys_universal_coefficients(name, p):
 
 def _same_elimination(mat, nrows, ncols, drop_rows=()):
     """Both eliminations of one matrix: the same rank and pivot columns, and
-    residues with the same Smith diagonal (`zlinalg._dense_smith`, which
-    `test_set_aside_columns_agree_with_heap_order_up_to_the_lattice` checks
-    against `oracles.invariant_factors`).  The residues are not compared
-    column for column: SNF holds one set-aside column per leading row,
-    merged with the others there by unimodular pairs, so its residue spans
-    the lattice of the reference's with other columns.  Returns the pivot
-    columns and the residue."""
+    residues that span one lattice, which their Hermite forms over the same
+    rows (`oracles.hermite_normal_form`) show.  The residues are not
+    compared column for column: SNF holds one set-aside column per leading
+    row, merged with the others there by unimodular pairs, so its residue
+    spans the lattice of the reference's with other columns.  Where the
+    residue has at most 4 nonzero rows or 4 columns, and at most 8 of
+    either, its Smith diagonal (`zlinalg._dense_smith`) is checked against
+    the minors (`oracles.invariant_factors`).  Returns the pivot columns, the
+    residue and whether that check ran."""
     got, want = [], []
     new = _unit_pivot_eliminate(mat, nrows, ncols, drop_rows, got)
     old = heap_eliminate(mat, nrows, ncols, drop_rows, want)
     assert new[0] == old[0] and got == want
-    assert zlinalg._dense_smith(new[1]) == zlinalg._dense_smith(old[1])
-    return got, new[1]
+    rows = sorted({r for col in new[1] + old[1] for r in col})
+    assert hermite_normal_form(new[1], rows) == hermite_normal_form(old[1], rows)
+    dense = [[col.get(r, 0) for col in new[1]] for r in sorted({r for col in new[1] for r in col})]
+    small = bool(new[1]) and min(len(dense), len(new[1])) <= 4 and max(len(dense), len(new[1])) <= 8
+    if small:
+        assert zlinalg._dense_smith(new[1]) == invariant_factors(dense, len(new[1]))
+    return got, new[1], small
+
+
+def test_hermite_normal_form_is_an_invariant_of_the_lattice():
+    """Seed 20: 300 matrices of 1 to 5 columns on 1 to 5 rows, entries -3..3.
+    The Hermite form does not move under ten random unimodular column
+    operations (adding a multiple of one column to another, swapping,
+    negating), nor with a zero or a repeated column added; it is its own
+    form; and when the columns are independent, doubling one (a lattice of
+    index 2) changes it.  Its pivots stand at descending rows, positive, with
+    zeros above them, and reduce the entries of the earlier columns there."""
+    rng = random.Random(20)
+    doubled = 0
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        rows = sorted(rng.sample(range(9), nrows))
+        cols = [{r: v for r in rows if (v := rng.randint(-3, 3))} for _ in range(ncols)]
+        form = hermite_normal_form(cols, rows)
+        leads = [next(i for i, v in enumerate(p) if v) for p in form]  # from the largest row
+        assert leads == sorted(set(leads))
+        for t, (piv, lead) in enumerate(zip(form, leads)):
+            assert piv[lead] > 0 and all(0 <= p[lead] < piv[lead] for p in form[:t])
+        moved = [dict(col) for col in cols]
+        for _ in range(10):
+            i, j = rng.randrange(ncols), rng.randrange(ncols)
+            op, f = rng.randrange(3), rng.choice((-2, -1, 1, 2))
+            if op == 0 and i != j:
+                moved[i] = {r: w for r in rows
+                            if (w := moved[i].get(r, 0) + f * moved[j].get(r, 0))}
+            elif op == 1:
+                moved[i], moved[j] = moved[j], moved[i]
+            else:
+                moved[i] = {r: -v for r, v in moved[i].items()}
+        assert hermite_normal_form(moved + [{}, dict(moved[0])], rows) == form
+        assert hermite_normal_form([dict(zip(sorted(rows, reverse=True), p)) for p in form],
+                                   rows) == form
+        if rational_rank(_dense_rows(cols, 9), ncols) == ncols:
+            doubled += 1
+            twice = [dict(col) for col in cols]
+            twice[0] = {r: 2 * v for r, v in twice[0].items()}
+            assert hermite_normal_form(twice, rows) != form
+    assert doubled > 100
 
 
 def test_reduced_pivots_agree_with_heap_order_on_random_sparse():
@@ -371,7 +419,7 @@ def test_reduced_pivots_agree_with_heap_order_on_random_sparse():
     and a shape 0, 1 or 3 larger than the nonzero part each way."""
     rng = random.Random(33)
     values = (1, -1, 1, -1, 0, 2, -2, 3)
-    stops = residues = 0
+    stops = residues = smith = 0
     for _ in range(400):
         m, n = rng.randint(1, 24), rng.randint(1, 24)
         density = rng.uniform(0.05, 0.4)
@@ -382,10 +430,11 @@ def test_reduced_pivots_agree_with_heap_order_on_random_sparse():
                 cols[c] = col
         nrows, ncols = m + rng.choice((0, 0, 1, 3)), n + rng.choice((0, 0, 1, 3))
         drop = rng.sample(range(nrows), rng.randint(0, nrows // 3))
-        pivots, residue = _same_elimination(ColumnMatrix(cols.items), nrows, ncols, drop)
+        pivots, residue, small = _same_elimination(ColumnMatrix(cols.items), nrows, ncols, drop)
         stops += len(pivots) == min(nrows - len(drop), ncols)
         residues += bool(residue)
-    assert stops > 40 and residues > 200
+        smith += small
+    assert stops > 40 and residues > 200 and smith == 223
 
 
 def test_reduced_pivots_agree_with_heap_order_on_cleared_complexes(monkeypatch):
@@ -402,8 +451,8 @@ def test_reduced_pivots_agree_with_heap_order_on_cleared_complexes(monkeypatch):
         cleared = ()
         for k in range(1, len(cx.counts)):
             reduced.clear()
-            cleared, residue = _same_elimination(cx.boundaries[k], cx.counts[k - 1],
-                                                 cx.counts[k], cleared)
+            cleared, residue, _ = _same_elimination(cx.boundaries[k], cx.counts[k - 1],
+                                                    cx.counts[k], cleared)
             if X is nerve_under_1 and k > 1:
                 read = [c for c, _ in islice(cx.boundaries[k].source(), len(cleared))]
                 assert cleared == read and reduced == [] and residue == []
@@ -424,8 +473,8 @@ def test_set_aside_columns_agree_with_heap_order_up_to_the_lattice():
     with the same Smith diagonal (`oracles.invariant_factors`); with the
     unit pivots, that is the diagonal of the whole matrix.  This holds for
     any residue that spans the same lattice, such as one that merges the
-    set-aside columns sharing a leading row, where `_same_elimination` asks
-    for the same columns."""
+    set-aside columns sharing a leading row; `_same_elimination` checks the
+    lattice itself, by Hermite form."""
     rng = random.Random(44)
     values, nrows = (2, -2, 3), 4
 
