@@ -13,11 +13,14 @@ between the bar construction of the diagram monoid and of its homotopy colimit.
 
 import heapq
 import json
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import partial, reduce
-from itertools import accumulate, combinations, repeat
+from functools import cache, partial, reduce
+from itertools import accumulate, chain, combinations, repeat
 from operator import add, and_, ge, getitem, itemgetter
 from typing import Callable, Optional
+from weakref import proxy
 
 from . import icat
 from .icat import coded_injections, concat, injections, shuffle
@@ -43,11 +46,8 @@ from .ispace import (
     _box_deg,
     _box_face,
     _box_space,
-    _chain_cells,
     _coded_chains,
     _discrete_ispace,
-    _hocolim_deg,
-    _hocolim_faces,
     _tail_level,
     is_flat,
     restrict,
@@ -602,50 +602,88 @@ def bar(A, S):
 # The bar construction of the homotopy colimit.
 # ---------------------------------------------------------------------------
 
-def _chain_sum(I, z, w, x):
-    """Block sum of two raw homotopy-colimit chains of equal length, carrying x.
-
-    The head levels add, and arrow i of the sum is the block sum of the
-    arrows i, looked up on their codes in I (`CodedI.plus`).
-    """
-    return (z[0] + w[0],) + tuple(I.plus[f, g] for f, g in zip(z[1:-1], w[1:-1])) + (x,)
-
-
-def _chain_mul(A, I, z, w):
-    """Monoid product on raw homotopy-colimit cells, by chain block sum."""
-    return _chain_sum(I, z, w, A.mul(_tail_level(I, z), _tail_level(I, w), z[-1], w[-1]))
+def _chain_sum(I, z, w, *x):
+    """Block sum of homotopy-colimit chains of equal length, raw carrying x or of arrows alone:
+    the head levels add, and so do the arrows i, on their codes in I (`CodedI.plus`)."""
+    return (z[0] + w[0],) + tuple(map(I.plus.__getitem__, zip(z[1:len(z) - len(x)], w[1:]))) + x
 
 
 class _ChainCodes:
-    """The raw chains of the homotopy colimit of X through dimension K
-    (`_chain_cells`), coded by position j in raws[k] (code[k]), with head levels
-    heads[k][j] and tables of codes filled on first lookup: faces[k][j], the faces
-    of chain j; deg[k][i][j], s_i of it; for a monoid A on X, mul[k][j, l], the
-    product (`_chain_mul`) of chains j and l; and unit[k], the unit k-chain."""
+    """The raw chains of the homotopy colimit of X through dimension K by
+    position, none stored: `_chain_cells` lists the chains of arrows chains[k]
+    in lexicographic order, chain p of dimension k - 1 then arrow a at
+    first[p] + rank[a], each with the simplices of its tail level tails[k][c]:
+    the t-th is code off[k][c] + t.  Over the k-codes j, heads[k][j] is the head
+    level and faces[k][i][j] and deg[k][i][j] code d_i and s_i of chain j; for a
+    monoid A on X, mul[k][j, l] codes the product (`product`) and unit[k] the unit."""
 
     def __init__(self, X, K, A=None):
-        I = coded_injections(X.N)
-        raws = self.raws = _chain_cells(X, K, range(len(I.morphisms)))
-        code = self.code = [{z: j for j, z in enumerate(r)} for r in raws]
-        self.heads = [tuple(z[0] for z in r) for r in raws]
-        faces = _hocolim_faces(X)
-        self.faces = [LazyDict(lambda j, k=k: tuple(map(code[k - 1].__getitem__,
-                                                        faces(raws[k][j]))))
-                      for k in range(K + 1)]
-        self.deg = [[LazyDict(lambda j, k=k, i=i: code[k + 1][_hocolim_deg(I, raws[k][j], i)])
-                     for i in range(k + 1)] for k in range(K)]
-        self.mul = [LazyDict(lambda jl, k=k: code[k][_chain_mul(A, I, raws[k][jl[0]],
-                                                                 raws[k][jl[1]])])
-                    for k in range(K + 1)]
-        self.unit = LazyDict(lambda k: code[k][(0,) + (I.ident[0],) * k + (A.unit_ref(k),)])
+        I, levels = coded_injections(X.N), range(X.N + 1)
+        into = [[a for a, n in enumerate(I.dst) if n == m] for m in levels]
+        rank = [into[n].index(a) for a, n in enumerate(I.dst)]
+        simp = self.simp = [[lev.all_simplices(k) for lev in X.levels] for k in range(K + 1)]
+        pos = self.pos = [[{x: t for t, x in enumerate(xs)} for xs in level] for level in simp]
+
+        def codes(k, to, at, keys, src, fn):  # off[to][at[c]] + the position of fn(keys[c], x)
+            ts = [[pos[to][n][y] for n, y in (fn(key, x) for x in simp[k][m])]
+                  for key, m in enumerate(src)]  # x the t-th simplex of chain c; y at level n
+            return array("l", [o + t for o, tc in zip(map(off[to].__getitem__, at),
+                                                      map(ts.__getitem__, keys)) for t in tc])
+
+        chains, tails = self.chains, self.tails = [[(m,) for m in levels]], [levels]
+        off = self.off = [list(accumulate(map(len, simp[0]), initial=0))]
+        first, up, face, deg, self.faces, self.deg = None, None, [None], [], [()], []
+        for k in range(1, K + 1):  # with the positions of the chains of arrows of d_i and s_i
+            f, first = first, list(accumulate((len(into[m]) for m in tails[-1]), initial=0))
+            below, up = up, [(p, a) for p, m in enumerate(tails[-1]) for a in into[m]]
+            chains.append([chains[-1][p] + (a,) for p, a in up])
+            tails.append([I.src[a] for _, a in up])
+            off.append(list(accumulate((len(simp[k][m]) for m in tails[k]), initial=0)))
+            face = [[f[d[p]] + rank[a] for p, a in up] for d in face[:-1]] + [
+                [f[below[p][0]] + rank[I.after[below[p][1]][a]] for p, a in up] if k > 1
+                else tails[1], [p for p, _ in up]]
+            deg = [[first[d[p]] + rank[a] for p, a in below] for d in deg] + [
+                [first[c] + rank[I.ident[m]] for c, m in enumerate(tails[k - 1])]]
+            self.faces.append([codes(k, k - 1, face[i], tails[k], levels,
+                                     lambda m, x, i=i: (m, X.level(m).d(i, x))) for i in range(k)]
+                              + [codes(k, k - 1, face[k], [a for _, a in up], I.src, lambda a, x: (
+                                  I.dst[a], X.level(I.dst[a]).d(k, X.act(I.morphisms[a])(x))))])
+            self.deg.append([codes(k - 1, k, deg[i], tails[k - 1], levels,
+                                   lambda m, x, i=i: (m, apply_s(i, x))) for i in range(k)])
+        self.heads = [tuple(chain.from_iterable(map(repeat, next(zip(*chs)), map(len, map(
+            level.__getitem__, ts))))) for chs, ts, level in zip(chains, tails, simp)]
+        self.sums = cache(lambda k, c, d: bisect_left(
+            chains[k], _chain_sum(I, chains[k][c], chains[k][d])))
+        self.xmul = cache(lambda k, m, n, t, u: pos[k][m + n][
+            A.mul(m, n, simp[k][m][t], simp[k][n][u])])
+        me = proxy(self)  # memos that held the table would leave it to the collector
+        self.mul = [LazyDict(partial(_ChainCodes.product, me, k)) for k in range(K + 1)]
+        self.unit = LazyDict(lambda k: me.encode(k, (0,) + (I.ident[0],) * k + (A.unit_ref(k),)))
+
+    def decode(self, k, j):
+        """The raw k-chain (m_0, a_1, ..., a_k, x) of code j."""
+        c = bisect_right(self.off[k], j) - 1
+        return self.chains[k][c] + (self.simp[k][self.tails[k][c]][j - self.off[k][c]],)
+
+    def encode(self, k, raw):
+        """The code of a raw k-chain."""
+        c = bisect_left(self.chains[k], raw[:-1])
+        return self.off[k][c] + self.pos[k][self.tails[k][c]][raw[-1]]
+
+    def product(self, k, jl):
+        """Block sum of the arrows of k-codes j and l, with the product of their simplices."""
+        off, tails = self.off[k], self.tails[k]
+        c, d = (bisect_right(off, j) - 1 for j in jl)
+        return off[self.sums(k, c, d)] + self.xmul(k, tails[c], tails[d],
+                                                   jl[0] - off[c], jl[1] - off[d])
 
     def masks(self, k, unit):
         """ok[j], the bits 1 << i of the i with k-chain j in the image of s_i
         (`deg`), in a bar slot where s_unit inserts the unit k-chain: there bit
         `unit` is the unit chain's alone, and it has every bit."""
-        ok = [0] * len(self.raws[k])
+        ok = [0] * len(self.heads[k])
         for i in set(range(k)) - {unit}:
-            for j in map(self.deg[k - 1][i].__getitem__, range(len(self.raws[k - 1]))):
+            for j in self.deg[k - 1][i]:
                 ok[j] |= 1 << i
         if 0 <= unit < k:
             ok[self.unit[k]] = (1 << k) - 1
@@ -654,7 +692,7 @@ class _ChainCodes:
     def bar_faces(self, k, zs):
         """cols[i], the codes of d_i of every entry of zs, and the inner faces
         d_i of the bar, 0 < i < k: cols[i] with entries i - 1 and i multiplied."""
-        cols, mul = tuple(zip(*map(self.faces[k].__getitem__, zs))), self.mul[k - 1]
+        cols, mul = tuple(tuple(map(f.__getitem__, zs)) for f in self.faces[k]), self.mul[k - 1]
         return cols, tuple([c[:i - 1] + (mul[c[i - 1], c[i]],) + c[i + 1:]
                             for i, c in enumerate(cols[1:k], 1)])
 
@@ -710,7 +748,7 @@ class _BarTop(Chains):
         if not (bits := reduce(and_, map(getitem, self.ok, z), self.full)):
             return None
         i = (bits & -bits).bit_length() - 1
-        y = [faces[e][i] for faces, e in zip(self.faces, z)]
+        y = [faces[i][e] for faces, e in zip(self.faces, z)]
         del y[self.lead + i]  # the unit chain
         return apply_s(i, ref_of[tuple(y)])
 
@@ -718,11 +756,11 @@ class _BarTop(Chains):
 def bar_of_hocolim(A, K):
     """B of the simplicial monoid A_hI, truncated by total head level.
 
-    Diagonal k-simplices are k-tuples of raw k-cells of the homotopy colimit
-    whose top chain levels sum to at most N, each coded in the construction's
-    `_ChainCodes`, the table's `cat`; the top ones by position (`_BarTop`).
-    Bar faces multiply adjacent entries with the chainwise block-sum product,
-    once per pair of codes (`_ChainCodes.bar_faces`, unrolled for k = 3).
+    Diagonal k-simplices are k-tuples of codes of raw k-cells of the homotopy
+    colimit whose head levels sum to at most N: their positions in the
+    construction's `_ChainCodes`, the table's `cat`, which decodes them; the top
+    ones are given by position (`_BarTop`).  Bar faces read the per-code face tables
+    and multiply adjacent entries once per pair of codes (`bar_faces`, unrolled for k = 3).
     """
     ch = _ChainCodes(A.space, K, A)
     cells = [[()]] + [list(Chains(*_bounded([ch.heads[k]] * k, A.N), None)) for k in range(1, K)]
@@ -733,9 +771,8 @@ def bar_of_hocolim(A, K):
             cols, middle = ch.bar_faces(k, zs)
             return (cols[0][1:],) + middle + (cols[k][:-1],)
         # the top of classifying_space_homology(A, 2): unrolled, a row is read three times faster
-        mul = ch.mul[2]
-        (_, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, _) = map(ch.faces[3].__getitem__, zs)
-        return (b0, c0), (mul[a1, b1], c1), (a2, mul[b2, c2]), (a3, b3)
+        (d0, d1, d2, d3), m, (a, b, c) = ch.faces[3], ch.mul[2], zs
+        return (d0[b], d0[c]), (m[d1[a], d1[b]], d1[c]), (d2[a], m[d2[b], d2[c]]), (d3[a], d3[b])
 
     tab = normalize_table(cells, faces_fn, ch.bar_deg, K, based_raw=())
     tab.cat = ch
@@ -748,8 +785,8 @@ def two_sided_bar_of_hocolim(A, K):
     Cells (c0, *zs, c1) carry a leading and a trailing nerve chain, coded in
     the `_ChainCodes` of the terminal diagram, around codes zs of chains of A_hI;
     the table's `cat` is the pair of chain tables.  The outer bar faces absorb
-    the boundary monoid entries into the nerve chains by block sum, once per
-    pair of codes.
+    the boundary monoid entries into the nerve chains by block sum of the
+    decoded chains, once per pair of codes.
     """
     I = coded_injections(A.N)
     ch, t_ch = _ChainCodes(A.space, K, A), _ChainCodes(terminal_ispace(A.N), K)
@@ -757,13 +794,13 @@ def two_sided_bar_of_hocolim(A, K):
     cells = [list(Chains(*_bounded([t.heads[k] for t in tabs[k]], A.N), None)) for k in range(K)]
     cells.append(_BarTop(tabs[K], K, A.N, lead=1))
     # the nerve chains absorb an outer entry, keeping their point simplex
-    before = [LazyDict(lambda cz, k=k: t_ch.code[k][_chain_sum(
-        I, t_ch.raws[k][cz[0]], ch.raws[k][cz[1]], t_ch.raws[k][cz[0]][-1])]) for k in range(K)]
-    after = [LazyDict(lambda zc, k=k: t_ch.code[k][_chain_sum(
-        I, ch.raws[k][zc[0]], t_ch.raws[k][zc[1]], t_ch.raws[k][zc[1]][-1])]) for k in range(K)]
+    before = [LazyDict(lambda cz, k=k: t_ch.encode(k, _chain_sum(
+        I, t_ch.decode(k, cz[0]), ch.decode(k, cz[1]), t_ch.simp[k][0][0]))) for k in range(K)]
+    after = [LazyDict(lambda zc, k=k: t_ch.encode(k, _chain_sum(
+        I, ch.decode(k, zc[0]), t_ch.decode(k, zc[1]), t_ch.simp[k][0][0]))) for k in range(K)]
 
     def faces_fn(k, raw):
-        c0f, c1f = t_ch.faces[k][raw[0]], t_ch.faces[k][raw[-1]]
+        c0f, c1f = ([f[c] for f in t_ch.faces[k]] for c in (raw[0], raw[-1]))
         cols, middle = ch.bar_faces(k, raw[1:-1])
         return (((before[k - 1][c0f[0], cols[0][0]],) + cols[0][1:] + (c1f[0],),)
                 + tuple((c0,) + zs + (c1,) for c0, zs, c1 in zip(c0f[1:k], middle, c1f[1:k]))
@@ -773,7 +810,7 @@ def two_sided_bar_of_hocolim(A, K):
         return ((t_ch.deg[k][i][raw[0]],) + ch.bar_deg(k, raw[1:-1], i)
                 + (t_ch.deg[k][i][raw[-1]],))
 
-    base = t_ch.code[0][(0, nd_ref(0, 0))]
+    base = t_ch.encode(0, (0, nd_ref(0, 0)))
     tab = normalize_table(cells, faces_fn, deg_fn, K, based_raw=(base, base))
     tab.cat = (t_ch, ch)
     return tab
@@ -807,10 +844,11 @@ def _bar_comparison_once(A, D):
     left_tab = _coded_chains(B.space, K, range(len(I.morphisms)))  # to_left pushes onto its chains
     middle_tab = two_sided_bar_of_hocolim(A, K)
     right_tab = bar_of_hocolim(A, K)
-    t_raws, raws = (ch.raws for ch in middle_tab.cat)
+    t_ch, ch = middle_tab.cat
 
     def to_left(k, raw):
-        c0, zs, c1 = t_raws[k][raw[0]], tuple(raws[k][z] for z in raw[1:-1]), t_raws[k][raw[-1]]
+        c0, c1 = t_ch.decode(k, raw[0]), t_ch.decode(k, raw[-1])
+        zs = tuple(ch.decode(k, z) for z in raw[1:-1])
         chain = c0
         for z in zs + (c1,):
             chain = _chain_sum(I, chain, z, None)

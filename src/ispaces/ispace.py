@@ -588,7 +588,7 @@ def _diagonal_ref(sub, ref):
 def _based_quotient(X, tab):
     """Collapse the copy of the index nerve sitting under the basepoints, the cells whose
     simplex (`_cell_point`) is one, to vertex 0, the raw cell of the last collapsed vertex.  On
-    a nerve of `_elements(X, arrows, based=True)` they are the first cut[k] nondegenerate
+    a nerve of `_elements(X, arrows, based=True)` (checked) they are the first cut[k] nondegenerate
     k-cells, those whose first object is a basepoint, closed under faces when every morphism
     out of a basepoint object ends at one: each level is sliced (its top `Chains` at a prefix)
     and refs move by the cut (`_moved_ref`).  The diagonal flags its cells, checks the faces of
@@ -607,8 +607,10 @@ def _based_quotient(X, tab):
         closed = {r[2] for ids in sub[1:2] for x in ids for r in tab.sset.face[1][x]} <= {*sub[0]}
         base, push = sub[0][-1], LazyDict(partial(_diagonal_ref, sub))
     else:
-        b = sum(p == X.level(m).basepoint for m, p in C.objects)
+        b = sum(at_bp := [p == X.level(m).basepoint for m, p in C.objects])
         out = sum(map(b.__gt__, C.src))  # the morphisms out of basepoint objects, coded first
+        if not (all(at_bp[:b]) and all(map(b.__gt__, C.src[:out]))):
+            raise ValueError("the category of elements is not coded basepoints first")
         closed = len(tab.raw_of) == 1 or all(map(b.__gt__, C.dst[:out]))
         cut, raw_of = [b], [tab.raw_of[0][b:]]
         for k, raws in enumerate(tab.raw_of[1:], 1):

@@ -709,6 +709,16 @@ class _Memo(dict):
         return value
 
 
+def chain_mul(A, I, z, w):
+    """Monoid product on raw homotopy-colimit cells of equal length: the
+    block sum of their chains (`cmon._chain_sum`), carrying the product of
+    their simplices at their tail levels."""
+    from ispaces.cmon import _chain_sum
+    from ispaces.ispace import _tail_level
+
+    return _chain_sum(I, z, w, A.mul(_tail_level(I, z), _tail_level(I, w), z[-1], w[-1]))
+
+
 def _unit_chain(A, I, s):
     """The unit raw s-chain: s identity arrows of level 0, then the unit simplex."""
     return (0,) + (I.ident[0],) * s + (A.unit_ref(s),)
@@ -744,7 +754,6 @@ def bar_of_hocolim_reference(A, K):
     """`cmon.bar_of_hocolim` on nested raw cells: a bar k-cell is the k-tuple
     of its raw chain cells, with faces, products and degeneracies computed on
     them, not on codes.  Returns its `NormTable`."""
-    from ispaces.cmon import _chain_mul
     from ispaces.icat import coded_injections
     from ispaces.ispace import _chain_cells, _hocolim_deg, _hocolim_faces
     from ispaces.simplicial import normalize_table
@@ -752,7 +761,7 @@ def bar_of_hocolim_reference(A, K):
     X, I = A.space, coded_injections(A.N)
     raws = _chain_cells(X, K, range(len(I.morphisms)))
     cells = [tuples_bounded([_raw_pool(raws[k])] * k, A.N) for k in range(K + 1)]
-    faces, mul = _Memo(_hocolim_faces(X)), _Memo(partial(_chain_mul, A, I))
+    faces, mul = _Memo(_hocolim_faces(X)), _Memo(partial(chain_mul, A, I))
 
     def faces_fn(k, raw):
         cols = tuple(zip(*[faces[z,] for z in raw]))
@@ -770,7 +779,7 @@ def two_sided_bar_reference(A, K):
     """`cmon.two_sided_bar_of_hocolim` on nested raw cells (c0, zs, c1), whose
     outer faces absorb the end entries into the nerve chains by block sum.
     Returns its `NormTable`."""
-    from ispaces.cmon import _chain_mul, _chain_sum
+    from ispaces.cmon import _chain_sum
     from ispaces.icat import coded_injections
     from ispaces.ispace import _chain_cells, _hocolim_deg, _hocolim_faces, terminal_ispace
     from ispaces.simplicial import nd_ref, normalize_table
@@ -784,7 +793,7 @@ def two_sided_bar_reference(A, K):
         pools = [_raw_pool(t_raws[k])] + [_raw_pool(raws[k])] * k + [_raw_pool(t_raws[k])]
         cells.append([(t[0], t[1:-1], t[-1]) for t in tuples_bounded(pools, A.N)])
     faces, t_faces = _Memo(_hocolim_faces(X)), _Memo(_hocolim_faces(T))
-    mul, plus = _Memo(partial(_chain_mul, A, I)), _Memo(partial(_chain_sum, I))
+    mul, plus = _Memo(partial(chain_mul, A, I)), _Memo(partial(_chain_sum, I))
 
     def faces_fn(k, raw):
         c0, zs, c1 = raw
@@ -848,9 +857,10 @@ def decode_bar_cell(tab, k, cell):
     as the nested raw cell of its reference, through the chain tables that
     the table's `cat` holds."""
     if isinstance(tab.cat, tuple):
-        t_raws, raws = (ch.raws[k] for ch in tab.cat)
-        return (t_raws[cell[0]], tuple(raws[z] for z in cell[1:-1]), t_raws[cell[-1]])
-    return tuple(tab.cat.raws[k][z] for z in cell)
+        t_ch, ch = tab.cat
+        return (t_ch.decode(k, cell[0]), tuple(ch.decode(k, z) for z in cell[1:-1]),
+                t_ch.decode(k, cell[-1]))
+    return tuple(tab.cat.decode(k, z) for z in cell)
 
 
 def bar_monoid(A, B):

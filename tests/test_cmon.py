@@ -1,4 +1,7 @@
+import gc
 import random
+import types
+import weakref
 from itertools import combinations, product
 from math import prod
 from operator import ge
@@ -27,7 +30,14 @@ from ispaces.cmon import (
     validate_monoid,
 )
 from ispaces.icat import coded_injections, injections
-from ispaces.ispace import _chain_cells, free_ispace, hocolim_I, terminal_ispace
+from ispaces.ispace import (
+    _chain_cells,
+    _hocolim_deg,
+    _hocolim_faces,
+    free_ispace,
+    hocolim_I,
+    terminal_ispace,
+)
 from ispaces.scenarios import build_monoid
 from ispaces.simplicial import Chains, homology, pi0_classes
 
@@ -39,6 +49,7 @@ from oracles import (
     bounded_congruence,
     bounded_tuples,
     bounded_unit_search,
+    chain_mul,
     chain_sum_reference,
     decode_bar_cell,
     decode_chain,
@@ -376,11 +387,11 @@ def test_coded_bars_match_raw_reference(name, build, reference):
         tabs = [got.cat] * 3
     else:
         tabs = [got.cat[0]] + [got.cat[1]] * 3 + [got.cat[0]]
-    top = tuples_bounded([[(j, z[0]) for j, z in enumerate(tab.raws[3])] for tab in tabs], A.N)
+    top = tuples_bounded([list(enumerate(tab.heads[3])) for tab in tabs], A.N)
     assert len(top) > got.sset.card[3]
     assert [got.ref_of[cell] for cell in top] == [want.ref_of[decode_bar_cell(got, 3, cell)]
                                                   for cell in top]
-    past = [len(tab.raws[3]) if t == len(tabs) // 2 else 0 for t, tab in enumerate(tabs)]
+    past = [len(tab.heads[3]) if t == len(tabs) // 2 else 0 for t, tab in enumerate(tabs)]
     for cell in ((0,) * (len(tabs) + 1), tuple(past)):
         with pytest.raises(KeyError):
             got.ref_of[cell]
@@ -414,19 +425,104 @@ def test_bar_comparison_once_matches_raw_reference_off_flat():
     assert cmon._bar_comparison_once(A, 0) == bar_comparison_once_reference(A, 0)
 
 
+CHAIN_TABLES = {
+    "c1": lambda: (c1(3).space, c1(3)),
+    "sec52": lambda: (sec52_monoid(3).space, sec52_monoid(3)),
+    "terminal": lambda: (terminal_ispace(3), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_TABLES))
+def test_chain_codes_match_raw_chains(name):
+    """The positional chain table at K = 3 against the raw chains of
+    `_chain_cells`: every code decodes to the raw chain at its position and
+    encodes back, with its head level; its faces and degeneracies are the codes
+    of `_hocolim_faces` and `_hocolim_deg` of its raw chain; and, over a monoid,
+    its product with every code whose head level fits with its own in N is the
+    code of the chain product, and the unit is the code of the unit chain."""
+    X, A = CHAIN_TABLES[name]()
+    ch, I = cmon._ChainCodes(X, 3, A), coded_injections(3)
+    raws, faces = _chain_cells(X, 3, range(len(I.morphisms))), _hocolim_faces(X)
+    products = 0
+    for k, level in enumerate(raws):
+        assert [ch.decode(k, j) for j in range(len(level))] == level
+        assert [ch.encode(k, raw) for raw in level] == list(range(len(level)))
+        assert list(ch.heads[k]) == [raw[0] for raw in level]
+        for j, raw in enumerate(level):
+            if k:
+                assert tuple(ch.decode(k - 1, f[j]) for f in ch.faces[k]) == faces(raw)
+            if k < 3:
+                assert [ch.decode(k + 1, s[j]) for s in ch.deg[k]] == [
+                    _hocolim_deg(I, raw, i) for i in range(k + 1)]
+            for l, other in enumerate(level if A else ()):
+                if raw[0] + other[0] <= 3:
+                    assert ch.decode(k, ch.mul[k][j, l]) == chain_mul(A, I, raw, other)
+                    products += 1
+        if A:
+            assert ch.decode(k, ch.unit[k]) == (0,) + (I.ident[0],) * k + (A.unit_ref(k),)
+    assert products == {"c1": 49 + 278 + 1479 + 8102, "sec52": 85 + 533 + 2885 + 15629,
+                        "terminal": 0}[name]
+
+
+def test_chain_table_holds_no_raw_chain():
+    """After the homology of the classifying space of c1(3), the chain table
+    in the bar's `cat` holds no dict keyed by raw chains and no list or tuple of
+    raw chains: a raw chain (m_0, a_1, ..., a_k, x) ends in a simplex ref, and
+    no container that the table holds has one as a key or an item.  Its chains
+    of arrows, one per run of codes, are fewer than the top codes, and with
+    the cyclic collector off the table dies with the bar that holds it."""
+    rep, tab = classifying_space_homology(c1(3), 2)
+    ch = tab.cat
+    assert rep.groups == {0: (1, ()), 1: (1, ()), 2: (0, (2,))}
+    seen, stack, held = set(), [ch], []
+    while stack:  # through attributes, memos, partials and closures, but no module globals
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (list, tuple, set, dict)):
+            held.append(obj)
+        if isinstance(obj, types.FunctionType):
+            stack += [cell.cell_contents for cell in obj.__closure__ or ()]
+        elif isinstance(obj, (list, tuple, set, dict)) or hasattr(obj, "__dict__"):
+            stack += gc.get_referents(obj)
+
+    def is_raw(z):  # a raw chain ends in a simplex ref (word, base_dim, base_id)
+        return type(z) is tuple and len(z) >= 2 and type(z[-1]) is tuple and len(z[-1]) == 3
+
+    assert len(held) > 20 and not any(is_raw(z) for obj in held for z in obj)
+    assert max(map(len, ch.chains)) < len(ch.heads[3]) / 3
+    gc.collect()
+    gc.disable()
+    try:  # its memos hold it weakly, so no cycle keeps a table once the bar is dropped
+        table = weakref.ref(classifying_space_homology(c1(3), 2)[1].cat)
+        assert table() is None
+    finally:
+        gc.enable()
+
+
 def test_chain_mul_called_once_per_pair(monkeypatch):
     """The one-sided bar reads each chain product from its table: while the
-    classifying space of c1(3) is built and its homology read, `_chain_mul`
-    runs exactly once for each pair of chains that it multiplies."""
-    real, pairs = cmon._chain_mul, []
+    classifying space of c1(3) is built and its homology read, the positional
+    product (`_ChainCodes.product`) runs exactly once for each pair of codes
+    that it multiplies, the block sum of chains of arrows (`_chain_sum`) once
+    for each pair of them, and A.mul once for each pair of simplices."""
+    calls = {"product": [], "sum": [], "mul": []}
 
-    def counted(A, I, z, w):
-        pairs.append((z, w))
-        return real(A, I, z, w)
+    def counted(name, real, key=lambda *args: args):
+        def wrapper(*args):
+            calls[name].append(key(*args))
+            return real(*args)
+        return wrapper
 
-    monkeypatch.setattr(cmon, "_chain_mul", counted)
-    classifying_space_homology(c1(3), 2)
-    assert pairs and len(pairs) == len(set(pairs))
+    A = c1(3)
+    A.mul = counted("mul", A.mul)
+    monkeypatch.setattr(cmon._ChainCodes, "product",
+                        counted("product", cmon._ChainCodes.product, lambda ch, k, jl: (k, jl)))
+    monkeypatch.setattr(cmon, "_chain_sum", counted("sum", cmon._chain_sum, lambda I, z, w: (z, w)))
+    classifying_space_homology(A, 2)
+    assert all(seen and len(seen) == len(set(seen)) for seen in calls.values())
+    assert len(calls["sum"]) < len(calls["product"])
 
 
 def test_chain_sum_matches_block_sum_of_injections():

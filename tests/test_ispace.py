@@ -334,6 +334,20 @@ def test_based_quotient_refs_match_eager_push():
             lazy[(0, nd_ref(1, 0))]
 
 
+def test_based_quotient_refuses_a_nerve_not_coded_basepoints_first():
+    """The based quotient of a nerve of elements slices each level at the cells
+    over the basepoints, which `_elements(X, arrows, based=True)` codes first.
+    The label-order nerve of c1(3)'s diagram, whose second basepoint object
+    comes after a non-basepoint one, is refused for its coding, not for a
+    basepoint that the diagram, which moves none, would move."""
+    X = c1(3).space
+    arrows = range(len(injections(X.N)))
+    labels = nerve(_elements(X, arrows), 3)
+    with pytest.raises(ValueError, match="not coded basepoints first"):
+        _based_quotient(X, labels)
+    assert _based_quotient(X, nerve(_elements(X, arrows, based=True), 3)).sset.basepoint == 0
+
+
 QUOTIENT_CASES = {
     "gamma-c1": lambda: gamma_of_monoid(c1(3), 3, 3),
     "gamma-m52": lambda: gamma_of_monoid(sec52_monoid(2), 4, 2),
