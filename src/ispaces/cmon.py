@@ -753,20 +753,24 @@ class _BarTop(Chains):
         return apply_s(i, ref_of[tuple(y)])
 
 
-def bar_of_hocolim(A, K):
+def bar_of_hocolim(A, K, ch=None):
     """B of the simplicial monoid A_hI, truncated by total head level.
 
     Diagonal k-simplices are k-tuples of codes of raw k-cells of the homotopy
-    colimit whose head levels sum to at most N: their positions in the
-    construction's `_ChainCodes`, the table's `cat`, which decodes them; the top
-    ones are given by position (`_BarTop`).  Bar faces read the per-code face tables
-    and multiply adjacent entries once per pair of codes (`bar_faces`, unrolled for k = 3).
+    colimit whose head levels sum to at most N: their positions in the chain
+    table `ch` (built here unless given: `bar_comparison` gives the two-sided
+    bar's), the table's `cat`, which decodes them; the top ones are given by
+    position (`_BarTop`).  Bar faces read the per-code face tables and multiply
+    adjacent entries once per pair of codes (`bar_faces`, unrolled for k = 2, 3).
     """
-    ch = _ChainCodes(A.space, K, A)
+    ch = ch or _ChainCodes(A.space, K, A)
     cells = [[()]] + [list(Chains(*_bounded([ch.heads[k]] * k, A.N), None)) for k in range(1, K)]
     cells += [_BarTop([ch] * K, K, A.N)] if K else []
 
     def faces_fn(k, zs):
+        if k == 2:  # the top of bar_comparison(A, 0): unrolled, a row is read eight times faster
+            (d0, d1, d2), (a, b) = ch.faces[2], zs
+            return (d0[b],), (ch.mul[1][d1[a], d1[b]],), (d2[a],)
         if k != 3:
             cols, middle = ch.bar_faces(k, zs)
             return (cols[0][1:],) + middle + (cols[k][:-1],)
@@ -784,7 +788,8 @@ def two_sided_bar_of_hocolim(A, K):
 
     Cells (c0, *zs, c1) carry a leading and a trailing nerve chain, coded in
     the `_ChainCodes` of the terminal diagram, around codes zs of chains of A_hI;
-    the table's `cat` is the pair of chain tables.  The outer bar faces absorb
+    the table's `cat` is the pair of chain tables (`bar_comparison` shares the
+    second with the one-sided bar).  The outer bar faces absorb
     the boundary monoid entries into the nerve chains by block sum of the
     decoded chains, once per pair of codes.
     """
@@ -838,13 +843,14 @@ class BarComparisonReport:
 
 
 def _bar_comparison_once(A, D):
+    """The comparison at A's truncation, both bars of A_hI on one chain table of it."""
     K = D + 2
     B = bar(A, K)
     I = coded_injections(A.N)
     left_tab = _coded_chains(B.space, K, range(len(I.morphisms)))  # to_left pushes onto its chains
     middle_tab = two_sided_bar_of_hocolim(A, K)
-    right_tab = bar_of_hocolim(A, K)
     t_ch, ch = middle_tab.cat
+    right_tab = bar_of_hocolim(A, K, ch)
 
     def to_left(k, raw):
         c0, c1 = t_ch.decode(k, raw[0]), t_ch.decode(k, raw[-1])

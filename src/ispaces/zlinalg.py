@@ -1,23 +1,23 @@
 """Exact integer linear algebra for homology: Smith normal form.
 
-A matrix is a `ColumnMatrix`: its nonzero columns, in increasing order, each
-a dict {row: nonzero int}.  Columns are read one at a time, in order, and
-never all held.  Each is cleared at the rows of the unit pivot columns found
-so far, which are kept in reduced echelon (Gauss-Jordan) form, each zero at
-every other pivot row, so one pass over the column's own entries clears it
-(Dumas, Saunders & Villard, J. Symbolic Comput. 32, 2001).  A column that
-meets no pivot column with other entries is only filtered: its entries at
-pivot rows are dropped.  On the comma-category nerves, every column of d_2
-and d_3 that is read is of this kind and keeps one entry, a pivot at once
-(an apparent pair, in the terms of Bauer's Ripser).  A cleared column
+A matrix is a `ColumnMatrix`: its nonzero columns, in increasing order, each a
+dict {row: nonzero int}.  Columns are read one at a time, in order, and never
+all held.  Each is cleared at the rows of the unit pivot columns found so far,
+which are kept in reduced echelon (Gauss-Jordan) form, each zero at every
+other pivot row, so one pass over the column's own entries clears it, with no
+copy made first (Dumas, Saunders & Villard, J. Symbolic Comput. 32, 2001).  A
+column that meets no pivot column with other entries is only filtered: its
+entries at pivot rows are dropped.  On the comma-category nerves, every column
+of d_2 and d_3 that is read is of this kind and keeps one entry, a pivot at
+once (an apparent pair, in the terms of Bauer's Ripser).  A cleared column
 with a +-1 entry becomes a new pivot column (a Smith entry 1) and clears its
 row from the earlier ones; a column left with only non-unit entries is set
-aside, one held per leading row (Hermite reduction).  Unit pivots never
-create torsion and keep entries small.  The loop stops once the rank reaches
-the bound the shape allows, since every further Smith entry is then 1, so
-the columns past that point are never read.  The held columns, cleared at
-every pivot row, form a small residue whose Smith form is taken densely,
-modulo a nonzero minor of maximal size so that its entries stay bounded.
+aside, one held per leading row (Hermite reduction).  Unit pivots never create
+torsion and keep entries small.  The loop stops once the rank reaches the
+bound the shape allows, since every further Smith entry is then 1, so the
+columns past that point are never read.  The held columns, cleared at every
+pivot row, form a small residue whose Smith form is taken densely, modulo a
+nonzero minor of maximal size so that its entries stay bounded.
 
 For a chain complex, the unit pivot columns of d_k may be dropped as rows of
 d_{k+1} (clearing, as in Chen & Kerber 2011, Bauer, Kerber & Reininghaus
@@ -58,21 +58,25 @@ class ColumnMatrix:
 
 
 def _reduce(entries, pivot_rows, tails):
-    """A copy of the column `entries` (row -> value) cleared at every pivot row.
+    """The column `entries` (row -> value) cleared at every pivot row, without zeros.
 
-    tails[r] is the pivot column at row r times its +-1, less its entry 1 at
-    r, and zero at every other pivot row, so one pass over `entries` clears
-    them all.  A pivot with no tail, such as a cleared row, is just dropped.
+    tails[r] is the pivot column at row r times its +-1, less its entry 1 at r,
+    zero at every other pivot row, so one pass adds each entry off the pivot
+    rows and the multiple of each tail met; a pivot with no tail drops its entry.
     """
-    col = {r: v for r, v in entries.items() if r not in pivot_rows}
-    for r in entries.keys() & tails.keys():
-        f = entries[r]
-        for s, v in tails[r].items():
-            nv = col.get(s, 0) - f * v
-            if nv:
-                col[s] = nv
+    col = {}
+    for r, f in entries.items():
+        if r not in pivot_rows:
+            if nv := col.get(r, 0) + f:
+                col[r] = nv
             else:
-                col.pop(s, None)  # a stored 0 of the tail may meet no entry
+                col.pop(r, None)
+        elif tail := tails.get(r):
+            for s, v in tail.items():
+                if nv := col.get(s, 0) - f * v:
+                    col[s] = nv
+                else:
+                    col.pop(s, None)
     return col
 
 
@@ -86,16 +90,16 @@ def _unit_pivot_eliminate(mat, nrows, ncols, drop_rows=(), pivots=None):
 
     The pivots are `tails` keyed by pivot row (see `_reduce`); a new pivot
     clears its row from the tails that hold it, which `holders` lists by row
-    (stale entries are skipped).  Rows in `drop_rows` are pivots with no
-    tail.  Only a column that meets a tail goes through `_reduce`; one pass
-    over its entries then drops those at pivot rows and finds its pivot row,
-    the largest row with a +-1 entry.  The ids of the unit pivot columns are
-    appended to the list `pivots` when one is given.  A set-aside column is
-    held at its leading (largest) row, merged with the one held there by a
-    unimodular pair (`_bezout`, which keeps the lattice they span), the rest
-    going on to its next leading row; the residue is the held columns, cleared
-    at every pivot row.  The columns of `mat` are read in order, so the loop
-    holds the pivots and held columns, never all of `mat`, and it stops at
+    (stale entries are skipped), and drops a tail it empties.  Rows in
+    `drop_rows` are pivots with no tail.  A column that meets a tail is read
+    once, by `_reduce`, any other by a pass that drops its entries at pivot
+    rows; its pivot row is the largest with a +-1 entry.  The ids of the unit
+    pivot columns go to the list `pivots` when one is given.  A set-aside
+    column is held at its leading (largest) row, merged with the one held
+    there by a unimodular pair (`_bezout`, which keeps the lattice they span),
+    the rest going on to its next leading row; the residue is the held columns,
+    cleared at every pivot row.  The columns of `mat` are read in order, so the
+    loop holds the pivots and held columns, never all of `mat`, and it stops at
     the bound min(nrows - len(drop), ncols) that the shape allows (see
     `rank_and_torsion`), checked before the first read and at each new pivot.
     """
@@ -107,15 +111,18 @@ def _unit_pivot_eliminate(mat, nrows, ncols, drop_rows=(), pivots=None):
         return full - ndrop, []
     for c, entries in mat.source():
         if tails and not entries.keys().isdisjoint(tails.keys()):
-            entries = _reduce(entries, pivot_rows, tails)
-        col, pr = {}, None  # the entries off the pivot rows, and the largest row of a +-1
-        for r, v in entries.items():
-            if r not in pivot_rows:
-                col[r] = v
-                if (v == 1 or v == -1) and (pr is None or r > pr):
-                    pr = r
-        if pr is None:  # set aside, without its stored zeros
-            col = {r: v for r, v in col.items() if v}
+            col = _reduce(entries, pivot_rows, tails)  # off the pivot rows, without zeros
+            pr = max((r for r, v in col.items() if abs(v) == 1), default=None) if col else None
+        else:
+            col, pr = {}, None  # the entries off the pivot rows, and the largest row of a +-1
+            for r, v in entries.items():
+                if r not in pivot_rows:
+                    col[r] = v
+                    if (v == 1 or v == -1) and (pr is None or r > pr):
+                        pr = r
+        if pr is None:
+            if col:  # set aside, without its stored zeros
+                col = {r: v for r, v in col.items() if v}
             while col and (lead := max(col)) in aside:
                 held = aside[lead]
                 x, y, p, q = _bezout(held[lead], col[lead])
@@ -131,7 +138,7 @@ def _unit_pivot_eliminate(mat, nrows, ncols, drop_rows=(), pivots=None):
         if col.pop(pr) == -1:
             col = {s: -v for s, v in col.items()}
         for q in holders.pop(pr, ()):
-            tail = tails[q]
+            tail = tails.get(q, {})
             f = tail.pop(pr, 0)  # 0 for a stale entry
             if f:
                 for s, v in col.items():
@@ -142,6 +149,8 @@ def _unit_pivot_eliminate(mat, nrows, ncols, drop_rows=(), pivots=None):
                         tail[s] = nv
                     else:
                         tail.pop(s, None)
+            if not tail:  # a pivot row whose tail is cleared is as good as dropped
+                tails.pop(q, None)
         if col:
             tails[pr] = col
             for s in col:

@@ -372,29 +372,32 @@ CODED_BAR_MONOIDS = {"c1-2": lambda: c1(2), "c1-3": lambda: c1(3),
     (cmon.two_sided_bar_of_hocolim, two_sided_bar_reference),
 ], ids=["one-sided", "two-sided"])
 def test_coded_bars_match_raw_reference(name, build, reference):
-    """Both bars on chain codes against the raw-tuple builders at K = 3: the
-    cells decoded through the chain tables, the cells per dimension, the
-    basepoint, every face row, and the ref of every top cell, degenerate ones
-    included, are the reference's.  A tuple that is no cell, of the wrong
-    length or with a code past its pool, raises KeyError from `ref_of`."""
+    """Both bars on chain codes against the raw-tuple builders at K = 2, the
+    truncation of `bar_comparison(A, 0)` whose top 2-cells `bar_of_hocolim`
+    unrolls, and at K = 3: the cells decoded through the chain tables, the
+    cells per dimension, the basepoint, every face row, and the ref of every
+    top cell, degenerate ones included, are the reference's.  A tuple that is
+    no cell, of the wrong length or with a code past its pool, raises
+    KeyError from `ref_of`."""
     A = CODED_BAR_MONOIDS[name]()
-    got, want = build(A, 3), reference(A, 3)
-    assert ([[decode_bar_cell(got, k, cell) for cell in cells]
-             for k, cells in enumerate(got.raw_of)] == want.raw_of)
-    assert (got.sset.card, got.sset.basepoint) == (want.sset.card, want.sset.basepoint)
-    assert [list(rows) for rows in got.sset.face] == [list(rows) for rows in want.sset.face]
-    if build is cmon.bar_of_hocolim:
-        tabs = [got.cat] * 3
-    else:
-        tabs = [got.cat[0]] + [got.cat[1]] * 3 + [got.cat[0]]
-    top = tuples_bounded([list(enumerate(tab.heads[3])) for tab in tabs], A.N)
-    assert len(top) > got.sset.card[3]
-    assert [got.ref_of[cell] for cell in top] == [want.ref_of[decode_bar_cell(got, 3, cell)]
-                                                  for cell in top]
-    past = [len(tab.heads[3]) if t == len(tabs) // 2 else 0 for t, tab in enumerate(tabs)]
-    for cell in ((0,) * (len(tabs) + 1), tuple(past)):
-        with pytest.raises(KeyError):
-            got.ref_of[cell]
+    for K in (2, 3):
+        got, want = build(A, K), reference(A, K)
+        assert ([[decode_bar_cell(got, k, cell) for cell in cells]
+                 for k, cells in enumerate(got.raw_of)] == want.raw_of)
+        assert (got.sset.card, got.sset.basepoint) == (want.sset.card, want.sset.basepoint)
+        assert [list(rows) for rows in got.sset.face] == [list(rows) for rows in want.sset.face]
+        if build is cmon.bar_of_hocolim:
+            tabs = [got.cat] * K
+        else:
+            tabs = [got.cat[0]] + [got.cat[1]] * K + [got.cat[0]]
+        top = tuples_bounded([list(enumerate(tab.heads[K])) for tab in tabs], A.N)
+        assert len(top) > got.sset.card[K]
+        assert [got.ref_of[cell] for cell in top] == [
+            want.ref_of[decode_bar_cell(got, K, cell)] for cell in top]
+        past = [len(tab.heads[K]) if t == len(tabs) // 2 else 0 for t, tab in enumerate(tabs)]
+        for cell in ((0,) * (len(tabs) + 1), tuple(past)):
+            with pytest.raises(KeyError):
+                got.ref_of[cell]
 
 
 def test_bar_top_holds_no_ref_until_one_is_looked_up():
@@ -416,6 +419,29 @@ def test_bar_comparison_matches_raw_reference(monkeypatch, build, D):
     got = bar_comparison(build(), D)
     monkeypatch.setattr(cmon, "_bar_comparison_once", bar_comparison_once_reference)
     assert got == bar_comparison(build(), D)
+
+
+def test_bar_comparison_builds_one_chain_table_per_truncation(monkeypatch):
+    """`bar_comparison(c1(3), 0)` builds the chain table of A_hI once per
+    truncation, N = 3 and N = 2, for both bars, and one of the terminal
+    diagram each: four tables, where a table per bar made six.  With the
+    cyclic collector off, every table dies with the call."""
+    builds, init = [], cmon._ChainCodes.__init__
+
+    def counted(ch, X, K, A=None):
+        builds.append((X.N, K, A is not None, weakref.ref(ch)))
+        init(ch, X, K, A)
+
+    monkeypatch.setattr(cmon._ChainCodes, "__init__", counted)
+    gc.collect()
+    gc.disable()
+    try:
+        bar_comparison(c1(3), 0)
+        assert sorted(b[:3] for b in builds) == [(2, 2, False), (2, 2, True),
+                                                 (3, 2, False), (3, 2, True)]
+        assert [b[3]() for b in builds] == [None] * 4
+    finally:
+        gc.enable()
 
 
 def test_bar_comparison_once_matches_raw_reference_off_flat():

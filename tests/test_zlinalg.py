@@ -523,3 +523,83 @@ def test_snf_holds_one_set_aside_column_per_leading_row(monkeypatch):
     assert report.groups == {0: (1, ()), 1: (1, ()), 2: (0, (2,))}
     assert any(residues) and all(len(cols) <= len({r for col in cols for r in col})
                                  for cols in residues)
+
+
+# ---------------------------------------------------------------------------
+# One pass over a column that meets a pivot.
+# ---------------------------------------------------------------------------
+
+class _CountedColumn(dict):
+    """A column that counts how often its entries are read: `items` and every
+    lookup by row.  Its keys may be read freely, as the test for a tail met is."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = 0
+
+    def items(self):
+        self.reads += 1
+        return super().items()
+
+    def __getitem__(self, r):
+        self.reads += 1
+        return super().__getitem__(r)
+
+    def get(self, r, default=None):
+        self.reads += 1
+        return super().get(r, default)
+
+
+def test_reduce_clears_a_column_in_one_pass(monkeypatch):
+    """`_reduce` against its two-step definition: filter the column off the
+    pivot rows, then subtract each tail it meets, dropping zeros.  The seeded
+    columns store zeros, have entries at dropped rows (pivots with no tail),
+    and meet tails that cancel an entry to zero.  In the elimination, every
+    column, and so every one that meets a tail, is read exactly once."""
+    def two_step(entries, pivot_rows, tails):
+        col = {r: v for r, v in entries.items() if r not in pivot_rows}
+        for r in entries.keys() & tails.keys():
+            for s, v in tails[r].items():
+                col[s] = col.get(s, 0) - entries[r] * v
+        return {s: v for s, v in col.items() if v}
+
+    rng = random.Random(4812)
+    cancelled = stored = dropped = 0
+    for _ in range(400):
+        rows = list(range(rng.randint(4, 14)))
+        pivot_rows = set(rng.sample(rows, rng.randint(1, len(rows) - 1)))
+        free = [r for r in rows if r not in pivot_rows]
+        tails = {r: {s: rng.choice([-2, -1, 0, 1, 3]) for s in rng.sample(free, rng.randint(
+            1, min(3, len(free))))} for r in pivot_rows if rng.random() < 0.7}
+        entries = {r: rng.choice([-3, -1, 0, 1, 2]) for r in rng.sample(rows, rng.randint(
+            1, len(rows)))}
+        for r in entries.keys() & tails.keys():  # an entry that the tails met cancel
+            s = rng.choice(list(tails[r]))
+            rest = {q: f for q, f in entries.items() if q != s}
+            if rng.random() < 0.5 and (v := -two_step(rest, pivot_rows, tails).get(s, 0)):
+                entries[s] = v
+        got = zlinalg._reduce(entries, pivot_rows, tails)
+        assert got == two_step(entries, pivot_rows, tails)
+        cancelled += any(s in entries and s not in got for r in entries.keys() & tails.keys()
+                         for s in tails[r])
+        stored += 0 in entries.values()
+        dropped += any(r in pivot_rows and r not in tails for r in entries)
+    assert cancelled > 50 and stored > 100 and dropped > 100
+
+    reduced, real = [], zlinalg._reduce
+    monkeypatch.setattr(zlinalg, "_reduce", lambda entries, pivot_rows, tails: (
+        reduced.append(entries), real(entries, pivot_rows, tails))[1])
+    for seed in range(20):
+        rng = random.Random(4800 + seed)
+        nrows, ncols = 12, 40
+        cols = [_CountedColumn({r: rng.choice([1, -1, 1, 2, -3]) for r in rng.sample(
+            range(nrows), rng.randint(2, 4))}) for _ in range(ncols)]
+        drop = rng.sample(range(nrows), 2)
+        want = _unit_pivot_eliminate(ColumnMatrix(lambda: (
+            (c, dict(col)) for c, col in enumerate(cols))), nrows + 2, ncols, drop)
+        reduced.clear()
+        got = _unit_pivot_eliminate(ColumnMatrix(lambda: enumerate(cols)), nrows + 2, ncols, drop)
+        assert got[0] == want[0] and reduced
+        met = [col for col in cols if any(col is r for r in reduced)]
+        assert met and all(col.reads == 1 for col in met)
+        assert all(col.reads <= 1 for col in cols)
