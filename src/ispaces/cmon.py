@@ -13,14 +13,11 @@ between the bar construction of the diagram monoid and of its homotopy colimit.
 
 import heapq
 import json
-from array import array
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cache, partial, reduce
+from functools import partial, reduce
 from itertools import accumulate, chain, combinations, repeat
 from operator import add, and_, ge, getitem, itemgetter
 from typing import Callable, Optional
-from weakref import proxy
 
 from . import icat
 from .icat import coded_injections, concat, injections, shuffle
@@ -46,9 +43,10 @@ from .ispace import (
     _box_deg,
     _box_face,
     _box_space,
+    _chain_sum,
+    _ChainCodes,
     _coded_chains,
     _discrete_ispace,
-    _tail_level,
     is_flat,
     restrict,
     terminal_ispace,
@@ -602,106 +600,6 @@ def bar(A, S):
 # The bar construction of the homotopy colimit.
 # ---------------------------------------------------------------------------
 
-def _chain_sum(I, z, w, *x):
-    """Block sum of homotopy-colimit chains of equal length, raw carrying x or of arrows alone:
-    the head levels add, and so do the arrows i, on their codes in I (`CodedI.plus`)."""
-    return (z[0] + w[0],) + tuple(map(I.plus.__getitem__, zip(z[1:len(z) - len(x)], w[1:]))) + x
-
-
-class _ChainCodes:
-    """The raw chains of the homotopy colimit of X through dimension K by
-    position, none stored: `_chain_cells` lists the chains of arrows chains[k]
-    in lexicographic order, chain p of dimension k - 1 then arrow a at
-    first[p] + rank[a], each with the simplices of its tail level tails[k][c]:
-    the t-th is code off[k][c] + t.  Over the k-codes j, heads[k][j] is the head
-    level and faces[k][i][j] and deg[k][i][j] code d_i and s_i of chain j; for a
-    monoid A on X, mul[k][j, l] codes the product (`product`) and unit[k] the unit."""
-
-    def __init__(self, X, K, A=None):
-        I, levels = coded_injections(X.N), range(X.N + 1)
-        into = [[a for a, n in enumerate(I.dst) if n == m] for m in levels]
-        rank = [into[n].index(a) for a, n in enumerate(I.dst)]
-        simp = self.simp = [[lev.all_simplices(k) for lev in X.levels] for k in range(K + 1)]
-        pos = self.pos = [[{x: t for t, x in enumerate(xs)} for xs in level] for level in simp]
-
-        def codes(k, to, at, keys, src, fn):  # off[to][at[c]] + the position of fn(keys[c], x)
-            ts = [[pos[to][n][y] for n, y in (fn(key, x) for x in simp[k][m])]
-                  for key, m in enumerate(src)]  # x the t-th simplex of chain c; y at level n
-            return array("l", [o + t for o, tc in zip(map(off[to].__getitem__, at),
-                                                      map(ts.__getitem__, keys)) for t in tc])
-
-        chains, tails = self.chains, self.tails = [[(m,) for m in levels]], [levels]
-        off = self.off = [list(accumulate(map(len, simp[0]), initial=0))]
-        first, up, face, deg, self.faces, self.deg = None, None, [None], [], [()], []
-        for k in range(1, K + 1):  # with the positions of the chains of arrows of d_i and s_i
-            f, first = first, list(accumulate((len(into[m]) for m in tails[-1]), initial=0))
-            below, up = up, [(p, a) for p, m in enumerate(tails[-1]) for a in into[m]]
-            chains.append([chains[-1][p] + (a,) for p, a in up])
-            tails.append([I.src[a] for _, a in up])
-            off.append(list(accumulate((len(simp[k][m]) for m in tails[k]), initial=0)))
-            face = [[f[d[p]] + rank[a] for p, a in up] for d in face[:-1]] + [
-                [f[below[p][0]] + rank[I.after[below[p][1]][a]] for p, a in up] if k > 1
-                else tails[1], [p for p, _ in up]]
-            deg = [[first[d[p]] + rank[a] for p, a in below] for d in deg] + [
-                [first[c] + rank[I.ident[m]] for c, m in enumerate(tails[k - 1])]]
-            self.faces.append([codes(k, k - 1, face[i], tails[k], levels,
-                                     lambda m, x, i=i: (m, X.level(m).d(i, x))) for i in range(k)]
-                              + [codes(k, k - 1, face[k], [a for _, a in up], I.src, lambda a, x: (
-                                  I.dst[a], X.level(I.dst[a]).d(k, X.act(I.morphisms[a])(x))))])
-            self.deg.append([codes(k - 1, k, deg[i], tails[k - 1], levels,
-                                   lambda m, x, i=i: (m, apply_s(i, x))) for i in range(k)])
-        self.heads = [tuple(chain.from_iterable(map(repeat, next(zip(*chs)), map(len, map(
-            level.__getitem__, ts))))) for chs, ts, level in zip(chains, tails, simp)]
-        self.sums = cache(lambda k, c, d: bisect_left(
-            chains[k], _chain_sum(I, chains[k][c], chains[k][d])))
-        self.xmul = cache(lambda k, m, n, t, u: pos[k][m + n][
-            A.mul(m, n, simp[k][m][t], simp[k][n][u])])
-        me = proxy(self)  # memos that held the table would leave it to the collector
-        self.mul = [LazyDict(partial(_ChainCodes.product, me, k)) for k in range(K + 1)]
-        self.unit = LazyDict(lambda k: me.encode(k, (0,) + (I.ident[0],) * k + (A.unit_ref(k),)))
-
-    def decode(self, k, j):
-        """The raw k-chain (m_0, a_1, ..., a_k, x) of code j."""
-        c = bisect_right(self.off[k], j) - 1
-        return self.chains[k][c] + (self.simp[k][self.tails[k][c]][j - self.off[k][c]],)
-
-    def encode(self, k, raw):
-        """The code of a raw k-chain."""
-        c = bisect_left(self.chains[k], raw[:-1])
-        return self.off[k][c] + self.pos[k][self.tails[k][c]][raw[-1]]
-
-    def product(self, k, jl):
-        """Block sum of the arrows of k-codes j and l, with the product of their simplices."""
-        off, tails = self.off[k], self.tails[k]
-        c, d = (bisect_right(off, j) - 1 for j in jl)
-        return off[self.sums(k, c, d)] + self.xmul(k, tails[c], tails[d],
-                                                   jl[0] - off[c], jl[1] - off[d])
-
-    def masks(self, k, unit):
-        """ok[j], the bits 1 << i of the i with k-chain j in the image of s_i
-        (`deg`), in a bar slot where s_unit inserts the unit k-chain: there bit
-        `unit` is the unit chain's alone, and it has every bit."""
-        ok = [0] * len(self.heads[k])
-        for i in set(range(k)) - {unit}:
-            for j in self.deg[k - 1][i]:
-                ok[j] |= 1 << i
-        if 0 <= unit < k:
-            ok[self.unit[k]] = (1 << k) - 1
-        return ok
-
-    def bar_faces(self, k, zs):
-        """cols[i], the codes of d_i of every entry of zs, and the inner faces
-        d_i of the bar, 0 < i < k: cols[i] with entries i - 1 and i multiplied."""
-        cols, mul = tuple(tuple(map(f.__getitem__, zs)) for f in self.faces[k]), self.mul[k - 1]
-        return cols, tuple([c[:i - 1] + (mul[c[i - 1], c[i]],) + c[i + 1:]
-                            for i, c in enumerate(cols[1:k], 1)])
-
-    def bar_deg(self, k, zs, i):
-        """s_i of every entry of zs, with the unit (k + 1)-chain inserted at i."""
-        zd = tuple(map(self.deg[k][i].__getitem__, zs))
-        return zd[:i] + (self.unit[k + 1],) + zd[i:]
-
-
 def _bounded(heads, budget):
     """(prefixes, ext) of the tuples of codes j, one per slot t, whose heads[t][j]
     sum to at most `budget`, in product order: p + (f,) for each prefix p and f
@@ -763,7 +661,7 @@ def bar_of_hocolim(A, K, ch=None):
     position (`_BarTop`).  Bar faces read the per-code face tables and multiply
     adjacent entries once per pair of codes (`bar_faces`, unrolled for k = 2, 3).
     """
-    ch = ch or _ChainCodes(A.space, K, A)
+    ch = ch or _ChainCodes(A.space, K, range(len(injections(A.N))), A)
     cells = [[()]] + [list(Chains(*_bounded([ch.heads[k]] * k, A.N), None)) for k in range(1, K)]
     cells += [_BarTop([ch] * K, K, A.N)] if K else []
 
@@ -794,7 +692,8 @@ def two_sided_bar_of_hocolim(A, K):
     decoded chains, once per pair of codes.
     """
     I = coded_injections(A.N)
-    ch, t_ch = _ChainCodes(A.space, K, A), _ChainCodes(terminal_ispace(A.N), K)
+    every = range(len(I.morphisms))
+    ch, t_ch = _ChainCodes(A.space, K, every, A), _ChainCodes(terminal_ispace(A.N), K, every)
     tabs = [[t_ch] + [ch] * k + [t_ch] for k in range(K + 1)]
     cells = [list(Chains(*_bounded([t.heads[k] for t in tabs[k]], A.N), None)) for k in range(K)]
     cells.append(_BarTop(tabs[K], K, A.N, lead=1))
@@ -843,11 +742,13 @@ class BarComparisonReport:
 
 
 def _bar_comparison_once(A, D):
-    """The comparison at A's truncation, both bars of A_hI on one chain table of it."""
+    """The comparison at A's truncation, both bars of A_hI on one chain table of it, and the
+    left term, hocolim_I of the bar, the diagonal of a chain table of bar(A, K)."""
     K = D + 2
     B = bar(A, K)
     I = coded_injections(A.N)
-    left_tab = _coded_chains(B.space, K, range(len(I.morphisms)))  # to_left pushes onto its chains
+    left = _ChainCodes(B.space, K, range(len(I.morphisms)))  # to_left encodes in it
+    left_tab = _coded_chains(left)
     middle_tab = two_sided_bar_of_hocolim(A, K)
     t_ch, ch = middle_tab.cat
     right_tab = bar_of_hocolim(A, K, ch)
@@ -858,12 +759,13 @@ def _bar_comparison_once(A, D):
         chain = c0
         for z in zs + (c1,):
             chain = _chain_sum(I, chain, z, None)
-        # the bar cell's blocks sit side by side, just past c0's block
-        nvec = tuple(_tail_level(I, z) for z in zs)
-        start = _tail_level(I, c0)
+        # the bar cell's blocks sit side by side, just past c0's block, with c1's last
+        nvec = tuple(ch.point(k, z)[0] for z in raw[1:-1])
+        start = t_ch.point(k, raw[0])[0]
         image = tuple(range(start + 1, start + sum(nvec) + 1))
-        xref = B.ref(_tail_level(I, chain), len(zs), (nvec, image, tuple(z[-1] for z in zs)))
-        return chain[:-1] + (xref,)
+        xref = B.ref(start + sum(nvec) + t_ch.point(k, raw[-1])[0], len(zs),
+                     (nvec, image, tuple(z[-1] for z in zs)))
+        return left.shift[k] + left.encode(k, chain[:-1] + (xref,))
 
     f_right = map_from_tables(middle_tab, right_tab, lambda k, raw: raw[1:-1])  # the same X codes
     f_left = map_from_tables(middle_tab, left_tab, to_left)

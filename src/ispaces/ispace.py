@@ -7,22 +7,25 @@ explicit colimit over the poset of sorted decompositions with union-find
 canonical representatives (other raw cells are resolved on lookup),
 homotopy colimits over the injection category and over its
 subset-inclusion subcategory (nerves of categories of elements for
-diagrams of sets, Bousfield-Kan diagonals otherwise), flatness
-certificates, the level-shift functor R with its comparison map,
+diagrams of sets, Bousfield-Kan diagonals otherwise, on the one chain
+table by position, `_ChainCodes`, that the bars of `cmon` also read),
+flatness certificates, the level-shift functor R with its comparison map,
 and the semistability diagnostic.
 """
 
-from bisect import bisect_left
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
-from itertools import accumulate, chain, compress, count, product as iproduct
+from functools import cache, lru_cache, partial
+from itertools import accumulate, chain, compress, count, product as iproduct, repeat
 from math import prod
 from operator import not_
 from typing import Callable, Optional
+from weakref import proxy
 
 from . import icat
-from .icat import (CodedI, Injection, coded_category, coded_injections, compose, concat,
-                   identity, injections, subset_inclusion)
+from .icat import (Injection, coded_category, coded_injections, compose, concat, identity,
+                   injections, subset_inclusion)
 from .simplicial import (
     Chains,
     FaceRows,
@@ -442,65 +445,116 @@ def _single_class(X, head, dim, raw):
 # Homotopy colimits.
 # ---------------------------------------------------------------------------
 
-def _chain_cells(X, S, arrows):
-    """Raw cells of the simplicial replacement diagonal, dims 0..S.
-
-    A raw s-cell is the flat tuple (m_0, a_1, ..., a_s, x): the head level,
-    codes a_i: m_i -> m_{i-1} from the sorted codes `arrows` of
-    `icat.coded_injections(X.N)`, and x an s-simplex of X(m_s)
-    (`_tail_level`).  Its length s + 2 keeps the dimensions apart.  Codes
-    run in (src, dst, image) order, so each target's bucket runs by source.
-    """
-    I = coded_injections(X.N)
-    into = [[] for _ in range(X.N + 1)]
-    for a in arrows:
-        into[I.dst[a]].append((I.src[a], a))
-    chains = [[((m,), m) for m in range(X.N + 1)]]
-    for _ in range(S):
-        chains.append([(ch + (a,), m) for ch, n in chains[-1] for m, a in into[n]])
-    simp = [[X.level(m).all_simplices(s) for m in range(X.N + 1)] for s in range(S + 1)]
-    return [[ch + (x,) for ch, m in chains[s] for x in simp[s][m]] for s in range(S + 1)]
+def _chain_sum(I, z, w, *x):
+    """Block sum of homotopy-colimit chains of equal length, raw carrying x or of arrows alone:
+    the head levels add, and so do the arrows i, on their codes in I (`CodedI.plus`)."""
+    return (z[0] + w[0],) + tuple(map(I.plus.__getitem__, zip(z[1:len(z) - len(x)], w[1:]))) + x
 
 
-def _tail_level(I, raw):
-    """The level m_s of a raw chain cell (m_0, a_1, ..., a_s, x), on the codes of I."""
-    return I.src[raw[-2]] if len(raw) > 2 else raw[0]
+class _ChainCodes:
+    """The raw chains (m_0, a_1, ..., a_k, x) of the homotopy colimit of X
+    through dimension K by position, none stored: a_i: m_i -> m_{i-1} is one of
+    the sorted codes `arrows` of `icat.coded_injections(X.N)` and x a k-simplex
+    of the tail level m_k.  The chains of arrows chains[k] run in lexicographic
+    order, chain p of dimension k - 1 then arrow a at first[p] + rank[a], each
+    with the simplices of its tail level tails[k][c]: the t-th is code
+    off[k][c] + t, and shift[k] codes lie below dimension k.  Over the k-codes
+    j, heads[k][j] is the head level and faces[k][i][j] and deg[k][i][j] code
+    d_i and s_i of chain j: d_0 drops the head, d_i, 0 < i < k, composes arrows
+    i and i + 1 (`after`), d_k drops a_k and moves d_k x along it (X(a_k) is
+    simplicial), and s_i repeats level i by its identity; a composite or
+    identity outside `arrows` raises KeyError.  For a monoid A on X,
+    mul[k][j, l] codes the product (`product`) and unit[k] the unit."""
 
+    def __init__(self, X, K, arrows, A=None):
+        I, levels = coded_injections(X.N), range(X.N + 1)
+        into = [[a for a in arrows if I.dst[a] == m] for m in levels]
+        rank = {a: r for ins in into for r, a in enumerate(ins)}
+        simp = self.simp = [[lev.all_simplices(k) for lev in X.levels] for k in range(K + 1)]
+        pos = self.pos = [[{x: t for t, x in enumerate(xs)} for xs in level] for level in simp]
 
-def _hocolim_faces(X):
-    """Row kernel of the homotopy colimit of X: raw s-cell -> (d_0, ..., d_s).
+        def codes(to, at, keys, dst, fn):  # off[to][at[c]] + the position of fn(key)[t] in
+            ts = {key: [pos[to][dst[key]][y] for y in fn(key)] for key in set(keys)}  # dst[key]
+            return array("i", [o + t for o, tc in zip(map(off[to].__getitem__, at),
+                                                      map(ts.__getitem__, keys)) for t in tc])
 
-    d_0 drops the head, d_i for 0 < i < s composes arrows i and i + 1 on
-    their codes (`after`), and d_s drops the last arrow.  One memo lives as
-    long as the kernel, which is built once per construction:
-    (a_s, x) -> (d_0 x, ..., d_{s-1} x, d_s(X(a_s) x)).
-    """
-    I = coded_injections(X.N)
-    src, after = I.src, I.after
-    memo = {}
+        chains, tails = self.chains, self.tails = [[(m,) for m in levels]], [levels]
+        off = self.off = [list(accumulate(map(len, simp[0]), initial=0))]
+        first, up, face, deg, self.faces, self.deg = None, None, [None], [], [()], []
+        for k in range(1, K + 1):  # with the positions of the chains of arrows of d_i and s_i
+            f, first = first, list(accumulate((len(into[m]) for m in tails[-1]), initial=0))
+            below, up = up, [(p, a) for p, m in enumerate(tails[-1]) for a in into[m]]
+            chains.append([chains[-1][p] + (a,) for p, a in up])
+            tails.append([I.src[a] for _, a in up])
+            off.append(list(accumulate((len(simp[k][m]) for m in tails[k]), initial=0)))
+            face = [[f[d[p]] + rank[a] for p, a in up] for d in face[:-1]] + [
+                [f[below[p][0]] + rank[I.after[below[p][1]][a]] for p, a in up] if k > 1
+                else tails[1], [p for p, _ in up]]
+            deg = [[first[d[p]] + rank[a] for p, a in below] for d in deg] + [
+                [first[c] + rank[I.ident[m]] for c, m in enumerate(tails[k - 1])]]
+            ds = [[[X.level(m).d(i, x) for x in xs] for m, xs in enumerate(simp[k])]
+                  for i in range(k + 1)]  # d_i of each simplex of each level, once
+            last = codes(k - 1, face[k], [a for _, a in up], I.dst,  # X(a_k) after d_k
+                         lambda a: map(X.act(I.morphisms[a]), ds[k][I.src[a]]))
+            self.faces.append([codes(k - 1, face[i], tails[k], levels, ds[i].__getitem__)
+                               for i in range(k)] + [last])
+            self.deg.append([codes(k, deg[i], tails[k - 1], levels, lambda m, i=i: map(
+                partial(apply_s, i), simp[k - 1][m])) for i in range(k)])
+        self.shift = list(accumulate((o[-1] for o in off), initial=0))
+        self.heads = [tuple(chain.from_iterable(map(repeat, next(zip(*chs)), map(len, map(
+            level.__getitem__, ts))))) for chs, ts, level in zip(chains, tails, simp)]
+        self.sums = cache(lambda k, c, d: bisect_left(
+            chains[k], _chain_sum(I, chains[k][c], chains[k][d])))
+        self.xmul = cache(lambda k, m, n, t, u: pos[k][m + n][
+            A.mul(m, n, simp[k][m][t], simp[k][n][u])])
+        me = proxy(self)  # memos that held the table would leave it to the collector
+        self.mul = [LazyDict(partial(_ChainCodes.product, me, k)) for k in range(K + 1)]
+        self.unit = LazyDict(lambda k: me.encode(k, (0,) + (I.ident[0],) * k + (A.unit_ref(k),)))
 
-    def faces(raw):
-        s = len(raw) - 2
-        key = raw[-2:]
-        ds = memo.get(key)
-        if ds is None:
-            a, x = key
-            moved = X.act(I.morphisms[a])(x)
-            ds = memo[key] = (tuple(X.level(src[a]).d(i, x) for i in range(s))
-                              + (X.level(I.dst[a]).d(s, moved),))
-        row = [(src[raw[1]],) + raw[2:-1] + (ds[0],)]
-        for i in range(1, s):
-            row.append(raw[:i] + (after[raw[i]][raw[i + 1]],) + raw[i + 2:-1] + (ds[i],))
-        row.append(raw[:-2] + (ds[s],))
-        return tuple(row)
+    def point(self, k, j):
+        """(m, x): the tail level m of k-code j and the simplex x of X(m) that it carries."""
+        c = bisect_right(self.off[k], j) - 1
+        return self.tails[k][c], self.simp[k][self.tails[k][c]][j - self.off[k][c]]
 
-    return faces
+    def decode(self, k, j):
+        """The raw k-chain (m_0, a_1, ..., a_k, x) of code j."""
+        return self.chains[k][bisect_right(self.off[k], j) - 1] + self.point(k, j)[1:]
 
+    def encode(self, k, raw):
+        """The code of a raw k-chain."""
+        c = bisect_left(self.chains[k], raw[:-1])
+        return self.off[k][c] + self.pos[k][self.tails[k][c]][raw[-1]]
 
-def _hocolim_deg(I, raw, i):
-    """s_i of a raw chain cell: repeat level i, inserting the code of its identity."""
-    m = I.src[raw[i]] if i else raw[0]
-    return raw[:i + 1] + (I.ident[m],) + raw[i + 1:-1] + (apply_s(i, raw[-1]),)
+    def product(self, k, jl):
+        """Block sum of the arrows of k-codes j and l, with the product of their simplices."""
+        off, tails = self.off[k], self.tails[k]
+        c, d = (bisect_right(off, j) - 1 for j in jl)
+        return off[self.sums(k, c, d)] + self.xmul(k, tails[c], tails[d],
+                                                   jl[0] - off[c], jl[1] - off[d])
+
+    def masks(self, k, unit):
+        """ok[j], the bits 1 << i of the i with k-chain j in the image of s_i
+        (`deg`), in a bar slot where s_unit inserts the unit k-chain: there bit
+        `unit` is the unit chain's alone, and it has every bit."""
+        ok = [0] * len(self.heads[k])
+        for i in set(range(k)) - {unit}:
+            for j in self.deg[k - 1][i]:
+                ok[j] |= 1 << i
+        if 0 <= unit < k:
+            ok[self.unit[k]] = (1 << k) - 1
+        return ok
+
+    def bar_faces(self, k, zs):
+        """cols[i], the codes of d_i of every entry of zs, and the inner faces
+        d_i of the bar, 0 < i < k: cols[i] with entries i - 1 and i multiplied."""
+        cols, mul = tuple(tuple(map(f.__getitem__, zs)) for f in self.faces[k]), self.mul[k - 1]
+        return cols, tuple([c[:i - 1] + (mul[c[i - 1], c[i]],) + c[i + 1:]
+                            for i, c in enumerate(cols[1:k], 1)])
+
+    def bar_deg(self, k, zs, i):
+        """s_i of every entry of zs, with the unit (k + 1)-chain inserted at i."""
+        zd = tuple(map(self.deg[k][i].__getitem__, zs))
+        return zd[:i] + (self.unit[k + 1],) + zd[i:]
 
 
 def _elements(X, arrows, based=False):
@@ -528,23 +582,26 @@ def _elements(X, arrows, based=False):
 
 def _cell_point(tab, k, raw):
     """(m, x): the simplex x of X(m) that a raw k-cell of a homotopy colimit
-    carries: x of a chain (m_0, a_1, ..., a_s, x) of injection codes, at level
-    m_s, or the vertex p of the first object (m, p) of a chain of elements,
-    the source (`src`) of its first morphism."""
+    carries: on the diagonal that of its chain (`_ChainCodes.point`), whose
+    code is raw less the codes below dimension k, or the vertex p of the first
+    object (m, p) of a chain of elements, the source (`src`) of its first morphism."""
     C = tab.cat
-    if isinstance(C, CodedI):
-        return _tail_level(C, raw), raw[-1]
+    if isinstance(C, _ChainCodes):
+        return C.point(k, raw - C.shift[k])
     m, p = C.objects[C.src[raw[0]] if k else raw]
     return m, nd_ref(0, p)
 
 
-def _coded_chains(X, S, arrows):
-    """The Bousfield-Kan diagonal of X through dimension S on chains of the
-    injection codes `arrows` (`_chain_cells`), with `cat` the coded injections."""
-    I, faces = coded_injections(X.N), _hocolim_faces(X)
-    tab = normalize_table(_chain_cells(X, S, arrows), lambda k, raw: faces(raw),
-                          lambda k, raw, i: _hocolim_deg(I, raw, i), S)
-    tab.cat = I
+def _coded_chains(ch):
+    """The Bousfield-Kan diagonal of X through dimension K on the chain table
+    ch = `_ChainCodes(X, K, arrows)`, its `cat`.  One `ref_of` holds every
+    dimension, so the raw k-cells are the k-codes shifted past the codes below
+    (shift[k] + j); face rows and degeneracies are read from the table's arrays."""
+    sh, K = ch.shift, len(ch.faces) - 1
+    tab = normalize_table([range(sh[k], sh[k + 1]) for k in range(K + 1)],
+                          lambda k, j: [sh[k - 1] + f[j - sh[k]] for f in ch.faces[k]],
+                          lambda k, j, i: sh[k + 1] + ch.deg[k][i][j - sh[k]], K)
+    tab.cat = ch
     return tab
 
 
@@ -553,9 +610,10 @@ def _hocolim(X, S, arrows, based):
     morphisms of its index category), through dimension S: for a diagram of
     sets the nerve of its category of elements (Thomason), the opposite of
     `_coded_chains` (face i is its face s - i) with the same cells and
-    homology, in an order where SNF meets its pivots early; else that."""
+    homology, in an order where SNF meets its pivots early; else that, on
+    one chain table over `arrows`."""
     if any(n for L in X.levels for n in L.card[1:]):
-        tab = _coded_chains(X, S, arrows)
+        tab = _coded_chains(_ChainCodes(X, S, arrows))
     else:
         tab = nerve(_elements(X, arrows, based), S)
     return _based_quotient(X, tab) if based else tab
@@ -591,12 +649,13 @@ def _based_quotient(X, tab):
     a nerve of `_elements(X, arrows, based=True)` (checked) they are the first cut[k] nondegenerate
     k-cells, those whose first object is a basepoint, closed under faces when every morphism
     out of a basepoint object ends at one: each level is sliced (its top `Chains` at a prefix)
-    and refs move by the cut (`_moved_ref`).  The diagonal flags its cells, checks the faces of
-    its collapsed edges and moves refs by the collapsed ids (`_diagonal_ref`)."""
+    and refs move by the cut (`_moved_ref`).  The diagonal flags its cells, codes of its chain
+    table whose simplices are read by position, checks the faces of its collapsed edges and
+    moves refs by the collapsed ids (`_diagonal_ref`)."""
     if not X.is_based():
         raise ValueError("based homotopy colimit needs a based diagram")
     C = tab.cat
-    if isinstance(C, CodedI):
+    if isinstance(C, _ChainCodes):
         sub, raw_of = [], []
         for k, raws in enumerate(tab.raw_of):  # a byte per cell, a dimension at a time
             points = (_cell_point(tab, k, raw) for raw in raws)
@@ -649,16 +708,19 @@ def hocolim_map(ts, td, point):
     the simplex x of X(m) that it carries to point(m, x), natural in m: a level
     natural transformation, or the identity from the colimit over 0 < ... < N
     to the one over all injections.  Both tables come from one path of
-    `_hocolim`; on categories of elements it is the functor (a, p) -> (a, point(m, p))."""
-    C = ts.cat
-    if type(C) is not type(td.cat):
+    `_hocolim`: on the diagonal a cell's code is decoded in the chain table of ts
+    and its chain of arrows, carrying point(m, x), encoded in that of td; on
+    categories of elements it is the functor (a, p) -> (a, point(m, p))."""
+    C, D = ts.cat, td.cat
+    if type(C) is not type(D):
         raise ValueError("the two homotopy colimits are built on different paths")
-    if isinstance(C, CodedI):
-        return map_from_tables(ts, td, lambda k, r: r[:-1] + (point(*_cell_point(ts, k, r)),))
-    code = {f: i for i, f in enumerate(td.cat.morphisms)}
+    if isinstance(C, _ChainCodes):
+        return map_from_tables(ts, td, lambda k, r: D.shift[k] + D.encode(k, C.decode(
+            k, r - C.shift[k])[:-1] + (point(*_cell_point(ts, k, r)),)))
+    code = {f: i for i, f in enumerate(D.morphisms)}
     mor = LazyDict(lambda f: code[(C.morphisms[f][0], point(*_cell_point(ts, 1, (f,)))[2])])
     return map_from_tables(ts, td, lambda k, raw: tuple(map(mor.__getitem__, raw)) if k
-                           else td.cat.src[mor[C.ident[raw]]])
+                           else D.src[mor[C.ident[raw]]])
 
 
 # ---------------------------------------------------------------------------

@@ -622,6 +622,88 @@ def decode_chain(N, raw):
     return ((raw[0],) + tuple(f.src for f in arrows), tuple(f.image for f in arrows), raw[-1])
 
 
+def chain_cells(X, S, arrows):
+    """Raw cells of the simplicial replacement diagonal, dims 0..S.
+
+    A raw s-cell is the flat tuple (m_0, a_1, ..., a_s, x): the head level,
+    codes a_i: m_i -> m_{i-1} from the sorted codes `arrows` of
+    `icat.coded_injections(X.N)`, and x an s-simplex of X(m_s)
+    (`tail_level`).  Its length s + 2 keeps the dimensions apart.  Codes
+    run in (src, dst, image) order, so each target's bucket runs by source.
+    """
+    from ispaces.icat import coded_injections
+
+    I = coded_injections(X.N)
+    into = [[] for _ in range(X.N + 1)]
+    for a in arrows:
+        into[I.dst[a]].append((I.src[a], a))
+    chains = [[((m,), m) for m in range(X.N + 1)]]
+    for _ in range(S):
+        chains.append([(ch + (a,), m) for ch, n in chains[-1] for m, a in into[n]])
+    simp = [[X.level(m).all_simplices(s) for m in range(X.N + 1)] for s in range(S + 1)]
+    return [[ch + (x,) for ch, m in chains[s] for x in simp[s][m]] for s in range(S + 1)]
+
+
+def tail_level(I, raw):
+    """The level m_s of a raw chain cell (m_0, a_1, ..., a_s, x), on the codes of I."""
+    return I.src[raw[-2]] if len(raw) > 2 else raw[0]
+
+
+def hocolim_faces(X):
+    """Row kernel of the homotopy colimit of X: raw s-cell -> (d_0, ..., d_s).
+
+    d_0 drops the head, d_i for 0 < i < s composes arrows i and i + 1 on
+    their codes (`after`), and d_s drops the last arrow.  One memo lives as
+    long as the kernel, which is built once per construction:
+    (a_s, x) -> (d_0 x, ..., d_{s-1} x, d_s(X(a_s) x)).
+    """
+    from ispaces.icat import coded_injections
+
+    I = coded_injections(X.N)
+    src, after = I.src, I.after
+    memo = {}
+
+    def faces(raw):
+        s = len(raw) - 2
+        key = raw[-2:]
+        ds = memo.get(key)
+        if ds is None:
+            a, x = key
+            moved = X.act(I.morphisms[a])(x)
+            ds = memo[key] = (tuple(X.level(src[a]).d(i, x) for i in range(s))
+                              + (X.level(I.dst[a]).d(s, moved),))
+        row = [(src[raw[1]],) + raw[2:-1] + (ds[0],)]
+        for i in range(1, s):
+            row.append(raw[:i] + (after[raw[i]][raw[i + 1]],) + raw[i + 2:-1] + (ds[i],))
+        row.append(raw[:-2] + (ds[s],))
+        return tuple(row)
+
+    return faces
+
+
+def hocolim_deg(I, raw, i):
+    """s_i of a raw chain cell: repeat level i, inserting the code of its identity."""
+    from ispaces.simplicial import apply_s
+
+    m = I.src[raw[i]] if i else raw[0]
+    return raw[:i + 1] + (I.ident[m],) + raw[i + 1:-1] + (apply_s(i, raw[-1]),)
+
+
+def coded_chains_reference(X, S, arrows):
+    """`ispace._coded_chains` of `_ChainCodes(X, S, arrows)` on the raw tuples
+    of `chain_cells`, with faces and degeneracies formed on them: the
+    Bousfield-Kan diagonal of X through dimension S, its `cat` the coded
+    injections."""
+    from ispaces.icat import coded_injections
+    from ispaces.simplicial import normalize_table
+
+    I, faces = coded_injections(X.N), hocolim_faces(X)
+    tab = normalize_table(chain_cells(X, S, arrows), lambda k, raw: faces(raw),
+                          lambda k, raw, i: hocolim_deg(I, raw, i), S)
+    tab.cat = I
+    return tab
+
+
 def decode_element_chain(N, tab, k, raw):
     """A raw k-cell of a homotopy colimit built as the nerve of a category of
     elements (tab.cat, with objects (m, p) and morphisms (a, p) listed by
@@ -714,9 +796,8 @@ def chain_mul(A, I, z, w):
     block sum of their chains (`cmon._chain_sum`), carrying the product of
     their simplices at their tail levels."""
     from ispaces.cmon import _chain_sum
-    from ispaces.ispace import _tail_level
 
-    return _chain_sum(I, z, w, A.mul(_tail_level(I, z), _tail_level(I, w), z[-1], w[-1]))
+    return _chain_sum(I, z, w, A.mul(tail_level(I, z), tail_level(I, w), z[-1], w[-1]))
 
 
 def _unit_chain(A, I, s):
@@ -755,13 +836,12 @@ def bar_of_hocolim_reference(A, K):
     of its raw chain cells, with faces, products and degeneracies computed on
     them, not on codes.  Returns its `NormTable`."""
     from ispaces.icat import coded_injections
-    from ispaces.ispace import _chain_cells, _hocolim_deg, _hocolim_faces
     from ispaces.simplicial import normalize_table
 
     X, I = A.space, coded_injections(A.N)
-    raws = _chain_cells(X, K, range(len(I.morphisms)))
+    raws = chain_cells(X, K, range(len(I.morphisms)))
     cells = [tuples_bounded([_raw_pool(raws[k])] * k, A.N) for k in range(K + 1)]
-    faces, mul = _Memo(_hocolim_faces(X)), _Memo(partial(chain_mul, A, I))
+    faces, mul = _Memo(hocolim_faces(X)), _Memo(partial(chain_mul, A, I))
 
     def faces_fn(k, raw):
         cols = tuple(zip(*[faces[z,] for z in raw]))
@@ -769,7 +849,7 @@ def bar_of_hocolim_reference(A, K):
         return (cols[0][1:],) + middle + (cols[k][:-1],)
 
     def deg_fn(k, raw, i):
-        degged = tuple(_hocolim_deg(I, z, i) for z in raw)
+        degged = tuple(hocolim_deg(I, z, i) for z in raw)
         return degged[:i] + (_unit_chain(A, I, k + 1),) + degged[i:]
 
     return normalize_table(cells, faces_fn, deg_fn, K, based_raw=())
@@ -781,18 +861,18 @@ def two_sided_bar_reference(A, K):
     Returns its `NormTable`."""
     from ispaces.cmon import _chain_sum
     from ispaces.icat import coded_injections
-    from ispaces.ispace import _chain_cells, _hocolim_deg, _hocolim_faces, terminal_ispace
+    from ispaces.ispace import terminal_ispace
     from ispaces.simplicial import nd_ref, normalize_table
 
     X, I = A.space, coded_injections(A.N)
     T = terminal_ispace(A.N)
-    raws = _chain_cells(X, K, range(len(I.morphisms)))
-    t_raws = _chain_cells(T, K, range(len(I.morphisms)))
+    raws = chain_cells(X, K, range(len(I.morphisms)))
+    t_raws = chain_cells(T, K, range(len(I.morphisms)))
     cells = []
     for k in range(K + 1):
         pools = [_raw_pool(t_raws[k])] + [_raw_pool(raws[k])] * k + [_raw_pool(t_raws[k])]
         cells.append([(t[0], t[1:-1], t[-1]) for t in tuples_bounded(pools, A.N)])
-    faces, t_faces = _Memo(_hocolim_faces(X)), _Memo(_hocolim_faces(T))
+    faces, t_faces = _Memo(hocolim_faces(X)), _Memo(hocolim_faces(T))
     mul, plus = _Memo(partial(chain_mul, A, I)), _Memo(partial(_chain_sum, I))
 
     def faces_fn(k, raw):
@@ -807,8 +887,8 @@ def two_sided_bar_reference(A, K):
     def deg_fn(k, raw, i):
         c0, zs, c1 = raw
         unit = _unit_chain(A, I, k + 1)
-        zd = tuple(_hocolim_deg(I, z, i) for z in zs)
-        return (_hocolim_deg(I, c0, i), zd[:i] + (unit,) + zd[i:], _hocolim_deg(I, c1, i))
+        zd = tuple(hocolim_deg(I, z, i) for z in zs)
+        return (hocolim_deg(I, c0, i), zd[:i] + (unit,) + zd[i:], hocolim_deg(I, c1, i))
 
     zero_chain = (0, nd_ref(0, 0))
     return normalize_table(cells, faces_fn, deg_fn, K, based_raw=(zero_chain, (), zero_chain))
@@ -816,18 +896,18 @@ def two_sided_bar_reference(A, K):
 
 def bar_comparison_once_reference(A, D):
     """`cmon._bar_comparison_once` on the nested raw cells of the reference
-    bars: the middle term's cells are pushed to the right bar by dropping
-    their nerve chains, and to the left one by the block sum of all their
-    chains, with the bar cell in the blocks just past c0's."""
+    bars, with the left term on the raw chains of `coded_chains_reference`:
+    the middle term's cells are pushed to the right bar by dropping their
+    nerve chains, and to the left one by the block sum of all their chains,
+    with the bar cell in the blocks just past c0's."""
     from ispaces.cmon import BarComparisonReport, _chain_sum, bar
     from ispaces.icat import coded_injections
-    from ispaces.ispace import _coded_chains, _tail_level
     from ispaces.simplicial import homology, map_cone_homology, map_from_tables, pi0_classes
 
     K = D + 2
     B = bar(A, K)
     I = coded_injections(A.N)
-    tabs = {"left": _coded_chains(B.space, K, range(len(I.morphisms))),
+    tabs = {"left": coded_chains_reference(B.space, K, range(len(I.morphisms))),
             "middle": two_sided_bar_reference(A, K), "right": bar_of_hocolim_reference(A, K)}
 
     def to_left(k, raw):
@@ -835,10 +915,10 @@ def bar_comparison_once_reference(A, D):
         chain = c0
         for z in zs + (c1,):
             chain = _chain_sum(I, chain, z, None)
-        nvec = tuple(_tail_level(I, z) for z in zs)
-        start = _tail_level(I, c0)
+        nvec = tuple(tail_level(I, z) for z in zs)
+        start = tail_level(I, c0)
         image = tuple(range(start + 1, start + sum(nvec) + 1))
-        xref = B.ref(_tail_level(I, chain), len(zs), (nvec, image, tuple(z[-1] for z in zs)))
+        xref = B.ref(tail_level(I, chain), len(zs), (nvec, image, tuple(z[-1] for z in zs)))
         return chain[:-1] + (xref,)
 
     maps = {"middle_to_left": map_from_tables(tabs["middle"], tabs["left"], to_left),

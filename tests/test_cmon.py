@@ -8,7 +8,7 @@ from operator import ge
 
 import pytest
 
-from ispaces import cmon
+from ispaces import cmon, ispace
 from ispaces.cmon import (
     CommMonoidPres,
     _chain_sum,
@@ -29,15 +29,8 @@ from ispaces.cmon import (
     units,
     validate_monoid,
 )
-from ispaces.icat import coded_injections, injections
-from ispaces.ispace import (
-    _chain_cells,
-    _hocolim_deg,
-    _hocolim_faces,
-    free_ispace,
-    hocolim_I,
-    terminal_ispace,
-)
+from ispaces.icat import coded_injections, injections, subset_inclusion
+from ispaces.ispace import constant_ispace, free_ispace, hocolim_I, power_ispace, terminal_ispace
 from ispaces.scenarios import build_monoid
 from ispaces.simplicial import Chains, homology, pi0_classes
 
@@ -49,14 +42,20 @@ from oracles import (
     bounded_congruence,
     bounded_tuples,
     bounded_unit_search,
+    chain_cells,
     chain_mul,
     chain_sum_reference,
+    codes_of,
     decode_bar_cell,
     decode_chain,
     free_cmonoid,
+    hocolim_deg,
+    hocolim_faces,
     is_grouplike,
     iterated_bar_spectrum,
     sigma2_homology,
+    sphere,
+    tail_level,
     tuples_bounded,
     two_sided_bar_reference,
 )
@@ -322,8 +321,8 @@ def test_tuples_bounded_matches_oracle():
     to nested (levels, arrows, x), each pool once.
     """
     for N in (2, 3):
-        raws = _chain_cells(c1(N).space, 3, range(len(injections(N))))
-        t_raws = _chain_cells(terminal_ispace(N), 3, range(len(injections(N))))
+        raws = chain_cells(c1(N).space, 3, range(len(injections(N))))
+        t_raws = chain_cells(terminal_ispace(N), 3, range(len(injections(N))))
         for k in range(4):
             for chains in ([raws[k]] * k, [t_raws[k]] + [raws[k]] * k + [t_raws[k]]):
                 step = 1
@@ -415,31 +414,42 @@ def test_bar_top_holds_no_ref_until_one_is_looked_up():
                          ids=["c1-2", "c1-3"])
 def test_bar_comparison_matches_raw_reference(monkeypatch, build, D):
     """Every field of the bar comparison, with its stability flag, equals the
-    comparison of the raw-tuple reference bars."""
+    comparison of the raw-tuple reference bars, whose left term is the
+    diagonal on raw chains (`oracles.coded_chains_reference`); and both maps
+    out of the middle term, at N and N - 1, are simplicial."""
+    maps, real = [], cmon.map_from_tables
+
+    def recorded(*args):
+        maps.append(real(*args))
+        return maps[-1]
+
+    monkeypatch.setattr(cmon, "map_from_tables", recorded)
     got = bar_comparison(build(), D)
+    assert len(maps) == 4 and [f.validate() for f in maps] == [[]] * 4
     monkeypatch.setattr(cmon, "_bar_comparison_once", bar_comparison_once_reference)
     assert got == bar_comparison(build(), D)
 
 
 def test_bar_comparison_builds_one_chain_table_per_truncation(monkeypatch):
     """`bar_comparison(c1(3), 0)` builds the chain table of A_hI once per
-    truncation, N = 3 and N = 2, for both bars, and one of the terminal
-    diagram each: four tables, where a table per bar made six.  With the
-    cyclic collector off, every table dies with the call."""
+    truncation, N = 3 and N = 2, for both bars, and one table each of the
+    terminal diagram and of bar(A, 2).space, whose diagonal is the left term:
+    six tables, where a table per bar made eight.  With the cyclic collector
+    off, every table dies with the call."""
     builds, init = [], cmon._ChainCodes.__init__
 
-    def counted(ch, X, K, A=None):
+    def counted(ch, X, K, arrows, A=None):
         builds.append((X.N, K, A is not None, weakref.ref(ch)))
-        init(ch, X, K, A)
+        init(ch, X, K, arrows, A)
 
     monkeypatch.setattr(cmon._ChainCodes, "__init__", counted)
     gc.collect()
     gc.disable()
     try:
         bar_comparison(c1(3), 0)
-        assert sorted(b[:3] for b in builds) == [(2, 2, False), (2, 2, True),
-                                                 (3, 2, False), (3, 2, True)]
-        assert [b[3]() for b in builds] == [None] * 4
+        assert sorted(b[:3] for b in builds) == [(2, 2, False)] * 2 + [(2, 2, True)] + [
+            (3, 2, False)] * 2 + [(3, 2, True)]
+        assert [b[3]() for b in builds] == [None] * 6
     finally:
         gc.enable()
 
@@ -453,6 +463,8 @@ def test_bar_comparison_once_matches_raw_reference_off_flat():
 
 CHAIN_TABLES = {
     "c1": lambda: (c1(3).space, c1(3)),
+    "circle-power": lambda: (power_ispace(sphere(1), 2), None),
+    "constant-circle": lambda: (constant_ispace(sphere(1), 3), None),
     "sec52": lambda: (sec52_monoid(3).space, sec52_monoid(3)),
     "terminal": lambda: (terminal_ispace(3), None),
 }
@@ -460,34 +472,41 @@ CHAIN_TABLES = {
 
 @pytest.mark.parametrize("name", sorted(CHAIN_TABLES))
 def test_chain_codes_match_raw_chains(name):
-    """The positional chain table at K = 3 against the raw chains of
-    `_chain_cells`: every code decodes to the raw chain at its position and
-    encodes back, with its head level; its faces and degeneracies are the codes
-    of `_hocolim_faces` and `_hocolim_deg` of its raw chain; and, over a monoid,
-    its product with every code whose head level fits with its own in N is the
-    code of the chain product, and the unit is the code of the unit chain."""
+    """The positional chain table at K = 3, over every code and over the
+    linear ones (the standard inclusions m -> n), against the raw chains of
+    `oracles.chain_cells` over the same codes, on diagrams of sets and on the
+    two simplicial diagrams that the diagonal serves: every code decodes to
+    the raw chain at its position and encodes back, with its head level and
+    its tail level and simplex (`point`); its faces and degeneracies are the
+    codes of `hocolim_faces` and `hocolim_deg` of its raw chain; and, over a
+    monoid and every code, its product with every code whose head level fits
+    with its own in N is the code of the chain product, and the unit is the
+    code of the unit chain."""
     X, A = CHAIN_TABLES[name]()
-    ch, I = cmon._ChainCodes(X, 3, A), coded_injections(3)
-    raws, faces = _chain_cells(X, 3, range(len(I.morphisms))), _hocolim_faces(X)
-    products = 0
-    for k, level in enumerate(raws):
-        assert [ch.decode(k, j) for j in range(len(level))] == level
-        assert [ch.encode(k, raw) for raw in level] == list(range(len(level)))
-        assert list(ch.heads[k]) == [raw[0] for raw in level]
-        for j, raw in enumerate(level):
-            if k:
-                assert tuple(ch.decode(k - 1, f[j]) for f in ch.faces[k]) == faces(raw)
-            if k < 3:
-                assert [ch.decode(k + 1, s[j]) for s in ch.deg[k]] == [
-                    _hocolim_deg(I, raw, i) for i in range(k + 1)]
-            for l, other in enumerate(level if A else ()):
-                if raw[0] + other[0] <= 3:
-                    assert ch.decode(k, ch.mul[k][j, l]) == chain_mul(A, I, raw, other)
-                    products += 1
-        if A:
-            assert ch.decode(k, ch.unit[k]) == (0,) + (I.ident[0],) * k + (A.unit_ref(k),)
-    assert products == {"c1": 49 + 278 + 1479 + 8102, "sec52": 85 + 533 + 2885 + 15629,
-                        "terminal": 0}[name]
+    I, faces, products = coded_injections(X.N), hocolim_faces(X), 0
+    for arrows in (range(len(I.morphisms)), codes_of(X.N, lambda m, n: [subset_inclusion(m, n)])):
+        every = len(arrows) == len(I.morphisms)
+        ch, raws = cmon._ChainCodes(X, 3, arrows, A if every else None), chain_cells(X, 3, arrows)
+        for k, level in enumerate(raws):
+            assert [ch.decode(k, j) for j in range(len(level))] == level
+            assert [ch.encode(k, raw) for raw in level] == list(range(len(level)))
+            assert list(ch.heads[k]) == [raw[0] for raw in level]
+            assert [ch.point(k, j) for j in range(len(level))] == [
+                (tail_level(I, raw), raw[-1]) for raw in level]
+            for j, raw in enumerate(level):
+                if k:
+                    assert tuple(ch.decode(k - 1, f[j]) for f in ch.faces[k]) == faces(raw)
+                if k < 3:
+                    assert [ch.decode(k + 1, s[j]) for s in ch.deg[k]] == [
+                        hocolim_deg(I, raw, i) for i in range(k + 1)]
+                for l, other in enumerate(level if A and every else ()):
+                    if raw[0] + other[0] <= 3:
+                        assert ch.decode(k, ch.mul[k][j, l]) == chain_mul(A, I, raw, other)
+                        products += 1
+            if A and every:
+                assert ch.decode(k, ch.unit[k]) == (0,) + (I.ident[0],) * k + (A.unit_ref(k),)
+    assert products == {"c1": 49 + 278 + 1479 + 8102, "sec52": 85 + 533 + 2885 + 15629}.get(
+        name, 0)
 
 
 def test_chain_table_holds_no_raw_chain():
@@ -545,7 +564,8 @@ def test_chain_mul_called_once_per_pair(monkeypatch):
     A.mul = counted("mul", A.mul)
     monkeypatch.setattr(cmon._ChainCodes, "product",
                         counted("product", cmon._ChainCodes.product, lambda ch, k, jl: (k, jl)))
-    monkeypatch.setattr(cmon, "_chain_sum", counted("sum", cmon._chain_sum, lambda I, z, w: (z, w)))
+    monkeypatch.setattr(ispace, "_chain_sum",
+                        counted("sum", ispace._chain_sum, lambda I, z, w: (z, w)))
     classifying_space_homology(A, 2)
     assert all(seen and len(seen) == len(set(seen)) for seen in calls.values())
     assert len(calls["sum"]) < len(calls["product"])
@@ -558,7 +578,7 @@ def test_chain_sum_matches_block_sum_of_injections():
     sum to at most 4 through dimension 2, and every pair of 3-chains whose
     head levels are at most 2, so every pair of chains at truncation 2."""
     I = coded_injections(4)
-    cells = _chain_cells(terminal_ispace(4), 3, range(len(I.morphisms)))
+    cells = chain_cells(terminal_ispace(4), 3, range(len(I.morphisms)))
     pairs = 0
     for pool in cells[:3] + [[raw for raw in cells[3] if raw[0] <= 2]]:
         chains = [raw[:-1] + (None,) for raw in pool]

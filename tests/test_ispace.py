@@ -16,9 +16,7 @@ from ispaces.icat import (
 from ispaces.ispace import (
     R_functor,
     _based_quotient,
-    _chain_cells,
     _elements,
-    _hocolim_faces,
     box_multi,
     collapsing_ispace,
     constant_ispace,
@@ -43,10 +41,10 @@ from ispaces.simplicial import (
     simplicial_circle,
 )
 
-from oracles import (based_quotient_reference, codes_of, count_injections, decode_chain,
-                     decode_element_chain, hocolim_face_reference, hocolim_reference,
-                     is_injective, latching, opposite_ref, pairing_map, product_sset,
-                     refs_by_lookup, rho, sphere, subsets_of)
+from oracles import (based_quotient_reference, chain_cells, codes_of, count_injections,
+                     decode_chain, decode_element_chain, hocolim_face_reference, hocolim_faces,
+                     hocolim_reference, is_injective, latching, opposite_ref, pairing_map,
+                     product_sset, refs_by_lookup, rho, sphere, subsets_of)
 
 
 S0 = discrete(2, basepoint=0)
@@ -231,12 +229,12 @@ KERNEL_ARROWS = {  # index categories as the callbacks of the references
 @pytest.mark.parametrize("arrows", sorted(KERNEL_ARROWS))
 @pytest.mark.parametrize("diagram", sorted(KERNEL_DIAGRAMS))
 def test_hocolim_faces_kernel_matches_reference(diagram, arrows):
-    """The memoised row kernel gives the faces of the one-face formula on
-    every raw chain cell, degenerate ones included, over both index
-    categories."""
+    """The memoised row kernel of the raw-chain reference gives the faces of
+    the one-face formula on every raw chain cell, degenerate ones included,
+    over both index categories."""
     X = KERNEL_DIAGRAMS[diagram]()
-    cells = _chain_cells(X, 3, codes_of(X.N, KERNEL_ARROWS[arrows]))
-    faces = _hocolim_faces(X)
+    cells = chain_cells(X, 3, codes_of(X.N, KERNEL_ARROWS[arrows]))
+    faces = hocolim_faces(X)
     for s in range(1, 4):
         for raw in cells[s]:
             nested = decode_chain(X.N, raw)
@@ -249,6 +247,7 @@ REFERENCE_DIAGRAMS = {
     "free-1": lambda based: free_ispace(1, 3),
     "c1": lambda based: c1(3).space,
     "circle-power": lambda based: power_ispace(sphere(1), 2),
+    "constant-circle": lambda based: constant_ispace(sphere(1), 3),
 }
 
 
@@ -261,10 +260,12 @@ def test_hocolim_matches_nested_reference(diagram, arrows, based):
     A diagram of sets gives the nerve of its category of elements, the
     reference's opposite: decoding its raw cells (`decode_element_chain`) is
     a bijection of nondegenerate cells that sends face i to face s - i, with
-    the same cells per dimension and basepoint.  A simplicial diagram gives
-    the reference's normalized set itself on coded chains, each raw cell
-    decoding to the reference's cell of that id and having its ref.  The
-    free diagram has no basepoint, and both refuse its based form."""
+    the same cells per dimension and basepoint.  A simplicial diagram (the
+    circle power, the constant circle) gives the reference's normalized set
+    itself on codes of its chain table, the `cat`: each raw cell decodes
+    there to the reference's cell of that id, and each raw chain, encoded,
+    has its ref.  The free diagram has no basepoint, and both refuse its
+    based form."""
     X = REFERENCE_DIAGRAMS[diagram](based)
     build = hocolim_I if arrows == "injections" else hocolim_N
     if based and not X.is_based():
@@ -275,12 +276,14 @@ def test_hocolim_matches_nested_reference(diagram, arrows, based):
         return
     got = build(X, 3, based=based)
     want = hocolim_reference(X, 3, KERNEL_ARROWS[arrows], based)
-    if diagram == "circle-power":
+    if diagram in ("circle-power", "constant-circle"):
+        ch = got.cat  # a raw k-cell is a k-code shifted past the codes below
         assert got.sset == want.sset
-        assert [[decode_chain(X.N, raw) for raw in raws] for raws in got.raw_of] == want.raw_of
-        cells = _chain_cells(X, 3, codes_of(X.N, KERNEL_ARROWS[arrows]))
-        assert {decode_chain(X.N, raw): got.ref_of[raw]
-                for level in cells for raw in level} == want.ref_of
+        assert [[decode_chain(X.N, ch.decode(k, raw - ch.shift[k])) for raw in raws]
+                for k, raws in enumerate(got.raw_of)] == want.raw_of
+        cells = chain_cells(X, 3, codes_of(X.N, KERNEL_ARROWS[arrows]))
+        assert {decode_chain(X.N, raw): got.ref_of[ch.shift[k] + ch.encode(k, raw)]
+                for k, level in enumerate(cells) for raw in level} == want.ref_of
         return
     assert got.sset.card == want.sset.card
     assert got.sset.basepoint == want.sset.basepoint
@@ -313,7 +316,8 @@ def test_based_quotient_refs_match_eager_push():
     raw cell without a ref raises KeyError.  c1 is a diagram of sets, whose
     raw cells are chains in its category of elements, quotiented from its
     nerve in the based order (basepoint objects and the morphisms out of
-    them first); the circle power's are chains of injection codes."""
+    them first); the circle power's are the codes of its chain table, each
+    dimension's shifted past the codes below."""
     for diagram in ("c1", "circle-power"):
         X = REFERENCE_DIAGRAMS[diagram](True)
         if diagram == "c1":
@@ -321,7 +325,8 @@ def test_based_quotient_refs_match_eager_push():
             cells = _element_chains(unbased.cat, 3)
         else:
             unbased = hocolim_I(X, 3)
-            cells = _chain_cells(X, 3, range(len(injections(X.N))))
+            sh = unbased.cat.shift
+            cells = [range(sh[k], sh[k + 1]) for k in range(4)]
         tab = _based_quotient(X, unbased)
         lazy = tab.ref_of
         assert len(lazy) == 0

@@ -187,8 +187,8 @@ def test_a_face_outside_the_cells_raises_key_error():
 STREAMED = {
     "nerve": lambda: simplicial.nerve(icat.comma_under(1, 3), 3),
     "elements-hocolim": lambda: ispace.hocolim_I(ispace.terminal_ispace(3), 3),
-    "coded-chains": lambda: ispace._coded_chains(cmon.c1(3).space, 3,
-                                                 range(len(icat.injections(3)))),
+    "coded-chains": lambda: ispace._coded_chains(ispace._ChainCodes(
+        cmon.c1(3).space, 3, range(len(icat.injections(3))))),
     "bar-of-hocolim": lambda: cmon.bar_of_hocolim(cmon.c1(3), 3),
     "two-sided-bar-of-hocolim": lambda: cmon.two_sided_bar_of_hocolim(cmon.c1(3), 3),
     "box-level": lambda: ispace.box_multi(

@@ -31,7 +31,7 @@ from ispaces.simplicial import (
     validate_sset,
 )
 
-from ispaces.icat import CodedI, FinCategory, coded_injections, comma_under
+from ispaces.icat import FinCategory, coded_injections, comma_under
 from oracles import (based_maps, chain_boundary_reference, chains_where, comma_under_fincategory,
                      cyclic_group_category, entries, map_table_reference, nerve_reference,
                      nondegenerate_chains_reference, normalize_pair_ref, normalize_reference,
@@ -167,11 +167,12 @@ GUARDED_TABLES = {
 
 def _degenerate_top_cell(tab):
     """A degenerate raw cell of the top dimension: s_0 of the first cell below
-    it, on a nerve a chain with an identity, on injection codes `_hocolim_deg`."""
+    it, on a nerve a chain with an identity, on a diagonal the code of s_0
+    (`deg`) in its chain table, shifted past the codes below."""
     top, C = tab.sset.top_dim, tab.cat
     y = tab.raw_of[top - 1][0]
-    if isinstance(C, CodedI):  # the injection codes of a Bousfield-Kan diagonal
-        return ispace._hocolim_deg(C, y, 0)
+    if isinstance(C, ispace._ChainCodes):  # the chain table of a Bousfield-Kan diagonal
+        return C.shift[top] + C.deg[top - 1][0][y - C.shift[top - 1]]
     return (C.ident[C.src[y[0]]],) + y
 
 
