@@ -15,12 +15,12 @@ import heapq
 import json
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from itertools import accumulate, chain, combinations, repeat
+from itertools import accumulate, combinations, repeat
 from operator import add, and_, ge, getitem, itemgetter
 from typing import Callable, Optional
 
 from . import icat
-from .icat import coded_injections, concat, injections, shuffle
+from .icat import concat, injections, shuffle
 from .simplicial import (
     Chains,
     LazyDict,
@@ -43,7 +43,6 @@ from .ispace import (
     _box_deg,
     _box_face,
     _box_space,
-    _chain_sum,
     _ChainCodes,
     _coded_chains,
     _discrete_ispace,
@@ -658,25 +657,13 @@ def bar_of_hocolim(A, K, ch=None):
     colimit whose head levels sum to at most N: their positions in the chain
     table `ch` (built here unless given: `bar_comparison` gives the two-sided
     bar's), the table's `cat`, which decodes them; the top ones are given by
-    position (`_BarTop`).  Bar faces read the per-code face tables and multiply
-    adjacent entries once per pair of codes (`bar_faces`, unrolled for k = 2, 3).
+    position (`_BarTop`).  Face rows are the table's one bar-face rule
+    (`_ChainCodes.bar_faces`), which multiplies adjacent entries once per pair of codes.
     """
     ch = ch or _ChainCodes(A.space, K, range(len(injections(A.N))), A)
     cells = [[()]] + [list(Chains(*_bounded([ch.heads[k]] * k, A.N), None)) for k in range(1, K)]
     cells += [_BarTop([ch] * K, K, A.N)] if K else []
-
-    def faces_fn(k, zs):
-        if k == 2:  # the top of bar_comparison(A, 0): unrolled, a row is read eight times faster
-            (d0, d1, d2), (a, b) = ch.faces[2], zs
-            return (d0[b],), (ch.mul[1][d1[a], d1[b]],), (d2[a],)
-        if k != 3:
-            cols, middle = ch.bar_faces(k, zs)
-            return (cols[0][1:],) + middle + (cols[k][:-1],)
-        # the top of classifying_space_homology(A, 2): unrolled, a row is read three times faster
-        (d0, d1, d2, d3), m, (a, b, c) = ch.faces[3], ch.mul[2], zs
-        return (d0[b], d0[c]), (m[d1[a], d1[b]], d1[c]), (d2[a], m[d2[b], d2[c]]), (d3[a], d3[b])
-
-    tab = normalize_table(cells, faces_fn, ch.bar_deg, K, based_raw=())
+    tab = normalize_table(cells, ch.bar_faces, ch.bar_deg, K, based_raw=())
     tab.cat = ch
     return tab
 
@@ -687,28 +674,23 @@ def two_sided_bar_of_hocolim(A, K):
     Cells (c0, *zs, c1) carry a leading and a trailing nerve chain, coded in
     the `_ChainCodes` of the terminal diagram, around codes zs of chains of A_hI;
     the table's `cat` is the pair of chain tables (`bar_comparison` shares the
-    second with the one-sided bar).  The outer bar faces absorb
-    the boundary monoid entries into the nerve chains by block sum of the
-    decoded chains, once per pair of codes.
+    second with the one-sided bar).  Face rows are the one-sided bar's rows of
+    zs (`_ChainCodes.bar_faces`) between the faces of c0 and c1; the outer
+    faces absorb the boundary entry into a nerve chain by the block sum of
+    their chains of arrows by position (`sums`), once per pair of chains.
     """
-    I = coded_injections(A.N)
-    every = range(len(I.morphisms))
+    every = range(len(injections(A.N)))
     ch, t_ch = _ChainCodes(A.space, K, every, A), _ChainCodes(terminal_ispace(A.N), K, every)
     tabs = [[t_ch] + [ch] * k + [t_ch] for k in range(K + 1)]
     cells = [list(Chains(*_bounded([t.heads[k] for t in tabs[k]], A.N), None)) for k in range(K)]
     cells.append(_BarTop(tabs[K], K, A.N, lead=1))
-    # the nerve chains absorb an outer entry, keeping their point simplex
-    before = [LazyDict(lambda cz, k=k: t_ch.encode(k, _chain_sum(
-        I, t_ch.decode(k, cz[0]), ch.decode(k, cz[1]), t_ch.simp[k][0][0]))) for k in range(K)]
-    after = [LazyDict(lambda zc, k=k: t_ch.encode(k, _chain_sum(
-        I, ch.decode(k, zc[0]), t_ch.decode(k, zc[1]), t_ch.simp[k][0][0]))) for k in range(K)]
 
-    def faces_fn(k, raw):
-        c0f, c1f = ([f[c] for f in t_ch.faces[k]] for c in (raw[0], raw[-1]))
-        cols, middle = ch.bar_faces(k, raw[1:-1])
-        return (((before[k - 1][c0f[0], cols[0][0]],) + cols[0][1:] + (c1f[0],),)
-                + tuple((c0,) + zs + (c1,) for c0, zs, c1 in zip(c0f[1:k], middle, c1f[1:k]))
-                + ((c0f[k],) + cols[k][:-1] + (after[k - 1][cols[k][-1], c1f[k]],),))
+    def faces_fn(k, raw):  # a terminal code is its chain's position, among the chains of ch
+        zs, (c0f, c1f) = raw[1:-1], ([f[c] for f in t_ch.faces[k]] for c in (raw[0], raw[-1]))
+        rows, d0, dk = ch.bar_faces(k, zs), ch.faces[k][0][zs[0]], ch.faces[k][k][zs[-1]]
+        return ((ch.sums(k - 1, c0f[0], ch.chain(k - 1, d0)),) + rows[0] + (c1f[0],),
+                *[(c0,) + row + (c1,) for c0, row, c1 in zip(c0f[1:k], rows[1:k], c1f[1:k])],
+                (c0f[k],) + rows[k] + (ch.sums(k - 1, ch.chain(k - 1, dk), c1f[k]),))
 
     def deg_fn(k, raw, i):
         return ((t_ch.deg[k][i][raw[0]],) + ch.bar_deg(k, raw[1:-1], i)
@@ -743,29 +725,26 @@ class BarComparisonReport:
 
 def _bar_comparison_once(A, D):
     """The comparison at A's truncation, both bars of A_hI on one chain table of it, and the
-    left term, hocolim_I of the bar, the diagonal of a chain table of bar(A, K)."""
+    left term, hocolim_I of the bar, the diagonal of a chain table of bar(A, K).  The three
+    tables list the same chains of arrows, so the map to the left term adds the chains of a
+    middle cell by position (`sums`) and reads the left code from the sum and the bar cell."""
     K = D + 2
     B = bar(A, K)
-    I = coded_injections(A.N)
-    left = _ChainCodes(B.space, K, range(len(I.morphisms)))  # to_left encodes in it
+    left = _ChainCodes(B.space, K, range(len(injections(A.N))))
     left_tab = _coded_chains(left)
     middle_tab = two_sided_bar_of_hocolim(A, K)
     t_ch, ch = middle_tab.cat
     right_tab = bar_of_hocolim(A, K, ch)
 
     def to_left(k, raw):
-        c0, c1 = t_ch.decode(k, raw[0]), t_ch.decode(k, raw[-1])
-        zs = tuple(ch.decode(k, z) for z in raw[1:-1])
-        chain = c0
-        for z in zs + (c1,):
-            chain = _chain_sum(I, chain, z, None)
+        nvec, xs = tuple(zip(*map(partial(ch.point, k), raw[1:-1]))) or ((), ())
+        # a terminal code is its chain's position; sums adds chains left to right
+        c = reduce(partial(ch.sums, k), [*map(partial(ch.chain, k), raw[1:-1]), raw[-1]], raw[0])
         # the bar cell's blocks sit side by side, just past c0's block, with c1's last
-        nvec = tuple(ch.point(k, z)[0] for z in raw[1:-1])
-        start = t_ch.point(k, raw[0])[0]
+        start = t_ch.tails[k][raw[0]]
         image = tuple(range(start + 1, start + sum(nvec) + 1))
-        xref = B.ref(start + sum(nvec) + t_ch.point(k, raw[-1])[0], len(zs),
-                     (nvec, image, tuple(z[-1] for z in zs)))
-        return left.shift[k] + left.encode(k, chain[:-1] + (xref,))
+        xref = B.ref(start + sum(nvec) + t_ch.tails[k][raw[-1]], len(xs), (nvec, image, xs))
+        return left.shift[k] + left.off[k][c] + left.pos[k][left.tails[k][c]][xref]
 
     f_right = map_from_tables(middle_tab, right_tab, lambda k, raw: raw[1:-1])  # the same X codes
     f_left = map_from_tables(middle_tab, left_tab, to_left)

@@ -793,9 +793,9 @@ class _Memo(dict):
 
 def chain_mul(A, I, z, w):
     """Monoid product on raw homotopy-colimit cells of equal length: the
-    block sum of their chains (`cmon._chain_sum`), carrying the product of
+    block sum of their chains (`ispace._chain_sum`), carrying the product of
     their simplices at their tail levels."""
-    from ispaces.cmon import _chain_sum
+    from ispaces.ispace import _chain_sum
 
     return _chain_sum(I, z, w, A.mul(tail_level(I, z), tail_level(I, w), z[-1], w[-1]))
 
@@ -859,7 +859,7 @@ def two_sided_bar_reference(A, K):
     """`cmon.two_sided_bar_of_hocolim` on nested raw cells (c0, zs, c1), whose
     outer faces absorb the end entries into the nerve chains by block sum.
     Returns its `NormTable`."""
-    from ispaces.cmon import _chain_sum
+    from ispaces.ispace import _chain_sum
     from ispaces.icat import coded_injections
     from ispaces.ispace import terminal_ispace
     from ispaces.simplicial import nd_ref, normalize_table
@@ -900,7 +900,8 @@ def bar_comparison_once_reference(A, D):
     the middle term's cells are pushed to the right bar by dropping their
     nerve chains, and to the left one by the block sum of all their chains,
     with the bar cell in the blocks just past c0's."""
-    from ispaces.cmon import BarComparisonReport, _chain_sum, bar
+    from ispaces.cmon import BarComparisonReport, bar
+    from ispaces.ispace import _chain_sum
     from ispaces.icat import coded_injections
     from ispaces.simplicial import homology, map_cone_homology, map_from_tables, pi0_classes
 

@@ -11,7 +11,6 @@ import pytest
 from ispaces import cmon, ispace
 from ispaces.cmon import (
     CommMonoidPres,
-    _chain_sum,
     _complete,
     _normal_form,
     bar,
@@ -30,7 +29,8 @@ from ispaces.cmon import (
     validate_monoid,
 )
 from ispaces.icat import coded_injections, injections, subset_inclusion
-from ispaces.ispace import constant_ispace, free_ispace, hocolim_I, power_ispace, terminal_ispace
+from ispaces.ispace import (_chain_sum, constant_ispace, free_ispace, hocolim_I, power_ispace,
+                            terminal_ispace)
 from ispaces.scenarios import build_monoid
 from ispaces.simplicial import Chains, homology, pi0_classes
 
@@ -372,14 +372,15 @@ CODED_BAR_MONOIDS = {"c1-2": lambda: c1(2), "c1-3": lambda: c1(3),
 ], ids=["one-sided", "two-sided"])
 def test_coded_bars_match_raw_reference(name, build, reference):
     """Both bars on chain codes against the raw-tuple builders at K = 2, the
-    truncation of `bar_comparison(A, 0)` whose top 2-cells `bar_of_hocolim`
-    unrolls, and at K = 3: the cells decoded through the chain tables, the
-    cells per dimension, the basepoint, every face row, and the ref of every
-    top cell, degenerate ones included, are the reference's.  A tuple that is
-    no cell, of the wrong length or with a code past its pool, raises
-    KeyError from `ref_of`."""
+    truncation of `bar_comparison(A, 0)`, and at K = 3, the two dimensions
+    whose face rows `_ChainCodes.bar_faces` unrolls, and for c1(2) at K = 4,
+    where its generic rule multiplies entries of 4-cells: the cells decoded
+    through the chain tables, the cells per dimension, the basepoint, every
+    face row, and the ref of every top cell, degenerate ones included, are
+    the reference's.  A tuple that is no cell, of the wrong length or with a
+    code past its pool, raises KeyError from `ref_of`."""
     A = CODED_BAR_MONOIDS[name]()
-    for K in (2, 3):
+    for K in (2, 3, 4) if name == "c1-2" else (2, 3):
         got, want = build(A, K), reference(A, K)
         assert ([[decode_bar_cell(got, k, cell) for cell in cells]
                  for k, cells in enumerate(got.raw_of)] == want.raw_of)
@@ -434,13 +435,19 @@ def test_bar_comparison_builds_one_chain_table_per_truncation(monkeypatch):
     """`bar_comparison(c1(3), 0)` builds the chain table of A_hI once per
     truncation, N = 3 and N = 2, for both bars, and one table each of the
     terminal diagram and of bar(A, 2).space, whose diagonal is the left term:
-    six tables, where a table per bar made eight.  With the cyclic collector
-    off, every table dies with the call."""
-    builds, init = [], cmon._ChainCodes.__init__
+    six tables, where a table per bar made eight.  The block sums by position
+    rely on two facts checked here: the tables of one truncation list the same
+    chains of arrows, and the terminal diagram's codes are its chain positions
+    (one simplex per level and dimension).  With the cyclic collector off,
+    every table dies with the call."""
+    builds, chains, init = [], {}, cmon._ChainCodes.__init__
 
     def counted(ch, X, K, arrows, A=None):
         builds.append((X.N, K, A is not None, weakref.ref(ch)))
         init(ch, X, K, arrows, A)
+        chains.setdefault(X.N, []).append(ch.chains)
+        if all(level.card == (1,) for level in X.levels):  # the terminal diagram
+            assert ch.off == [list(range(len(level) + 1)) for level in ch.chains]
 
     monkeypatch.setattr(cmon._ChainCodes, "__init__", counted)
     gc.collect()
@@ -450,6 +457,9 @@ def test_bar_comparison_builds_one_chain_table_per_truncation(monkeypatch):
         assert sorted(b[:3] for b in builds) == [(2, 2, False)] * 2 + [(2, 2, True)] + [
             (3, 2, False)] * 2 + [(3, 2, True)]
         assert [b[3]() for b in builds] == [None] * 6
+        assert sorted(chains) == [2, 3]
+        assert all(len(tables) == 3 and tables.count(tables[0]) == 3
+                   for tables in chains.values())
     finally:
         gc.enable()
 

@@ -426,6 +426,15 @@ def test_based_nerve_opens_each_level_with_the_collapsed_cells(monkeypatch, mono
     assert spread
 
 
+def test_diagonal_builds_no_head_levels():
+    """Only the bars read a chain table's head levels: after the homology
+    through degree 1 of the Bousfield-Kan diagonal of the constant circle at
+    N = 3, its table holds them for no dimension."""
+    tab = hocolim_I(constant_ispace(simplicial_circle(), 3), 3)
+    assert homology(tab.sset, 1).groups == {0: (1, ()), 1: (1, ())}
+    assert len(tab.cat.heads) == 0
+
+
 @pytest.mark.parametrize("S", [1, 2, 3])
 def test_hocolim_N_of_an_empty_diagram(S):
     """F_1 restricted to truncation 0 is empty (there is no injection 1 -> 0),
