@@ -13,11 +13,10 @@ between the bar construction of the diagram monoid and of its homotopy colimit.
 
 import heapq
 import json
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from functools import partial, reduce
 from itertools import accumulate, combinations, repeat
 from operator import add, and_, ge, getitem, itemgetter
-from typing import Callable, Optional
 
 from . import icat
 from .icat import concat, injections, shuffle
@@ -50,11 +49,11 @@ from .ispace import (
     restrict,
     terminal_ispace,
 )
-from .util import least_roots
+from .util import field, least_roots, record, replace
 from .zlinalg import ColumnMatrix, rank_and_torsion
 
 
-@dataclass
+@record
 class CIMonoidT:
     """Commutative monoid object for the box product, at truncation N.
 
@@ -255,7 +254,7 @@ def cyclic2_monoid(N):
 # Component monoids and their presentations.
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class CommMonoidPres:
     """Finite presentation of a commutative monoid.
 
@@ -416,7 +415,7 @@ def grothendieck_group(pres):
 # Units.
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class UnitVerdict:
     """Per-class unit status with replayable certificates."""
 
@@ -477,7 +476,7 @@ def _support(vec):
     return {j for j, t in enumerate(vec) if t}
 
 
-@dataclass
+@record
 class UnitsReport:
     units_monoid: "CIMonoidT"
     inclusion: dict  # level -> SMap
@@ -707,11 +706,10 @@ def two_sided_bar_of_hocolim(A, K):
 # ---------------------------------------------------------------------------
 
 def restrict_monoid(A, N1):
-    return CIMonoidT(restrict(A.space, N1), A.unit, A.mul, name=A.name,
-                     meta=dict(A.meta))
+    return replace(A, space=restrict(A.space, N1), meta=dict(A.meta))
 
 
-@dataclass
+@record
 class BarComparisonReport:
     """Homology of the three bar-side spaces and the two comparison maps."""
 
@@ -719,7 +717,7 @@ class BarComparisonReport:
     pi0: dict  # term -> component count
     map_iso: dict  # "middle_to_left" | "middle_to_right" -> bool
     cones: dict  # map name -> cone homology groups
-    stable: Optional[bool] = None
+    stable: bool | None = None
     trunc: int = 0
 
 

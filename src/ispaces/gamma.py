@@ -12,9 +12,8 @@ map, in place of the product (Eilenberg-Zilber; Eilenberg & Mac Lane, Ann.
 Math. 58, 1953).
 """
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from functools import partial
-from typing import Callable, Optional
 
 from .simplicial import (
     LazyDict,
@@ -31,9 +30,10 @@ from .simplicial import (
 )
 from .ispace import _cell_point, box_multi, hocolim_I, hocolim_map
 from .cmon import _based_action, class_presentation, unit_verdicts
+from .util import field, record
 
 
-@dataclass
+@record
 class GammaSpaceT:
     """Based functor on finite based sets up to a bound, evaluated lazily.
 
@@ -44,7 +44,7 @@ class GammaSpaceT:
     K: int
     values: list
     act_fn: Callable
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict)
 
     def act(self, phi, k, l):
         key = (phi, k, l)
@@ -105,12 +105,12 @@ def projection_map(k, l, which):
     return tuple([0] * k + list(range(1, l + 1)))
 
 
-@dataclass
+@record
 class SpecialVerdict:
     verdict: str  # special-evidence | refuted | inconclusive
-    witness: Optional[dict] = None
-    very_special: Optional[str] = None  # yes | refuted | unknown (only when K < 2)
-    very_special_witness: Optional[dict] = None
+    witness: dict | None = None
+    very_special: str | None = None  # yes | refuted | unknown (only when K < 2)
+    very_special_witness: dict | None = None
     detail: dict = field(default_factory=dict)
 
 
@@ -245,7 +245,7 @@ def smash_index(l):
     return pair_to_point
 
 
-@dataclass
+@record
 class BiGammaT:
     """Two-variable based functor obtained by smashing the arguments."""
 
@@ -279,11 +279,11 @@ def bi_gamma_from(A, K, S):
     return BiGammaT(K, gam)
 
 
-@dataclass
+@record
 class EckmannHiltonReport:
     passed: bool
     products: dict  # (class a, class b) -> (row product, column product)
-    witness: Optional[dict] = None
+    witness: dict | None = None
 
 
 def eckmann_hilton_check(X):

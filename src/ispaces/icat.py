@@ -5,9 +5,10 @@ stored as its image tuple: alpha maps i to image[i - 1].  Concatenation is
 the block sum, and the block shuffles tau interchange the summands.
 """
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import permutations
+
+from .util import record, replace
 
 
 class Injection(tuple):
@@ -92,7 +93,7 @@ def injections(N):
     return tuple(f for m in range(N + 1) for n in range(N + 1) for f in enumerate_injections(m, n))
 
 
-@dataclass
+@record
 class CodedCategory:
     """A finite category on dense integer codes.
 
@@ -108,6 +109,10 @@ class CodedCategory:
     dst: list
     ident: list
     after: list
+
+    def __init__(self, objects, morphisms, src, dst, ident, after):
+        self.objects, self.morphisms, self.src = objects, morphisms, src
+        self.dst, self.ident, self.after = dst, ident, after
 
 
 def coded_category(objects, morphisms, ends, ident, compose):
@@ -126,7 +131,7 @@ def coded_category(objects, morphisms, ends, ident, compose):
                           for g, j in zip(morphisms, src)])
 
 
-@dataclass
+@record
 class FinCategory:
     """Finite category as explicit tables, checked on the way to its codes.
 

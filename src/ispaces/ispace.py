@@ -15,12 +15,11 @@ and the semistability diagnostic.
 
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from functools import cache, lru_cache, partial
 from itertools import accumulate, chain, compress, count, product as iproduct, repeat
 from math import prod
 from operator import not_
-from typing import Callable, Optional
 from weakref import proxy
 
 from . import icat
@@ -46,10 +45,10 @@ from .simplicial import (
     validate_sset,
     vertex_ref,
 )
-from .util import least_roots
+from .util import field, least_roots, record
 
 
-@dataclass
+@record
 class ISpaceT:
     """Functor from the truncated injection category to simplicial sets."""
 
@@ -330,7 +329,7 @@ def _box_deg(raw, i):
     return (nvec, alpha, tuple(apply_s(i, r) for r in xrefs))
 
 
-@dataclass
+@record
 class BoxISpace:
     """An I-space whose levels are colimits of raw cells (nvec, image, xs).
 
@@ -742,12 +741,12 @@ def hocolim_map(ts, td, point):
 # Flatness.
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class FlatCertificate:
     """Verdict plus a replayable witness when flatness fails."""
 
     flat: bool
-    witness: Optional[dict] = None
+    witness: dict | None = None
 
     def replay(self, X):
         """Re-run the cited check; True iff the violation reproduces."""
@@ -829,10 +828,10 @@ def R_functor(X):
     return RX, j
 
 
-@dataclass
+@record
 class SemistabilityVerdict:
     verdict: str  # evidence-for | refuted | inconclusive
-    witness: Optional[dict] = None
+    witness: dict | None = None
     detail: dict = field(default_factory=dict)
 
 

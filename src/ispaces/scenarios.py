@@ -9,19 +9,18 @@ next lower truncation.
 import json
 import re
 import time
-from dataclasses import dataclass
-from typing import Optional
 
 from . import cmon, gamma, icat, ispace, simplicial
+from .util import record
 
 
-@dataclass
+@record
 class RunConfig:
     trunc: int = 3
     deg: int = 1
-    chains: Optional[int] = None  # defaults to deg + 2
-    scenarios: Optional[list] = None
-    out: Optional[str] = None
+    chains: int | None = None  # defaults to deg + 2
+    scenarios: list | None = None
+    out: str | None = None
     jobs: int = 1
     timings: bool = False
 
@@ -47,7 +46,7 @@ class RunConfig:
                 "unit_bound": 4, "jobs": self.jobs}
 
 
-@dataclass
+@record
 class ScenarioReport:
     name: str
     config: dict

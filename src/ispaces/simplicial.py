@@ -41,12 +41,10 @@ normal form over arbitrary-precision integers; see `zlinalg`.
 
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from itertools import accumulate, combinations, compress, count, repeat
-from typing import Optional
 
-from .util import least_roots
+from .util import field, least_roots, record, replace
 from .zlinalg import ColumnMatrix, rank_and_torsion
 
 
@@ -110,7 +108,7 @@ def apply_word(word, ref):
     return ref
 
 
-@dataclass(frozen=True)
+@record
 class SSet:
     """Finite simplicial set: nondegenerate simplex counts plus face refs.
 
@@ -125,7 +123,16 @@ class SSet:
     card: tuple
     face: tuple  # per dimension, a list or FaceRows of face tuples
     complete: bool = False
-    basepoint: Optional[int] = None
+    basepoint: int | None = None
+
+    def __init__(self, card, face, complete=False, basepoint=None):  # set past __setattr__
+        object.__setattr__(self, "card", card)
+        object.__setattr__(self, "face", face)
+        object.__setattr__(self, "complete", complete)
+        object.__setattr__(self, "basepoint", basepoint)
+
+    def __setattr__(self, name, value):  # frozen
+        raise AttributeError(f"cannot assign to {name!r}: an SSet is frozen")
 
     @property
     def top_dim(self):
@@ -296,15 +303,19 @@ class TopRefs(dict):
         return self[raw]
 
 
-@dataclass
+@record
 class NormTable:
-    """A normalized SSet, raw -> ref (compare it by lookups) and raw_of[k][x],
-    the raw cell of the nondegenerate k-simplex x."""
+    """A normalized SSet, ref_of: raw -> ref (left out of `==` with cat: compare
+    it by lookups) and raw_of[k][x], the raw cell of the nondegenerate k-simplex x."""
 
     sset: SSet
     ref_of: dict = field(compare=False)
     raw_of: list
-    cat: object = field(default=None, compare=False)  # what the codes of raw cells name
+    cat: object = field(compare=False)  # what the codes of raw cells name
+
+    def __init__(self, sset, ref_of, raw_of, cat=None):
+        self.sset, self.ref_of = sset, ref_of
+        self.raw_of, self.cat = raw_of, cat
 
 
 def normalize_table(cells, faces_fn, deg_fn, top_dim, complete=False, based_raw=None):
@@ -370,7 +381,7 @@ def normalize_table(cells, faces_fn, deg_fn, top_dim, complete=False, based_raw=
 # Maps of simplicial sets.
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class SMap:
     """Map of simplicial sets, stored on nondegenerate source simplices.
 
@@ -383,6 +394,9 @@ class SMap:
     src: SSet
     dst: SSet
     table: dict  # (k, id) -> ref in dst
+
+    def __init__(self, src, dst, table):
+        self.src, self.dst, self.table = src, dst, table
 
     def __call__(self, ref):
         degs, base_dim, base_id = ref
@@ -592,12 +606,15 @@ def component_subcomplex(X, reps):
 # Chains and homology.
 # ---------------------------------------------------------------------------
 
-@dataclass
+@record
 class ChainComplex:
     """Normalized chains: basis counts and sparse integer boundary maps."""
 
     counts: list
     boundaries: list  # boundaries[k]: ColumnMatrix of d_k: C_k -> C_{k-1}, column x = d_k x
+
+    def __init__(self, counts, boundaries):
+        self.counts, self.boundaries = counts, boundaries
 
     def count(self, k):
         return self.counts[k] if 0 <= k < len(self.counts) else 0
@@ -639,13 +656,16 @@ def _boundary_columns(rows):
             yield x, col
 
 
-@dataclass
+@record
 class HomologyReport:
     """Integral homology by degree: free rank and sorted torsion coefficients."""
 
     groups: dict  # k -> (rank, tuple of torsion coefficients)
     skeleton_dim: int
     complete: bool
+
+    def __init__(self, groups, skeleton_dim, complete):
+        self.groups, self.skeleton_dim, self.complete = groups, skeleton_dim, complete
 
     def group(self, k):
         return self.groups.get(k, (0, ()))

@@ -21,10 +21,11 @@ included, must be read in that function's body, except `self` and the
 parameters listed in `UNREAD_ALLOWED` with their reasons.  So must every
 local that a function binds by a single-name assignment; names bound by
 tuple unpacking are exempt.  Every name a module imports must be read in
-that module.  Every field of a dataclass in `src/ispaces/` must be read
-(see `test_every_dataclass_field_is_read`), and so must every module-level
-constant (see `test_every_constant_is_read`).  The checks use the standard
-`ast` module only.
+the scope it binds, where no function, lambda or comprehension around the
+read binds the name again.  Every field of a record class in `src/ispaces/`
+must be read (see `test_every_dataclass_field_is_read`), and so must every
+module-level constant (see `test_every_constant_is_read`).  The checks use the
+standard `ast` module only.
 """
 
 import ast
@@ -51,9 +52,11 @@ UNREAD_ALLOWED = {
         "a bar top finds its degenerate cells from chain masks, with no ref",
     ("scenario_grothendieck", "cfg"): "run_all calls every registry scenario with its RunConfig",
     ("cmd_scenario", "args"): "main calls every subcommand as fn(args, cfg); --name is in cfg",
+    ("__setattr__", "value"): "Python calls __setattr__(self, name, value); SSet is frozen "
+                              "and refuses every assignment, whatever the value",
 }
 
-# (class name, field) -> why the dataclass field stays although it is unread.
+# (class name, field) -> why the record field stays although it is unread.
 UNREAD_FIELDS_ALLOWED = {
     ("EckmannHiltonReport", "products"):
         "the returned table of row and column products is the evidence behind the verdict",
@@ -202,18 +205,70 @@ def test_every_parameter_is_read():
     assert not unread, "parameters never read: " + ", ".join(unread)
 
 
+_SCOPES = (ast.FunctionDef, ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp,
+           ast.GeneratorExp)
+
+
+def _imported(node):
+    return [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+
+
+def _bound(scope):
+    """Names that a function, lambda or comprehension binds: its parameters or
+    comprehension targets, and the names its own body stores or imports (a
+    nested scope's body is its own)."""
+    if isinstance(scope, (ast.FunctionDef, ast.Lambda)):
+        a = scope.args
+        names = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p}
+        stack = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    else:
+        names, stack = set(), [g.target for g in scope.generators]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(_imported(node))
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _import_reads(tree):
+    """(imports, reads): (scope, name, line) of each import, and (scope, name)
+    of each name read, where scope is the innermost function, lambda or
+    comprehension around it that binds the name, or None for the module."""
+    imports, reads = [], set()
+
+    def visit(node, chain):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add((next((s for s, b in reversed(chain) if node.id in b), None), node.id))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            imports.extend((chain[-1][0] if chain else None, name, node.lineno)
+                           for name in _imported(node))
+        inner = chain + [(node, _bound(node))] if isinstance(node, _SCOPES) else chain
+        body = getattr(node, "body", None) if isinstance(node, _SCOPES) else None
+        body = body if isinstance(body, list) else [body]
+        for child in ast.iter_child_nodes(node):
+            # decorators, defaults and annotations are read in the enclosing scope
+            outer = isinstance(node, (ast.FunctionDef, ast.Lambda)) and child not in body
+            visit(child, chain if outer else inner)
+
+    visit(tree, [])
+    return imports, reads
+
+
 def test_every_local_is_read():
     unread = []
     for path in sorted((ROOT / "src" / "ispaces").glob("*.py")):
         tree = ast.parse(path.read_text())
-        used = _loaded(tree)
+        imports, reads = _import_reads(tree)
+        unread += [f"{path.name}:{line} import {name}" for scope, name, line in imports
+                   if (scope, name) not in reads]
         for node in ast.walk(tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                for alias in node.names:
-                    name = (alias.asname or alias.name).split(".")[0]
-                    if name not in used:
-                        unread.append(f"{path.name}:{node.lineno} import {name}")
-            elif isinstance(node, ast.FunctionDef):
+            if isinstance(node, ast.FunctionDef):
                 loaded = _loaded(node)
                 for sub in ast.walk(node):
                     if not isinstance(sub, ast.Assign):
@@ -287,17 +342,21 @@ def test_every_optional_parameter_is_set():
     assert not unset, "optional parameters never set: " + ", ".join(unset)
 
 
-def _is_dataclass(node):
-    return any(isinstance(d, ast.Name) and d.id == "dataclass"
-               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
-               for d in node.decorator_list)
+def _is_record(node):
+    """Whether a class is decorated `@record` (`util.record`)."""
+    return any(isinstance(d, ast.Name) and d.id == "record" for d in node.decorator_list)
+
+
+RECORD_CLASSES = 22  # cmon 5, gamma 4, icat 2, ispace 4, scenarios 2, simplicial 5
 
 
 def test_every_dataclass_field_is_read():
-    """Every field of a dataclass in `src/ispaces/` is read somewhere.
+    """Every field of a record class (`util.record`) in `src/ispaces/` is read
+    somewhere, and there are RECORD_CLASSES of them, so that a renamed
+    decorator cannot leave this test checking nothing.
 
     An attribute read `v.f` in `src/`, `tests/` or `perfbench/` reaches the
-    field f of every dataclass, except that `self.f` inside a class reaches
+    field f of every record class, except that `self.f` inside a class reaches
     that class's f only, and so does `v.f` when every assignment of a call of
     a class to the name v calls the same class (`cfg = RunConfig(...)`).
     `getattr(v, "f")` and `hasattr(v, "f")` reach every field f.  Fields
@@ -306,10 +365,11 @@ def test_every_dataclass_field_is_read():
     fields = {}  # class name -> {field: path:line}
     for path in sorted((ROOT / "src" / "ispaces").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            if isinstance(node, ast.ClassDef) and _is_record(node):
                 fields[node.name] = {
                     sub.target.id: f"{path.name}:{sub.lineno}" for sub in node.body
                     if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)}
+    assert len(fields) == RECORD_CLASSES, sorted(fields)
     trees = [ast.parse(path.read_text()) for top in ("src", "tests", "perfbench")
              for path in sorted((ROOT / top).rglob("*.py"))]
     bound = {}  # name -> classes whose calls are assigned to it
@@ -342,7 +402,7 @@ def test_every_dataclass_field_is_read():
     unread = [f"{where} {cls}.{f}" for cls, fs in fields.items() for f, where in fs.items()
               if (cls, f) not in read and (None, f) not in read
               and (cls, f) not in UNREAD_FIELDS_ALLOWED]
-    assert not unread, "dataclass fields never read: " + ", ".join(unread)
+    assert not unread, "record fields never read: " + ", ".join(unread)
 
 
 def test_every_constant_is_read():
