@@ -6,6 +6,7 @@ the configuration; stability flags always come from an actual re-run at the
 next lower truncation.
 """
 
+import gc
 import json
 import re
 import time
@@ -316,16 +317,22 @@ REGISTRY = {
 
 
 def run_scenario(name, cfg):
+    """Run one scenario with the cyclic collector paused: no ispaces object
+    is in a reference cycle, so reference counting frees each table
+    (`test_scenarios_leave_no_cycles`); the caller's collector state comes
+    back on every exit (`test_run_scenario_restores_the_collector`)."""
     if name not in REGISTRY:
         raise ValueError(f"unknown scenario {name!r}")
     bad = cfg.validate()
     if bad:
         raise ValueError("; ".join(bad))
     fn, min_trunc = REGISTRY[name]
-    t0 = time.time()
+    t0 = time.perf_counter()
     if cfg.trunc < min_trunc:
         checks = [_skip(name, "insufficient truncation")]
     else:
+        enabled = gc.isenabled()
+        gc.disable()
         try:
             checks = fn(cfg)
         except MemoryError:
@@ -334,7 +341,10 @@ def run_scenario(name, cfg):
             checks = [_fail(name, "budget exhausted: recursion depth")]
         except ValueError as e:
             checks = [_fail(name, f"refused: {e}")]
-    return ScenarioReport(name, cfg.echo(), checks, time.time() - t0)
+        finally:
+            if enabled:
+                gc.enable()
+    return ScenarioReport(name, cfg.echo(), checks, time.perf_counter() - t0)
 
 
 def run_all(cfg):

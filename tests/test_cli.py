@@ -1,4 +1,5 @@
 import concurrent.futures
+import gc
 import json
 
 import pytest
@@ -46,6 +47,41 @@ def test_flat_suite_skips_the_collapsing_checks_at_truncation_one():
     skipped = [c["name"] for c in r.checks if c["verdict"] == "skipped"]
     assert skipped == ["nonflat-collapsing", "witness-replays"]
     assert r.passed()
+
+
+def _stub(outcome, seen):
+    def scenario(cfg):
+        seen.append(gc.isenabled())
+        if outcome is not None:
+            raise outcome("stub")
+        return []
+    return scenario
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("outcome, reason", [
+    (None, None),
+    (ValueError, "refused: stub"),
+    (MemoryError, "budget exhausted: out of memory"),
+    (KeyError, None),
+])
+def test_run_scenario_restores_the_collector(monkeypatch, enabled, outcome, reason):
+    """A scenario runs with the cyclic collector paused, and `run_scenario`
+    leaves the collector as it found it, whether the scenario returns, is
+    refused, runs out of memory or raises past it."""
+    seen = []
+    monkeypatch.setitem(REGISTRY, "stub", (_stub(outcome, seen), 1))
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if outcome is KeyError:
+            with pytest.raises(KeyError):
+                run_scenario("stub", RunConfig(trunc=1))
+        else:
+            r = run_scenario("stub", RunConfig(trunc=1))
+            assert [c["reason"] for c in r.checks] == ([reason] if reason else [])
+        assert seen == [False] and gc.isenabled() is enabled
+    finally:
+        gc.enable()
 
 
 def test_reports_are_deterministic():

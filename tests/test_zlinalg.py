@@ -3,13 +3,13 @@
 import random
 import time
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, permutations
 
 import pytest
 
 from ispaces import simplicial, zlinalg
 from ispaces.cmon import c1, classifying_space_homology
-from ispaces.icat import comma_under
+from ispaces.icat import coded_category, comma_under
 from ispaces.simplicial import (
     SMap,
     chain_complex,
@@ -133,6 +133,46 @@ def test_clearing_keeps_odd_torsion_of_cyclic_group_nerve(monkeypatch):
     assert groups[1] == (0, (3,))
     monkeypatch.setattr(simplicial, "rank_and_torsion", _no_clearing)
     assert homology(bz3, 2).groups == groups
+
+
+def _symmetric_group(n):
+    return sorted(permutations(range(n))), lambda g, f: tuple(g[i] for i in f)
+
+
+GROUPS = {  # elements, identity first, and the product
+    "Z/4": (list(range(4)), lambda a, b: (a + b) % 4),
+    "S3": _symmetric_group(3),
+    "S4": _symmetric_group(4),
+}
+
+
+@pytest.mark.parametrize("group, degrees, expected", [
+    ("Z/4", (3,), [(0, (4,))]),
+    ("S3", (1, 2, 3), [(0, (2,)), (0, ()), (0, (6,))]),
+    ("S4", (2,), [(0, (2,))]),
+])
+def test_torsion_of_group_nerves_past_two(monkeypatch, group, degrees, expected):
+    """H_3(BZ/4) = Z/4; H_1, H_2, H_3 of BS_3 = Z/2, 0, Z/6; H_2(BS_4) = Z/2
+    (Adem & Milgram, Cohomology of Finite Groups), on the nerve of the group as
+    a one-object category, with and without clearing.  Z/6 is one composite
+    invariant factor, which the dense residue pass forms."""
+    elements, mul = GROUPS[group]
+    D = max(degrees)
+    X = nerve(coded_category(["*"], elements, lambda g: ("*", "*"), lambda o: elements[0], mul),
+              D + 1).sset
+    dense, factors = zlinalg._dense_smith, []
+
+    def recorded(cols):
+        out = dense(cols)
+        factors.extend(out)
+        return out
+
+    monkeypatch.setattr(zlinalg, "_dense_smith", recorded)
+    assert [homology(X, D).group(k) for k in degrees] == expected
+    monkeypatch.setattr(simplicial, "rank_and_torsion", _no_clearing)
+    assert [homology(X, D).group(k) for k in degrees] == expected
+    if group == "S3":
+        assert 6 in factors
 
 
 def test_homology_clears_each_degree_by_the_pivots_below(monkeypatch):
