@@ -63,19 +63,20 @@ class GammaSpaceT:
 def gamma_of_monoid(A, K, S):
     """The functor k+ -> based homotopy colimit of the k-fold box power.
 
-    The one-variable value shares the code path of the based homotopy
-    colimit of the carrier itself; based maps act on box factors via the
-    monoid multiplication.  Box powers and homotopy colimits are built
-    through dimension S.
+    The value at 1+ is that of the carrier itself, the one-fold power, whose
+    x in A(n) is the raw cell ((n,), (1..n), (x,)) and A(m -> n)(y) the class
+    of ((m,), image, (y,)); based maps act on box factors via the monoid
+    multiplication.  Box powers and homotopy colimits are built through
+    dimension S.
     """
     if K < 0:
         raise ValueError("based-set size bound must be nonnegative")
-    boxes = [None]
-    for k in range(1, K + 1):
+    boxes = [None, None]
+    for k in range(2, K + 1):
         boxes.append(box_multi(tuple(A.space for _ in range(k)), S, based=True))
     tabs = [None]
     for k in range(1, K + 1):
-        tabs.append(hocolim_I(boxes[k].space, S, based=True))
+        tabs.append(hocolim_I(boxes[k].space if k > 1 else A.space, S, based=True))
     values = [point()] + [t.sset for t in tabs[1:]]
 
     def act_fn(phi, k, l):
@@ -85,8 +86,15 @@ def gamma_of_monoid(A, K, S):
         if l == 0:
             return SMap(values[k], values[0], LazyDict(lambda key: vertex_ref(key[0], 0)))
 
-        return hocolim_map(tabs[k], tabs[l], lambda n, x: boxes[l].ref(
-            n, ref_dim(x), _based_action(A, phi, l, ref_dim(x), boxes[k].raw(n, x))))
+        def image(n, x):
+            raw = boxes[k].raw(n, x) if k > 1 else ((n,), tuple(range(1, n + 1)), (x,))
+            cell = _based_action(A, phi, l, ref_dim(x), raw)
+            if l > 1:
+                return boxes[l].ref(n, ref_dim(x), cell)
+            (m,), img, (y,) = cell
+            return A.space.act((m, n, img))(y)
+
+        return hocolim_map(tabs[k], tabs[l], image)
 
     gam = GammaSpaceT(K, values, act_fn)
     gam.tabs = tabs

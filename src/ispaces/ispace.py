@@ -41,7 +41,6 @@ from .simplicial import (
     nerve,
     normalize_table,
     pi0,
-    ref_dim,
     validate_sset,
     vertex_ref,
 )
@@ -400,44 +399,11 @@ def box_multi(factors, dim_bound, based=False):
     product of the factor levels (see `_box_classes`); the canonical
     representative of a class is its lexicographically smallest raw cell.
     """
-    if len(factors) == 1:
-        return _box_single(factors[0], dim_bound)
     base = ((0,) * len(factors), (), tuple(nd_ref(0, f.level(0).basepoint) for f in factors))
     levels = {}  # the factor levels and cofaces of every call (`_box_classes`)
     return _box_space(min(f.N for f in factors),
                       lambda n, k: _box_classes(factors, n, k, n, levels),
                       partial(_box_face, factors), dim_bound, base=base if based else None)
-
-
-def _box_single(X, dim_bound):
-    """One-factor box product: canonically the I-space itself.
-
-    The class of ((m,), alpha, (x,)) is X(alpha)(x); representatives live at
-    the identity decomposition, so the colimit is X(n) on the nose.  Raw
-    cells are resolved on their first lookup (`_single_class`).
-    """
-    tables, canon = [], []
-    for n in range(X.N + 1):
-        head = ((n,), identity(n).image)
-        canon.append([LazyDict(partial(_single_class, X, head, dim))
-                      for dim in range(dim_bound + 1)])
-        ref_of = {head + ((r,),): r for k in range(dim_bound + 1)
-                  for r in X.level(n).all_simplices(k)}
-        raw_of = [[head + ((nd_ref(k, x),),) for x in range(card)]
-                  for k, card in enumerate(X.level(n).card)]
-        tables.append(NormTable(X.level(n), ref_of, raw_of))
-    return BoxISpace(X, tables, canon, _box_deg)
-
-
-def _single_class(X, head, dim, raw):
-    """The class head + ((X(alpha)(x),),) of a raw dim-cell ((m,), image, (x,))
-    of a one-factor box, at its identity decomposition `head`.  An injection
-    is the tuple (src, dst, image), so a key that names none misses."""
-    (m,), img, (x,) = raw
-    y = X.act((m, head[0][0], img))(x)
-    if ref_dim(y) != dim:
-        raise KeyError(raw)
-    return head + ((y,),)
 
 
 # ---------------------------------------------------------------------------

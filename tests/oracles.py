@@ -1334,6 +1334,41 @@ def identity_based(k):
     return tuple(range(1, k + 1))
 
 
+def one_block(B, n, x):
+    """The simplex of level n of a one-factor box B that x, a simplex of its
+    factor at level n, stands for: the class of the raw cell ((n,), (1..n), (x,))."""
+    from ispaces.simplicial import ref_dim
+
+    return B.ref(n, ref_dim(x), ((n,), tuple(range(1, n + 1)), (x,)))
+
+
+def gamma_through_boxes(A, K, S):
+    """The Gamma-space of A with every value k+ >= 1+ the based homotopy
+    colimit of the k-fold `ispace.box_multi` power, the one-fold power
+    included, and each based map pushed through the boxes' `raw` and `ref`:
+    the reference for `gamma.gamma_of_monoid`, which reads 1+ off the carrier.
+    Returns the GammaSpaceT, its box powers and its homotopy-colimit tables,
+    each list indexed by k (None at 0)."""
+    from ispaces.cmon import _based_action
+    from ispaces.gamma import GammaSpaceT
+    from ispaces.ispace import box_multi, hocolim_I, hocolim_map
+    from ispaces.simplicial import LazyDict, SMap, nd_ref, point, ref_dim, vertex_ref
+
+    boxes = [None] + [box_multi((A.space,) * k, S, based=True) for k in range(1, K + 1)]
+    tabs = [None] + [hocolim_I(B.space, S, based=True) for B in boxes[1:]]
+    values = [point()] + [t.sset for t in tabs[1:]]
+
+    def act_fn(phi, k, l):
+        if k == 0:
+            return SMap(values[0], values[l], {(0, 0): nd_ref(0, values[l].basepoint)})
+        if l == 0:
+            return SMap(values[k], values[0], LazyDict(lambda key: vertex_ref(key[0], 0)))
+        return hocolim_map(tabs[k], tabs[l], lambda n, x: boxes[l].ref(
+            n, ref_dim(x), _based_action(A, phi, l, ref_dim(x), boxes[k].raw(n, x))))
+
+    return GammaSpaceT(K, values, act_fn), boxes, tabs
+
+
 def validate_gamma(X, K_check=None):
     """Defects of a `gamma.GammaSpaceT` through k+ <= K_check: a value at 0+
     that is no point, maps that are no simplicial maps or not based, and

@@ -21,7 +21,7 @@ from ispaces.ispace import (_box_classes, box_multi, collapsing_ispace, constant
                             free_ispace, power_ispace)
 from ispaces.simplicial import LazyDict, SSet, apply_s, nd_ref, ref_dim, simplicial_circle
 
-from oracles import box_colimit, is_injective, latching, sphere, words
+from oracles import box_colimit, is_injective, latching, one_block, sphere, words
 
 
 def _assert_matches_oracle(classes, oracle):
@@ -36,11 +36,12 @@ def _assert_matches_oracle(classes, oracle):
 
 
 def test_box_multi_matches_oracle():
-    """The box powers that the registry scenarios build, and a pair of two
-    different factors, through the dimensions given."""
+    """The box powers that the registry scenarios build, the one-fold powers
+    of their factors and a pair of two different factors, through the
+    dimensions given."""
     C, M = c1(3).space, sec52_monoid(2).space
-    for factors, dim_bound, based in (((C, C), 3, True), ((C, C, C), 3, True),
-                                      ((M, M), 2, False), ((M,) * 3, 2, False),
+    for factors, dim_bound, based in (((C,), 3, True), ((C, C), 3, True), ((C, C, C), 3, True),
+                                      ((M,), 2, False), ((M, M), 2, False), ((M,) * 3, 2, False),
                                       ((M,) * 4, 2, False), ((C, free_ispace(1, 3)), 2, False)):
         B = box_multi(factors, dim_bound, based=based)
         for n in range(B.space.N + 1):
@@ -63,6 +64,32 @@ def test_skeleton_matches_oracle_off_the_scenarios(name):
                                        box_colimit(factors, n, dim, n))
 
 
+@pytest.mark.parametrize("name", ["c1", "m52", "constant-circle"])
+def test_the_one_factor_box_is_its_factor(name):
+    """x -> the class of ((n,), (1..n), (x,)) is, at each level n, a bijection
+    of the nondegenerate simplices of X(n) onto those of the one-factor box
+    through its top dimension, and it commutes with faces and with every
+    structure map; the constant circle has simplices above dimension 0."""
+    X = {"c1": lambda: c1(3).space, "m52": lambda: sec52_monoid(2).space,
+         "constant-circle": lambda: constant_ispace(simplicial_circle(), 2)}[name]()
+    top = 2
+    B = box_multi((X,), top)
+    for n in range(X.N + 1):
+        Xn, Bn = X.level(n), B.space.level(n)
+        for k in range(top + 1):
+            nondeg = [nd_ref(k, x) for x in range(Xn.card[k] if k < len(Xn.card) else 0)]
+            assert sorted(one_block(B, n, r) for r in nondeg) == [
+                nd_ref(k, y) for y in range(Bn.card[k])], (n, k)
+            for r in nondeg if k else ():
+                for i in range(k + 1):
+                    assert one_block(B, n, Xn.d(i, r)) == Bn.d(i, one_block(B, n, r)), (n, r, i)
+    for alpha, f in X.maps.items():
+        for k in range(top + 1):
+            for r in X.level(alpha.src).all_simplices(k):
+                assert one_block(B, alpha.dst, f(r)) == B.space.act(alpha)(
+                    one_block(B, alpha.src, r)), (alpha, r)
+
+
 def test_a_key_that_is_no_raw_cell_raises_key_error():
     C = c1(3).space
     x0, x9, e0 = nd_ref(0, 0), nd_ref(0, 99), apply_s(0, nd_ref(0, 0))
@@ -79,7 +106,7 @@ def test_a_key_that_is_no_raw_cell_raises_key_error():
         with pytest.raises(KeyError):
             classes[key]
     single = box_multi((C,), 1).canon[3][0]
-    assert single[((2,), (3, 1), (x0,))] == ((3,), (1, 2, 3), (C.act(Injection(2, 3, (3, 1)))(x0),))
+    assert single[((2,), (3, 1), (x0,))] == box_colimit((C,), 3, 0, 3)[((2,), (3, 1), (x0,))]
     for key in (((2,), (3, 3), (x0,)), ((2,), (3, 1), (x9,)), ((2,), (3, 1), (e0,)),
                 ((4,), (1, 2, 3, 4), (x0,))):
         with pytest.raises(KeyError):

@@ -12,6 +12,7 @@ from ispaces.gamma import (
     projection_map,
     smash_index,
 )
+from ispaces.ispace import _cell_point
 from ispaces.simplicial import (
     SMap,
     discrete,
@@ -27,6 +28,8 @@ from ispaces.simplicial import (
 from oracles import (
     based_maps,
     compose_based,
+    gamma_through_boxes,
+    one_block,
     pairing_map,
     product_sset,
     prolong,
@@ -107,6 +110,38 @@ def test_gamma_maps_validate():
     maps += [(phi, 3, 1) for phi in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))]
     for phi, k, l in maps:
         assert G.act(phi, k, l).validate() == [], (phi, k, l)
+
+
+@pytest.mark.parametrize("build,K", [(lambda: c1(3), 3), (lambda: sec52_monoid(2), 4)],
+                         ids=["c1-3", "m52-2"])
+def test_maps_at_one_match_the_one_factor_box(build, K):
+    """Every based map k+ -> l+ with k or l equal to 1 (k, l <= 3) is
+    simplicial, and its vertex images are those of the Gamma-space that
+    builds 1+ from the one-factor box (`oracles.gamma_through_boxes`),
+    vertices matched by their cells (m, x), x read in the box by `one_block`."""
+    A = build()
+    G = gamma_of_monoid(A, K, 2)
+    R, boxes, tabs = gamma_through_boxes(A, K, 2)
+
+    def matching(k):  # vertex of G's value at k+ -> vertex of R's
+        if k == 0:
+            return {0: 0}
+        at = {_cell_point(tabs[k], 0, raw): w for w, raw in enumerate(tabs[k].raw_of[0])}
+        out = {}
+        for v, raw in enumerate(G.tabs[k].raw_of[0]):
+            m, x = _cell_point(G.tabs[k], 0, raw)
+            out[v] = at[m, one_block(boxes[1], m, x) if k == 1 else x]
+        assert out[G.values[k].basepoint] == R.values[k].basepoint
+        assert sorted(out.values()) == list(range(R.values[k].card[0]))
+        return out
+
+    match = [matching(k) for k in range(4)]
+    for k, l in sorted({(1, l) for l in range(4)} | {(k, 1) for k in range(4)}):
+        for phi in based_maps(k, l):
+            f, g = G.act(phi, k, l), R.act(phi, k, l)
+            assert f.validate() == [], (phi, k, l)
+            assert all(match[l][f(nd_ref(0, v))[2]] == g(nd_ref(0, w))[2]
+                       for v, w in match[k].items()), (phi, k, l)
 
 
 def test_gamma_value_one_is_based_hocolim():

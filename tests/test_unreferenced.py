@@ -260,13 +260,17 @@ def _import_reads(tree):
     return imports, reads
 
 
+def _unread_imports(tree):
+    """(name, line) of each import that no read in its own scope matches."""
+    imports, reads = _import_reads(tree)
+    return [(name, line) for scope, name, line in imports if (scope, name) not in reads]
+
+
 def test_every_local_is_read():
     unread = []
     for path in sorted((ROOT / "src" / "ispaces").glob("*.py")):
         tree = ast.parse(path.read_text())
-        imports, reads = _import_reads(tree)
-        unread += [f"{path.name}:{line} import {name}" for scope, name, line in imports
-                   if (scope, name) not in reads]
+        unread += [f"{path.name}:{line} import {name}" for name, line in _unread_imports(tree)]
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef):
                 loaded = _loaded(node)
@@ -277,6 +281,16 @@ def test_every_local_is_read():
                         if isinstance(t, ast.Name) and t.id not in loaded:
                             unread.append(f"{path.name}:{sub.lineno} {node.name}: {t.id}")
     assert not unread, "bound but never read: " + ", ".join(unread)
+
+
+def test_an_import_is_matched_by_scope():
+    # a function that binds and reads its own local of an imported name reads
+    # no import, and a nested function that binds no such name reads it
+    shadowed = "from itertools import chain\n\ndef f(xs):\n    chain = list(xs)\n    return chain\n"
+    nested = ("from itertools import chain\n\n"
+              "def f(xs):\n    def g():\n        return chain(xs)\n    return g\n")
+    assert _unread_imports(ast.parse(shadowed)) == [("chain", 1)]
+    assert _unread_imports(ast.parse(nested)) == []
 
 
 def _callee(node):
