@@ -23,6 +23,8 @@ from .simplicial import (
     cone_homology,
     nd_ref,
     pi0,
+    pi0_classes,
+    pi0_image,
     point,
     ref_dim,
     tensor_complex,
@@ -144,43 +146,38 @@ def _min_levels(X, k):
     return out
 
 
-def _component_pairing(G, big, pa, pb, k, l):
-    """Components of `big` against pairs of components of G's values at k+, l+.
+def _component_pairing(G, maps, k, l):
+    """Components of the maps' one source against pairs of components of G's
+    values at k+, l+, the first two maps' targets.
 
-    Returns (ok, image, pairs): each component representative's components
-    under pa and pb, the number of pairs to reach, and whether the image is a
-    bijection onto them.  With colimit provenance only pairs within the level
-    bound count: truncation bars the full surjection for graded monoids.
+    Returns (ok, image, pairs): `pi0_image(maps)`, the number of pairs to
+    reach, and whether the first two entries of the image are a bijection
+    onto them.  With colimit provenance only pairs within the level bound
+    count: truncation bars the full surjection for graded monoids.
     """
-    ra, rb, rbig = pi0(G.values[k]), pi0(G.values[l]), pi0(big)
-    image = {}
-    for v in range(big.card[0]):
-        (_, _, a), (_, _, b) = pa(nd_ref(0, v)), pb(nd_ref(0, v))
-        image[rbig[v]] = (ra[a], rb[b])
+    image = pi0_image(maps)
+    ca, cb = pi0_classes(G.values[k]), pi0_classes(G.values[l])
     mla, mlb = _min_levels(G, k), _min_levels(G, l)
     if mla is None or mlb is None:
-        n_pairs = len(set(ra.values())) * len(set(rb.values()))
+        n_pairs = len(ca) * len(cb)
     else:
-        n_pairs = sum(1 for ca in set(ra.values()) for cb in set(rb.values())
-                      if mla[ca] + mlb[cb] <= G.monoid.N)
-    return len(set(image.values())) == len(image) == n_pairs, image, n_pairs
+        n_pairs = sum(1 for a in ca for b in cb if mla[a] + mlb[b] <= G.monoid.N)
+    ok = len({c[:2] for c in image.values()}) == len(image) == n_pairs
+    return ok, image, n_pairs
 
 
 def pi0_monoid_of_gamma(X):
     """The fold-induced monoid on components of the value at 1+.
 
-    Products are defined through components of the value at 2+ when the
-    projection pairing reaches them; the result is a presentation over the
-    non-basepoint component classes.
+    Each component of the value at 2+ gives the product of its two
+    projections, its image under the fold; the result is a presentation over
+    the non-basepoint component classes.
     """
     one = X.values[1]
-    fold = X.act((1, 1), 2, 1)
-    _, image, _ = _component_pairing(X, X.values[2], X.act(projection_map(1, 1, 1), 2, 1),
-                                     X.act(projection_map(1, 1, 2), 2, 1), 1, 1)
-    r1 = pi0(one)
-    # the fold, like the projections, keeps a component in one component
-    products = ((a, b, r1[fold(nd_ref(0, c))[2]]) for c, (a, b) in image.items())
-    return class_presentation(sorted(set(r1.values())), r1[one.basepoint], products)
+    maps = [X.act(phi, 2, 1) for phi in (projection_map(1, 1, 1), projection_map(1, 1, 2),
+                                         (1, 1))]
+    return class_presentation(pi0_classes(one), pi0(one)[one.basepoint],
+                              pi0_image(maps).values())
 
 
 def is_special(X, D=0):
@@ -206,7 +203,7 @@ def is_special(X, D=0):
             A, B, V = X.values[k], X.values[l], X.values[k + l]
             p1 = X.act(projection_map(k, l, 1), k + l, k)
             p2 = X.act(projection_map(k, l, 2), k + l, l)
-            ok, image, want = _component_pairing(X, V, p1, p2, k, l)
+            ok, image, want = _component_pairing(X, (p1, p2), k, l)
             detail[f"pi0({k},{l})"] = {"classes": len(image), "pairs": want, "ok": ok}
             if not ok and witness is None:
                 witness = {"check": "pi0", "pair": (k, l),
@@ -260,9 +257,6 @@ class BiGammaT:
     K: int
     gamma: GammaSpaceT
 
-    def value(self, k, l):
-        return self.gamma.values[k * l]
-
     def act1(self, phi, k, l, k2):
         """Action of phi: k+ -> k2+ in the first variable."""
         sm_dst = smash_index(l)
@@ -306,21 +300,15 @@ def eckmann_hilton_check(X):
     on the value at 2+, one cached map.  A real interchange check needs both
     variables at 2+ or more.
     """
-    r1 = pi0(X.value(1, 1))
     folds = []
-    for k, l, which, act in ((2, 1, "rows", lambda phi: X.act1(phi, 2, 1, 1)),
-                             (1, 2, "columns", lambda phi: X.act2(1, phi, 2, 1))):
-        ok, image, want = _component_pairing(X.gamma, X.value(k, l), act((1, 0)), act((0, 1)),
+    for which, act in (("rows", lambda phi: X.act1(phi, 2, 1, 1)),
+                       ("columns", lambda phi: X.act2(1, phi, 2, 1))):
+        ok, image, want = _component_pairing(X.gamma, (act((1, 0)), act((0, 1)), act((1, 1))),
                                              1, 1)
         if not ok:
             raise ValueError(f"bi-special component pairing fails for {which}: "
                              f"{len(image)} classes vs {want} pairs")
-        fold = act((1, 1))  # keeps a component in one component: read it at the representative
-        fold_of = {}
-        for c, pair in image.items():
-            _, _, v = fold(nd_ref(0, c))
-            fold_of[pair] = r1[v]
-        folds.append(fold_of)
+        folds.append({(a, b): c for a, b, c in image.values()})
     prod_row, prod_col = folds
     products = {}
     witness = None

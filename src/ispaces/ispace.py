@@ -40,7 +40,8 @@ from .simplicial import (
     nd_ref,
     nerve,
     normalize_table,
-    pi0,
+    pi0_classes,
+    pi0_image,
     validate_sset,
     vertex_ref,
 )
@@ -604,17 +605,10 @@ def _pushed_ref(push, refs, raw):
     return push(refs[raw])
 
 
-def _moved_ref(cut, ref):
-    """The ref that a ref moves to in the quotient by the first cut[k] nondegenerate k-cells:
-    the degenerate basepoint, or its id less cut[k] (vertex 0 is the basepoint)."""
-    degs, base_dim, base_id = ref
-    if base_id < cut[base_dim]:
-        return vertex_ref(len(degs) + base_dim, 0)
-    return (degs, base_dim, base_id - cut[base_dim] + (base_dim == 0))
-
-
-def _diagonal_ref(sub, ref):
-    """`_moved_ref` for the sorted collapsed ids sub[k], which need not come first."""
+def _moved_ref(sub, ref):
+    """The ref that a ref moves to in the quotient by the sorted collapsed ids sub[k]: the
+    degenerate basepoint, or its id less the collapsed ids below it (vertex 0 is the
+    basepoint)."""
     degs, base_dim, base_id = ref
     ids = sub[base_dim]
     i = bisect_left(ids, base_id)
@@ -629,9 +623,9 @@ def _based_quotient(X, tab):
     a nerve of `_elements(X, arrows, based=True)` (checked) they are the first cut[k] nondegenerate
     k-cells, those whose first object is a basepoint, closed under faces when every morphism
     out of a basepoint object ends at one: each level is sliced (its top `Chains` at a prefix)
-    and refs move by the cut (`_moved_ref`).  The diagonal flags its cells, codes of its chain
-    table whose simplices are read by position, checks the faces of its collapsed edges and
-    moves refs by the collapsed ids (`_diagonal_ref`)."""
+    and its collapsed ids are the range below the cut.  The diagonal flags its cells, codes of
+    its chain table whose simplices are read by position, and checks the faces of its
+    collapsed edges.  Both move refs by the collapsed ids (`_moved_ref`)."""
     if not X.is_based():
         raise ValueError("based homotopy colimit needs a based diagram")
     C = tab.cat
@@ -644,22 +638,21 @@ def _based_quotient(X, tab):
             sub.append(list(compress(count(), flags)))
             raw_of.append(list(compress(raws, map(not_, flags))))
         closed = {r[2] for ids in sub[1:2] for x in ids for r in tab.sset.face[1][x]} <= {*sub[0]}
-        base, push = sub[0][-1], LazyDict(partial(_diagonal_ref, sub))
     else:
         b = sum(at_bp := [p == X.level(m).basepoint for m, p in C.objects])
         out = sum(map(b.__gt__, C.src))  # the morphisms out of basepoint objects, coded first
         if not (all(at_bp[:b]) and all(map(b.__gt__, C.src[:out]))):
             raise ValueError("the category of elements is not coded basepoints first")
         closed = len(tab.raw_of) == 1 or all(map(b.__gt__, C.dst[:out]))
-        cut, raw_of = [b], [tab.raw_of[0][b:]]
+        sub, raw_of = [range(b)], [tab.raw_of[0][b:]]
         for k, raws in enumerate(tab.raw_of[1:], 1):
             top = k > 1 and isinstance(raws, Chains)  # a nerve's top: cut at a prefix
             q = bisect_left(raws.prefixes if top else raws, (out,))
-            cut.append(raws.off[q] if top else q)
+            sub.append(range(raws.off[q] if top else q))
             raw_of.append(Chains(raws.prefixes[q:], raws.ext[q:], C) if top else raws[q:])
-        base, push = b - 1, LazyDict(partial(_moved_ref, cut))
     if not closed:
         raise ValueError("the diagram moves a basepoint off the basepoints")
+    base, push = sub[0][-1], LazyDict(partial(_moved_ref, sub))
     raw_of[0].insert(0, tab.raw_of[0][base])
     push = push.__getitem__  # each ref once, shared by its rows
     face = [[]] + [FaceRows(raws, rows.refs, push)
@@ -801,20 +794,6 @@ class SemistabilityVerdict:
     detail: dict = field(default_factory=dict)
 
 
-def _pi0_map_bijective(f):
-    src_reps = pi0(f.src)
-    dst_reps = pi0(f.dst)
-    image = {}
-    for v in range(f.src.card[0]):
-        _, _, img = f(nd_ref(0, v))
-        image[src_reps[v]] = dst_reps[img]
-    n_src = len(set(src_reps.values()))
-    n_dst = len(set(dst_reps.values()))
-    injective = len(set(image.values())) == n_src
-    surjective = len(set(image.values())) == n_dst
-    return injective and surjective, n_src, n_dst
-
-
 def _semistability_run(X, D):
     """Single-truncation checks; returns list of (name, passed, data)."""
     S = D + 2
@@ -826,8 +805,9 @@ def _semistability_run(X, D):
             ("jX", ("pi0_src", "pi0_dst"),
              hocolim_map(hocolim_N(restrict(X, X.N - 1), S), hocolim_N(RX, S),
                          lambda m, x: j[m](x)))):
-        ok, a, b = _pi0_map_bijective(f)
-        results.append((f"pi0-{name}", ok, dict(zip(keys, (a, b)))))
+        image, n_dst = pi0_image((f,)), len(pi0_classes(f.dst))
+        ok = len(set(image.values())) == len(image) == n_dst
+        results.append((f"pi0-{name}", ok, dict(zip(keys, (len(image), n_dst)))))
         cone = map_cone_homology(f, D + 1)
         hom_ok = all(cone.get(k, (0, ())) == (0, ()) for k in range(D + 2))
         results.append((f"homology-{name}", hom_ok, {"cone": dict(cone)}))

@@ -572,6 +572,15 @@ def pi0_classes(X):
     return sorted(set(reps.values()))
 
 
+def pi0_image(maps):
+    """Each component representative c of the maps' one source -> the tuple of
+    the components of c's images, one per map, in increasing order of c.  A map
+    keeps a component in one component, so each is read at c alone."""
+    dst_reps = [pi0(f.dst) for f in maps]
+    return {c: tuple(r[f(nd_ref(0, c))[2]] for f, r in zip(maps, dst_reps))
+            for c in pi0_classes(maps[0].src)}
+
+
 def component_subcomplex(X, reps):
     """Full subcomplex on the components of the given pi0 representatives.
 

@@ -1413,7 +1413,7 @@ def validate_bi_gamma(X):
     that are not a point."""
     bad = []
     for k in range(X.K + 1):
-        if sum(X.value(k, 0).card) != 1 or sum(X.value(0, k).card) != 1:
+        if sum(X.gamma.values[k * 0].card) != 1 or sum(X.gamma.values[0 * k].card) != 1:
             bad.append(f"value at ({k}+, 0+) is not a point")
     return bad
 

@@ -202,6 +202,16 @@ def test_cli_bar_summary(capsys):
     assert payload["homology"]["1"] == [1, []]
 
 
+def test_cli_bar_full_compares_the_three_terms(capsys):
+    code, payload = run_cli(capsys, "bar", "--full", "--trunc", "2", "c1")
+    assert code == 0
+    assert payload["pi0"] == {"left": 1, "middle": 1, "right": 1}
+    assert payload["homology"] == {term: {"0": [1, []], "1": [1, []]}
+                                   for term in ("left", "middle", "right")}
+    assert payload["map_iso"] == {"middle_to_left": True, "middle_to_right": True}
+    assert payload["stable"] is True
+
+
 def test_cli_bar_refusal_renders_the_flatness_witness_as_json(capsys):
     code, payload = run_cli(capsys, "bar", "--full", "--deg", "0", "--trunc", "2", "z")
     assert code == 2
@@ -258,6 +268,25 @@ def test_cli_scenario_out_file(tmp_path, capsys):
     assert code == 0
     assert json.loads(out.read_text()) == payload
     assert payload["passed"] is True
+
+
+def test_cli_out_file_on_another_command(tmp_path, capsys):
+    # every command but scenario writes through _emit: the printed document and a newline
+    out = tmp_path / "pi0.json"
+    code, payload = run_cli(capsys, "pi0", "--trunc", "2", "--out", str(out), "c1")
+    assert code == 0 and payload["model"] == "c1"
+    assert out.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_cli_scenario_timings(capsys):
+    # --timings adds each report's elapsed seconds and changes nothing else
+    code, timed = run_cli(capsys, "scenario", "--trunc", "2", "--name", "c1-pi0", "--timings")
+    assert code == 0
+    _, plain = run_cli(capsys, "scenario", "--trunc", "2", "--name", "c1-pi0")
+    [report] = timed["reports"]
+    elapsed = report.pop("elapsed")
+    assert isinstance(elapsed, float) and elapsed >= 0
+    assert timed == plain and "elapsed" not in plain["reports"][0]
 
 
 def test_registry_covers_acceptance_surfaces():

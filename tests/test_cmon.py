@@ -10,6 +10,7 @@ import pytest
 
 from ispaces import cmon, ispace
 from ispaces.cmon import (
+    CIMonoidT,
     CommMonoidPres,
     _complete,
     _normal_form,
@@ -21,6 +22,7 @@ from ispaces.cmon import (
     grothendieck_group,
     integers_monoid,
     merged_classes,
+    monoid_ispace,
     pi0_monoid,
     restrict_monoid,
     sec52_monoid,
@@ -28,11 +30,11 @@ from ispaces.cmon import (
     units,
     validate_monoid,
 )
-from ispaces.icat import coded_injections, injections, subset_inclusion
-from ispaces.ispace import (_chain_sum, constant_ispace, free_ispace, hocolim_I, power_ispace,
-                            terminal_ispace)
+from ispaces.icat import coded_injections, identity, injections, subset_inclusion
+from ispaces.ispace import (ISpaceT, _chain_sum, constant_ispace, free_ispace, hocolim_I,
+                            power_ispace, terminal_ispace)
 from ispaces.scenarios import build_monoid
-from ispaces.simplicial import Chains, homology, pi0_classes
+from ispaces.simplicial import Chains, SMap, homology, pi0_classes, vertex_ref
 
 from oracles import (
     bar_comparison_once_reference,
@@ -66,6 +68,67 @@ def test_monoid_axioms_on_models():
                   lambda: integers_monoid(2), lambda: cyclic2_monoid(2)):
         A = build()
         assert validate_monoid(A) == []
+
+
+def _with_mul(A, mul_of):
+    """A with its product replaced by mul_of(A.mul)."""
+    return CIMonoidT(A.space, A.unit, mul_of(A.mul))
+
+
+def _c1_union(good):
+    # the subsets of the two factors united without shifting the second past the first
+    pts = c1(2).meta["points"]
+    index = [{p: i for i, p in enumerate(level)} for level in pts]
+    return lambda m, n, rx, ry: (rx[0], 0, index[m + n][pts[m][rx[2]] | pts[n][ry[2]]])
+
+
+def _left_band(x, y):
+    return y if x == 0 else x
+
+
+_NON_ASSOCIATIVE = {(1, 1): 2, (1, 2): 1, (2, 2): 1}  # (1 + 1) + 2 = 1, 1 + (1 + 2) = 2
+
+
+def _without_an_identity_map():
+    # c1(1) whose identity at level 1 has no image of either vertex
+    A = c1(1)
+    maps = dict(A.space.maps)
+    maps[identity(1)] = SMap(A.level(1), A.level(1), {})
+    return CIMonoidT(ISpaceT(1, A.space.levels, maps), A.unit, A.mul)
+
+
+@pytest.mark.parametrize("build, expected", [
+    # every product a vertex, the unit laws failing with it
+    (lambda: _with_mul(c1(1), lambda good: lambda m, n, rx, ry: good(
+        m, n, vertex_ref(0, rx[2]), vertex_ref(0, ry[2]))),
+     ["left unit fails at level 0", "left unit fails at level 1",
+      "mul(0,0) changes dimension", "mul(0,1) changes dimension",
+      "mul(1,0) changes dimension", "right unit fails at level 0",
+      "right unit fails at level 1"]),
+    # every product of edges the degenerate empty subset, vertex 0 of each level
+    (lambda: _with_mul(c1(1), lambda good: lambda m, n, rx, ry: vertex_ref(1, 0) if rx[0]
+                       else good(m, n, rx, ry)),
+     ["left unit fails at level 1", "mul(0,1) does not commute with d_0",
+      "mul(0,1) does not commute with d_1", "mul(1,0) does not commute with d_0",
+      "mul(1,0) does not commute with d_1", "right unit fails at level 1"]),
+    (lambda: _with_mul(c1(2), _c1_union),
+     ["commutativity fails at (1,1)",
+      "naturality fails at (Injection(0->1, ()),Injection(1->1, (1,)))"]),
+    (lambda: monoid_ispace([0, 1, 2], _left_band, lambda e: 0, 0, 1),
+     [f"commutativity fails at {mn}" for mn in ("(0,0)", "(0,1)", "(1,0)")]),
+    (lambda: monoid_ispace([0, 1, 2], lambda x, y: 2, lambda e: 0, 0, 1),
+     [f"{side} unit fails at level {n}" for side in ("left", "right") for n in (0, 1)]),
+    (lambda: monoid_ispace(
+        [0, 1, 2], lambda x, y: _left_band(x, y) if 0 in (x, y) else
+        _NON_ASSOCIATIVE[min(x, y), max(x, y)], lambda e: 0, 0, 1),
+     [f"associativity fails at {t}" for t in ("(0,0,0)", "(0,0,1)", "(0,1,0)", "(1,0,0)")]),
+    # a carrier that fails its own validation is reported before any law is checked
+    (_without_an_identity_map,
+     [f"map at Injection(1->1, (1,)): missing image of (0, {v})" for v in (0, 1)]),
+], ids=["dimension", "faces", "naturality", "commutativity", "unit", "associativity",
+        "carrier"])
+def test_validate_monoid_reports_each_broken_law(build, expected):
+    assert validate_monoid(build()) == expected
 
 
 # the reduced rewriting system of each model, the same at every truncation

@@ -317,8 +317,10 @@ def test_smash_identification():
 def test_bi_gamma_values():
     A = c1(2)
     X = bi_gamma_from(A, 2, 2)
-    assert X.value(1, 1).card == X.gamma.values[1].card
-    assert X.value(2, 2).card == X.gamma.values[4].card
+    # the value at (k+, l+) is the one-variable functor's at (k * l)+
+    G = gamma_of_monoid(A, 4, 2)
+    for k, l in ((1, 1), (2, 2)):
+        assert X.gamma.values[k * l].card == G.values[k * l].card
     assert validate_bi_gamma(X) == []
 
 
@@ -336,6 +338,15 @@ def test_eckmann_hilton_products_coincide(build):
     rep = eckmann_hilton_check(X)
     assert rep.passed
     assert rep.witness is None
+
+
+def test_eckmann_hilton_refuses_a_failed_pairing():
+    # X(2+) a point cannot pair onto the four pairs of components of a 2-point X(1+)
+    values = [point(), discrete(2, basepoint=0), point()]
+    G = GammaSpaceT(2, values, lambda phi, k, l: SMap(values[k], values[l], {
+        (0, x): nd_ref(0, 0) for x in range(values[k].card[0])}))
+    with pytest.raises(ValueError, match="fails for rows: 1 classes vs 4 pairs"):
+        eckmann_hilton_check(BiGammaT(2, G))
 
 
 @pytest.mark.parametrize("build", [lambda: c1(2), lambda: sec52_monoid(2)])

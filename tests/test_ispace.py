@@ -540,6 +540,14 @@ def test_semistability_needs_two_truncations():
     assert v.verdict == "inconclusive"
 
 
+def test_semistability_inconclusive_when_no_check_fails_twice():
+    # at N = 3 only the N-vs-I homology fails, at N = 2 only the jX checks
+    v = semistability_diagnostic(collapsing_ispace(3), D=1)
+    assert v.verdict == "inconclusive" and v.witness is None
+    failed = {at: [name for name, ok, _ in res if not ok] for at, res in v.detail.items()}
+    assert failed == {"at_N": ["homology-N-vs-I"], "at_N_minus_1": ["pi0-jX", "homology-jX"]}
+
+
 def test_c1_subset_model_matches_power_model():
     # C(F_1) and the one-generator subsets model agree levelwise with the
     # based power construction on S^0

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from ispaces import cmon, ispace, scenarios
+from ispaces import cmon, gamma, ispace, scenarios
 from ispaces.simplicial import (
     Chains,
     FaceRows,
@@ -22,7 +22,9 @@ from ispaces.simplicial import (
     map_from_tables,
     nd_ref,
     nerve,
+    pi0,
     pi0_classes,
+    pi0_image,
     point,
     reduced_homology_trivial,
     ref_dim,
@@ -336,6 +338,42 @@ def test_pi0_disjoint_union_of_components():
     assert len(pi0_classes(x)) == 3
     comp, _ = component_subcomplex(x, {1})
     assert comp.card[0] == 1
+
+
+def _pi0_image_by_vertices(maps):
+    """`pi0_image` read at every vertex of the source, each vertex of a
+    component giving the same tuple."""
+    src = maps[0].src
+    image = {}
+    for v in range(src.card[0]):
+        at_v = tuple(pi0(f.dst)[f(nd_ref(0, v))[2]] for f in maps)
+        assert image.setdefault(pi0(src)[v], at_v) == at_v
+    return sorted(image.items())
+
+
+def test_pi0_image_agrees_with_every_vertex(monkeypatch):
+    """Every map that the Gamma verdicts and the semistability diagnostic
+    pass to `pi0_image` gives the image read at every vertex: the
+    projections out of 2+ and 3+ and the fold out of 2+ of two monoids, and
+    both semistability maps of three diagrams at N and N - 1."""
+    from ispaces.cmon import c1, sec52_monoid
+    from ispaces.ispace import collapsing_ispace, constant_ispace
+
+    calls = []
+
+    def recorded(maps):
+        calls.append((maps, pi0_image(maps)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(gamma, "pi0_image", recorded)
+    monkeypatch.setattr(ispace, "pi0_image", recorded)
+    for A in (c1(3), sec52_monoid(2)):
+        gamma.is_special(gamma.gamma_of_monoid(A, 3, 2))
+    for X in (c1(3).space, constant_ispace(simplicial_circle(), 3), collapsing_ispace(3)):
+        ispace.semistability_diagnostic(X, D=1)
+    assert [len(maps) for maps, _ in calls] == [2, 2, 2, 3] * 2 + [1] * 12
+    for maps, image in calls:
+        assert list(image.items()) == _pi0_image_by_vertices(maps)
 
 
 def test_cone_detects_iso_and_non_iso():

@@ -18,14 +18,15 @@ its caller in `src/` is looked at and the class is listed.
 
 Every parameter of every function in `src/ispaces/`, nested ones and lambdas
 included, must be read in that function's body, except `self` and the
-parameters listed in `UNREAD_ALLOWED` with their reasons.  So must every
-local that a function binds by a single-name assignment; names bound by
-tuple unpacking are exempt.  Every name a module imports must be read in
-the scope it binds, where no function, lambda or comprehension around the
-read binds the name again.  Every field of a record class in `src/ispaces/`
-must be read (see `test_every_dataclass_field_is_read`), and so must every
-module-level constant (see `test_every_constant_is_read`).  The checks use the
-standard `ast` module only.
+parameters listed in `UNREAD_ALLOWED` with their reasons.  Every local
+that a function binds by a single-name assignment (names bound by tuple
+unpacking are exempt), and every name a module imports, must be read in the
+scope it binds, where no function, lambda or comprehension around the read
+binds the name again (`_scope_walk`).  Every field of a record class in
+`src/ispaces/` must be read (see `test_every_dataclass_field_is_read`), and so
+must every module-level constant, matched by scope in the same way (see
+`test_every_constant_is_read`).  The checks use the standard `ast` module
+only.
 """
 
 import ast
@@ -236,18 +237,23 @@ def _bound(scope):
     return names
 
 
-def _import_reads(tree):
-    """(imports, reads): (scope, name, line) of each import, and (scope, name)
-    of each name read, where scope is the innermost function, lambda or
-    comprehension around it that binds the name, or None for the module."""
-    imports, reads = [], set()
+def _scope_walk(tree):
+    """(imports, assigns, reads): (scope, name, line) of each import and of each
+    single-name assignment, and (scope, name) of each name read.  The scope of an
+    import or an assignment is the innermost function, lambda or comprehension
+    around it, or None for the module; that of a read is the innermost one around
+    it that binds the name, or None."""
+    imports, assigns, reads = [], [], set()
 
     def visit(node, chain):
+        scope = chain[-1][0] if chain else None
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             reads.add((next((s for s, b in reversed(chain) if node.id in b), None), node.id))
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            imports.extend((chain[-1][0] if chain else None, name, node.lineno)
-                           for name in _imported(node))
+            imports.extend((scope, name, node.lineno) for name in _imported(node))
+        elif isinstance(node, ast.Assign):
+            assigns.extend((scope, t.id, node.lineno) for t in node.targets
+                           if isinstance(t, ast.Name))
         inner = chain + [(node, _bound(node))] if isinstance(node, _SCOPES) else chain
         body = getattr(node, "body", None) if isinstance(node, _SCOPES) else None
         body = body if isinstance(body, list) else [body]
@@ -257,13 +263,21 @@ def _import_reads(tree):
             visit(child, chain if outer else inner)
 
     visit(tree, [])
-    return imports, reads
+    return imports, assigns, reads
 
 
 def _unread_imports(tree):
     """(name, line) of each import that no read in its own scope matches."""
-    imports, reads = _import_reads(tree)
+    imports, _, reads = _scope_walk(tree)
     return [(name, line) for scope, name, line in imports if (scope, name) not in reads]
+
+
+def _unread_locals(tree):
+    """(function, name, line) of each single-name assignment in a function that
+    no read in that function's scope matches."""
+    _, assigns, reads = _scope_walk(tree)
+    return [(scope.name, name, line) for scope, name, line in assigns
+            if scope is not None and (scope, name) not in reads]
 
 
 def test_every_local_is_read():
@@ -271,15 +285,7 @@ def test_every_local_is_read():
     for path in sorted((ROOT / "src" / "ispaces").glob("*.py")):
         tree = ast.parse(path.read_text())
         unread += [f"{path.name}:{line} import {name}" for name, line in _unread_imports(tree)]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef):
-                loaded = _loaded(node)
-                for sub in ast.walk(node):
-                    if not isinstance(sub, ast.Assign):
-                        continue
-                    for t in sub.targets:
-                        if isinstance(t, ast.Name) and t.id not in loaded:
-                            unread.append(f"{path.name}:{sub.lineno} {node.name}: {t.id}")
+        unread += [f"{path.name}:{line} {fn}: {name}" for fn, name, line in _unread_locals(tree)]
     assert not unread, "bound but never read: " + ", ".join(unread)
 
 
@@ -291,6 +297,16 @@ def test_an_import_is_matched_by_scope():
               "def f(xs):\n    def g():\n        return chain(xs)\n    return g\n")
     assert _unread_imports(ast.parse(shadowed)) == [("chain", 1)]
     assert _unread_imports(ast.parse(nested)) == []
+
+
+def test_a_local_is_matched_by_scope():
+    # a nested function's parameter of the same name reads no local of the
+    # function around it, and a nested function that binds no such name reads it
+    shadowed = ("def f(xs):\n    n = len(xs)\n\n"
+                "    def g(n):\n        return n\n    return g\n")
+    nested = "def f(xs):\n    n = len(xs)\n    return lambda: n\n"
+    assert _unread_locals(ast.parse(shadowed)) == [("f", "n", 2)]
+    assert _unread_locals(ast.parse(nested)) == []
 
 
 def _callee(node):
@@ -419,26 +435,54 @@ def test_every_dataclass_field_is_read():
     assert not unread, "record fields never read: " + ", ".join(unread)
 
 
+def _constant_reads(tree):
+    """Names that a module reads where they may be a module's constant: loads
+    that no function, lambda or comprehension around them binds again, imports
+    read where they are bound, and attribute loads (`scenarios.REGISTRY`)."""
+    imports, _, reads = _scope_walk(tree)
+    return ({name for scope, name in reads if scope is None}
+            | {name for scope, name, _ in imports if (scope, name) in reads}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)})
+
+
+def _unread_constants(modules, trees):
+    """(module, name, line) of each name that a module of `modules`, pairs of a
+    module name and its tree, binds by a top-level assignment, dunders aside,
+    that none of `trees` reads (`_constant_reads`)."""
+    read = set().union(*map(_constant_reads, trees))
+    unread = []
+    for module, tree in modules:
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            unread += [(module, t.id, node.lineno) for t in targets
+                       if isinstance(t, ast.Name) and not t.id.startswith("__")
+                       and t.id not in read]
+    return unread
+
+
 def test_every_constant_is_read():
     """Every name that a module in `src/ispaces/` binds by a top-level
     assignment, dunders aside, is read in `src/`, `tests/` or `perfbench/`:
-    loaded as a name, or as an attribute (`scenarios.REGISTRY`).  A retired
-    cap or bound then cannot linger as a constant."""
-    read = set()
-    for top in ("src", "tests", "perfbench"):
-        for path in sorted((ROOT / top).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    read.add(node.id)
-                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    read.add(node.attr)
-    unread = []
-    for path in sorted((ROOT / "src" / "ispaces").glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            targets = node.targets if isinstance(node, ast.Assign) else \
-                [node.target] if isinstance(node, ast.AnnAssign) else []
-            for t in targets:
-                if isinstance(t, ast.Name) and not t.id.startswith("__") \
-                        and t.id not in read:
-                    unread.append(f"{path.name}:{node.lineno} {t.id}")
+    loaded as a name where no function, lambda or comprehension binds it
+    again, or through an import of it, or as an attribute
+    (`scenarios.REGISTRY`).  A retired cap or bound then cannot linger as a
+    constant."""
+    modules = [(path.name, ast.parse(path.read_text()))
+               for path in sorted((ROOT / "src" / "ispaces").glob("*.py"))]
+    trees = [ast.parse(path.read_text()) for top in ("src", "tests", "perfbench")
+             for path in sorted((ROOT / top).rglob("*.py"))]
+    unread = [f"{module}:{line} {name}" for module, name, line in _unread_constants(modules, trees)]
     assert not unread, "constants never read: " + ", ".join(unread)
+
+
+def test_a_constant_is_matched_by_scope():
+    # a function's own local, or a comprehension's target, of a constant's
+    # name reads no constant; a function that binds no such name reads it
+    for source in ("LIMIT = 3\n\ndef f(xs):\n    LIMIT = len(xs)\n    return LIMIT\n",
+                   "LIMIT = 3\nSQUARES = [LIMIT * LIMIT for LIMIT in range(4)]\nprint(SQUARES)\n"):
+        tree = ast.parse(source)
+        assert _unread_constants([("m", tree)], [tree]) == [("m", "LIMIT", 1)]
+    tree = ast.parse("LIMIT = 3\n\ndef f(xs):\n    return xs[:LIMIT]\n")
+    assert _unread_constants([("m", tree)], [tree]) == []
